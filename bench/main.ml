@@ -1288,7 +1288,7 @@ let pr7_bench ~label ~reps ~out () =
    bench_diff can hold the read path to its PR 7 percentiles; then
    two mixed passes (90/10 and 50/50 read/write) at two groups
    measure what transactional updates — writer lock, copy-on-write
-   rebuild, snapshot swap, targeted cache invalidation — cost
+   rebuild, snapshot swap — cost
    writers while readers keep answering from pinned snapshots. *)
 
 let pr8_bench ~label ~reps ~out () =

@@ -692,7 +692,7 @@ let explain_cmd =
         | Some r -> Printf.printf "fallback:   %s\n" r
         | None -> ());
         Printf.printf "results:    %d\n" x.Secview.Pipeline.x_results;
-        Printf.printf "doc version: %d  (plan-cache generation %d)\n"
+        Printf.printf "doc version: %d  (writes admitted %d)\n"
           x.Secview.Pipeline.x_doc_version x.Secview.Pipeline.x_generation;
         match x.Secview.Pipeline.x_plan with
         | Some (compiled, stats) ->

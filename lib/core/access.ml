@@ -2,41 +2,79 @@ module IntSet = Set.Make (Int)
 
 let no_env : string -> string option = fun _ -> None
 
-let accessible_set ?(env = no_env) spec doc =
-  let ctx = Sxpath.Eval.Ctx.make ~env ~root:doc () in
-  let result = ref IntSet.empty in
-  (* anc_ok: every conditional annotation on a strict ancestor holds.
-     parent_acc: the parent is accessible (for inheritance). *)
-  let rec visit ~parent_tag ~anc_ok ~parent_acc (node : Sxml.Tree.t) =
-    let child_key =
-      match node.desc with
-      | Sxml.Tree.Text _ -> Sdtd.Regex.pcdata
-      | Sxml.Tree.Element e -> e.tag
-    in
-    let annot =
-      match parent_tag with
-      | None -> Some Spec.Yes (* the root is Y by default *)
-      | Some parent -> Spec.annotation spec ~parent ~child:child_key
-    in
-    let self_acc, qual_ok =
-      match annot with
-      | Some Spec.Yes -> (anc_ok, true)
-      | Some Spec.No -> (false, true)
-      | Some (Spec.Cond q) ->
-        let holds = Sxpath.Eval.check ctx q node in
-        (anc_ok && holds, holds)
-      | None -> (parent_acc, true)
-    in
-    if self_acc then result := IntSet.add node.id !result;
+(* What a node hands its children in the accessibility recurrence:
+   its own tag (to look up the children's annotations), whether every
+   conditional annotation on it and its ancestors holds, and whether
+   it is itself accessible (for inheritance). *)
+type state = {
+  ptag : string option;
+  anc_ok : bool;
+  parent_acc : bool;
+}
+
+let root_state = { ptag = None; anc_ok = true; parent_acc = true }
+
+let step ctx spec st (node : Sxml.Tree.t) =
+  let tag, key =
     match node.desc with
-    | Sxml.Tree.Text _ -> ()
-    | Sxml.Tree.Element e ->
-      let anc_ok = anc_ok && qual_ok in
-      List.iter
-        (visit ~parent_tag:(Some e.tag) ~anc_ok ~parent_acc:self_acc)
-        e.children
+    | Sxml.Tree.Text _ -> (None, Sdtd.Regex.pcdata)
+    | Sxml.Tree.Element e -> (Some e.tag, e.tag)
   in
-  visit ~parent_tag:None ~anc_ok:true ~parent_acc:true doc;
+  let annot =
+    match st.ptag with
+    | None -> Some Spec.Yes (* the root is Y by default *)
+    | Some parent -> Spec.annotation spec ~parent ~child:key
+  in
+  let self_acc, qual_ok =
+    match annot with
+    | Some Spec.Yes -> (st.anc_ok, true)
+    | Some Spec.No -> (false, true)
+    | Some (Spec.Cond q) ->
+      let holds = Sxpath.Eval.check ctx q node in
+      (st.anc_ok && holds, holds)
+    | None -> (st.parent_acc, true)
+  in
+  ( self_acc,
+    { ptag = tag; anc_ok = st.anc_ok && qual_ok; parent_acc = self_acc } )
+
+let rec iter_subtree ctx spec st f (node : Sxml.Tree.t) =
+  let self_acc, st' = step ctx spec st node in
+  f node self_acc;
+  List.iter (iter_subtree ctx spec st' f) (Sxml.Tree.children node)
+
+let first_inaccessible ctx spec st node =
+  let exception Found of Sxml.Tree.t in
+  match
+    iter_subtree ctx spec st (fun n acc -> if not acc then raise (Found n)) node
+  with
+  | () -> None
+  | exception Found n -> Some n
+
+type flags = Bytes.t
+
+(* Dense preorder numbering: the last node in preorder carries the
+   largest identifier. *)
+let rec last_id (node : Sxml.Tree.t) =
+  match List.rev (Sxml.Tree.children node) with
+  | [] -> node.id
+  | last :: _ -> last_id last
+
+let accessible_flags ?(env = no_env) spec doc =
+  let ctx = Sxpath.Eval.Ctx.make ~env ~root:doc () in
+  let flags = Bytes.make (last_id doc + 1) '\000' in
+  iter_subtree ctx spec root_state
+    (fun n acc -> if acc then Bytes.unsafe_set flags n.Sxml.Tree.id '\001')
+    doc;
+  flags
+
+let flag flags id = Bytes.get flags id <> '\000'
+
+let accessible_set ?env spec doc =
+  let flags = accessible_flags ?env spec doc in
+  let result = ref IntSet.empty in
+  Bytes.iteri
+    (fun id c -> if c <> '\000' then result := IntSet.add id !result)
+    flags;
   !result
 
 let accessible ?env spec doc v =
@@ -88,12 +126,12 @@ let accessible_attributes ?(env = no_env) ?accessible spec doc node =
   | Sxml.Tree.Text _ -> []
   | Sxml.Tree.Element e ->
     let declared = Sdtd.Dtd.attributes (Spec.dtd spec) e.tag in
-    let set =
+    let flags =
       match accessible with
-      | Some set -> set
-      | None -> accessible_set ~env spec doc
+      | Some flags -> flags
+      | None -> accessible_flags ~env spec doc
     in
-    let node_accessible = IntSet.mem node.Sxml.Tree.id set in
+    let node_accessible = flag flags node.Sxml.Tree.id in
     let ancestors_ok =
       lazy (anc_ok ~env spec ~parent_tag:None node doc = Some true)
     in

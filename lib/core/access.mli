@@ -22,6 +22,43 @@ val accessible_set :
     document, computed in one top-down pass (qualifier evaluations
     aside). *)
 
+type flags = Bytes.t
+(** Per-node accessibility of one document, indexed by node
+    identifier: byte [1] for an accessible node, [0] otherwise. *)
+
+val accessible_flags :
+  ?env:(string -> string option) -> Spec.t -> Sxml.Tree.t -> flags
+(** {!accessible_set} as a flag vector: the same top-down pass, one
+    byte per identifier up to the document's last. *)
+
+val flag : flags -> int -> bool
+
+(** {2 The recurrence, one node at a time}
+
+    Accessibility is computed top-down: each node's verdict depends
+    on the state its parent hands it and on its own qualifier, which
+    looks only downward.  These expose the single step so a caller
+    can run the recurrence along chosen root paths only (the update
+    admission check does). *)
+
+type state
+(** What a node hands its children: its tag, whether every qualifier
+    on it and its ancestors holds, and whether it is accessible. *)
+
+val root_state : state
+(** The state above the document root (the root is [Y]). *)
+
+val step :
+  Sxpath.Eval.Ctx.t -> Spec.t -> state -> Sxml.Tree.t -> bool * state
+(** [step ctx spec st v]: given the state [v]'s parent hands down,
+    whether [v] is accessible and the state [v] hands its children.
+    Qualifiers are evaluated with [ctx]'s variable environment. *)
+
+val first_inaccessible :
+  Sxpath.Eval.Ctx.t -> Spec.t -> state -> Sxml.Tree.t -> Sxml.Tree.t option
+(** The first inaccessible node, in document order, of the subtree
+    rooted at [v], given the state [v]'s parent hands down. *)
+
 val accessible : ?env:(string -> string option) -> Spec.t ->
   Sxml.Tree.t -> Sxml.Tree.t -> bool
 (** [accessible spec doc v]: is [v] (a node of [doc]) accessible?
@@ -35,7 +72,7 @@ val accessible_elements :
 
 val accessible_attributes :
   ?env:(string -> string option) ->
-  ?accessible:IntSet.t ->
+  ?accessible:flags ->
   Spec.t ->
   Sxml.Tree.t ->
   Sxml.Tree.t ->

@@ -7,14 +7,22 @@ type source =
    in place: applying an update builds a fresh tree and swaps a fresh
    snapshot into the entry, so a reader that pinned the old one keeps
    a consistent {version, doc, height, index} quadruple for as long as
-   it holds the pin — in-flight reads are never torn. *)
+   it holds the pin — in-flight reads are never torn.  The write path
+   adds two facts of its own: conformance to a DTD (keyed by the DTD's
+   stamp, memoized like height) and one policy's accessibility flags
+   (keyed by the policy value and the values bound to its variables),
+   which only the write that publishes the snapshot sets. *)
 type snapshot = {
   version : int;
   slock : Mutex.t;
   mutable source : source;
   mutable height : int option;
   mutable index : Sxml.Index.t option;
+  mutable conforms : (int * bool) option;
+  access : (access_key * Access.flags) option;
 }
+
+and access_key = Spec.t * string option list
 
 type entry = {
   name : string option;
@@ -48,13 +56,15 @@ let create ?(intern_capacity = 64) () =
    a request, and caches keyed on the stamp invalidate on bump. *)
 let next_version = Atomic.make 1
 
-let make_snapshot source =
+let make_snapshot ?conforms ?access source =
   {
     version = Atomic.fetch_and_add next_version 1;
     slock = Mutex.create ();
     source;
     height = None;
     index = None;
+    conforms;
+    access;
   }
 
 let make_entry ?name source =
@@ -130,9 +140,38 @@ let snapshot_index s =
 
 let index e = snapshot_index e.snap
 
-let update e doc =
+(* Conformance is computed outside the snapshot lock: readers take it
+   for the document, height and index, and must not wait on a writer's
+   whole-document pass.  Two racing computations agree, so the later
+   store is harmless. *)
+let snapshot_conforms s dtd =
+  let d = snapshot_doc s in
+  let stamp = Sdtd.Dtd.stamp dtd in
+  match Mutex.protect s.slock (fun () -> s.conforms) with
+  | Some (st, c) when st = stamp -> c
+  | _ ->
+    let c = Sdtd.Validate.conforms dtd d in
+    Mutex.protect s.slock (fun () -> s.conforms <- Some (stamp, c));
+    c
+
+let no_env : string -> string option = fun _ -> None
+let access_key ~env spec = (spec, List.map env (Spec.variables spec))
+
+(* Only [Engine.apply] asks, after admitting a write that then
+   supersedes this snapshot, so a flag set computed here would never
+   be read again: a miss computes without storing. *)
+let snapshot_access ?(env = no_env) s spec =
+  match s.access with
+  | Some ((sp, values), flags)
+    when sp == spec && values = snd (access_key ~env spec) ->
+    flags
+  | _ -> Access.accessible_flags ~env spec (snapshot_doc s)
+
+let update ~conforms ~access:(spec, env, flags) e doc =
+  let conforms = (Sdtd.Dtd.stamp conforms, true)
+  and access = (access_key ~env spec, flags) in
   Mutex.protect e.elock (fun () ->
-      let s = make_snapshot (Loaded doc) in
+      let s = make_snapshot ~conforms ~access (Loaded doc) in
       e.snap <- s;
       s.version)
 

@@ -19,8 +19,13 @@
     [{version; doc; height; index}] view for as long as it holds it,
     so in-flight reads are never torn by a concurrent update.
 
-    All operations are thread-safe; memoized values are computed at
-    most once per snapshot.  Interned (anonymous) entries are bounded
+    Snapshots also hold two facts the write path needs
+    ({!snapshot_conforms}, {!snapshot_access}); a writer that has
+    proved them for the document it publishes carries them into
+    {!update}.
+
+    All operations are thread-safe; heights and indexes are computed
+    at most once per snapshot.  Interned (anonymous) entries are bounded
     ([intern_capacity], default 64, oldest evicted) so streaming
     throwaway documents through a pipeline cannot leak memory. *)
 
@@ -82,17 +87,43 @@ val pin : entry -> snapshot
     consistent with each other) however many updates land after the
     pin; it is simply no longer current. *)
 
-val update : entry -> Sxml.Tree.t -> int
-(** [update e doc] swaps a fresh snapshot holding [doc] into [e] and
-    returns its (new, strictly higher) version.  Swaps serialize per
-    entry; pinned readers are unaffected.  Memos start cold — the next
-    height/index request recomputes against the new tree. *)
+val update :
+  conforms:Sdtd.Dtd.t ->
+  access:Spec.t * (string -> string option) * Access.flags ->
+  entry ->
+  Sxml.Tree.t ->
+  int
+(** [update ~conforms ~access e doc] swaps a fresh snapshot holding
+    [doc] into [e] and returns its (new, strictly higher) version.
+    Swaps serialize per entry; pinned readers are unaffected.  Height
+    and index memos start cold — the next request recomputes against
+    the new tree.  The writer carries over the facts it has proved
+    about [doc] instead of leaving them to be recomputed: [doc]
+    conforms to the DTD [conforms] (seeds {!snapshot_conforms}), and
+    [access = (spec, env, flags)] is its accessibility under [spec]
+    and the bindings [env] ({!snapshot_access}). *)
 
 val snapshot_version : snapshot -> int
 val snapshot_doc : snapshot -> Sxml.Tree.t
 val snapshot_height : t -> snapshot -> int
 val snapshot_memoized_height : snapshot -> int option
 val snapshot_index : snapshot -> Sxml.Index.t
+
+val snapshot_conforms : snapshot -> Sdtd.Dtd.t -> bool
+(** Whether the snapshot's document conforms to the DTD
+    ({!Sdtd.Validate.conforms}), memoized per snapshot for the last
+    DTD asked.  Unlike height and index, it is computed outside the
+    snapshot's lock, so readers never wait on it. *)
+
+val snapshot_access :
+  ?env:(string -> string option) -> snapshot -> Spec.t -> Access.flags
+(** The document's accessibility under the policy
+    ({!Access.accessible_flags}): the flags {!update} carried into the
+    snapshot when the policy (by physical identity) and the values
+    [env] binds to {!Spec.variables} are the ones it carried, else
+    computed afresh and not stored.  So only a write under the same
+    policy and bindings as the write that published the snapshot
+    skips the whole-document pass. *)
 
 val intern : t -> Sxml.Tree.t -> entry
 (** Find-or-create the entry for a loaded tree by physical identity. *)

@@ -13,11 +13,13 @@ exception Abort of string
 
 let abort fmt = Printf.ksprintf (fun s -> raise (Abort s)) fmt
 
-let materialize ?env ~spec ~view doc =
-  let accessible = Access.accessible_set ?env spec doc in
-  let is_accessible (n : Sxml.Tree.t) =
-    Access.IntSet.mem n.id accessible
+let materialize ?env ?accessible ~spec ~view doc =
+  let accessible =
+    match accessible with
+    | Some flags -> flags
+    | None -> Access.accessible_flags ?env spec doc
   in
+  let is_accessible (n : Sxml.Tree.t) = Access.flag accessible n.id in
   let attrs_of source =
     Access.accessible_attributes ?env ~accessible spec doc source
   in

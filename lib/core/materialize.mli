@@ -30,6 +30,7 @@ exception Abort of string
 
 val materialize :
   ?env:(string -> string option) ->
+  ?accessible:Access.flags ->
   spec:Spec.t ->
   view:View.t ->
   Sxml.Tree.t ->
@@ -40,6 +41,9 @@ val materialize :
     of the node itself is not required — dummies stand for hidden
     nodes), plus the accessible text children of [v] when the
     production mentions PCDATA; all ordered by document order.
+    [accessible] supplies the document's accessibility under [spec]
+    and [env] when the caller already holds it (a carried per-snapshot
+    fact); it must equal [Access.accessible_flags ?env spec doc].
     @raise Abort when the resulting label word violates the
     production. *)
 

@@ -11,20 +11,18 @@
     Each worker then owns a {!Session}: the translation cache, plan
     cache, admission-verdict cache and traffic counters for that
     worker alone.  The hot read path takes {e no locks} — a warm
-    {!Session.answer} is two atomic loads (service identity and the
-    invalidation generation) plus hash probes on caches nobody else
-    touches.  Cold translations run the rewriter/optimizer inline;
-    {!Image}'s schema-analysis memos are domain-local and guard
-    themselves, so cold work on different domains proceeds in
-    parallel.
+    {!Session.answer} is one atomic load (service identity) plus hash
+    probes on caches nobody else touches.  Cold translations run the
+    rewriter/optimizer inline; {!Image}'s schema-analysis memos are
+    domain-local and guard themselves, so cold work on different
+    domains proceeds in parallel.
 
-    Writes and policy reloads publish through the service: a document
-    update swaps a new snapshot into the catalog and appends to the
-    service's invalidation log ({!Service.invalidate_version}); a
-    policy reload builds a whole new service and {!Service.publish}es
-    it on the slot sessions watch.  Sessions catch up lazily on their
-    next call — targeted eviction for invalidated versions, a full
-    rebuild on republish.
+    A document update swaps a new snapshot into the catalog and evicts
+    nothing: translations and plans are keyed by query and unfolding
+    height, which no document content enters.  A policy reload builds
+    a whole new service and {!Service.publish}es it on the slot
+    sessions watch; sessions rebuild their caches on their next
+    call.
 
     The old single-handle [Pipeline.t] API remains for one PR as a
     deprecated facade (a Session behind one mutex). *)
@@ -149,9 +147,8 @@ type outcome = {
     [Denied_empty] query is still run (explain shows what evaluation
     would do; the count is provably 0).  [x_doc_version] and
     [x_generation] pin the provenance: which catalog snapshot of the
-    document answered, and which invalidation generation (see
-    {!Service.generation}) the translation/plan came from — a
-    stale-plan bug is diagnosable from two explain outputs alone. *)
+    document answered, and how many writes the service had admitted
+    by then (see {!Service.generation}). *)
 type explanation = {
   x_admission : admission;
   x_translated : Sxpath.Ast.path;
@@ -164,7 +161,7 @@ type explanation = {
 }
 
 (** The shared, immutable layer: views, specs, the document catalog
-    and the invalidation log.  One service is built at startup and
+    and the admitted-write count.  One service is built at startup and
     handed (by value or through a {!Service.slot}) to every session on
     every domain. *)
 module Service : sig
@@ -221,19 +218,12 @@ module Service : sig
       write grant: all updates are rejected).  @raise Not_found. *)
 
   val generation : t -> int
-  (** The invalidation generation: starts at 0 and is bumped by every
-      {!invalidate_version} call, so two explain outputs with the same
-      generation are guaranteed to have executed against the same
-      logical cache contents. *)
+  (** How many writes the service has admitted: starts at 0 and is
+      bumped by every {!record_write}. *)
 
-  val invalidate_version : t -> int -> unit
-  (** [invalidate_version t v] appends version [v] to the service's
-      invalidation log (lock-free) and bumps {!generation}.  Every
-      session evicts exactly the translation-cache entries (and their
-      attached plans) populated on behalf of [v], lazily, on its next
-      call.  Called by the update engine after swapping a new snapshot
-      into the catalog; unknown versions cost each session nothing
-      beyond the generation check. *)
+  val record_write : t -> unit
+  (** Count one admitted write (lock-free).  Called by the update
+      engine after swapping a new snapshot into the catalog. *)
 
   type slot = t Atomic.t
   (** Where sessions watch for republished services (policy reload):
@@ -254,11 +244,11 @@ end
     A session is {b not} thread-safe — it is the one-owner fast path.
     Give each domain (or each thread that wants isolation) its own via
     {!Session.create}/{!Session.of_slot}; sessions sharing a
-    {!Service} share documents, versions and invalidation, not cache
-    memory.  The only cross-domain traffic a session supports is
-    {e reading} its counters ({!Session.stats}/{!Session.all_stats}
-    are safe to call from another domain while the owner works — the
-    counters are atomics). *)
+    {!Service} share documents and versions, not cache memory.  The
+    only cross-domain traffic a session supports is {e reading} its
+    counters ({!Session.stats}/{!Session.all_stats} are safe to call
+    from another domain while the owner works — the counters are
+    atomics). *)
 module Session : sig
   type t
 
@@ -383,8 +373,7 @@ end
        the same names under {!Session};}
     {- [cache_stats]/[admission_stats]/[stats] → {!Session.stats_of} /
        {!Session.all_stats} (one unified {!stats} record);}
-    {- [invalidate_version]/[generation]/accessors → the same names
-       under {!Service}.}} *)
+    {- [generation]/accessors → the same names under {!Service}.}} *)
 
 type t
 [@@deprecated "use Pipeline.Service + Pipeline.Session"]
@@ -443,9 +432,6 @@ val spec : t -> group:string -> Spec.t option
 [@@deprecated "use Pipeline.Service.spec"]
 
 val generation : t -> int [@@deprecated "use Pipeline.Service.generation"]
-
-val invalidate_version : t -> int -> unit
-[@@deprecated "use Pipeline.Service.invalidate_version"]
 
 val translate :
   t -> group:string -> ?height:int -> Sxpath.Ast.path -> Sxpath.Ast.path

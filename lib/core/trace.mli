@@ -30,7 +30,10 @@ type probe = {
       (** Start a span named after a pipeline stage; returns a token
           [leave] must be called with.  Stage names in use: ["answer"],
           ["height"], ["translate"], ["rewrite"], ["unfold"],
-          ["optimize"], ["plan"], ["derive"], ["eval"]. *)
+          ["optimize"], ["plan"], ["derive"], ["eval"], ["admission"],
+          and on the write path ["admit"] (the update admission
+          check), ["splice"] (the document rebuild, inside
+          ["admit"]) and ["digest"] (the receipt's view digest). *)
   leave : span_id -> unit;
   count : string -> int -> unit;  (** Add to a named counter. *)
   value : string -> int -> unit;

@@ -30,9 +30,9 @@
     to a dedicated queue popped by a single {e coordinator} domain,
     which serializes every check-to-swap in the process — the
     per-document writer-lock table of the threaded design is gone.
-    Readers pin catalog snapshots and are never torn by a swap;
-    sessions on other domains evict stale cache entries lazily
-    through the service's invalidation log.
+    Readers pin catalog snapshots and are never torn by a swap; no
+    session cache needs evicting, since translations and plans never
+    depend on document content.
 
     {b Observability.}  Counters ([server.accepted],
     [server.rejected.*], [server.timeout], [server.done.*]) and

@@ -1,26 +1,15 @@
 module IntSet = Secview.Access.IntSet
+module Access = Secview.Access
 module Tree = Sxml.Tree
 module Error = Secview.Error
-
-(* Parent node of every node id, for edge-grant lookups. *)
-let parent_map doc =
-  let tbl = Hashtbl.create 64 in
-  Tree.iter
-    (fun n -> List.iter (fun c -> Hashtbl.replace tbl c.Tree.id n) (Tree.children n))
-    doc;
-  tbl
 
 let rec spec_size = function
   | Tree.E (_, _, cs) ->
     List.fold_left (fun acc c -> acc + spec_size c) 1 cs
   | Tree.T _ -> 1
 
-(* Rebuild the document with the edit applied, numbering the candidate
-   in of_spec's preorder as we go so the spliced content's id
-   intervals in the new document are known without re-finding it, and
-   recording the old id -> new id mapping of every surviving node so
-   accessibility can be compared across the edit.  Exactly one of the
-   target sets is non-empty per update. *)
+(* The edit to apply: exactly one of the target sets is non-empty per
+   update. *)
 type edit = {
   delete : IntSet.t;
   replace : IntSet.t;
@@ -40,60 +29,119 @@ let no_edit =
     content = None;
   }
 
+(* What the rebuild tells admission about the edit, in the candidate's
+   identifiers. *)
+type spliced = {
+  candidate : Tree.t;
+  size : int;  (* nodes in the candidate *)
+  copies : int list;  (* first id of each spliced copy of the content *)
+  parents : int list;  (* survivors whose children changed, ascending *)
+  runs : (int * int * int) list;
+      (* survivors as maximal runs (old id, new id, length), ascending *)
+}
+
+(* Rebuild the document with the edit applied, numbering the candidate
+   in of_spec's preorder as we go.  Survivors keep their relative
+   order, so they fall into runs of consecutive old ids that map to
+   consecutive new ids; a run breaks only where the edit removed or
+   spliced something. *)
 let splice doc edit =
   let csize =
     match edit.content with Some c -> spec_size c | None -> 0
   in
-  let intervals = ref [] in
-  let survivors = Hashtbl.create 256 in
-  let emit_content pos =
-    intervals := (pos, pos + csize) :: !intervals;
-    (Option.get edit.content, pos + csize)
+  let copies = ref [] and parents = ref [] and runs = ref [] in
+  let run_old = ref 0 and run_new = ref 0 and run_len = ref 0 in
+  let survive (n : Tree.t) pos =
+    if n.Tree.id = !run_old + !run_len && pos = !run_new + !run_len then
+      incr run_len
+    else begin
+      if !run_len > 0 then runs := (!run_old, !run_new, !run_len) :: !runs;
+      run_old := n.Tree.id;
+      run_new := pos;
+      run_len := 1
+    end
+  in
+  let emit acc pos =
+    copies := pos :: !copies;
+    (Option.get edit.content :: acc, pos + csize)
   in
   let rec go (n : Tree.t) pos =
-    if IntSet.mem n.Tree.id edit.delete then ([], pos)
-    else if IntSet.mem n.Tree.id edit.replace then begin
-      let c, pos = emit_content pos in
-      ([ c ], pos)
-    end
-    else
-      match n.Tree.desc with
-      | Tree.Text s ->
-        Hashtbl.replace survivors n.Tree.id pos;
-        ([ Tree.T s ], pos + 1)
-      | Tree.Element e ->
-        Hashtbl.replace survivors n.Tree.id pos;
-        let children_rev, pos =
-          List.fold_left
-            (fun (acc, pos) (c : Tree.t) ->
-              let acc, pos =
-                if IntSet.mem c.Tree.id edit.insert_before then begin
-                  let s, pos = emit_content pos in
-                  (s :: acc, pos)
-                end
-                else (acc, pos)
-              in
-              let cs, pos = go c pos in
-              let acc = List.rev_append cs acc in
-              if IntSet.mem c.Tree.id edit.insert_after then begin
-                let s, pos = emit_content pos in
-                (s :: acc, pos)
+    survive n pos;
+    match n.Tree.desc with
+    | Tree.Text s -> (Tree.T s, pos + 1)
+    | Tree.Element e ->
+      let edited = ref false in
+      let emit_edited acc pos =
+        edited := true;
+        emit acc pos
+      in
+      let children_rev, next =
+        List.fold_left
+          (fun (acc, pos) (c : Tree.t) ->
+            let id = c.Tree.id in
+            let acc, pos =
+              if IntSet.mem id edit.insert_before then emit_edited acc pos
+              else (acc, pos)
+            in
+            let acc, pos =
+              if IntSet.mem id edit.delete then begin
+                edited := true;
+                (acc, pos)
               end
-              else (acc, pos))
-            ([], pos + 1) e.Tree.children
-        in
-        let children_rev, pos =
-          if IntSet.mem n.Tree.id edit.insert_into then begin
-            let s, pos = emit_content pos in
-            (s :: children_rev, pos)
-          end
-          else (children_rev, pos)
-        in
-        ([ Tree.E (e.Tree.tag, e.Tree.attrs, List.rev children_rev) ], pos)
+              else if IntSet.mem id edit.replace then emit_edited acc pos
+              else
+                let s, pos = go c pos in
+                (s :: acc, pos)
+            in
+            if IntSet.mem id edit.insert_after then emit_edited acc pos
+            else (acc, pos))
+          ([], pos + 1) e.Tree.children
+      in
+      let children_rev, next =
+        if IntSet.mem n.Tree.id edit.insert_into then
+          emit_edited children_rev next
+        else (children_rev, next)
+      in
+      if !edited then parents := pos :: !parents;
+      (Tree.E (e.Tree.tag, e.Tree.attrs, List.rev children_rev), next)
   in
-  match go doc 0 with
-  | [ root ], _ -> (Tree.of_spec root, List.rev !intervals, survivors)
-  | _ -> invalid_arg "Check.splice: the edit removed the document root"
+  let root, size = go doc 0 in
+  runs := (!run_old, !run_new, !run_len) :: !runs;
+  {
+    candidate = Tree.of_spec root;
+    size;
+    copies = !copies;
+    parents = List.sort Int.compare !parents;
+    runs = List.rev !runs;
+  }
+
+(* Visit [n] and every ancestor-or-self of the nodes whose ids are in
+   [ids] (ascending, all inside [n]'s subtree) in preorder, threading
+   [visit]'s result from parent to children.  Dense preorder ids make
+   the child holding an id the last child whose id does not exceed
+   it, so the walk touches the root paths and their siblings only. *)
+let rec descend visit x (n : Tree.t) ids =
+  let hit, below =
+    match ids with
+    | i :: rest when i = n.Tree.id -> (true, rest)
+    | _ -> (false, ids)
+  in
+  let x' = visit x n ~hit ~inner:(below <> []) in
+  let rec split children ids =
+    match (children, ids) with
+    | _, [] -> ()
+    | (c : Tree.t) :: (next :: _ as rest), _ ->
+      let rec take acc = function
+        | i :: tl when i < next.Tree.id -> take (i :: acc) tl
+        | tl -> (List.rev acc, tl)
+      in
+      let mine, others = take [] ids in
+      if mine <> [] then descend visit x' c mine;
+      split rest others
+    | [ c ], ids -> descend visit x' c ids
+    | [], _ :: _ -> invalid_arg "Check.descend: id outside the subtree"
+  in
+  split (Tree.children n) below
 
 let denied fmt = Printf.ksprintf (fun s -> Error.Update_denied s) fmt
 let invalid fmt = Printf.ksprintf (fun s -> Error.Invalid_update s) fmt
@@ -105,7 +153,36 @@ let content_tag = function
   | Tree.E (tag, _, _) -> Ok tag
   | Tree.T _ -> Error (invalid "update content must be an element")
 
-let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
+(* A qualifier may use a variable only some nodes ever evaluate, and
+   the local recheck below evaluates fewer qualifiers than a whole-
+   document pass would: demanding every policy variable up front
+   keeps the verdict independent of which qualifiers run. *)
+let check_bound spec env =
+  match
+    List.find_opt (fun v -> env v = None) (Secview.Spec.variables spec)
+  with
+  | Some name -> Error (Error.Unbound_variable name)
+  | None -> Ok ()
+
+(* Where a target sits on the walk down from the root: the state and
+   node of its parent, and whether an enclosing target removes it. *)
+type at = {
+  st : Access.state;
+  parent : Tree.t option;
+  removed : bool;
+}
+
+type admitted = {
+  candidate : Tree.t;
+  targets : int;
+  size : int;
+  runs : (int * int * int) list;
+}
+
+let no_env : string -> string option = fun _ -> None
+
+let run ~dtd ~spec ~view ?(env = no_env) ?height ?(audit = fun _ -> ())
+    ~conforms doc update =
   let ( let* ) = Result.bind in
   let* () =
     match update with
@@ -113,6 +190,7 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
     | Ast.Insert { content; _ } | Ast.Replace { content; _ } ->
       Result.map ignore (content_tag content)
   in
+  let* () = check_bound spec env in
   let* translated =
     match
       match height with
@@ -125,10 +203,9 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
     | exception Secview.Rewrite.Unsupported msg ->
       Error (Error.Unsupported msg)
   in
+  let ctx = Sxpath.Eval.Ctx.make ~env ~root:doc () in
   let* targets =
-    match
-      Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ~root:doc ()) translated
-    with
+    match Sxpath.Eval.run ctx translated with
     | ts -> Ok ts
     | exception Sxpath.Eval.Unbound_variable name ->
       Error (Error.Unbound_variable name)
@@ -138,9 +215,29 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
       Error (invalid "target matches no node of the view")
     else Ok ()
   in
-  let parents = parent_map doc in
-  let acc = Secview.Access.accessible_set ?env spec doc in
   let op = Ast.op update in
+  let removes, into =
+    match update with
+    | Ast.Delete _ | Ast.Replace _ -> (true, false)
+    | Ast.Insert { pos; _ } -> (false, pos = Ast.Into)
+  in
+  (* The accessibility recurrence along the root paths of the targets
+     only: each target with its parent's state and its own verdict,
+     and — for the preservation check below — the verdict of every
+     surviving node whose subtree the edit changes, in document
+     order. *)
+  let found = ref [] and spine = ref [] in
+  descend
+    (fun at (n : Tree.t) ~hit ~inner ->
+      let acc, st = Access.step ctx spec at.st n in
+      if hit then found := (n, at, acc) :: !found;
+      let survives = not (at.removed || (hit && removes)) in
+      if survives && (inner || (hit && into)) then
+        spine := (n.Tree.id, acc) :: !spine;
+      { st; parent = Some n; removed = not survives })
+    { st = Access.root_state; parent = None; removed = false }
+    doc
+    (List.map (fun (t : Tree.t) -> t.Tree.id) targets);
   let edge_grant ~parent ~child =
     if Secview.Spec.writable spec ~parent ~child op then Ok ()
     else
@@ -149,12 +246,10 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
            (Secview.Spec.write_op_to_string op)
            parent child)
   in
-  let parent_tag (t : Tree.t) =
-    match Hashtbl.find_opt parents t.Tree.id with
-    | Some p -> (
-      match Tree.tag p with Some tag -> Ok tag | None -> assert false)
-    | None ->
-      Error (denied "the document root has no parent edge to grant")
+  let parent_tag at =
+    match at.parent with
+    | Some p -> Ok (Option.get (Tree.tag p))
+    | None -> Error (denied "the document root has no parent edge to grant")
   in
   (* Denial text goes back to the client verbatim, so it must not name
      node identifiers: ids are dense preorder positions, and echoing
@@ -162,12 +257,8 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
      probe out the size and location of subtrees the view conceals.
      The precise, id-bearing reason goes to [audit] instead — the
      server writes it to the operator's audit log only. *)
-  let subtree_accessible (t : Tree.t) =
-    match
-      List.find_opt
-        (fun (n : Tree.t) -> not (IntSet.mem n.Tree.id acc))
-        (Tree.descendants_or_self t)
-    with
+  let subtree_accessible (t : Tree.t) at =
+    match Access.first_inaccessible ctx spec at.st t with
     | None -> Ok ()
     | Some n ->
       audit
@@ -176,14 +267,14 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
            t.Tree.id n.Tree.id);
       Error (denied "target subtree contains inaccessible content")
   in
-  let target_accessible (t : Tree.t) =
-    if IntSet.mem t.Tree.id acc then Ok ()
+  let target_accessible (t : Tree.t) acc =
+    if acc then Ok ()
     else begin
       audit (Printf.sprintf "target node id %d is not accessible" t.Tree.id);
       Error (denied "target node is not accessible")
     end
   in
-  let check_target (t : Tree.t) =
+  let check_target ((t : Tree.t), at, acc) =
     let ttag =
       match Tree.tag t with Some tag -> tag | None -> "#PCDATA"
     in
@@ -198,27 +289,27 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
           Error (invalid "cannot delete the document root")
         else Ok ()
       in
-      let* ptag = parent_tag t in
+      let* ptag = parent_tag at in
       let* () = edge_grant ~parent:ptag ~child:ttag in
-      subtree_accessible t
+      subtree_accessible t at
     | Ast.Replace _ ->
-      let* ptag = parent_tag t in
+      let* ptag = parent_tag at in
       let* () = edge_grant ~parent:ptag ~child:ttag in
-      subtree_accessible t
+      subtree_accessible t at
     | Ast.Insert { pos = Ast.Into; content; _ } ->
       let* ctag = content_tag content in
-      let* () = target_accessible t in
+      let* () = target_accessible t acc in
       edge_grant ~parent:ttag ~child:ctag
     | Ast.Insert { pos = Ast.Before | Ast.After; content; _ } ->
       let* ctag = content_tag content in
-      let* () = target_accessible t in
-      let* ptag = parent_tag t in
+      let* () = target_accessible t acc in
+      let* ptag = parent_tag at in
       edge_grant ~parent:ptag ~child:ctag
   in
   let* () =
     List.fold_left
       (fun acc t -> Result.bind acc (fun () -> check_target t))
-      (Ok ()) targets
+      (Ok ()) (List.rev !found)
   in
   let ids = List.fold_left (fun s (t : Tree.t) -> IntSet.add t.Tree.id s)
       IntSet.empty targets
@@ -235,31 +326,72 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
       | Ast.Before -> { no_edit with insert_before = ids; content }
       | Ast.After -> { no_edit with insert_after = ids; content })
   in
-  let candidate, intervals, survivors = splice doc edit in
+  let sp = Secview.Trace.span "splice" (fun () -> splice doc edit) in
+  let candidate = sp.candidate in
+  (* The same recurrence over the candidate, along the root paths of
+     the elements whose children changed: their verdicts, and the
+     state each hands the spliced copies among its children. *)
+  let ctx' = Sxpath.Eval.Ctx.make ~env ~root:candidate () in
+  let spine' = ref [] and edited = ref [] in
+  descend
+    (fun st (n : Tree.t) ~hit ~inner:_ ->
+      let acc, st' = Access.step ctx' spec st n in
+      spine' := acc :: !spine';
+      if hit then edited := (n, st') :: !edited;
+      st')
+    Access.root_state candidate sp.parents;
+  let edited = List.rev !edited in
+  let starts = IntSet.of_list sp.copies in
+  let copies =
+    List.concat_map
+      (fun (n, st) ->
+        List.filter_map
+          (fun (c : Tree.t) ->
+            if IntSet.mem c.Tree.id starts then Some (c, st) else None)
+          (Tree.children n))
+      edited
+  in
+  (* Conformance: when the pinned document conforms, only the elements
+     whose children changed and the spliced copies can violate the
+     DTD.  Violations are ranked like [Validate.check]'s, by node.
+     When it does not, the whole candidate is validated, and the first
+     violation may sit in content the group cannot see: the client
+     then learns only that the result does not conform. *)
   let* () =
-    match Sdtd.Validate.check dtd candidate with
+    let conforms = conforms () in
+    let violations =
+      if not conforms then Sdtd.Validate.check dtd candidate
+      else
+        let of_node n = Sdtd.Validate.element_violations dtd n in
+        List.stable_sort
+          (fun (a : Sdtd.Validate.violation) b ->
+            Int.compare a.node_id b.node_id)
+          (List.concat_map (fun (n, _) -> of_node n) edited
+          @ List.concat_map
+              (fun (c, _) ->
+                List.concat_map of_node (Tree.descendants_or_self c))
+              copies)
+    in
+    match violations with
     | [] -> Ok ()
     | v :: _ ->
-      Error
-        (invalid "result does not conform to the DTD: %s"
-           (Format.asprintf "%a" Sdtd.Validate.pp_violation v))
+      audit (Format.asprintf "%a" Sdtd.Validate.pp_violation v);
+      if conforms then
+        Error
+          (invalid "result does not conform to the DTD: <%s>: %s"
+             v.Sdtd.Validate.element v.Sdtd.Validate.summary)
+      else Error (invalid "result does not conform to the DTD")
   in
-  let acc' = Secview.Access.accessible_set ?env spec candidate in
   let* () =
     (* A group cannot write data it could not then read back: every
        node of the spliced content must be accessible in the new
-       document.  (Deletes have no intervals; their admission was the
+       document.  (Deletes splice nothing; their admission was the
        subtree check above.) *)
-    let bad =
+    if
       List.exists
-        (fun (lo, hi) ->
-          let rec any i =
-            i < hi && ((not (IntSet.mem i acc')) || any (i + 1))
-          in
-          any lo)
-        intervals
-    in
-    if bad then Error (denied "inserted content would not be accessible")
+        (fun (c, st) -> Access.first_inaccessible ctx' spec st c <> None)
+        copies
+    then Error (denied "inserted content would not be accessible")
     else Ok ()
   in
   let* () =
@@ -267,18 +399,19 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
        accessibility of anything it did not touch.  With conditional
        annotations a narrowly-granted write can otherwise satisfy (or
        falsify) a qualifier guarding a pre-existing sibling subtree
-       and unlock data the group was never granted — so compare
-       accessibility of every surviving node across the edit. *)
-    let flipped = ref None in
-    Tree.iter
-      (fun (n : Tree.t) ->
-        if !flipped = None then
-          match Hashtbl.find_opt survivors n.Tree.id with
-          | Some nid when IntSet.mem n.Tree.id acc <> IntSet.mem nid acc' ->
-            flipped := Some (n.Tree.id, IntSet.mem nid acc')
-          | _ -> ())
-      doc;
-    match !flipped with
+       and unlock data the group was never granted.  Qualifiers look
+       only downward, so a survivor's verdict can change only if that
+       of a node whose subtree the edit changed does; the topmost such
+       change is itself a flip, so comparing those nodes — the two
+       spines, which pair up in document order — finds the first
+       flipped survivor. *)
+    let rec first_flip = function
+      | (id, before) :: rest, after :: rest' ->
+        if before <> after then Some (id, after) else first_flip (rest, rest')
+      | [], [] -> None
+      | _ -> invalid_arg "Check.run: the spines do not pair up"
+    in
+    match first_flip (List.rev !spine, List.rev !spine') with
     | None -> Ok ()
     | Some (id, now) ->
       audit
@@ -287,4 +420,18 @@ let run ~dtd ~spec ~view ?env ?height ?(audit = fun _ -> ()) doc update =
            (if now then "accessible" else "inaccessible"));
       Error (denied "update would change the visibility of existing content")
   in
-  Ok (candidate, List.length targets)
+  Ok
+    {
+      candidate;
+      targets = List.length targets;
+      size = sp.size;
+      runs = sp.runs;
+    }
+
+(* Survivors kept their verdicts and every spliced node is accessible
+   — admission proved both — so the candidate's flags are the pinned
+   ones moved along the survivor runs, with ones in the gaps. *)
+let carry flags (a : admitted) =
+  let out = Bytes.make a.size '\001' in
+  List.iter (fun (o, n, len) -> Bytes.blit flags o out n len) a.runs;
+  out

@@ -22,9 +22,29 @@
       are denied;
     - the resulting document must conform to the document DTD.
 
+    The check costs one rebuild of the document plus work
+    proportional to the edit.  Qualifiers look only downward, so
+    accessibility is recomputed only along the root paths of the edit
+    points (in the pinned document and in the candidate), through the
+    target subtrees and through the spliced content; when the pinned
+    document is known to conform, the DTD check covers only the
+    elements whose children changed and the spliced content.
+
     The check is atomic by construction: it computes a candidate
     document purely and either returns it or an error — nothing
     partial ever escapes. *)
+
+type admitted = {
+  candidate : Sxml.Tree.t;
+      (** the rebuilt document: fresh dense-preorder identifiers, root
+          id 0 *)
+  targets : int;  (** how many view nodes the target path matched *)
+  size : int;  (** nodes in [candidate] *)
+  runs : (int * int * int) list;
+      (** every node that survived the edit, as maximal runs
+          [(old id, new id, length)] of consecutive identifiers,
+          ascending; every other candidate node is spliced content *)
+}
 
 val run :
   dtd:Sdtd.Dtd.t ->
@@ -33,24 +53,39 @@ val run :
   ?env:(string -> string option) ->
   ?height:int ->
   ?audit:(string -> unit) ->
+  conforms:(unit -> bool) ->
   Sxml.Tree.t ->
   Ast.t ->
-  (Sxml.Tree.t * int, Secview.Error.t) result
-(** [run ~dtd ~spec ~view doc u] is [(new_doc, targets)] when the
-    update is admitted: the rebuilt document (fresh dense-preorder
-    identifiers, root id 0) and how many view nodes the target path
-    matched.  [height] is the unfolding bound for recursive views
-    (like {!Secview.Pipeline.translate}).
+  (admitted, Secview.Error.t) result
+(** [run ~dtd ~spec ~view doc u] admits or refuses [u] against [doc].
+    [height] is the unfolding bound for recursive views (like
+    {!Secview.Pipeline.Session.translate}).  [conforms] says whether
+    [doc] conforms to [dtd], and is asked only when the DTD check is
+    reached; a document that does not conform gets the whole candidate
+    validated.
 
-    Errors: [Update_denied] (missing grant, inaccessible target
-    subtree, inaccessible content, visibility of untouched content
-    would change), [Invalid_update] (text content, empty target set,
-    root deletion, result violates the DTD), [Unsupported] (rewriting
-    refused the target path), [Unbound_variable].
+    Errors: [Unbound_variable] (a variable of the policy's qualifiers
+    or of the target path that [env] leaves unbound — the policy's
+    are checked before anything is evaluated), [Update_denied]
+    (missing grant, inaccessible target subtree, inaccessible
+    content, visibility of untouched content would change),
+    [Invalid_update] (text content, empty target set, root deletion,
+    result violates the DTD), [Unsupported] (rewriting refused the
+    target path).
 
     Denial messages are deliberately structural-leak free: they never
     name node identifiers (an id is a dense preorder position, so
     echoing it would let a group map the hidden regions around its
-    targets).  The precise id-bearing reason is passed to [audit]
-    when given — callers should route it to a server-side audit log,
-    never back to the client. *)
+    targets), and a DTD violation is reported by element type and
+    content model only — or, when [doc] itself does not conform and
+    the first violation may lie in content the group cannot see, not
+    at all beyond the fact.  The precise id-bearing reason is passed to
+    [audit] when given — callers should route it to a server-side
+    audit log, never back to the client. *)
+
+val carry : Secview.Access.flags -> admitted -> Secview.Access.flags
+(** [carry flags a]: the candidate's accessibility, given the pinned
+    document's [flags] under the same policy and bindings the
+    admission ran with.  Admission proved that survivors keep their
+    verdicts and that spliced content is accessible, so this copies
+    [a.runs] and fills the rest — no qualifier is evaluated. *)

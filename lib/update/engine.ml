@@ -1,6 +1,7 @@
 module Pipeline = Secview.Pipeline
 module Catalog = Secview.Catalog
 module Error = Secview.Error
+module Trace = Secview.Trace
 
 type receipt = {
   r_op : string;
@@ -18,12 +19,12 @@ type receipt = {
    whole-document value).  MD5 of the serialized materialized view —
    the same digest function Sobs.Capture uses, so capture/replay can
    compare it directly. *)
-let view_digest ?env ~spec ~view doc =
+let view_digest ?env ?accessible ~spec ~view doc =
   let rendered =
     try
       Sxml.Print.to_string
         (Secview.Materialize.to_tree
-           (Secview.Materialize.materialize ?env ~spec ~view doc))
+           (Secview.Materialize.materialize ?env ?accessible ~spec ~view doc))
     with Secview.Materialize.Abort _ -> ""
   in
   Digest.to_hex (Digest.string rendered)
@@ -49,6 +50,7 @@ let apply svc ~group ?env ?audit ~entry update =
            })
   in
   let view = Pipeline.Service.view svc ~group in
+  let dtd = Pipeline.Service.dtd svc in
   let snapshot = Catalog.pin entry in
   let doc = Catalog.snapshot_doc snapshot in
   let height =
@@ -56,21 +58,39 @@ let apply svc ~group ?env ?audit ~entry update =
       Some (Catalog.snapshot_height (Pipeline.Service.catalog svc) snapshot)
     else None
   in
-  let* candidate, targets =
-    Check.run ~dtd:(Pipeline.Service.dtd svc) ~spec ~view ?env ?height ?audit
-      doc update
+  let* admitted =
+    Trace.span "admit" (fun () ->
+        Check.run ~dtd ~spec ~view ?env ?height ?audit
+          ~conforms:(fun () -> Catalog.snapshot_conforms snapshot dtd)
+          doc update)
+  in
+  (* The candidate conforms (admission checked it) and the group's
+     accessibility carries over from the pinned snapshot, so both
+     facts travel with the new version instead of being recomputed;
+     the receipt digest reads the carried accessibility too. *)
+  let accessible, digest =
+    Trace.span "digest" (fun () ->
+        let accessible =
+          Check.carry (Catalog.snapshot_access ?env snapshot spec) admitted
+        in
+        ( accessible,
+          view_digest ?env ~accessible ~spec ~view admitted.Check.candidate ))
   in
   let old_version = Catalog.snapshot_version snapshot in
-  let new_version = Catalog.update entry candidate in
-  Pipeline.Service.invalidate_version svc old_version;
+  let new_version =
+    Catalog.update ~conforms:dtd
+      ~access:(spec, Option.value env ~default:(fun _ -> None), accessible)
+      entry admitted.Check.candidate
+  in
+  Pipeline.Service.record_write svc;
   Ok
     {
       r_op = Ast.op_label update;
-      r_targets = targets;
+      r_targets = admitted.Check.targets;
       r_old_version = old_version;
       r_new_version = new_version;
-      r_doc = candidate;
-      r_view_digest = view_digest ?env ~spec ~view candidate;
+      r_doc = admitted.Check.candidate;
+      r_view_digest = digest;
     }
 
 let apply_text svc ~group ?env ?audit ~entry text =

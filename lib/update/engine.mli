@@ -3,15 +3,27 @@
 
     [apply] runs the full write path for one update: resolve the
     group's policy and view, pin the document's current catalog
-    snapshot, admit the update through {!Check.run}, and — only on
-    admission — swap the rebuilt document in as a new snapshot
-    ({!Secview.Catalog.update}) and append the old version to the
-    service's invalidation log
-    ({!Secview.Pipeline.Service.invalidate_version}) so every session
-    evicts its stale translations/plans on its next call.  A rejected
-    update
+    snapshot, admit the update through {!Check.run} (trace span
+    ["admit"], with the rebuild inside it as ["splice"]), and — only
+    on admission — digest the group's view of the result (span
+    ["digest"]), swap the rebuilt document in as a new snapshot
+    ({!Secview.Catalog.update}) and count the write
+    ({!Secview.Pipeline.Service.record_write}).  A rejected update
     returns before any of that: document, index, catalog version and
-    caches are bit-for-bit untouched.
+    write count are bit-for-bit untouched.
+
+    Two per-snapshot facts make a write cost one rebuild plus work
+    proportional to the edit: the pinned document's conformance to
+    the DTD ({!Secview.Catalog.snapshot_conforms}) and the writing
+    group's accessibility under the request's bindings
+    ({!Secview.Catalog.snapshot_access}).  Both are computed on the
+    first write against a snapshot and carried to the new one — the
+    candidate conforms because admission checked it, and its
+    accessibility is the pinned one moved along the survivor runs
+    ({!Check.carry}) — so the receipt digest materializes the view
+    without recomputing accessibility.  The carried accessibility
+    serves only a next write under the same group and bindings; any
+    other write recomputes it with one whole-document pass.
 
     Concurrency: readers pinned on the old snapshot are never torn
     (snapshots are immutable), but two {e writers} racing on the same

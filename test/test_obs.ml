@@ -221,6 +221,44 @@ let test_pipeline_spans_and_audit () =
   Alcotest.(check bool) "no rewrite stage in the cached request" false
     (contains second {|"rewrite"|})
 
+let test_write_path_spans () =
+  (* one admitted write enters the three write-path stages, the
+     rebuild inside admission *)
+  let tracer = Tracer.create () in
+  let dtd = Workload.Hospital.dtd in
+  let spec =
+    Workload.Hospital.nurse_spec
+      ~write:[ (("regular", "bill"), [ Secview.Spec.Replace ]) ]
+      dtd
+  in
+  let catalog = Secview.Catalog.create () in
+  let entry =
+    Secview.Catalog.add catalog ~name:"doc"
+      (Workload.Hospital.sample_document ())
+  in
+  let svc =
+    Secview.Pipeline.Service.create ~catalog dtd ~groups:[ ("nurse", spec) ]
+  in
+  with_probe tracer (fun () ->
+      match
+        Supdate.Engine.apply_text svc ~group:"nurse"
+          ~env:(Workload.Hospital.nurse_env "6")
+          ~entry
+          "replace //patient[name = \"Carol\"]//bill with <bill>85</bill>"
+      with
+      | Ok _ -> ()
+      | Error e ->
+        Alcotest.failf "write refused: %s" (Secview.Error.to_string e));
+  let spans = Tracer.spans tracer in
+  let depth name =
+    List.find_map
+      (fun s -> if s.Tracer.name = name then Some s.Tracer.depth else None)
+      spans
+  in
+  Alcotest.(check (list (option int)))
+    "admit, splice inside it, digest" [ Some 0; Some 1; Some 0 ]
+    [ depth "admit"; depth "splice"; depth "digest" ]
+
 let test_height_memo_invalidation_and_override () =
   let metrics = Metrics.create () in
   let tracer = Tracer.create ~metrics () in
@@ -625,6 +663,7 @@ let () =
         [
           Alcotest.test_case "spans, counters and audit records" `Quick
             test_pipeline_spans_and_audit;
+          Alcotest.test_case "write path spans" `Quick test_write_path_spans;
           Alcotest.test_case "height memo" `Quick
             test_height_memo_invalidation_and_override;
           Alcotest.test_case "aggregate stats" `Quick test_pipeline_stats;

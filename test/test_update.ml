@@ -72,6 +72,11 @@ let check_rejected ?env ~code svc entry text =
 
 let count_patients doc = List.length (eval (parse "//patient") doc)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* --- language ------------------------------------------------------ *)
 
 let test_parse_roundtrip () =
@@ -339,7 +344,85 @@ let test_denial_text_is_sanitized () =
     | None -> Alcotest.fail "denial produced no audit detail"
     | Some d ->
       Alcotest.(check bool) "audit detail names the node id" true
-        (has_digit d))
+        (has_digit d));
+  (* a DTD violation is reported by element type and content model
+     only: the offending node's id counts the hidden nodes before it *)
+  let svc, entry =
+    setup (open_spec [ (("patient", "name"), Spec.all_write_ops) ])
+  in
+  let detail = ref None in
+  match
+    Engine.apply_text svc ~group:"g"
+      ~audit:(fun d -> detail := Some d)
+      ~entry "insert into //patient[name = \"Bob\"] <name>Robert</name>"
+  with
+  | Ok _ -> Alcotest.fail "non-conforming insert admitted"
+  | Error e ->
+    let text = Secview.Error.to_string e in
+    Alcotest.(check bool) "no node id in the client text" false
+      (has_digit text);
+    Alcotest.(check bool) "client text names the content model" true
+      (contains text "<patient>" && contains text "(name, wardNo, treatment)");
+    (match !detail with
+    | None -> Alcotest.fail "DTD denial produced no audit detail"
+    | Some d ->
+      Alcotest.(check bool) "audit detail names the node id" true
+        (has_digit d));
+  (* a document that already breaks the DTD inside a hidden subtree:
+     an otherwise admissible write is refused, and the reply must not
+     name the hidden element or attribute *)
+  let break_trial f =
+    let rec go = function
+      | Sxml.Tree.E ("clinicalTrial", a, cs) -> f a cs
+      | Sxml.Tree.E (tag, a, cs) -> Sxml.Tree.E (tag, a, List.map go cs)
+      | t -> t
+    in
+    go (Sxml.Tree.to_spec (Workload.Hospital.sample_document ()))
+  in
+  List.iter
+    (fun (hidden, broken) ->
+      let spec = nurse_spec [ (("regular", "bill"), [ Spec.Replace ]) ] in
+      let catalog = Catalog.create () in
+      let entry =
+        Catalog.add catalog ~name:"doc" (Sxml.Tree.of_spec broken)
+      in
+      let svc =
+        Pipeline.Service.create ~catalog dtd ~groups:[ ("g", spec) ]
+      in
+      let detail = ref None in
+      match
+        Engine.apply_text svc ~group:"g" ~env
+          ~audit:(fun d -> detail := Some d)
+          ~entry
+          "replace //patient[name = \"Carol\"]//bill with <bill>85</bill>"
+      with
+      | Ok _ -> Alcotest.fail "write into a non-conforming document admitted"
+      | Error e ->
+        let text = Secview.Error.to_string e in
+        Alcotest.(check string) "refused for the DTD" "invalid_update"
+          (Secview.Error.to_code e);
+        Alcotest.(check bool) "no node id in the client text" false
+          (has_digit text);
+        List.iter
+          (fun name ->
+            Alcotest.(check bool)
+              (Printf.sprintf "client text does not name %S" name)
+              false (contains text name))
+          [ hidden; "clinicalTrial" ];
+        (match !detail with
+        | None -> Alcotest.fail "DTD denial produced no audit detail"
+        | Some d ->
+          Alcotest.(check bool) "audit detail names the hidden node" true
+            (has_digit d && contains d hidden)))
+    [
+      ( "audit",
+        break_trial (fun a cs ->
+            Sxml.Tree.E ("clinicalTrial", ("audit", "1") :: a, cs)) );
+      ( "note",
+        break_trial (fun a cs ->
+            Sxml.Tree.E ("clinicalTrial", a, cs @ [ Sxml.Tree.elem "note" [] ]))
+      );
+    ]
 
 let test_receipt_digest_is_view_scoped () =
   (* the receipt digest is of the group's view of the result — a raw
@@ -391,6 +474,28 @@ let test_text_content_typed_error () =
         };
     ]
 
+let test_unbound_policy_variable () =
+  (* the policy's qualifier needs $wardNo but the target path never
+     reaches it: the write still answers the typed error, before any
+     qualifier is evaluated *)
+  let spec =
+    Spec.make ~write:[ (("staffInfo", "staff"), Spec.all_write_ops) ] dtd
+      [
+        ( ("patientInfo", "patient"),
+          Spec.Cond (Sxpath.Parse.qual_of_string "wardNo = $wardNo") );
+      ]
+  in
+  let svc, entry = setup spec in
+  check_rejected ~code:"query_error" svc entry
+    "delete //staff[nurse/name = \"Noor\"]";
+  match
+    Engine.apply_text svc ~group:"g" ~entry
+      "delete //staff[nurse/name = \"Noor\"]"
+  with
+  | Error (Secview.Error.Unbound_variable "wardNo") -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Secview.Error.to_string e)
+  | Ok _ -> Alcotest.fail "admitted with an unbound policy variable"
+
 let test_nurse_other_ward_out_of_view () =
   (* Dave is in ward 7: his subtree is simply not in the ward-6 view,
      so the target set is empty — invalid, not silently zero. *)
@@ -431,12 +536,16 @@ let test_invalidation_is_per_document () =
   | Ok _ -> ());
   run qb b;
   let s1 : Pipeline.stats = Pipeline.Session.stats_of pipe ~group:"g" in
-  Alcotest.(check int) "b's entry survived a's invalidation" (s0.hits + 1)
+  Alcotest.(check int) "b's entry survived a's write" (s0.hits + 1)
     s1.hits;
   run qa a;
   let s2 : Pipeline.stats = Pipeline.Session.stats_of pipe ~group:"g" in
-  Alcotest.(check int) "a's entry was evicted" (s0.misses + 1)
-    s2.misses
+  (* translations depend on the query and height only, never on the
+     document's content: a write evicts nothing, not even the written
+     document's entries *)
+  Alcotest.(check (pair int int)) "a's entry survived its own write"
+    (s1.hits + 1, s0.misses)
+    (s2.hits, s2.misses)
 
 (* --- snapshot isolation under concurrency -------------------------- *)
 
@@ -499,6 +608,536 @@ let test_snapshot_isolation_hammer () =
   Alcotest.(check bool) "version advanced once per write" true
     (Catalog.version entry >= v0 + writes)
 
+(* --- the incremental check against the whole-document oracle ------- *)
+
+(* A random case: a hospital document (sometimes breaking the DTD away
+   from any edit, so the conformance fact must be computed, not
+   assumed), a policy mixing Y/N/inherited/conditional annotations at
+   dept and patient level with random write grants, and a chain of
+   updates, each under a ward binding (or none). *)
+type dcase = {
+  d_doc : Sxml.Tree.spec;
+  d_anns : ((string * string) * Spec.annot) list;
+  d_grants : ((string * string) * Spec.write_op list) list;
+  d_steps : (Supdate.Ast.t * string option) list;
+}
+
+let gen_dcase : dcase QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let open Sxml.Tree in
+  let leaf tag v = elem tag [ text v ] in
+  let name = oneofl [ "Alice"; "Bob"; "Carol"; "Dave" ] in
+  let ward = oneofl [ "6"; "7" ] in
+  let treatment =
+    let* bill = map string_of_int (int_bound 99) in
+    oneof
+      [
+        return (elem "trial" [ leaf "bill" bill ]);
+        return (elem "regular" [ leaf "bill" bill; leaf "medication" "abc" ]);
+      ]
+  in
+  let patient =
+    let* n = name and* w = ward and* t = treatment in
+    return
+      (elem "patient"
+         [ leaf "name" n; leaf "wardNo" w; elem "treatment" [ t ] ])
+  in
+  let staff =
+    let* n = name and* w = ward and* doctor = bool in
+    return
+      (elem "staff"
+         [
+           (if doctor then
+              elem "doctor" [ leaf "name" n; leaf "specialty" "onco" ]
+            else elem "nurse" [ leaf "name" n; leaf "wardNo" w ]);
+         ])
+  in
+  let dept =
+    let* trial = list_size (int_bound 2) patient
+    and* regular = list_size (int_bound 3) patient
+    and* staff = list_size (int_bound 2) staff in
+    return
+      (elem "dept"
+         [
+           elem "clinicalTrial"
+             [ elem "patientInfo" trial; leaf "test" "blood" ];
+           elem "patientInfo" regular;
+           elem "staffInfo" staff;
+         ])
+  in
+  (* one violation, somewhere: a second <test>, a patient without its
+     ward, an undeclared element, an undeclared attribute *)
+  let break_doc depts =
+    let rec break_first f = function
+      | [] -> []
+      | d :: rest -> (
+        match f d with Some d' -> d' :: rest | None -> d :: break_first f rest)
+    in
+    let in_dept f = function
+      | E ("dept", a, cs) -> Option.map (fun cs -> E ("dept", a, cs)) (f cs)
+      | _ -> None
+    in
+    oneofl
+      [
+        break_first
+          (in_dept (function
+            | E ("clinicalTrial", a, cs) :: rest ->
+              Some
+                (E ("clinicalTrial", a, cs @ [ leaf "test" "again" ]) :: rest)
+            | _ -> None))
+          depts;
+        break_first
+          (in_dept (fun cs ->
+               match cs with
+               | [ ct; E ("patientInfo", a, E ("patient", pa, [ n; _; t ]) :: ps);
+                   si ] ->
+                 let p = E ("patient", pa, [ n; t ]) in
+                 Some [ ct; E ("patientInfo", a, p :: ps); si ]
+               | _ -> None))
+          depts;
+        break_first
+          (in_dept (function
+            | [ ct; pi; E ("staffInfo", a, ss) ] ->
+              Some [ ct; pi; E ("staffInfo", a, ss @ [ elem "note" [] ]) ]
+            | _ -> None))
+          depts;
+        break_first
+          (in_dept (function
+            | [ E ("clinicalTrial", a, cs); pi; si ] ->
+              Some [ E ("clinicalTrial", ("audit", "1") :: a, cs); pi; si ]
+            | _ -> None))
+          depts;
+      ]
+  in
+  let* depts = list_size (int_range 1 3) dept in
+  let* broken = frequency [ (4, return false); (1, return true) ] in
+  let* depts = if broken then break_doc depts else return depts in
+  let cond s = Spec.Cond (Sxpath.Parse.qual_of_string s) in
+  let annot choices =
+    frequency
+      [
+        (4, return None);
+        (2, return (Some Spec.Yes));
+        (1, return (Some Spec.No));
+        (3, map Option.some (oneofl choices));
+      ]
+  in
+  let edge e choices = map (Option.map (fun a -> (e, a))) (annot choices) in
+  let* anns =
+    flatten_l
+      [
+        edge ("hospital", "dept")
+          [
+            cond "*/patient/wardNo = $wardNo";
+            cond "*/patient/wardNo = $wardNo";
+            cond "patientInfo/patient";
+          ];
+        edge ("dept", "clinicalTrial")
+          [ cond "patientInfo/patient/wardNo = $wardNo" ];
+        edge ("dept", "patientInfo") [ cond "patient/treatment/regular" ];
+        edge ("dept", "staffInfo") [ cond "staff/nurse/wardNo = $wardNo" ];
+        edge ("clinicalTrial", "patientInfo") [ Spec.Yes ];
+        edge ("patientInfo", "patient")
+          [
+            cond "wardNo = $wardNo";
+            cond "name = \"Bob\"";
+            cond "not(treatment/trial)";
+          ];
+        edge ("patient", "treatment") [ cond "regular/medication" ];
+        edge ("treatment", "trial") [ Spec.Yes ];
+        edge ("treatment", "regular") [ Spec.Yes ];
+        edge ("trial", "bill") [ Spec.Yes ];
+        edge ("regular", "bill") [ Spec.Yes ];
+        edge ("regular", "medication") [ Spec.Yes ];
+      ]
+  in
+  let* grants =
+    flatten_l
+      (List.map
+         (fun e ->
+           frequency
+             [
+               (4, return (Some (e, Spec.all_write_ops)));
+               (1, map (fun op -> Some (e, [ op ]))
+                    (oneofl Spec.all_write_ops));
+               (1, return None);
+             ])
+         [
+           ("hospital", "dept");
+           ("clinicalTrial", "patientInfo");
+           ("patientInfo", "patient");
+           ("patient", "name");
+           ("patient", "wardNo");
+           ("patient", "treatment");
+           ("treatment", "trial");
+           ("treatment", "regular");
+           ("trial", "bill");
+           ("regular", "bill");
+           ("regular", "medication");
+           ("staffInfo", "staff");
+           ("staff", "nurse");
+           ("nurse", "name");
+         ])
+  in
+  let any_target =
+    oneofl
+      [
+        ".";
+        "//patient";
+        "//patient[name = \"Bob\"]";
+        "//patient[wardNo = \"6\"]";
+        "//patient[wardNo = \"7\"]";
+        "//bill";
+        "//patient//bill";
+        "//regular";
+        "//trial";
+        "//treatment";
+        "//name";
+        "//wardNo";
+        "//patientInfo";
+        "//dept";
+        "//staff";
+        "//nurse";
+        "//medication";
+        "//staffInfo";
+        "//*";
+        "//patient/name";
+        "//dept[patientInfo/patient]";
+        "//clinicalTrial";
+      ]
+  in
+  let content =
+    let* p = patient and* t = treatment and* w = ward and* n = name in
+    oneofl
+      [
+        p; elem "patient" [ leaf "name" n; elem "treatment" [ t ] ];
+        leaf "bill" "5"; leaf "name" n; leaf "wardNo" w; leaf "medication" "m";
+        elem "treatment" [ t ]; t;
+        elem "staff" [ elem "nurse" [ leaf "name" n; leaf "wardNo" w ] ];
+        elem "dept"
+          [
+            elem "clinicalTrial" [ elem "patientInfo" []; leaf "test" "t" ];
+            elem "patientInfo" [ p ]; elem "staffInfo" [];
+          ];
+        text "loose"; elem "bogus" [];
+      ]
+  in
+  let of_tag tag =
+    let* p = patient and* t = treatment and* w = ward and* n = name
+    and* s = staff and* d = dept in
+    return
+      (match tag with
+      | "patient" -> p
+      | "treatment" -> elem "treatment" [ t ]
+      | "regular" | "trial" -> t
+      | "bill" -> leaf "bill" "5"
+      | "medication" -> leaf "medication" "m"
+      | "name" -> leaf "name" n
+      | "wardNo" -> leaf "wardNo" w
+      | "staff" -> s
+      | _ -> d)
+  in
+  let open Supdate.Ast in
+  (* most updates are shaped to fit the DTD, so the later checks run;
+     the rest pair any target with any content *)
+  let fitting =
+    let* tag =
+      oneofl
+        [ "patient"; "treatment"; "regular"; "bill"; "medication"; "name";
+          "wardNo"; "staff"; "dept" ]
+    in
+    let* c = of_tag tag in
+    let* qual =
+      oneofl
+        [ ""; ""; "[name = \"Bob\"]"; "[wardNo = \"6\"]"; "[wardNo = \"7\"]" ]
+    in
+    let steps =
+      match tag with
+      | "patient" -> "//patient" ^ qual
+      | "staff" when qual <> "" ->
+        "//staff[nurse/" ^ String.sub qual 1 (String.length qual - 1)
+      | _ -> "//" ^ tag
+    in
+    let parent =
+      match tag with
+      | "patient" -> "//patientInfo"
+      | "staff" -> "//staffInfo"
+      | "dept" -> "."
+      | _ -> steps
+    in
+    let target = Sxpath.Parse.of_string steps in
+    oneofl
+      [
+        Replace { target; content = c };
+        Replace { target; content = c };
+        Delete target;
+        Delete target;
+        Insert
+          { pos = Into; target = Sxpath.Parse.of_string parent; content = c };
+        Insert { pos = Before; target; content = c };
+        Insert { pos = After; target; content = c };
+      ]
+  in
+  let any =
+    let* t = map Sxpath.Parse.of_string any_target and* c = content in
+    oneofl
+      [
+        Insert { pos = Into; target = t; content = c };
+        Insert { pos = Before; target = t; content = c };
+        Insert { pos = After; target = t; content = c };
+        Delete t;
+        Replace { target = t; content = c };
+      ]
+  in
+  let update = frequency [ (3, fitting); (1, any) ] in
+  let binding = frequency [ (12, map Option.some ward); (1, return None) ] in
+  let* steps = list_size (int_range 1 4) (pair update binding) in
+  return
+    {
+      d_doc = elem "hospital" depts;
+      d_anns = List.filter_map Fun.id anns;
+      d_grants = List.filter_map Fun.id grants;
+      d_steps = steps;
+    }
+
+(* The same over Fig. 7's recursive DTD, where a [c] holds any
+   number of [a]s: deep root paths, nested targets, and unfolding
+   heights that change with the document. *)
+let gen_rcase : dcase QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let open Sxml.Tree in
+  let b = map (fun v -> elem "b" [ text v ]) (oneofl [ "x"; "y" ]) in
+  let rec a depth =
+    let* b = b and* k = if depth <= 1 then return 0 else int_bound 2 in
+    let* nested = list_repeat k (a (depth - 1)) in
+    return (elem "a" [ b; elem "c" nested ])
+  in
+  let* depth = int_range 1 4 in
+  let* top = a depth and* hidden = b in
+  let cond s = Spec.Cond (Sxpath.Parse.qual_of_string s) in
+  let edge e =
+    frequency
+      [
+        (4, return None);
+        (2, return (Some (e, Spec.Yes)));
+        (1, return (Some (e, Spec.No)));
+        ( 3,
+          map
+            (fun q -> Some (e, q))
+            (oneofl
+               [
+                 cond "b = \"x\"";
+                 cond "c/a";
+                 cond "c/a";
+                 cond "not(c/a/b = \"y\")";
+               ]) );
+      ]
+  in
+  let* anns = flatten_l [ edge ("c", "a"); edge ("r", "a") ] in
+  let* b_ann =
+    oneofl [ None; Some (("a", "b"), Spec.Yes); Some (("a", "b"), Spec.No) ]
+  in
+  let* grants =
+    flatten_l
+      (List.map
+         (fun e ->
+           frequency
+             [ (4, return (Some (e, Spec.all_write_ops))); (1, return None) ])
+         [ ("r", "a"); ("c", "a"); ("a", "b"); ("a", "c") ])
+  in
+  let path = Sxpath.Parse.of_string in
+  let update =
+    let* b = b and* inner = a 2 in
+    let* a_path = oneofl [ "//a"; "//c/a"; "//a[b = \"x\"]"; "//a[c/a]" ] in
+    let a_path = path a_path in
+    (* mostly shapes the DTD admits, so the later checks run *)
+    frequency
+      [
+        ( 3,
+          oneofl
+            Supdate.Ast.
+              [
+                Insert { pos = Into; target = path "//c"; content = inner };
+                Insert { pos = Before; target = a_path; content = inner };
+                Insert { pos = After; target = a_path; content = inner };
+                Delete a_path;
+                Delete a_path;
+                Replace { target = a_path; content = inner };
+                Replace { target = path "//a/b"; content = b };
+              ] );
+        ( 1,
+          let* t = map path (oneofl [ "//a"; "//c"; "//b"; "//a/c" ])
+          and* content = oneofl [ b; inner; elem "c" [] ] in
+          oneofl
+            Supdate.Ast.
+              [
+                Insert { pos = Into; target = t; content };
+                Insert { pos = Before; target = t; content };
+                Delete t;
+                Replace { target = t; content };
+              ] );
+      ]
+  in
+  let* steps = list_size (int_range 1 4) (pair update (return None)) in
+  return
+    {
+      d_doc = elem "r" [ top; hidden ];
+      d_anns = List.filter_map Fun.id (b_ann :: anns);
+      d_grants = List.filter_map Fun.id grants;
+      d_steps = steps;
+    }
+
+let print_dcase ~dtd c =
+  Printf.sprintf "document: %s\npolicy:\n%s\nsteps:\n%s"
+    (Sxml.Print.to_string (Sxml.Tree.of_spec c.d_doc))
+    (Spec.to_sidecar (Spec.make ~write:c.d_grants dtd c.d_anns))
+    (String.concat "\n"
+       (List.map
+          (fun (u, w) ->
+            Printf.sprintf "  [wardNo=%s] %s" (Option.value w ~default:"-")
+              (Parse.to_string u))
+          c.d_steps))
+
+(* Which verdicts the suite reached, by error code and message prefix. *)
+let verdicts : (string, int) Hashtbl.t = Hashtbl.create 16
+
+let verdict_label = function
+  | Ok _ -> "admitted"
+  | Error e ->
+    let text = Secview.Error.to_string e in
+    let stem =
+      match String.index_opt text ':' with
+      | Some i -> String.sub text 0 i
+      | None -> text
+    in
+    Secview.Error.to_code e ^ ": " ^ stem
+
+let oracle_digest ?env ~spec ~view doc =
+  Digest.to_hex
+    (Digest.string
+       (try
+          Sxml.Print.to_string
+            (Secview.Materialize.to_tree
+               (Secview.Materialize.materialize ?env ~spec ~view doc))
+        with Secview.Materialize.Abort _ -> ""))
+
+let dcase_agrees ~dtd c =
+  let spec = Spec.make ~write:c.d_grants dtd c.d_anns in
+  let svc, entry =
+    let catalog = Catalog.create () in
+    let entry = Catalog.add catalog ~name:"doc" (Sxml.Tree.of_spec c.d_doc) in
+    (Pipeline.Service.create ~catalog dtd ~groups:[ ("g", spec) ], entry)
+  in
+  let view = Pipeline.Service.view svc ~group:"g" in
+  let step (u, ward) =
+    let env = Option.map Workload.Hospital.nurse_env ward in
+    let doc = Catalog.snapshot_doc (Catalog.pin entry) in
+    let height =
+      if Sdtd.Dtd.is_recursive (Secview.View.dtd view) then
+        Some (Catalog.element_height doc)
+      else None
+    in
+    let want_audit = ref [] and got_audit = ref [] in
+    let want =
+      Update_oracle.run ~dtd ~spec ~view ?env ?height
+        ~audit:(fun d -> want_audit := d :: !want_audit)
+        doc u
+    in
+    let got =
+      Engine.apply svc ~group:"g" ?env
+        ~audit:(fun d -> got_audit := d :: !got_audit)
+        ~entry u
+    in
+    let label = verdict_label got in
+    Hashtbl.replace verdicts label
+      (1 + Option.value (Hashtbl.find_opt verdicts label) ~default:0);
+    let fail fmt =
+      Printf.ksprintf
+        (fun s -> QCheck2.Test.fail_reportf "%s: %s" (Parse.to_string u) s)
+        fmt
+    in
+    if !want_audit <> !got_audit then
+      fail "audit detail differs: oracle [%s], incremental [%s]"
+        (String.concat "; " !want_audit) (String.concat "; " !got_audit);
+    match (want, got) with
+    | Error e, Error e' ->
+      if Secview.Error.to_code e <> Secview.Error.to_code e'
+         || Secview.Error.to_string e <> Secview.Error.to_string e'
+      then
+        fail "verdicts differ: oracle %s, incremental %s"
+          (Secview.Error.to_string e) (Secview.Error.to_string e')
+    | Ok (candidate, targets), Ok r ->
+      let bytes = Sxml.Print.to_string candidate in
+      if bytes <> Sxml.Print.to_string r.Engine.r_doc then
+        fail "candidates differ";
+      if targets <> r.Engine.r_targets then fail "target counts differ";
+      if oracle_digest ?env ~spec ~view candidate <> r.Engine.r_view_digest then
+        fail "receipt digests differ";
+      (* the facts carried to the new version are the ones a fresh
+         computation finds *)
+      let snap = Catalog.pin entry in
+      if Catalog.snapshot_access ?env snap spec
+         <> Secview.Access.accessible_flags ?env spec candidate
+      then fail "carried accessibility differs";
+      if
+        not
+          (Catalog.snapshot_conforms snap dtd
+          && Sdtd.Validate.conforms dtd candidate)
+      then fail "carried conformance differs"
+    | Ok _, Error e ->
+      fail "oracle admits, incremental refuses: %s" (Secview.Error.to_string e)
+    | Error e, Ok _ ->
+      fail "oracle refuses (%s), incremental admits" (Secview.Error.to_string e)
+  in
+  List.iter step c.d_steps;
+  true
+
+let check_differential ~dtd ~count gen =
+  Hashtbl.reset verdicts;
+  QCheck2.Test.check_exn ~rand:(QCheck_base_runner.random_state ())
+    (QCheck2.Test.make ~name:"incremental check = whole-document oracle"
+       ~count ~print:(print_dcase ~dtd) gen (dcase_agrees ~dtd))
+
+(* the comparison is only as good as the verdicts it reaches *)
+let check_reached labels =
+  List.iter
+    (fun label ->
+      Alcotest.(check bool)
+        (Printf.sprintf "reached %S (%d)" label
+           (Option.value (Hashtbl.find_opt verdicts label) ~default:0))
+        true (Hashtbl.mem verdicts label))
+    labels
+
+let test_incremental_matches_oracle () =
+  check_differential ~dtd ~count:10_000 gen_dcase;
+  check_reached
+    [
+      "admitted";
+      "query_error: unbound variable $wardNo";
+      "invalid_update: update content must be an element";
+      "invalid_update: target matches no node of the view";
+      "invalid_update: cannot delete the document root";
+      "invalid_update: result does not conform to the DTD";
+      "update_denied: the document root has no parent edge to grant";
+      "update_denied: target subtree contains inaccessible content";
+      "update_denied: target node is not accessible";
+      "update_denied: inserted content would not be accessible";
+      "update_denied: update would change the visibility of existing content";
+    ];
+  Alcotest.(check bool) "some grant refused" true
+    (Hashtbl.fold
+       (fun k _ acc -> acc || String.starts_with ~prefix:"update_denied: no " k)
+       verdicts false)
+
+let test_incremental_matches_oracle_recursive () =
+  check_differential ~dtd:Workload.Fig7.dtd ~count:3_000 gen_rcase;
+  check_reached
+    [
+      "admitted";
+      "invalid_update: result does not conform to the DTD";
+      "update_denied: update would change the visibility of existing content";
+    ]
+
 let () =
   Alcotest.run "update"
     [
@@ -542,6 +1181,8 @@ let () =
             test_receipt_digest_is_view_scoped;
           Alcotest.test_case "text content" `Quick
             test_text_content_typed_error;
+          Alcotest.test_case "unbound policy variable" `Quick
+            test_unbound_policy_variable;
         ] );
       ( "caches",
         [
@@ -551,5 +1192,12 @@ let () =
       ( "isolation",
         [
           Alcotest.test_case "hammer" `Quick test_snapshot_isolation_hammer;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "incremental check = whole-document oracle" `Slow
+            test_incremental_matches_oracle;
+          Alcotest.test_case "the same over a recursive DTD" `Slow
+            test_incremental_matches_oracle_recursive;
         ] );
     ]

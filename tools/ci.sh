@@ -88,6 +88,76 @@ echo "-- 2-domain capture -> replay: 0 mismatches"
 secview client --socket "$TMP/ci.sock" --shutdown
 wait $SRV
 
+# Served writes: a chain of admitted updates (insert, replace, delete)
+# through a 2-domain server, then one write DTD conformance must refuse
+# and one visibility preservation must refuse, then a final query.
+# The answer must byte-match the same chain applied one-shot with
+# `update --out` and `query`, and the capture must replay clean from
+# the original document.
+echo "== served-write smoke"
+cat > "$TMP/w0.xml" <<'XML'
+<hospital>
+  <dept>
+    <clinicalTrial><patientInfo/><test>blood</test></clinicalTrial>
+    <patientInfo>
+      <patient><name>Bob</name><wardNo>6</wardNo><treatment><regular><bill>120</bill><medication>abc</medication></regular></treatment></patient>
+    </patientInfo>
+    <staffInfo><staff><nurse><name>Nina</name><wardNo>6</wardNo></nurse></staff></staffInfo>
+  </dept>
+  <dept>
+    <clinicalTrial><patientInfo/><test>blood</test></clinicalTrial>
+    <patientInfo>
+      <patient><name>Dave</name><wardNo>7</wardNo><treatment><trial><bill>500</bill></trial></treatment></patient>
+    </patientInfo>
+    <staffInfo/>
+  </dept>
+</hospital>
+XML
+printf '%s\n' 'hospital dept [*/patient/wardNo = $wardNo]' \
+  'write patientInfo patient all' 'write patient name insert' \
+  'write regular bill replace' > "$TMP/ward_rw.spec"
+INS='insert into //dept/patientInfo <patient><name>Zed</name><wardNo>6</wardNo><treatment><regular><bill>7</bill><medication>ibu</medication></regular></treatment></patient>'
+REP='replace //patient[name = "Bob"]//bill with <bill>150</bill>'
+DEL='delete //patient[name = "Zed"]'
+BAD_DTD='insert into //patient[name = "Bob"] <name>Robert</name>'
+BAD_FLIP='delete //patient[wardNo = "6"]'
+secview serve --dtd "$POL/hospital.dtd" --spec "$TMP/ward_rw.spec" \
+  --doc doc="$TMP/w0.xml" --socket "$TMP/w.sock" --domains 2 \
+  --capture "$TMP/wcap.jsonl" 2> "$TMP/wserve.log" &
+WSRV=$!
+secview client --socket "$TMP/w.sock" --wait 5 --group user --bind wardNo=6 \
+  --update "$INS" --update "$REP" --update "$DEL" > /dev/null
+# refused writes: the client exits 1 and the reply names the reason
+refused() {
+  if secview client --socket "$TMP/w.sock" --group user --bind wardNo=6 \
+    --update "$1" 2> "$TMP/refused.err"; then
+    echo "served-write smoke: '$1' was admitted" >&2
+    exit 1
+  fi
+  grep -q "$2" "$TMP/refused.err"
+}
+refused "$BAD_DTD" '"code":"invalid_update","error":"result does not conform to the DTD'
+refused "$BAD_FLIP" '"error":"update would change the visibility of existing content"'
+secview client --socket "$TMP/w.sock" --group user --bind wardNo=6 \
+  '//patient' '//staff' > "$TMP/wserved.out"
+secview client --socket "$TMP/w.sock" --shutdown
+wait $WSRV
+one_shot() {
+  secview update --dtd "$POL/hospital.dtd" --spec "$TMP/ward_rw.spec" \
+    --doc "$TMP/$1" --bind wardNo=6 --out "$TMP/$2" user "$3" > /dev/null
+}
+one_shot w0.xml w1.xml "$INS"
+one_shot w1.xml w2.xml "$REP"
+one_shot w2.xml w3.xml "$DEL"
+secview query --dtd "$POL/hospital.dtd" --spec "$TMP/ward_rw.spec" \
+  --doc "$TMP/w3.xml" --bind wardNo=6 '//patient' '//staff' > "$TMP/wdirect.out"
+cmp "$TMP/wserved.out" "$TMP/wdirect.out"
+echo "-- served write chain matches the one-shot chain"
+secview replay "$TMP/wcap.jsonl" --dtd "$POL/hospital.dtd" \
+  --spec "$TMP/ward_rw.spec" --doc doc="$TMP/w0.xml" \
+  | grep -q ' 0 mismatch(es)'
+echo "-- served-write capture -> replay: 0 mismatches"
+
 # Runtime health: a 2-domain server with the Runtime_events consumer
 # on must expose per-domain gc_pause_seconds series on its HTTP
 # scrape endpoint, answer byte-identically to the direct pipeline,
