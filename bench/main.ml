@@ -25,7 +25,7 @@
    --serve is the server benchmark: a closed loop of --clients
    concurrent clients replaying Q1-Q4 against D1-D4 over a Unix
    socket, split across two user groups, every reply byte-compared
-   to the single-threaded Pipeline.answer baseline.  Writes
+   to the single-threaded Session.answer baseline.  Writes
    throughput and per-group p50/p95/p99 to BENCH_PR3.json (or --out
    FILE).  --label stamps the results file with a run label (a
    machine nickname without leaking hostnames into the repo).

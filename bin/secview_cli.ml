@@ -305,12 +305,9 @@ let query_cmd =
     let registry = Sobs.Metrics.create () in
     let tracer = Sobs.Tracer.create ~metrics:registry () in
     if observing then Sobs.Tracer.install tracer;
-    (* the process-wide hook so slow-query stamping below goes through
-       the same Runtime.stamp everything else uses *)
     let runtime =
       if runtime_events then Some (Sobs.Runtime.start ()) else None
     in
-    Option.iter Sobs.Runtime.set runtime;
     let alog = Option.map (open_audit_log ~tracer) audit_log in
     (* slow-query records ride the audit log when there is one and a
        private stderr stream otherwise — --slow-ms alone should not
@@ -404,61 +401,49 @@ let query_cmd =
               | Error e -> raise (Secview.Error.E e)
               | Ok o ->
                 let latency_ms = 1000. *. (Sserver.Deadline.now () -. t0) in
-                (match (slow_ms, slow_log) with
-                | Some thr, Some sl when latency_ms > thr ->
-                  (* GC attribution: pauses overlapping this query's
-                     span window (both sides monotonic ns) *)
-                  let gc =
-                    match spans with
-                    | [] -> None
-                    | _ ->
-                      let start_ns =
-                        List.fold_left
-                          (fun a (s : Sobs.Tracer.span) ->
-                            if s.start_ns < a then s.start_ns else a)
-                          Int64.max_int spans
-                      in
-                      let stop_ns =
-                        List.fold_left
-                          (fun a (s : Sobs.Tracer.span) ->
-                            if s.stop_ns > a then s.stop_ns else a)
-                          Int64.min_int spans
-                      in
-                      Sobs.Runtime.stamp ~start_ns ~stop_ns
+                let slow =
+                  match (slow_ms, slow_log) with
+                  | Some thr, Some sl when latency_ms > thr -> Some (thr, sl)
+                  | _ -> None
+                in
+                (* the same request record, and the same projections,
+                   as a served query *)
+                if slow <> None || cap <> None then begin
+                  let rendered =
+                    List.map
+                      (fun n -> Sxml.Print.to_string n)
+                      o.Secview.Pipeline.o_results
                   in
-                  Sobs.Audit_log.log_slow_query sl ~rid ~group:"user"
-                    ~query:qtext
-                    ~translated:
-                      (Sxpath.Print.to_string o.Secview.Pipeline.o_translated)
-                    ~latency_ms ~threshold_ms:thr
-                    ~stages:(Sobs.Tracer.stage_totals spans)
-                    ~counts:o.Secview.Pipeline.o_counts
-                    ?gc_pause_ms:(Option.map fst gc)
-                    ?gc_pauses:(Option.map snd gc) ()
-                | _ -> ());
-                Option.iter
-                  (fun c ->
-                    let rendered =
-                      List.map
-                        (fun n -> Sxml.Print.to_string n)
-                        o.Secview.Pipeline.o_results
-                    in
-                    Sobs.Capture.write c
-                      {
-                        Sobs.Capture.c_rid = rid;
-                        c_verb = "query";
-                        c_group = "user";
-                        c_doc = None;
-                        c_query = qtext;
-                        c_bind = bindings;
-                        c_index = indexed;
-                        c_engine = Secview.Pipeline.engine_label engine;
-                        c_status = "ok";
-                        c_results = List.length rendered;
-                        c_digest = Sobs.Capture.digest rendered;
-                        c_latency_ms = latency_ms;
-                      })
-                  cap;
+                  let r =
+                    {
+                      (Sobs.Request.make ~verb:"query" ~group:"user" qtext)
+                      with
+                      rid = Some rid;
+                      bind = bindings;
+                      index = indexed;
+                      engine = Secview.Pipeline.engine_label engine;
+                      results = List.length rendered;
+                      digest = Some (Sobs.Capture.digest rendered);
+                      latency_ms;
+                      gc = Sobs.Request.gc_overlap runtime spans;
+                      spans;
+                      counts = o.Secview.Pipeline.o_counts;
+                      translated =
+                        Some
+                          (Sxpath.Print.to_string
+                             o.Secview.Pipeline.o_translated);
+                    }
+                  in
+                  Option.iter
+                    (fun (threshold_ms, sl) ->
+                      Sobs.Audit_log.log_slow_query sl ~threshold_ms r)
+                    slow;
+                  Option.iter
+                    (fun c ->
+                      Option.iter (Sobs.Capture.write c)
+                        (Sobs.Capture.of_request r))
+                    cap
+                end;
                 o.Secview.Pipeline.o_results)
             (List.combine queries qs)
         in
@@ -490,11 +475,7 @@ let query_cmd =
         in
         Sobs.Export.write_chrome_trace ~gc path (Sobs.Tracer.spans tracer))
       trace_out;
-    Option.iter
-      (fun rt ->
-        Sobs.Runtime.unset ();
-        Sobs.Runtime.stop rt)
-      runtime;
+    Option.iter Sobs.Runtime.stop runtime;
     if slow_owned then
       Option.iter Sobs.Audit_log.close slow_log;
     Option.iter Sobs.Audit_log.close alog;
@@ -1083,48 +1064,62 @@ let update_cmd =
         ~entry update_text
     in
     let latency_ms = 1000. *. (Sserver.Deadline.now () -. t0) in
-    (match alog with
-    | None -> ()
-    | Some a ->
-      (match outcome with
+    (* one request record, projected into the audit log and the
+       capture exactly as the server projects a served write *)
+    let r =
+      {
+        (Sobs.Request.make ~verb:"update" ~group update_text) with
+        rid = Some "u1";
+        doc_label = Some "doc";
+        bind = bindings;
+        engine = "interp";
+        latency_ms;
+      }
+    in
+    let r =
+      match outcome with
       | Ok rc ->
-        Sobs.Audit_log.log_update a ~group ~doc:"doc" ~update:update_text
-          ~status:"ok" ~targets:rc.Supdate.Engine.r_targets
-          ~old_version:rc.Supdate.Engine.r_old_version
-          ~new_version:rc.Supdate.Engine.r_new_version ~latency_ms ()
+        {
+          r with
+          results = rc.Supdate.Engine.r_targets;
+          digest = Some rc.Supdate.Engine.r_view_digest;
+          write =
+            Some
+              {
+                targets = rc.Supdate.Engine.r_targets;
+                old_version = rc.Supdate.Engine.r_old_version;
+                new_version = rc.Supdate.Engine.r_new_version;
+              };
+        }
       | Error e ->
-        let error =
-          match !detail with
-          | Some d -> Secview.Error.to_string e ^ " [" ^ d ^ "]"
-          | None -> Secview.Error.to_string e
-        in
-        Sobs.Audit_log.log_update a ~group ~doc:"doc" ~update:update_text
-          ~status:"error" ~latency_ms ~error ());
-      Sobs.Audit_log.close a);
+        {
+          r with
+          status = "error";
+          error =
+            Some
+              (match !detail with
+              | Some d -> Secview.Error.to_string e ^ " [" ^ d ^ "]"
+              | None -> Secview.Error.to_string e);
+        }
+    in
+    Option.iter
+      (fun a ->
+        Sobs.Audit_log.log_update a r;
+        Sobs.Audit_log.close a)
+      alog;
+    Option.iter
+      (fun path ->
+        Option.iter
+          (fun c ->
+            let cap = Sobs.Capture.open_file path in
+            Sobs.Capture.write cap c;
+            Sobs.Capture.close cap)
+          (Sobs.Capture.of_request r))
+      capture;
     match outcome with
     | Error e -> raise (Secview.Error.E e)
     | Ok rc ->
       let digest = rc.Supdate.Engine.r_view_digest in
-      (match capture with
-      | None -> ()
-      | Some path ->
-        let cap = Sobs.Capture.open_file path in
-        Sobs.Capture.write cap
-          {
-            Sobs.Capture.c_rid = "u1";
-            c_verb = "update";
-            c_group = group;
-            c_doc = None;
-            c_query = update_text;
-            c_bind = bindings;
-            c_index = false;
-            c_engine = "interp";
-            c_status = "ok";
-            c_results = rc.Supdate.Engine.r_targets;
-            c_digest = digest;
-            c_latency_ms = latency_ms;
-          };
-        Sobs.Capture.close cap);
       (match out with
       | Some path ->
         Sxml.Print.to_file ~indent:true path rc.Supdate.Engine.r_doc
@@ -1334,9 +1329,11 @@ let serve_cmd =
       value
       & opt int Sserver.Server.default_config.domains
       & info [ "domains"; "workers" ] ~docv:"N"
+          ~absent:"the number of cores (Domain.recommended_domain_count)"
           ~doc:
             "Worker pool size: one OCaml domain (runtime-parallel worker) \
-             per unit, each with its own pipeline session.  --workers is an \
+             per unit, each with its own pipeline session; more domains \
+             than cores only add cross-domain hand-offs.  --workers is an \
              alias kept from the threaded server.")
   in
   let queue_arg =

@@ -268,7 +268,7 @@ let check_all ~dtd ?spec ?view ?(queries = []) () =
   in
   spec_ds @ view_ds @ query_ds
 
-(* Register the strict validation gate Pipeline.create/?strict uses:
+(* Register the strict validation gate Pipeline.Service.create/?strict uses:
    linking this library arms strict mode. *)
 let () =
   Secview.Pipeline.set_strict_gate (fun ~dtd ?spec view ->

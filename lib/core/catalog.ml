@@ -178,7 +178,7 @@ let update ~conforms ~access:(spec, env, flags) e doc =
 (* Interning looks the document up by physical identity: the named
    table first (a server answers requests over catalog documents it
    loaded itself), then the bounded anonymous list.  The bound keeps a
-   caller that streams throwaway documents through [Pipeline.answer]
+   caller that streams throwaway documents through [Session.answer]
    from leaking entries; eviction drops the oldest. *)
 let intern t d =
   let is_loaded e =

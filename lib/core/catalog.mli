@@ -3,11 +3,11 @@
     Each entry memoizes the per-document facts the query pipeline
     needs repeatedly but that cost a full tree walk to compute: the
     element-nesting height (the unfolding bound for recursive views,
-    {!Pipeline.answer}) and the tag index ({!Sxml.Index}).  Entries
+    {!Pipeline.Session.answer}) and the tag index ({!Sxml.Index}).  Entries
     are either {e named} — registered up front from a loaded tree or
     lazily from a file path, the server's document namespace — or
     {e interned}: looked up by physical identity when a bare tree
-    reaches [Pipeline.answer], so alternating queries over several
+    reaches [Pipeline.Session.answer], so alternating queries over several
     loaded documents never recompute heights (the single-slot memo
     this replaces thrashed on exactly that pattern).
 

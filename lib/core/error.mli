@@ -5,7 +5,7 @@
     error codes ({!to_code}, the closed vocabulary of
     [Sserver.Protocol]) and process exit codes ({!exit_code}) lives in
     one place instead of scattered [try … with] clauses.
-    {!Pipeline.answer} returns [(_, t) result]; layers above wrap or
+    {!Pipeline.Session.answer} returns [(_, t) result]; layers above wrap or
     rethrow as {!E}. *)
 
 type t =

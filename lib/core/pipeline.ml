@@ -678,96 +678,3 @@ module Session = struct
       sess.svc.Service.s_order
 
 end
-
-(* ---- deprecated single-handle facade --------------------------------- *)
-
-(* One PR of compatibility: the old mutex-everywhere [Pipeline.t] is
-   now a Session behind one lock.  Correct from any number of threads,
-   but the whole request — evaluation included — serializes; new code
-   should hold a [Service.t] and give each domain its own
-   [Session.t]. *)
-type t = {
-  lk : Mutex.t;
-  sess : Session.t;
-}
-
-type cache_stats = {
-  hits : int;
-  misses : int;
-  plan_hits : int;
-  plan_misses : int;
-  plan_compiles : int;
-  plan_fallbacks : int;
-}
-
-type admission_stats = {
-  denied : int;
-  trivial : int;
-  eval : int;
-}
-
-let wrap svc = { lk = Mutex.create (); sess = Session.create svc }
-
-let create ?strict ?catalog dtd ~groups =
-  wrap (Service.create ?strict ?catalog dtd ~groups)
-
-let create_with_views ?strict ?catalog dtd ~groups =
-  wrap (Service.create_with_views ?strict ?catalog dtd ~groups)
-
-let locked t f = Mutex.protect t.lk f
-let service t = locked t (fun () -> Session.service t.sess)
-let dtd t = Service.dtd (service t)
-let catalog t = Service.catalog (service t)
-let groups t = Service.groups (service t)
-let view t ~group = Service.view (service t) ~group
-let view_dtd t ~group = Service.view_dtd (service t) ~group
-let spec t ~group = Service.spec (service t) ~group
-let generation t = Service.generation (service t)
-
-let translate t ~group ?height q =
-  locked t (fun () -> Session.translate t.sess ~group ?height q)
-
-let classify t ~group q = locked t (fun () -> Session.classify t.sess ~group q)
-
-let answer t ~group ?engine ?env ?index ?height q doc =
-  locked t (fun () ->
-      Session.answer t.sess ~group ?engine ?env ?index ?height q doc)
-
-let answer_exn t ~group ?engine ?env ?index ?height q doc =
-  locked t (fun () ->
-      Session.answer_exn t.sess ~group ?engine ?env ?index ?height q doc)
-
-let answer_outcome t ~group ?engine ?counts ?env ?index ?height q doc =
-  locked t (fun () ->
-      Session.answer_outcome t.sess ~group ?engine ?counts ?env ?index
-        ?height q doc)
-
-let explain t ~group ?env ?index ?height q doc =
-  locked t (fun () ->
-      Session.explain t.sess ~group ?env ?index ?height q doc)
-
-let session_stats t ~group =
-  locked t (fun () -> Session.stats_of t.sess ~group)
-
-let to_cache_stats (s : stats) : cache_stats =
-  {
-    hits = s.hits;
-    misses = s.misses;
-    plan_hits = s.plan_hits;
-    plan_misses = s.plan_misses;
-    plan_compiles = s.plan_compiles;
-    plan_fallbacks = s.plan_fallbacks;
-  }
-
-let cache_stats t ~group = to_cache_stats (session_stats t ~group)
-
-let admission_stats t ~group : admission_stats =
-  let s = session_stats t ~group in
-  { denied = s.denied; trivial = s.trivial; eval = s.eval }
-
-let stats t =
-  locked t (fun () ->
-      List.map
-        (fun (g, s) -> (g, to_cache_stats s))
-        (Session.all_stats t.sess))
-

@@ -22,10 +22,7 @@
     height, which no document content enters.  A policy reload builds
     a whole new service and {!Service.publish}es it on the slot
     sessions watch; sessions rebuild their caches on their next
-    call.
-
-    The old single-handle [Pipeline.t] API remains for one PR as a
-    deprecated facade (a Session behind one mutex). *)
+    call. *)
 
 type group = {
   name : string;
@@ -358,145 +355,3 @@ module Session : sig
   (** {!stats_of} for {e every} group, in construction order (safe
       from any domain). *)
 end
-
-(** {2 Deprecated single-handle facade}
-
-    The pre-domain API: one handle, safe from any number of threads,
-    every call — evaluation included — serialized on one internal
-    mutex.  Kept for one PR so out-of-tree callers get a warning, not
-    a break.  Migration map (also in DESIGN.md §12):
-    {ul
-    {- [create]/[create_with_views] → {!Service.create} /
-       {!Service.create_with_views}, then one {!Session.create} per
-       worker;}
-    {- [answer]/[answer_outcome]/[explain]/[classify]/[translate] →
-       the same names under {!Session};}
-    {- [cache_stats]/[admission_stats]/[stats] → {!Session.stats_of} /
-       {!Session.all_stats} (one unified {!stats} record);}
-    {- [generation]/accessors → the same names under {!Service}.}} *)
-
-type t
-[@@deprecated "use Pipeline.Service + Pipeline.Session"]
-
-type cache_stats = {
-  hits : int;
-  misses : int;
-  plan_hits : int;
-  plan_misses : int;
-  plan_compiles : int;
-  plan_fallbacks : int;
-}
-[@@deprecated "use Pipeline.stats (Session.stats_of / Session.all_stats)"]
-
-type admission_stats = {
-  denied : int;
-  trivial : int;
-  eval : int;
-}
-[@@deprecated "use Pipeline.stats (Session.stats_of / Session.all_stats)"]
-
-[@@@alert "-deprecated"]
-[@@@warning "-3"]
-
-val create :
-  ?strict:bool ->
-  ?catalog:Catalog.t ->
-  Sdtd.Dtd.t ->
-  groups:(string * Spec.t) list ->
-  t
-[@@deprecated "use Pipeline.Service.create + Pipeline.Session.create"]
-
-val create_with_views :
-  ?strict:bool ->
-  ?catalog:Catalog.t ->
-  Sdtd.Dtd.t ->
-  groups:(string * View.t) list ->
-  t
-[@@deprecated
-  "use Pipeline.Service.create_with_views + Pipeline.Session.create"]
-
-val service : t -> Service.t
-[@@deprecated "hold the Service directly"]
-
-val dtd : t -> Sdtd.Dtd.t [@@deprecated "use Pipeline.Service.dtd"]
-val catalog : t -> Catalog.t [@@deprecated "use Pipeline.Service.catalog"]
-val groups : t -> group list [@@deprecated "use Pipeline.Service.groups"]
-
-val view : t -> group:string -> View.t
-[@@deprecated "use Pipeline.Service.view"]
-
-val view_dtd : t -> group:string -> Sdtd.Dtd.t
-[@@deprecated "use Pipeline.Service.view_dtd"]
-
-val spec : t -> group:string -> Spec.t option
-[@@deprecated "use Pipeline.Service.spec"]
-
-val generation : t -> int [@@deprecated "use Pipeline.Service.generation"]
-
-val translate :
-  t -> group:string -> ?height:int -> Sxpath.Ast.path -> Sxpath.Ast.path
-[@@deprecated "use Pipeline.Session.translate"]
-
-val classify :
-  t -> group:string -> Sxpath.Ast.path -> (admission, Error.t) result
-[@@deprecated "use Pipeline.Session.classify"]
-
-val answer :
-  t ->
-  group:string ->
-  ?engine:engine ->
-  ?env:(string -> string option) ->
-  ?index:Sxml.Index.t ->
-  ?height:int ->
-  Sxpath.Ast.path ->
-  Sxml.Tree.t ->
-  (Sxml.Tree.t list, Error.t) result
-[@@deprecated "use Pipeline.Session.answer"]
-
-val answer_exn :
-  t ->
-  group:string ->
-  ?engine:engine ->
-  ?env:(string -> string option) ->
-  ?index:Sxml.Index.t ->
-  ?height:int ->
-  Sxpath.Ast.path ->
-  Sxml.Tree.t ->
-  Sxml.Tree.t list
-[@@deprecated "use Pipeline.Session.answer_exn"]
-
-val answer_outcome :
-  t ->
-  group:string ->
-  ?engine:engine ->
-  ?counts:bool ->
-  ?env:(string -> string option) ->
-  ?index:Sxml.Index.t ->
-  ?height:int ->
-  Sxpath.Ast.path ->
-  Sxml.Tree.t ->
-  (outcome, Error.t) result
-[@@deprecated "use Pipeline.Session.answer_outcome"]
-
-val explain :
-  t ->
-  group:string ->
-  ?env:(string -> string option) ->
-  ?index:Sxml.Index.t ->
-  ?height:int ->
-  Sxpath.Ast.path ->
-  Sxml.Tree.t ->
-  (explanation, Error.t) result
-[@@deprecated "use Pipeline.Session.explain"]
-
-val session_stats : t -> group:string -> stats
-[@@deprecated "use Pipeline.Session.stats_of"]
-
-val cache_stats : t -> group:string -> cache_stats
-[@@deprecated "use Pipeline.Session.stats_of"]
-
-val admission_stats : t -> group:string -> admission_stats
-[@@deprecated "use Pipeline.Session.stats_of"]
-
-val stats : t -> (string * cache_stats) list
-[@@deprecated "use Pipeline.Session.all_stats"]

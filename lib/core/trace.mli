@@ -13,7 +13,7 @@
       ([derive], [rewrite], [optimize], translation-cache lookup,
       [eval]);
     - an {e audit hook} — one structured {!audit_event} per
-      {!Pipeline.answer} call.
+      {!Pipeline.Session.answer} call.
 
     With neither installed (the default) every operation here is a
     no-op that performs no allocation and no I/O: [span] applies its

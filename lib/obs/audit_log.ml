@@ -41,8 +41,9 @@ let emit t json =
 let base t kind =
   [ ("type", Json.String kind); ("ts_ns", Json.Int (Int64.to_int (t.clock ()))) ]
 
+let opt f = function Some v -> f v | None -> Json.Null
+
 let log_event t (ev : Secview.Trace.audit_event) =
-  let opt f = function Some v -> f v | None -> Json.Null in
   let stages =
     match t.tracer with
     | None -> []
@@ -82,91 +83,75 @@ let log_diagnostic t ~code ~severity ~subject message =
            ("message", Json.String message);
          ]))
 
-let rid_field = function
-  | Some r -> [ ("rid", Json.String r) ]
-  | None -> []
+(* The request context: present fields only, so a CLI record carries no
+   session/peer and an uncorrelated one no rid. *)
+let context ?(doc = false) (r : Request.t) =
+  let field name f = function Some v -> [ (name, f v) ] | None -> [] in
+  List.concat
+    [
+      field "rid" (fun s -> Json.String s) r.rid;
+      field "session" (fun s -> Json.Int s) r.session;
+      field "peer" (fun p -> Json.String p) r.peer;
+      (if doc then field "doc" (fun d -> Json.String d) r.doc_label else []);
+    ]
 
-let log_request t ?rid ~session ~peer ~group ~doc ~query ~status ~results
-    ~latency_ms ?error () =
+let doc_label (r : Request.t) = Option.value r.doc_label ~default:"-"
+
+let log_request t (r : Request.t) =
   emit t
     (Json.Obj
-       (base t "request" @ rid_field rid
+       (base t "request" @ context r
        @ [
-           ("session", Json.Int session);
-           ("peer", Json.String peer);
-           ("group", Json.String group);
-           ("doc", Json.String doc);
-           ("query", Json.String query);
-           ("status", Json.String status);
-           ("results", Json.Int results);
-           ("latency_ms", Json.Float latency_ms);
-           ( "error",
-             match error with Some e -> Json.String e | None -> Json.Null );
+           ("group", Json.String r.group);
+           ("doc", Json.String (doc_label r));
+           ("query", Json.String r.query);
+           ("status", Json.String r.status);
+           ("results", Json.Int r.results);
+           ("latency_ms", Json.Float r.latency_ms);
+           ("error", opt (fun e -> Json.String e) r.error);
          ]))
 
 (* One record per update attempt.  An admitted write is kind "update"
    with the version transition; a rejected one is "update_denied" with
    the typed error code and message — distinguishable at a glance from
    a denied query (kind "request", status "denied_empty"). *)
-let log_update t ?rid ?session ?peer ~group ~doc ~update ~status ?targets
-    ?old_version ?new_version ~latency_ms ?error () =
-  let opt f = function Some v -> f v | None -> Json.Null in
-  let ctx =
-    List.concat
-      [
-        rid_field rid;
-        (match session with
-        | Some s -> [ ("session", Json.Int s) ]
-        | None -> []);
-        (match peer with Some p -> [ ("peer", Json.String p) ] | None -> []);
-      ]
-  in
-  let kind = if error = None then "update" else "update_denied" in
+let log_update t (r : Request.t) =
+  let w f = opt (fun (w : Request.write) -> Json.Int (f w)) r.write in
   emit t
     (Json.Obj
-       (base t kind @ ctx
+       (base t (if r.error = None then "update" else "update_denied")
+       @ context r
        @ [
-           ("group", Json.String group);
-           ("doc", Json.String doc);
-           ("update", Json.String update);
-           ("status", Json.String status);
-           ("targets", opt (fun n -> Json.Int n) targets);
-           ("old_version", opt (fun v -> Json.Int v) old_version);
-           ("new_version", opt (fun v -> Json.Int v) new_version);
-           ("latency_ms", Json.Float latency_ms);
-           ("error", opt (fun e -> Json.String e) error);
+           ("group", Json.String r.group);
+           ("doc", Json.String (doc_label r));
+           ("update", Json.String r.query);
+           ("status", Json.String r.status);
+           ("targets", w (fun w -> w.targets));
+           ("old_version", w (fun w -> w.old_version));
+           ("new_version", w (fun w -> w.new_version));
+           ("latency_ms", Json.Float r.latency_ms);
+           ("error", opt (fun e -> Json.String e) r.error);
          ]))
 
-let log_slow_query t ?rid ~group ~query ?translated ~latency_ms ~threshold_ms
-    ~stages ~counts ?gc_pause_ms ?gc_pauses ?session ?peer ?doc () =
-  let opt f = function Some v -> f v | None -> Json.Null in
-  let ctx =
-    List.concat
-      [
-        rid_field rid;
-        (match session with
-        | Some s -> [ ("session", Json.Int s) ]
-        | None -> []);
-        (match peer with Some p -> [ ("peer", Json.String p) ] | None -> []);
-        (match doc with Some d -> [ ("doc", Json.String d) ] | None -> []);
-      ]
-  in
+let log_slow_query t ~threshold_ms (r : Request.t) =
   emit t
     (Json.Obj
-       (base t "slow_query" @ ctx
+       (base t "slow_query" @ context ~doc:true r
        @ [
-           ("group", Json.String group);
-           ("query", Json.String query);
-           ("translated", opt (fun s -> Json.String s) translated);
-           ("latency_ms", Json.Float latency_ms);
+           ("group", Json.String r.group);
+           ("query", Json.String r.query);
+           ("translated", opt (fun s -> Json.String s) r.translated);
+           ("latency_ms", Json.Float r.latency_ms);
            ("threshold_ms", Json.Float threshold_ms);
            ( "stages_ms",
              Json.Obj
-               (List.map (fun (name, ms) -> (name, Json.Float ms)) stages) );
+               (List.map
+                  (fun (name, ms) -> (name, Json.Float ms))
+                  (Tracer.stage_totals r.spans)) );
            ( "op_counts",
-             Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counts) );
-           ("gc_pause_ms", opt (fun v -> Json.Float v) gc_pause_ms);
-           ("gc_pauses", opt (fun v -> Json.Int v) gc_pauses);
+             Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.counts) );
+           ("gc_pause_ms", opt (fun (ms, _) -> Json.Float ms) r.gc);
+           ("gc_pauses", opt (fun (_, n) -> Json.Int n) r.gc);
          ]))
 
 let log_note t ~kind message =

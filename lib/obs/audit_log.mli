@@ -2,8 +2,8 @@
 
     An access-control system owes its administrators an account of
     what was asked and what was answered.  Each {!Secview.Trace}
-    audit event — one per {!Secview.Pipeline.answer} call — becomes a
-    record carrying the requesting group, the view query as asked,
+    audit event — one per {!Secview.Pipeline.Session.answer} call —
+    becomes a record carrying the requesting group, the view query as asked,
     the document query actually evaluated, the translation-cache
     outcome, the unfolding height (recursive views), the result
     count, the error if the request raised, and (when a {!Tracer} is
@@ -22,26 +22,27 @@
     {"type":"diagnostic","ts_ns":…,"code":…,"severity":…,"subject":…,
      "message":…}
     {"type":"note","ts_ns":…,"kind":…,"message":…}
-    {"type":"request","ts_ns":…,["rid":S,]"session":N,"peer":…,"group":…,
-     "doc":…,"query":…,"status":"ok"|"error"|"timeout"|"late"|
+    {"type":"request","ts_ns":…,["rid":S,]["session":N,"peer":…,]
+     "group":…,"doc":…,"query":…,"status":"ok"|"error"|"timeout"|"late"|
      "overloaded"|"denied_empty","results":N,"latency_ms":F,
      "error":S|null}
     {"type":"slow_query","ts_ns":…,["rid":S,]["session":N,"peer":…,
      "doc":…,]"group":…,"query":…,"translated":S|null,"latency_ms":F,
-     "threshold_ms":F,"stages_ms":{…},"op_counts":{"scanned":N,…}}
+     "threshold_ms":F,"stages_ms":{…},"op_counts":{"scanned":N,…},
+     "gc_pause_ms":F|null,"gc_pauses":N|null}
     {"type":"update"|"update_denied","ts_ns":…,["rid":S,]["session":N,
      "peer":…,]"group":…,"doc":…,"update":…,"status":S,"targets":N|null,
      "old_version":N|null,"new_version":N|null,"latency_ms":F,
      "error":S|null}
     v}
 
-    ["rid"] is the request-correlation id (PR 7): the same id is
-    stamped into the protocol reply, the flight-recorder entry, and
-    any capture record, so one request can be followed across every
-    surface.
-
-    ["request"] records are the server's ([Sserver.Server]): one per
-    admitted query, stamped with the session's group and peer — the
+    The ["request"], ["update"]/["update_denied"] and ["slow_query"]
+    records are projections of one {!Request.t} — the same record the
+    flight recorder keeps and {!Capture.of_request} turns into a
+    replay record — so every surface agrees on rid, group, document,
+    query, status, results and latency.  ["rid"] is the
+    request-correlation id stamped into the protocol reply; the
+    server's records also carry the session and peer — the
     who-asked-what trail a multi-user deployment owes its
     administrators.  The writer serializes concurrent [log_*] calls
     itself (the server holds one observability lock); this module
@@ -81,68 +82,25 @@ val log_diagnostic :
   t -> code:string -> severity:string -> subject:string -> string -> unit
 val log_note : t -> kind:string -> string -> unit
 
-val log_request :
-  t ->
-  ?rid:string ->
-  session:int ->
-  peer:string ->
-  group:string ->
-  doc:string ->
-  query:string ->
-  status:string ->
-  results:int ->
-  latency_ms:float ->
-  ?error:string ->
-  unit ->
-  unit
-(** One server-side ["request"] record ([status] ∈ ok/error/timeout/
-    late; [latency_ms] includes queue wait). *)
+val log_request : t -> Request.t -> unit
+(** One ["request"] record: a query or explain (or a write shed before
+    it ran) with its status ∈ ok/error/timeout/late/overloaded/
+    denied_empty; [latency_ms] includes queue wait. *)
 
-val log_update :
-  t ->
-  ?rid:string ->
-  ?session:int ->
-  ?peer:string ->
-  group:string ->
-  doc:string ->
-  update:string ->
-  status:string ->
-  ?targets:int ->
-  ?old_version:int ->
-  ?new_version:int ->
-  latency_ms:float ->
-  ?error:string ->
-  unit ->
-  unit
-(** One write-path record: kind ["update"] when [error] is absent
-    (an admitted write, with its [old_version → new_version]
-    transition and target count), ["update_denied"] otherwise (the
-    [error] carries the typed reason) — so a denied write is
-    distinguishable from a denied query. *)
+val log_update : t -> Request.t -> unit
+(** One write-path record: kind ["update"] when the request carries
+    no error (an admitted write, with its [old_version → new_version]
+    transition and target count from {!Request.t.write}),
+    ["update_denied"] otherwise (the error carries the typed reason) —
+    so a denied write is distinguishable from a denied query. *)
 
-val log_slow_query :
-  t ->
-  ?rid:string ->
-  group:string ->
-  query:string ->
-  ?translated:string ->
-  latency_ms:float ->
-  threshold_ms:float ->
-  stages:(string * float) list ->
-  counts:(string * int) list ->
-  ?gc_pause_ms:float ->
-  ?gc_pauses:int ->
-  ?session:int ->
-  ?peer:string ->
-  ?doc:string ->
-  unit ->
-  unit
+val log_slow_query : t -> threshold_ms:float -> Request.t -> unit
 (** One ["slow_query"] record — emitted by [query --slow-ms] and
-    [serve --slow-ms] for any request over threshold.  [stages] are
-    per-stage millisecond totals (see {!Tracer.stage_totals}) of the
-    spans belonging to this request only; [counts] are the plan
-    engine's operator totals (empty for the interpreter).
-    [gc_pause_ms]/[gc_pauses] carry {!Runtime.overlap} attribution
-    when a runtime consumer is installed ([null] otherwise — absent
-    is distinguishable from a measured zero).  The optional
-    [session]/[peer]/[doc] triple is the server's request context. *)
+    [serve --slow-ms] for any query over [threshold_ms].  Its
+    ["stages_ms"] are the per-stage millisecond totals
+    ({!Tracer.stage_totals}) of the request's own spans, ["op_counts"]
+    the plan engine's operator totals (empty for the interpreter),
+    and ["gc_pause_ms"]/["gc_pauses"] the request's {!Request.gc_overlap}
+    ([null] when not measured — absent is distinguishable from a
+    measured zero).  The server's records also carry session, peer
+    and document. *)

@@ -87,6 +87,29 @@ let of_json j =
     | _, _, _, Error e ->
       Error e)
 
+(* Only requests with a digest have an answer to replay: answered
+   queries (fast-path denials included) and admitted writes.  A late
+   answer is still the answer, so it replays as "ok". *)
+let of_request (r : Request.t) =
+  match r.digest with
+  | None -> None
+  | Some digest ->
+    Some
+      {
+        c_rid = Option.value r.rid ~default:"";
+        c_verb = r.verb;
+        c_group = r.group;
+        c_doc = r.doc;
+        c_query = r.query;
+        c_bind = r.bind;
+        c_index = r.index;
+        c_engine = r.engine;
+        c_status = (if r.status = "late" then "ok" else r.status);
+        c_results = r.results;
+        c_digest = digest;
+        c_latency_ms = r.latency_ms;
+      }
+
 (* Writer: one JSONL line per request, flushed so a captured workload
    survives a crash of the process under observation.  The mutex
    serializes concurrent server workers. *)

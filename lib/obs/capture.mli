@@ -47,6 +47,13 @@ val digest : string list -> string
 val to_json : record -> Json.t
 val of_json : Json.t -> (record, string) result
 
+val of_request : Request.t -> record option
+(** The replay record of a request: [None] unless it has a
+    {!Request.t.digest} — only answered queries (fast-path denials
+    included) and admitted writes are replayable; a failed query or a
+    refused write changed nothing.  The status is ["ok"] or
+    ["denied_empty"] (a late answer is still the answer). *)
+
 (** {2 Writing} *)
 
 type t

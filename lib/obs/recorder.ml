@@ -1,29 +1,6 @@
-type entry = {
-  rid : string;
-  verb : string;
-  session : int option;
-  peer : string option;
-  group : string;
-  doc : string option;
-  doc_version : int option;
-  query : string;
-  engine : string;
-  admission : string option;
-  status : string;
-  error : string option;
-  results : int;
-  digest : string option;
-  latency_ms : float;
-  gc_pause_ms : float;
-  gc_pauses : int;
-  ts_ns : int64;
-  spans : Tracer.span list;
-  counts : (string * int) list;
-}
-
 type t = {
   lock : Mutex.t;
-  ring : entry option array;
+  ring : Request.t option array;
   mutable head : int;  (* next write slot *)
   mutable len : int;  (* entries currently retained *)
   mutable total : int;  (* entries ever recorded; survives [clear] *)
@@ -62,19 +39,6 @@ let clear t =
       t.head <- 0;
       t.len <- 0)
 
-(* Process-global hook, mirroring [Secview.Trace]'s probe spine: the
-   CLI installs a recorder here so [Pipeline]-level callers can note
-   requests without threading a value through every signature.  The
-   disabled path must stay allocation-free: [enabled] is a single ref
-   read and callers guard entry construction behind it. *)
-
-let hook : t option ref = ref None
-let set r = hook := Some r
-let unset () = hook := None
-let current () = !hook
-let enabled () = match !hook with None -> false | Some _ -> true
-let note e = match !hook with None -> () | Some t -> record t e
-
 let opt_json f = function Some v -> f v | None -> Json.Null
 
 let span_json (sp : Tracer.span) =
@@ -87,30 +51,30 @@ let span_json (sp : Tracer.span) =
       ("ms", Json.Float (Clock.ms sp.Tracer.start_ns sp.Tracer.stop_ns));
     ]
 
-let entry_json e =
+let entry_json (r : Request.t) =
   Json.Obj
     [
-      ("rid", Json.String e.rid);
-      ("verb", Json.String e.verb);
-      ("ts_ns", Json.Int (Int64.to_int e.ts_ns));
-      ("session", opt_json (fun s -> Json.Int s) e.session);
-      ("peer", opt_json (fun p -> Json.String p) e.peer);
-      ("group", Json.String e.group);
-      ("doc", opt_json (fun d -> Json.String d) e.doc);
-      ("doc_version", opt_json (fun v -> Json.Int v) e.doc_version);
-      ("query", Json.String e.query);
-      ("engine", Json.String e.engine);
-      ("admission", opt_json (fun a -> Json.String a) e.admission);
-      ("status", Json.String e.status);
-      ("error", opt_json (fun err -> Json.String err) e.error);
-      ("results", Json.Int e.results);
-      ("digest", opt_json (fun d -> Json.String d) e.digest);
-      ("latency_ms", Json.Float e.latency_ms);
-      ("gc_pause_ms", Json.Float e.gc_pause_ms);
-      ("gc_pauses", Json.Int e.gc_pauses);
-      ("spans", Json.List (List.map span_json e.spans));
+      ("rid", opt_json (fun s -> Json.String s) r.rid);
+      ("verb", Json.String r.verb);
+      ("ts_ns", Json.Int (Int64.to_int r.ts_ns));
+      ("session", opt_json (fun s -> Json.Int s) r.session);
+      ("peer", opt_json (fun p -> Json.String p) r.peer);
+      ("group", Json.String r.group);
+      ("doc", opt_json (fun d -> Json.String d) r.doc_label);
+      ("doc_version", opt_json (fun v -> Json.Int v) r.doc_version);
+      ("query", Json.String r.query);
+      ("engine", Json.String r.engine);
+      ("admission", opt_json (fun a -> Json.String a) r.admission);
+      ("status", Json.String r.status);
+      ("error", opt_json (fun err -> Json.String err) r.error);
+      ("results", Json.Int r.results);
+      ("digest", opt_json (fun d -> Json.String d) r.digest);
+      ("latency_ms", Json.Float r.latency_ms);
+      ("gc_pause_ms", opt_json (fun (ms, _) -> Json.Float ms) r.gc);
+      ("gc_pauses", opt_json (fun (_, n) -> Json.Int n) r.gc);
+      ("spans", Json.List (List.map span_json r.spans));
       ( "op_counts",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) e.counts) );
+        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.counts) );
     ]
 
 let to_json t =
@@ -130,18 +94,3 @@ let dump_file t path =
     (fun () ->
       Json.to_channel oc (to_json t);
       output_char oc '\n')
-
-let pp_entry ppf e =
-  Format.fprintf ppf "%-8s %-6s %-6s %-12s %-6s %5d  %8.3fms  %s" e.rid
-    e.verb e.group
-    (match e.doc with Some d -> d | None -> "-")
-    e.status e.results e.latency_ms e.query;
-  match e.error with
-  | Some err -> Format.fprintf ppf "  ! %s" err
-  | None -> ()
-
-let pp ppf t =
-  let es = entries t in
-  Format.fprintf ppf "flight recorder: %d/%d entries (%d recorded)@."
-    (List.length es) (capacity t) (total t);
-  List.iter (fun e -> Format.fprintf ppf "  %a@." pp_entry e) es

@@ -7,87 +7,46 @@
     version, engine, admission verdict, per-stage {!Tracer.span}s,
     plan-operator counts, answer digest, and outcome — for the most
     recent window of traffic, without any I/O on the request path.
+    It keeps the {!Request.t} records themselves; a flight entry is
+    their projection ({!entry_json}).
 
     The ring is fixed-size and thread-safe (private mutex, never
     shared with the tracer/server observability lock, so recording
     cannot deadlock against span draining).  When full, the oldest
-    entry is overwritten.
-
-    A {e disabled} recorder costs nothing: {!enabled} is one ref
-    read, and callers must build the {!entry} only behind it —
-    [if Recorder.enabled () then Recorder.note (… allocate …)] — a
-    discipline pinned by a [Gc.minor_words] test exactly like
-    {!Secview.Trace}'s null probe. *)
-
-type entry = {
-  rid : string;  (** request-correlation id, as stamped in the reply *)
-  verb : string;  (** ["query"], ["explain"] or ["update"] — a denied
-                      write is distinguishable from a denied read *)
-  session : int option;  (** server session, [None] for CLI requests *)
-  peer : string option;
-  group : string;
-  doc : string option;  (** catalog name of the target document *)
-  doc_version : int option;  (** {!Secview.Catalog.version} stamp *)
-  query : string;  (** query text, or the update's concrete syntax *)
-  engine : string;  (** ["plan"] or ["interp"] *)
-  admission : string option;  (** {!Secview.Pipeline.admission_label} *)
-  status : string;  (** ok/error/timeout/late/overloaded/denied_empty *)
-  error : string option;
-  results : int;
-  digest : string option;  (** MD5 hex of the rendered answer *)
-  latency_ms : float;
-  gc_pause_ms : float;
-      (** unioned GC pause time overlapping this request's span window
-          ({!Runtime.overlap}); [0.] when no consumer is running *)
-  gc_pauses : int;  (** pause episodes intersecting the window *)
-  ts_ns : int64;
-  spans : Tracer.span list;  (** this request's span tree *)
-  counts : (string * int) list;  (** plan operator totals *)
-}
+    entry is overwritten. *)
 
 type t
 
 val create : capacity:int -> t
-(** Ring of at most [capacity] entries.  Raises [Invalid_argument] if
+(** Ring of at most [capacity] requests.  Raises [Invalid_argument] if
     [capacity <= 0]. *)
 
 val capacity : t -> int
-val record : t -> entry -> unit
-val entries : t -> entry list
-(** Retained entries, oldest first. *)
+val record : t -> Request.t -> unit
+val entries : t -> Request.t list
+(** Retained requests, oldest first. *)
 
 val length : t -> int
-(** Entries currently retained ([<= capacity]). *)
+(** Requests currently retained ([<= capacity]). *)
 
 val total : t -> int
-(** Entries ever recorded (monotonic; [total - length] were evicted). *)
+(** Requests ever recorded (monotonic; [total - length] were evicted). *)
 
 val clear : t -> unit
 
-(** {2 Process-global hook}
-
-    The CLI's [query --flight] path records through a global slot so
-    the hot path needs no plumbing; the server holds its recorder
-    directly instead. *)
-
-val set : t -> unit
-val unset : unit -> unit
-val current : unit -> t option
-val enabled : unit -> bool
-(** One ref read, no allocation — the hot-path guard. *)
-
-val note : entry -> unit
-(** Record into the hooked recorder, if any. *)
-
 (** {2 Rendering} *)
 
-val entry_json : entry -> Json.t
+val entry_json : Request.t -> Json.t
+(** One flight entry:
+    [{"rid","verb","ts_ns","session","peer","group","doc","doc_version",
+    "query","engine","admission","status","error","results","digest",
+    "latency_ms","gc_pause_ms","gc_pauses","spans","op_counts"}];
+    [doc] is the resolved label, [gc_pause_ms]/[gc_pauses] are [null]
+    when not measured. *)
+
 val to_json : t -> Json.t
 (** [{"flight":N,"capacity":C,"total":T,"entries":[…]}] with entries
     oldest first; each entry's spans carry [seq]/[parent] links. *)
 
 val dump_file : t -> string -> unit
 (** Write {!to_json} to a file (the [--flight-snapshot] sink). *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable table, one line per entry. *)

@@ -314,18 +314,3 @@ let to_json t =
           ("pauses_total", Json.Int t.total);
           ("gc_pause_ms", Json.Obj doms);
         ])
-
-(* Process-global hook, the same spine as [Recorder]: the disabled
-   path is one ref read returning the immediate [None] — pinned
-   allocation-free by a [Gc.minor_words] test. *)
-
-let hook : t option ref = ref None
-let set t = hook := Some t
-let unset () = hook := None
-let current () = !hook
-let enabled () = match !hook with None -> false | Some _ -> true
-
-let stamp ~start_ns ~stop_ns =
-  match !hook with
-  | None -> None
-  | Some t -> Some (overlap t ~start_ns ~stop_ns)

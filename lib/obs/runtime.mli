@@ -26,7 +26,8 @@
     episodes intersected it and for how many milliseconds.  Windows
     are {e unioned} before measuring (a stop-the-world minor pause
     appears on every domain's ring; summing would bill it once per
-    domain).
+    domain).  The consumer is passed explicitly to whoever attributes:
+    {!Request.gc_overlap} stamps a request record from its spans.
 
     Timebase: [Runtime_events] timestamps and {!Clock.monotonic} both
     read the system monotonic clock in nanoseconds, so pause windows
@@ -109,21 +110,3 @@ val to_json : t -> Json.t
 (** [{"enabled":true,"domains_live":…,"events_lost":…,
     "pauses_total":…,"gc_pause_ms":{"d0":{…},…}}] — the [stats] verb's
     runtime section (pause quantiles converted to milliseconds). *)
-
-(** {2 Process-global hook}
-
-    Mirrors {!Recorder}'s spine: the server and CLI install their
-    consumer here so request paths can stamp GC attribution without
-    threading a value through every signature.  The disabled path is
-    one ref read. *)
-
-val set : t -> unit
-val unset : unit -> unit
-val current : unit -> t option
-
-val enabled : unit -> bool
-(** One ref read, no allocation — the hot-path guard. *)
-
-val stamp : start_ns:int64 -> stop_ns:int64 -> (float * int) option
-(** [None] (no allocation) when no consumer is installed; otherwise
-    [Some (overlap …)] against the installed consumer. *)

@@ -14,7 +14,7 @@ type config = {
 
 let default_config =
   {
-    domains = 4;
+    domains = Domain.recommended_domain_count ();
     queue_capacity = 64;
     deadline = None;
     debug = false;
@@ -155,24 +155,6 @@ let register_session t psess =
 let count ?by t name = Sobs.Metrics.Sharded.incr ?by t.shards name
 let observe t name v = Sobs.Metrics.Sharded.observe t.shards name v
 
-let audit_request t ~rid ~session ~peer ~group ~doc ~query ~status ~results
-    ~latency_ms ?error () =
-  match t.audit with
-  | None -> ()
-  | Some log ->
-    Mutex.protect t.obs_lock (fun () ->
-        Sobs.Audit_log.log_request log ~rid ~session ~peer ~group ~doc ~query
-          ~status ~results ~latency_ms ?error ())
-
-let audit_update t ~rid ~session ~peer ~group ~doc ~update ~status ?targets
-    ?old_version ?new_version ~latency_ms ?error () =
-  match t.audit with
-  | None -> ()
-  | Some log ->
-    Mutex.protect t.obs_lock (fun () ->
-        Sobs.Audit_log.log_update log ~rid ~session ~peer ~group ~doc ~update
-          ~status ?targets ?old_version ?new_version ~latency_ms ?error ())
-
 (* The merged per-group pipeline counters: every registered session's
    record summed with [Pipeline.stats_merge] — the one merge path
    behind the [stats] verb and the [/metrics] exposition alike. *)
@@ -266,16 +248,6 @@ let flight_reply t ~rid =
     match Sobs.Recorder.to_json r with
     | J.Obj fields -> Protocol.ok ~rid fields
     | _ -> assert false)
-
-let audit_slow t ~rid ~session ~peer ~group ~doc ~query ?translated
-    ~latency_ms ~threshold_ms ~stages ~counts ?gc_pause_ms ?gc_pauses () =
-  match t.audit with
-  | None -> ()
-  | Some log ->
-    Mutex.protect t.obs_lock (fun () ->
-        Sobs.Audit_log.log_slow_query log ~rid ~group ~query ?translated
-          ~latency_ms ~threshold_ms ~stages ~counts ?gc_pause_ms ?gc_pauses
-          ~session ~peer ~doc ())
 
 let draining t = Atomic.get t.stopping
 
@@ -442,71 +414,77 @@ let doc_version t (q : Protocol.query) =
   | Ok entry -> Some (Catalog.version entry)
   | Error _ -> None
 
-(* One flight-recorder entry per completed Answer/Explain job (and one
-   per fast-path denial, built at that site).  The recorder has its
-   own mutex — never the shared [obs_lock] — so recording can never
-   deadlock against span draining or audit writes. *)
-let record_flight t job ~status ~results ?error ?digest ?version ~latency_ms
-    ?(gc_pause_ms = 0.) ?(gc_pauses = 0) ~spans ~counts () =
-  match (t.recorder, job.work) with
-  | Some r, (Answer q | Explain_query q | Do_update q) ->
-    Sobs.Recorder.record r
-      {
-        Sobs.Recorder.rid = job.jrid;
-        verb = work_verb job.work;
-        session = Some job.jsession.sid;
-        peer = Some job.jsession.peer;
-        group = job.jgroup;
-        doc = Some (doc_label t q);
-        (* prefer the version the request actually ran against — the
-           entry's current version may already be a later write's *)
-        doc_version =
-          (match version with Some _ -> version | None -> doc_version t q);
-        query = q.text;
-        engine = Pipeline.engine_label t.config.engine;
-        admission = None;
-        status;
-        error;
-        results;
-        digest;
-        latency_ms;
-        gc_pause_ms;
-        gc_pauses;
-        ts_ns = Sobs.Clock.monotonic ();
-        spans;
-        counts;
-      }
-  | _ -> ()
+(* The record every exit path starts from — who asked what about which
+   document — stamped now; each path fills in its outcome.  A write's
+   capture record replays without the index flag. *)
+let request t sess ~rid ~group work : Sobs.Request.t =
+  let r =
+    {
+      (Sobs.Request.make ~verb:(work_verb work) ~group "") with
+      rid = Some rid;
+      session = Some sess.sid;
+      peer = Some sess.peer;
+      engine = Pipeline.engine_label t.config.engine;
+    }
+  in
+  match work with
+  | Nap _ -> r
+  | Answer q | Explain_query q | Do_update q ->
+    {
+      r with
+      doc = q.doc;
+      doc_label = Some (doc_label t q);
+      doc_version = doc_version t q;
+      query = q.text;
+      bind = q.bind;
+      index = (match work with Do_update _ -> false | _ -> q.use_index);
+    }
 
-(* Auto-snapshot: dump the whole ring to [--flight-snapshot FILE] the
-   moment a request ends badly (error/timeout/late) or slow — the
-   recorder's raison d'être is exactly that moment's context. *)
-let maybe_snapshot t ~status ~slow =
-  match (t.flight_snapshot, t.recorder) with
-  | Some path, Some r when status <> "ok" || slow -> (
-    try Sobs.Recorder.dump_file r path
-    with Sys_error _ -> count t "server.flight.snapshot_failed")
-  | _ -> ()
+(* The one fan-out: every sink is a projection of the request record.
+   [mk] builds it only when some sink is on.  The debug [sleep] reaches
+   no sink but the snapshot.  [slow] marks a worker-path query over the
+   slow-query threshold; [queued] marks the paths a request takes after
+   admission to the queue (worker, expired): only their bad or slow
+   outcomes dump the flight ring — never a fast-path denial or an
+   overload refusal.  The recorder has its own mutex — never the shared
+   [obs_lock] — so recording can never deadlock against span draining
+   or audit writes. *)
+let publish t ?(slow = false) ?(queued = false) mk =
+  if Option.is_some t.audit || Option.is_some t.recorder
+     || Option.is_some t.capture
+  then begin
+    let r : Sobs.Request.t = mk () in
+    if r.verb <> "sleep" then begin
+      (match t.audit with
+      | Some log ->
+        Mutex.protect t.obs_lock (fun () ->
+            (match t.config.slow_ms with
+            | Some threshold_ms when slow ->
+              Sobs.Audit_log.log_slow_query log ~threshold_ms r
+            | _ -> ());
+            (* a write shed by the overload check never ran: it is
+               audited as the request it was, not as a write attempt *)
+            if r.verb = "update" && r.status <> "overloaded" then
+              Sobs.Audit_log.log_update log r
+            else Sobs.Audit_log.log_request log r)
+      | None -> ());
+      Option.iter (fun rc -> Sobs.Recorder.record rc r) t.recorder;
+      match t.capture with
+      | Some cap ->
+        Option.iter (Sobs.Capture.write cap) (Sobs.Capture.of_request r)
+      | None -> ()
+    end;
+    match (t.flight_snapshot, t.recorder) with
+    | Some path, Some rc when queued && (r.status <> "ok" || slow) -> (
+      try Sobs.Recorder.dump_file rc path
+      with Sys_error _ -> count t "server.flight.snapshot_failed")
+    | _ -> ()
+  end
 
 let run_job t psess job =
   let latency () = 1000. *. (Deadline.now () -. job.submitted) in
-  let log ?receipt ~status ~results ?error ~latency_ms () =
-    match job.work with
-    | Nap _ -> ()
-    | Do_update q ->
-      ignore results;
-      let field f = Option.map f receipt in
-      audit_update t ~rid:job.jrid ~session:job.jsession.sid
-        ~peer:job.jsession.peer ~group:job.jgroup ~doc:(doc_label t q)
-        ~update:q.text ~status
-        ?targets:(field (fun r -> r.Supdate.Engine.r_targets))
-        ?old_version:(field (fun r -> r.Supdate.Engine.r_old_version))
-        ?new_version:(field (fun r -> r.Supdate.Engine.r_new_version))
-        ~latency_ms ?error ()
-    | Answer q | Explain_query q ->
-      audit_request t ~rid:job.jrid ~session:job.jsession.sid
-        ~peer:job.jsession.peer ~group:job.jgroup ~doc:(doc_label t q)
-        ~query:q.text ~status ~results ~latency_ms ?error ()
+  let base () =
+    request t job.jsession ~rid:job.jrid ~group:job.jgroup job.work
   in
   let expired =
     match job.deadline_at with
@@ -519,11 +497,13 @@ let run_job t psess job =
        the executed path below, observability precedes the fill. *)
     count t "server.expired_in_queue";
     let latency_ms = latency () in
-    log ~status:"timeout" ~results:0 ~error:"deadline exceeded in queue"
-      ~latency_ms ();
-    record_flight t job ~status:"timeout" ~results:0
-      ~error:"deadline exceeded in queue" ~latency_ms ~spans:[] ~counts:[] ();
-    maybe_snapshot t ~status:"timeout" ~slow:false;
+    publish t ~queued:true (fun () ->
+        {
+          (base ()) with
+          status = "timeout";
+          error = Some "deadline exceeded in queue";
+          latency_ms;
+        });
     ignore
       (Deadline.fill job.cell
          (Protocol.error_of ~rid:job.jrid
@@ -531,37 +511,52 @@ let run_job t psess job =
   end
   else begin
     let rid = job.jrid in
+    (* each job yields its reply, its status, and how its outcome fills
+       the request record (applied only when a sink is on) *)
+    let failed status msg =
+      (status, fun (r : Sobs.Request.t) -> { r with error = Some msg })
+    in
     let run_work () =
       match job.work with
       | Nap s ->
         Thread.delay s;
-        ( Protocol.ok ~rid [ ("slept_ms", J.Float (1000. *. s)) ], "ok", 0,
-          None, None, None )
+        ( Protocol.ok ~rid [ ("slept_ms", J.Float (1000. *. s)) ],
+          ("ok", Fun.id) )
       | Explain_query q -> (
         match explain_query t psess ~rid ~group:job.jgroup q with
-        | Ok reply -> (reply, "ok", 0, None, None, None)
+        | Ok reply -> (reply, ("ok", Fun.id))
         | Error e ->
-          ( Protocol.error_of ~rid e, "error", 0,
-            Some (Secview.Error.to_string e), None, None ))
+          ( Protocol.error_of ~rid e,
+            failed "error" (Secview.Error.to_string e) ))
       | Do_update q -> (
         match run_update psess t ~group:job.jgroup q with
-        | Ok r, _ ->
+        | Ok w, _ ->
           (* the client-visible digest is of the group's view of the
              new document (Engine computed it) — the raw document's
              digest would be an equality oracle on hidden regions *)
           ( Protocol.ok ~rid
               [
-                ("op", J.String r.Supdate.Engine.r_op);
-                ("targets", J.Int r.Supdate.Engine.r_targets);
-                ("old_version", J.Int r.Supdate.Engine.r_old_version);
-                ("new_version", J.Int r.Supdate.Engine.r_new_version);
-                ("digest", J.String r.Supdate.Engine.r_view_digest);
+                ("op", J.String w.Supdate.Engine.r_op);
+                ("targets", J.Int w.Supdate.Engine.r_targets);
+                ("old_version", J.Int w.Supdate.Engine.r_old_version);
+                ("new_version", J.Int w.Supdate.Engine.r_new_version);
+                ("digest", J.String w.Supdate.Engine.r_view_digest);
               ],
-            "ok",
-            r.Supdate.Engine.r_targets,
-            None,
-            None,
-            Some r )
+            ( "ok",
+              fun (r : Sobs.Request.t) ->
+                {
+                  r with
+                  results = w.Supdate.Engine.r_targets;
+                  digest = Some w.Supdate.Engine.r_view_digest;
+                  doc_version = Some w.Supdate.Engine.r_new_version;
+                  write =
+                    Some
+                      {
+                        targets = w.Supdate.Engine.r_targets;
+                        old_version = w.Supdate.Engine.r_old_version;
+                        new_version = w.Supdate.Engine.r_new_version;
+                      };
+                } ) )
         | Error e, detail ->
           (* the code is the status ("update_denied", "invalid_update"):
              a denial is the write path's headline outcome, and the
@@ -573,35 +568,39 @@ let run_job t psess job =
             | Some d -> Secview.Error.to_string e ^ " [" ^ d ^ "]"
             | None -> Secview.Error.to_string e
           in
-          ( Protocol.error_of ~rid e, Secview.Error.to_code e, 0,
-            Some audit_error, None, None ))
+          ( Protocol.error_of ~rid e,
+            failed (Secview.Error.to_code e) audit_error ))
       | Answer q -> (
         match answer_query t psess ~group:job.jgroup q with
-        | Ok (results, translated, counts, version) ->
+        | Ok (rendered, translated, counts, version) ->
           ( Protocol.ok ~rid
               [
-                ("results", J.List (List.map (fun s -> J.String s) results));
-                ("count", J.Int (List.length results));
+                ("results", J.List (List.map (fun s -> J.String s) rendered));
+                ("count", J.Int (List.length rendered));
               ],
-            "ok",
-            List.length results,
-            None,
-            Some (q, Some translated, counts, results, Some version),
-            None )
+            ( "ok",
+              fun (r : Sobs.Request.t) ->
+                {
+                  r with
+                  results = List.length rendered;
+                  digest = Some (Sobs.Capture.digest rendered);
+                  doc_version = Some version;
+                  translated = Some translated;
+                  counts;
+                } ) )
         | Error e ->
-          ( Protocol.error_of ~rid e, "error", 0,
-            Some (Secview.Error.to_string e), Some (q, None, [], [], None),
-            None ))
+          ( Protocol.error_of ~rid e,
+            failed "error" (Secview.Error.to_string e) ))
     in
     (* the whole request runs inside a synthetic "request" root span:
        its children (per-thread) are exactly this request's stages,
        linked by [parent] — hierarchical attribution instead of the
        old watermark arithmetic *)
+    let is_query = match job.work with Answer _ -> true | _ -> false in
     let want_spans =
-      (t.config.slow_ms <> None || Option.is_some t.recorder)
-      && (match job.work with Answer _ -> true | _ -> false)
+      (t.config.slow_ms <> None || Option.is_some t.recorder) && is_query
     in
-    let (reply, status, results, error, detail, receipt), spans =
+    let (reply, (status, outcome)), spans =
       match t.tracer with
       | Some tr when want_spans -> Sobs.Tracer.with_request tr run_work
       | _ -> (run_work (), [])
@@ -615,29 +614,6 @@ let run_job t psess job =
        (if it has passed, the connection thread has answered
        [timeout] — or is about to, which loses the same way). *)
     let latency_ms = latency () in
-    (* GC-aware attribution: the union of pause windows intersecting
-       this request's span window.  Span and pause timestamps share
-       the monotonic-clock timebase, so the comparison is direct.
-       Only meaningful when spans were recorded — without them there
-       is no monotonic window to intersect. *)
-    let gc_pause_ms, gc_pauses =
-      match t.runtime with
-      | Some rt when spans <> [] ->
-        let start_ns =
-          List.fold_left
-            (fun a (s : Sobs.Tracer.span) ->
-              if s.start_ns < a then s.start_ns else a)
-            Int64.max_int spans
-        in
-        let stop_ns =
-          List.fold_left
-            (fun a (s : Sobs.Tracer.span) ->
-              if s.stop_ns > a then s.stop_ns else a)
-            Int64.min_int spans
-        in
-        Sobs.Runtime.overlap rt ~start_ns ~stop_ns
-      | _ -> (0., 0)
-    in
     let status =
       match job.deadline_at with
       | Some d when Deadline.now () > d -> "late"
@@ -646,89 +622,29 @@ let run_job t psess job =
     count t ("server.done." ^ status);
     observe t ("server.latency_ms." ^ job.jgroup) latency_ms;
     let slow =
-      match (t.config.slow_ms, detail) with
-      | Some thr, Some _ -> latency_ms > thr
-      | _ -> false
+      match t.config.slow_ms with
+      | Some thr -> is_query && latency_ms > thr
+      | None -> false
     in
-    (match detail with
-    | Some (q, translated, counts, _, _) when slow ->
-      let thr = Option.get t.config.slow_ms in
-      count t "server.slow_query";
-      audit_slow t ~rid ~session:job.jsession.sid ~peer:job.jsession.peer
-        ~group:job.jgroup ~doc:(doc_label t q) ~query:q.text ?translated
-        ~latency_ms ~threshold_ms:thr
-        ~stages:(Sobs.Tracer.stage_totals spans)
-        ~counts
-        ?gc_pause_ms:
-          (if Option.is_some t.runtime then Some gc_pause_ms else None)
-        ?gc_pauses:(if Option.is_some t.runtime then Some gc_pauses else None)
-        ()
-    | _ -> ());
-    log ?receipt ~status ~results ?error ~latency_ms ();
-    (if Option.is_some t.recorder then
-       let digest, counts, version =
-         match (detail, receipt) with
-         | Some (_, _, counts, rendered, v), _ when error = None ->
-           (Some (Sobs.Capture.digest rendered), counts, v)
-         | Some (_, _, counts, _, v), _ -> (None, counts, v)
-         | None, Some r ->
-           ( Some r.Supdate.Engine.r_view_digest, [],
-             Some r.Supdate.Engine.r_new_version )
-         | None, None -> (None, [], None)
-       in
-       record_flight t job ~status ~results ?error ?digest ?version
-         ~latency_ms ~gc_pause_ms ~gc_pauses ~spans ~counts ());
-    (match (t.capture, job.work, detail) with
-    | Some cap, Answer q, Some (_, _, _, rendered, _) when error = None ->
-      Sobs.Capture.write cap
-        {
-          Sobs.Capture.c_rid = rid;
-          c_verb = "query";
-          c_group = job.jgroup;
-          c_doc = q.doc;
-          c_query = q.text;
-          c_bind = q.bind;
-          c_index = q.use_index;
-          c_engine = Pipeline.engine_label t.config.engine;
-          c_status = "ok";
-          c_results = results;
-          c_digest = Sobs.Capture.digest rendered;
-          c_latency_ms = latency_ms;
-        }
-    | _ -> ());
-    (match (t.capture, job.work, receipt) with
-    | Some cap, Do_update q, Some r ->
-      (* only admitted writes are captured: a rejected update changed
-         nothing, so replaying the admitted sequence in order rebuilds
-         the same document versions.  The digest is the group's-view
-         digest — the same value replay recomputes, and safe to leave
-         in capture files that travel. *)
-      Sobs.Capture.write cap
-        {
-          Sobs.Capture.c_rid = rid;
-          c_verb = "update";
-          c_group = job.jgroup;
-          c_doc = q.doc;
-          c_query = q.text;
-          c_bind = q.bind;
-          c_index = false;
-          c_engine = Pipeline.engine_label t.config.engine;
-          c_status = "ok";
-          c_results = r.Supdate.Engine.r_targets;
-          c_digest = r.Supdate.Engine.r_view_digest;
-          c_latency_ms = latency_ms;
-        }
-    | _ -> ());
-    maybe_snapshot t ~status ~slow;
+    if slow then count t "server.slow_query";
+    publish t ~slow ~queued:true (fun () ->
+        outcome
+          {
+            (base ()) with
+            status;
+            latency_ms;
+            spans;
+            gc = Sobs.Request.gc_overlap t.runtime spans;
+          });
     ignore (Deadline.fill job.cell reply : bool);
     (* keep a ~retain:false tracer's memory bounded: this thread's
        completed spans have served their purpose.  (The server's audit
        log must NOT itself hold this tracer — its drain would re-enter
-       the shared lock under [audit_request]; stage timings reach the
-       log through the slow-query record instead.) *)
-    (match t.tracer with
+       the shared lock under [publish]; stage timings reach the log
+       through the slow-query record instead.) *)
+    match t.tracer with
     | Some tr -> ignore (Sobs.Tracer.drain_new tr)
-    | None -> ())
+    | None -> ()
   end
 
 (* One loop per consuming domain.  Read workers pop [t.queue]; the
@@ -871,55 +787,17 @@ let admission_fast_path t sess fd ~rid group (q : Protocol.query) =
         send fd
           (Protocol.ok ~rid [ ("results", J.List []); ("count", J.Int 0) ]);
         let latency_ms = 1000. *. (Deadline.now () -. started) in
-        audit_request t ~rid ~session:sess.sid ~peer:sess.peer ~group
-          ~doc:(doc_label t q) ~query:q.text ~status:"denied_empty"
-          ~results:0 ~latency_ms ~error:witness ();
-        (match t.recorder with
-        | Some r ->
-          Sobs.Recorder.record r
+        publish t (fun () ->
             {
-              Sobs.Recorder.rid;
-              verb = "query";
-              session = Some sess.sid;
-              peer = Some sess.peer;
-              group;
-              doc = Some (doc_label t q);
-              doc_version = doc_version t q;
-              query = q.text;
-              engine = Pipeline.engine_label t.config.engine;
+              (request t sess ~rid ~group (Answer q)) with
               admission = Some "denied";
               status = "denied_empty";
               error = Some witness;
-              results = 0;
+              (* a denied query replays to the same empty answer, so
+                 it belongs in the workload: capture it as such *)
               digest = Some (Sobs.Capture.digest []);
               latency_ms;
-              gc_pause_ms = 0.;
-              gc_pauses = 0;
-              ts_ns = Sobs.Clock.monotonic ();
-              spans = [];
-              counts = [];
-            }
-        | None -> ());
-        (match t.capture with
-        | Some cap ->
-          (* a denied query replays to the same empty answer, so it
-             belongs in the workload: capture it as such *)
-          Sobs.Capture.write cap
-            {
-              Sobs.Capture.c_rid = rid;
-              c_verb = "query";
-              c_group = group;
-              c_doc = q.doc;
-              c_query = q.text;
-              c_bind = q.bind;
-              c_index = q.use_index;
-              c_engine = Pipeline.engine_label t.config.engine;
-              c_status = "denied_empty";
-              c_results = 0;
-              c_digest = Sobs.Capture.digest [];
-              c_latency_ms = latency_ms;
-            }
-        | None -> ());
+            });
         true
       | Ok (Pipeline.Trivial | Pipeline.Needs_eval) | Error _ -> false
       | exception _ -> false))
@@ -953,16 +831,16 @@ let submit t sess fd ~rid work =
           t.config.queue_capacity
       in
       send fd (Protocol.error_of ~rid (Secview.Error.Overloaded msg));
-      (* overload rejections are audited too: a shed request must stay
-         correlatable by rid, not vanish into a counter *)
-      (match work with
-      | Answer q | Explain_query q | Do_update q ->
-        audit_request t ~rid ~session:sess.sid ~peer:sess.peer
-          ~group:job.jgroup ~doc:(doc_label t q) ~query:q.text
-          ~status:"overloaded" ~results:0
-          ~latency_ms:(1000. *. (Deadline.now () -. submitted))
-          ~error:msg ()
-      | Nap _ -> ())
+      (* overload rejections are published too: a shed request must
+         stay correlatable by rid, not vanish into a counter *)
+      let latency_ms = 1000. *. (Deadline.now () -. submitted) in
+      publish t (fun () ->
+          {
+            (request t sess ~rid ~group:job.jgroup work) with
+            status = "overloaded";
+            error = Some msg;
+            latency_ms;
+          })
     | `Closed ->
       count t "server.rejected.draining";
       send fd (Protocol.error_of ~rid Secview.Error.Draining)
@@ -1081,13 +959,19 @@ let handle_line t sess fd line =
         send fd (Protocol.error_of ~rid Secview.Error.No_session)
       | Some _ -> submit t sess fd ~rid (Do_update q)))
 
+(* The longest request line a connection may send.  A pending line
+   past it is answered once with a typed [bad_request] and the
+   connection is closed: a client cannot make the server buffer without
+   bound. *)
+let max_line = 1 lsl 20
+
 let conn_loop t fd peer =
   let sess =
     { sid = Atomic.fetch_and_add t.next_sid 1; group = None; peer; rseq = 0 }
   in
-  let buf = Buffer.create 512 in
+  let pending = Buffer.create 512 in  (* the current, unfinished line *)
   let chunk = Bytes.create 4096 in
-  let alive = ref true in
+  let alive = ref true and oversized = ref false in
   (try
      while !alive && not (draining t) do
        match Unix.select [ fd ] [] [] 0.2 with
@@ -1099,27 +983,44 @@ let conn_loop t fd peer =
          in
          if n = 0 then alive := false
          else begin
-           Buffer.add_subbytes buf chunk 0 n;
-           (* split off and handle every complete line *)
-           let data = Buffer.contents buf in
-           Buffer.clear buf;
+           (* only the [n] new bytes are scanned for line ends, so a
+              long line costs time linear in its length *)
+           let rec line_end i =
+             if i >= n then None
+             else if Bytes.get chunk i = '\n' then Some i
+             else line_end (i + 1)
+           in
            let rec lines start =
-             match String.index_from_opt data start '\n' with
-             | None ->
-               Buffer.add_substring buf data start
-                 (String.length data - start)
+             match line_end start with
              | Some nl ->
-               let line = String.sub data start (nl - start) in
+               Buffer.add_subbytes pending chunk start (nl - start);
+               let line = Buffer.contents pending in
+               Buffer.clear pending;
                let line =
                  (* tolerate CRLF clients (telnet, socat -t) *)
                  if String.length line > 0 && line.[String.length line - 1] = '\r'
                  then String.sub line 0 (String.length line - 1)
                  else line
                in
-               if String.trim line <> "" then handle_line t sess fd line;
-               lines (nl + 1)
+               if String.length line > max_line then oversized := true
+               else begin
+                 if String.trim line <> "" then handle_line t sess fd line;
+                 lines (nl + 1)
+               end
+             | None ->
+               Buffer.add_subbytes pending chunk start (n - start);
+               if Buffer.length pending > max_line then oversized := true
            in
-           lines 0
+           lines 0;
+           if !oversized then begin
+             count t "server.rejected.oversized";
+             send fd
+               (Protocol.error_of ~rid:(next_rid sess)
+                  (Secview.Error.Bad_request
+                     (Printf.sprintf "request line longer than %d bytes"
+                        max_line)));
+             alive := false
+           end
          end
      done
    with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> ());

@@ -19,7 +19,10 @@
     instead — a single-domain server keeps the pre-domain execution
     model and pays no cross-domain hand-off per request.  If the queue is full the client gets
     an [overloaded] reply immediately; the server never buffers
-    without bound.  Workers fill the request's reply cell; the
+    without bound.  Nor does a connection: a request line longer
+    than 1 MiB is answered once with [bad_request] (counted as
+    [server.rejected.oversized]) and the connection is closed.
+    Workers fill the request's reply cell; the
     connection thread awaits it up to the per-request [deadline] and
     answers [timeout] if the cell stays empty — the computation
     itself is not killed, so a stale result is accounted as [late]
@@ -45,10 +48,16 @@
     of every session (one per domain plus the connection-side
     admission session) is folded in as [pipeline.stats.<group>.<field>]
     counters and rendered in the [stats] reply — one merge path for
-    every surface.  Every admitted query writes one
-    {!Sobs.Audit_log} ["request"] record stamped with the session's
-    group and peer (audit writes serialize on one lock; sinks need no
-    thread-safety of their own).  A {!Metrics_http} listener exposes
+    every surface.  Every request ends in one {!Sobs.Request.t},
+    built once at whichever exit it took — worker, expired in queue,
+    admission fast path, overload refusal — and handed to one
+    fan-out that writes each enabled sink as a projection of it: the
+    audit record (["request"], or ["update"]/["update_denied"] for a
+    write; stamped with the session's group and peer), the
+    flight-recorder entry, the capture record and the slow-query
+    record, so every sink agrees field by field.  Audit writes
+    serialize on one lock; sinks need no thread-safety of their own.
+    The debug [sleep] reaches no sink.  A {!Metrics_http} listener exposes
     the snapshot over HTTP as OpenMetrics text ([GET /metrics], see
     {!Sobs.Export}); runtime gauges — queue depths/capacity, live
     connections, busy workers, uptime, the acceptor domain's GC
@@ -60,9 +69,10 @@
     collection/allocation counters, [runtime.domains_live] — merged
     under the consumer's lock, torn-free like the shards.  Each
     answered query whose spans were recorded is stamped with
-    [gc_pause_ms]/[gc_pauses] ({!Sobs.Runtime.overlap} of the pause
-    windows against the request's span window) in its flight-recorder
-    entry and slow-query audit record, and the [stats] verb gains a
+    [gc_pause_ms]/[gc_pauses] ({!Sobs.Request.gc_overlap} of the pause
+    windows against the request's span window; [null] when not
+    measured) in its flight-recorder entry and slow-query audit
+    record, and the [stats] verb gains a
     ["runtime"] section with per-domain pause quantiles.  The
     consumer is stopped when {!serve} drains.  Runtime telemetry is
     per domain, never per group — a group cannot learn whether
@@ -76,28 +86,29 @@
     flight-recorder entry, and any capture record, so one request is
     traceable across every surface.
 
-    {b Slow queries.}  With [slow_ms = Some t] every answered query
-    slower than [t] milliseconds (queue wait included) also writes a
+    {b Slow queries.}  With [slow_ms = Some t] every query a worker
+    ran slower than [t] milliseconds (queue wait included) also writes a
     ["slow_query"] audit record carrying the translated query, the
     plan's per-operator work totals, and — when the server was
     created with a [tracer] — per-stage wall-clock totals attributed
     to exactly that request (the worker runs it inside a synthetic
     ["request"] root span; see {!Sobs.Tracer.with_request}).
 
-    {b Flight recorder.}  With [recorder] every completed
-    Answer/Explain job (and every fast-path denial) appends a full-
-    fidelity {!Sobs.Recorder.entry} — rid, principal, query, document
-    version, engine, span tree, operator counts, answer digest,
-    outcome — to the fixed-size ring; the session-less [flight] verb
-    dumps it, and with [flight_snapshot] the ring is written to that
-    file whenever a request ends in error/timeout/late or over the
-    slow threshold.
+    {b Flight recorder.}  With [recorder] every query, explain and
+    update — answered, refused, expired, denied at admission or shed
+    by the overload check — appends its request record (rid,
+    principal, query, document version, engine, span tree, operator
+    counts, answer digest, outcome) to the fixed-size ring; the
+    session-less [flight] verb dumps it, and with [flight_snapshot]
+    the ring is written to that file whenever a queued request ends
+    in error/timeout/late or over the slow threshold (never for a
+    fast-path denial or an overload refusal).
 
-    {b Capture.}  With [capture] every successfully answered query
-    (and every fast-path denial) appends one replayable
-    {!Sobs.Capture} JSONL record — rid, group, query, engine, answer
-    digest, latency — for [secview replay]; the sink is closed on
-    drain.
+    {b Capture.}  With [capture] every answered query, fast-path
+    denial and admitted write appends one replayable {!Sobs.Capture}
+    JSONL record ({!Sobs.Capture.of_request}) — rid, group, query,
+    engine, answer digest, latency — for [secview replay]; the sink
+    is closed on drain.
 
     {b Drain.}  [shutdown] (after replying) and SIGINT (via
     {!install_sigint}) both {!request_drain}: stop accepting, let
@@ -128,8 +139,9 @@ type config = {
 }
 
 val default_config : config
-(** 4 worker domains, queue of 64, no deadline, no debug, plan
-    engine, no slow-query log, admission fast path on. *)
+(** One worker domain per core ([Domain.recommended_domain_count]),
+    queue of 64, no deadline, no debug, plan engine, no slow-query
+    log, admission fast path on. *)
 
 type listener =
   | Unix_socket of string  (** path; replaced if present, removed on drain *)

@@ -10,9 +10,7 @@ module Derive = Secview.Derive
 module Materialize = Secview.Materialize
 module Access = Secview.Access
 
-(* deprecated-free shim over the Ctx evaluation API *)
-let eval ?env ?index p doc =
-  Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ()) p
+let eval = Ctx_eval.eval
 
 let e l = R.Elt l
 let parse = Sxpath.Parse.of_string

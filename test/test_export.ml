@@ -252,14 +252,28 @@ let test_explain_counts () =
 let test_slow_query_record () =
   let buf = Buffer.create 256 in
   let log = Audit_log.create ~clock:(Clock.fake ()) (Audit_log.Buffer buf) in
-  Audit_log.log_slow_query log ~group:"user" ~query:"//a" ~translated:"b/a"
-    ~latency_ms:12.5 ~threshold_ms:10.
-    ~stages:[ ("eval", 9.25); ("translate", 1.5) ]
-    ~counts:[ ("scanned", 7); ("rows", 2) ]
-    ();
-  Audit_log.log_slow_query log ~group:"g" ~query:"//b" ~latency_ms:3.
-    ~threshold_ms:1. ~stages:[] ~counts:[] ~gc_pause_ms:0.75 ~gc_pauses:2
-    ~session:4 ~peer:"unix" ~doc:"d" ();
+  (* stage totals come from the request's own spans *)
+  let span name ms =
+    { Tracer.name; seq = 0; parent = None; depth = 0; tid = 0; trace_id = 0;
+      start_ns = 0L; stop_ns = Int64.of_float (ms *. 1e6) }
+  in
+  Audit_log.log_slow_query log ~threshold_ms:10.
+    {
+      (Sobs.Request.make ~verb:"query" ~group:"user" "//a") with
+      translated = Some "b/a";
+      latency_ms = 12.5;
+      spans = [ span "eval" 9.25; span "translate" 1.5 ];
+      counts = [ ("scanned", 7); ("rows", 2) ];
+    };
+  Audit_log.log_slow_query log ~threshold_ms:1.
+    {
+      (Sobs.Request.make ~verb:"query" ~group:"g" "//b") with
+      latency_ms = 3.;
+      gc = Some (0.75, 2);
+      session = Some 4;
+      peer = Some "unix";
+      doc_label = Some "d";
+    };
   Audit_log.close log;
   let expected =
     {|{"type":"slow_query","ts_ns":0,"group":"user","query":"//a","translated":"b/a","latency_ms":12.5,"threshold_ms":10,"stages_ms":{"eval":9.25,"translate":1.5},"op_counts":{"scanned":7,"rows":2},"gc_pause_ms":null,"gc_pauses":null}|}

@@ -9,9 +9,7 @@ module Derive = Secview.Derive
 module Access = Secview.Access
 module Materialize = Secview.Materialize
 
-(* deprecated-free shim over the Ctx evaluation API *)
-let eval ?env ?index p doc =
-  Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ()) p
+let eval = Ctx_eval.eval
 
 let e l = R.Elt l
 

@@ -9,9 +9,7 @@ module Image = Secview.Image
 module Simulate = Secview.Simulate
 module Optimize = Secview.Optimize
 
-(* deprecated-free shim over the Ctx evaluation API *)
-let eval ?env ?index p doc =
-  Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ()) p
+let eval = Ctx_eval.eval
 
 let e l = R.Elt l
 let parse = Sxpath.Parse.of_string

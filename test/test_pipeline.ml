@@ -4,9 +4,7 @@
 module Pipeline = Secview.Pipeline
 module Spec = Secview.Spec
 
-(* deprecated-free shim over the Ctx evaluation API *)
-let eval ?env ?index p doc =
-  Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ()) p
+let eval = Ctx_eval.eval
 
 let parse = Sxpath.Parse.of_string
 

@@ -21,9 +21,7 @@ module Simulate = Secview.Simulate
 module Materialize = Secview.Materialize
 module Access = Secview.Access
 
-(* deprecated-free shim over the Ctx evaluation API *)
-let eval ?env ?index p doc =
-  Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ()) p
+let eval = Ctx_eval.eval
 
 let type_name i = Printf.sprintf "t%d" i
 

@@ -616,12 +616,16 @@ let check_code what want j =
   if reply_ok j then Alcotest.failf "%s unexpectedly succeeded" what;
   Alcotest.(check (option string)) what (Some want) (reply_code j)
 
-let with_server ?config ?audit ?recorder ?tracer ?runtime ~docs () k =
-  let dtd = Workload.Adex.dtd in
+let rid_of j = Option.bind (J.member "rid" j) J.to_string_opt
+
+let with_server ?config ?audit ?recorder ?tracer ?runtime ?capture
+    ?(dtd = Workload.Adex.dtd) ?(groups = adex_groups ()) ~docs () k =
   let catalog = Catalog.create () in
   List.iter (fun (n, d) -> ignore (Catalog.add catalog ~name:n d)) docs;
-  let service = Pipeline.Service.create ~catalog dtd ~groups:(adex_groups ()) in
-  let server = Server.create ?config ?audit ?recorder ?tracer ?runtime service in
+  let service = Pipeline.Service.create ~catalog dtd ~groups in
+  let server =
+    Server.create ?config ?audit ?recorder ?tracer ?runtime ?capture service
+  in
   let path = Filename.temp_file "secview-test" ".sock" in
   Sys.remove path;
   let th =
@@ -668,7 +672,7 @@ let test_server_roundtrips () =
   (match J.member "results" j with
   | Some (J.List rs) ->
     Alcotest.(check (list string))
-      "byte-identical to Pipeline.answer" expected
+      "byte-identical to Session.answer" expected
       (List.filter_map J.to_string_opt rs)
   | _ -> Alcotest.fail "no results field");
   send fd (Protocol.query_json ~doc:"zz" "//house");
@@ -688,11 +692,14 @@ let test_server_overload () =
   let config =
     { Server.default_config with domains = 1; queue_capacity = 1; debug = true }
   in
-  with_server ~config ~docs:[ ("d1", List.hd (adex_docs ())) ] ()
+  let recorder = Sobs.Recorder.create ~capacity:8 in
+  with_server ~config ~recorder ~docs:[ ("d1", List.hd (adex_docs ())) ] ()
   @@ fun _server path ->
   let c1, ic1 = connect path in
   let c2, ic2 = connect path in
   let c3, ic3 = connect path in
+  send c3 (Protocol.hello ~peer:"tests" "re");
+  Alcotest.(check bool) "hello" true (reply_ok (recv ic3));
   (* c1 occupies the only worker, c2 fills the only queue slot, c3
      must be turned away immediately — not enqueued, not hung *)
   send_raw c1 "{\"cmd\":\"sleep\",\"ms\":400}";
@@ -705,6 +712,14 @@ let test_server_overload () =
   let waited = Deadline.now () -. t0 in
   check_code "third request refused" Protocol.overloaded j3;
   Alcotest.(check bool) "refused immediately, not queued" true (waited < 0.25);
+  (* a shed query is still a request: it reaches the flight ring *)
+  send c3 (Protocol.query_json ~rid:"shed" ~doc:"d1" "//house");
+  check_code "query refused" Protocol.overloaded (recv ic3);
+  Alcotest.(check (list string)) "shed query in flight" [ "overloaded" ]
+    (List.filter_map
+       (fun (r : Sobs.Request.t) ->
+         if r.rid = Some "shed" then Some r.status else None)
+       (Sobs.Recorder.entries recorder));
   Alcotest.(check bool) "first completes" true (reply_ok (recv ic1));
   Alcotest.(check bool) "queued one completes" true (reply_ok (recv ic2));
   List.iter Unix.close [ c1; c2; c3 ]
@@ -726,7 +741,6 @@ let test_server_rid_and_flight () =
   let recorder = Sobs.Recorder.create ~capacity:8 in
   with_server ~recorder ~docs:[ ("d1", doc) ] () @@ fun _server path ->
   let fd, ic = connect path in
-  let rid_of j = Option.bind (J.member "rid" j) J.to_string_opt in
   (* a server-generated rid on every reply, r<session>-<n> shaped *)
   send fd (Protocol.simple "ping");
   (match rid_of (recv ic) with
@@ -822,6 +836,191 @@ let test_server_gc_attribution () =
          (Option.bind (J.member "pauses_total" rt) J.to_int_opt))
   | None -> Alcotest.fail "stats reply has no runtime section");
   Unix.close fd
+
+(* A line that never ends is refused once, typed, and hung up on —
+   the server neither buffers it without bound nor stops answering
+   other connections. *)
+let test_server_oversized_line () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let doc = List.hd (adex_docs ()) in
+  with_server ~docs:[ ("d1", doc) ] () @@ fun server path ->
+  let fd, ic = connect path in
+  (* a server that buffers forever must fail the test, not hang it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  let writer =
+    Thread.create
+      (fun () ->
+        (* 2 MiB, no newline; the server hangs up midway *)
+        try write_all fd (String.make (2 * 1024 * 1024) 'x')
+        with Unix.Unix_error _ -> ())
+      ()
+  in
+  check_code "oversized line refused" Protocol.bad_request (recv ic);
+  (* hung up: EOF, or a reset because the rest of the line went unread *)
+  (match input_line ic with
+  | exception (End_of_file | Sys_error _) -> ()
+  | line -> Alcotest.failf "expected a closed socket, got %S" line);
+  Thread.join writer;
+  Unix.close fd;
+  Alcotest.(check (option int)) "counted" (Some 1)
+    (List.assoc_opt "server.rejected.oversized"
+       (Sobs.Metrics.counters (Server.metrics server)));
+  let fd, ic = connect path in
+  send fd (Protocol.simple "ping");
+  Alcotest.(check bool) "another connection is still answered" true
+    (reply_ok (recv ic));
+  Unix.close fd
+
+let jsonl_of_string text =
+  List.filter_map
+    (fun l ->
+      if l = "" then None
+      else
+        match J.of_string l with
+        | Ok j -> Some j
+        | Error e -> Alcotest.failf "bad JSONL line %S: %s" l e)
+    (String.split_on_char '\n' text)
+
+(* Every sink is a projection of one request record, so the flight
+   entry, the audit record and the capture record of a request agree on
+   every field they share: an answered query, a fast-path denial, an
+   admitted and a refused write, and a failed query. *)
+let test_sink_agreement () =
+  (* the fast path needs the admission analyzer linked *)
+  ignore Sanalysis.Semantic.admission;
+  let dtd = Workload.Hospital.dtd in
+  let spec =
+    Workload.Hospital.nurse_spec
+      ~write:
+        [
+          (("regular", "bill"), [ Secview.Spec.Replace ]);
+          (("patientInfo", "patient"), Secview.Spec.all_write_ops);
+        ]
+      dtd
+  in
+  let buf = Buffer.create 1024 in
+  let audit = Sobs.Audit_log.create (Sobs.Audit_log.Buffer buf) in
+  let recorder = Sobs.Recorder.create ~capacity:16 in
+  let cap_path = Filename.temp_file "secview-sinks" ".jsonl" in
+  let capture = Sobs.Capture.open_file cap_path in
+  Fun.protect ~finally:(fun () -> Sys.remove cap_path) @@ fun () ->
+  let bind = [ ("wardNo", "6") ] in
+  let flight =
+    with_server ~audit ~recorder ~capture ~dtd ~groups:[ ("user", spec) ]
+      ~docs:[ ("ward", Workload.Hospital.sample_document ()) ]
+      ()
+    @@ fun _server path ->
+    let fd, ic = connect path in
+    send fd (Protocol.hello ~peer:"sinks" "user");
+    Alcotest.(check bool) "hello" true (reply_ok (recv ic));
+    let ask what want json =
+      send fd json;
+      Alcotest.(check bool) what want (reply_ok (recv ic))
+    in
+    ask "answered" true
+      (Protocol.query_json ~rid:"s-ok" ~doc:"ward" ~bind "//patient/name");
+    ask "denied at admission" true
+      (Protocol.query_json ~rid:"s-denied" ~doc:"ward" ~bind "//test");
+    ask "admitted write" true
+      (Protocol.update_json ~rid:"s-write" ~doc:"ward" ~bind
+         "replace //patient[name = \"Bob\"]//bill with <bill>150</bill>");
+    ask "refused write" false
+      (Protocol.update_json ~rid:"s-refused" ~doc:"ward" ~bind
+         "delete //patient[name = \"Bob\"]");
+    ask "unknown document" false
+      (Protocol.query_json ~rid:"s-unknown" ~doc:"zz" ~bind "//patient");
+    send fd (Protocol.simple "flight");
+    let j = recv ic in
+    Unix.close fd;
+    match J.member "entries" j with
+    | Some (J.List es) -> es
+    | _ -> Alcotest.fail "flight reply has no entries"
+  in
+  let audit = jsonl_of_string (Buffer.contents buf) in
+  let captured =
+    let ic = open_in_bin cap_path in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    jsonl_of_string text
+  in
+  (* the audit log names two shared fields after the write schema *)
+  let audit_field j name =
+    let is_write =
+      match J.member "type" j with
+      | Some (J.String ("update" | "update_denied")) -> true
+      | _ -> false
+    in
+    match name with
+    | "query" when is_write -> J.member "update" j
+    | "results" when is_write -> (
+      match J.member "targets" j with Some J.Null -> None | v -> v)
+    | _ -> J.member name j
+  in
+  let shared =
+    [ "rid"; "verb"; "group"; "doc"; "query"; "status"; "results"; "digest";
+      "latency_ms" ]
+  in
+  let one what rid js =
+    match List.filter (fun j -> rid_of j = Some rid) js with
+    | [ j ] -> Some j
+    | [] -> None
+    | _ -> Alcotest.failf "%s: several records for %s" what rid
+  in
+  List.iter
+    (fun (rid, status, replayable) ->
+      let f =
+        match one "flight" rid flight with
+        | Some f -> f
+        | None -> Alcotest.failf "no flight entry for %s" rid
+      in
+      let a =
+        match one "audit" rid audit with
+        | Some a -> a
+        | None -> Alcotest.failf "no audit record for %s" rid
+      in
+      let c = one "capture" rid captured in
+      Alcotest.(check bool)
+        (rid ^ " captured iff replayable") replayable (Option.is_some c);
+      Alcotest.(check (option string))
+        (rid ^ " status") (Some status)
+        (Option.bind (J.member "status" f) J.to_string_opt);
+      List.iter
+        (fun name ->
+          let views =
+            List.filter_map
+              (fun (sink, v) ->
+                Option.map (fun v -> (sink, J.to_string v)) v)
+              [
+                ("flight", J.member name f);
+                ("audit", audit_field a name);
+                ("capture", Option.bind c (fun c -> J.member name c));
+              ]
+          in
+          match views with
+          | (_, first) :: rest ->
+            List.iter
+              (fun (sink, v) ->
+                Alcotest.(check string)
+                  (Printf.sprintf "%s %s: %s agrees with flight" rid name sink)
+                  first v)
+              rest
+          | [] -> Alcotest.failf "%s: no sink has %s" rid name)
+        shared;
+      (* no runtime consumer ran: GC attribution is not measured *)
+      List.iter
+        (fun name ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s not measured" rid name)
+            "null"
+            (J.to_string (Option.value ~default:(J.Int 0) (J.member name f))))
+        [ "gc_pause_ms"; "gc_pauses" ])
+    [
+      ("s-ok", "ok", true);
+      ("s-denied", "denied_empty", true);
+      ("s-write", "ok", true);
+      ("s-refused", "update_denied", false);
+      ("s-unknown", "error", false);
+    ]
 
 let check_audit buf queries =
   let lines =
@@ -935,5 +1134,8 @@ let () =
           Alcotest.test_case "deadline" `Quick test_server_timeout;
           Alcotest.test_case "drain flushes audit" `Quick
             test_server_drain_audit;
+          Alcotest.test_case "oversized line" `Quick
+            test_server_oversized_line;
+          Alcotest.test_case "sink agreement" `Quick test_sink_agreement;
         ] );
     ]

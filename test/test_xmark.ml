@@ -7,9 +7,7 @@ module Rewrite = Secview.Rewrite
 module Materialize = Secview.Materialize
 module Access = Secview.Access
 
-(* deprecated-free shim over the Ctx evaluation API *)
-let eval ?env ?index p doc =
-  Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ()) p
+let eval = Ctx_eval.eval
 
 let parse = Sxpath.Parse.of_string
 

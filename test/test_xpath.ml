@@ -3,9 +3,7 @@
 
 module A = Sxpath.Ast
 
-(* deprecated-free shims over the Ctx evaluation API *)
-let eval ?env ?index p doc =
-  Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ()) p
+let eval = Ctx_eval.eval
 
 let eval_doc p doc =
   Sxpath.Eval.run (Sxpath.Eval.Ctx.make ~at:`Document ~root:doc ()) p

@@ -67,12 +67,16 @@ echo "-- mixed replay: 0 mismatches"
 
 # Domain-parallel serving: a 2-domain server (real OCaml domains, one
 # pipeline session each) must answer exactly what the single-threaded
-# pipeline answers, and the workload captured through it must replay
-# digest-clean against the live server.
+# pipeline answers, the workload captured through it must replay
+# digest-clean against the live server, and every captured request
+# must also be in the audit log and the flight recorder — the three
+# sinks are projections of one request record, written from worker
+# domains.
 echo "== 2-domain serve smoke"
 secview serve --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
   --doc doc="$TMP/doc.xml" --socket "$TMP/ci.sock" --domains 2 \
-  --capture "$TMP/dcap.jsonl" 2> "$TMP/serve.log" &
+  --capture "$TMP/dcap.jsonl" --flight 16 \
+  --audit-log "$TMP/daudit.jsonl" 2> "$TMP/serve.log" &
 SRV=$!
 secview client --socket "$TMP/ci.sock" --wait 5 --group user \
   --bind wardNo=6 '//patient/name' '//patient/wardNo' '//patient' \
@@ -85,8 +89,17 @@ echo "-- 2-domain answers match the direct pipeline"
 secview replay "$TMP/dcap.jsonl" --socket "$TMP/ci.sock" \
   | grep -q ' 0 mismatch(es)'
 echo "-- 2-domain capture -> replay: 0 mismatches"
+secview flight --socket "$TMP/ci.sock" --json > "$TMP/dflight.json"
 secview client --socket "$TMP/ci.sock" --shutdown
 wait $SRV
+grep -o '"rid":"[^"]*"' "$TMP/dcap.jsonl" | sort -u > "$TMP/drids"
+test -s "$TMP/drids"
+while read -r rid; do
+  for sink in daudit.jsonl dflight.json; do
+    grep -qF "$rid" "$TMP/$sink" || { echo "$rid missing from $sink"; exit 1; }
+  done
+done < "$TMP/drids"
+echo "-- 2-domain sinks: every captured rid is audited and in flight"
 
 # Served writes: a chain of admitted updates (insert, replace, delete)
 # through a 2-domain server, then one write DTD conformance must refuse
