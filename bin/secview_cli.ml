@@ -273,9 +273,9 @@ let rewrite_cmd =
 
 (* An audit-log path of "-" means stderr, so audit records, lint
    diagnostics and trace output can be collected from one stream. *)
-let open_audit_log ?tracer = function
-  | "-" -> Sobs.Audit_log.create ?tracer Sobs.Audit_log.Stderr
-  | path -> Sobs.Audit_log.open_file ?tracer path
+let open_audit_log = function
+  | "-" -> Sobs.Audit_log.create Sobs.Audit_log.Stderr
+  | path -> Sobs.Audit_log.open_file path
 
 let engine_arg =
   let doc =
@@ -298,26 +298,21 @@ let query_cmd =
       indexed stats strict timeout trace trace_out metrics slow_ms audit_log
       capture runtime_events =
     if queries = [] then failwith "query: at least one QUERY is required";
-    let observing =
-      trace || metrics || trace_out <> None || slow_ms <> None
-      || audit_log <> None
-    in
+    let observing = trace || metrics || trace_out <> None || slow_ms <> None in
     let registry = Sobs.Metrics.create () in
     let tracer = Sobs.Tracer.create ~metrics:registry () in
     if observing then Sobs.Tracer.install tracer;
     let runtime =
       if runtime_events then Some (Sobs.Runtime.start ()) else None
     in
-    let alog = Option.map (open_audit_log ~tracer) audit_log in
+    let alog = Option.map open_audit_log audit_log in
     (* slow-query records ride the audit log when there is one and a
        private stderr stream otherwise — --slow-ms alone should not
        force full request auditing on *)
-    let slow_log, slow_owned =
-      match (slow_ms, alog) with
-      | None, _ -> (None, false)
-      | Some _, Some a -> (Some a, false)
-      | Some _, None ->
-        (Some (Sobs.Audit_log.create Sobs.Audit_log.Stderr), true)
+    let slow_log =
+      match alog with
+      | Some a -> a
+      | None -> Sobs.Audit_log.create Sobs.Audit_log.Stderr
     in
     let dtd, spec, view = setup dtd_path root spec_path in
     let doc = Sxml.Parse.of_file doc_path in
@@ -375,11 +370,10 @@ let query_cmd =
               alog;
             raise e
         in
-        Option.iter Sobs.Audit_log.install alog;
         let cap = Option.map Sobs.Capture.open_file capture in
         (* each query is one correlated request: a stable rid (q1, q2,
-           …) ties the reply, the slow-query record and any capture
-           record together, and — when spans are needed — the query
+           …) ties the reply and its audit, slow-query and capture
+           records together, and — when spans are needed — the query
            runs inside a "request" root span so its stages form one
            hierarchy (Tracer.with_request) *)
         let nq = ref 0 in
@@ -397,54 +391,61 @@ let query_cmd =
                 if slow_ms <> None then Sobs.Tracer.with_request tracer answer
                 else (answer (), [])
               in
-              match outcome with
-              | Error e -> raise (Secview.Error.E e)
-              | Ok o ->
-                let latency_ms = 1000. *. (Sserver.Deadline.now () -. t0) in
-                let slow =
-                  match (slow_ms, slow_log) with
-                  | Some thr, Some sl when latency_ms > thr -> Some (thr, sl)
-                  | _ -> None
+              let latency_ms = 1000. *. (Sserver.Deadline.now () -. t0) in
+              (* the same request record, and the same projections, as
+                 a served query — failed queries included *)
+              if alog <> None || slow_ms <> None || cap <> None then begin
+                let r =
+                  {
+                    (Sobs.Request.make ~verb:"query" ~group:"user" qtext) with
+                    rid = Some rid;
+                    bind = bindings;
+                    index = indexed;
+                    engine = Secview.Pipeline.engine_label engine;
+                    latency_ms;
+                    gc = Sobs.Request.gc_overlap runtime spans;
+                    spans;
+                  }
                 in
-                (* the same request record, and the same projections,
-                   as a served query *)
-                if slow <> None || cap <> None then begin
-                  let rendered =
-                    List.map
-                      (fun n -> Sxml.Print.to_string n)
-                      o.Secview.Pipeline.o_results
-                  in
-                  let r =
+                let r =
+                  match outcome with
+                  | Ok o ->
+                    let rendered =
+                      List.map
+                        (fun n -> Sxml.Print.to_string n)
+                        o.Secview.Pipeline.o_results
+                    in
                     {
-                      (Sobs.Request.make ~verb:"query" ~group:"user" qtext)
-                      with
-                      rid = Some rid;
-                      bind = bindings;
-                      index = indexed;
-                      engine = Secview.Pipeline.engine_label engine;
+                      r with
                       results = List.length rendered;
                       digest = Some (Sobs.Capture.digest rendered);
-                      latency_ms;
-                      gc = Sobs.Request.gc_overlap runtime spans;
-                      spans;
                       counts = o.Secview.Pipeline.o_counts;
                       translated =
                         Some
                           (Sxpath.Print.to_string
                              o.Secview.Pipeline.o_translated);
                     }
-                  in
-                  Option.iter
-                    (fun (threshold_ms, sl) ->
-                      Sobs.Audit_log.log_slow_query sl ~threshold_ms r)
-                    slow;
-                  Option.iter
-                    (fun c ->
-                      Option.iter (Sobs.Capture.write c)
-                        (Sobs.Capture.of_request r))
-                    cap
-                end;
-                o.Secview.Pipeline.o_results)
+                  | Error e ->
+                    {
+                      r with
+                      status = "error";
+                      error = Some (Secview.Error.to_string e);
+                    }
+                in
+                (match slow_ms with
+                | Some threshold_ms when latency_ms > threshold_ms ->
+                  Sobs.Audit_log.log_slow_query slow_log ~threshold_ms r
+                | _ -> ());
+                Option.iter (fun a -> Sobs.Audit_log.log_request a r) alog;
+                Option.iter
+                  (fun c ->
+                    Option.iter (Sobs.Capture.write c)
+                      (Sobs.Capture.of_request r))
+                  cap
+              end;
+              match outcome with
+              | Error e -> raise (Secview.Error.E e)
+              | Ok o -> o.Secview.Pipeline.o_results)
             (List.combine queries qs)
         in
         Option.iter Sobs.Capture.close cap;
@@ -476,11 +477,8 @@ let query_cmd =
         Sobs.Export.write_chrome_trace ~gc path (Sobs.Tracer.spans tracer))
       trace_out;
     Option.iter Sobs.Runtime.stop runtime;
-    if slow_owned then
-      Option.iter Sobs.Audit_log.close slow_log;
     Option.iter Sobs.Audit_log.close alog;
-    if observing then Sobs.Tracer.uninstall ();
-    Sobs.Audit_log.uninstall ()
+    if observing then Sobs.Tracer.uninstall ()
   in
   let approach_arg =
     let doc = "Evaluation strategy: naive, rewrite or optimize." in
@@ -566,8 +564,8 @@ let query_cmd =
       & opt (some string) None
       & info [ "audit-log" ] ~docv:"FILE"
           ~doc:
-            "Append one JSONL audit record per pipeline request to $(docv) \
-             ('-' for stderr); optimize approach only.")
+            "Append one JSONL request record per query to $(docv) ('-' for \
+             stderr); optimize approach only.")
   in
   let queries_arg =
     let doc = "View queries to answer, in order." in

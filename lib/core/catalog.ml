@@ -177,27 +177,31 @@ let update ~conforms ~access:(spec, env, flags) e doc =
 
 (* Interning looks the document up by physical identity: the named
    table first (a server answers requests over catalog documents it
-   loaded itself), then the bounded anonymous list.  The bound keeps a
-   caller that streams throwaway documents through [Session.answer]
-   from leaking entries; eviction drops the oldest. *)
+   loaded itself), then the bounded anonymous list.  It hands back the
+   snapshot holding [d], read once: a write may swap a named entry's
+   snapshot at any moment, and a caller that went back to the entry
+   would get the new tree's height or index for the old tree.  The
+   bound keeps a caller that streams throwaway documents through
+   [Session.answer] from leaking entries; eviction drops the oldest. *)
 let intern t d =
-  let is_loaded e =
+  let holding e =
     (* no lock: [source] only ever steps File -> Loaded, and a racing
        reader that misses the update just falls through to a fresh
        anonymous entry with the same memoized-height semantics *)
-    match e.snap.source with Loaded d' -> d' == d | File _ -> false
+    let s = e.snap in
+    match s.source with Loaded d' when d' == d -> Some s | _ -> None
   in
   Mutex.protect t.lock (fun () ->
       let named =
         Hashtbl.fold
-          (fun _ e acc -> if acc = None && is_loaded e then Some e else acc)
+          (fun _ e acc -> if Option.is_none acc then holding e else acc)
           t.named None
       in
       match named with
-      | Some e -> e
+      | Some s -> s
       | None -> (
-        match List.find_opt is_loaded t.interned with
-        | Some e -> e
+        match List.find_map holding t.interned with
+        | Some s -> s
         | None ->
           let e = make_entry (Loaded d) in
           let kept =
@@ -206,7 +210,7 @@ let intern t d =
             else t.interned
           in
           t.interned <- e :: kept;
-          e))
+          e.snap))
 
 let height_walks t = Atomic.get t.height_walks
 

@@ -125,8 +125,12 @@ val snapshot_access :
     policy and bindings as the write that published the snapshot
     skips the whole-document pass. *)
 
-val intern : t -> Sxml.Tree.t -> entry
-(** Find-or-create the entry for a loaded tree by physical identity. *)
+val intern : t -> Sxml.Tree.t -> snapshot
+(** The snapshot holding a loaded tree, found by physical identity
+    (named entries first, then the anonymous ones; a tree neither
+    holds gets a fresh anonymous entry).  Read the tree's memos from
+    this snapshot, not from an entry: a write may swap a named
+    entry's snapshot at any time. *)
 
 val height_walks : t -> int
 (** How many full-tree height walks this catalog has performed —

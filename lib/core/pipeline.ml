@@ -474,15 +474,15 @@ module Session = struct
         Error reason)
 
   let doc_height sess doc =
-    let entry = Catalog.intern sess.svc.Service.s_catalog doc in
-    match Catalog.memoized_height entry with
+    let snap = Catalog.intern sess.svc.Service.s_catalog doc in
+    match Catalog.snapshot_memoized_height snap with
     | Some h ->
       if Trace.enabled () then Trace.count "pipeline.height.memo_hit" 1;
       h
     | None ->
       let h =
         Trace.span "height" (fun () ->
-            Catalog.height sess.svc.Service.s_catalog entry)
+            Catalog.snapshot_height sess.svc.Service.s_catalog snap)
       in
       if Trace.enabled () then Trace.count "pipeline.height.computed" 1;
       h
@@ -502,7 +502,9 @@ module Session = struct
     | Some _ -> index
     | None ->
       if doc.Sxml.Tree.id = 0 then
-        Some (Catalog.index (Catalog.intern sess.svc.Service.s_catalog doc))
+        Some
+          (Catalog.snapshot_index
+             (Catalog.intern sess.svc.Service.s_catalog doc))
       else None
 
   let interp ?env ?index translated doc =
@@ -534,38 +536,23 @@ module Session = struct
       doc =
     Trace.span "answer" @@ fun () ->
     let height = request_height sess sg ?height doc in
-    let cache_hit = Hashtbl.mem sg.cache (q, height) in
-    let finish translated results error =
-      Trace.audit { Trace.group; query = q; translated; cache_hit; height;
-                    results; error }
+    let ce = translate_entry sess sg ~group ?height q in
+    (* [visited] is a trace-only work meter shared by every domain's
+       evaluators without synchronization: lost updates under parallel
+       load are acceptable, a per-request delta observed on one domain
+       is exact *)
+    let v0 = !Sxpath.Eval.visited + !Splan.Exec.visited in
+    let used, stats, thunk =
+      run_engine sess sg ~group ~engine ~want_stats ?env ?index ce doc
     in
-    match translate_entry sess sg ~group ?height q with
-    | exception e ->
-      if Trace.audit_enabled () then
-        finish None 0 (Some (Printexc.to_string e));
-      raise e
-    | ce -> (
-      (* [visited] is a trace-only work meter shared by every domain's
-         evaluators without synchronization: lost updates under
-         parallel load are acceptable, a per-request delta observed on
-         one domain is exact *)
-      let v0 = !Sxpath.Eval.visited + !Splan.Exec.visited in
-      let used, stats, thunk =
-        run_engine sess sg ~group ~engine ~want_stats ?env ?index ce doc
-      in
-      match Trace.span "eval" thunk with
-      | exception e ->
-        Trace.value "eval.visited"
-          (!Sxpath.Eval.visited + !Splan.Exec.visited - v0);
-        if Trace.audit_enabled () then
-          finish (Some ce.translated) 0 (Some (Printexc.to_string e));
-        raise e
-      | results ->
-        Trace.value "eval.visited"
-          (!Sxpath.Eval.visited + !Splan.Exec.visited - v0);
-        if Trace.audit_enabled () then
-          finish (Some ce.translated) (List.length results) None;
-        (results, ce, used, stats))
+    let results =
+      Fun.protect
+        ~finally:(fun () ->
+          Trace.value "eval.visited"
+            (!Sxpath.Eval.visited + !Splan.Exec.visited - v0))
+        (fun () -> Trace.span "eval" thunk)
+    in
+    (results, ce, used, stats)
 
   let answer_outcome sess ~group ?(engine = Plan) ?(counts = false) ?env
       ?index ?height q doc =
@@ -575,7 +562,7 @@ module Session = struct
       Error (Error.Unknown_group { group; known = sess.svc.Service.s_order })
     | sg -> (
       match
-        if Trace.enabled () || Trace.audit_enabled () then
+        if Trace.enabled () then
           answer_observed sess sg ~group ~engine ~want_stats:counts ?env
             ?index ?height q doc
         else
@@ -615,9 +602,8 @@ module Session = struct
   (* EXPLAIN: run the request once, preferring the plan engine with
      per-operator counters; report why when the interpreter had to
      answer instead.  Uses the same caches as [answer], so explaining
-     a query warms it.  The audit hook does not fire — an explanation
-     is operator introspection, not a data answer (results are
-     counted, not returned). *)
+     a query warms it.  An explanation is operator introspection, not
+     a data answer: results are counted, not returned. *)
   let explain sess ~group ?env ?index ?height q doc =
     sync sess;
     match sgroup sess group with
@@ -626,7 +612,8 @@ module Session = struct
     | sg -> (
       let admission = classify_sg sg q in
       let doc_version =
-        Catalog.version (Catalog.intern sess.svc.Service.s_catalog doc)
+        Catalog.snapshot_version
+          (Catalog.intern sess.svc.Service.s_catalog doc)
       in
       let generation = Service.generation sess.svc in
       match

@@ -126,8 +126,8 @@ val set_admission_analyzer :
     ([o_engine = Interp] for a plan-engine request means a fallback),
     and — with [~counts:true] and the plan engine — the operator work
     totals ({!Splan.Exec.Stats.totals}: [scanned]/[probes]/[joined]/
-    [rows]; [[]] otherwise).  Slow-query records are built from
-    this. *)
+    [rows]; [[]] otherwise).  The CLI's request records are built
+    from this. *)
 type outcome = {
   o_results : Sxml.Tree.t list;
   o_translated : Sxpath.Ast.path;
@@ -295,8 +295,7 @@ module Session : sig
       and its height and index computed once per catalog entry —
       queries alternating over any number of loaded documents never
       recompute either.  With an observability probe installed (see
-      {!Trace}), the call is wrapped in spans and, when an audit hook
-      is installed, emits one {!Trace.audit_event}.
+      {!Trace}), the call is wrapped in spans.
 
       Failures come back as {!Error.t} values instead of mixed
       exceptions: [Unknown_group], [Unsupported] (recursive view
@@ -327,8 +326,9 @@ module Session : sig
     Sxpath.Ast.path ->
     Sxml.Tree.t ->
     (outcome, Error.t) result
-  (** Exactly {!answer} — same caches, spans, audit event — but
-      returning the request's {!outcome}.  [counts] (default [false])
+  (** Exactly {!answer} — same caches, same spans — but returning the
+      request's {!outcome}: what an audit record of the request needs
+      (the translated query, the operator counts).  [counts] (default [false])
       allocates and fills per-operator counters when the plan engine
       runs; the default keeps the hot path identical to {!answer}. *)
 
@@ -343,9 +343,8 @@ module Session : sig
     (explanation, Error.t) result
   (** Run the query once, preferring the plan engine and collecting
       {!Splan.Exec.Stats} per operator.  Shares {!answer}'s
-      translation and plan caches (explaining a query warms them) but
-      does not emit an audit event — results are counted, not
-      returned.  Errors as in {!answer}. *)
+      translation and plan caches (explaining a query warms them);
+      results are counted, not returned.  Errors as in {!answer}. *)
 
   val stats_of : t -> group:string -> stats
   (** The group's counters (safe from any domain).

@@ -45,21 +45,3 @@ let count name n =
 let value name v =
   let p = !probe in
   if p != null then p.value name v
-
-type audit_event = {
-  group : string;
-  query : Sxpath.Ast.path;
-  translated : Sxpath.Ast.path option;
-  cache_hit : bool;
-  height : int option;
-  results : int;
-  error : string option;
-}
-
-let audit_hook : (audit_event -> unit) option ref = ref None
-
-let set_audit f = audit_hook := Some f
-let clear_audit () = audit_hook := None
-let audit_enabled () = !audit_hook <> None
-
-let audit ev = match !audit_hook with None -> () | Some f -> f ev

@@ -1,27 +1,25 @@
 (** Observability probe points for the query pipeline.
 
     The core library stays free of clocks, sinks and serialization:
-    this module only holds injection points (the pattern of
+    this module only holds an injection point (the pattern of
     {!Pipeline.set_strict_gate}) that the observability sublibrary
     ([Sobs], {e lib/obs}) fills in when the embedding application asks
-    for tracing, metrics or audit logging.
+    for tracing or metrics.
 
-    Two independent hooks:
+    The hook is a {e probe}: nested span enter/leave plus named counter
+    and integer-observation events, fired by the instrumented stages
+    ([derive], [rewrite], [optimize], translation-cache lookup,
+    [eval]).  Audit records are not produced here: the embedding
+    application builds one request record per request from the
+    pipeline's return value and writes it itself.
 
-    - a {e probe} — nested span enter/leave plus named counter and
-      integer-observation events, fired by the instrumented stages
-      ([derive], [rewrite], [optimize], translation-cache lookup,
-      [eval]);
-    - an {e audit hook} — one structured {!audit_event} per
-      {!Pipeline.Session.answer} call.
-
-    With neither installed (the default) every operation here is a
+    With no probe installed (the default) every operation here is a
     no-op that performs no allocation and no I/O: [span] applies its
     thunk directly, [count]/[value] return without touching their
     arguments, and the instrumented call sites guard any
-    event-payload construction behind {!enabled}/{!audit_enabled}.
-    This is the overhead-when-disabled guarantee
-    [test/test_obs.ml] pins down with [Gc.minor_words]. *)
+    event-payload construction behind {!enabled}.  This is the
+    overhead-when-disabled guarantee [test/test_obs.ml] pins down
+    with [Gc.minor_words]. *)
 
 type span_id = int
 
@@ -59,27 +57,3 @@ val span : string -> (unit -> 'a) -> 'a
 
 val count : string -> int -> unit
 val value : string -> int -> unit
-
-(** {1 Audit events} *)
-
-type audit_event = {
-  group : string;
-  query : Sxpath.Ast.path;  (** the view query as asked *)
-  translated : Sxpath.Ast.path option;
-      (** the document query actually evaluated; [None] when
-          translation failed *)
-  cache_hit : bool;  (** translation served from the group's cache *)
-  height : int option;
-      (** unfolding height used (recursive views only) *)
-  results : int;  (** number of answer nodes ([0] on failure) *)
-  error : string option;  (** set when the request raised *)
-}
-
-val set_audit : (audit_event -> unit) -> unit
-val clear_audit : unit -> unit
-
-val audit_enabled : unit -> bool
-
-val audit : audit_event -> unit
-(** Forward an event to the installed audit hook; no-op without
-    one. *)

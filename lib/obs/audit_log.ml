@@ -1,31 +1,27 @@
 type sink =
-  | Null
   | Stderr
   | Channel of out_channel
   | Buffer of Buffer.t
 
 type t = {
   clock : Clock.t;
-  tracer : Tracer.t option;
   sink : sink;
   owned : bool;  (* close the channel on [close] *)
 }
 
-let create ?(clock = Clock.monotonic) ?tracer sink =
-  { clock; tracer; sink; owned = false }
+let create ?(clock = Clock.monotonic) sink = { clock; sink; owned = false }
 
-let open_file ?(clock = Clock.monotonic) ?tracer path =
+let open_file ?(clock = Clock.monotonic) path =
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path in
-  { clock; tracer; sink = Channel oc; owned = true }
+  { clock; sink = Channel oc; owned = true }
 
 let close t =
   match t.sink with
   | Channel oc -> if t.owned then close_out oc else flush oc
-  | Null | Stderr | Buffer _ -> ()
+  | Stderr | Buffer _ -> ()
 
 let emit t json =
   match t.sink with
-  | Null -> ()
   | Stderr ->
     output_string stderr (Json.to_string json);
     output_char stderr '\n';
@@ -42,35 +38,6 @@ let base t kind =
   [ ("type", Json.String kind); ("ts_ns", Json.Int (Int64.to_int (t.clock ()))) ]
 
 let opt f = function Some v -> f v | None -> Json.Null
-
-let log_event t (ev : Secview.Trace.audit_event) =
-  let stages =
-    match t.tracer with
-    | None -> []
-    | Some tr ->
-      [
-        ( "stages_ms",
-          Json.Obj
-            (List.map
-               (fun (name, ms) -> (name, Json.Float ms))
-               (Tracer.stage_totals (Tracer.drain_new tr))) );
-      ]
-  in
-  emit t
-    (Json.Obj
-       (base t "query"
-       @ [
-           ("group", Json.String ev.group);
-           ("query", Json.String (Sxpath.Print.to_string ev.query));
-           ( "translated",
-             opt (fun p -> Json.String (Sxpath.Print.to_string p))
-               ev.translated );
-           ("cache", Json.String (if ev.cache_hit then "hit" else "miss"));
-           ("height", opt (fun h -> Json.Int h) ev.height);
-           ("results", Json.Int ev.results);
-           ("error", opt (fun e -> Json.String e) ev.error);
-         ]
-       @ stages))
 
 let log_diagnostic t ~code ~severity ~subject message =
   emit t
@@ -105,6 +72,7 @@ let log_request t (r : Request.t) =
            ("group", Json.String r.group);
            ("doc", Json.String (doc_label r));
            ("query", Json.String r.query);
+           ("translated", opt (fun s -> Json.String s) r.translated);
            ("status", Json.String r.status);
            ("results", Json.Int r.results);
            ("latency_ms", Json.Float r.latency_ms);
@@ -159,11 +127,3 @@ let log_note t ~kind message =
     (Json.Obj
        (base t "note"
        @ [ ("kind", Json.String kind); ("message", Json.String message) ]))
-
-let install t =
-  (match t.tracer with
-  | Some tr -> ignore (Tracer.drain_new tr)
-  | None -> ());
-  Secview.Trace.set_audit (fun ev -> log_event t ev)
-
-let uninstall () = Secview.Trace.clear_audit ()

@@ -1,13 +1,12 @@
 (** Per-request security audit log: one JSON record per line (JSONL).
 
     An access-control system owes its administrators an account of
-    what was asked and what was answered.  Each {!Secview.Trace}
-    audit event — one per {!Secview.Pipeline.Session.answer} call —
-    becomes a record carrying the requesting group, the view query as asked,
-    the document query actually evaluated, the translation-cache
-    outcome, the unfolding height (recursive views), the result
-    count, the error if the request raised, and (when a {!Tracer} is
-    attached) the stage timings attributed to that request.
+    what was asked, what ran against the document and how it ended.
+    Every request — served by [secview serve] or answered by the
+    [secview query] and [secview update] commands — becomes one record
+    built from its {!Request.t}: the requesting group, the view query
+    as asked, the document query actually evaluated, the status, the
+    result count and the error if the request failed.
 
     The same stream also carries static-analysis diagnostics
     ({!log_diagnostic}: [secview lint] and the strict construction
@@ -16,16 +15,13 @@
     ["type"] field:
 
     {v
-    {"type":"query","ts_ns":…,"group":…,"query":…,"translated":…,
-     "cache":"hit"|"miss","height":N|null,"results":N,"error":S|null,
-     "stages_ms":{"eval":…, …}}          (stages_ms only with a tracer)
     {"type":"diagnostic","ts_ns":…,"code":…,"severity":…,"subject":…,
      "message":…}
     {"type":"note","ts_ns":…,"kind":…,"message":…}
     {"type":"request","ts_ns":…,["rid":S,]["session":N,"peer":…,]
-     "group":…,"doc":…,"query":…,"status":"ok"|"error"|"timeout"|"late"|
-     "overloaded"|"denied_empty","results":N,"latency_ms":F,
-     "error":S|null}
+     "group":…,"doc":…,"query":…,"translated":S|null,
+     "status":"ok"|"error"|"timeout"|"late"|"overloaded"|"denied_empty",
+     "results":N,"latency_ms":F,"error":S|null}
     {"type":"slow_query","ts_ns":…,["rid":S,]["session":N,"peer":…,
      "doc":…,]"group":…,"query":…,"translated":S|null,"latency_ms":F,
      "threshold_ms":F,"stages_ms":{…},"op_counts":{"scanned":N,…},
@@ -41,43 +37,32 @@
     flight recorder keeps and {!Capture.of_request} turns into a
     replay record — so every surface agrees on rid, group, document,
     query, status, results and latency.  ["rid"] is the
-    request-correlation id stamped into the protocol reply; the
-    server's records also carry the session and peer — the
-    who-asked-what trail a multi-user deployment owes its
-    administrators.  The writer serializes concurrent [log_*] calls
-    itself (the server holds one observability lock); this module
-    performs no locking.
+    request-correlation id stamped into the protocol reply (the CLI
+    numbers its queries [q1], [q2], …); the server's records also
+    carry the session and peer — the who-asked-what trail a
+    multi-user deployment owes its administrators.  Per-request stage
+    timings ride the ["slow_query"] record only.  The writer
+    serializes concurrent [log_*] calls itself (the server holds one
+    observability lock); this module performs no locking.
 
     Timestamps are readings of the log's clock (monotonic by default:
     an arbitrary epoch, deterministic under {!Clock.fake}). *)
 
 type sink =
-  | Null  (** drop every record (hook installed, output discarded) *)
   | Stderr
   | Channel of out_channel
   | Buffer of Buffer.t  (** for tests *)
 
 type t
 
-val create : ?clock:Clock.t -> ?tracer:Tracer.t -> sink -> t
-(** With [tracer], each query record carries ["stages_ms"]: the
-    per-stage totals of the spans completed since the previous
-    record. *)
+val create : ?clock:Clock.t -> sink -> t
 
-val open_file : ?clock:Clock.t -> ?tracer:Tracer.t -> string -> t
+val open_file : ?clock:Clock.t -> string -> t
 (** Append-mode file sink; {!close} flushes and closes it. *)
 
 val close : t -> unit
 (** Flush; close the channel iff {!open_file} opened it. *)
 
-val install : t -> unit
-(** Register as the {!Secview.Trace} audit hook.  Pending tracer
-    spans (e.g. from pipeline construction) are drained first so the
-    first query record only carries its own stages. *)
-
-val uninstall : unit -> unit
-
-val log_event : t -> Secview.Trace.audit_event -> unit
 val log_diagnostic :
   t -> code:string -> severity:string -> subject:string -> string -> unit
 val log_note : t -> kind:string -> string -> unit
@@ -85,7 +70,10 @@ val log_note : t -> kind:string -> string -> unit
 val log_request : t -> Request.t -> unit
 (** One ["request"] record: a query or explain (or a write shed before
     it ran) with its status ∈ ok/error/timeout/late/overloaded/
-    denied_empty; [latency_ms] includes queue wait. *)
+    denied_empty; [translated] is the document query that ran ([null]
+    when nothing was translated: a failed translation, an explain, a
+    fast-path denial or a refusal); [latency_ms] includes queue
+    wait. *)
 
 val log_update : t -> Request.t -> unit
 (** One write-path record: kind ["update"] when the request carries

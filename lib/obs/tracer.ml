@@ -43,12 +43,12 @@ type t = {
   mutable next_trace : int;
 }
 
-let create ?(clock = Clock.monotonic) ?metrics ?(retain = true) ?lock () =
+let create ?(clock = Clock.monotonic) ?metrics ?(retain = true) () =
   {
     clock;
     metrics;
     retain;
-    lock = (match lock with Some m -> m | None -> Mutex.create ());
+    lock = Mutex.create ();
     threads = Hashtbl.create 8;
     next_id = 0;
     next_trace = 0;

@@ -12,7 +12,7 @@
     hierarchy: each carries the [seq] of its [parent] span (the frame
     that was open when it started), [None] at the root.  {!drain_new}
     and {!with_request} read only the calling thread's spans, so
-    concurrent workers never mix each other's stages into one audit
+    concurrent workers never mix each other's stages into one request
     record.
 
     Install one with {!install} and the instrumented pipeline stages
@@ -36,17 +36,16 @@ type span = {
 type t
 
 val create :
-  ?clock:Clock.t -> ?metrics:Metrics.t -> ?retain:bool -> ?lock:Mutex.t ->
-  unit -> t
+  ?clock:Clock.t -> ?metrics:Metrics.t -> ?retain:bool -> unit -> t
 (** Default clock: {!Clock.monotonic}.  Without [metrics], only spans
     are recorded.  [retain] (default [true]) keeps drained spans for
     {!spans}/{!pp}; the server passes [~retain:false] so a long-lived
-    tracer's memory stays bounded.  [lock] lets an embedder share its
-    own mutex (the server passes the one that also guards the metrics
-    registry); by default the tracer creates a private one. *)
+    tracer's memory stays bounded. *)
 
 val lock : t -> Mutex.t
-(** The mutex guarding this tracer (and its metrics observations). *)
+(** The mutex guarding this tracer (and its metrics observations); an
+    embedder that feeds the same registry from elsewhere adopts it (the
+    server does). *)
 
 val probe : t -> Secview.Trace.probe
 
@@ -62,22 +61,22 @@ val reset : t -> unit
 
 val drain_new : t -> span list
 (** The calling thread's spans completed since its previous
-    [drain_new] (or since creation/reset), in completion order — the
-    audit log uses this to attribute stage timings to the request that
-    just finished on this thread.  With [~retain:false] the drained
-    spans are also discarded. *)
+    [drain_new] (or since creation/reset), in completion order.  With
+    [~retain:false] the drained spans are also discarded — the server
+    drains after each job so a long-lived tracer's memory stays
+    bounded.  Per-request attribution is {!with_request}'s job. *)
 
 val with_request : ?name:string -> t -> (unit -> 'a) -> 'a * span list
 (** [with_request t f] runs [f] inside a synthetic root span (default
     name ["request"]) on the calling thread and returns [f]'s result
     together with {e every} span of that request's trace — the root
     plus all descendants, linked by [parent] and sorted by [seq].
-    Non-destructive: it does not move the {!drain_new} watermark, so a
-    slow-query probe or flight recorder can attribute a request's
-    stages without stealing them from the audit log.  The root span is
-    closed (and the spans still returned) even when [f] raises.  Call
-    it with an empty span stack: nested under another open span the
-    "root" joins the enclosing trace instead of starting one. *)
+    Non-destructive: it neither moves the {!drain_new} watermark nor
+    removes the spans, so {!spans} (the Chrome-trace exporter) still
+    sees them.  The root span is closed (and the spans still returned)
+    even when [f] raises.  Call it with an empty span stack: nested
+    under another open span the "root" joins the enclosing trace
+    instead of starting one. *)
 
 val stage_totals : span list -> (string * float) list
 (** Total duration in milliseconds per span name, sorted by name. *)

@@ -91,10 +91,11 @@ type t = {
   wake_w : Unix.file_descr;
   started : float;
   next_sid : int Atomic.t;
+  (* connection threads created and not yet finished: the acceptor
+     counts a connection before its thread starts, so [serve]'s drain
+     can wait for the count to reach 0 without keeping the threads *)
   live_conns : int Atomic.t;
   busy_workers : int Atomic.t;
-  conn_lock : Mutex.t;
-  mutable conns : Thread.t list;
   (* The connection threads' session (admission fast path and the
      [analyze] verb run on them, concurrently): a Session is
      single-owner, so they share this one under its lock. *)
@@ -141,8 +142,6 @@ let create ?(config = default_config) ?audit ?metrics ?tracer ?recorder
     next_sid = Atomic.make 1;
     live_conns = Atomic.make 0;
     busy_workers = Atomic.make 0;
-    conn_lock = Mutex.create ();
-    conns = [];
     adm;
     adm_lock = Mutex.create ();
     sessions = [ adm ];
@@ -638,10 +637,7 @@ let run_job t psess job =
           });
     ignore (Deadline.fill job.cell reply : bool);
     (* keep a ~retain:false tracer's memory bounded: this thread's
-       completed spans have served their purpose.  (The server's audit
-       log must NOT itself hold this tracer — its drain would re-enter
-       the shared lock under [publish]; stage timings reach the log
-       through the slow-query record instead.) *)
+       completed spans have served their purpose *)
     match t.tracer with
     | Some tr -> ignore (Sobs.Tracer.drain_new tr)
     | None -> ()
@@ -1135,7 +1131,6 @@ let acceptor_loop t kind lfd =
         | cfd, addr ->
           count t "server.connections";
           let handle () =
-            Atomic.incr t.live_conns;
             Fun.protect
               ~finally:(fun () -> Atomic.decr t.live_conns)
               (fun () ->
@@ -1143,8 +1138,13 @@ let acceptor_loop t kind lfd =
                 | `Lines -> conn_loop t cfd (sockaddr_label addr)
                 | `Http -> http_conn t cfd)
           in
-          let th = Thread.create handle () in
-          Mutex.protect t.conn_lock (fun () -> t.conns <- th :: t.conns)
+          Atomic.incr t.live_conns;
+          (match Thread.create handle () with
+          | (_ : Thread.t) -> ()
+          | exception e ->
+            Atomic.decr t.live_conns;
+            (try Unix.close cfd with Unix.Unix_error _ -> ());
+            raise e)
         | exception Unix.Unix_error _ -> ()
       end
     | exception Unix.Unix_error (EINTR, _, _) -> ()
@@ -1152,6 +1152,10 @@ let acceptor_loop t kind lfd =
 
 let serve t listeners =
   if listeners = [] then invalid_arg "Server.serve: no listeners";
+  (* a client that hangs up before its reply is written must cost only
+     its own connection: the write fails with EPIPE (handled where
+     replies are sent) instead of SIGPIPE killing the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let lfds = List.map open_listener listeners in
   let acceptors =
     List.map2
@@ -1211,8 +1215,9 @@ let serve t listeners =
   Bqueue.close t.queue;
   Bqueue.close t.uqueue;
   join_consumers ();
-  let conns = Mutex.protect t.conn_lock (fun () -> t.conns) in
-  List.iter Thread.join conns;
+  while Atomic.get t.live_conns > 0 do
+    Thread.delay 0.01
+  done;
   (match t.audit with Some log -> Sobs.Audit_log.close log | None -> ());
   (match t.capture with Some cap -> Sobs.Capture.close cap | None -> ());
   (match t.runtime with Some rt -> Sobs.Runtime.stop rt | None -> ());

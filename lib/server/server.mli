@@ -175,9 +175,7 @@ val create :
     and the server adopts its lock as the observability lock, so
     tracer callbacks, audit writes and overlay reads serialize on one
     mutex — create it with [~retain:false] so span memory stays
-    bounded, and do {e not} also attach it to [audit] (the log's own
-    drain would re-enter the shared lock; stage timings reach the log
-    through slow-query records instead).  [recorder] enables the
+    bounded.  [recorder] enables the
     flight ring and the [flight] verb (per-request spans additionally
     require [tracer]); [runtime] enables per-domain GC telemetry and
     GC-aware request attribution (the server owns it from here on and
@@ -189,7 +187,10 @@ val create :
 val serve : t -> listener list -> unit
 (** Bind the listeners and block until a drain completes.  Call from
     the main thread (or a dedicated one — tests do); worker domains
-    are spawned here and joined before returning.
+    are spawned here and joined before returning, and the drain waits
+    for every connection thread to finish.  Sets SIGPIPE to ignored
+    for the process: a client that hangs up before reading its reply
+    costs only its own connection (the write fails with [EPIPE]).
     @raise Invalid_argument on an empty listener list;
     @raise Unix.Unix_error if a listener cannot bind. *)
 

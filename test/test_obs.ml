@@ -139,26 +139,19 @@ let test_json_escaping () =
 let test_audit_golden () =
   let buf = Buffer.create 256 in
   let log = Audit_log.create ~clock:(Clock.fake ()) (Audit_log.Buffer buf) in
-  let q = parse "//patient/name" in
-  let pt = parse "dept/patientInfo/patient/name" in
-  Audit_log.log_event log
+  Audit_log.log_request log
     {
-      Trace.group = "nurses";
-      query = q;
-      translated = Some pt;
-      cache_hit = false;
-      height = None;
+      (Sobs.Request.make ~verb:"query" ~group:"nurses" "//patient/name") with
+      rid = Some "q1";
       results = 2;
-      error = None;
+      latency_ms = 1.5;
+      translated = Some "dept/patientInfo/patient/name";
     };
   Audit_log.log_diagnostic log ~code:"SV002" ~severity:"error"
     ~subject:"ann(hospital, dept)" "undeclared attribute @ward";
   Audit_log.log_note log ~kind:"strict_gate" "validation failed";
   let expected =
-    Printf.sprintf
-      {|{"type":"query","ts_ns":0,"group":"nurses","query":"%s","translated":"%s","cache":"miss","height":null,"results":2,"error":null}|}
-      (Sxpath.Print.to_string q)
-      (Sxpath.Print.to_string pt)
+    {|{"type":"request","ts_ns":0,"rid":"q1","group":"nurses","doc":"-","query":"//patient/name","translated":"dept/patientInfo/patient/name","status":"ok","results":2,"latency_ms":1.5,"error":null}|}
     ^ "\n"
     ^ {|{"type":"diagnostic","ts_ns":1000000,"code":"SV002","severity":"error","subject":"ann(hospital, dept)","message":"undeclared attribute @ward"}|}
     ^ "\n"
@@ -177,23 +170,27 @@ let fig7_pipeline () =
 let test_pipeline_spans_and_audit () =
   let metrics = Metrics.create () in
   let tracer = Tracer.create ~metrics () in
-  let buf = Buffer.create 256 in
-  let log = Audit_log.create ~tracer (Audit_log.Buffer buf) in
   let doc = Workload.Fig7.document ~depth:3 in
   let q = parse "//b" in
-  with_probe tracer (fun () ->
-      let pipe = fig7_pipeline () in
-      Audit_log.install log;
-      Fun.protect ~finally:Audit_log.uninstall (fun () ->
-          let r1 = Secview.Pipeline.Session.answer_exn pipe ~group:"u" q doc in
-          let r2 = Secview.Pipeline.Session.answer_exn pipe ~group:"u" q doc in
-          Alcotest.(check int) "same answers" (List.length r1)
-            (List.length r2)));
-  let names = List.map (fun s -> s.Tracer.name) (Tracer.spans tracer) in
+  (* each answer is one request: its spans are the tree under its own
+     synthetic root, whatever ran before it on this thread *)
+  let (r1, spans1), (r2, spans2) =
+    with_probe tracer (fun () ->
+        let pipe = fig7_pipeline () in
+        let request () =
+          Tracer.with_request tracer (fun () ->
+              Secview.Pipeline.Session.answer_exn pipe ~group:"u" q doc)
+        in
+        let first = request () in
+        (first, request ()))
+  in
+  Alcotest.(check int) "same answers" (List.length r1) (List.length r2);
+  let names spans = List.map (fun s -> s.Tracer.name) spans in
   List.iter
     (fun stage ->
       Alcotest.(check bool)
-        (stage ^ " span recorded") true (List.mem stage names))
+        (stage ^ " span recorded") true
+        (List.mem stage (names (Tracer.spans tracer))))
     [ "derive"; "answer"; "height"; "translate"; "unfold"; "rewrite";
       "optimize"; "plan"; "eval" ];
   (* second call: translation cache hit, height memo hit *)
@@ -208,18 +205,33 @@ let test_pipeline_spans_and_audit () =
   (match Metrics.summary metrics "eval.visited" with
   | Some s -> Alcotest.(check int) "visited recorded per request" 2 s.Metrics.count
   | None -> Alcotest.fail "eval.visited series missing");
-  let lines = String.split_on_char '\n' (String.trim (Buffer.contents buf)) in
-  Alcotest.(check int) "one audit record per answer" 2 (List.length lines);
-  let first = List.nth lines 0 and second = List.nth lines 1 in
-  check_contains "first record" first {|"type":"query"|};
-  check_contains "first record" first {|"group":"u"|};
-  check_contains "first record" first {|"cache":"miss"|};
-  check_contains "first record" first {|"stages_ms"|};
-  check_contains "first record" first {|"rewrite"|};
-  check_contains "second record" second {|"cache":"hit"|};
-  (* the cached request did not rewrite again *)
+  Alcotest.(check bool) "the first request rewrote" true
+    (List.mem "rewrite" (names spans1));
+  Alcotest.(check bool) "pipeline construction is no request's stage" false
+    (List.mem "derive" (names spans1));
+  Alcotest.(check bool) "the cached request evaluated" true
+    (List.mem "eval" (names spans2));
   Alcotest.(check bool) "no rewrite stage in the cached request" false
-    (contains second {|"rewrite"|})
+    (List.mem "rewrite" (names spans2));
+  (* the audit record carrying stage timings is a projection of the
+     request's own spans *)
+  let buf = Buffer.create 256 in
+  let log = Audit_log.create (Audit_log.Buffer buf) in
+  List.iter
+    (fun (rid, spans) ->
+      Audit_log.log_slow_query log ~threshold_ms:0.
+        {
+          (Sobs.Request.make ~verb:"query" ~group:"u" "//b") with
+          rid = Some rid;
+          spans;
+        })
+    [ ("q1", spans1); ("q2", spans2) ];
+  match String.split_on_char '\n' (String.trim (Buffer.contents buf)) with
+  | [ first; second ] ->
+    check_contains "first record" first {|"rewrite"|};
+    Alcotest.(check bool) "no rewrite stage in the cached record" false
+      (contains second {|"rewrite"|})
+  | lines -> Alcotest.failf "expected 2 audit records, got %d" (List.length lines)
 
 let test_write_path_spans () =
   (* one admitted write enters the three write-path stages, the
@@ -481,9 +493,7 @@ let forty_two () = 42 (* non-capturing: statically allocated closure *)
 
 let test_null_probe_no_allocation () =
   Trace.clear_probe ();
-  Trace.clear_audit ();
   Alcotest.(check bool) "probe disabled" false (Trace.enabled ());
-  Alcotest.(check bool) "audit disabled" false (Trace.audit_enabled ());
   (* warm up so nothing lazy allocates inside the window *)
   ignore (Trace.span "warm" forty_two);
   Trace.count "warm" 1;

@@ -333,19 +333,19 @@ let test_catalog_intern () =
   let e1 = Catalog.intern c d1 in
   Alcotest.(check bool) "same tree, same entry" true
     (Catalog.intern c d1 == e1);
-  ignore (Catalog.height c e1);
+  ignore (Catalog.snapshot_height c e1);
   ignore (Catalog.intern c d2);
   ignore (Catalog.intern c d3);
   (* capacity 2: d1's anonymous entry was evicted, so re-interning
      recomputes the height *)
   let walks_before = Catalog.height_walks c in
-  ignore (Catalog.height c (Catalog.intern c d1));
+  ignore (Catalog.snapshot_height c (Catalog.intern c d1));
   Alcotest.(check bool) "evicted entry recomputes" true
     (Catalog.height_walks c > walks_before);
   (* named entries never evict *)
   let named = Catalog.add c ~name:"n" d2 in
   Alcotest.(check bool) "named tree interns to named entry" true
-    (Catalog.intern c d2 == named)
+    (Catalog.intern c d2 == Catalog.pin named)
 
 let test_catalog_height_once_concurrently () =
   let c = Catalog.create () in

@@ -71,7 +71,9 @@ echo "-- mixed replay: 0 mismatches"
 # digest-clean against the live server, and every captured request
 # must also be in the audit log and the flight recorder — the three
 # sinks are projections of one request record, written from worker
-# domains.
+# domains.  The one-shot `query --audit-log` writes the same record:
+# each of its request records must agree with the served ones for the
+# same query on what was asked, what ran, and how it ended.
 echo "== 2-domain serve smoke"
 secview serve --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
   --doc doc="$TMP/doc.xml" --socket "$TMP/ci.sock" --domains 2 \
@@ -82,7 +84,7 @@ secview client --socket "$TMP/ci.sock" --wait 5 --group user \
   --bind wardNo=6 '//patient/name' '//patient/wardNo' '//patient' \
   > "$TMP/served.out"
 secview query --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
-  --doc "$TMP/doc.xml" --bind wardNo=6 \
+  --doc "$TMP/doc.xml" --bind wardNo=6 --audit-log "$TMP/qaudit.jsonl" \
   '//patient/name' '//patient/wardNo' '//patient' > "$TMP/direct.out"
 cmp "$TMP/served.out" "$TMP/direct.out"
 echo "-- 2-domain answers match the direct pipeline"
@@ -100,6 +102,48 @@ while read -r rid; do
   done
 done < "$TMP/drids"
 echo "-- 2-domain sinks: every captured rid is audited and in flight"
+python3 - "$TMP/qaudit.jsonl" "$TMP/daudit.jsonl" <<'PY'
+import json, sys
+def requests(path):
+    with open(path) as f:
+        return [r for r in map(json.loads, f) if r["type"] == "request"]
+cli, served = requests(sys.argv[1]), requests(sys.argv[2])
+if len(cli) != 3:
+    sys.exit("query --audit-log: wanted 3 request records, got %d" % len(cli))
+for c in cli:
+    same = [s for s in served if s["query"] == c["query"]]
+    if not same:
+        sys.exit("no served request record for " + c["query"])
+    for s in same:
+        for k in ("query", "status", "results", "translated"):
+            if s[k] != c[k]:
+                sys.exit("%s vs %s disagree on %s: %r vs %r"
+                         % (c["rid"], s["rid"], k, c[k], s[k]))
+PY
+echo "-- one audit schema: query --audit-log agrees with the served records"
+
+# A client that sends requests and hangs up without reading the replies
+# costs only its own connection: the server must survive twenty of
+# them (a reply written to a closed socket fails with EPIPE rather
+# than killing the process), then drain and exit 0.
+echo "== hang-up smoke"
+secview serve --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
+  --doc doc="$TMP/doc.xml" --socket "$TMP/h.sock" 2> "$TMP/hserve.log" &
+HSRV=$!
+secview client --socket "$TMP/h.sock" --wait 5 --group user \
+  --bind wardNo=6 '//patient/name' > /dev/null
+python3 - "$TMP/h.sock" <<'PY'
+import socket, sys
+for _ in range(20):
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.connect(sys.argv[1])
+    s.sendall(b'{"cmd":"hello","group":"user"}\n'
+              b'{"cmd":"query","query":"//patient","bind":{"wardNo":"6"}}\n')
+    s.close()
+PY
+secview client --socket "$TMP/h.sock" --shutdown
+wait $HSRV
+echo "-- hang-ups survived; server drained with exit 0"
 
 # Served writes: a chain of admitted updates (insert, replace, delete)
 # through a 2-domain server, then one write DTD conformance must refuse
