@@ -16,6 +16,13 @@ open Cmdliner
 let env_of_bindings bindings name =
   List.assoc_opt name bindings
 
+(* A malformed query is a typed failure, reported as the server reports
+   it: "parse error at N: …", exit 2. *)
+let parse_query text =
+  match Secview.Error.parse_query text with
+  | Ok q -> q
+  | Error e -> raise (Secview.Error.E e)
+
 (* ---- common options ------------------------------------------------ *)
 
 let dtd_arg =
@@ -239,7 +246,7 @@ let view_of ~dtd_path ~root ~spec_path ~view_path =
 let rewrite_cmd =
   let run dtd_path root spec_path view_path query height optimize =
     let dtd, view = view_of ~dtd_path ~root ~spec_path ~view_path in
-    let q = Sxpath.Parse.of_string query in
+    let q = parse_query query in
     let pt =
       match height with
       | Some h -> Secview.Rewrite.rewrite_with_height view ~height:h q
@@ -317,7 +324,7 @@ let query_cmd =
     let dtd, spec, view = setup dtd_path root spec_path in
     let doc = Sxml.Parse.of_file doc_path in
     let env = env_of_bindings bindings in
-    let qs = List.map Sxpath.Parse.of_string queries in
+    let qs = List.map parse_query queries in
     let index = if indexed then Some (Sxml.Index.build doc) else None in
     (* the server's per-request deadline machinery, applied to the
        whole evaluation; exit 3 on expiry (after flushing the audit
@@ -609,7 +616,7 @@ let explain_cmd =
     in
     let doc = Sxml.Parse.of_file doc_path in
     let env = env_of_bindings bindings in
-    let q = Sxpath.Parse.of_string query in
+    let q = parse_query query in
     match Secview.Pipeline.Session.explain pipe ~group ~env q doc with
     | Error e -> raise (Secview.Error.E e)
     | Ok x ->
@@ -713,7 +720,7 @@ let lint_cmd =
     let dtd = load_dtd root dtd_path in
     let spec = Option.map (Secview.Spec.of_sidecar_file dtd) spec_path in
     let view = Option.map Secview.View.of_definition_file view_path in
-    let queries = List.map (fun q -> (q, Sxpath.Parse.of_string q)) queries in
+    let queries = List.map (fun q -> (q, parse_query q)) queries in
     let ds = Sanalysis.Lint.check_all ~dtd ?spec ?view ~queries () in
     (match audit_log with
     | None -> ()
@@ -775,7 +782,7 @@ let analyze_cmd =
       List.map (fun (g, spec) -> (g, Secview.Derive.derive spec)) named
     in
     let queries =
-      List.map (fun q -> (q, Sxpath.Parse.of_string q)) queries
+      List.map (fun q -> (q, parse_query q)) queries
     in
     let multi = List.length groups > 1 in
     (* leakage diagnostics are per group: carry the group name in the
@@ -967,7 +974,7 @@ let analyze_cmd =
 let optimize_cmd =
   let run dtd_path root query =
     let dtd = load_dtd root dtd_path in
-    let q = Sxpath.Parse.of_string query in
+    let q = parse_query query in
     print_endline (Sxpath.Print.to_string (Secview.Optimize.optimize dtd q))
   in
   Cmd.v
@@ -2175,7 +2182,7 @@ let replay_cmd =
                 (r, "error:" ^ Secview.Error.to_code e, 0, ms)
             end
             else begin
-              let q = Sxpath.Parse.of_string r.c_query in
+              let q = parse_query r.c_query in
               let doc = Secview.Catalog.doc entry in
               let index =
                 if r.c_index then Some (Secview.Catalog.index entry)
@@ -2488,7 +2495,7 @@ let metrics_cmd =
       let env = env_of_bindings bindings in
       List.iter
         (fun qs ->
-          let q = Sxpath.Parse.of_string qs in
+          let q = parse_query qs in
           for _ = 1 to repeat do
             ignore
               (Secview.Pipeline.Session.answer_exn pipe ~group:"user" ~engine

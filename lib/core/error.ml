@@ -64,6 +64,12 @@ let to_code = function
 
 let exit_code = function Timeout _ -> 3 | _ -> 2
 
+let parse_query text =
+  match Sxpath.Parse.of_string_result text with
+  | Ok q -> Ok q
+  | Error { Sxpath.Parse.position; message } ->
+    Error (Parse_error { position; message })
+
 let () =
   Printexc.register_printer (function
     | E e -> Some (Printf.sprintf "Secview.Error.E(%s: %s)" (to_code e) (to_string e))

@@ -57,3 +57,8 @@ val to_code : t -> string
 
 val exit_code : t -> int
 (** CLI exit status: 3 for {!Timeout}, 2 otherwise. *)
+
+val parse_query : string -> (Sxpath.Ast.path, t) result
+(** Query text parsed, or {!Parse_error} with the parser's byte offset
+    and reason: the one way every surface (CLI verbs, server requests)
+    reports a malformed query. *)

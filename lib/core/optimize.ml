@@ -48,34 +48,34 @@ let merge_targets lists =
 let coarse_entry path targets =
   { targets = List.map (fun b -> (b, path)) targets; coarse = true }
 
-type ctx = {
+(* Everything the optimizer consults that depends on the DTD alone:
+   built once per DTD and shared by every call (and every domain) that
+   optimizes against it.  [//] expands through the identity view's
+   recProc table, which fills one context type at a time, on first
+   use. *)
+type prepared = {
   dtd : Sdtd.Dtd.t;
-  recursive : bool;
   idview : View.t option;  (* identity view, for // expansion *)
-  recrw_cache : (string, (string * A.path) list) Hashtbl.t;
+}
+
+let prepare dtd =
+  {
+    dtd;
+    idview =
+      (if Sdtd.Dtd.is_recursive dtd then None else Some (View.identity_of dtd));
+  }
+
+(* Per-call state: the memo over (sub-query, context type). *)
+type ctx = {
+  prep : prepared;
   memo : (A.path * string, entry) Hashtbl.t;
 }
 
-let make_ctx dtd =
-  let recursive = Sdtd.Dtd.is_recursive dtd in
-  {
-    dtd;
-    recursive;
-    idview = (if recursive then None else Some (View.identity_of dtd));
-    recrw_cache = Hashtbl.create 16;
-    memo = Hashtbl.create 64;
-  }
+let make_ctx prep = { prep; memo = Hashtbl.create 64 }
 
-let recrw ctx a =
-  match Hashtbl.find_opt ctx.recrw_cache a with
-  | Some r -> r
-  | None ->
-    let view = Option.get ctx.idview in
-    let r = Rewrite.recrw view a in
-    Hashtbl.replace ctx.recrw_cache a r;
-    r
+let recrw ctx a = Rewrite.recrw (Option.get ctx.prep.idview) a
 
-let children ctx a = Sdtd.Dtd.children_of ctx.dtd a
+let children ctx a = Sdtd.Dtd.children_of ctx.prep.dtd a
 
 let rec go ctx (p : A.path) (a : string) : entry =
   match Hashtbl.find_opt ctx.memo (p, a) with
@@ -154,8 +154,8 @@ and compute ctx p a : entry =
         }
     end)
   | A.Dslash p1 ->
-    let closure = Image.descendant_or_self_types ctx.dtd a in
-    if ctx.recursive then begin
+    let closure = Image.descendant_or_self_types ctx.prep.dtd a in
+    if Sdtd.Dtd.is_recursive ctx.prep.dtd then begin
       let reaches =
         List.concat_map
           (fun b -> List.map fst (go ctx p1 b).targets)
@@ -187,8 +187,8 @@ and compute ctx p a : entry =
           (A.union (entry_path e1) (entry_path e2))
           (List.sort_uniq String.compare
              (List.map fst e1.targets @ List.map fst e2.targets))
-      else if Simulate.contained ctx.dtd p1 p2 a then e2
-      else if Simulate.contained ctx.dtd p2 p1 a then e1
+      else if Simulate.contained ctx.prep.dtd p1 p2 a then e2
+      else if Simulate.contained ctx.prep.dtd p2 p1 a then e1
       else { targets = merge_targets [ e1.targets; e2.targets ]; coarse = false })
   | A.Qualify (p1, q) -> (
     let base = go ctx p1 a in
@@ -196,7 +196,7 @@ and compute ctx p a : entry =
     else if base.coarse then begin
       let live =
         List.filter
-          (fun (b, _) -> Image.bool_of_qual ctx.dtd q b <> `False)
+          (fun (b, _) -> Image.bool_of_qual ctx.prep.dtd q b <> `False)
           base.targets
       in
       if live = [] then empty_entry
@@ -207,7 +207,7 @@ and compute ctx p a : entry =
         targets =
           List.filter_map
             (fun (b, qp) ->
-              match Image.bool_of_qual ctx.dtd q b with
+              match Image.bool_of_qual ctx.prep.dtd q b with
               | `False -> None
               | `True -> Some (b, qp)
               | `Unknown -> (
@@ -219,7 +219,7 @@ and compute ctx p a : entry =
       })
 
 and simplify_qual_at ctx b (q : A.qual) : A.qual =
-  match Image.bool_of_qual ctx.dtd q b with
+  match Image.bool_of_qual ctx.prep.dtd q b with
   | `True -> A.True
   | `False -> A.False
   | `Unknown -> (
@@ -255,21 +255,24 @@ and simplify_qual_at ctx b (q : A.qual) : A.qual =
 and implies ctx b q1 q2 =
   match (q1, q2) with
   | _ when A.qual_mem_attribute q1 || A.qual_mem_attribute q2 -> false
-  | A.Exists p1, A.Exists p2 -> Simulate.contained ctx.dtd p1 p2 b
+  | A.Exists p1, A.Exists p2 -> Simulate.contained ctx.prep.dtd p1 p2 b
   | A.Eq (p1, v1), A.Eq (p2, v2) ->
-    v1 = v2 && Simulate.contained ctx.dtd p1 p2 b
-  | A.Eq (p1, _), A.Exists p2 -> Simulate.contained ctx.dtd p1 p2 b
+    v1 = v2 && Simulate.contained ctx.prep.dtd p1 p2 b
+  | A.Eq (p1, _), A.Exists p2 -> Simulate.contained ctx.prep.dtd p1 p2 b
   | _ -> false
 
-let optimize_with_reach ?at dtd p =
-  Trace.span "optimize" @@ fun () ->
-  let ctx = make_ctx dtd in
-  let a = Option.value at ~default:(Sdtd.Dtd.root dtd) in
+let run ?at prep p =
+  let ctx = make_ctx prep in
+  let a = Option.value at ~default:(Sdtd.Dtd.root prep.dtd) in
   let e = go ctx p a in
   (Sxpath.Simplify.factor (entry_path e), List.map fst e.targets)
 
+let optimize_with_reach ?at dtd p =
+  Trace.span "optimize" @@ fun () -> run ?at (prepare dtd) p
+
 let optimize ?at dtd p = fst (optimize_with_reach ?at dtd p)
 
-let simplify_qual dtd a q =
-  let ctx = make_ctx dtd in
-  simplify_qual_at ctx a q
+let optimize_prepared prep p =
+  Trace.span "optimize" @@ fun () -> fst (run prep p)
+
+let simplify_qual dtd a q = simplify_qual_at (make_ctx (prepare dtd)) a q

@@ -22,6 +22,19 @@ val optimize : ?at:string -> Sdtd.Dtd.t -> Sxpath.Ast.path -> Sxpath.Ast.path
     (default: the DTD root).  Returns ∅ when the DTD rules every
     result out. *)
 
+type prepared
+(** What the optimizer needs from a document DTD beyond the DTD itself:
+    the identity view whose [recProc] table ({!View.recproc}) expands
+    [//], filled per context type on first use.  Build it once per DTD
+    and share it — across calls and across domains; it holds nothing
+    query-specific. *)
+
+val prepare : Sdtd.Dtd.t -> prepared
+
+val optimize_prepared : prepared -> Sxpath.Ast.path -> Sxpath.Ast.path
+(** [optimize_prepared (prepare dtd) p] is [optimize dtd p], without
+    rebuilding the DTD's context on every call. *)
+
 val optimize_with_reach :
   ?at:string ->
   Sdtd.Dtd.t ->

@@ -163,6 +163,7 @@ module Service = struct
 
   type t = {
     s_dtd : Sdtd.Dtd.t;
+    s_opt : Optimize.prepared;  (* the optimizer's per-DTD context *)
     s_views : (string, gview) Hashtbl.t;  (* read-only after create *)
     s_order : string list;
     s_catalog : Catalog.t;
@@ -187,6 +188,7 @@ module Service = struct
     in
     {
       s_dtd = dtd;
+      s_opt = Optimize.prepare dtd;
       s_views = views;
       s_order = List.map (fun (name, _, _) -> name) pairs;
       s_catalog = catalog;
@@ -354,9 +356,10 @@ module Session = struct
 
   (* Warm lookups are one Hashtbl probe, no locks: the caches belong
      to this session alone.  Cold translations run the rewriter and
-     optimizer right here — Image's memo tables are domain-local and
-     guard themselves, so concurrent sessions on different domains
-     translate in parallel.  Exactly one of hits/misses is bumped per
+     optimizer right here — the schema tables they share fill by
+     compare-and-set and Image's memo tables are domain-local, so
+     concurrent sessions on different domains translate in parallel.
+     Exactly one of hits/misses is bumped per
      call, so per-group [hits + misses] equals calls issued. *)
   let translate_entry sess sg ~group ?height q =
     let key = (q, height) in
@@ -380,7 +383,7 @@ module Session = struct
                  "recursive view: Pipeline.translate needs ~height")
           | false, _ -> Rewrite.rewrite sg.gv.Service.g_info.view q
         in
-        Optimize.optimize sess.svc.Service.s_dtd rewritten
+        Optimize.optimize_prepared sess.svc.Service.s_opt rewritten
       in
       let ce = { translated = optimized; plan = Unplanned } in
       Hashtbl.replace sg.cache key ce;

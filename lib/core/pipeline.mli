@@ -13,9 +13,14 @@
     worker alone.  The hot read path takes {e no locks} — a warm
     {!Session.answer} is one atomic load (service identity) plus hash
     probes on caches nobody else touches.  Cold translations run the
-    rewriter/optimizer inline; {!Image}'s schema-analysis memos are
-    domain-local and guard themselves, so cold work on different
-    domains proceeds in parallel.
+    rewriter/optimizer inline and pay only for the query: the schema
+    facts they consult are built once and shared — the DTDs' graph
+    facts, each view's [recProc] table ({!View.recproc}) and the
+    service's optimizer context ({!Optimize.prepare}: the document
+    DTD's identity view).  [recProc] tables fill on first use by
+    compare-and-set ({!Memo}), and {!Image}'s schema-analysis memos
+    are domain-local, so cold work on different domains proceeds in
+    parallel.
 
     A document update swaps a new snapshot into the catalog and evicts
     nothing: translations and plans are keyed by query and unfolding

@@ -115,20 +115,17 @@ let merge_entries (entries : entry list) : entry =
 let drop_empty (entry : entry) : entry =
   List.filter (fun (_, q) -> not (A.is_empty q)) entry
 
+(* Per-query state is the DP table alone; recProc entries depend on the
+   view only and live in it (View.recproc), shared by every query. *)
 type dp = {
   g : graph;
   mode : mode;
-  recrw_cache : (string, (string * A.path) list) Hashtbl.t;
+  recproc : (string * A.path) list Memo.t;
   table : (A.path * string, entry) Hashtbl.t;
 }
 
 let recrw_at dp a =
-  match Hashtbl.find_opt dp.recrw_cache a with
-  | Some r -> r
-  | None ->
-    let r = compute_recrw dp.g a in
-    Hashtbl.replace dp.recrw_cache a r;
-    r
+  Memo.find_or_add dp.recproc a (fun () -> compute_recrw dp.g a)
 
 (* Collapse an entry to the paper's coarse form: every reached type is
    associated with the same union query. *)
@@ -248,15 +245,15 @@ let make_dp ?(mode = `Precise) view =
   {
     g = graph_of view;
     mode;
-    recrw_cache = Hashtbl.create 16;
+    recproc = View.recproc view;
     table = Hashtbl.create 64;
   }
 
+let factored entry = List.map (fun (b, q) -> (b, Sxpath.Simplify.factor q)) entry
+
 let targets ?mode view p =
   let dp = make_dp ?mode view in
-  List.map
-    (fun (b, q) -> (b, Sxpath.Simplify.factor q))
-    (rw dp p (Sdtd.Dtd.root dp.g.dtd))
+  factored (rw dp p (Sdtd.Dtd.root dp.g.dtd))
 
 let rewrite ?mode view p =
   Trace.span "rewrite" @@ fun () ->
@@ -269,6 +266,4 @@ let rewrite_with_height ?mode view ~height p =
   let unfolded = Trace.span "unfold" (fun () -> View.unfolded view ~height) in
   rewrite ?mode unfolded p
 
-let recrw view a =
-  let dp = make_dp view in
-  List.map (fun (b, q) -> (b, Sxpath.Simplify.factor q)) (recrw_at dp a)
+let recrw view a = factored (recrw_at (make_dp view) a)

@@ -24,7 +24,12 @@
 
     Queries in fragment [C] only: attribute steps are rejected.
     Recursive view DTDs must be unfolded first ({!rewrite_with_height}
-    does it, per Section 4.2). *)
+    does it, per Section 4.2).
+
+    [recProc] entries depend on the view alone: they are computed once
+    per view node, on first use, and kept in the view
+    ({!View.recproc}), so only the dynamic program's table is per
+    query. *)
 
 type mode = [ `Precise | `Paper ]
 

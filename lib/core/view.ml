@@ -11,6 +11,7 @@ type t = {
   sigma : Sxpath.Ast.path PairMap.t;
   dummies : SSet.t;
   dummy_order : string list;
+  recproc : (string * Sxpath.Ast.path) list Memo.t;
 }
 
 let make ?(dummies = []) ~dtd ~sigma () =
@@ -20,11 +21,9 @@ let make ?(dummies = []) ~dtd ~sigma () =
         if PairMap.mem (a, b) m then
           invalid_arg
             (Printf.sprintf "View.make: σ(%s, %s) defined twice" a b);
-        (match Sdtd.Dtd.production_opt dtd a with
-        | Some rg when List.mem b (Sdtd.Regex.labels rg) -> ()
-        | Some _ | None ->
+        if not (List.mem b (Sdtd.Dtd.children_of dtd a)) then
           invalid_arg
-            (Printf.sprintf "View.make: σ(%s, %s) is not a view-DTD edge" a b));
+            (Printf.sprintf "View.make: σ(%s, %s) is not a view-DTD edge" a b);
         PairMap.add (a, b) p m)
       PairMap.empty sigma
   in
@@ -37,7 +36,13 @@ let make ?(dummies = []) ~dtd ~sigma () =
               (Printf.sprintf "View.make: missing σ(%s, %s)" a b))
         (Sdtd.Dtd.children_of dtd a))
     (Sdtd.Dtd.reachable dtd);
-  { dtd; sigma = table; dummies = SSet.of_list dummies; dummy_order = dummies }
+  {
+    dtd;
+    sigma = table;
+    dummies = SSet.of_list dummies;
+    dummy_order = dummies;
+    recproc = Memo.create ();
+  }
 
 let dtd v = v.dtd
 let root v = Sdtd.Dtd.root v.dtd
@@ -58,6 +63,7 @@ let sigma_exn v ~parent ~child =
 
 let is_dummy v name = SSet.mem (Sdtd.Unfold.label_of name) v.dummies
 let dummies v = v.dummy_order
+let recproc v = v.recproc
 
 let identity_of dtd =
   let sigma =
@@ -72,7 +78,7 @@ let identity_of dtd =
 
 let unfolded v ~height =
   if Sdtd.Dtd.is_recursive v.dtd then
-    { v with dtd = Sdtd.Unfold.unfold v.dtd ~height }
+    { v with dtd = Sdtd.Unfold.unfold v.dtd ~height; recproc = Memo.create () }
   else v
 
 let to_definition v =

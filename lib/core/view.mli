@@ -36,6 +36,12 @@ val sigma_exn : t -> parent:string -> child:string -> Sxpath.Ast.path
 val is_dummy : t -> string -> bool
 val dummies : t -> string list
 
+val recproc : t -> (string * Sxpath.Ast.path) list Memo.t
+(** The view's [recProc] table (Fig. 6), filled by {!Rewrite} one view
+    node at a time on first use and kept for the view's lifetime: every
+    rewriting over the same view value shares it.  An unfolded view
+    ({!unfolded}) starts with an empty table of its own. *)
+
 val identity_of : Sdtd.Dtd.t -> t
 (** The identity view of a document DTD: same DTD, σ(A, B) = B.  The
     view a fully-[Y] specification derives. *)

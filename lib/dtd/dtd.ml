@@ -1,19 +1,99 @@
 module SMap = Map.Make (String)
 module SSet = Set.Make (String)
 
+(* The DTD graph's facts, computed once when a value is built: every
+   rewriting, optimization and analysis asks for them, often once per
+   query node. *)
+type graph = {
+  kids : string list SMap.t;  (* children_of, per declared type *)
+  reach : string list;  (* reachable from the root, BFS order *)
+  cyclic : string list;  (* reachable types on a cycle, in [reach] order *)
+  topo : string list option;  (* parents-first; None when [cyclic <> []] *)
+}
+
 type t = {
   stamp : int;
   root : string;
   prods : Regex.t SMap.t;
   attrs : string list SMap.t;  (* declared attributes per element type *)
   order : string list;  (* declaration order, for stable printing *)
+  graph : graph;
 }
 
 let next_stamp =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    !counter
+  let counter = Atomic.make 0 in
+  fun () -> 1 + Atomic.fetch_and_add counter 1
+
+let kids_of kids name = Option.value (SMap.find_opt name kids) ~default:[]
+
+let bfs kids root =
+  let seen = Hashtbl.create 16 in
+  let out = ref [] in
+  let queue = Queue.create () in
+  Queue.add root queue;
+  Hashtbl.add seen root ();
+  while not (Queue.is_empty queue) do
+    let name = Queue.pop queue in
+    out := name :: !out;
+    List.iter
+      (fun child ->
+        if not (Hashtbl.mem seen child) then begin
+          Hashtbl.add seen child ();
+          Queue.add child queue
+        end)
+      (kids_of kids name)
+  done;
+  List.rev !out
+
+(* DFS postorder reversed = parents-first topological order, or None
+   when the walk from the root meets a type still on its own path. *)
+let topological kids root =
+  let state = Hashtbl.create 16 in
+  let out = ref [] in
+  let rec go name =
+    match Hashtbl.find_opt state name with
+    | Some on_path -> not on_path
+    | None ->
+      Hashtbl.add state name true;
+      let acyclic = List.for_all go (kids_of kids name) in
+      Hashtbl.replace state name false;
+      out := name :: !out;
+      acyclic
+  in
+  if go root then Some !out else None
+
+(* A type is on a cycle iff it is reachable from one of its children:
+   one walk per type, paid only by recursive DTDs, once per value. *)
+let on_cycle kids name =
+  let seen = Hashtbl.create 16 in
+  let rec go n =
+    String.equal n name
+    || (not (Hashtbl.mem seen n))
+       && begin
+            Hashtbl.add seen n ();
+            List.exists go (kids_of kids n)
+          end
+  in
+  List.exists go (kids_of kids name)
+
+let graph_of ~root prods =
+  let kids = SMap.map Regex.labels prods in
+  let reach = bfs kids root in
+  let topo = topological kids root in
+  let cyclic =
+    match topo with Some _ -> [] | None -> List.filter (on_cycle kids) reach
+  in
+  { kids; reach; cyclic; topo }
+
+let build ~root ~prods ~attrs ~order =
+  {
+    stamp = next_stamp ();
+    root;
+    prods;
+    attrs;
+    order;
+    graph = graph_of ~root prods;
+  }
 
 let create ?(attlist = []) ~root decls =
   let prods, order =
@@ -52,7 +132,7 @@ let create ?(attlist = []) ~root decls =
           m)
       SMap.empty attlist
   in
-  { stamp = next_stamp (); root; prods; attrs; order }
+  build ~root ~prods ~attrs ~order
 
 let root d = d.root
 
@@ -83,8 +163,7 @@ let production d name =
 
 let production_opt d name = SMap.find_opt name d.prods
 
-let children_of d name =
-  match production_opt d name with None -> [] | Some rg -> Regex.labels rg
+let children_of d name = kids_of d.graph.kids name
 
 let size d =
   let rec regex_size = function
@@ -108,75 +187,27 @@ let equal a b =
 
 let with_production d name rg =
   let order = if SMap.mem name d.prods then d.order else d.order @ [ name ] in
-  { d with stamp = next_stamp (); prods = SMap.add name rg d.prods; order }
+  build ~root:d.root ~prods:(SMap.add name rg d.prods) ~attrs:d.attrs ~order
 
-let reachable d =
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let queue = Queue.create () in
-  Queue.add d.root queue;
-  Hashtbl.add seen d.root ();
-  while not (Queue.is_empty queue) do
-    let name = Queue.pop queue in
-    out := name :: !out;
-    List.iter
-      (fun child ->
-        if not (Hashtbl.mem seen child) then begin
-          Hashtbl.add seen child ();
-          Queue.add child queue
-        end)
-      (children_of d name)
-  done;
-  List.rev !out
+let reachable d = d.graph.reach
 
+(* Dropping unreachable types changes no fact about the reachable
+   ones, so the graph is carried over rather than recomputed. *)
 let restrict_reachable d =
   let keep = SSet.of_list (reachable d) in
+  let live m = SMap.filter (fun name _ -> SSet.mem name keep) m in
   {
-    d with
     stamp = next_stamp ();
-    prods = SMap.filter (fun name _ -> SSet.mem name keep) d.prods;
-    attrs = SMap.filter (fun name _ -> SSet.mem name keep) d.attrs;
+    root = d.root;
+    prods = live d.prods;
+    attrs = live d.attrs;
     order = List.filter (fun name -> SSet.mem name keep) d.order;
+    graph = { d.graph with kids = live d.graph.kids };
   }
 
-(* Tarjan-free cycle detection: a type is recursive iff it occurs in an
-   SCC of size > 1 or has a self-loop.  DFS with colors suffices for
-   [recursive_types] via reachability: A is on a cycle iff A is
-   reachable from some child-successor of A.  We compute it directly
-   with a DFS from each type over the (small) DTD graph. *)
-let reaches d ~source ~target =
-  let seen = Hashtbl.create 16 in
-  let rec go name =
-    String.equal name target
-    || (not (Hashtbl.mem seen name))
-       && begin
-            Hashtbl.add seen name ();
-            List.exists go (children_of d name)
-          end
-  in
-  List.exists go (children_of d source)
-
-let recursive_types d =
-  List.filter (fun name -> reaches d ~source:name ~target:name) (reachable d)
-
-let is_recursive d = recursive_types d <> []
-
-let topological_order d =
-  if is_recursive d then None
-  else begin
-    (* DFS postorder reversed = parents-first topological order. *)
-    let seen = Hashtbl.create 16 in
-    let out = ref [] in
-    let rec go name =
-      if not (Hashtbl.mem seen name) then begin
-        Hashtbl.add seen name ();
-        List.iter go (children_of d name);
-        out := name :: !out
-      end
-    in
-    go d.root;
-    Some !out
-  end
+let recursive_types d = d.graph.cyclic
+let is_recursive d = d.graph.cyclic <> []
+let topological_order d = d.graph.topo
 
 let min_height d name =
   (* Fixpoint: heights start at max_int and decrease monotonically. *)

@@ -6,6 +6,10 @@
     checked by {!in_normal_form}. *)
 
 type t
+(** A value carries its graph facts — {!children_of}, {!reachable},
+    {!recursive_types}, {!is_recursive}, {!topological_order} —
+    computed when it is built ({!create}, {!with_production},
+    {!restrict_reachable}), so asking for them is a lookup. *)
 
 val create :
   ?attlist:(string * string list) list ->

@@ -286,11 +286,8 @@ let parsed_request t (q : Protocol.query) k =
   match resolve_document t q.doc with
   | Error _ as e -> e
   | Ok entry -> (
-    match Sxpath.Parse.of_string_result q.text with
-    | Error e ->
-      Error
-        (Secview.Error.Parse_error
-           { position = e.Sxpath.Parse.position; message = e.Sxpath.Parse.message })
+    match Secview.Error.parse_query q.text with
+    | Error e -> Error e
     | Ok path -> (
       match k entry path with
       | (Ok _ | Error _) as r -> r
@@ -773,15 +770,13 @@ let admission_fast_path t sess fd ~rid group (q : Protocol.query) =
   match resolve_document t q.doc with
   | Error _ -> false
   | Ok _ -> (
-    match Sxpath.Parse.of_string_result q.text with
+    match Secview.Error.parse_query q.text with
     | Error _ -> false
     | Ok path -> (
       let started = Deadline.now () in
       match classify_conn t ~group path with
       | Ok (Pipeline.Denied_empty witness) ->
         count t "server.admission.denied";
-        send fd
-          (Protocol.ok ~rid [ ("results", J.List []); ("count", J.Int 0) ]);
         let latency_ms = 1000. *. (Deadline.now () -. started) in
         publish t (fun () ->
             {
@@ -794,6 +789,8 @@ let admission_fast_path t sess fd ~rid group (q : Protocol.query) =
               digest = Some (Sobs.Capture.digest []);
               latency_ms;
             });
+        send fd
+          (Protocol.ok ~rid [ ("results", J.List []); ("count", J.Int 0) ]);
         true
       | Ok (Pipeline.Trivial | Pipeline.Needs_eval) | Error _ -> false
       | exception _ -> false))
@@ -826,9 +823,9 @@ let submit t sess fd ~rid work =
         Printf.sprintf "request queue is full (%d deep)"
           t.config.queue_capacity
       in
-      send fd (Protocol.error_of ~rid (Secview.Error.Overloaded msg));
       (* overload rejections are published too: a shed request must
-         stay correlatable by rid, not vanish into a counter *)
+         stay correlatable by rid, not vanish into a counter — and, as
+         on every path, recorded before the client can see the reply *)
       let latency_ms = 1000. *. (Deadline.now () -. submitted) in
       publish t (fun () ->
           {
@@ -836,7 +833,8 @@ let submit t sess fd ~rid work =
             status = "overloaded";
             error = Some msg;
             latency_ms;
-          })
+          });
+      send fd (Protocol.error_of ~rid (Secview.Error.Overloaded msg))
     | `Closed ->
       count t "server.rejected.draining";
       send fd (Protocol.error_of ~rid Secview.Error.Draining)
@@ -917,15 +915,8 @@ let handle_line t sess fd line =
       | Some group -> (
         (* classification is schema-level and cached: answer on the
            connection thread, like [stats] *)
-        match Sxpath.Parse.of_string_result q.text with
-        | Error e ->
-          send fd
-            (Protocol.error_of ~rid
-               (Secview.Error.Parse_error
-                  {
-                    position = e.Sxpath.Parse.position;
-                    message = e.Sxpath.Parse.message;
-                  }))
+        match Secview.Error.parse_query q.text with
+        | Error e -> send fd (Protocol.error_of ~rid e)
         | Ok path -> (
           match classify_conn t ~group path with
           | Error e -> send fd (Protocol.error_of ~rid e)

@@ -25,10 +25,13 @@ and value =
 let equal_path (a : path) (b : path) = a = b
 let equal_qual (a : qual) (b : qual) = a = b
 
-let rec union_branches = function
-  | Empty -> []
-  | Union (a, b) -> union_branches a @ union_branches b
-  | p -> [ p ]
+let union_branches p =
+  let rec onto acc = function
+    | Empty -> acc
+    | Union (a, b) -> onto (onto acc a) b
+    | p -> p :: acc
+  in
+  List.rev (onto [] p)
 
 let is_empty p = p = Empty
 
@@ -40,22 +43,79 @@ let slash a b =
 
 let dslash p = match p with Empty -> Empty | p -> Dslash p
 
+(* A hash over the whole term: [Hashtbl.hash] stops after a bounded
+   prefix, so branches that differ only deep down (a constant under a
+   long common prefix) would all collide. *)
+let mix h x = (h * 65599) + x
+
+let rec hash_path = function
+  | Empty -> 0
+  | Eps -> 1
+  | Label l -> mix 2 (Hashtbl.hash l)
+  | Wildcard -> 3
+  | Attribute a -> mix 4 (Hashtbl.hash a)
+  | Slash (a, b) -> mix (mix 5 (hash_path a)) (hash_path b)
+  | Dslash p -> mix 6 (hash_path p)
+  | Union (a, b) -> mix (mix 7 (hash_path a)) (hash_path b)
+  | Qualify (p, q) -> mix (mix 8 (hash_path p)) (hash_qual q)
+
+and hash_qual = function
+  | True -> 9
+  | False -> 10
+  | Exists p -> mix 11 (hash_path p)
+  | Eq (p, Const c) -> mix (mix 12 (hash_path p)) (Hashtbl.hash c)
+  | Eq (p, Var v) -> mix (mix 13 (hash_path p)) (Hashtbl.hash v)
+  | And (a, b) -> mix (mix 14 (hash_qual a)) (hash_qual b)
+  | Or (a, b) -> mix (mix 15 (hash_qual a)) (hash_qual b)
+  | Not q -> mix 16 (hash_qual q)
+
+module Seen = Hashtbl.Make (struct
+  type t = path
+
+  let equal = equal_path
+  let hash = hash_path
+end)
+
+(* Keep the first occurrence of each branch; the hash set, sized so it
+   never grows, keeps the cost linear in the total size. *)
+let dedup branches =
+  let seen = Seen.create (List.length branches) in
+  List.filter
+    (fun p ->
+      (not (Seen.mem seen p))
+      && begin
+           Seen.add seen p ();
+           true
+         end)
+    branches
+
+let of_branches = function
+  | [] -> Empty
+  | first :: rest -> List.fold_left (fun acc p -> Union (acc, p)) first rest
+
 let union a b =
   match (a, b) with
   | Empty, p | p, Empty -> p
-  | a, b ->
-    let keep_new seen p = not (List.exists (equal_path p) seen) in
-    let branches =
-      List.fold_left
-        (fun acc p -> if keep_new acc p then p :: acc else acc)
-        [] (union_branches a @ union_branches b)
-      |> List.rev
-    in
-    (match branches with
-    | [] -> Empty
-    | first :: rest -> List.fold_left (fun acc p -> Union (acc, p)) first rest)
+  | a, b -> of_branches (dedup (union_branches a @ union_branches b))
 
-let union_all ps = List.fold_left union Empty ps
+(* The fold of [union] over [ps] with a single dedup: the first non-∅
+   operand is kept as given, and from the second on every operand's
+   branches are collected (newest first) and deduplicated once. *)
+let union_all ps =
+  let step state p =
+    match (state, p) with
+    | _, Empty -> state
+    | `Empty, p -> `One p
+    | `One a, p -> (
+      match union_branches a @ union_branches p with
+      | [] -> `Empty
+      | branches -> `Many (List.rev branches))
+    | `Many rev, p -> `Many (List.rev_append (union_branches p) rev)
+  in
+  match List.fold_left step `Empty ps with
+  | `Empty -> Empty
+  | `One p -> p
+  | `Many rev -> of_branches (dedup (List.rev rev))
 
 let qualify p q =
   match (p, q) with

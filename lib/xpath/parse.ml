@@ -160,6 +160,7 @@ and parse_primary st =
     advance st;
     p
   | c when is_name_start c -> Ast.Label (parse_name st)
+  | _ when eof st -> fail st "unexpected end of input"
   | c -> fail st (Printf.sprintf "unexpected character %C in path" c)
 
 and parse_qual st =

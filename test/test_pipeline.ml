@@ -132,6 +132,85 @@ let test_indexed_answers () =
     (List.length (Pipeline.Session.answer_exn p ~group:"re" q doc))
     (List.length (Pipeline.Session.answer_exn p ~group:"re" ~index:idx q doc))
 
+(* Schema tables fill on first use, one view node at a time: a query
+   with no [//] fills nothing, one [//] at the root fills one entry, and
+   an unfolded recursive view starts with a table of its own. *)
+let test_recproc_fills_lazily () =
+  let filled view = Secview.Memo.length (Secview.View.recproc view) in
+  let view = Workload.Adex.view () in
+  Alcotest.(check int) "empty before any rewrite" 0 (filled view);
+  ignore (Secview.Rewrite.rewrite view (parse "body/ad-instance"));
+  Alcotest.(check int) "no // step, no entry" 0 (filled view);
+  let q = parse "//contact-info" in
+  let first = Secview.Rewrite.rewrite view q in
+  Alcotest.(check int) "one // at the root, one entry" 1 (filled view);
+  Alcotest.(check bool) "same rewriting from the filled table" true
+    (Sxpath.Ast.equal_path first (Secview.Rewrite.rewrite view q));
+  let xview = Workload.Xmark.view () in
+  let unfolded = Secview.View.unfolded xview ~height:6 in
+  Alcotest.(check int) "unfolded view starts empty" 0 (filled unfolded);
+  ignore (Secview.Rewrite.rewrite unfolded (parse "//name"));
+  Alcotest.(check int) "only the root's entry" 1 (filled unfolded);
+  Alcotest.(check int) "the recursive view's own table untouched" 0
+    (filled xview)
+
+(* Cold translations raced over one Service from two domains, through
+   fresh sessions so nothing comes from a session cache: the shared
+   tables fill concurrently and every answer must equal a
+   single-domain run on a service of its own. *)
+let test_cold_translations_race () =
+  let adex =
+    List.map snd Workload.Adex.queries
+    @ List.map parse
+        [
+          "//contact-info/name";
+          "//ad-instance//city | //buyer-info";
+          "body//*//zip";
+          "//house[.//city]//bedrooms";
+          "//*";
+        ]
+  and hospital =
+    List.map parse
+      [ "//patient//bill"; "//patient/name"; "//dept//*"; "//treatment//medication" ]
+  and xmark = List.map snd Workload.Xmark.queries @ [ parse "//name" ] in
+  let cases =
+    [
+      (Workload.Adex.dtd, [ ("re", Workload.Adex.spec) ], "re", None, adex);
+      ( Workload.Hospital.dtd,
+        [ ("nurses", Workload.Hospital.nurse_spec Workload.Hospital.dtd) ],
+        "nurses", None, hospital );
+      (Workload.Xmark.dtd, [ ("buyers", Workload.Xmark.spec) ], "buyers", Some 8, xmark);
+    ]
+  in
+  List.iter
+    (fun (dtd, groups, group, height, qs) ->
+      let translate_all svc qs =
+        List.map
+          (fun q ->
+            Sxpath.Print.to_string
+              (Pipeline.Session.translate (Pipeline.Session.create svc) ~group
+                 ?height q))
+          qs
+      in
+      let expected = translate_all (Pipeline.Service.create dtd ~groups) qs in
+      for _ = 1 to 25 do
+        let svc = Pipeline.Service.create dtd ~groups in
+        let ready = Atomic.make 0 in
+        let racer reversed () =
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do
+            Domain.cpu_relax ()
+          done;
+          if reversed then List.rev (translate_all svc (List.rev qs))
+          else translate_all svc qs
+        in
+        let d1 = Domain.spawn (racer false) in
+        let d2 = Domain.spawn (racer true) in
+        Alcotest.(check (list string)) "domain 1" expected (Domain.join d1);
+        Alcotest.(check (list string)) "domain 2" expected (Domain.join d2)
+      done)
+    cases
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -150,5 +229,12 @@ let () =
             test_answers_match_manual_pipeline;
           Alcotest.test_case "recursive group" `Quick test_recursive_group;
           Alcotest.test_case "indexed answers" `Quick test_indexed_answers;
+        ] );
+      ( "schema tables",
+        [
+          Alcotest.test_case "recProc fills lazily" `Quick
+            test_recproc_fills_lazily;
+          Alcotest.test_case "cold translations raced on two domains" `Quick
+            test_cold_translations_race;
         ] );
     ]

@@ -321,6 +321,146 @@ let prop_indexed_rewrite_equivalent =
       let idx = Sxml.Index.build doc in
       ids (eval pt doc) = ids (eval ~index:idx pt doc))
 
+(* ------------------------------------------------------------------ *)
+(* Schema facts and tables computed once, checked against recomputation *)
+
+(* The DTD graph facts recomputed from [production] and [Regex.labels]
+   alone: the oracle for the facts a DTD value carries. *)
+let ref_children d a =
+  match Sdtd.Dtd.production_opt d a with None -> [] | Some rg -> R.labels rg
+
+let ref_reachable d =
+  let rec bfs out seen = function
+    | [] -> List.rev out
+    | a :: queue ->
+      let next =
+        List.filter (fun c -> not (List.mem c seen)) (ref_children d a)
+      in
+      bfs (a :: out) (seen @ next) (queue @ next)
+  in
+  let r = Sdtd.Dtd.root d in
+  bfs [] [ r ] [ r ]
+
+let ref_reaches d src dst =
+  let rec go seen = function
+    | [] -> false
+    | a :: rest ->
+      String.equal a dst
+      || if List.mem a seen then go seen rest
+         else go (a :: seen) (ref_children d a @ rest)
+  in
+  go [] [ src ]
+
+let ref_recursive d =
+  List.filter
+    (fun a -> List.exists (fun c -> ref_reaches d c a) (ref_children d a))
+    (ref_reachable d)
+
+let ref_topo d =
+  if ref_recursive d <> [] then None
+  else
+    let rec go (seen, out) a =
+      if List.mem a seen then (seen, out)
+      else
+        let seen, out = List.fold_left go (a :: seen, out) (ref_children d a) in
+        (seen, a :: out)
+    in
+    Some (snd (go ([], []) (Sdtd.Dtd.root d)))
+
+(* A random DTD and what the constructors make of it: productions
+   replaced (closing cycles, naming an undeclared type), the reachable
+   restriction, an attribute list, an unfolding, and a derived view's
+   DTD. *)
+let gen_dtd_family =
+  let open QCheck2.Gen in
+  let* dtd = gen_dtd in
+  let* spec = gen_spec dtd in
+  let types = Sdtd.Dtd.element_types dtd in
+  let* edits =
+    list_size (int_range 1 3)
+      (triple (oneofl types) (oneofl ("fresh" :: types)) (oneofl types))
+  in
+  let* height = int_range 1 8 in
+  return (dtd, spec, edits, height)
+
+let dtd_family (dtd, spec, edits, height) =
+  let edited =
+    List.fold_left
+      (fun d (a, b, c) ->
+        Sdtd.Dtd.with_production d a
+          (R.Choice [ R.Str; R.Seq [ R.Elt b; R.Star (R.Elt c) ] ]))
+      dtd edits
+  in
+  let restricted = Sdtd.Dtd.restrict_reachable edited in
+  let attributed =
+    Sdtd.Dtd.with_attributes restricted (Sdtd.Dtd.root restricted) [ "id" ]
+  in
+  (* unfolding needs every reachable type declared, which only
+     [with_production] can break *)
+  let unfolded =
+    if not (List.for_all (Sdtd.Dtd.mem restricted) (Sdtd.Dtd.reachable restricted))
+    then []
+    else
+      match Sdtd.Unfold.unfold restricted ~height with
+      | d -> [ d ]
+      | exception Invalid_argument _ -> []
+  in
+  [ dtd; edited; restricted; attributed; View.dtd (Derive.derive spec) ]
+  @ unfolded
+
+let prop_dtd_facts_match_reference =
+  QCheck2.Test.make ~name:"DTD graph facts equal a recomputation"
+    ~count:300
+    ~print:(fun family ->
+      String.concat "\n----\n" (List.map Sdtd.Dtd.to_string (dtd_family family)))
+    gen_dtd_family
+    (fun family ->
+      List.for_all
+        (fun d ->
+          List.for_all
+            (fun a -> Sdtd.Dtd.children_of d a = ref_children d a)
+            (Sdtd.Dtd.element_types d @ [ "fresh"; "nowhere" ])
+          && Sdtd.Dtd.reachable d = ref_reachable d
+          && Sdtd.Dtd.recursive_types d = ref_recursive d
+          && Sdtd.Dtd.is_recursive d = (ref_recursive d <> [])
+          && Sdtd.Dtd.topological_order d = ref_topo d)
+        (dtd_family family))
+
+(* Schema tables (the views' recProc entries, the optimizer's identity
+   view among them) fill as queries need them, in whatever order
+   queries arrive; a translation must not depend on what an earlier one
+   filled. *)
+let gen_translation_batch =
+  let open QCheck2.Gen in
+  let* dtd = gen_dtd in
+  let* spec = gen_spec dtd in
+  let* qs = list_size (int_range 2 8) (gen_query (Sdtd.Dtd.reachable dtd)) in
+  let* order = shuffle_l (List.init (List.length qs) Fun.id) in
+  return (dtd, spec, qs, order)
+
+let prop_translation_memo_independent =
+  let module P = Secview.Pipeline in
+  QCheck2.Test.make
+    ~name:"warm-service translations equal fresh-service ones" ~count:150
+    ~print:(fun (dtd, spec, qs, order) ->
+      Format.asprintf "DTD:@.%a@.Spec:@.%a@.Queries:@." Sdtd.Dtd.pp dtd
+        Spec.pp spec
+      ^ String.concat "\n"
+          (List.map (fun i -> Sxpath.Print.to_string (List.nth qs i)) order))
+    gen_translation_batch
+    (fun (dtd, spec, qs, order) ->
+      let service () = P.Service.create dtd ~groups:[ ("g", spec) ] in
+      let translate svc q =
+        Sxpath.Print.to_string
+          (P.Session.translate (P.Session.create svc) ~group:"g" q)
+      in
+      let warm = service () in
+      List.for_all
+        (fun i ->
+          let q = List.nth qs i in
+          translate warm q = translate (service ()) q)
+        order)
+
 let () =
   Alcotest.run "properties"
     [
@@ -335,5 +475,7 @@ let () =
             prop_view_definition_roundtrip;
             prop_audit_hidden_matches_view;
             prop_indexed_rewrite_equivalent;
+            prop_dtd_facts_match_reference;
+            prop_translation_memo_independent;
           ] );
     ]

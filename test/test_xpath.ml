@@ -111,6 +111,19 @@ let test_parse_errors () =
   expect_error "(a";
   expect_error "a b"
 
+let test_parse_end_of_input () =
+  let error_of input =
+    match Sxpath.Parse.of_string_result input with
+    | Ok _ -> Alcotest.failf "%S parsed" input
+    | Error e -> (e.Sxpath.Parse.position, e.Sxpath.Parse.message)
+  in
+  Alcotest.(check (pair int string)) "open qualifier"
+    (10, "unexpected end of input") (error_of "//patient[");
+  Alcotest.(check (pair int string)) "dangling slash"
+    (2, "unexpected end of input") (error_of "a/");
+  Alcotest.(check (pair int string)) "a NUL byte is still a character"
+    (2, "unexpected character '\\000' in path") (error_of "a/\000")
+
 let test_print_examples () =
   let s p = Sxpath.Print.to_string p in
   Alcotest.(check string) "slash chain" "a/b/c"
@@ -295,10 +308,10 @@ let test_simplify () =
     (s (A.Slash (A.Eps, A.Slash (A.Label "a", A.Eps))))
 
 (* Property: simplify preserves evaluation. *)
-let gen_path =
+let gen_path_sized =
   let open QCheck2.Gen in
   let label = oneofl [ "r"; "a"; "b"; "c"; "d" ] in
-  sized @@ fix (fun self n ->
+  fix (fun self n ->
       if n <= 1 then
         oneof
           [ map (fun l -> A.Label l) label; return A.Eps; return A.Wildcard;
@@ -321,7 +334,85 @@ let gen_path =
                  ]);
           ])
 
+let gen_path = QCheck2.Gen.sized gen_path_sized
+
 let ids p d = List.map (fun n -> n.Sxml.Tree.id) (eval p d)
+
+(* The reference union smart constructors — a pairwise scan per call,
+   [union_all] folding [union] — the oracle for the one-pass, hash-set
+   versions. *)
+let rec old_branches = function
+  | A.Empty -> []
+  | A.Union (a, b) -> old_branches a @ old_branches b
+  | p -> [ p ]
+
+let old_union a b =
+  match (a, b) with
+  | A.Empty, p | p, A.Empty -> p
+  | a, b -> (
+    let branches =
+      List.fold_left
+        (fun acc p ->
+          if List.exists (A.equal_path p) acc then acc else p :: acc)
+        [] (old_branches a @ old_branches b)
+      |> List.rev
+    in
+    match branches with
+    | [] -> A.Empty
+    | first :: rest -> List.fold_left (fun acc p -> A.Union (acc, p)) first rest)
+
+let old_union_all ps = List.fold_left old_union A.Empty ps
+
+(* Lists of up to 60 operands drawn from a small pool, so branches
+   repeat.  The pool always holds
+   the raw terms the smart constructors never build — a union of
+   empties, a union with a repeated branch — because [∅ ∪ p = p] keeps
+   a lone operand as given. *)
+let gen_branch_list =
+  let open QCheck2.Gen in
+  let* pool =
+    list_size (int_range 1 30) (sized_size (int_range 1 6) gen_path_sized)
+  in
+  let* p = sized_size (int_range 1 4) gen_path_sized in
+  let pool = A.Union (A.Empty, A.Empty) :: A.Union (p, p) :: A.Empty :: pool in
+  list_size (int_range 0 60) (oneofl pool)
+
+(* The fold's corner: two operands with no branches reset it to ∅, so
+   the next operand is kept as given, repeated branch and all. *)
+let test_union_all_corners () =
+  let e2 = A.Union (A.Empty, A.Empty) and a = A.Label "a" in
+  let aa = A.Union (a, a) in
+  List.iter
+    (fun ps ->
+      Alcotest.(check bool)
+        (String.concat " ; " (List.map Sxpath.Print.to_string ps))
+        true
+        (A.union_all ps = old_union_all ps))
+    [
+      [ e2; e2; aa ];
+      [ e2; aa ];
+      [ e2; e2; e2; aa ];
+      [ aa ];
+      [ A.Empty; aa; A.Empty ];
+      [ e2; e2 ];
+      [ e2 ];
+      [ aa; e2; A.Label "b"; aa ];
+    ]
+
+let prop_union_matches_fold =
+  QCheck2.Test.make ~name:"union/union_all equal the pairwise fold" ~count:500
+    ~print:(fun ps -> String.concat " ; " (List.map Sxpath.Print.to_string ps))
+    gen_branch_list
+    (fun ps ->
+      let half = List.length ps / 2 in
+      let left = List.filteri (fun i _ -> i < half) ps
+      and right = List.filteri (fun i _ -> i >= half) ps in
+      A.union_all ps = old_union_all ps
+      && A.union (A.union_all left) (A.union_all right)
+         = old_union (old_union_all left) (old_union_all right)
+      && A.union (A.union_all ps) (A.union_all ps)
+         = old_union (old_union_all ps) (old_union_all ps)
+      && A.union_branches (A.union_all ps) = old_branches (old_union_all ps))
 
 let prop_simplify_preserves =
   QCheck2.Test.make ~name:"simplify preserves evaluation" ~count:300 gen_path
@@ -455,6 +546,7 @@ let () =
           Alcotest.test_case "unions in qualifiers" `Quick
             test_parse_union_in_qualifier;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "end of input" `Quick test_parse_end_of_input;
         ] );
       ( "printer",
         [
@@ -469,6 +561,7 @@ let () =
           Alcotest.test_case "size" `Quick test_size;
           Alcotest.test_case "variables/substitute" `Quick
             test_variables_substitute;
+          Alcotest.test_case "union_all corners" `Quick test_union_all_corners;
         ] );
       ( "evaluator",
         [
@@ -503,6 +596,11 @@ let () =
         ] );
       ( "properties",
         List.map (fun t -> QCheck_alcotest.to_alcotest t)
-          [ prop_simplify_preserves; prop_print_parse; prop_eval_sorted_dedup ]
+          [
+            prop_simplify_preserves;
+            prop_print_parse;
+            prop_eval_sorted_dedup;
+            prop_union_matches_fold;
+          ]
       );
     ]

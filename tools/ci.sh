@@ -42,6 +42,29 @@ secview replay "$TMP/cap.jsonl" --dtd "$POL/hospital.dtd" \
   --out "$TMP/replay.json" | grep -q ' 0 mismatch(es)'
 echo "-- replay: 0 mismatches"
 
+# A malformed query is a typed error on every verb that parses one:
+# exit 2 with the server's "parse error at N" text, never an uncaught
+# exception.
+echo "== malformed-query smoke"
+for verb in query rewrite optimize explain lint analyze; do
+  case $verb in
+    query) set -- --spec "$POL/nurse.spec" --doc "$TMP/doc.xml" ;;
+    explain) set -- --spec "$POL/nurse.spec" --doc "$TMP/doc.xml" user ;;
+    optimize) set -- ;;
+    *) set -- --spec "$POL/nurse.spec" ;;
+  esac
+  code=0
+  secview "$verb" --dtd "$POL/hospital.dtd" "$@" '//patient[' \
+    > /dev/null 2> "$TMP/malformed.err" || code=$?
+  if [ "$code" -ne 2 ] || ! grep -q 'parse error at' "$TMP/malformed.err" \
+    || grep -q 'Fatal error' "$TMP/malformed.err"; then
+    echo "malformed-query smoke: $verb exited $code:" >&2
+    cat "$TMP/malformed.err" >&2
+    exit 1
+  fi
+done
+echo "-- malformed queries: exit 2 with a parse error on every verb"
+
 # Mixed read/write capture -> replay: a query, an admitted update, and
 # a query over the updated document, accumulated into one capture
 # (open_file appends), then replayed in captured order from the
