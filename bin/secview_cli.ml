@@ -97,14 +97,6 @@ let setup dtd_path root spec_path =
   let spec = Secview.Spec.of_sidecar_file dtd spec_path in
   (dtd, spec, Secview.Derive.derive spec)
 
-let element_height doc =
-  let rec go (n : Sxml.Tree.t) =
-    match Sxml.Tree.element_children n with
-    | [] -> 1
-    | cs -> 1 + List.fold_left (fun acc c -> max acc (go c)) 0 cs
-  in
-  go doc
-
 (* ---- commands ------------------------------------------------------ *)
 
 let derive_cmd =
@@ -354,7 +346,7 @@ let query_cmd =
             Sxpath.Eval.run ctx (Secview.Naive.rewrite_query ~view q))
           qs
       | `Rewrite ->
-        let height = element_height doc in
+        let height = Secview.Catalog.element_height doc in
         let ctx = Sxpath.Eval.Ctx.make ~env ?index ~root:doc () in
         List.concat_map
           (fun q ->

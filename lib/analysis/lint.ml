@@ -271,9 +271,6 @@ let check_all ~dtd ?spec ?view ?(queries = []) () =
 (* Register the strict validation gate Pipeline.Service.create/?strict uses:
    linking this library arms strict mode. *)
 let () =
-  Secview.Pipeline.set_strict_gate (fun ~dtd ?spec view ->
-      let ds =
-        (match spec with Some s -> check_spec s | None -> [])
-        @ check_view ~dtd view
-      in
+  Secview.Pipeline.set_strict_gate (fun ~dtd ~spec view ->
+      let ds = check_spec spec @ check_view ~dtd view in
       List.map (Format.asprintf "%a" D.pp) (D.errors ds))

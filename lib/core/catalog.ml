@@ -35,17 +35,17 @@ type t = {
   named : (string, entry) Hashtbl.t;
   mutable order : string list;  (* registration order, newest first *)
   mutable interned : entry list;  (* anonymous, newest first *)
-  intern_capacity : int;
   height_walks : int Atomic.t;
 }
 
-let create ?(intern_capacity = 64) () =
+let intern_capacity = 64
+
+let create () =
   {
     lock = Mutex.create ();
     named = Hashtbl.create 8;
     order = [];
     interned = [];
-    intern_capacity = max 1 intern_capacity;
     height_walks = Atomic.make 0;
   }
 
@@ -113,7 +113,6 @@ let element_height doc =
   go doc
 
 let snapshot_memoized_height s = Mutex.protect s.slock (fun () -> s.height)
-let memoized_height e = snapshot_memoized_height e.snap
 
 let snapshot_height t s =
   let d = snapshot_doc s in
@@ -125,8 +124,6 @@ let snapshot_height t s =
         Atomic.incr t.height_walks;
         s.height <- Some h;
         h)
-
-let height t e = snapshot_height t e.snap
 
 let snapshot_index s =
   let d = snapshot_doc s in
@@ -205,8 +202,8 @@ let intern t d =
         | None ->
           let e = make_entry (Loaded d) in
           let kept =
-            if List.length t.interned >= t.intern_capacity then
-              List.filteri (fun i _ -> i < t.intern_capacity - 1) t.interned
+            if List.length t.interned >= intern_capacity then
+              List.filteri (fun i _ -> i < intern_capacity - 1) t.interned
             else t.interned
           in
           t.interned <- e :: kept;

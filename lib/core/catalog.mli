@@ -26,7 +26,7 @@
 
     All operations are thread-safe; heights and indexes are computed
     at most once per snapshot.  Interned (anonymous) entries are bounded
-    ([intern_capacity], default 64, oldest evicted) so streaming
+    (64 entries, oldest evicted) so streaming
     throwaway documents through a pipeline cannot leak memory. *)
 
 type t
@@ -37,7 +37,7 @@ type snapshot
     height/index memos.  Obtained from {!pin}; never mutated in
     place. *)
 
-val create : ?intern_capacity:int -> unit -> t
+val create : unit -> t
 
 val add : t -> name:string -> Sxml.Tree.t -> entry
 (** Register (or replace) a named, already-loaded document. *)
@@ -66,14 +66,6 @@ val version : entry -> int
 val doc : entry -> Sxml.Tree.t
 (** The current snapshot's document; parses file-backed entries on
     first call. *)
-
-val height : t -> entry -> int
-(** Element-nesting height of the current snapshot, computed once and
-    memoized per snapshot. *)
-
-val memoized_height : entry -> int option
-(** The memo without forcing a computation (probe for observability
-    call sites that count memo hits vs walks). *)
 
 val index : entry -> Sxml.Index.t
 (** Tag index of the current snapshot, built once and memoized per
@@ -106,7 +98,13 @@ val update :
 val snapshot_version : snapshot -> int
 val snapshot_doc : snapshot -> Sxml.Tree.t
 val snapshot_height : t -> snapshot -> int
+(** Element-nesting height of the snapshot's document, computed once
+    and memoized per snapshot. *)
+
 val snapshot_memoized_height : snapshot -> int option
+(** The memo without forcing a computation (probe for observability
+    call sites that count memo hits vs walks). *)
+
 val snapshot_index : snapshot -> Sxml.Index.t
 
 val snapshot_conforms : snapshot -> Sdtd.Dtd.t -> bool

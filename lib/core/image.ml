@@ -431,12 +431,15 @@ and qual_nodes dtd q a : node list =
       match image dtd p a with
       | Some g -> [ relabel "[]" g ]
       | None | (exception Too_large) -> opaque ())
-  | A.Eq (p, v) -> (
-    let const = match v with A.Const c -> c | A.Var x -> "$" ^ x in
+  | A.Eq (p, _) -> (
+    (* The label carries the whole atom: the graph keeps [p]'s shape
+       but not which of its nodes the value test applies to, so [t3 =
+       c] would otherwise imply [. = c].  Two [=] atoms match only when
+       they compare the same path with the same value. *)
     if A.mem_attribute p then opaque ()
     else
       match image dtd p a with
-      | Some g -> [ relabel ("[]=" ^ const) g ]
+      | Some g -> [ relabel ("[]=" ^ Sxpath.Print.qual_to_string q) g ]
       | None | (exception Too_large) -> opaque ())
   | A.Or _ | A.Not _ -> opaque ()
 

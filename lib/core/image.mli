@@ -5,8 +5,10 @@
     DTD-constraint evaluation of qualifiers used by {!Optimize}.
 
     Qualifier nodes are stored separately from element children and
-    carry labels of the form ["[]"] (plain existence), ["[]=c"]
-    (equality with the constant [c]), or ["[]?<serialized>"] (opaque:
+    carry labels of the form ["[]"] (plain existence),
+    ["[]=<serialized>"] (an equality atom [p = c]; it matches only the
+    same atom on the other side, since the graph does not record which
+    nodes the value test applies to), or ["[]?<serialized>"] (opaque:
     a boolean combination the graph structure cannot represent; it
     matches only a syntactically identical qualifier on the other
     side).  When a union merges two qualified roots, the merged node is

@@ -97,7 +97,7 @@ let stats_fields s =
 (* ---- registration hooks (analysis sublibrary) ----------------------- *)
 
 let strict_gate :
-    (dtd:Sdtd.Dtd.t -> ?spec:Spec.t -> View.t -> string list) option ref =
+    (dtd:Sdtd.Dtd.t -> spec:Spec.t -> View.t -> string list) option ref =
   ref None
 
 let set_strict_gate f = strict_gate := Some f
@@ -114,8 +114,8 @@ let admission_analyzer :
 
 let set_admission_analyzer f = admission_analyzer := Some f
 
-(* [pairs]: (group, view, policy if we have one). *)
-let run_strict_gate dtd pairs =
+(* [groups]: (group, derived view, policy). *)
+let run_strict_gate dtd groups =
   match !strict_gate with
   | None ->
     invalid_arg
@@ -127,8 +127,8 @@ let run_strict_gate dtd pairs =
         (fun (name, view, spec) ->
           List.map
             (fun e -> Printf.sprintf "group %S: %s" name e)
-            (gate ~dtd ?spec view))
-        pairs
+            (gate ~dtd ~spec view))
+        groups
     in
     if errors <> [] then
       invalid_arg
@@ -157,7 +157,7 @@ type explanation = {
 module Service = struct
   type gview = {
     g_info : group;
-    g_spec : Spec.t option;  (* None: view-only construction — no writes *)
+    g_spec : Spec.t;
     g_recursive : bool;
   }
 
@@ -170,7 +170,16 @@ module Service = struct
     s_writes : int Atomic.t;  (* admitted writes, for provenance *)
   }
 
-  let of_views ?catalog dtd pairs =
+  let create ?(strict = false) ?catalog dtd ~groups =
+    List.iter
+      (fun (_, spec) ->
+        if Sdtd.Dtd.stamp (Spec.dtd spec) <> Sdtd.Dtd.stamp dtd then
+          invalid_arg "Pipeline.create: specification over a different DTD")
+      groups;
+    let derived =
+      List.map (fun (name, spec) -> (name, Derive.derive spec, spec)) groups
+    in
+    if strict then run_strict_gate dtd derived;
     let views = Hashtbl.create 8 in
     List.iter
       (fun (name, view, spec) ->
@@ -182,7 +191,7 @@ module Service = struct
             g_spec = spec;
             g_recursive = Sdtd.Dtd.is_recursive (View.dtd view);
           })
-      pairs;
+      derived;
     let catalog =
       match catalog with Some c -> c | None -> Catalog.create ()
     in
@@ -190,32 +199,10 @@ module Service = struct
       s_dtd = dtd;
       s_opt = Optimize.prepare dtd;
       s_views = views;
-      s_order = List.map (fun (name, _, _) -> name) pairs;
+      s_order = List.map fst groups;
       s_catalog = catalog;
       s_writes = Atomic.make 0;
     }
-
-  let create ?(strict = false) ?catalog dtd ~groups =
-    List.iter
-      (fun (_, spec) ->
-        if Sdtd.Dtd.stamp (Spec.dtd spec) <> Sdtd.Dtd.stamp dtd then
-          invalid_arg "Pipeline.create: specification over a different DTD")
-      groups;
-    let derived =
-      List.map (fun (name, spec) -> (name, Derive.derive spec, spec)) groups
-    in
-    if strict then
-      run_strict_gate dtd
-        (List.map (fun (name, view, spec) -> (name, view, Some spec)) derived);
-    of_views ?catalog dtd
-      (List.map (fun (name, view, spec) -> (name, view, Some spec)) derived)
-
-  let create_with_views ?(strict = false) ?catalog dtd ~groups =
-    if strict then
-      run_strict_gate dtd
-        (List.map (fun (name, view) -> (name, view, None)) groups);
-    of_views ?catalog dtd
-      (List.map (fun (name, view) -> (name, view, None)) groups)
 
   let dtd t = t.s_dtd
   let catalog t = t.s_catalog

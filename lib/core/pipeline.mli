@@ -105,14 +105,13 @@ val stats_fields : stats -> (string * int) list
     one authority for wire/JSON/metrics field spelling. *)
 
 val set_strict_gate :
-  (dtd:Sdtd.Dtd.t -> ?spec:Spec.t -> View.t -> string list) -> unit
+  (dtd:Sdtd.Dtd.t -> spec:Spec.t -> View.t -> string list) -> unit
 (** Install the validation gate strict construction runs per group:
-    given the document DTD, the group's view and (for
-    {!Service.create}) its policy, return the rendered errors — an
-    empty list means the group is clean.  The analysis sublibrary
-    ([Sanalysis.Lint]) registers its diagnostics engine here when
-    linked; [?strict] without a registered gate raises
-    [Invalid_argument]. *)
+    given the document DTD, the group's policy and its derived view,
+    return the rendered errors — an empty list means the group is
+    clean.  The analysis sublibrary ([Sanalysis.Lint]) registers its
+    diagnostics engine here when linked; [?strict] without a
+    registered gate raises [Invalid_argument]. *)
 
 val set_admission_analyzer :
   (Sdtd.Dtd.t -> Sxpath.Ast.path -> admission) -> unit
@@ -187,17 +186,6 @@ module Service : sig
       specification over a different DTD instance, or (strict mode)
       lint errors. *)
 
-  val create_with_views :
-    ?strict:bool ->
-    ?catalog:Catalog.t ->
-    Sdtd.Dtd.t ->
-    groups:(string * View.t) list ->
-    t
-  (** Use stored view definitions instead of deriving.  [~strict:true]
-      validates each stored view against the document DTD through the
-      gate — the defense against view definitions that drifted from
-      the DTD they were derived for. *)
-
   val dtd : t -> Sdtd.Dtd.t
 
   val catalog : t -> Catalog.t
@@ -213,11 +201,9 @@ module Service : sig
   val view_dtd : t -> group:string -> Sdtd.Dtd.t
   (** What to publish to that user group.  @raise Not_found. *)
 
-  val spec : t -> group:string -> Spec.t option
-  (** The access specification the group's view was derived from —
-      [None] when the service was built with {!create_with_views}
-      (stored views carry no policy, so such a group can never hold a
-      write grant: all updates are rejected).  @raise Not_found. *)
+  val spec : t -> group:string -> Spec.t
+  (** The access specification the group's view was derived from.
+      @raise Not_found. *)
 
   val generation : t -> int
   (** How many writes the service has admitted: starts at 0 and is

@@ -33,14 +33,7 @@ let apply svc ~group ?env ?audit ~entry update =
   let ( let* ) = Result.bind in
   let* spec =
     match Pipeline.Service.spec svc ~group with
-    | Some spec -> Ok spec
-    | None ->
-      Error
-        (Error.Update_denied
-           (Printf.sprintf
-              "group %S was built from a stored view: no access \
-               specification, no write grants"
-              group))
+    | spec -> Ok spec
     | exception Not_found ->
       Error
         (Error.Unknown_group

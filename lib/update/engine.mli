@@ -52,10 +52,9 @@ val apply :
   entry:Secview.Catalog.entry ->
   Ast.t ->
   (receipt, Secview.Error.t) result
-(** Errors: everything {!Check.run} reports, plus [Unknown_group] and
-    [Update_denied] when the group was built from a stored view — no
-    policy, hence no write grants.  [audit] receives {!Check.run}'s
-    id-bearing denial detail (server-side logs only). *)
+(** Errors: everything {!Check.run} reports, plus [Unknown_group].
+    [audit] receives {!Check.run}'s id-bearing denial detail
+    (server-side logs only). *)
 
 val apply_text :
   Secview.Pipeline.Service.t ->

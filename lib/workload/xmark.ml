@@ -124,11 +124,3 @@ let document ?(seed = 11) ~scale () =
     }
   in
   Sdtd.Gen.generate ~config dtd
-
-let element_height doc =
-  let rec go (n : Sxml.Tree.t) =
-    match Sxml.Tree.element_children n with
-    | [] -> 1
-    | cs -> 1 + List.fold_left (fun acc c -> max acc (go c)) 0 cs
-  in
-  go doc

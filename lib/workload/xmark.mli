@@ -33,6 +33,3 @@ val queries : (string * Sxpath.Ast.path) list
 
 val document : ?seed:int -> scale:int -> unit -> Sxml.Tree.t
 (** A generated site; [scale] ≈ number of items/people/auctions. *)
-
-val element_height : Sxml.Tree.t -> int
-(** Element-nesting height, the unfolding bound rewriting needs. *)

@@ -188,21 +188,6 @@ let test_strict_gate_rejects_bad_spec () =
       contains msg "SV002"
     | _ -> false)
 
-let test_strict_gate_rejects_stale_view () =
-  let stale = view_of (path "zzz") in
-  (* non-strict construction still accepts it -- the pre-lint state *)
-  let _lenient =
-    Secview.Pipeline.Service.create_with_views fixture_dtd
-      ~groups:[ ("g", stale) ]
-  in
-  Alcotest.(check bool) "stale view rejected" true
-    (match
-       Secview.Pipeline.Service.create_with_views ~strict:true fixture_dtd
-         ~groups:[ ("g", stale) ]
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 (* --- diagnostics plumbing -------------------------------------------- *)
 
 let test_rendering () =
@@ -266,8 +251,6 @@ let () =
             test_strict_gate_accepts;
           Alcotest.test_case "rejects bad qualifier" `Quick
             test_strict_gate_rejects_bad_spec;
-          Alcotest.test_case "rejects stale view" `Quick
-            test_strict_gate_rejects_stale_view;
         ] );
       ( "diagnostics",
         [ Alcotest.test_case "rendering" `Quick test_rendering ] );

@@ -153,6 +153,31 @@ let test_containment_soundness_on_instances () =
         queries)
     queries
 
+let test_equality_atoms_keep_their_paths () =
+  (* [t3 = "alpha"] does not imply [. = "alpha"]: the first t2's own
+     string value is "alphabeta".  Pruning the first branch into the
+     second would lose that t2. *)
+  let dtd =
+    Sdtd.Dtd.create ~root:"t0"
+      [ ("t0", R.Seq [ e "t1"; e "t2" ]);
+        ("t1", R.Seq [ e "t2"; e "t2"; e "t2" ]); ("t2", R.Star (e "t3"));
+        ("t3", R.Str) ]
+  in
+  let doc =
+    Sxml.Parse.of_string
+      "<t0><t1><t2><t3>alpha</t3><t3>beta</t3></t2><t2/><t2/></t1><t2/></t0>"
+  in
+  let view = Secview.Derive.derive (Secview.Spec.make dtd []) in
+  let rewritten =
+    Secview.Rewrite.rewrite view
+      (parse {|t1/t2[t3 = "alpha"] | t1/t2[. = "alpha"]|})
+  in
+  let ids p = List.map (fun n -> n.Sxml.Tree.id) (eval p doc) in
+  Alcotest.(check int) "rewrite finds the t2" 1 (List.length (ids rewritten));
+  Alcotest.(check (list int)) "optimize answers = rewrite answers"
+    (ids rewritten)
+    (ids (Optimize.optimize dtd rewritten))
+
 (* ---- Example 5.4 ---------------------------------------------------- *)
 
 let test_example_5_4 () =
@@ -390,6 +415,8 @@ let () =
             test_union_pruned_by_containment;
           Alcotest.test_case "soundness on instances" `Quick
             test_containment_soundness_on_instances;
+          Alcotest.test_case "= atoms keep their paths" `Quick
+            test_equality_atoms_keep_their_paths;
         ] );
       ( "expansion",
         [

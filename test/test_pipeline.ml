@@ -1,5 +1,5 @@
 (* The Pipeline Service/Session split: multi-group setup, translation
-   caching, recursive-view handling, stored-view loading. *)
+   caching, recursive-view handling. *)
 
 module Pipeline = Secview.Pipeline
 module Spec = Secview.Spec
@@ -101,24 +101,6 @@ let test_recursive_group () =
   let s : Pipeline.stats = Pipeline.Session.stats_of p ~group:"buyers" in
   Alcotest.(check bool) "separate cache entries per height" true (s.misses >= 3)
 
-let test_with_stored_views () =
-  let dtd = Workload.Hospital.dtd in
-  let spec = Workload.Hospital.nurse_spec dtd in
-  let view = Secview.Derive.derive spec in
-  let reloaded =
-    Secview.View.of_definition (Secview.View.to_definition view)
-  in
-  let p =
-    Pipeline.Session.create
-      (Pipeline.Service.create_with_views dtd ~groups:[ ("nurses", reloaded) ])
-  in
-  let doc = Workload.Hospital.sample_document () in
-  let env = Workload.Hospital.nurse_env "6" in
-  Alcotest.(check int) "stored view answers" 3
-    (List.length
-       (Pipeline.Session.answer_exn p ~group:"nurses" ~env
-          (parse "//patient/name") doc))
-
 let test_indexed_answers () =
   let dtd = Workload.Adex.dtd in
   let p =
@@ -219,7 +201,6 @@ let () =
           Alcotest.test_case "groups" `Quick test_groups;
           Alcotest.test_case "foreign specs rejected" `Quick
             test_rejects_foreign_spec;
-          Alcotest.test_case "stored views" `Quick test_with_stored_views;
         ] );
       ( "answering",
         [

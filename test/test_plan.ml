@@ -236,27 +236,38 @@ let test_pipeline_engines_agree () =
     Secview.Pipeline.Session.create
       (Secview.Pipeline.Service.create dtd ~groups:[ ("re", Workload.Adex.spec) ])
   in
-  let doc = Workload.Adex.document ~seed:7 ~ads:10 ~buyers:5 () in
+  (* one generated document, then Table 1's D1-D4 series *)
+  let docs =
+    ("seed 7", Workload.Adex.document ~seed:7 ~ads:10 ~buyers:5 ())
+    :: List.map
+         (fun ds -> (ds.Workload.Datasets.name, Workload.Datasets.load ds))
+         (Workload.Datasets.series ~scale:2 ())
+  in
   List.iter
-    (fun (name, q) ->
-      let a =
-        render
-          (Secview.Pipeline.Session.answer_exn pipe ~group:"re"
-             ~engine:Secview.Pipeline.Interp q doc)
-      in
-      let b =
-        render
-          (Secview.Pipeline.Session.answer_exn pipe ~group:"re"
-             ~engine:Secview.Pipeline.Plan q doc)
-      in
-      Alcotest.(check string) (name ^ ": engines agree") a b)
-    Workload.Adex.queries;
+    (fun (dname, doc) ->
+      List.iter
+        (fun (name, q) ->
+          let a =
+            render
+              (Secview.Pipeline.Session.answer_exn pipe ~group:"re"
+                 ~engine:Secview.Pipeline.Interp q doc)
+          in
+          let b =
+            render
+              (Secview.Pipeline.Session.answer_exn pipe ~group:"re"
+                 ~engine:Secview.Pipeline.Plan q doc)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s: engines agree" name dname)
+            a b)
+        Workload.Adex.queries)
+    docs;
   let s : Secview.Pipeline.stats =
     Secview.Pipeline.Session.stats_of pipe ~group:"re"
   in
   (* only the Plan calls consult the plan cache *)
   Alcotest.(check int) "one plan lookup per Plan call"
-    (List.length Workload.Adex.queries)
+    (List.length Workload.Adex.queries * List.length docs)
     (s.plan_hits + s.plan_misses);
   Alcotest.(check int) "every translation planned once"
     (s.plan_compiles + s.plan_fallbacks)

@@ -133,14 +133,6 @@ let gen_query labels : A.path QCheck2.Gen.t =
                  ]);
           ])
 
-let element_height doc =
-  let rec go (n : Sxml.Tree.t) =
-    match Sxml.Tree.element_children n with
-    | [] -> 1
-    | cs -> 1 + List.fold_left (fun acc c -> max acc (go c)) 0 cs
-  in
-  go doc
-
 let ids nodes = List.map (fun (n : Sxml.Tree.t) -> n.Sxml.Tree.id) nodes
 
 (* ------------------------------------------------------------------ *)
@@ -206,7 +198,7 @@ let prop_rewrite_equivalent =
       match Materialize.materialize ~spec ~view doc with
       | exception Materialize.Abort _ -> QCheck2.assume_fail ()
       | vt ->
-        let height = element_height doc in
+        let height = Secview.Catalog.element_height doc in
         let pt = Rewrite.rewrite_with_height view ~height q in
         let direct = ids (eval pt doc) in
         let tree, source_of = Materialize.to_tree_with_sources vt in
@@ -268,7 +260,7 @@ let prop_rewrite_output_is_secure =
       match Materialize.materialize ~spec ~view doc with
       | exception Materialize.Abort _ -> QCheck2.assume_fail ()
       | vt ->
-        let height = element_height doc in
+        let height = Secview.Catalog.element_height doc in
         let pt = Rewrite.rewrite_with_height view ~height q in
         let accessible = Access.accessible_set spec doc in
         let dummy_sources =
@@ -316,7 +308,7 @@ let prop_indexed_rewrite_equivalent =
     ~print:print_scenario_q gen_scenario_with_query
     (fun (_dtd, spec, doc, q) ->
       let view = Derive.derive spec in
-      let height = element_height doc in
+      let height = Secview.Catalog.element_height doc in
       let pt = Rewrite.rewrite_with_height view ~height q in
       let idx = Sxml.Index.build doc in
       ids (eval pt doc) = ids (eval ~index:idx pt doc))

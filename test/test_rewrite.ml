@@ -416,7 +416,7 @@ let test_xmark_rewrite_equivalence_via_view_tree () =
   let spec = Workload.Xmark.spec in
   let view = Workload.Xmark.view () in
   let doc = Workload.Xmark.document ~seed:31 ~scale:3 () in
-  let height = Workload.Xmark.element_height doc in
+  let height = Secview.Catalog.element_height doc in
   let vt = Materialize.materialize ~spec ~view doc in
   let tree, source_of = Materialize.to_tree_with_sources vt in
   List.iter

@@ -324,25 +324,27 @@ let test_catalog_names () =
   Alcotest.(check bool) "find" true
     (match Catalog.find c "a" with Some x -> x == e | None -> false);
   Alcotest.(check bool) "missing" true (Catalog.find c "zz" = None);
-  Alcotest.(check int) "height" 2 (Catalog.height c e);
-  Alcotest.(check (option int)) "memoized" (Some 2) (Catalog.memoized_height e)
+  Alcotest.(check int) "height" 2 (Catalog.snapshot_height c (Catalog.pin e));
+  Alcotest.(check (option int)) "memoized" (Some 2)
+    (Catalog.snapshot_memoized_height (Catalog.pin e))
 
 let test_catalog_intern () =
-  let c = Catalog.create ~intern_capacity:2 () in
-  let d1 = tree "<a><b/></a>" and d2 = tree "<a/>" and d3 = tree "<a/>" in
+  let c = Catalog.create () in
+  let d1 = tree "<a><b/></a>" in
+  let others = List.init 64 (fun _ -> tree "<a/>") in
   let e1 = Catalog.intern c d1 in
   Alcotest.(check bool) "same tree, same entry" true
     (Catalog.intern c d1 == e1);
   ignore (Catalog.snapshot_height c e1);
-  ignore (Catalog.intern c d2);
-  ignore (Catalog.intern c d3);
-  (* capacity 2: d1's anonymous entry was evicted, so re-interning
-     recomputes the height *)
+  List.iter (fun d -> ignore (Catalog.intern c d)) others;
+  (* 65 trees through the 64-entry bound: d1's anonymous entry was
+     evicted, so re-interning recomputes the height *)
   let walks_before = Catalog.height_walks c in
   ignore (Catalog.snapshot_height c (Catalog.intern c d1));
   Alcotest.(check bool) "evicted entry recomputes" true
     (Catalog.height_walks c > walks_before);
   (* named entries never evict *)
+  let d2 = List.hd others in
   let named = Catalog.add c ~name:"n" d2 in
   Alcotest.(check bool) "named tree interns to named entry" true
     (Catalog.intern c d2 == Catalog.pin named)
@@ -353,7 +355,10 @@ let test_catalog_height_once_concurrently () =
   let results = Array.make 8 0 in
   let threads =
     List.init 8 (fun i ->
-        Thread.create (fun () -> results.(i) <- Catalog.height c e) ())
+        Thread.create
+          (fun () ->
+            results.(i) <- Catalog.snapshot_height c (Catalog.pin e))
+          ())
   in
   List.iter Thread.join threads;
   Array.iter (fun h -> Alcotest.(check int) "height" 3 h) results;
@@ -687,6 +692,69 @@ let test_server_roundtrips () =
   send_raw fd "{\"cmd\":\"sleep\",\"ms\":1}";
   check_code "sleep needs debug" Protocol.bad_request (recv ic);
   Unix.close fd
+
+(* Concurrent clients against a server with one and with four worker
+   domains: every reply must be the one-session answer, byte for byte,
+   whichever domain served it. *)
+let test_server_concurrent_clients () =
+  let groups = adex_groups () in
+  let docs =
+    List.mapi (fun i d -> (Printf.sprintf "d%d" (i + 1), d)) (adex_docs ())
+  in
+  let reference =
+    Pipeline.Session.create (Pipeline.Service.create Workload.Adex.dtd ~groups)
+  in
+  (* computed before any client starts: a session is not shared
+     between threads *)
+  let expected =
+    List.map
+      (fun (g, _) ->
+        ( g,
+          List.concat_map
+            (fun (_, q) ->
+              List.map
+                (fun (dname, doc) ->
+                  ( Sxpath.Print.to_string q,
+                    dname,
+                    List.map
+                      (fun n -> Sxml.Print.to_string n)
+                      (Pipeline.Session.answer_exn reference ~group:g q doc) ))
+                docs)
+            Workload.Adex.queries ))
+      groups
+  in
+  let clients = 4 and rounds = 5 in
+  List.iter
+    (fun domains ->
+      let config = { Server.default_config with domains } in
+      with_server ~config ~docs () @@ fun _server path ->
+      let right = Atomic.make 0 in
+      let client i () =
+        let g = fst (List.nth groups (i mod List.length groups)) in
+        let fd, ic = connect path in
+        send fd (Protocol.hello ~peer:"tests" g);
+        ignore (recv ic);
+        for _ = 1 to rounds do
+          List.iter
+            (fun (q, dname, want) ->
+              send fd (Protocol.query_json ~doc:dname q);
+              match J.member "results" (recv ic) with
+              | Some (J.List rs) when List.filter_map J.to_string_opt rs = want
+                ->
+                Atomic.incr right
+              | _ -> ())
+            (List.assoc g expected)
+        done;
+        Unix.close fd
+      in
+      let threads = List.init clients (fun i -> Thread.create (client i) ()) in
+      List.iter Thread.join threads;
+      Alcotest.(check int)
+        (Printf.sprintf "replies equal to Session.answer (%d domains)" domains)
+        (clients * rounds * List.length Workload.Adex.queries
+       * List.length docs)
+        (Atomic.get right))
+    [ 1; 4 ]
 
 let test_server_overload () =
   let config =
@@ -1126,6 +1194,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "round trips" `Quick test_server_roundtrips;
+          Alcotest.test_case "concurrent clients vs one session" `Quick
+            test_server_concurrent_clients;
           Alcotest.test_case "request ids and flight" `Quick
             test_server_rid_and_flight;
           Alcotest.test_case "gc pause attribution" `Quick

@@ -238,21 +238,6 @@ let test_empty_target_rejected () =
   check_rejected ~code:"invalid_update" svc entry
     "delete //patient[name = \"Nobody\"]"
 
-let test_stored_view_group_denied () =
-  (* A stored-view group carries no policy, hence no grants: every
-     update is rejected outright. *)
-  let source, _ = setup (open_spec []) in
-  let view = Pipeline.Service.view source ~group:"g" in
-  let catalog = Catalog.create () in
-  let entry =
-    Catalog.add catalog ~name:"doc" (Workload.Hospital.sample_document ())
-  in
-  let svc =
-    Pipeline.Service.create_with_views ~catalog dtd ~groups:[ ("g", view) ]
-  in
-  check_rejected ~code:"update_denied" svc entry
-    "delete //patient[name = \"Bob\"]"
-
 (* --- policy semantics over a restricted view ----------------------- *)
 
 let env = Workload.Hospital.nurse_env "6"
@@ -1151,7 +1136,6 @@ let () =
           Alcotest.test_case "default deny" `Quick test_default_deny;
           Alcotest.test_case "per-op" `Quick test_grants_are_per_op;
           Alcotest.test_case "per-edge" `Quick test_ungranted_edge_denied;
-          Alcotest.test_case "stored view" `Quick test_stored_view_group_denied;
         ] );
       ( "apply",
         [

@@ -79,7 +79,7 @@ let test_view_sound_complete () =
        (Materialize.to_tree vt))
 
 let check_equivalent ~spec ~view q doc =
-  let height = Workload.Xmark.element_height doc in
+  let height = Secview.Catalog.element_height doc in
   let pt = Rewrite.rewrite_with_height view ~height q in
   let direct =
     List.map (fun (n : Sxml.Tree.t) -> n.id) (eval pt doc)
@@ -107,7 +107,7 @@ let test_query_equivalence () =
 let test_recursive_descent_bounded_by_height () =
   let view = Workload.Xmark.view () in
   let doc = Workload.Xmark.document ~seed:9 ~scale:3 () in
-  let height = Workload.Xmark.element_height doc in
+  let height = Secview.Catalog.element_height doc in
   let q = parse "//listitem//text" in
   let pt = Rewrite.rewrite_with_height view ~height q in
   (* the rewritten query must find exactly the texts under listitems *)
@@ -124,7 +124,7 @@ let test_recursive_descent_bounded_by_height () =
 let test_hidden_data_unreachable () =
   let view = Workload.Xmark.view () in
   let doc = Workload.Xmark.document ~seed:3 ~scale:4 () in
-  let height = Workload.Xmark.element_height doc in
+  let height = Secview.Catalog.element_height doc in
   List.iter
     (fun q ->
       Alcotest.(check int)
@@ -140,7 +140,7 @@ let test_conditional_address_rule () =
   let spec = Workload.Xmark.spec in
   let view = Workload.Xmark.view () in
   let doc = Workload.Xmark.document ~seed:13 ~scale:8 () in
-  let height = Workload.Xmark.element_height doc in
+  let height = Secview.Catalog.element_height doc in
   let pt = Rewrite.rewrite_with_height view ~height (parse "//address") in
   let results = eval pt doc in
   Alcotest.(check bool) "some US addresses in a big enough document" true

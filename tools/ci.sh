@@ -266,6 +266,17 @@ echo "-- top renders the gc section"
 secview client --socket "$TMP/rt.sock" --shutdown
 wait $RSRV
 
+# The paper's experiments: Q1-Q4 forms, the containment test's
+# approximation quality (which aborts on a claimed containment a
+# sampled instance refutes), A5/A6 and a quick Table 1, whose naive,
+# rewrite and optimize answers must agree.  Nothing else runs
+# bench/main.exe, so this keeps its modes from rotting.
+echo "== paper experiments smoke"
+dune exec --no-build bench/main.exe -- \
+  --forms --approx --xmark --index --table1 --quick > "$TMP/paper.txt"
+if grep '^!! approaches disagree' "$TMP/paper.txt" >&2; then exit 1; fi
+echo "-- bench/main.exe: forms, approx, xmark, index, table1 ran"
+
 # The regression gate itself is gated: its self-test, then a diff of a
 # report against itself (which must never regress).
 echo "== bench_diff"
