@@ -12,6 +12,9 @@
    with repeated --bind NAME=VALUE options. *)
 
 open Cmdliner
+module J = Sobs.Json
+module Conn = Sserver.Conn
+module Protocol = Sserver.Protocol
 
 let env_of_bindings bindings name =
   List.assoc_opt name bindings
@@ -23,41 +26,20 @@ let parse_query text =
   | Ok q -> q
   | Error e -> raise (Secview.Error.E e)
 
-(* ---- common options ------------------------------------------------ *)
+(* Total probes for rendering a server's reply: a missing field reads
+   as zero, so a dashboard never tears down mid-refresh. *)
+let jint j name =
+  Option.value ~default:0 (Option.bind (J.member name j) J.to_int_opt)
 
-let dtd_arg =
-  let doc = "Document DTD file (<!ELEMENT ...> declarations)." in
-  Arg.(required & opt (some file) None & info [ "dtd" ] ~docv:"FILE" ~doc)
+let jfloat j name =
+  Option.value ~default:0. (Option.bind (J.member name j) J.to_float_opt)
 
-let spec_arg =
-  let doc = "Access-specification file (see secview --help)." in
-  Arg.(required & opt (some file) None & info [ "spec" ] ~docv:"FILE" ~doc)
+let jstring j name = Option.bind (J.member name j) J.to_string_opt
 
-let doc_arg =
-  let doc = "XML document file." in
-  Arg.(required & opt (some file) None & info [ "doc" ] ~docv:"FILE" ~doc)
+(* ---- flags --------------------------------------------------------- *)
 
-let query_arg =
-  let doc = "XPath query (fragment C)." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
-
-let bind_arg =
-  let doc = "Bind a \\$variable used in qualifiers, e.g. --bind wardNo=6." in
-  let parse s =
-    match String.index_opt s '=' with
-    | Some i ->
-      Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-    | None -> Error (`Msg "expected NAME=VALUE")
-  in
-  let print ppf (k, v) = Format.fprintf ppf "%s=%s" k v in
-  Arg.(
-    value
-    & opt_all (conv (parse, print)) []
-    & info [ "bind"; "b" ] ~docv:"NAME=VALUE" ~doc)
-
-let root_arg =
-  let doc = "Root element type (default: first declared)." in
-  Arg.(value & opt (some string) None & info [ "root" ] ~docv:"NAME" ~doc)
+(* Every flag meaning is declared once here; each verb's term picks the
+   flags, and the flag groups below, that it takes. *)
 
 let pair_conv ~what =
   let parse s =
@@ -68,6 +50,25 @@ let pair_conv ~what =
   in
   let print ppf (k, v) = Format.fprintf ppf "%s=%s" k v in
   Arg.conv (parse, print)
+
+let dtd_flag =
+  let doc =
+    "Document DTD file (<!ELEMENT ...> declarations); verbs that can also \
+     talk to a running server need it in local mode only."
+  in
+  Arg.(opt (some file) None & info [ "dtd" ] ~docv:"FILE" ~doc)
+
+let root_arg =
+  let doc = "Root element type (default: first declared)." in
+  Arg.(value & opt (some string) None & info [ "root" ] ~docv:"NAME" ~doc)
+
+let spec_flag =
+  let doc =
+    "Access-specification file (see secview --help).  Where --group is \
+     accepted it is shorthand for --group user=FILE; verbs that can also \
+     talk to a running server need it in local mode only."
+  in
+  Arg.(opt (some file) None & info [ "spec" ] ~docv:"FILE" ~doc)
 
 let group_specs_arg =
   let doc =
@@ -80,6 +81,186 @@ let group_specs_arg =
     & opt_all (pair_conv ~what:"NAME=SPECFILE") []
     & info [ "group" ] ~docv:"NAME=SPECFILE" ~doc)
 
+let view_arg =
+  let doc =
+    "Load a stored view definition (from 'derive --save') instead of \
+     deriving from --spec."
+  in
+  Arg.(value & opt (some file) None & info [ "view" ] ~docv:"FILE" ~doc)
+
+let doc_flag =
+  let doc = "XML document file (local mode, for verbs that can also talk \
+             to a running server)." in
+  Arg.(opt (some file) None & info [ "doc" ] ~docv:"FILE" ~doc)
+
+let docs_arg =
+  let doc =
+    "Add document $(i,FILE) to the catalog as $(i,NAME) (repeatable).  \
+     serve parses it lazily on first query unless --preload; replay \
+     (local mode) also serves records that name no document from a \
+     single --doc."
+  in
+  Arg.(
+    value
+    & opt_all (pair_conv ~what:"NAME=FILE") []
+    & info [ "doc" ] ~docv:"NAME=FILE" ~doc)
+
+let bind_arg =
+  let doc = "Bind a \\$variable used in qualifiers, e.g. --bind wardNo=6." in
+  Arg.(
+    value
+    & opt_all (pair_conv ~what:"NAME=VALUE") []
+    & info [ "bind"; "b" ] ~docv:"NAME=VALUE" ~doc)
+
+let engine_arg =
+  let doc =
+    "Execution engine for translated queries: $(b,plan) compiles them to \
+     physical plans over the preorder index (falling back to the \
+     interpreter outside the plan fragment, see lint SV301), $(b,interp) \
+     always runs the set-at-a-time interpreter.  Answers are identical."
+  in
+  Arg.(
+    value
+    & opt
+        (enum
+           [ ("interp", Secview.Pipeline.Interp);
+             ("plan", Secview.Pipeline.Plan) ])
+        Secview.Pipeline.Plan
+    & info [ "engine" ] ~docv:"NAME" ~doc)
+
+let query_arg =
+  let doc = "XPath query (fragment C)." in
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
+
+let queries_arg =
+  let doc = "View queries (fragment C), answered or analyzed in order." in
+  Arg.(value & pos_all string [] & info [] ~docv:"QUERY" ~doc)
+
+let group_pos_arg =
+  let doc = "User group whose security view answers the query or takes \
+             the write." in
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"GROUP" ~doc)
+
+(* A machine-readable rendering of the verb's output; [doc] says which. *)
+let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+(* Also write the verb's product to a file; [doc] says which. *)
+let out_arg doc =
+  Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
+
+(* Report statistics after the run; [doc] says whose. *)
+let stats_arg doc = Arg.(value & flag & info [ "stats" ] ~doc)
+
+let machine_arg =
+  Arg.(
+    value & flag
+    & info [ "machine" ]
+        ~doc:
+          "One tab-separated record per diagnostic \
+           (CODE, SEVERITY, SUBJECT, MESSAGE) instead of prose.")
+
+let strict_arg =
+  Arg.(
+    value & flag
+    & info [ "strict" ]
+        ~doc:
+          "Refuse to run when any group's policy or derived view has lint \
+           errors (query: optimize approach only).")
+
+let index_arg =
+  Arg.(
+    value & flag
+    & info [ "index" ]
+        ~doc:
+          "Evaluate over a tag index of the document (the descendant fast \
+           path); a client asks the server to.")
+
+let wait_arg =
+  Arg.(
+    value & opt float 0.
+    & info [ "wait" ] ~docv:"SECS"
+        ~doc:
+          "Retry the connection for up to $(docv) seconds (for scripts \
+           that just started the server).")
+
+let iterations_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "iterations" ] ~docv:"N"
+        ~doc:
+          "Stop after $(docv) refreshes (0 = until killed; Ctrl-C exits \
+           cleanly either way).")
+
+let audit_log_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "audit-log" ] ~docv:"FILE"
+        ~doc:
+          "Append JSONL audit records to $(docv) ('-' for stderr): one \
+           request record per query or update, in the same schema as the \
+           server's, or lint/analyze's diagnostics.")
+
+let capture_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "capture" ] ~docv:"FILE"
+        ~doc:
+          "Write one replayable JSONL record per answered query or admitted \
+           update (rid, group, request, engine, answer digest, latency) to \
+           $(docv) — feed it to $(b,secview replay); query: optimize \
+           approach only.")
+
+let slow_ms_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "slow-ms" ] ~docv:"MS"
+        ~doc:
+          "Write a slow_query audit record (translated query, per-stage \
+           timings, plan operator counts) for every query slower than \
+           $(docv) milliseconds (served: queue wait included) to the audit \
+           log.  Without --audit-log, query writes these records to stderr \
+           and serve audits every request there.")
+
+let runtime_events_arg =
+  Arg.(
+    value & flag
+    & info [ "runtime-events" ]
+        ~doc:
+          "Consume OCaml runtime events: GC pauses overlapping a query's \
+           span window are stamped into its slow_query record (needs \
+           --slow-ms) and flight-recorder entry, query's --trace-out gains \
+           per-domain gc:minor / gc:major_slice tracks, and serve's \
+           scrapes and stats verb gain per-domain pause histograms, \
+           collection counters and live-domain gauges.  Off by default (a \
+           disabled consumer costs nothing).")
+
+let socket_arg =
+  let doc = "Listen on (or connect to) a Unix-domain socket at $(docv)." in
+  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
+
+let tcp_arg =
+  let doc = "Listen on (or connect to) TCP port $(docv)." in
+  Arg.(value & opt (some int) None & info [ "tcp" ] ~docv:"PORT" ~doc)
+
+let host_arg =
+  let doc = "Host for --tcp (default: loopback)." in
+  Arg.(value & opt string "" & info [ "host" ] ~docv:"HOST" ~doc)
+
+(* ---- flag groups --------------------------------------------------- *)
+
+(* The policy: the document DTD and the groups' specifications. *)
+let load_dtd root path = Sdtd.Parse.of_file ?root path
+
+let dtd_t = Term.(const load_dtd $ root_arg $ Arg.required dtd_flag)
+
+let spec_t =
+  Term.(
+    const (fun dtd path -> (dtd, Secview.Spec.of_sidecar_file dtd path))
+    $ dtd_t $ Arg.required spec_flag)
+
 (* groups from --spec (shorthand for user=FILE) plus repeated --group *)
 let named_groups ~cmd dtd spec_path group_specs =
   let named =
@@ -90,18 +271,124 @@ let named_groups ~cmd dtd spec_path group_specs =
     failwith (cmd ^ ": provide --spec FILE and/or --group NAME=SPECFILE");
   List.map (fun (g, p) -> (g, Secview.Spec.of_sidecar_file dtd p)) named
 
-let load_dtd root path = Sdtd.Parse.of_file ?root path
+let groups_t ~cmd =
+  Term.(
+    const (fun dtd spec groups -> (dtd, named_groups ~cmd dtd spec groups))
+    $ dtd_t $ Arg.value spec_flag $ group_specs_arg)
 
-let setup dtd_path root spec_path =
-  let dtd = load_dtd root dtd_path in
-  let spec = Secview.Spec.of_sidecar_file dtd spec_path in
-  (dtd, spec, Secview.Derive.derive spec)
+(* A verb that can also talk to a running server takes its policy flags
+   in local mode only. *)
+let need ~cmd ~unless what = function
+  | Some v -> v
+  | None ->
+    failwith
+      (Printf.sprintf "%s: --%s is required unless %s is given" cmd what
+         unless)
+
+(* The sinks: where request records go.  Opened when the verb starts;
+   the server owns them from [Server.create] on, a one-shot verb closes
+   them with [close_sinks]. *)
+type sinks = {
+  audit : Sobs.Audit_log.t option;
+  capture : Sobs.Capture.t option;
+  slow_ms : float option;
+  runtime : Sobs.Runtime.t option;
+}
+
+(* An audit-log path of "-" means stderr, so audit records, lint
+   diagnostics and trace output can be collected from one stream. *)
+let open_sinks audit_log capture slow_ms runtime_events =
+  {
+    audit =
+      Option.map
+        (function
+          | "-" -> Sobs.Audit_log.create Sobs.Audit_log.Stderr
+          | path -> Sobs.Audit_log.open_file path)
+        audit_log;
+    capture = Option.map Sobs.Capture.open_file capture;
+    slow_ms;
+    runtime = (if runtime_events then Some (Sobs.Runtime.start ()) else None);
+  }
+
+let sinks_t =
+  Term.(
+    const open_sinks $ audit_log_arg $ capture_arg $ slow_ms_arg
+    $ runtime_events_arg)
+
+let close_sinks s =
+  Option.iter Sobs.Audit_log.close s.audit;
+  Option.iter Sobs.Capture.close s.capture;
+  Option.iter Sobs.Runtime.stop s.runtime
+
+(* One request record into the sinks, projected as the server projects
+   a served one.  [mk] builds it only when some sink is on.  Slow-query
+   records ride the audit log when there is one and a private stderr
+   stream otherwise — --slow-ms alone should not force full request
+   auditing on. *)
+let publish s mk =
+  if s.audit <> None || s.capture <> None || s.slow_ms <> None then begin
+    let r : Sobs.Request.t = mk () in
+    (match s.slow_ms with
+    | Some threshold_ms when r.latency_ms > threshold_ms ->
+      let log =
+        match s.audit with
+        | Some a -> a
+        | None -> Sobs.Audit_log.create Sobs.Audit_log.Stderr
+      in
+      Sobs.Audit_log.log_slow_query log ~threshold_ms r
+    | _ -> ());
+    Option.iter (fun a -> Sobs.Audit_log.log a r) s.audit;
+    Option.iter
+      (fun c -> Option.iter (Sobs.Capture.write c) (Sobs.Capture.of_request r))
+      s.capture
+  end
+
+(* lint and analyze: the diagnostics as JSONL audit records *)
+let log_diagnostics audit_log ds =
+  let s = open_sinks audit_log None None false in
+  Option.iter
+    (fun alog ->
+      List.iter
+        (fun (d : Sanalysis.Diagnostic.t) ->
+          Sobs.Audit_log.log_diagnostic alog ~code:d.code
+            ~severity:(Sanalysis.Diagnostic.severity_label d.severity)
+            ~subject:(Sanalysis.Diagnostic.subject_label d.subject)
+            d.message)
+        (Sanalysis.Diagnostic.by_severity ds))
+    s.audit;
+  close_sinks s
+
+(* The remote flags: the server a client verb talks to, or the
+   listeners serve opens. *)
+type remote = {
+  socket : string option;
+  tcp : int option;
+  host : string;
+}
+
+let remote_t =
+  Term.(
+    const (fun socket tcp host -> { socket; tcp; host })
+    $ socket_arg $ tcp_arg $ host_arg)
+
+let remote_given r = r.socket <> None || r.tcp <> None
+let server_address r = Conn.address ~socket:r.socket ~tcp:r.tcp ~host:r.host
+
+(* One request over one connection; a refused request is a failure of
+   the verb. *)
+let remote_call ~cmd ?wait addr request =
+  let line, reply =
+    Conn.with_connection ?wait addr (fun c -> Conn.call c request)
+  in
+  if not (Protocol.is_ok reply) then
+    failwith (Printf.sprintf "%s: request failed: %s" cmd line);
+  (line, reply)
 
 (* ---- commands ------------------------------------------------------ *)
 
 let derive_cmd =
-  let run dtd_path root spec_path show_sigma save =
-    let _, _, view = setup dtd_path root spec_path in
+  let run (_, spec) show_sigma save =
+    let view = Secview.Derive.derive spec in
     (match save with
     | Some path ->
       Secview.View.save_definition view path;
@@ -127,11 +414,10 @@ let derive_cmd =
   in
   Cmd.v
     (Cmd.info "derive" ~doc:"Derive a security view from a specification")
-    Term.(const run $ dtd_arg $ root_arg $ spec_arg $ sigma_arg $ save_arg)
+    Term.(const run $ spec_t $ sigma_arg $ save_arg)
 
 let graph_cmd =
-  let run dtd_path root spec_path =
-    let dtd = load_dtd root dtd_path in
+  let run dtd spec_path =
     match spec_path with
     | None -> print_string (Sdtd.Graph.to_dot dtd)
     | Some path ->
@@ -148,24 +434,15 @@ let graph_cmd =
            ~highlight:(Sdtd.Graph.spec_style ~annotation)
            dtd)
   in
-  let spec_opt =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "spec" ] ~docv:"FILE"
-          ~doc:
-            "Render the specification in Fig. 4's style: bold = accessible, \
-             dotted = denied.")
-  in
   Cmd.v
     (Cmd.info "graph"
-       ~doc:"Render the DTD graph (optionally with a policy) as Graphviz")
-    Term.(const run $ dtd_arg $ root_arg $ spec_opt)
+       ~doc:
+         "Render the DTD graph as Graphviz; with --spec, in Fig. 4's style \
+          (bold = accessible, dotted = denied)")
+    Term.(const run $ dtd_t $ Arg.value spec_flag)
 
 let audit_cmd =
-  let run dtd_path root spec_path diff_path =
-    let dtd = load_dtd root dtd_path in
-    let spec = Secview.Spec.of_sidecar_file dtd spec_path in
+  let run (dtd, spec) diff_path =
     match diff_path with
     | None -> Format.printf "%a" Secview.Audit.report spec
     | Some other ->
@@ -191,11 +468,11 @@ let audit_cmd =
   Cmd.v
     (Cmd.info "audit"
        ~doc:"Analyse what a policy exposes; flag dead annotations")
-    Term.(const run $ dtd_arg $ root_arg $ spec_arg $ diff_arg)
+    Term.(const run $ spec_t $ diff_arg)
 
 let materialize_cmd =
-  let run dtd_path root spec_path doc_path bindings =
-    let dtd, spec, view = setup dtd_path root spec_path in
+  let run (dtd, spec) doc_path bindings =
+    let view = Secview.Derive.derive spec in
     let doc = Sxml.Parse.of_file doc_path in
     (match Sdtd.Validate.check dtd doc with
     | [] -> ()
@@ -213,31 +490,18 @@ let materialize_cmd =
        ~doc:
          "Materialize the view of a document (for inspection; the query \
           pipeline never does this)")
-    Term.(const run $ dtd_arg $ root_arg $ spec_arg $ doc_arg $ bind_arg)
+    Term.(const run $ spec_t $ Arg.required doc_flag $ bind_arg)
 
-let view_arg =
-  let doc =
-    "Load a stored view definition (from 'derive --save') instead of \
-     deriving from --spec."
-  in
-  Arg.(value & opt (some file) None & info [ "view" ] ~docv:"FILE" ~doc)
-
-let spec_opt_arg =
-  let doc = "Access-specification file (or use --view)." in
-  Arg.(value & opt (some file) None & info [ "spec" ] ~docv:"FILE" ~doc)
-
-let view_of ~dtd_path ~root ~spec_path ~view_path =
-  let dtd = load_dtd root dtd_path in
+let view_of dtd ~spec_path ~view_path =
   match (view_path, spec_path) with
-  | Some path, _ -> (dtd, Secview.View.of_definition_file path)
+  | Some path, _ -> Secview.View.of_definition_file path
   | None, Some spec_path ->
-    let spec = Secview.Spec.of_sidecar_file dtd spec_path in
-    (dtd, Secview.Derive.derive spec)
+    Secview.Derive.derive (Secview.Spec.of_sidecar_file dtd spec_path)
   | None, None -> failwith "either --spec or --view is required"
 
 let rewrite_cmd =
-  let run dtd_path root spec_path view_path query height optimize =
-    let dtd, view = view_of ~dtd_path ~root ~spec_path ~view_path in
+  let run dtd spec_path view_path query height optimize =
+    let view = view_of dtd ~spec_path ~view_path in
     let q = parse_query query in
     let pt =
       match height with
@@ -267,60 +531,28 @@ let rewrite_cmd =
     (Cmd.info "rewrite"
        ~doc:"Rewrite a view query to an equivalent document query")
     Term.(
-      const run $ dtd_arg $ root_arg $ spec_opt_arg $ view_arg $ query_arg
+      const run $ dtd_t $ Arg.value spec_flag $ view_arg $ query_arg
       $ height_arg $ optimize_arg)
 
-(* An audit-log path of "-" means stderr, so audit records, lint
-   diagnostics and trace output can be collected from one stream. *)
-let open_audit_log = function
-  | "-" -> Sobs.Audit_log.create Sobs.Audit_log.Stderr
-  | path -> Sobs.Audit_log.open_file path
-
-let engine_arg =
-  let doc =
-    "Execution engine for translated queries: $(b,plan) compiles them to \
-     physical plans over the preorder index (falling back to the \
-     interpreter outside the plan fragment, see lint SV301), $(b,interp) \
-     always runs the set-at-a-time interpreter.  Answers are identical."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("interp", Secview.Pipeline.Interp);
-             ("plan", Secview.Pipeline.Plan) ])
-        Secview.Pipeline.Plan
-    & info [ "engine" ] ~docv:"NAME" ~doc)
-
 let query_cmd =
-  let run dtd_path root spec_path doc_path queries bindings approach engine
-      indexed stats strict timeout trace trace_out metrics slow_ms audit_log
-      capture runtime_events =
+  let run (dtd, spec) doc_path queries bindings approach engine indexed stats
+      strict timeout trace trace_out metrics sinks =
     if queries = [] then failwith "query: at least one QUERY is required";
-    let observing = trace || metrics || trace_out <> None || slow_ms <> None in
+    let observing =
+      trace || metrics || trace_out <> None || sinks.slow_ms <> None
+    in
     let registry = Sobs.Metrics.create () in
     let tracer = Sobs.Tracer.create ~metrics:registry () in
     if observing then Sobs.Tracer.install tracer;
-    let runtime =
-      if runtime_events then Some (Sobs.Runtime.start ()) else None
-    in
-    let alog = Option.map open_audit_log audit_log in
-    (* slow-query records ride the audit log when there is one and a
-       private stderr stream otherwise — --slow-ms alone should not
-       force full request auditing on *)
-    let slow_log =
-      match alog with
-      | Some a -> a
-      | None -> Sobs.Audit_log.create Sobs.Audit_log.Stderr
-    in
-    let dtd, spec, view = setup dtd_path root spec_path in
+    let view = Secview.Derive.derive spec in
     let doc = Sxml.Parse.of_file doc_path in
     let env = env_of_bindings bindings in
     let qs = List.map parse_query queries in
     let index = if indexed then Some (Sxml.Index.build doc) else None in
+    let render = List.map (fun n -> Sxml.Print.to_string n) in
     (* the server's per-request deadline machinery, applied to the
-       whole evaluation; exit 3 on expiry (after flushing the audit
-       log, so the trail records what was asked before the cutoff) *)
+       whole evaluation; exit 3 on expiry (after flushing the sinks, so
+       the trail records what was asked before the cutoff) *)
     let guarded compute =
       match timeout with
       | None -> compute ()
@@ -328,7 +560,7 @@ let query_cmd =
         match Sserver.Deadline.run ~seconds compute with
         | Ok r -> r
         | Error `Timeout ->
-          Option.iter Sobs.Audit_log.close alog;
+          close_sinks sinks;
           Printf.eprintf "secview: query timed out after %gs\n" seconds;
           exit 3)
     in
@@ -343,7 +575,7 @@ let query_cmd =
         let ctx = Sxpath.Eval.Ctx.make ~env ?index ~root:prepared () in
         List.concat_map
           (fun q ->
-            Sxpath.Eval.run ctx (Secview.Naive.rewrite_query ~view q))
+            render (Sxpath.Eval.run ctx (Secview.Naive.rewrite_query ~view q)))
           qs
       | `Rewrite ->
         let height = Secview.Catalog.element_height doc in
@@ -351,7 +583,7 @@ let query_cmd =
         List.concat_map
           (fun q ->
             let pt = Secview.Rewrite.rewrite_with_height view ~height q in
-            Sxpath.Eval.run ctx pt)
+            render (Sxpath.Eval.run ctx pt))
           qs
       | `Optimize ->
         (* the full Fig. 3 loop: rewrite + optimize through the
@@ -363,105 +595,69 @@ let query_cmd =
                  ~groups:[ ("user", spec) ])
           with Invalid_argument msg as e ->
             Option.iter
-              (fun a ->
-                Sobs.Audit_log.log_note a ~kind:"strict_gate" msg;
-                Sobs.Audit_log.close a)
-              alog;
+              (fun a -> Sobs.Audit_log.log_note a ~kind:"strict_gate" msg)
+              sinks.audit;
+            close_sinks sinks;
             raise e
         in
-        let cap = Option.map Sobs.Capture.open_file capture in
         (* each query is one correlated request: a stable rid (q1, q2,
            …) ties the reply and its audit, slow-query and capture
            records together, and — when spans are needed — the query
            runs inside a "request" root span so its stages form one
            hierarchy (Tracer.with_request) *)
-        let nq = ref 0 in
         let answers =
-          List.concat_map
-            (fun (qtext, q) ->
-              incr nq;
-              let rid = Printf.sprintf "q%d" !nq in
-              let t0 = Sserver.Deadline.now () in
-              let answer () =
-                Secview.Pipeline.Session.answer_outcome pipe ~group:"user"
-                  ~engine ~counts:(slow_ms <> None) ~env ?index q doc
-              in
-              let outcome, spans =
-                if slow_ms <> None then Sobs.Tracer.with_request tracer answer
-                else (answer (), [])
-              in
-              let latency_ms = 1000. *. (Sserver.Deadline.now () -. t0) in
-              (* the same request record, and the same projections, as
-                 a served query — failed queries included *)
-              if alog <> None || slow_ms <> None || cap <> None then begin
-                let r =
-                  {
-                    (Sobs.Request.make ~verb:"query" ~group:"user" qtext) with
-                    rid = Some rid;
-                    bind = bindings;
-                    index = indexed;
-                    engine = Secview.Pipeline.engine_label engine;
-                    latency_ms;
-                    gc = Sobs.Request.gc_overlap runtime spans;
-                    spans;
-                  }
-                in
-                let r =
-                  match outcome with
-                  | Ok o ->
-                    let rendered =
-                      List.map
-                        (fun n -> Sxml.Print.to_string n)
-                        o.Secview.Pipeline.o_results
-                    in
-                    {
-                      r with
-                      results = List.length rendered;
-                      digest = Some (Sobs.Capture.digest rendered);
-                      counts = o.Secview.Pipeline.o_counts;
-                      translated =
-                        Some
-                          (Sxpath.Print.to_string
-                             o.Secview.Pipeline.o_translated);
-                    }
-                  | Error e ->
-                    {
-                      r with
-                      status = "error";
-                      error = Some (Secview.Error.to_string e);
-                    }
-                in
-                (match slow_ms with
-                | Some threshold_ms when latency_ms > threshold_ms ->
-                  Sobs.Audit_log.log_slow_query slow_log ~threshold_ms r
-                | _ -> ());
-                Option.iter (fun a -> Sobs.Audit_log.log_request a r) alog;
-                Option.iter
-                  (fun c ->
-                    Option.iter (Sobs.Capture.write c)
-                      (Sobs.Capture.of_request r))
-                  cap
-              end;
-              match outcome with
-              | Error e -> raise (Secview.Error.E e)
-              | Ok o -> o.Secview.Pipeline.o_results)
-            (List.combine queries qs)
+          List.concat
+            (List.mapi
+               (fun i (qtext, q) ->
+                 let t0 = Sserver.Deadline.now () in
+                 let answer () =
+                   Secview.Pipeline.Session.answer_outcome pipe ~group:"user"
+                     ~engine ~counts:(sinks.slow_ms <> None) ~env ?index q doc
+                 in
+                 let outcome, spans =
+                   if sinks.slow_ms <> None then
+                     Sobs.Tracer.with_request tracer answer
+                   else (answer (), [])
+                 in
+                 let latency_ms = 1000. *. (Sserver.Deadline.now () -. t0) in
+                 let outcome =
+                   Result.map
+                     (fun (o : Secview.Pipeline.outcome) ->
+                       (render o.o_results, o))
+                     outcome
+                 in
+                 (* the same request record, and the same projections,
+                    as a served query — failed queries included *)
+                 publish sinks (fun () ->
+                     Sserver.Record.query outcome
+                       {
+                         (Sobs.Request.make ~verb:"query" ~group:"user" qtext)
+                         with
+                         rid = Some (Printf.sprintf "q%d" (i + 1));
+                         bind = bindings;
+                         index = indexed;
+                         engine = Secview.Pipeline.engine_label engine;
+                         latency_ms;
+                         gc = Sobs.Request.gc_overlap sinks.runtime spans;
+                         spans;
+                       });
+                 match outcome with
+                 | Error e -> raise (Secview.Error.E e)
+                 | Ok (rendered, _) -> rendered)
+               (List.combine queries qs))
         in
-        Option.iter Sobs.Capture.close cap;
         if stats then
           List.iter
             (fun (g, (s : Secview.Pipeline.stats)) ->
               Printf.eprintf
                 "cache[%s]: translation %d hit(s) %d miss(es); plans %d \
                  hit(s) %d miss(es), %d compiled, %d fallback(s)\n"
-                g s.Secview.Pipeline.hits s.Secview.Pipeline.misses
-                s.Secview.Pipeline.plan_hits s.Secview.Pipeline.plan_misses
-                s.Secview.Pipeline.plan_compiles
-                s.Secview.Pipeline.plan_fallbacks)
+                g s.hits s.misses s.plan_hits s.plan_misses s.plan_compiles
+                s.plan_fallbacks)
             (Secview.Pipeline.Session.all_stats pipe);
         answers
     in
-    List.iter (fun n -> print_endline (Sxml.Print.to_string n)) results;
+    List.iter print_endline results;
     if trace then Format.eprintf "%a%!" Sobs.Tracer.pp tracer;
     if metrics then Format.eprintf "%a%!" Sobs.Metrics.pp registry;
     Option.iter
@@ -469,14 +665,13 @@ let query_cmd =
         (* GC pause windows become per-domain tracks alongside the
            request spans *)
         let gc =
-          match runtime with
+          match sinks.runtime with
           | None -> []
           | Some rt -> Sobs.Runtime.pauses rt
         in
         Sobs.Export.write_chrome_trace ~gc path (Sobs.Tracer.spans tracer))
       trace_out;
-    Option.iter Sobs.Runtime.stop runtime;
-    Option.iter Sobs.Audit_log.close alog;
+    close_sinks sinks;
     if observing then Sobs.Tracer.uninstall ()
   in
   let approach_arg =
@@ -488,28 +683,6 @@ let query_cmd =
                   ("optimize", `Optimize) ])
           `Optimize
       & info [ "approach" ] ~docv:"NAME" ~doc)
-  in
-  let index_arg =
-    Arg.(
-      value & flag
-      & info [ "index" ]
-          ~doc:"Build a tag index and use the descendant fast path.")
-  in
-  let stats_arg =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:
-            "Report the pipeline's translation- and plan-cache statistics \
-             on stderr (optimize approach only).")
-  in
-  let strict_arg =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:
-            "Refuse to run when the policy or its derived view has lint \
-             errors (optimize approach only).")
   in
   let timeout_arg =
     Arg.(
@@ -546,63 +719,19 @@ let query_cmd =
             "Write the recorded spans as Chrome trace_event JSON to $(docv) \
              — load it in chrome://tracing or Perfetto.")
   in
-  let slow_ms_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slow-ms" ] ~docv:"MS"
-          ~doc:
-            "Emit a JSONL slow_query record (translated query, stage \
-             timings, plan operator counts) for every query slower than \
-             $(docv) milliseconds, to --audit-log's stream or stderr; \
-             optimize approach only.")
-  in
-  let audit_log_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "audit-log" ] ~docv:"FILE"
-          ~doc:
-            "Append one JSONL request record per query to $(docv) ('-' for \
-             stderr); optimize approach only.")
-  in
-  let queries_arg =
-    let doc = "View queries to answer, in order." in
-    Arg.(value & pos_all string [] & info [] ~docv:"QUERY" ~doc)
-  in
-  let capture_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "capture" ] ~docv:"FILE"
-          ~doc:
-            "Write one replayable JSONL record per query (rid, group, query, \
-             engine, answer digest, latency) to $(docv) — feed it to \
-             $(b,secview replay); optimize approach only.")
-  in
-  let runtime_events_arg =
-    Arg.(
-      value & flag
-      & info [ "runtime-events" ]
-          ~doc:
-            "Consume OCaml runtime events for this run: slow_query records \
-             gain gc_pause_ms/gc_pauses (GC pauses overlapping the query's \
-             span window, needs --slow-ms) and --trace-out gains per-domain \
-             gc:minor / gc:major_slice tracks.")
-  in
   Cmd.v
     (Cmd.info "query" ~doc:"Securely evaluate view queries on a document")
     Term.(
-      const run $ dtd_arg $ root_arg $ spec_arg $ doc_arg $ queries_arg
-      $ bind_arg $ approach_arg $ engine_arg $ index_arg $ stats_arg
+      const run $ spec_t $ Arg.required doc_flag $ queries_arg $ bind_arg
+      $ approach_arg $ engine_arg $ index_arg
+      $ stats_arg
+          "Report the pipeline's translation- and plan-cache statistics on \
+           stderr (optimize approach only)."
       $ strict_arg $ timeout_arg $ trace_arg $ trace_out_arg $ metrics_arg
-      $ slow_ms_arg $ audit_log_arg $ capture_arg $ runtime_events_arg)
+      $ sinks_t)
 
 let explain_cmd =
-  let run dtd_path root spec_path group_specs doc_path bindings json group
-      query =
-    let dtd = load_dtd root dtd_path in
-    let groups = named_groups ~cmd:"explain" dtd spec_path group_specs in
+  let run (dtd, groups) doc_path bindings json group query =
     let pipe =
       Secview.Pipeline.Session.create (Secview.Pipeline.Service.create dtd ~groups)
     in
@@ -611,91 +740,33 @@ let explain_cmd =
     let q = parse_query query in
     match Secview.Pipeline.Session.explain pipe ~group ~env q doc with
     | Error e -> raise (Secview.Error.E e)
-    | Ok x ->
-      let engine_name =
-        if x.Secview.Pipeline.x_plan <> None then "plan" else "interp"
-      in
-      let translated =
-        Sxpath.Print.to_string x.Secview.Pipeline.x_translated
-      in
-      let admission_name =
-        Secview.Pipeline.admission_label x.Secview.Pipeline.x_admission
-      in
-      if json then
-        let j =
-          Sobs.Json.Obj
-            [
-              ("query", Sobs.Json.String query);
-              ("admission", Sobs.Json.String admission_name);
-              ( "witness",
-                match x.Secview.Pipeline.x_admission with
-                | Secview.Pipeline.Denied_empty w -> Sobs.Json.String w
-                | _ -> Sobs.Json.Null );
-              ("translated", Sobs.Json.String translated);
-              ("engine", Sobs.Json.String engine_name);
-              ( "height",
-                match x.Secview.Pipeline.x_height with
-                | Some h -> Sobs.Json.Int h
-                | None -> Sobs.Json.Null );
-              ( "fallback",
-                match x.Secview.Pipeline.x_fallback with
-                | Some r -> Sobs.Json.String r
-                | None -> Sobs.Json.Null );
-              ("results", Sobs.Json.Int x.Secview.Pipeline.x_results);
-              ( "doc_version",
-                Sobs.Json.Int x.Secview.Pipeline.x_doc_version );
-              ( "generation",
-                Sobs.Json.Int x.Secview.Pipeline.x_generation );
-              ( "plan",
-                match x.Secview.Pipeline.x_plan with
-                | Some (compiled, stats) ->
-                  Sserver.Protocol.explain_json
-                    (Splan.Explain.of_compiled compiled stats)
-                | None -> Sobs.Json.Null );
-            ]
-        in
-        print_endline (Sobs.Json.to_string j)
-      else begin
-        Printf.printf "query:      %s\n" query;
-        (match x.Secview.Pipeline.x_admission with
-        | Secview.Pipeline.Denied_empty w ->
-          Printf.printf "admission:  denied — %s\n" w
-        | _ -> Printf.printf "admission:  %s\n" admission_name);
-        Printf.printf "translated: %s\n" translated;
-        (match x.Secview.Pipeline.x_height with
-        | Some h -> Printf.printf "height:     %d\n" h
-        | None -> ());
-        Printf.printf "engine:     %s\n" engine_name;
-        (match x.Secview.Pipeline.x_fallback with
-        | Some r -> Printf.printf "fallback:   %s\n" r
-        | None -> ());
-        Printf.printf "results:    %d\n" x.Secview.Pipeline.x_results;
-        Printf.printf "doc version: %d  (writes admitted %d)\n"
-          x.Secview.Pipeline.x_doc_version x.Secview.Pipeline.x_generation;
-        match x.Secview.Pipeline.x_plan with
-        | Some (compiled, stats) ->
-          print_newline ();
-          Format.printf "%a%!" Splan.Explain.pp
-            (Splan.Explain.of_compiled compiled stats)
-        | None -> ()
-      end
-  in
-  let group_pos_arg =
-    let doc = "User group whose security view answers the query." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"GROUP" ~doc)
+    | Ok x when json ->
+      print_endline (J.to_string (J.Obj (Protocol.explain_fields query x)))
+    | Ok x -> (
+      Printf.printf "query:      %s\n" query;
+      (match x.x_admission with
+      | Secview.Pipeline.Denied_empty w ->
+        Printf.printf "admission:  denied — %s\n" w
+      | a ->
+        Printf.printf "admission:  %s\n" (Secview.Pipeline.admission_label a));
+      Printf.printf "translated: %s\n" (Sxpath.Print.to_string x.x_translated);
+      Option.iter (Printf.printf "height:     %d\n") x.x_height;
+      Printf.printf "engine:     %s\n"
+        (if x.x_plan <> None then "plan" else "interp");
+      Option.iter (Printf.printf "fallback:   %s\n") x.x_fallback;
+      Printf.printf "results:    %d\n" x.x_results;
+      Printf.printf "doc version: %d  (writes admitted %d)\n" x.x_doc_version
+        x.x_generation;
+      match x.x_plan with
+      | Some (compiled, stats) ->
+        print_newline ();
+        Format.printf "%a%!" Splan.Explain.pp
+          (Splan.Explain.of_compiled compiled stats)
+      | None -> ())
   in
   let query_pos_arg =
     let doc = "View query (fragment C) to explain." in
     Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY" ~doc)
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Machine-readable output: one JSON object with the plan tree \
-             nested under \"plan\" (the server's explain reply, minus the \
-             envelope).")
   in
   Cmd.v
     (Cmd.info "explain"
@@ -704,28 +775,20 @@ let explain_cmd =
           with per-operator work counters (or the interpreter-fallback \
           reason)")
     Term.(
-      const run $ dtd_arg $ root_arg $ spec_opt_arg $ group_specs_arg
-      $ doc_arg $ bind_arg $ json_arg $ group_pos_arg $ query_pos_arg)
+      const run $ groups_t ~cmd:"explain" $ Arg.required doc_flag $ bind_arg
+      $ json_arg
+          "Machine-readable output: one JSON object with the plan tree \
+           nested under \"plan\" (the server's explain reply, minus the \
+           envelope)."
+      $ group_pos_arg $ query_pos_arg)
 
 let lint_cmd =
-  let run dtd_path root spec_path view_path machine audit_log queries =
-    let dtd = load_dtd root dtd_path in
+  let run dtd spec_path view_path machine audit_log queries =
     let spec = Option.map (Secview.Spec.of_sidecar_file dtd) spec_path in
     let view = Option.map Secview.View.of_definition_file view_path in
     let queries = List.map (fun q -> (q, parse_query q)) queries in
     let ds = Sanalysis.Lint.check_all ~dtd ?spec ?view ~queries () in
-    (match audit_log with
-    | None -> ()
-    | Some path ->
-      let alog = open_audit_log path in
-      List.iter
-        (fun (d : Sanalysis.Diagnostic.t) ->
-          Sobs.Audit_log.log_diagnostic alog ~code:d.code
-            ~severity:(Sanalysis.Diagnostic.severity_label d.severity)
-            ~subject:(Sanalysis.Diagnostic.subject_label d.subject)
-            d.message)
-        (Sanalysis.Diagnostic.by_severity ds);
-      Sobs.Audit_log.close alog);
+    log_diagnostics audit_log ds;
     if machine then
       List.iter
         (fun d -> print_endline (Sanalysis.Diagnostic.to_line d))
@@ -734,42 +797,17 @@ let lint_cmd =
     else Format.printf "%a" Sanalysis.Diagnostic.pp_report ds;
     exit (if Sanalysis.Diagnostic.has_errors ds then 1 else 0)
   in
-  let machine_arg =
-    Arg.(
-      value & flag
-      & info [ "machine" ]
-          ~doc:
-            "One tab-separated record per diagnostic \
-             (CODE, SEVERITY, SUBJECT, MESSAGE) instead of prose.")
-  in
-  let audit_log_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "audit-log" ] ~docv:"FILE"
-          ~doc:
-            "Also append the diagnostics as JSONL records to $(docv) ('-' \
-             for stderr) — the same stream format the query audit log \
-             uses.")
-  in
-  let queries_arg =
-    let doc = "View queries to lint against the view DTD." in
-    Arg.(value & pos_all string [] & info [] ~docv:"QUERY" ~doc)
-  in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
          "Statically analyse a policy, a stored view and/or view queries; \
           exit 1 on any error-severity diagnostic")
     Term.(
-      const run $ dtd_arg $ root_arg $ spec_opt_arg $ view_arg $ machine_arg
+      const run $ dtd_t $ Arg.value spec_flag $ view_arg $ machine_arg
       $ audit_log_arg $ queries_arg)
 
 let analyze_cmd =
-  let run dtd_path root spec_path group_specs fleet json machine audit_log
-      queries =
-    let dtd = load_dtd root dtd_path in
-    let named = named_groups ~cmd:"analyze" dtd spec_path group_specs in
+  let run (dtd, named) fleet json machine audit_log queries =
     let groups =
       List.map (fun (g, spec) -> (g, Secview.Derive.derive spec)) named
     in
@@ -806,78 +844,59 @@ let analyze_cmd =
             queries)
         groups
     in
-    (match audit_log with
-    | None -> ()
-    | Some path ->
-      let alog = open_audit_log path in
-      List.iter
-        (fun (d : Sanalysis.Diagnostic.t) ->
-          Sobs.Audit_log.log_diagnostic alog ~code:d.code
-            ~severity:(Sanalysis.Diagnostic.severity_label d.severity)
-            ~subject:(Sanalysis.Diagnostic.subject_label d.subject)
-            d.message)
-        (Sanalysis.Diagnostic.by_severity ds);
-      Sobs.Audit_log.close alog);
+    log_diagnostics audit_log ds;
     if json then begin
       let relation_json (c : Sanalysis.Semantic.comparison) =
-        Sobs.Json.Obj
+        J.Obj
           ([
-             ("left", Sobs.Json.String c.cmp_left);
-             ("right", Sobs.Json.String c.cmp_right);
+             ("left", J.String c.cmp_left);
+             ("right", J.String c.cmp_right);
              ( "relation",
-               Sobs.Json.String
-                 (Sanalysis.Semantic.relation_label c.cmp_relation) );
+               J.String (Sanalysis.Semantic.relation_label c.cmp_relation) );
              ( "overlap",
                match c.cmp_overlap with
-               | Some l -> Sobs.Json.String l
-               | None -> Sobs.Json.Null );
+               | Some l -> J.String l
+               | None -> J.Null );
            ]
           @
           match c.cmp_relation with
-          | Sanalysis.Semantic.Unknown why ->
-            [ ("note", Sobs.Json.String why) ]
+          | Sanalysis.Semantic.Unknown why -> [ ("note", J.String why) ]
           | _ -> [])
       in
       let diag_json (d : Sanalysis.Diagnostic.t) =
-        Sobs.Json.Obj
+        J.Obj
           [
-            ("code", Sobs.Json.String d.code);
+            ("code", J.String d.code);
             ( "severity",
-              Sobs.Json.String
-                (Sanalysis.Diagnostic.severity_label d.severity) );
+              J.String (Sanalysis.Diagnostic.severity_label d.severity) );
             ( "subject",
-              Sobs.Json.String (Sanalysis.Diagnostic.subject_label d.subject)
-            );
-            ("message", Sobs.Json.String d.message);
+              J.String (Sanalysis.Diagnostic.subject_label d.subject) );
+            ("message", J.String d.message);
           ]
       in
       let verdict_json (g, qt, v) =
-        Sobs.Json.Obj
+        J.Obj
           [
-            ("group", Sobs.Json.String g);
-            ("query", Sobs.Json.String qt);
-            ( "verdict",
-              Sobs.Json.String (Secview.Pipeline.admission_label v) );
+            ("group", J.String g);
+            ("query", J.String qt);
+            ("verdict", J.String (Secview.Pipeline.admission_label v));
             ( "witness",
               match v with
-              | Secview.Pipeline.Denied_empty w -> Sobs.Json.String w
-              | _ -> Sobs.Json.Null );
+              | Secview.Pipeline.Denied_empty w -> J.String w
+              | _ -> J.Null );
           ]
       in
       print_endline
-        (Sobs.Json.to_string
-           (Sobs.Json.Obj
+        (J.to_string
+           (J.Obj
               [
-                ( "groups",
-                  Sobs.Json.List
-                    (List.map (fun (g, _) -> Sobs.Json.String g) groups) );
-                ( "comparisons",
-                  Sobs.Json.List (List.map relation_json comparisons) );
+                ("groups", J.List (List.map (fun (g, _) -> J.String g) groups));
+                ("comparisons", J.List (List.map relation_json comparisons));
                 ( "diagnostics",
-                  Sobs.Json.List
+                  J.List
                     (List.map diag_json (Sanalysis.Diagnostic.by_severity ds))
                 );
-                ("admission", Sobs.Json.List (List.map verdict_json verdicts));
+                ("admission", J.List (List.map verdict_json verdicts));
               ]))
     end
     else begin
@@ -919,64 +938,32 @@ let analyze_cmd =
              equivalent (merge-candidate) policies, SV402 role-hierarchy \
              subsumption, SV403 incomparable-but-overlapping ones.")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "One JSON object with the comparisons, diagnostics and \
-             per-query admission verdicts.")
-  in
-  let machine_arg =
-    Arg.(
-      value & flag
-      & info [ "machine" ]
-          ~doc:
-            "One tab-separated record per diagnostic \
-             (CODE, SEVERITY, SUBJECT, MESSAGE) instead of prose.")
-  in
-  let audit_log_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "audit-log" ] ~docv:"FILE"
-          ~doc:
-            "Also append the diagnostics as JSONL records to $(docv) ('-' \
-             for stderr) — the same stream format the query audit log \
-             uses.")
-  in
-  let queries_arg =
-    let doc =
-      "View queries to classify statically against each group's view DTD \
-       (denied/trivial/eval)."
-    in
-    Arg.(value & pos_all string [] & info [] ~docv:"QUERY" ~doc)
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
          "Semantic policy analysis: cross-group subsumption (--fleet), \
           leakage of never-populatable view structure, and static \
-          admission verdicts for queries; exit 1 on any error-severity \
-          diagnostic")
+          admission verdicts for queries (denied/trivial/eval against each \
+          group's view DTD); exit 1 on any error-severity diagnostic")
     Term.(
-      const run $ dtd_arg $ root_arg $ spec_opt_arg $ group_specs_arg
-      $ fleet_arg $ json_arg $ machine_arg $ audit_log_arg $ queries_arg)
+      const run $ groups_t ~cmd:"analyze" $ fleet_arg
+      $ json_arg
+          "One JSON object with the comparisons, diagnostics and per-query \
+           admission verdicts."
+      $ machine_arg $ audit_log_arg $ queries_arg)
 
 let optimize_cmd =
-  let run dtd_path root query =
-    let dtd = load_dtd root dtd_path in
+  let run dtd query =
     let q = parse_query query in
     print_endline (Sxpath.Print.to_string (Secview.Optimize.optimize dtd q))
   in
   Cmd.v
     (Cmd.info "optimize"
        ~doc:"Optimize a document query against DTD constraints")
-    Term.(const run $ dtd_arg $ root_arg $ query_arg)
+    Term.(const run $ dtd_t $ query_arg)
 
 let annotate_cmd =
-  let run dtd_path root spec_path doc_path bindings =
-    let _, spec, _ = setup dtd_path root spec_path in
+  let run (_, spec) doc_path bindings =
     let doc = Sxml.Parse.of_file doc_path in
     let env = env_of_bindings bindings in
     let prepared = Secview.Naive.prepare ~env spec doc in
@@ -987,11 +974,10 @@ let annotate_cmd =
        ~doc:
          "Stamp @accessibility attributes on a document (the naive \
           baseline's offline step)")
-    Term.(const run $ dtd_arg $ root_arg $ spec_arg $ doc_arg $ bind_arg)
+    Term.(const run $ spec_t $ Arg.required doc_flag $ bind_arg)
 
 let gen_cmd =
-  let run dtd_path root seed star_max depth =
-    let dtd = load_dtd root dtd_path in
+  let run dtd seed star_max depth =
     let config =
       {
         Sdtd.Gen.default_config with
@@ -1019,11 +1005,10 @@ let gen_cmd =
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a random instance of a DTD")
-    Term.(const run $ dtd_arg $ root_arg $ seed_arg $ star_arg $ depth_arg)
+    Term.(const run $ dtd_t $ seed_arg $ star_arg $ depth_arg)
 
 let validate_cmd =
-  let run dtd_path root doc_path =
-    let dtd = load_dtd root dtd_path in
+  let run dtd doc_path =
     let doc = Sxml.Parse.of_file doc_path in
     match Sdtd.Validate.check dtd doc with
     | [] ->
@@ -1037,114 +1022,48 @@ let validate_cmd =
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Check a document against a DTD")
-    Term.(const run $ dtd_arg $ root_arg $ doc_arg)
+    Term.(const run $ dtd_t $ Arg.required doc_flag)
 
 (* ---- secure updates ------------------------------------------------ *)
 
 let update_cmd =
-  let run dtd_path root spec_path group_specs doc_path bindings out audit_log
-      capture json group update_text =
-    let dtd = load_dtd root dtd_path in
-    let groups = named_groups ~cmd:"update" dtd spec_path group_specs in
+  let run (dtd, groups) doc_path bindings out sinks json group update_text =
     let catalog = Secview.Catalog.create () in
     let entry = Secview.Catalog.add_file catalog ~name:"doc" doc_path in
     let svc = Secview.Pipeline.Service.create ~catalog dtd ~groups in
-    let env = env_of_bindings bindings in
-    let alog = Option.map (fun p -> open_audit_log p) audit_log in
-    (* the admission check's id-bearing denial detail belongs in the
-       audit log, never in the error shown to the requesting group *)
-    let detail = ref None in
     let t0 = Sserver.Deadline.now () in
-    let outcome =
-      Supdate.Engine.apply_text svc ~group ~env
-        ~audit:(fun d -> detail := Some d)
+    let outcome, detail =
+      Sserver.Record.apply_update svc ~group ~env:(env_of_bindings bindings)
         ~entry update_text
     in
     let latency_ms = 1000. *. (Sserver.Deadline.now () -. t0) in
     (* one request record, projected into the audit log and the
        capture exactly as the server projects a served write *)
-    let r =
-      {
-        (Sobs.Request.make ~verb:"update" ~group update_text) with
-        rid = Some "u1";
-        doc_label = Some "doc";
-        bind = bindings;
-        engine = "interp";
-        latency_ms;
-      }
-    in
-    let r =
-      match outcome with
-      | Ok rc ->
-        {
-          r with
-          results = rc.Supdate.Engine.r_targets;
-          digest = Some rc.Supdate.Engine.r_view_digest;
-          write =
-            Some
-              {
-                targets = rc.Supdate.Engine.r_targets;
-                old_version = rc.Supdate.Engine.r_old_version;
-                new_version = rc.Supdate.Engine.r_new_version;
-              };
-        }
-      | Error e ->
-        {
-          r with
-          status = "error";
-          error =
-            Some
-              (match !detail with
-              | Some d -> Secview.Error.to_string e ^ " [" ^ d ^ "]"
-              | None -> Secview.Error.to_string e);
-        }
-    in
-    Option.iter
-      (fun a ->
-        Sobs.Audit_log.log_update a r;
-        Sobs.Audit_log.close a)
-      alog;
-    Option.iter
-      (fun path ->
-        Option.iter
-          (fun c ->
-            let cap = Sobs.Capture.open_file path in
-            Sobs.Capture.write cap c;
-            Sobs.Capture.close cap)
-          (Sobs.Capture.of_request r))
-      capture;
+    publish sinks (fun () ->
+        Sserver.Record.update ?detail outcome
+          {
+            (Sobs.Request.make ~verb:"update" ~group update_text) with
+            rid = Some "u1";
+            doc_label = Some "doc";
+            bind = bindings;
+            engine = "interp";
+            latency_ms;
+          });
+    close_sinks sinks;
     match outcome with
     | Error e -> raise (Secview.Error.E e)
     | Ok rc ->
-      let digest = rc.Supdate.Engine.r_view_digest in
-      (match out with
-      | Some path ->
-        Sxml.Print.to_file ~indent:true path rc.Supdate.Engine.r_doc
-      | None -> ());
+      Option.iter
+        (fun path -> Sxml.Print.to_file ~indent:true path rc.r_doc)
+        out;
       if json then
-        print_endline
-          (Sobs.Json.to_string
-             (Sobs.Json.Obj
-                [
-                  ("op", Sobs.Json.String rc.Supdate.Engine.r_op);
-                  ("targets", Sobs.Json.Int rc.Supdate.Engine.r_targets);
-                  ( "old_version",
-                    Sobs.Json.Int rc.Supdate.Engine.r_old_version );
-                  ( "new_version",
-                    Sobs.Json.Int rc.Supdate.Engine.r_new_version );
-                  ("digest", Sobs.Json.String digest);
-                ]))
+        print_endline (J.to_string (J.Obj (Protocol.receipt_fields rc)))
       else begin
-        Printf.printf "op:       %s\n" rc.Supdate.Engine.r_op;
-        Printf.printf "targets:  %d\n" rc.Supdate.Engine.r_targets;
-        Printf.printf "version:  %d -> %d\n" rc.Supdate.Engine.r_old_version
-          rc.Supdate.Engine.r_new_version;
-        Printf.printf "digest:   %s\n" digest
+        Printf.printf "op:       %s\n" rc.r_op;
+        Printf.printf "targets:  %d\n" rc.r_targets;
+        Printf.printf "version:  %d -> %d\n" rc.r_old_version rc.r_new_version;
+        Printf.printf "digest:   %s\n" rc.r_view_digest
       end
-  in
-  let group_pos_arg =
-    let doc = "User group attempting the write." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"GROUP" ~doc)
   in
   let update_pos_arg =
     let doc =
@@ -1154,43 +1073,6 @@ let update_cmd =
     in
     Arg.(required & pos 1 (some string) None & info [] ~docv:"UPDATE" ~doc)
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the updated document to $(docv) (the input file is never \
-             modified in place).")
-  in
-  let audit_log_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "audit-log" ] ~docv:"FILE"
-          ~doc:
-            "Append one JSONL update/update_denied record to $(docv) ('-' \
-             for stderr).")
-  in
-  let capture_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "capture" ] ~docv:"FILE"
-          ~doc:
-            "Append a replayable \"v\":2 update record (verb, group, update \
-             text, digest of the group's view of the result) to $(docv) on \
-             success.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Machine-readable receipt: op, target count, version transition \
-             and the digest of the group's view of the result as one JSON \
-             object.")
-  in
   Cmd.v
     (Cmd.info "update"
        ~doc:
@@ -1199,30 +1081,23 @@ let update_cmd =
           accessible to the group and the group holds the matching write \
           grant; a rejected update changes nothing")
     Term.(
-      const run $ dtd_arg $ root_arg $ spec_opt_arg $ group_specs_arg
-      $ doc_arg $ bind_arg $ out_arg $ audit_log_arg $ capture_arg $ json_arg
+      const run $ groups_t ~cmd:"update" $ Arg.required doc_flag $ bind_arg
+      $ out_arg
+          "Write the updated document to $(docv) (the input file is never \
+           modified in place)."
+      $ (const (fun audit capture -> open_sinks audit capture None false)
+        $ audit_log_arg $ capture_arg)
+      $ json_arg
+          "Machine-readable receipt: op, target count, version transition \
+           and the digest of the group's view of the result as one JSON \
+           object (the server's update reply, minus the envelope)."
       $ group_pos_arg $ update_pos_arg)
 
 (* ---- server and client --------------------------------------------- *)
 
-let socket_arg =
-  let doc = "Listen on (or connect to) a Unix-domain socket at $(docv)." in
-  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
-
-let tcp_arg =
-  let doc = "Listen on (or connect to) TCP port $(docv)." in
-  Arg.(value & opt (some int) None & info [ "tcp" ] ~docv:"PORT" ~doc)
-
-let host_arg =
-  let doc = "Host for --tcp (default: loopback)." in
-  Arg.(value & opt string "" & info [ "host" ] ~docv:"HOST" ~doc)
-
 let serve_cmd =
-  let run dtd_path root spec_path group_specs docs socket tcp host domains
-      queue deadline engine audit_log debug strict preload slow_ms
-      metrics_port no_admission flight flight_snapshot capture runtime_events =
-    let dtd = load_dtd root dtd_path in
-    let groups = named_groups ~cmd:"serve" dtd spec_path group_specs in
+  let run (dtd, groups) docs remote domains queue deadline engine debug
+      strict preload metrics_port no_admission flight flight_snapshot sinks =
     if docs = [] then
       failwith "serve: at least one --doc NAME=FILE is required";
     let catalog = Secview.Catalog.create () in
@@ -1241,7 +1116,7 @@ let serve_cmd =
        per-stage latency series into it *)
     let registry = Sobs.Metrics.create () in
     let tracer =
-      if slow_ms <> None || metrics_port <> None || flight > 0 then begin
+      if sinks.slow_ms <> None || metrics_port <> None || flight > 0 then begin
         let tr =
           Sobs.Tracer.create ~metrics:registry ~retain:false ()
         in
@@ -1256,82 +1131,64 @@ let serve_cmd =
     in
     if flight <= 0 && flight_snapshot <> None then
       failwith "serve: --flight-snapshot requires --flight N";
-    (* started here, owned by the server from create on: serve stops
-       it when the drain completes *)
-    let runtime =
-      if runtime_events then Some (Sobs.Runtime.start ()) else None
-    in
-    let cap = Option.map Sobs.Capture.open_file capture in
-    let alog =
-      match (audit_log, slow_ms) with
-      | Some p, _ -> Some (open_audit_log p)
+    let audit =
+      match (sinks.audit, sinks.slow_ms) with
       | None, Some _ ->
         (* a slow-query threshold without a log would observe and then
            say nothing: default the trail to stderr *)
         Some (Sobs.Audit_log.create Sobs.Audit_log.Stderr)
-      | None, None -> None
+      | audit, _ -> audit
     in
     let config =
       { Sserver.Server.domains; queue_capacity = queue; deadline; debug;
-        engine; slow_ms; admission = not no_admission }
+        engine; slow_ms = sinks.slow_ms; admission = not no_admission }
     in
+    (* the sinks are the server's from here on: serve closes them when
+       the drain completes *)
     let server =
-      Sserver.Server.create ~config ?audit:alog ~metrics:registry ?tracer
-        ?recorder ?runtime ?flight_snapshot ?capture:cap service
+      Sserver.Server.create ~config ?audit ~metrics:registry ?tracer
+        ?recorder ?runtime:sinks.runtime ?flight_snapshot
+        ?capture:sinks.capture service
     in
     let listeners =
-      (match socket with
+      (match remote.socket with
       | Some p -> [ Sserver.Server.Unix_socket p ]
       | None -> [])
-      @ (match tcp with
-        | Some p -> [ Sserver.Server.Tcp (host, p) ]
+      @ (match remote.tcp with
+        | Some p -> [ Sserver.Server.Tcp (remote.host, p) ]
         | None -> [])
       @
       match metrics_port with
-      | Some p -> [ Sserver.Server.Metrics_http (host, p) ]
+      | Some p -> [ Sserver.Server.Metrics_http (remote.host, p) ]
       | None -> []
     in
     if listeners = [] then
       failwith "serve: provide --socket PATH and/or --tcp PORT";
     Sserver.Server.install_sigint server;
+    let host = if remote.host = "" then "127.0.0.1" else remote.host in
     List.iter
       (function
         | Sserver.Server.Unix_socket p ->
           Printf.eprintf "secview: listening on %s\n%!" p
-        | Sserver.Server.Tcp (h, p) ->
-          Printf.eprintf "secview: listening on %s:%d\n%!"
-            (if h = "" then "127.0.0.1" else h)
-            p
-        | Sserver.Server.Metrics_http (h, p) ->
-          Printf.eprintf "secview: metrics on http://%s:%d/metrics\n%!"
-            (if h = "" then "127.0.0.1" else h)
-            p)
+        | Sserver.Server.Tcp (_, p) ->
+          Printf.eprintf "secview: listening on %s:%d\n%!" host p
+        | Sserver.Server.Metrics_http (_, p) ->
+          Printf.eprintf "secview: metrics on http://%s:%d/metrics\n%!" host p)
       listeners;
     Sserver.Server.serve server listeners;
     (match tracer with Some _ -> Sobs.Tracer.uninstall () | None -> ());
     Printf.eprintf "secview: drained\n%!"
   in
-  let docs_arg =
-    let doc =
-      "Add document $(i,FILE) to the catalog as $(i,NAME) (repeatable; \
-       parsed lazily on first query unless --preload)."
-    in
-    Arg.(
-      value
-      & opt_all (pair_conv ~what:"NAME=FILE") []
-      & info [ "doc" ] ~docv:"NAME=FILE" ~doc)
-  in
   let domains_arg =
     Arg.(
       value
       & opt int Sserver.Server.default_config.domains
-      & info [ "domains"; "workers" ] ~docv:"N"
+      & info [ "domains" ] ~docv:"N"
           ~absent:"the number of cores (Domain.recommended_domain_count)"
           ~doc:
             "Worker pool size: one OCaml domain (runtime-parallel worker) \
              per unit, each with its own pipeline session; more domains \
-             than cores only add cross-domain hand-offs.  --workers is an \
-             alias kept from the threaded server.")
+             than cores only add cross-domain hand-offs.")
   in
   let queue_arg =
     Arg.(
@@ -1351,43 +1208,17 @@ let serve_cmd =
             "Per-request deadline (queue wait included); expired requests \
              are answered 'timeout'.")
   in
-  let audit_log_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "audit-log" ] ~docv:"FILE"
-          ~doc:
-            "Append one JSONL record per admitted query to $(docv) ('-' for \
-             stderr), flushed before the server exits.")
-  in
   let debug_arg =
     Arg.(
       value & flag
       & info [ "debug" ]
           ~doc:"Honour the 'sleep' test command (never in production).")
   in
-  let strict_arg =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:"Refuse to start when any group's policy has lint errors.")
-  in
   let preload_arg =
     Arg.(
       value & flag
       & info [ "preload" ]
           ~doc:"Parse every catalog document before accepting connections.")
-  in
-  let slow_ms_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slow-ms" ] ~docv:"MS"
-          ~doc:
-            "Write a slow_query audit record (translated query, per-stage \
-             timings, plan operator counts) for every answered query slower \
-             than $(docv) milliseconds, queue wait included; defaults the \
-             audit log to stderr when --audit-log is not given.")
   in
   let metrics_port_arg =
     Arg.(
@@ -1431,163 +1262,76 @@ let serve_cmd =
              a request ends in error, timeout or late, or over the --slow-ms \
              threshold; requires --flight.")
   in
-  let capture_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "capture" ] ~docv:"FILE"
-          ~doc:
-            "Write one replayable JSONL record per answered query (rid, \
-             group, query, engine, answer digest, latency) to $(docv) — \
-             feed it to $(b,secview replay).")
-  in
-  let runtime_events_arg =
-    Arg.(
-      value & flag
-      & info [ "runtime-events" ]
-          ~doc:
-            "Consume OCaml runtime events: per-domain GC pause histograms \
-             (gc_pause_seconds), collection/allocation counters and live-\
-             domain gauges in every scrape, a 'runtime' section in the \
-             stats verb, and gc_pause_ms attribution stamped into flight-\
-             recorder entries and slow_query records whose request window \
-             overlapped a pause.  Off by default (a disabled consumer \
-             costs nothing).")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Run the concurrent secure-query server (line-delimited JSON over \
           Unix-domain and/or TCP sockets; SIGINT drains gracefully)")
     Term.(
-      const run $ dtd_arg $ root_arg $ spec_opt_arg $ group_specs_arg
-      $ docs_arg $ socket_arg $ tcp_arg $ host_arg $ domains_arg $ queue_arg
-      $ deadline_arg $ engine_arg $ audit_log_arg $ debug_arg $ strict_arg
-      $ preload_arg $ slow_ms_arg $ metrics_port_arg $ no_admission_arg
-      $ flight_arg $ flight_snapshot_arg $ capture_arg $ runtime_events_arg)
+      const run $ groups_t ~cmd:"serve" $ docs_arg $ remote_t $ domains_arg
+      $ queue_arg $ deadline_arg $ engine_arg $ debug_arg $ strict_arg
+      $ preload_arg $ metrics_port_arg $ no_admission_arg $ flight_arg
+      $ flight_snapshot_arg $ sinks_t)
 
 let client_cmd =
-  let run socket tcp host wait group peer doc_name bindings indexed ping
-      do_stats shutdown raws updates queries =
-    let addr =
-      match (socket, tcp) with
-      | Some path, None -> Unix.ADDR_UNIX path
-      | None, Some port ->
-        let inet =
-          if host = "" then Unix.inet_addr_loopback
-          else
-            try Unix.inet_addr_of_string host
-            with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        in
-        Unix.ADDR_INET (inet, port)
-      | _ -> failwith "client: provide exactly one of --socket or --tcp"
-    in
-    let give_up = Sserver.Deadline.now () +. wait in
-    let rec connect () =
-      let fd =
-        Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
+  let run remote wait group peer doc_name bindings indexed ping do_stats
+      shutdown raws updates queries =
+    let failed =
+      Conn.with_connection ~wait (server_address remote) @@ fun c ->
+      let failed = ref false in
+      let call what request =
+        let line, j = Conn.call c request in
+        if not (Protocol.is_ok j) then begin
+          failed := true;
+          Printf.eprintf "secview: %s failed: %s\n" what line
+        end;
+        (line, j)
       in
-      match Unix.connect fd addr with
-      | () -> fd
-      | exception
-          Unix.Unix_error
-            ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.ETIMEDOUT), _, _)
-        when Sserver.Deadline.now () < give_up ->
-        Unix.close fd;
-        Thread.delay 0.05;
-        connect ()
-    in
-    let fd = connect () in
-    let ic = Unix.in_channel_of_descr fd in
-    let send_line line =
-      let b = Bytes.of_string (line ^ "\n") in
-      let rec go off =
-        if off < Bytes.length b then
-          go (off + Unix.write fd b off (Bytes.length b - off))
-      in
-      go 0
-    in
-    let send j = send_line (Sobs.Json.to_string j) in
-    let recv () =
-      let line = input_line ic in
-      match Sobs.Json.of_string line with
-      | Ok j -> (line, j)
-      | Error e -> failwith (Printf.sprintf "client: bad reply (%s): %s" e line)
-    in
-    let failed = ref false in
-    let check_ok what (line, j) =
-      match Sobs.Json.member "ok" j with
-      | Some (Sobs.Json.Bool true) -> true
-      | _ ->
-        failed := true;
-        Printf.eprintf "secview: %s failed: %s\n" what line;
-        false
-    in
-    if ping then begin
-      send (Sserver.Protocol.simple "ping");
-      if check_ok "ping" (recv ()) then print_endline "pong"
-    end;
-    (* raw lines go out verbatim and the reply is echoed verbatim —
-       the escape hatch for demonstrating protocol errors *)
-    List.iter
-      (fun raw ->
-        send_line raw;
-        print_endline (input_line ic))
-      raws;
-    (match group with
-    | Some g ->
-      send (Sserver.Protocol.hello ?peer g);
-      ignore (check_ok "hello" (recv ()))
-    | None -> ());
-    List.iter
-      (fun u ->
-        send (Sserver.Protocol.update_json ?doc:doc_name ~bind:bindings u);
-        let (_, j) as r = recv () in
-        if check_ok (Printf.sprintf "update %S" u) r then
-          let geti name =
-            match
-              Option.bind (Sobs.Json.member name j) Sobs.Json.to_int_opt
-            with
-            | Some n -> n
-            | None -> 0
+      let ok (_, j) = Protocol.is_ok j in
+      if ping && ok (call "ping" (Protocol.simple "ping")) then
+        print_endline "pong";
+      (* raw lines go out verbatim and the reply is echoed verbatim —
+         the escape hatch for demonstrating protocol errors *)
+      List.iter
+        (fun raw ->
+          Conn.send_line c raw;
+          print_endline (Conn.recv_line c))
+        raws;
+      Option.iter
+        (fun g -> ignore (call "hello" (Protocol.hello ?peer g)))
+        group;
+      List.iter
+        (fun u ->
+          let _, j =
+            call (Printf.sprintf "update %S" u)
+              (Protocol.update_json ?doc:doc_name ~bind:bindings u)
           in
-          Printf.printf "update ok: %d target(s), version %d -> %d\n"
-            (geti "targets") (geti "old_version") (geti "new_version"))
-      updates;
-    List.iter
-      (fun q ->
-        send
-          (Sserver.Protocol.query_json ?doc:doc_name ~bind:bindings
-             ~use_index:indexed q);
-        let (_, j) as r = recv () in
-        if check_ok (Printf.sprintf "query %S" q) r then
-          match Sobs.Json.member "results" j with
-          | Some (Sobs.Json.List rs) ->
-            List.iter
-              (fun r ->
-                Option.iter print_endline (Sobs.Json.to_string_opt r))
-              rs
+          if Protocol.is_ok j then
+            Printf.printf "update ok: %d target(s), version %d -> %d\n"
+              (jint j "targets") (jint j "old_version") (jint j "new_version"))
+        updates;
+      List.iter
+        (fun q ->
+          match
+            call (Printf.sprintf "query %S" q)
+              (Protocol.query_json ?doc:doc_name ~bind:bindings
+                 ~use_index:indexed q)
+          with
+          | _, j when Protocol.is_ok j -> (
+            match J.member "results" j with
+            | Some (J.List rs) ->
+              List.iter
+                (fun r -> Option.iter print_endline (J.to_string_opt r))
+                rs
+            | _ -> ())
           | _ -> ())
-      queries;
-    if do_stats then begin
-      send (Sserver.Protocol.simple "stats");
-      let line, _ = recv () in
-      print_endline line
-    end;
-    if shutdown then begin
-      send (Sserver.Protocol.simple "shutdown");
-      ignore (check_ok "shutdown" (recv ()))
-    end;
-    close_in_noerr ic;
-    if !failed then exit 1
-  in
-  let wait_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "wait" ] ~docv:"SECS"
-          ~doc:
-            "Retry the connection for up to $(docv) seconds (for scripts \
-             that just started the server).")
+        queries;
+      if do_stats then
+        print_endline (fst (Conn.call c (Protocol.simple "stats")));
+      if shutdown then ignore (call "shutdown" (Protocol.simple "shutdown"));
+      !failed
+    in
+    if failed then exit 1
   in
   let group_arg =
     Arg.(
@@ -1612,19 +1356,8 @@ let client_cmd =
             "Query catalog document $(docv) (optional when the server holds \
              exactly one).")
   in
-  let index_arg =
-    Arg.(
-      value & flag
-      & info [ "index" ] ~doc:"Ask the server to evaluate with a tag index.")
-  in
   let ping_arg =
     Arg.(value & flag & info [ "ping" ] ~doc:"Check liveness first.")
-  in
-  let stats_arg =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:"Print the server's statistics object after the queries.")
   in
   let shutdown_arg =
     Arg.(
@@ -1650,69 +1383,18 @@ let client_cmd =
              updates run before the queries, so a session can write then \
              read back).")
   in
-  let queries_arg =
-    let doc = "View queries to answer, in order." in
-    Arg.(value & pos_all string [] & info [] ~docv:"QUERY" ~doc)
-  in
   Cmd.v
     (Cmd.info "client"
        ~doc:
          "Talk to a running secview server (exit 1 if any request is \
           refused)")
     Term.(
-      const run $ socket_arg $ tcp_arg $ host_arg $ wait_arg $ group_arg
-      $ peer_arg $ doc_name_arg $ bind_arg $ index_arg $ ping_arg $ stats_arg
+      const run $ remote_t $ wait_arg $ group_arg $ peer_arg $ doc_name_arg
+      $ bind_arg $ index_arg $ ping_arg
+      $ stats_arg "Print the server's statistics object after the queries."
       $ shutdown_arg $ send_arg $ updates_arg $ queries_arg)
 
 (* ---- flight recorder and replay ------------------------------------ *)
-
-(* shared one-shot connection plumbing for the flight/replay commands *)
-let remote_addr ~cmd socket tcp host =
-  match (socket, tcp) with
-  | Some path, None -> Unix.ADDR_UNIX path
-  | None, Some port ->
-    let inet =
-      if host = "" then Unix.inet_addr_loopback
-      else
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    Unix.ADDR_INET (inet, port)
-  | _ -> failwith (cmd ^ ": provide exactly one of --socket or --tcp")
-
-let connect_retry ~wait addr =
-  let give_up = Sserver.Deadline.now () +. wait in
-  let rec connect () =
-    let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-    match Unix.connect fd addr with
-    | () -> fd
-    | exception
-        Unix.Unix_error
-          ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.ETIMEDOUT), _, _)
-      when Sserver.Deadline.now () < give_up ->
-      Unix.close fd;
-      Thread.delay 0.05;
-      connect ()
-  in
-  connect ()
-
-let fd_send_line fd line =
-  let b = Bytes.of_string (line ^ "\n") in
-  let rec go off =
-    if off < Bytes.length b then
-      go (off + Unix.write fd b off (Bytes.length b - off))
-  in
-  go 0
-
-let wait_retry_arg ~cmd =
-  Arg.(
-    value & opt float 0.
-    & info [ "wait" ] ~docv:"SECS"
-        ~doc:
-          (Printf.sprintf
-             "Retry the connection for up to $(docv) seconds (for scripts \
-              that just started the server the %s talks to)."
-             cmd))
 
 (* Watch-mode refresh, shared by [metrics --watch] and [top].  On a
    real terminal each frame repaints in place: home the cursor, paint,
@@ -1758,69 +1440,31 @@ let watch_loop ~interval ~rounds render =
       with Unix.Unix_error (Unix.EINTR, _, _) -> ())
 
 let flight_cmd =
-  let run socket tcp host wait json =
-    let addr = remote_addr ~cmd:"flight" socket tcp host in
-    let fd = connect_retry ~wait addr in
-    let ic = Unix.in_channel_of_descr fd in
-    Fun.protect
-      ~finally:(fun () -> try close_in ic with Sys_error _ -> ())
-      (fun () ->
-        fd_send_line fd
-          (Sobs.Json.to_string (Sserver.Protocol.simple "flight"));
-        let line = input_line ic in
-        let j =
-          match Sobs.Json.of_string line with
-          | Ok j -> j
-          | Error e ->
-            failwith (Printf.sprintf "flight: bad reply (%s): %s" e line)
-        in
-        (match Sobs.Json.member "ok" j with
-        | Some (Sobs.Json.Bool true) -> ()
-        | _ -> failwith ("flight: request failed: " ^ line));
-        if json then print_endline line
-        else begin
-          let geti obj name =
-            match
-              Option.bind (Sobs.Json.member name obj) Sobs.Json.to_int_opt
-            with
-            | Some n -> n
-            | None -> 0
-          in
-          Printf.printf "flight recorder: %d/%d entries, %d recorded\n"
-            (geti j "flight") (geti j "capacity") (geti j "total");
-          match Sobs.Json.member "entries" j with
-          | Some (Sobs.Json.List es) ->
-            List.iter
-              (fun e ->
-                let sopt name =
-                  Option.bind (Sobs.Json.member name e) Sobs.Json.to_string_opt
-                in
-                let str name = Option.value ~default:"-" (sopt name) in
-                let lat =
-                  match
-                    Option.bind
-                      (Sobs.Json.member "latency_ms" e)
-                      Sobs.Json.to_float_opt
-                  with
-                  | Some f -> f
-                  | None -> 0.
-                in
-                Printf.printf "%-10s %-8s %-10s %-12s %4d  %8.3f ms  %s%s\n"
-                  (str "rid")
-                  (Option.value ~default:"query" (sopt "verb"))
-                  (str "group") (str "status") (geti e "results")
-                  lat (str "query")
-                  (match sopt "error" with
-                  | Some err -> "  ! " ^ err
-                  | None -> ""))
-              es
-          | _ -> ()
-        end)
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Echo the server's raw flight reply instead.")
+  let run remote wait json =
+    let line, j =
+      remote_call ~cmd:"flight" ~wait (server_address remote)
+        (Protocol.simple "flight")
+    in
+    if json then print_endline line
+    else begin
+      Printf.printf "flight recorder: %d/%d entries, %d recorded\n"
+        (jint j "flight") (jint j "capacity") (jint j "total");
+      match J.member "entries" j with
+      | Some (J.List es) ->
+        List.iter
+          (fun e ->
+            let str name = Option.value ~default:"-" (jstring e name) in
+            Printf.printf "%-10s %-8s %-10s %-12s %4d  %8.3f ms  %s%s\n"
+              (str "rid")
+              (Option.value ~default:"query" (jstring e "verb"))
+              (str "group") (str "status") (jint e "results")
+              (jfloat e "latency_ms") (str "query")
+              (match jstring e "error" with
+              | Some err -> "  ! " ^ err
+              | None -> ""))
+          es
+      | _ -> ()
+    end
   in
   Cmd.v
     (Cmd.info "flight"
@@ -1829,23 +1473,11 @@ let flight_cmd =
           --flight N): one line per retained request — rid, group, outcome, \
           result count, latency, query")
     Term.(
-      const run $ socket_arg $ tcp_arg $ host_arg $ wait_retry_arg ~cmd:"dump"
-      $ json_arg)
+      const run $ remote_t $ wait_arg
+      $ json_arg "Echo the server's raw flight reply instead.")
 
 let top_cmd =
-  (* json probes, all total — a missing field renders as zero rather
-     than tearing the dashboard down mid-refresh *)
-  let geti j name =
-    match Option.bind (Sobs.Json.member name j) Sobs.Json.to_int_opt with
-    | Some n -> n
-    | None -> 0
-  in
-  let getf j name =
-    match Option.bind (Sobs.Json.member name j) Sobs.Json.to_float_opt with
-    | Some f -> f
-    | None -> 0.
-  in
-  let fields = function Some (Sobs.Json.Obj fs) -> fs | _ -> [] in
+  let fields = function Some (J.Obj fs) -> fs | _ -> [] in
   let hms seconds =
     let s = int_of_float seconds in
     Printf.sprintf "%d:%02d:%02d" (s / 3600) (s mod 3600 / 60) (s mod 60)
@@ -1855,29 +1487,15 @@ let top_cmd =
     if total = 0 then "    -"
     else Printf.sprintf "%5.1f" (100. *. float_of_int hits /. float_of_int total)
   in
-  let run socket tcp host wait interval iterations =
-    let addr = remote_addr ~cmd:"top" socket tcp host in
+  let run remote wait interval iterations =
+    let addr = server_address remote in
     (* --wait applies to the first connection only: once the dashboard
        is up, a vanished server is an error, not something to retry *)
     let first = ref true in
     let fetch_stats () =
-      let w = if !first then wait else 0. in
+      let wait = if !first then wait else 0. in
       first := false;
-      let fd = connect_retry ~wait:w addr in
-      let ic = Unix.in_channel_of_descr fd in
-      Fun.protect
-        ~finally:(fun () -> try close_in ic with Sys_error _ -> ())
-        (fun () ->
-          fd_send_line fd
-            (Sobs.Json.to_string (Sserver.Protocol.simple "stats"));
-          let line = input_line ic in
-          match Sobs.Json.of_string line with
-          | Error e ->
-            failwith (Printf.sprintf "top: bad reply (%s): %s" e line)
-          | Ok j -> (
-            match Sobs.Json.member "ok" j with
-            | Some (Sobs.Json.Bool true) -> j
-            | _ -> failwith ("top: stats failed: " ^ line)))
+      snd (remote_call ~cmd:"top" ~wait addr (Protocol.simple "stats"))
     in
     (* rps is the accepted-counter delta between two refreshes; the
        first frame falls back to the lifetime average *)
@@ -1885,10 +1503,10 @@ let top_cmd =
     let render () =
       let j = fetch_stats () in
       let now = Sserver.Deadline.now () in
-      let counters = Option.value ~default:Sobs.Json.Null
-          (Sobs.Json.member "counters" j) in
-      let accepted = geti counters "server.accepted" in
-      let uptime = getf j "uptime_s" in
+      let member name j = Option.value ~default:J.Null (J.member name j) in
+      let counters = member "counters" j in
+      let accepted = jint counters "server.accepted" in
+      let uptime = jfloat j "uptime_s" in
       let rps =
         match !prev with
         | Some (t0, a0) when now > t0 ->
@@ -1900,25 +1518,24 @@ let top_cmd =
         List.fold_left
           (fun acc (k, v) ->
             if String.starts_with ~prefix:"server.rejected." k then
-              acc + Option.value ~default:0 (Sobs.Json.to_int_opt v)
+              acc + Option.value ~default:0 (J.to_int_opt v)
             else acc)
           0 (fields (Some counters))
       in
-      let queue = Option.value ~default:Sobs.Json.Null
-          (Sobs.Json.member "queue" j) in
+      let queue = member "queue" j in
       let b = Buffer.create 1024 in
       let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
       line "secview top — up %s   %d worker(s), %d busy   queue %d/%d"
-        (hms uptime) (geti j "workers") (geti j "workers_busy")
-        (geti queue "length") (geti queue "capacity");
+        (hms uptime) (jint j "workers") (jint j "workers_busy")
+        (jint queue "length") (jint queue "capacity");
       line "requests: %.1f rps   accepted %d   timeouts %d   rejected %d"
-        rps accepted (geti counters "server.timeout") rejected;
+        rps accepted (jint counters "server.timeout") rejected;
       line "";
       (* one row per group: latency quantiles + cache hit rates +
          admission denials, joined across the reply's sections *)
-      let latency = Sobs.Json.member "latency_ms" j in
-      let cache = Sobs.Json.member "cache" j in
-      let admission = Sobs.Json.member "admission" j in
+      let latency = J.member "latency_ms" j in
+      let cache = J.member "cache" j in
+      let admission = J.member "admission" j in
       let groups =
         List.sort_uniq compare
           (List.map fst (fields latency) @ List.map fst (fields cache))
@@ -1927,33 +1544,30 @@ let top_cmd =
         "cache%" "plan%" "denied";
       List.iter
         (fun g ->
-          let l = Option.value ~default:Sobs.Json.Null
-              (Option.bind latency (Sobs.Json.member g)) in
-          let c = Option.value ~default:Sobs.Json.Null
-              (Option.bind cache (Sobs.Json.member g)) in
-          let a = Option.value ~default:Sobs.Json.Null
-              (Option.bind admission (Sobs.Json.member g)) in
-          line "%-12s %8d %9.3f %9.3f %7s %6s %7d" g (geti l "count")
-            (getf l "p50") (getf l "p95")
-            (pct (geti c "hits") (geti c "misses"))
-            (pct (geti c "plan_hits") (geti c "plan_misses"))
-            (geti a "denied"))
+          let section s =
+            Option.value ~default:J.Null (Option.bind s (J.member g))
+          in
+          let l = section latency and c = section cache in
+          line "%-12s %8d %9.3f %9.3f %7s %6s %7d" g (jint l "count")
+            (jfloat l "p50") (jfloat l "p95")
+            (pct (jint c "hits") (jint c "misses"))
+            (pct (jint c "plan_hits") (jint c "plan_misses"))
+            (jint (section admission) "denied"))
         groups;
       line "";
-      (match Sobs.Json.member "runtime" j with
-      | Some rt
-        when Sobs.Json.member "enabled" rt = Some (Sobs.Json.Bool true) ->
+      (match J.member "runtime" j with
+      | Some rt when J.member "enabled" rt = Some (J.Bool true) ->
         line "gc: %d domain(s) live   %d pause(s)   %d event(s) lost"
-          (geti rt "domains_live") (geti rt "pauses_total")
-          (geti rt "events_lost");
+          (jint rt "domains_live") (jint rt "pauses_total")
+          (jint rt "events_lost");
         line "%-12s %8s %9s %9s %9s %9s" "domain" "pauses" "p50ms" "p99ms"
           "maxms" "totalms";
         List.iter
           (fun (d, pj) ->
-            line "%-12s %8d %9.3f %9.3f %9.3f %9.3f" d (geti pj "count")
-              (getf pj "p50_ms") (getf pj "p99_ms") (getf pj "max_ms")
-              (getf pj "total_ms"))
-          (fields (Sobs.Json.member "gc_pause_ms" rt))
+            line "%-12s %8d %9.3f %9.3f %9.3f %9.3f" d (jint pj "count")
+              (jfloat pj "p50_ms") (jfloat pj "p99_ms") (jfloat pj "max_ms")
+              (jfloat pj "total_ms"))
+          (fields (J.member "gc_pause_ms" rt))
       | _ ->
         line "gc: runtime events off — start the server with \
               --runtime-events");
@@ -1968,14 +1582,6 @@ let top_cmd =
       & info [ "interval" ] ~docv:"SECS"
           ~doc:"Refresh every $(docv) seconds (default 1).")
   in
-  let iterations_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "iterations" ] ~docv:"N"
-          ~doc:
-            "Stop after $(docv) refreshes (0 = until killed; Ctrl-C \
-             exits cleanly either way).")
-  in
   Cmd.v
     (Cmd.info "top"
        ~doc:
@@ -1984,8 +1590,7 @@ let top_cmd =
           workers, admission denials, and per-domain GC pause quantiles \
           when the server runs with --runtime-events")
     Term.(
-      const run $ socket_arg $ tcp_arg $ host_arg $ wait_retry_arg ~cmd:"top"
-      $ interval_arg $ iterations_arg)
+      const run $ remote_t $ wait_arg $ interval_arg $ iterations_arg)
 
 let replay_cmd =
   let ms_of l p =
@@ -1993,8 +1598,8 @@ let replay_cmd =
     Array.sort Float.compare a;
     Sobs.Metrics.percentile a p
   in
-  let run capture_file socket tcp host wait dtd_path root spec_path
-      group_specs docs label json out =
+  let run capture_file remote wait dtd_path root spec_path group_specs docs
+      label json out =
     let records =
       match Sobs.Capture.read_file capture_file with
       | Ok rs -> rs
@@ -2002,11 +1607,11 @@ let replay_cmd =
     in
     if records = [] then
       failwith (Printf.sprintf "replay: %s holds no records" capture_file);
-    let remote = socket <> None || tcp <> None in
+    let remote_mode = remote_given remote in
     (* replayed: (captured record, replay digest, result count, ms), in
        capture order *)
     let replayed =
-      if remote then begin
+      if remote_mode then begin
         (* one session per captured group, opened up front, and every
            record re-sent in strict capture order across groups — a
            mixed read/write workload must interleave exactly as
@@ -2019,102 +1624,61 @@ let replay_cmd =
               if List.mem r.c_group acc then acc else acc @ [ r.c_group ])
             [] records
         in
-        let addr = remote_addr ~cmd:"replay" socket tcp host in
+        let addr = server_address remote in
         let sessions =
-          List.map
-            (fun g ->
-              let fd = connect_retry ~wait addr in
-              let ic = Unix.in_channel_of_descr fd in
-              (g, (fd, ic)))
-            group_names
+          List.map (fun g -> (g, Conn.connect ~wait addr)) group_names
         in
         Fun.protect
-          ~finally:(fun () ->
-            List.iter
-              (fun (_, (_, ic)) -> try close_in ic with Sys_error _ -> ())
-              sessions)
+          ~finally:(fun () -> List.iter (fun (_, c) -> Conn.close c) sessions)
           (fun () ->
-            let send fd j = fd_send_line fd (Sobs.Json.to_string j) in
-            let recv ic =
-              let line = input_line ic in
-              match Sobs.Json.of_string line with
-              | Ok j -> j
-              | Error e ->
-                failwith (Printf.sprintf "replay: bad reply (%s): %s" e line)
-            in
             List.iter
-              (fun (g, (fd, ic)) ->
-                send fd (Sserver.Protocol.hello ~peer:"replay" g);
-                match Sobs.Json.member "ok" (recv ic) with
-                | Some (Sobs.Json.Bool true) -> ()
-                | _ -> failwith (Printf.sprintf "replay: hello %S refused" g))
+              (fun (g, c) ->
+                if
+                  not
+                    (Protocol.is_ok
+                       (snd (Conn.call c (Protocol.hello ~peer:"replay" g))))
+                then failwith (Printf.sprintf "replay: hello %S refused" g))
               sessions;
             List.map
               (fun (r : Sobs.Capture.record) ->
-                let fd, ic = List.assoc r.c_group sessions in
+                let c = List.assoc r.c_group sessions in
                 let t0 = Sserver.Deadline.now () in
-                send fd
-                  (if r.c_verb = "update" then
-                     Sserver.Protocol.update_json ~rid:r.c_rid ?doc:r.c_doc
-                       ~bind:r.c_bind r.c_query
-                   else
-                     Sserver.Protocol.query_json ~rid:r.c_rid ?doc:r.c_doc
-                       ~bind:r.c_bind ~use_index:r.c_index r.c_query);
-                let reply = recv ic in
+                let _, reply =
+                  Conn.call c
+                    (if r.c_verb = "update" then
+                       Protocol.update_json ~rid:r.c_rid ?doc:r.c_doc
+                         ~bind:r.c_bind r.c_query
+                     else
+                       Protocol.query_json ~rid:r.c_rid ?doc:r.c_doc
+                         ~bind:r.c_bind ~use_index:r.c_index r.c_query)
+                in
                 let ms = 1000. *. (Sserver.Deadline.now () -. t0) in
-                match Sobs.Json.member "ok" reply with
-                | Some (Sobs.Json.Bool true) when r.c_verb = "update" ->
+                if not (Protocol.is_ok reply) then
+                  ( r,
+                    "refused:"
+                    ^ Option.value ~default:"error" (jstring reply "code"),
+                    0,
+                    ms )
+                else if r.c_verb = "update" then
                   (* the reply digest is of the group's view of the
                      resulting document: a match means the replayed
                      write rebuilt the byte-identical view *)
-                  let digest =
-                    match
-                      Option.bind
-                        (Sobs.Json.member "digest" reply)
-                        Sobs.Json.to_string_opt
-                    with
-                    | Some d -> d
-                    | None -> "-"
-                  in
-                  let targets =
-                    match
-                      Option.bind
-                        (Sobs.Json.member "targets" reply)
-                        Sobs.Json.to_int_opt
-                    with
-                    | Some n -> n
-                    | None -> 0
-                  in
-                  (r, digest, targets, ms)
-                | Some (Sobs.Json.Bool true) ->
+                  ( r,
+                    Option.value ~default:"-" (jstring reply "digest"),
+                    jint reply "targets",
+                    ms )
+                else
                   let results =
-                    match Sobs.Json.member "results" reply with
-                    | Some (Sobs.Json.List rs) ->
-                      List.filter_map Sobs.Json.to_string_opt rs
+                    match J.member "results" reply with
+                    | Some (J.List rs) -> List.filter_map J.to_string_opt rs
                     | _ -> []
                   in
-                  (r, Sobs.Capture.digest results, List.length results, ms)
-                | _ ->
-                  let code =
-                    match
-                      Option.bind
-                        (Sobs.Json.member "code" reply)
-                        Sobs.Json.to_string_opt
-                    with
-                    | Some c -> c
-                    | None -> "error"
-                  in
-                  (r, "refused:" ^ code, 0, ms))
+                  (r, Sobs.Capture.digest results, List.length results, ms))
               records)
       end
       else begin
-        let need what = function
-          | Some v -> v
-          | None ->
-            failwith
-              (Printf.sprintf
-                 "replay: --%s is required unless --socket or --tcp is given"
-                 what)
+        let need =
+          need ~cmd:"replay" ~unless:"--socket or --tcp"
         in
         let dtd = load_dtd root (need "dtd" dtd_path) in
         let groups = named_groups ~cmd:"replay" dtd spec_path group_specs in
@@ -2160,41 +1724,34 @@ let replay_cmd =
                      r.c_rid r.c_engine)
             in
             let env = env_of_bindings r.c_bind in
-            if r.c_verb = "update" then begin
-              let t0 = Sserver.Deadline.now () in
-              match
-                Supdate.Engine.apply_text svc ~group:r.c_group ~env ~entry
-                  r.c_query
-              with
-              | Ok rc ->
-                let ms = 1000. *. (Sserver.Deadline.now () -. t0) in
-                (r, rc.Supdate.Engine.r_view_digest, rc.Supdate.Engine.r_targets, ms)
-              | Error e ->
-                let ms = 1000. *. (Sserver.Deadline.now () -. t0) in
-                (r, "error:" ^ Secview.Error.to_code e, 0, ms)
-            end
-            else begin
-              let q = parse_query r.c_query in
-              let doc = Secview.Catalog.doc entry in
-              let index =
-                if r.c_index then Some (Secview.Catalog.index entry)
-                else None
-              in
-              let t0 = Sserver.Deadline.now () in
-              match
-                Secview.Pipeline.Session.answer pipe ~group:r.c_group ~engine
-                  ~env ?index q doc
-              with
-              | Ok nodes ->
-                let ms = 1000. *. (Sserver.Deadline.now () -. t0) in
-                let rendered =
-                  List.map (fun n -> Sxml.Print.to_string n) nodes
+            let t0 = Sserver.Deadline.now () in
+            let outcome =
+              if r.c_verb = "update" then
+                Result.map
+                  (fun (rc : Supdate.Engine.receipt) ->
+                    (rc.r_view_digest, rc.r_targets))
+                  (Supdate.Engine.apply_text svc ~group:r.c_group ~env ~entry
+                     r.c_query)
+              else
+                let q = parse_query r.c_query in
+                let doc = Secview.Catalog.doc entry in
+                let index =
+                  if r.c_index then Some (Secview.Catalog.index entry)
+                  else None
                 in
-                (r, Sobs.Capture.digest rendered, List.length rendered, ms)
-              | Error e ->
-                let ms = 1000. *. (Sserver.Deadline.now () -. t0) in
-                (r, "error:" ^ Secview.Error.to_code e, 0, ms)
-            end)
+                Result.map
+                  (fun nodes ->
+                    let rendered =
+                      List.map (fun n -> Sxml.Print.to_string n) nodes
+                    in
+                    (Sobs.Capture.digest rendered, List.length rendered))
+                  (Secview.Pipeline.Session.answer pipe ~group:r.c_group
+                     ~engine ~env ?index q doc)
+            in
+            let ms = 1000. *. (Sserver.Deadline.now () -. t0) in
+            match outcome with
+            | Ok (digest, n) -> (r, digest, n, ms)
+            | Error e -> (r, "error:" ^ Secview.Error.to_code e, 0, ms))
           records
       end
     in
@@ -2227,33 +1784,33 @@ let replay_cmd =
         [] replayed
     in
     let report =
-      Sobs.Json.Obj
+      J.Obj
         [
-          ("bench", Sobs.Json.String "replay");
-          ("label", Sobs.Json.String label);
-          ("source", Sobs.Json.String capture_file);
-          ("mode", Sobs.Json.String (if remote then "live" else "local"));
-          ("records", Sobs.Json.Int (List.length replayed));
-          ("mismatches", Sobs.Json.Int (List.length mismatches));
+          ("bench", J.String "replay");
+          ("label", J.String label);
+          ("source", J.String capture_file);
+          ("mode", J.String (if remote_mode then "live" else "local"));
+          ("records", J.Int (List.length replayed));
+          ("mismatches", J.Int (List.length mismatches));
           ( "cells",
-            Sobs.Json.List
+            J.List
               (List.map
                  (fun ((g, d, q), (cap, rep)) ->
                    let side l =
-                     Sobs.Json.Obj
+                     J.Obj
                        [
-                         ("p50_ms", Sobs.Json.Float (ms_of l 50.));
-                         ("p95_ms", Sobs.Json.Float (ms_of l 95.));
+                         ("p50_ms", J.Float (ms_of l 50.));
+                         ("p95_ms", J.Float (ms_of l 95.));
                        ]
                    in
-                   Sobs.Json.Obj
-                     (("group", Sobs.Json.String g)
+                   J.Obj
+                     (("group", J.String g)
                       :: (match d with
-                         | Some d -> [ ("doc", Sobs.Json.String d) ]
+                         | Some d -> [ ("doc", J.String d) ]
                          | None -> [])
                      @ [
-                         ("query", Sobs.Json.String q);
-                         ("n", Sobs.Json.Int (List.length cap));
+                         ("query", J.String q);
+                         ("n", J.Int (List.length cap));
                          ("captured", side cap);
                          ("replayed", side rep);
                        ]))
@@ -2263,11 +1820,11 @@ let replay_cmd =
     (match out with
     | Some path ->
       let oc = open_out path in
-      output_string oc (Sobs.Json.to_string report);
+      output_string oc (J.to_string report);
       output_char oc '\n';
       close_out oc
     | None -> ());
-    if json then print_endline (Sobs.Json.to_string report)
+    if json then print_endline (J.to_string report)
     else begin
       Printf.printf "replayed %d record(s) from %s — %d mismatch(es)\n"
         (List.length replayed) capture_file
@@ -2289,47 +1846,10 @@ let replay_cmd =
     let doc = "Capture file (JSONL, from --capture) to replay." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
-  let dtd_opt_arg =
-    let doc = "Document DTD file (local mode)." in
-    Arg.(value & opt (some file) None & info [ "dtd" ] ~docv:"FILE" ~doc)
-  in
-  let spec_local_arg =
-    let doc =
-      "Access-specification file for group 'user' (local mode; shorthand \
-       for --group user=FILE)."
-    in
-    Arg.(value & opt (some file) None & info [ "spec" ] ~docv:"FILE" ~doc)
-  in
-  let docs_arg =
-    let doc =
-      "Add document $(i,FILE) to the replay catalog as $(i,NAME) (local \
-       mode, repeatable; a single --doc also serves records that name no \
-       document)."
-    in
-    Arg.(
-      value
-      & opt_all (pair_conv ~what:"NAME=FILE") []
-      & info [ "doc" ] ~docv:"NAME=FILE" ~doc)
-  in
   let label_arg =
     Arg.(
       value & opt string "replay"
       & info [ "label" ] ~docv:"NAME" ~doc:"Label stamped into the report.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Print the comparison report as JSON instead of text.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Also write the JSON report to $(docv) (feed two of these to \
-             bench_diff).")
   in
   Cmd.v
     (Cmd.info "replay"
@@ -2339,25 +1859,15 @@ let replay_cmd =
           byte-comparing every answer against its captured digest \
           (exit 1 on any mismatch) and comparing per-query latency")
     Term.(
-      const run $ capture_file_arg $ socket_arg $ tcp_arg $ host_arg
-      $ wait_retry_arg ~cmd:"replay" $ dtd_opt_arg $ root_arg $ spec_local_arg
-      $ group_specs_arg $ docs_arg $ label_arg $ json_arg $ out_arg)
+      const run $ capture_file_arg $ remote_t $ wait_arg $ Arg.value dtd_flag
+      $ root_arg $ Arg.value spec_flag $ group_specs_arg $ docs_arg
+      $ label_arg
+      $ json_arg "Print the comparison report as JSON instead of text."
+      $ out_arg
+          "Also write the JSON report to $(docv) (feed two of these to \
+           bench_diff).")
 
 let metrics_cmd =
-  let inet_of host =
-    if host = "" then Unix.inet_addr_loopback
-    else
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-  in
-  let write_all fd s =
-    let b = Bytes.of_string s in
-    let rec go off =
-      if off < Bytes.length b then
-        go (off + Unix.write fd b off (Bytes.length b - off))
-    in
-    go 0
-  in
   (* one GET /metrics over plain HTTP/1.0 — no curl dependency *)
   let http_scrape target =
     let host, port =
@@ -2372,88 +1882,56 @@ let metrics_cmd =
           | None -> failwith "metrics: --scrape expects HOST:PORT" ))
       | None -> failwith "metrics: --scrape expects HOST:PORT"
     in
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        Unix.connect fd (ADDR_INET (inet_of host, port));
-        write_all fd
-          (Printf.sprintf "GET /metrics HTTP/1.0\r\nHost: %s\r\n\r\n" host);
-        let buf = Buffer.create 4096 in
-        let chunk = Bytes.create 4096 in
-        let rec slurp () =
-          let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-          if n > 0 then begin
-            Buffer.add_subbytes buf chunk 0 n;
-            slurp ()
-          end
-        in
-        slurp ();
-        let response = Buffer.contents buf in
-        let body =
-          let rec split i =
-            if i + 3 >= String.length response then response
-            else if String.sub response i 4 = "\r\n\r\n" then
-              String.sub response (i + 4) (String.length response - i - 4)
-            else split (i + 1)
-          in
-          split 0
-        in
-        let status =
-          match String.index_opt response '\n' with
-          | Some i -> String.trim (String.sub response 0 i)
-          | None -> response
-        in
-        if
-          String.length status < 12
-          || String.sub status 9 3 <> "200"
-        then failwith (Printf.sprintf "metrics: scrape failed: %s" status);
-        body)
-  in
-  (* the server's [metrics] verb over one throwaway connection *)
-  let remote_metrics addr field =
-    let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-    let ic = Unix.in_channel_of_descr fd in
-    Fun.protect
-      ~finally:(fun () -> try close_in ic with Sys_error _ -> ())
-      (fun () ->
-        Unix.connect fd addr;
-        write_all fd
-          (Sobs.Json.to_string (Sserver.Protocol.simple "metrics") ^ "\n");
-        let line = input_line ic in
-        match field with
-        | None -> line ^ "\n"
-        | Some f -> (
-          match
-            Result.to_option (Sobs.Json.of_string line)
-            |> Fun.flip Option.bind (Sobs.Json.member f)
-            |> Fun.flip Option.bind Sobs.Json.to_string_opt
-          with
-          | Some s -> s
-          | None -> failwith ("metrics: request failed: " ^ line)))
+    let response =
+      Conn.with_connection
+        (Unix.ADDR_INET (Conn.inet_addr host, port))
+        (fun c ->
+          Conn.write c
+            (Printf.sprintf "GET /metrics HTTP/1.0\r\nHost: %s\r\n\r\n" host);
+          Conn.read_all c)
+    in
+    let body =
+      let rec split i =
+        if i + 3 >= String.length response then response
+        else if String.sub response i 4 = "\r\n\r\n" then
+          String.sub response (i + 4) (String.length response - i - 4)
+        else split (i + 1)
+      in
+      split 0
+    in
+    let status =
+      match String.index_opt response '\n' with
+      | Some i -> String.trim (String.sub response 0 i)
+      | None -> response
+    in
+    if
+      String.length status < 12
+      || String.sub status 9 3 <> "200"
+    then failwith (Printf.sprintf "metrics: scrape failed: %s" status);
+    body
   in
   let run dtd_path root spec_path doc_path bindings engine repeat json
-      openmetrics socket tcp host scrape watch iterations queries =
-    let remote = scrape <> None || socket <> None || tcp <> None in
-    if watch <> None && not remote then
+      openmetrics remote scrape watch iterations queries =
+    let remote_mode = scrape <> None || remote_given remote in
+    if watch <> None && not remote_mode then
       failwith "metrics: --watch needs --socket, --tcp or --scrape";
-    if remote then begin
+    if remote_mode then begin
       let fetch =
         match scrape with
         | Some target -> fun () -> http_scrape target
-        | None ->
-          let addr =
-            match (socket, tcp) with
-            | Some path, None -> Unix.ADDR_UNIX path
-            | None, Some port -> Unix.ADDR_INET (inet_of host, port)
-            | _ -> failwith "metrics: provide exactly one of --socket or --tcp"
-          in
-          let field =
-            if json then None
-            else if openmetrics then Some "openmetrics"
-            else Some "text"
-          in
-          fun () -> remote_metrics addr field
+        | None -> (
+          (* the server's [metrics] verb over one throwaway connection *)
+          let addr = server_address remote in
+          fun () ->
+            let line, j =
+              remote_call ~cmd:"metrics" addr (Protocol.simple "metrics")
+            in
+            if json then line ^ "\n"
+            else
+              let field = if openmetrics then "openmetrics" else "text" in
+              match jstring j field with
+              | Some s -> s
+              | None -> failwith ("metrics: request failed: " ^ line))
       in
       match watch with
       | None ->
@@ -2464,14 +1942,8 @@ let metrics_cmd =
         watch_loop ~interval ~rounds fetch
     end
     else begin
-      let need what = function
-        | Some v -> v
-        | None ->
-          failwith
-            (Printf.sprintf
-               "metrics: --%s is required unless --socket, --tcp or \
-                --scrape is given"
-               what)
+      let need =
+        need ~cmd:"metrics" ~unless:"--socket, --tcp or --scrape"
       in
       if queries = [] then failwith "metrics: at least one QUERY is required";
       let registry = Sobs.Metrics.create () in
@@ -2497,21 +1969,9 @@ let metrics_cmd =
       Sobs.Tracer.uninstall ();
       if openmetrics then print_string (Sobs.Export.openmetrics registry)
       else if json then
-        print_endline (Sobs.Json.to_string (Sobs.Metrics.to_json registry))
+        print_endline (J.to_string (Sobs.Metrics.to_json registry))
       else Format.printf "%a%!" Sobs.Metrics.pp registry
     end
-  in
-  let dtd_opt_arg =
-    let doc = "Document DTD file (local mode)." in
-    Arg.(value & opt (some file) None & info [ "dtd" ] ~docv:"FILE" ~doc)
-  in
-  let spec_local_arg =
-    let doc = "Access-specification file (local mode)." in
-    Arg.(value & opt (some file) None & info [ "spec" ] ~docv:"FILE" ~doc)
-  in
-  let doc_opt_arg =
-    let doc = "XML document file (local mode)." in
-    Arg.(value & opt (some file) None & info [ "doc" ] ~docv:"FILE" ~doc)
   in
   let repeat_arg =
     Arg.(
@@ -2520,14 +1980,6 @@ let metrics_cmd =
           ~doc:
             "Answer each query $(docv) times, so the translation cache's \
              steady-state behaviour shows up in the counters.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Dump the registry as JSON instead of text (remote: echo the \
-             server's raw metrics reply).")
   in
   let openmetrics_arg =
     Arg.(
@@ -2555,16 +2007,6 @@ let metrics_cmd =
             "Refresh every $(docv) seconds (remote modes only); clears the \
              screen between refreshes when stdout is a terminal.")
   in
-  let iterations_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "iterations" ] ~docv:"N"
-          ~doc:"Stop --watch after $(docv) refreshes (0 = until killed).")
-  in
-  let queries_arg =
-    let doc = "View queries to drive the pipeline with (local mode)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"QUERY" ~doc)
-  in
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
@@ -2572,10 +2014,13 @@ let metrics_cmd =
           ask a running server (--socket/--tcp, optionally --watch), or \
           scrape its HTTP endpoint (--scrape)")
     Term.(
-      const run $ dtd_opt_arg $ root_arg $ spec_local_arg $ doc_opt_arg
-      $ bind_arg $ engine_arg $ repeat_arg $ json_arg $ openmetrics_arg
-      $ socket_arg $ tcp_arg $ host_arg $ scrape_arg $ watch_arg
-      $ iterations_arg $ queries_arg)
+      const run $ Arg.value dtd_flag $ root_arg $ Arg.value spec_flag
+      $ Arg.value doc_flag $ bind_arg $ engine_arg $ repeat_arg
+      $ json_arg
+          "Dump the registry as JSON instead of text (remote: echo the \
+           server's raw metrics reply)."
+      $ openmetrics_arg $ remote_t $ scrape_arg $ watch_arg $ iterations_arg
+      $ queries_arg)
 
 let main =
   Cmd.group
@@ -2596,7 +2041,8 @@ let () =
   | exception Secview.Error.E e ->
     Printf.eprintf "secview: %s\n" (Secview.Error.to_string e);
     exit (Secview.Error.exit_code e)
-  | exception (Failure msg | Invalid_argument msg | Sys_error msg) ->
+  | exception
+      (Failure msg | Invalid_argument msg | Sys_error msg | Conn.Error msg) ->
     Printf.eprintf "secview: %s\n" msg;
     exit 2
   | exception Secview.Rewrite.Unsupported msg ->

@@ -7,6 +7,7 @@ type node = {
   mutable kids : node list;
   mutable quals : node list;
   mutable ambiguous : bool;
+  mutable ends : node list;
 }
 
 type t = {
@@ -73,7 +74,8 @@ let fresh label =
     if m.nodes_left <= 0 then raise Too_large
   end;
   m.counter <- m.counter + 1;
-  { id = m.counter; label; kids = []; quals = []; ambiguous = false }
+  { id = m.counter; label; kids = []; quals = []; ambiguous = false;
+    ends = [] }
 
 let children dtd a = Sdtd.Dtd.children_of dtd a
 
@@ -403,16 +405,26 @@ and qual_nodes dtd q a : node list =
   let relabel label g =
     let m = memo () in
     m.counter <- m.counter + 1;
-    {
-      id = m.counter;
-      label;
-      kids = g.root.kids;
-      quals = g.root.quals;
-      ambiguous = g.root.ambiguous;
-    }
+    let n =
+      {
+        id = m.counter;
+        label;
+        kids = g.root.kids;
+        quals = g.root.quals;
+        ambiguous = g.root.ambiguous;
+        ends = [];
+      }
+    in
+    (* the image's frontier stays with the qualifier: a frontier entry
+       that is the image's root becomes the '[]' node itself *)
+    n.ends <-
+      (if List.memq g.root g.frontier then n :: g.frontier else g.frontier);
+    n
   in
   let opaque () =
-    [ fresh ("[]?" ^ Sxpath.Print.qual_to_string q) ]
+    let n = fresh ("[]?" ^ Sxpath.Print.qual_to_string q) in
+    n.ends <- [ n ];
+    [ n ]
   in
   match q with
   | A.True -> []

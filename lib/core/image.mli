@@ -31,6 +31,11 @@ type node = {
   mutable kids : node list;
   mutable quals : node list;  (** '[]'-labeled qualifier roots *)
   mutable ambiguous : bool;
+  mutable ends : node list;
+      (** on a '[]' qualifier root: the frontier of the qualifier's
+          image, whose root-to-frontier paths are the ways the
+          qualifier can hold (an opaque qualifier is its own end);
+          empty on every other node *)
 }
 
 type t = {

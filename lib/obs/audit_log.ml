@@ -101,6 +101,12 @@ let log_update t (r : Request.t) =
            ("error", opt (fun e -> Json.String e) r.error);
          ]))
 
+(* A write that ran gets its update record; everything else, a write
+   shed by the overload check included, is audited as a request. *)
+let log t (r : Request.t) =
+  if r.verb = "update" && r.status <> "overloaded" then log_update t r
+  else log_request t r
+
 let log_slow_query t ~threshold_ms (r : Request.t) =
   emit t
     (Json.Obj

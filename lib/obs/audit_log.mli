@@ -82,6 +82,11 @@ val log_update : t -> Request.t -> unit
     ["update_denied"] otherwise (the error carries the typed reason) —
     so a denied write is distinguishable from a denied query. *)
 
+val log : t -> Request.t -> unit
+(** The request's audit record: {!log_update} for a write that ran,
+    {!log_request} for everything else (a write shed by the overload
+    check never ran).  The server and the CLI audit through this. *)
+
 val log_slow_query : t -> threshold_ms:float -> Request.t -> unit
 (** One ["slow_query"] record — emitted by [query --slow-ms] and
     [serve --slow-ms] for any query over [threshold_ms].  Its

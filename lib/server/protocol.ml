@@ -52,6 +52,8 @@ let error ?rid ~code msg =
     (("ok", J.Bool false) :: ("v", J.Int version) :: rid_fields rid
     @ [ ("code", J.String code); ("error", J.String msg) ])
 
+let is_ok reply = J.member "ok" reply = Some (J.Bool true)
+
 let error_of ?rid (e : Secview.Error.t) =
   error ?rid ~code:(Secview.Error.to_code e) (Secview.Error.to_string e)
 
@@ -195,3 +197,37 @@ let rec explain_json (n : Splan.Explain.node) =
     if n.children = [] then []
     else [ ("children", J.List (List.map explain_json n.children)) ])
 
+let explain_fields text (x : Secview.Pipeline.explanation) =
+  let module P = Secview.Pipeline in
+  let opt f = function Some v -> f v | None -> J.Null in
+  [
+    ("query", J.String text);
+    ("admission", J.String (P.admission_label x.x_admission));
+    ( "witness",
+      match x.x_admission with
+      | P.Denied_empty w -> J.String w
+      | P.Trivial | P.Needs_eval -> J.Null );
+    ("translated", J.String (Sxpath.Print.to_string x.x_translated));
+    ( "engine",
+      J.String (P.engine_label (if x.x_plan <> None then P.Plan else P.Interp))
+    );
+    ("height", opt (fun h -> J.Int h) x.x_height);
+    ("fallback", opt (fun r -> J.String r) x.x_fallback);
+    ("results", J.Int x.x_results);
+    ("doc_version", J.Int x.x_doc_version);
+    ("generation", J.Int x.x_generation);
+    ( "plan",
+      opt
+        (fun (compiled, stats) ->
+          explain_json (Splan.Explain.of_compiled compiled stats))
+        x.x_plan );
+  ]
+
+let receipt_fields (w : Supdate.Engine.receipt) =
+  [
+    ("op", J.String w.r_op);
+    ("targets", J.Int w.r_targets);
+    ("old_version", J.Int w.r_old_version);
+    ("new_version", J.Int w.r_new_version);
+    ("digest", J.String w.r_view_digest);
+  ]

@@ -100,6 +100,9 @@ val ok : ?rid:string -> (string * Sobs.Json.t) list -> Sobs.Json.t
 
 val error : ?rid:string -> code:string -> string -> Sobs.Json.t
 
+val is_ok : Sobs.Json.t -> bool
+(** Does the reply carry ["ok":true]? *)
+
 val error_of : ?rid:string -> Secview.Error.t -> Sobs.Json.t
 (** Error reply for a typed engine error: the code is
     {!Secview.Error.to_code}, the message {!Secview.Error.to_string}. *)
@@ -127,7 +130,18 @@ val update_json :
 val simple : string -> Sobs.Json.t
 (** [{"cmd":CMD}] — for [stats], [metrics], [ping], [shutdown]. *)
 
-val explain_json : Splan.Explain.node -> Sobs.Json.t
-(** A {!Splan.Explain} tree as JSON: [op], [arg] (when present),
-    [counts] as an object, [children] (when non-empty).  Shared by the
-    [explain] server verb and [secview explain --json]. *)
+val explain_fields :
+  string -> Secview.Pipeline.explanation -> (string * Sobs.Json.t) list
+(** The body of an explain reply for the query text: the admission
+    verdict and its witness ([null] unless denied), the translated
+    query, the engine, the unfolding height, the fallback reason, the
+    result count, the document version and write generation, and the
+    plan tree ([op], [arg] when present, [counts], [children] when
+    non-empty).  The server's [explain] verb wraps it in {!ok};
+    [secview explain --json] prints it bare. *)
+
+val receipt_fields : Supdate.Engine.receipt -> (string * Sobs.Json.t) list
+(** The body of an admitted write's reply: [op], [targets],
+    [old_version], [new_version] and the [digest] of the writing
+    group's view of the result.  Shared by the server's [update] verb
+    and [secview update --json]. *)

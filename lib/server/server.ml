@@ -302,9 +302,9 @@ let parsed_request t (q : Protocol.query) k =
            the worker must survive *)
         Error (Secview.Error.Internal (Printexc.to_string exn))))
 
-(* Ok: (rendered results, translated query, plan operator counts,
-   pinned document version).  Counts are only collected when the
-   slow-query log or the flight recorder could use them. *)
+(* Ok: (rendered results, the pipeline's outcome, pinned document
+   version).  Counts are only collected when the slow-query log or the
+   flight recorder could use them. *)
 let answer_query t psess ~group (q : Protocol.query) =
   parsed_request t q (fun entry path ->
       let env name = List.assoc_opt name q.bind in
@@ -326,50 +326,16 @@ let answer_query t psess ~group (q : Protocol.query) =
       | Ok o ->
         Ok
           ( List.map (fun n -> Sxml.Print.to_string n) o.Pipeline.o_results,
-            Sxpath.Print.to_string o.Pipeline.o_translated,
-            o.Pipeline.o_counts,
+            o,
             Catalog.snapshot_version snap )
       | Error _ as e -> e)
 
 let explain_query t psess ~rid ~group (q : Protocol.query) =
   parsed_request t q (fun entry path ->
       let env name = List.assoc_opt name q.bind in
-      match
-        Pipeline.Session.explain psess ~group ~env path (Catalog.doc entry)
-      with
-      | Error _ as e -> e
-      | Ok x ->
-        Ok
-          (Protocol.ok ~rid
-             [
-               ("query", J.String q.text);
-               ( "admission",
-                 J.String (Pipeline.admission_label x.Pipeline.x_admission) );
-               ( "translated",
-                 J.String (Sxpath.Print.to_string x.Pipeline.x_translated) );
-               ( "engine",
-                 J.String
-                   (Pipeline.engine_label
-                      (if x.Pipeline.x_plan <> None then Pipeline.Plan
-                       else Pipeline.Interp)) );
-               ( "height",
-                 match x.Pipeline.x_height with
-                 | Some h -> J.Int h
-                 | None -> J.Null );
-               ( "fallback",
-                 match x.Pipeline.x_fallback with
-                 | Some r -> J.String r
-                 | None -> J.Null );
-               ("results", J.Int x.Pipeline.x_results);
-               ("doc_version", J.Int x.Pipeline.x_doc_version);
-               ("generation", J.Int x.Pipeline.x_generation);
-               ( "plan",
-                 match x.Pipeline.x_plan with
-                 | Some (compiled, stats) ->
-                   Protocol.explain_json
-                     (Splan.Explain.of_compiled compiled stats)
-                 | None -> J.Null );
-             ]))
+      Result.map
+        (fun x -> Protocol.ok ~rid (Protocol.explain_fields q.text x))
+        (Pipeline.Session.explain psess ~group ~env path (Catalog.doc entry)))
 
 (* The write path: resolve the document, then run check+swap.  Every
    update in the process goes through the single coordinator domain
@@ -383,20 +349,11 @@ let run_update psess t ~group (q : Protocol.query) =
   match resolve_document t q.doc with
   | Error _ as e -> (e, None)
   | Ok entry ->
-    let env name = List.assoc_opt name q.bind in
-    let detail = ref None in
-    let audit d = detail := Some d in
-    let outcome =
-      try
-        Supdate.Engine.apply_text
-          (Pipeline.Session.service psess)
-          ~group ~env ~audit ~entry q.text
-      with
-      | Failure msg | Invalid_argument msg | Sys_error msg ->
-        Error (Secview.Error.Internal msg)
-      | exn -> Error (Secview.Error.Internal (Printexc.to_string exn))
-    in
-    (outcome, !detail)
+    Record.apply_update
+      (Pipeline.Session.service psess)
+      ~group
+      ~env:(fun name -> List.assoc_opt name q.bind)
+      ~entry q.text
 
 let doc_label t (q : Protocol.query) =
   match q.doc with
@@ -458,11 +415,7 @@ let publish t ?(slow = false) ?(queued = false) mk =
             | Some threshold_ms when slow ->
               Sobs.Audit_log.log_slow_query log ~threshold_ms r
             | _ -> ());
-            (* a write shed by the overload check never ran: it is
-               audited as the request it was, not as a write attempt *)
-            if r.verb = "update" && r.status <> "overloaded" then
-              Sobs.Audit_log.log_update log r
-            else Sobs.Audit_log.log_request log r)
+            Sobs.Audit_log.log log r)
       | None -> ());
       Option.iter (fun rc -> Sobs.Recorder.record rc r) t.recorder;
       match t.capture with
@@ -509,84 +462,42 @@ let run_job t psess job =
     let rid = job.jrid in
     (* each job yields its reply, its status, and how its outcome fills
        the request record (applied only when a sink is on) *)
-    let failed status msg =
-      (status, fun (r : Sobs.Request.t) -> { r with error = Some msg })
-    in
     let run_work () =
       match job.work with
       | Nap s ->
         Thread.delay s;
-        ( Protocol.ok ~rid [ ("slept_ms", J.Float (1000. *. s)) ],
-          ("ok", Fun.id) )
+        (Protocol.ok ~rid [ ("slept_ms", J.Float (1000. *. s)) ], "ok", Fun.id)
       | Explain_query q -> (
         match explain_query t psess ~rid ~group:job.jgroup q with
-        | Ok reply -> (reply, ("ok", Fun.id))
-        | Error e ->
-          ( Protocol.error_of ~rid e,
-            failed "error" (Secview.Error.to_string e) ))
-      | Do_update q -> (
-        match run_update psess t ~group:job.jgroup q with
-        | Ok w, _ ->
-          (* the client-visible digest is of the group's view of the
-             new document (Engine computed it) — the raw document's
-             digest would be an equality oracle on hidden regions *)
-          ( Protocol.ok ~rid
-              [
-                ("op", J.String w.Supdate.Engine.r_op);
-                ("targets", J.Int w.Supdate.Engine.r_targets);
-                ("old_version", J.Int w.Supdate.Engine.r_old_version);
-                ("new_version", J.Int w.Supdate.Engine.r_new_version);
-                ("digest", J.String w.Supdate.Engine.r_view_digest);
-              ],
-            ( "ok",
-              fun (r : Sobs.Request.t) ->
-                {
-                  r with
-                  results = w.Supdate.Engine.r_targets;
-                  digest = Some w.Supdate.Engine.r_view_digest;
-                  doc_version = Some w.Supdate.Engine.r_new_version;
-                  write =
-                    Some
-                      {
-                        targets = w.Supdate.Engine.r_targets;
-                        old_version = w.Supdate.Engine.r_old_version;
-                        new_version = w.Supdate.Engine.r_new_version;
-                      };
-                } ) )
-        | Error e, detail ->
-          (* the code is the status ("update_denied", "invalid_update"):
-             a denial is the write path's headline outcome, and the
-             flight recorder should say so without the error text.
-             The audit/recorder error keeps the admission check's
-             id-bearing detail; the reply already went out sanitized. *)
-          let audit_error =
-            match detail with
-            | Some d -> Secview.Error.to_string e ^ " [" ^ d ^ "]"
-            | None -> Secview.Error.to_string e
-          in
-          ( Protocol.error_of ~rid e,
-            failed (Secview.Error.to_code e) audit_error ))
+        | Ok reply -> (reply, "ok", Fun.id)
+        | Error e as res ->
+          (Protocol.error_of ~rid e, Record.status ~write:false res,
+           Record.query res))
+      | Do_update q ->
+        (* the client-visible digest is of the group's view of the new
+           document (Engine computed it) — the raw document's digest
+           would be an equality oracle on hidden regions.  The record
+           keeps the admission check's id-bearing detail; the reply
+           goes out sanitized. *)
+        let res, detail = run_update psess t ~group:job.jgroup q in
+        ( (match res with
+          | Ok w -> Protocol.ok ~rid (Protocol.receipt_fields w)
+          | Error e -> Protocol.error_of ~rid e),
+          Record.status ~write:true res,
+          Record.update ?detail res )
       | Answer q -> (
         match answer_query t psess ~group:job.jgroup q with
-        | Ok (rendered, translated, counts, version) ->
+        | Ok (rendered, o, version) ->
           ( Protocol.ok ~rid
               [
                 ("results", J.List (List.map (fun s -> J.String s) rendered));
                 ("count", J.Int (List.length rendered));
               ],
-            ( "ok",
-              fun (r : Sobs.Request.t) ->
-                {
-                  r with
-                  results = List.length rendered;
-                  digest = Some (Sobs.Capture.digest rendered);
-                  doc_version = Some version;
-                  translated = Some translated;
-                  counts;
-                } ) )
-        | Error e ->
-          ( Protocol.error_of ~rid e,
-            failed "error" (Secview.Error.to_string e) ))
+            "ok",
+            Record.query ~version (Ok (rendered, o)) )
+        | Error e as res ->
+          (Protocol.error_of ~rid e, Record.status ~write:false res,
+           Record.query res))
     in
     (* the whole request runs inside a synthetic "request" root span:
        its children (per-thread) are exactly this request's stages,
@@ -596,7 +507,7 @@ let run_job t psess job =
     let want_spans =
       (t.config.slow_ms <> None || Option.is_some t.recorder) && is_query
     in
-    let (reply, (status, outcome)), spans =
+    let (reply, status, fill), spans =
       match t.tracer with
       | Some tr when want_spans -> Sobs.Tracer.with_request tr run_work
       | _ -> (run_work (), [])
@@ -624,14 +535,17 @@ let run_job t psess job =
     in
     if slow then count t "server.slow_query";
     publish t ~slow ~queued:true (fun () ->
-        outcome
-          {
-            (base ()) with
-            status;
-            latency_ms;
-            spans;
-            gc = Sobs.Request.gc_overlap t.runtime spans;
-          });
+        {
+          (fill
+             {
+               (base ()) with
+               latency_ms;
+               spans;
+               gc = Sobs.Request.gc_overlap t.runtime spans;
+             })
+          with
+          status;
+        });
     ignore (Deadline.fill job.cell reply : bool);
     (* keep a ~retain:false tracer's memory bounded: this thread's
        completed spans have served their purpose *)
@@ -667,15 +581,7 @@ let rec consumer_loop t psess queue ~track_busy =
 
 (* ---- connection handling ------------------------------------------- *)
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
-  done
-
-let send fd json = write_all fd (J.to_string json ^ "\n")
+let send fd json = Conn.write_all fd (J.to_string json ^ "\n")
 
 (* [stats_fields] is the single authority on spelling and order; the
    wire keeps the historical two-object shape ("cache" with the cache
@@ -1055,7 +961,7 @@ let http_conn t fd =
        in
        let line = String.trim line in
        let respond ~status ~ctype body =
-         write_all fd
+         Conn.write_all fd
            (Printf.sprintf
               "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\
                Connection: close\r\n\r\n%s"
@@ -1099,13 +1005,9 @@ let open_listener = function
     Unix.listen fd 64;
     fd
   | Tcp (host, port) | Metrics_http (host, port) ->
-    let addr =
-      if host = "" then Unix.inet_addr_loopback
-      else Unix.inet_addr_of_string host
-    in
     let fd = Unix.socket PF_INET SOCK_STREAM 0 in
     Unix.setsockopt fd SO_REUSEADDR true;
-    Unix.bind fd (ADDR_INET (addr, port));
+    Unix.bind fd (ADDR_INET (Conn.inet_addr host, port));
     Unix.listen fd 64;
     fd
 

@@ -145,7 +145,9 @@ val default_config : config
 
 type listener =
   | Unix_socket of string  (** path; replaced if present, removed on drain *)
-  | Tcp of string * int  (** host ([""] = loopback) and port *)
+  | Tcp of string * int
+      (** host (a name or address, [""] = loopback, as {!Conn.inet_addr})
+          and port *)
   | Metrics_http of string * int
       (** an HTTP/1.0 scrape endpoint: [GET /metrics] answers the
           OpenMetrics exposition of the server's merged snapshot;
@@ -192,6 +194,7 @@ val serve : t -> listener list -> unit
     for the process: a client that hangs up before reading its reply
     costs only its own connection (the write fails with [EPIPE]).
     @raise Invalid_argument on an empty listener list;
+    @raise Conn.Error if a listener's host does not resolve;
     @raise Unix.Unix_error if a listener cannot bind. *)
 
 val request_drain : t -> unit

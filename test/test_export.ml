@@ -288,34 +288,11 @@ let test_slow_query_record () =
 let scrape_port = 17917
 
 let http_get port path =
-  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let rec connect tries =
-        match
-          Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port))
-        with
-        | () -> ()
-        | exception Unix.Unix_error (ECONNREFUSED, _, _) when tries > 0 ->
-          Thread.delay 0.05;
-          connect (tries - 1)
-      in
-      connect 100;
-      let req = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path in
-      let b = Bytes.of_string req in
-      ignore (Unix.write fd b 0 (Bytes.length b));
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 4096 in
-      let rec slurp () =
-        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-        if n > 0 then begin
-          Buffer.add_subbytes buf chunk 0 n;
-          slurp ()
-        end
-      in
-      slurp ();
-      Buffer.contents buf)
+  Sserver.Conn.with_connection ~wait:5.
+    (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+    (fun c ->
+      Sserver.Conn.write c (Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path);
+      Sserver.Conn.read_all c)
 
 let split_response resp =
   let rec find i =

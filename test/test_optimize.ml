@@ -178,6 +178,29 @@ let test_equality_atoms_keep_their_paths () =
     (ids rewritten)
     (ids (Optimize.optimize dtd rewritten))
 
+let test_existence_qualifiers_are_alternatives () =
+  (* Under a -> (b | c)*, [*] does not imply [b]: the first a below
+     holds only a c.  Every way [*] holds must reach [b]'s end, not
+     merely one of them, or a[*] is pruned into a[b] and loses it. *)
+  let dtd =
+    Sdtd.Dtd.create ~root:"r"
+      [ ("r", R.Star (e "a")); ("a", R.Star (R.Choice [ e "b"; e "c" ]));
+        ("b", R.Str); ("c", R.Str) ]
+  in
+  let doc = Sxml.Parse.of_string "<r><a><c>x</c></a><a><b>y</b></a></r>" in
+  let c p q = Simulate.contained dtd (parse p) (parse q) "r" in
+  Alcotest.(check bool) "a[*] not contained in a[b]" false (c "a[*]" "a[b]");
+  Alcotest.(check bool) "a[b] contained in a[*]" true (c "a[b]" "a[*]");
+  Alcotest.(check bool) "a[(b | c)] not contained in a[b]" false
+    (c "a[(b | c)]" "a[b]");
+  Alcotest.(check bool) "a[b] contained in a[(b | c)]" true
+    (c "a[b]" "a[(b | c)]");
+  let p = parse "a[*] | a[b]" in
+  let ids p = List.map (fun n -> n.Sxml.Tree.id) (eval p doc) in
+  Alcotest.(check int) "both a elements answer" 2 (List.length (ids p));
+  Alcotest.(check (list int)) "optimize answers = query answers" (ids p)
+    (ids (Optimize.optimize dtd p))
+
 (* ---- Example 5.4 ---------------------------------------------------- *)
 
 let test_example_5_4 () =
@@ -417,6 +440,8 @@ let () =
             test_containment_soundness_on_instances;
           Alcotest.test_case "= atoms keep their paths" `Quick
             test_equality_atoms_keep_their_paths;
+          Alcotest.test_case "existence qualifiers are alternatives" `Quick
+            test_existence_qualifiers_are_alternatives;
         ] );
       ( "expansion",
         [

@@ -7,6 +7,7 @@ module Protocol = Sserver.Protocol
 module Server = Sserver.Server
 module Bqueue = Sserver.Bqueue
 module Deadline = Sserver.Deadline
+module Conn = Sserver.Conn
 module Catalog = Secview.Catalog
 module Pipeline = Secview.Pipeline
 
@@ -581,44 +582,14 @@ let test_multidomain_hammer () =
 
 (* ---- the server over a real socket ---------------------------------- *)
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
-  done
-
-let connect path =
-  let give_up = Deadline.now () +. 5. in
-  let rec go () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> (fd, Unix.in_channel_of_descr fd)
-    | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _)
-      when Deadline.now () < give_up ->
-      Unix.close fd;
-      Thread.delay 0.02;
-      go ()
-  in
-  go ()
-
-let send fd json = write_all fd (J.to_string json ^ "\n")
-let send_raw fd line = write_all fd (line ^ "\n")
-
-let recv ic =
-  match J.of_string (input_line ic) with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "unparsable reply: %s" e
-
-let reply_ok j =
-  match J.member "ok" j with Some (J.Bool b) -> b | _ -> false
+let connect path = Conn.connect ~wait:5. (Unix.ADDR_UNIX path)
+let recv c = snd (Conn.recv c)
 
 let reply_code j =
   match J.member "code" j with Some (J.String c) -> Some c | _ -> None
 
 let check_code what want j =
-  if reply_ok j then Alcotest.failf "%s unexpectedly succeeded" what;
+  if Protocol.is_ok j then Alcotest.failf "%s unexpectedly succeeded" what;
   Alcotest.(check (option string)) what (Some want) (reply_code j)
 
 let rid_of j = Option.bind (J.member "rid" j) J.to_string_opt
@@ -646,19 +617,19 @@ let with_server ?config ?audit ?recorder ?tracer ?runtime ?capture
 let test_server_roundtrips () =
   let doc = List.hd (adex_docs ()) in
   with_server ~docs:[ ("d1", doc) ] () @@ fun _server path ->
-  let fd, ic = connect path in
-  send fd (Protocol.simple "ping");
-  Alcotest.(check bool) "pong" true (reply_ok (recv ic));
+  let c = connect path in
+  Conn.send c (Protocol.simple "ping");
+  Alcotest.(check bool) "pong" true (Protocol.is_ok (recv c));
   (* queries before hello are refused *)
-  send fd (Protocol.query_json "//house");
-  check_code "no session" Protocol.no_session (recv ic);
-  send fd (Protocol.hello ~peer:"tests" "nosuch");
-  check_code "unknown group" Protocol.unknown_group (recv ic);
-  send_raw fd "this is not json";
-  check_code "bad json" Protocol.bad_request (recv ic);
-  send fd (Protocol.hello ~peer:"tests" "re");
-  let j = recv ic in
-  Alcotest.(check bool) "hello ok" true (reply_ok j);
+  Conn.send c (Protocol.query_json "//house");
+  check_code "no session" Protocol.no_session (recv c);
+  Conn.send c (Protocol.hello ~peer:"tests" "nosuch");
+  check_code "unknown group" Protocol.unknown_group (recv c);
+  Conn.send_line c "this is not json";
+  check_code "bad json" Protocol.bad_request (recv c);
+  Conn.send c (Protocol.hello ~peer:"tests" "re");
+  let j = recv c in
+  Alcotest.(check bool) "hello ok" true (Protocol.is_ok j);
   Alcotest.(check bool) "session id" true (J.member "session" j <> None);
   (* the answer matches the single-threaded pipeline byte for byte *)
   let expected =
@@ -671,27 +642,27 @@ let test_server_roundtrips () =
       (Pipeline.Session.answer_exn reference ~group:"re"
          (Sxpath.Parse.of_string "//house") doc)
   in
-  send fd (Protocol.query_json ~doc:"d1" "//house");
-  let j = recv ic in
-  Alcotest.(check bool) "query ok" true (reply_ok j);
+  Conn.send c (Protocol.query_json ~doc:"d1" "//house");
+  let j = recv c in
+  Alcotest.(check bool) "query ok" true (Protocol.is_ok j);
   (match J.member "results" j with
   | Some (J.List rs) ->
     Alcotest.(check (list string))
       "byte-identical to Session.answer" expected
       (List.filter_map J.to_string_opt rs)
   | _ -> Alcotest.fail "no results field");
-  send fd (Protocol.query_json ~doc:"zz" "//house");
-  check_code "unknown document" Protocol.unknown_document (recv ic);
-  send fd (Protocol.query_json ~doc:"d1" "//house[");
-  check_code "query parse error" Protocol.query_error (recv ic);
-  send fd (Protocol.simple "stats");
-  let j = recv ic in
-  Alcotest.(check bool) "stats ok" true (reply_ok j);
+  Conn.send c (Protocol.query_json ~doc:"zz" "//house");
+  check_code "unknown document" Protocol.unknown_document (recv c);
+  Conn.send c (Protocol.query_json ~doc:"d1" "//house[");
+  check_code "query parse error" Protocol.query_error (recv c);
+  Conn.send c (Protocol.simple "stats");
+  let j = recv c in
+  Alcotest.(check bool) "stats ok" true (Protocol.is_ok j);
   Alcotest.(check bool) "stats counters" true (J.member "counters" j <> None);
   (* a plain server refuses the debug sleep command *)
-  send_raw fd "{\"cmd\":\"sleep\",\"ms\":1}";
-  check_code "sleep needs debug" Protocol.bad_request (recv ic);
-  Unix.close fd
+  Conn.send_line c "{\"cmd\":\"sleep\",\"ms\":1}";
+  check_code "sleep needs debug" Protocol.bad_request (recv c);
+  Conn.close c
 
 (* Concurrent clients against a server with one and with four worker
    domains: every reply must be the one-session answer, byte for byte,
@@ -731,21 +702,21 @@ let test_server_concurrent_clients () =
       let right = Atomic.make 0 in
       let client i () =
         let g = fst (List.nth groups (i mod List.length groups)) in
-        let fd, ic = connect path in
-        send fd (Protocol.hello ~peer:"tests" g);
-        ignore (recv ic);
+        let c = connect path in
+        Conn.send c (Protocol.hello ~peer:"tests" g);
+        ignore (recv c);
         for _ = 1 to rounds do
           List.iter
             (fun (q, dname, want) ->
-              send fd (Protocol.query_json ~doc:dname q);
-              match J.member "results" (recv ic) with
+              Conn.send c (Protocol.query_json ~doc:dname q);
+              match J.member "results" (recv c) with
               | Some (J.List rs) when List.filter_map J.to_string_opt rs = want
                 ->
                 Atomic.incr right
               | _ -> ())
             (List.assoc g expected)
         done;
-        Unix.close fd
+        Conn.close c
       in
       let threads = List.init clients (fun i -> Thread.create (client i) ()) in
       List.iter Thread.join threads;
@@ -763,34 +734,34 @@ let test_server_overload () =
   let recorder = Sobs.Recorder.create ~capacity:8 in
   with_server ~config ~recorder ~docs:[ ("d1", List.hd (adex_docs ())) ] ()
   @@ fun _server path ->
-  let c1, ic1 = connect path in
-  let c2, ic2 = connect path in
-  let c3, ic3 = connect path in
-  send c3 (Protocol.hello ~peer:"tests" "re");
-  Alcotest.(check bool) "hello" true (reply_ok (recv ic3));
+  let c1 = connect path in
+  let c2 = connect path in
+  let c3 = connect path in
+  Conn.send c3 (Protocol.hello ~peer:"tests" "re");
+  Alcotest.(check bool) "hello" true (Protocol.is_ok (recv c3));
   (* c1 occupies the only worker, c2 fills the only queue slot, c3
      must be turned away immediately — not enqueued, not hung *)
-  send_raw c1 "{\"cmd\":\"sleep\",\"ms\":400}";
+  Conn.send_line c1 "{\"cmd\":\"sleep\",\"ms\":400}";
   Thread.delay 0.1;
-  send_raw c2 "{\"cmd\":\"sleep\",\"ms\":10}";
+  Conn.send_line c2 "{\"cmd\":\"sleep\",\"ms\":10}";
   Thread.delay 0.1;
   let t0 = Deadline.now () in
-  send_raw c3 "{\"cmd\":\"sleep\",\"ms\":10}";
-  let j3 = recv ic3 in
+  Conn.send_line c3 "{\"cmd\":\"sleep\",\"ms\":10}";
+  let j3 = recv c3 in
   let waited = Deadline.now () -. t0 in
   check_code "third request refused" Protocol.overloaded j3;
   Alcotest.(check bool) "refused immediately, not queued" true (waited < 0.25);
   (* a shed query is still a request: it reaches the flight ring *)
-  send c3 (Protocol.query_json ~rid:"shed" ~doc:"d1" "//house");
-  check_code "query refused" Protocol.overloaded (recv ic3);
+  Conn.send c3 (Protocol.query_json ~rid:"shed" ~doc:"d1" "//house");
+  check_code "query refused" Protocol.overloaded (recv c3);
   Alcotest.(check (list string)) "shed query in flight" [ "overloaded" ]
     (List.filter_map
        (fun (r : Sobs.Request.t) ->
          if r.rid = Some "shed" then Some r.status else None)
        (Sobs.Recorder.entries recorder));
-  Alcotest.(check bool) "first completes" true (reply_ok (recv ic1));
-  Alcotest.(check bool) "queued one completes" true (reply_ok (recv ic2));
-  List.iter Unix.close [ c1; c2; c3 ]
+  Alcotest.(check bool) "first completes" true (Protocol.is_ok (recv c1));
+  Alcotest.(check bool) "queued one completes" true (Protocol.is_ok (recv c2));
+  List.iter Conn.close [ c1; c2; c3 ]
 
 let test_server_timeout () =
   let config =
@@ -799,42 +770,42 @@ let test_server_timeout () =
   in
   with_server ~config ~docs:[ ("d1", List.hd (adex_docs ())) ] ()
   @@ fun _server path ->
-  let fd, ic = connect path in
-  send_raw fd "{\"cmd\":\"sleep\",\"ms\":300}";
-  check_code "deadline exceeded" Protocol.timeout (recv ic);
-  Unix.close fd
+  let c = connect path in
+  Conn.send_line c "{\"cmd\":\"sleep\",\"ms\":300}";
+  check_code "deadline exceeded" Protocol.timeout (recv c);
+  Conn.close c
 
 let test_server_rid_and_flight () =
   let doc = List.hd (adex_docs ()) in
   let recorder = Sobs.Recorder.create ~capacity:8 in
   with_server ~recorder ~docs:[ ("d1", doc) ] () @@ fun _server path ->
-  let fd, ic = connect path in
+  let c = connect path in
   (* a server-generated rid on every reply, r<session>-<n> shaped *)
-  send fd (Protocol.simple "ping");
-  (match rid_of (recv ic) with
+  Conn.send c (Protocol.simple "ping");
+  (match rid_of (recv c) with
   | Some r when String.length r > 1 && r.[0] = 'r' -> ()
   | other ->
     Alcotest.failf "expected a generated rid, got %s"
       (Option.value ~default:"<none>" other));
   (* the client's rid wins and is echoed verbatim, on success... *)
-  send_raw fd "{\"cmd\":\"ping\",\"rid\":\"mine-1\"}";
+  Conn.send_line c "{\"cmd\":\"ping\",\"rid\":\"mine-1\"}";
   Alcotest.(check (option string)) "client rid echoed" (Some "mine-1")
-    (rid_of (recv ic));
+    (rid_of (recv c));
   (* ...and on error replies, even for lines that are not commands *)
-  send_raw fd "{\"cmd\":\"frob\",\"rid\":\"mine-2\"}";
-  let j = recv ic in
-  Alcotest.(check bool) "frob refused" false (reply_ok j);
+  Conn.send_line c "{\"cmd\":\"frob\",\"rid\":\"mine-2\"}";
+  let j = recv c in
+  Alcotest.(check bool) "frob refused" false (Protocol.is_ok j);
   Alcotest.(check (option string)) "rid on error reply" (Some "mine-2")
     (rid_of j);
   (* the flight recorder retains the answered query in full fidelity,
      keyed by the same rid the reply carried *)
-  send fd (Protocol.hello ~peer:"tests" "re");
-  Alcotest.(check bool) "hello" true (reply_ok (recv ic));
-  send fd (Protocol.query_json ~rid:"fq-1" ~doc:"d1" "//house");
-  Alcotest.(check bool) "query ok" true (reply_ok (recv ic));
-  send fd (Protocol.simple "flight");
-  let j = recv ic in
-  Alcotest.(check bool) "flight ok" true (reply_ok j);
+  Conn.send c (Protocol.hello ~peer:"tests" "re");
+  Alcotest.(check bool) "hello" true (Protocol.is_ok (recv c));
+  Conn.send c (Protocol.query_json ~rid:"fq-1" ~doc:"d1" "//house");
+  Alcotest.(check bool) "query ok" true (Protocol.is_ok (recv c));
+  Conn.send c (Protocol.simple "flight");
+  let j = recv c in
+  Alcotest.(check bool) "flight ok" true (Protocol.is_ok j);
   (match J.member "entries" j with
   | Some (J.List es) ->
     Alcotest.(check bool) "recorder holds the query under its rid" true
@@ -845,7 +816,7 @@ let test_server_rid_and_flight () =
                 (Option.bind (J.member "digest" e) J.to_string_opt))
          es)
   | _ -> Alcotest.fail "flight reply has no entries");
-  Unix.close fd
+  Conn.close c
 
 let test_server_gc_attribution () =
   let doc = List.hd (adex_docs ()) in
@@ -860,14 +831,14 @@ let test_server_gc_attribution () =
   Fun.protect ~finally:Sobs.Tracer.uninstall @@ fun () ->
   with_server ~recorder ~tracer ~runtime ~docs:[ ("d1", doc) ] ()
   @@ fun _server path ->
-  let fd, ic = connect path in
-  send fd (Protocol.hello ~peer:"tests" "re");
-  Alcotest.(check bool) "hello" true (reply_ok (recv ic));
-  send fd (Protocol.query_json ~rid:"gc-1" ~doc:"d1" "//house");
-  Alcotest.(check bool) "query ok" true (reply_ok (recv ic));
-  send fd (Protocol.simple "flight");
-  let j = recv ic in
-  Alcotest.(check bool) "flight ok" true (reply_ok j);
+  let c = connect path in
+  Conn.send c (Protocol.hello ~peer:"tests" "re");
+  Alcotest.(check bool) "hello" true (Protocol.is_ok (recv c));
+  Conn.send c (Protocol.query_json ~rid:"gc-1" ~doc:"d1" "//house");
+  Alcotest.(check bool) "query ok" true (Protocol.is_ok (recv c));
+  Conn.send c (Protocol.simple "flight");
+  let j = recv c in
+  Alcotest.(check bool) "flight ok" true (Protocol.is_ok j);
   (match J.member "entries" j with
   | Some (J.List es) -> (
     match
@@ -892,9 +863,9 @@ let test_server_gc_attribution () =
     | None -> Alcotest.fail "no flight entry for gc-1")
   | _ -> Alcotest.fail "flight reply has no entries");
   (* the stats verb carries the runtime section with the same pause *)
-  send fd (Protocol.simple "stats");
-  let j = recv ic in
-  Alcotest.(check bool) "stats ok" true (reply_ok j);
+  Conn.send c (Protocol.simple "stats");
+  let j = recv c in
+  Alcotest.(check bool) "stats ok" true (Protocol.is_ok j);
   (match J.member "runtime" j with
   | Some rt ->
     Alcotest.(check (option bool)) "runtime enabled" (Some true)
@@ -903,41 +874,40 @@ let test_server_gc_attribution () =
       (Option.value ~default:0
          (Option.bind (J.member "pauses_total" rt) J.to_int_opt))
   | None -> Alcotest.fail "stats reply has no runtime section");
-  Unix.close fd
+  Conn.close c
 
 (* A line that never ends is refused once, typed, and hung up on —
    the server neither buffers it without bound nor stops answering
    other connections. *)
 let test_server_oversized_line () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let doc = List.hd (adex_docs ()) in
   with_server ~docs:[ ("d1", doc) ] () @@ fun server path ->
-  let fd, ic = connect path in
+  let c = connect path in
   (* a server that buffers forever must fail the test, not hang it *)
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  Unix.setsockopt_float (Conn.fd c) Unix.SO_RCVTIMEO 10.;
   let writer =
     Thread.create
       (fun () ->
         (* 2 MiB, no newline; the server hangs up midway *)
-        try write_all fd (String.make (2 * 1024 * 1024) 'x')
-        with Unix.Unix_error _ -> ())
+        try Conn.write c (String.make (2 * 1024 * 1024) 'x')
+        with Conn.Error _ | Unix.Unix_error _ -> ())
       ()
   in
-  check_code "oversized line refused" Protocol.bad_request (recv ic);
+  check_code "oversized line refused" Protocol.bad_request (recv c);
   (* hung up: EOF, or a reset because the rest of the line went unread *)
-  (match input_line ic with
-  | exception (End_of_file | Sys_error _) -> ()
+  (match Conn.recv_line c with
+  | exception Conn.Error _ -> ()
   | line -> Alcotest.failf "expected a closed socket, got %S" line);
   Thread.join writer;
-  Unix.close fd;
+  Conn.close c;
   Alcotest.(check (option int)) "counted" (Some 1)
     (List.assoc_opt "server.rejected.oversized"
        (Sobs.Metrics.counters (Server.metrics server)));
-  let fd, ic = connect path in
-  send fd (Protocol.simple "ping");
+  let c = connect path in
+  Conn.send c (Protocol.simple "ping");
   Alcotest.(check bool) "another connection is still answered" true
-    (reply_ok (recv ic));
-  Unix.close fd
+    (Protocol.is_ok (recv c));
+  Conn.close c
 
 let jsonl_of_string text =
   List.filter_map
@@ -978,12 +948,12 @@ let test_sink_agreement () =
       ~docs:[ ("ward", Workload.Hospital.sample_document ()) ]
       ()
     @@ fun _server path ->
-    let fd, ic = connect path in
-    send fd (Protocol.hello ~peer:"sinks" "user");
-    Alcotest.(check bool) "hello" true (reply_ok (recv ic));
+    let c = connect path in
+    Conn.send c (Protocol.hello ~peer:"sinks" "user");
+    Alcotest.(check bool) "hello" true (Protocol.is_ok (recv c));
     let ask what want json =
-      send fd json;
-      Alcotest.(check bool) what want (reply_ok (recv ic))
+      Conn.send c json;
+      Alcotest.(check bool) what want (Protocol.is_ok (recv c))
     in
     ask "answered" true
       (Protocol.query_json ~rid:"s-ok" ~doc:"ward" ~bind "//patient/name");
@@ -997,9 +967,9 @@ let test_sink_agreement () =
          "delete //patient[name = \"Bob\"]");
     ask "unknown document" false
       (Protocol.query_json ~rid:"s-unknown" ~doc:"zz" ~bind "//patient");
-    send fd (Protocol.simple "flight");
-    let j = recv ic in
-    Unix.close fd;
+    Conn.send c (Protocol.simple "flight");
+    let j = recv c in
+    Conn.close c;
     match J.member "entries" j with
     | Some (J.List es) -> es
     | _ -> Alcotest.fail "flight reply has no entries"
@@ -1128,17 +1098,17 @@ let test_server_drain_audit () =
   let doc = List.hd (adex_docs ()) in
   let queries = [ "//house"; "//apartment"; "//house/location" ] in
   with_server ~audit ~docs:[ ("d1", doc) ] () (fun _server path ->
-      let fd, ic = connect path in
-      send fd (Protocol.hello ~peer:"audit-test" "re");
-      Alcotest.(check bool) "hello" true (reply_ok (recv ic));
+      let c = connect path in
+      Conn.send c (Protocol.hello ~peer:"audit-test" "re");
+      Alcotest.(check bool) "hello" true (Protocol.is_ok (recv c));
       List.iter
         (fun q ->
-          send fd (Protocol.query_json ~doc:"d1" q);
-          Alcotest.(check bool) q true (reply_ok (recv ic)))
+          Conn.send c (Protocol.query_json ~doc:"d1" q);
+          Alcotest.(check bool) q true (Protocol.is_ok (recv c)))
         queries;
-      send fd (Protocol.simple "shutdown");
-      Alcotest.(check bool) "shutdown acknowledged" true (reply_ok (recv ic));
-      Unix.close fd);
+      Conn.send c (Protocol.simple "shutdown");
+      Alcotest.(check bool) "shutdown acknowledged" true (Protocol.is_ok (recv c));
+      Conn.close c);
   (* with_server joined the server thread on the way out, so the
      audit buffer is complete: every admitted query has its record *)
   check_audit buf queries

@@ -13,7 +13,12 @@ dune build
 echo "== dune runtest"
 dune runtest
 
-secview() { dune exec --no-build bin/secview_cli.exe -- "$@"; }
+# Everything below runs the binaries the build above produced, never
+# `dune exec`: a second dune process (say, a client started while a
+# backgrounded server is still starting) can race the first on
+# _build/.lock.
+secview() { _build/default/bin/secview_cli.exe "$@"; }
+bench_diff() { _build/default/tools/bench_diff/main.exe "$@"; }
 POL=examples/policies
 
 echo "== lint example policies"
@@ -64,6 +69,57 @@ for verb in query rewrite optimize explain lint analyze; do
   fi
 done
 echo "-- malformed queries: exit 2 with a parse error on every verb"
+
+# A remote verb with no server to talk to, or with a server that hangs
+# up before replying, is a typed error: "secview: ..." and exit 2,
+# never an uncaught exception.  The hang-up side is a listener that
+# accepts each connection and closes it at once.
+echo "== remote-verb error smoke"
+python3 - "$TMP/hang.sock" "$TMP/hang.port" <<'PY' &
+import os, select, socket, sys
+u = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+u.bind(sys.argv[1])
+u.listen(16)
+t = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+t.bind(("127.0.0.1", 0))
+t.listen(16)
+with open(sys.argv[2] + ".tmp", "w") as f:
+    f.write(str(t.getsockname()[1]))
+os.rename(sys.argv[2] + ".tmp", sys.argv[2])
+while True:
+    ready = select.select([u, t], [], [], 60)[0]
+    if not ready:
+        break
+    for s in ready:
+        s.accept()[0].close()
+PY
+HANG=$!
+for _ in $(seq 100); do [ -s "$TMP/hang.port" ] && break; sleep 0.05; done
+HPORT=$(cat "$TMP/hang.port")
+remote_error() {
+  code=0
+  secview "$@" > /dev/null 2> "$TMP/remote.err" || code=$?
+  if [ "$code" -ne 2 ] || ! grep -q '^secview: ' "$TMP/remote.err" \
+    || grep -q 'Fatal error' "$TMP/remote.err"; then
+    echo "remote-verb smoke: secview $* exited $code:" >&2
+    cat "$TMP/remote.err" >&2
+    exit 1
+  fi
+}
+for sock in "$TMP/missing.sock" "$TMP/hang.sock"; do
+  remote_error client --socket "$sock" --ping
+  remote_error flight --socket "$sock"
+  remote_error top --socket "$sock" --iterations 1
+  remote_error metrics --socket "$sock"
+  remote_error replay "$TMP/cap.jsonl" --socket "$sock"
+done
+remote_error metrics --tcp "$HPORT"
+remote_error metrics --scrape "127.0.0.1:$HPORT"
+kill "$HANG"
+wait "$HANG" 2>/dev/null || true
+remote_error metrics --tcp "$HPORT"
+remote_error metrics --scrape "127.0.0.1:$HPORT"
+echo "-- remote verbs: exit 2 with a message, no server or a hang-up alike"
 
 # Mixed read/write capture -> replay: a query, an admitted update, and
 # a query over the updated document, accumulated into one capture
@@ -272,7 +328,7 @@ wait $RSRV
 # rewrite and optimize answers must agree.  Nothing else runs
 # bench/main.exe, so this keeps its modes from rotting.
 echo "== paper experiments smoke"
-dune exec --no-build bench/main.exe -- \
+_build/default/bench/main.exe \
   --forms --approx --xmark --index --table1 --quick > "$TMP/paper.txt"
 if grep '^!! approaches disagree' "$TMP/paper.txt" >&2; then exit 1; fi
 echo "-- bench/main.exe: forms, approx, xmark, index, table1 ran"
@@ -280,8 +336,8 @@ echo "-- bench/main.exe: forms, approx, xmark, index, table1 ran"
 # The regression gate itself is gated: its self-test, then a diff of a
 # report against itself (which must never regress).
 echo "== bench_diff"
-dune exec --no-build tools/bench_diff/main.exe -- --self-test
-dune exec --no-build tools/bench_diff/main.exe -- --quiet \
+bench_diff --self-test
+bench_diff --quiet \
   "$TMP/replay.json" "$TMP/replay.json"
 echo "-- bench_diff: self-diff clean"
 
@@ -292,7 +348,7 @@ echo "-- bench_diff: self-diff clean"
 # machine ran each PR — this gate catches gross regressions, not
 # scheduler noise.
 if [ -f BENCH_PR7.json ] && [ -f BENCH_PR8.json ]; then
-  dune exec --no-build tools/bench_diff/main.exe -- \
+  bench_diff \
     --threshold 60 --floor 2 BENCH_PR7.json BENCH_PR8.json
   echo "-- bench_diff: read path held across PR 8"
 fi
@@ -302,7 +358,7 @@ fi
 # (recorder.off.*), so the Service/Session split plus the domain
 # execution model must not tax a 1-domain server's read path.
 if [ -f BENCH_PR8.json ] && [ -f BENCH_PR9.json ]; then
-  dune exec --no-build tools/bench_diff/main.exe -- \
+  bench_diff \
     --threshold 60 --floor 2 BENCH_PR8.json BENCH_PR9.json
   echo "-- bench_diff: read path held across PR 9"
 fi
