@@ -549,7 +549,7 @@ let query_cmd =
     let env = env_of_bindings bindings in
     let qs = List.map parse_query queries in
     let index = if indexed then Some (Sxml.Index.build doc) else None in
-    let render = List.map (fun n -> Sxml.Print.to_string n) in
+    let render = Sxml.Print.answer (Buffer.create 1024) in
     (* the server's per-request deadline machinery, applied to the
        whole evaluation; exit 3 on expiry (after flushing the sinks, so
        the trail records what was asked before the cutoff) *)
@@ -838,9 +838,10 @@ let analyze_cmd =
     let verdicts =
       List.concat_map
         (fun (g, v) ->
-          let vdtd = Secview.View.dtd v in
+          let prep = Secview.Optimize.prepare (Secview.View.dtd v) in
           List.map
-            (fun (qt, q) -> (g, qt, Sanalysis.Semantic.admission vdtd q))
+            (fun (qt, q) ->
+              (g, qt, Sanalysis.Semantic.admission_prepared prep q))
             queries)
         groups
     in
@@ -1692,6 +1693,7 @@ let replay_cmd =
           docs;
         let svc = Secview.Pipeline.Service.create ~catalog dtd ~groups in
         let pipe = Secview.Pipeline.Session.create svc in
+        let out = Buffer.create 1024 in
         let default_doc =
           match docs with [ (n, _) ] -> Some n | _ -> None
         in
@@ -1734,19 +1736,13 @@ let replay_cmd =
                      r.c_query)
               else
                 let q = parse_query r.c_query in
-                let doc = Secview.Catalog.doc entry in
-                let index =
-                  if r.c_index then Some (Secview.Catalog.index entry)
-                  else None
-                in
                 Result.map
-                  (fun nodes ->
-                    let rendered =
-                      List.map (fun n -> Sxml.Print.to_string n) nodes
-                    in
+                  (fun (o : Secview.Pipeline.outcome) ->
+                    let rendered = Sxml.Print.answer out o.o_results in
                     (Sobs.Capture.digest rendered, List.length rendered))
-                  (Secview.Pipeline.Session.answer pipe ~group:r.c_group
-                     ~engine ~env ?index q doc)
+                  (Secview.Pipeline.Session.answer_pinned pipe
+                     ~group:r.c_group ~engine ~env ~use_index:r.c_index q
+                     (Secview.Catalog.pin entry))
             in
             let ms = 1000. *. (Sserver.Deadline.now () -. t0) in
             match outcome with

@@ -205,7 +205,8 @@ let fleet_diagnostics cmps =
 (* Static query admission                                              *)
 (* ------------------------------------------------------------------ *)
 
-let admission vdtd q =
+let admission_prepared prep q =
+  let vdtd = Secview.Optimize.prepared_dtd prep in
   let witness = ref None in
   let note w = if !witness = None then witness := Some w in
   let issue = function
@@ -240,7 +241,8 @@ let admission vdtd q =
        drops — the answer is the empty node set on every instance"
   else
     let opt =
-      try Secview.Optimize.optimize vdtd q with Image.Too_large -> q
+      try Secview.Optimize.optimize_prepared prep q
+      with Image.Too_large -> q
     in
     if A.is_empty opt then
       Secview.Pipeline.Denied_empty
@@ -250,6 +252,8 @@ let admission vdtd q =
               view DTD")
     else if A.equal_path opt A.Eps then Secview.Pipeline.Trivial
     else Secview.Pipeline.Needs_eval
+
+let admission vdtd q = admission_prepared (Secview.Optimize.prepare vdtd) q
 
 (* ------------------------------------------------------------------ *)
 (* Leakage: structure exposed that no instance can populate            *)
@@ -352,4 +356,4 @@ let check_leakage ~dtd view =
 (* Register with the pipeline so any embedder that links the analysis
    sublibrary gets static admission (the strict-gate pattern — see
    {!Lint}'s registration). *)
-let () = Secview.Pipeline.set_admission_analyzer admission
+let () = Secview.Pipeline.set_admission_analyzer admission_prepared

@@ -29,10 +29,10 @@
       instance can ever populate, leaking the shape of hidden data
       (SV410).
 
-    Everything here shares {!Secview.Image}'s process-global memo
-    tables; like the optimizer, concurrent callers must serialize
-    (the pipeline runs the registered analyzer under its translation
-    lock). *)
+    Everything here leans on {!Secview.Image}'s memo tables, which
+    are domain-local, so the registered analyzer runs on any domain
+    without a lock; a shared optimizer context
+    ({!Secview.Optimize.prepared}) fills by compare-and-set. *)
 
 (** How two groups' accessible regions compare.  [Subsumed]/[Subsumes]
     mean one direction of containment is {e proven} and the converse is
@@ -115,6 +115,14 @@ val admission :
     proofs; [Needs_eval] claims nothing.  Never raises: analysis
     budget blowups ({!Secview.Image.Too_large}) degrade to
     [Needs_eval]. *)
+
+val admission_prepared :
+  Secview.Optimize.prepared -> Sxpath.Ast.path -> Secview.Pipeline.admission
+(** {!admission} against the view DTD's optimizer context
+    ({!Secview.Optimize.prepare}), built once and shared by every
+    query classified against that DTD: what the pipeline's registered
+    analyzer and [secview analyze] call.  [admission dtd q] is
+    [admission_prepared (Secview.Optimize.prepare dtd) q]. *)
 
 val check_leakage :
   dtd:Sdtd.Dtd.t -> Secview.View.t -> Diagnostic.t list

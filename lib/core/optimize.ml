@@ -65,6 +65,8 @@ let prepare dtd =
       (if Sdtd.Dtd.is_recursive dtd then None else Some (View.identity_of dtd));
   }
 
+let prepared_dtd prep = prep.dtd
+
 (* Per-call state: the memo over (sub-query, context type). *)
 type ctx = {
   prep : prepared;

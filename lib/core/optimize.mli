@@ -31,6 +31,9 @@ type prepared
 
 val prepare : Sdtd.Dtd.t -> prepared
 
+val prepared_dtd : prepared -> Sdtd.Dtd.t
+(** The DTD the context was prepared for. *)
+
 val optimize_prepared : prepared -> Sxpath.Ast.path -> Sxpath.Ast.path
 (** [optimize_prepared (prepare dtd) p] is [optimize dtd p], without
     rebuilding the DTD's context on every call. *)

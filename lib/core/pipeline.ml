@@ -109,7 +109,7 @@ let set_strict_gate f = strict_gate := Some f
    once at link time (module initialization) and only read afterwards,
    so sharing them across domains is safe. *)
 let admission_analyzer :
-    (Sdtd.Dtd.t -> Sxpath.Ast.path -> admission) option ref =
+    (Optimize.prepared -> Sxpath.Ast.path -> admission) option ref =
   ref None
 
 let set_admission_analyzer f = admission_analyzer := Some f
@@ -159,6 +159,7 @@ module Service = struct
     g_info : group;
     g_spec : Spec.t;
     g_recursive : bool;
+    g_opt : Optimize.prepared;  (* the view DTD's, for admission *)
   }
 
   type t = {
@@ -190,6 +191,7 @@ module Service = struct
             g_info = { name; view };
             g_spec = spec;
             g_recursive = Sdtd.Dtd.is_recursive (View.dtd view);
+            g_opt = Optimize.prepare (View.dtd view);
           })
       derived;
     let catalog =
@@ -394,8 +396,7 @@ module Session = struct
           match !admission_analyzer with
           | None -> Needs_eval
           | Some analyze ->
-            Trace.span "admission" @@ fun () ->
-            analyze (View.dtd sg.gv.Service.g_info.view) q
+            Trace.span "admission" @@ fun () -> analyze sg.gv.Service.g_opt q
         in
         Hashtbl.replace sg.admission_cache q v;
         v
@@ -446,7 +447,7 @@ module Session = struct
               let dead =
                 List.filter
                   (fun b ->
-                    match analyze sess.svc.Service.s_dtd b with
+                    match analyze sess.svc.Service.s_opt b with
                     | Denied_empty _ -> true
                     | Trivial | Needs_eval -> false)
                   branches
@@ -463,8 +464,23 @@ module Session = struct
         Atomic.incr sg.ctr.c_plan_fallbacks;
         Error reason)
 
-  let doc_height sess doc =
-    let snap = Catalog.intern sess.svc.Service.s_catalog doc in
+  (* Where a request's document facts (height, index) come from: the
+     snapshot the caller pinned, or the catalog snapshot holding a bare
+     tree, interned when first needed. *)
+  type source =
+    | Pinned of Catalog.snapshot
+    | Bare of Sxml.Tree.t
+
+  let source_doc = function
+    | Pinned snap -> Catalog.snapshot_doc snap
+    | Bare doc -> doc
+
+  let snapshot_of sess = function
+    | Pinned snap -> snap
+    | Bare doc -> Catalog.intern sess.svc.Service.s_catalog doc
+
+  let doc_height sess src =
+    let snap = snapshot_of sess src in
     match Catalog.snapshot_memoized_height snap with
     | Some h ->
       if Trace.enabled () then Trace.count "pipeline.height.memo_hit" 1;
@@ -477,24 +493,23 @@ module Session = struct
       if Trace.enabled () then Trace.count "pipeline.height.computed" 1;
       h
 
-  let request_height sess sg ?height doc =
+  let request_height sess sg ?height src =
     if not sg.gv.Service.g_recursive then None
     else
-      match height with Some _ -> height | None -> Some (doc_height sess doc)
+      match height with Some _ -> height | None -> Some (doc_height sess src)
 
   (* The index the plan engine executes over: the caller's if given,
-     else the catalog's memoized one.  A context that is not a
-     document root cannot be indexed — the engine falls back to the
-     interpreter (only reachable through direct library use; the CLI
-     and server always answer at document roots). *)
-  let exec_index sess ?index (doc : Sxml.Tree.t) =
-    match index with
-    | Some _ -> index
-    | None ->
+     else the source snapshot's memoized one.  A bare context that is
+     not a document root cannot be indexed — the engine falls back to
+     the interpreter (only reachable through direct library use; the
+     CLI and server always answer at document roots). *)
+  let exec_index sess ?index src =
+    match (index, src) with
+    | Some _, _ -> index
+    | None, Pinned snap -> Some (Catalog.snapshot_index snap)
+    | None, Bare doc ->
       if doc.Sxml.Tree.id = 0 then
-        Some
-          (Catalog.snapshot_index
-             (Catalog.intern sess.svc.Service.s_catalog doc))
+        Some (Catalog.snapshot_index (snapshot_of sess src))
       else None
 
   let interp ?env ?index translated doc =
@@ -504,11 +519,12 @@ module Session = struct
      stats when the plan engine runs and the caller asked, thunk).
      [want_stats] keeps the hot path allocation-free — counters are
      only sized and threaded through when an outcome consumer asked. *)
-  let run_engine sess sg ~group ~engine ~want_stats ?env ?index ce doc =
+  let run_engine sess sg ~group ~engine ~want_stats ?env ?index ce src =
+    let doc = source_doc src in
     match engine with
     | Interp -> (Interp, None, fun () -> interp ?env ?index ce.translated doc)
     | Plan -> (
-      match exec_index sess ?index doc with
+      match exec_index sess ?index src with
       | None -> (Interp, None, fun () -> interp ?env ?index ce.translated doc)
       | Some idx -> (
         match plan_of sess sg ~group ce with
@@ -523,9 +539,9 @@ module Session = struct
           (Interp, None, fun () -> interp ?env ~index:idx ce.translated doc)))
 
   let answer_observed sess sg ~group ~engine ~want_stats ?env ?index ?height q
-      doc =
+      src =
     Trace.span "answer" @@ fun () ->
-    let height = request_height sess sg ?height doc in
+    let height = request_height sess sg ?height src in
     let ce = translate_entry sess sg ~group ?height q in
     (* [visited] is a trace-only work meter shared by every domain's
        evaluators without synchronization: lost updates under parallel
@@ -533,7 +549,7 @@ module Session = struct
        is exact *)
     let v0 = !Sxpath.Eval.visited + !Splan.Exec.visited in
     let used, stats, thunk =
-      run_engine sess sg ~group ~engine ~want_stats ?env ?index ce doc
+      run_engine sess sg ~group ~engine ~want_stats ?env ?index ce src
     in
     let results =
       Fun.protect
@@ -544,8 +560,8 @@ module Session = struct
     in
     (results, ce, used, stats)
 
-  let answer_outcome sess ~group ?(engine = Plan) ?(counts = false) ?env
-      ?index ?height q doc =
+  let answer_source sess ~group ?(engine = Plan) ?(counts = false) ?env
+      ?index ?height q src =
     sync sess;
     match sgroup sess group with
     | exception Not_found ->
@@ -554,13 +570,13 @@ module Session = struct
       match
         if Trace.enabled () then
           answer_observed sess sg ~group ~engine ~want_stats:counts ?env
-            ?index ?height q doc
+            ?index ?height q src
         else
-          let height = request_height sess sg ?height doc in
+          let height = request_height sess sg ?height src in
           let ce = translate_entry sess sg ~group ?height q in
           let used, stats, thunk =
             run_engine sess sg ~group ~engine ~want_stats:counts ?env ?index
-              ce doc
+              ce src
           in
           (thunk (), ce, used, stats)
       with
@@ -578,6 +594,19 @@ module Session = struct
       | exception Rewrite.Unsupported msg -> Error (Error.Unsupported msg)
       | exception Sxpath.Eval.Unbound_variable name ->
         Error (Error.Unbound_variable name))
+
+  let answer_outcome sess ~group ?engine ?counts ?env ?index ?height q doc =
+    answer_source sess ~group ?engine ?counts ?env ?index ?height q (Bare doc)
+
+  (* A served read: height and index come from the snapshot the
+     request pinned — no catalog lookup, so a write landing meanwhile
+     cannot send the read to an anonymous copy of its own tree. *)
+  let answer_pinned sess ~group ?engine ?counts ?env ?(use_index = false) q
+      snap =
+    let index =
+      if use_index then Some (Catalog.snapshot_index snap) else None
+    in
+    answer_source sess ~group ?engine ?counts ?env ?index q (Pinned snap)
 
   let answer sess ~group ?engine ?env ?index ?height q doc =
     Result.map
@@ -601,15 +630,13 @@ module Session = struct
       Error (Error.Unknown_group { group; known = sess.svc.Service.s_order })
     | sg -> (
       let admission = classify_sg sg q in
-      let doc_version =
-        Catalog.snapshot_version
-          (Catalog.intern sess.svc.Service.s_catalog doc)
-      in
+      let src = Bare doc in
+      let doc_version = Catalog.snapshot_version (snapshot_of sess src) in
       let generation = Service.generation sess.svc in
       match
-        let height = request_height sess sg ?height doc in
+        let height = request_height sess sg ?height src in
         let ce = translate_entry sess sg ~group ?height q in
-        match exec_index sess ?index doc with
+        match exec_index sess ?index src with
         | None ->
           let results = interp ?env ?index ce.translated doc in
           ( ce.translated, height, None,

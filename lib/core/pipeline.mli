@@ -114,16 +114,19 @@ val set_strict_gate :
     registered gate raises [Invalid_argument]. *)
 
 val set_admission_analyzer :
-  (Sdtd.Dtd.t -> Sxpath.Ast.path -> admission) -> unit
+  (Optimize.prepared -> Sxpath.Ast.path -> admission) -> unit
 (** Install the analyzer {!Session.classify} consults (the
     registration pattern of {!set_strict_gate}: [Sanalysis.Semantic]
     registers itself when linked).  Without one, classification
     answers [Needs_eval] for everything.  The analyzer is called with
-    the group's view DTD, and additionally with the {e document} DTD
-    on translated queries when compiling plans — see
-    {!Splan.Compile}'s branch pruning.  It must be safe to call from
-    any domain (the registered analyzer is: it leans on {!Image},
-    whose memos are domain-local). *)
+    the optimizer context ({!Optimize.prepare}) of the group's view
+    DTD, and additionally with the {e document} DTD's on translated
+    queries when compiling plans — see {!Splan.Compile}'s branch
+    pruning.  The service prepares each context once, so a cold
+    classification pays only for its query.  The analyzer must be
+    safe to call from any domain (the registered analyzer is: it
+    leans on {!Image}, whose memos are domain-local, and on the
+    contexts' compare-and-set tables). *)
 
 (** What {!Session.answer_outcome} adds over the bare result list: the
     document query that ran, the engine that actually executed it
@@ -322,6 +325,24 @@ module Session : sig
       (the translated query, the operator counts).  [counts] (default [false])
       allocates and fills per-operator counters when the plan engine
       runs; the default keeps the hot path identical to {!answer}. *)
+
+  val answer_pinned :
+    t ->
+    group:string ->
+    ?engine:engine ->
+    ?counts:bool ->
+    ?env:(string -> string option) ->
+    ?use_index:bool ->
+    Sxpath.Ast.path ->
+    Catalog.snapshot ->
+    (outcome, Error.t) result
+  (** {!answer_outcome} over a snapshot the caller pinned
+      ({!Catalog.pin}) — how the server answers a read.  The height and
+      the index come from that snapshot, so however many writes land
+      after the pin, the answer is the pinned version's and the
+      catalog is never searched (no catalog lock, no interning).  The
+      plan engine always runs over the snapshot's index; [use_index]
+      (default [false]) hands it to the [Interp] engine too. *)
 
   val explain :
     t ->

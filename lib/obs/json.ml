@@ -7,20 +7,29 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+let escape_char buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+
+(* [s] from [i] on, [s.[start..i-1]] not yet added: a run that needs
+   no escaping goes in with one [add_substring]. *)
+let rec escape_run buf s start i =
+  if i = String.length s then Buffer.add_substring buf s start (i - start)
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\000' .. '\031' ->
+      Buffer.add_substring buf s start (i - start);
+      escape_char buf (String.unsafe_get s i);
+      escape_run buf s (i + 1) (i + 1)
+    | _ -> escape_run buf s start (i + 1)
+
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  escape_run buf s 0 0;
   Buffer.add_char buf '"'
 
 let float_repr f =
@@ -52,6 +61,8 @@ let rec write buf = function
         write buf v)
       fields;
     Buffer.add_char buf '}'
+
+let to_buffer = write
 
 let to_string v =
   let buf = Buffer.create 256 in

@@ -22,6 +22,9 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) rendering with full string escaping. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** {!to_string}'s text, appended to the buffer. *)
+
 val to_channel : out_channel -> t -> unit
 
 val of_string : string -> (t, string) result

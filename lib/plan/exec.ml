@@ -319,7 +319,7 @@ and pred st (q : Plan.pred) (id : int) (c : int) : bool =
     let cst = resolve st v in
     probe st p (id + 1) c
       ~on_node:(fun nid ->
-        String.equal (Sxml.Tree.string_value (node st nid)) cst)
+        Sxml.Tree.string_value_equal (node st nid) cst)
       ~on_attr:(fun a -> String.equal a cst)
   | Plan.And (a, b) ->
     pred st a (id + 1) c && pred st b (id + 1 + Plan.size_pred a) c

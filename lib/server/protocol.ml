@@ -54,6 +54,12 @@ let error ?rid ~code msg =
 
 let is_ok reply = J.member "ok" reply = Some (J.Bool true)
 
+let line buf reply =
+  Buffer.clear buf;
+  J.to_buffer buf reply;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
 let error_of ?rid (e : Secview.Error.t) =
   error ?rid ~code:(Secview.Error.to_code e) (Secview.Error.to_string e)
 

@@ -103,6 +103,12 @@ val error : ?rid:string -> code:string -> string -> Sobs.Json.t
 val is_ok : Sobs.Json.t -> bool
 (** Does the reply carry ["ok":true]? *)
 
+val line : Buffer.t -> Sobs.Json.t -> string
+(** A reply as it goes on the wire: its JSON and a newline, built in
+    the buffer (cleared first).  The server writes every reply through
+    here, each in a buffer owned by the thread that builds the reply,
+    so the buffer is reused from one reply to the next. *)
+
 val error_of : ?rid:string -> Secview.Error.t -> Sobs.Json.t
 (** Error reply for a typed engine error: the code is
     {!Secview.Error.to_code}, the message {!Secview.Error.to_string}. *)

@@ -54,6 +54,14 @@ let work_verb = function
   | Do_update _ -> "update"
   | Nap _ -> "sleep"
 
+(* A connection's write side, owned by its connection thread: the
+   socket, and the buffer that thread builds its own replies in.  A
+   worker's reply arrives finished, built in the worker's buffer. *)
+type link = {
+  fd : Unix.file_descr;
+  out : Buffer.t;
+}
+
 type job = {
   jsession : session;
   jgroup : string;
@@ -61,7 +69,7 @@ type job = {
   work : work;
   submitted : float;
   deadline_at : float option;
-  cell : J.t Deadline.cell;
+  cell : string Deadline.cell;  (* the reply line, newline included *)
 }
 
 type t = {
@@ -303,29 +311,26 @@ let parsed_request t (q : Protocol.query) k =
         Error (Secview.Error.Internal (Printexc.to_string exn))))
 
 (* Ok: (rendered results, the pipeline's outcome, pinned document
-   version).  Counts are only collected when the slow-query log or the
-   flight recorder could use them. *)
-let answer_query t psess ~group (q : Protocol.query) =
+   version), the results rendered in the worker's buffer [out].
+   Counts are only collected when the slow-query log or the flight
+   recorder could use them. *)
+let answer_query t psess ~out ~group (q : Protocol.query) =
   parsed_request t q (fun entry path ->
       let env name = List.assoc_opt name q.bind in
-      (* Pin once: document and index must come from the same
-         snapshot.  Reading them through the entry as two separate
+      (* Pin once: document, height and index all come from this
+         snapshot.  Reading them through the entry as separate
          dereferences could straddle a concurrent update's swap, and
          the new snapshot's index ids (fresh dense preorder) name
          different nodes in the old tree — a torn read. *)
       let snap = Catalog.pin entry in
-      let doc = Catalog.snapshot_doc snap in
-      let index =
-        if q.use_index then Some (Catalog.snapshot_index snap) else None
-      in
       match
-        Pipeline.Session.answer_outcome psess ~group ~engine:t.config.engine
+        Pipeline.Session.answer_pinned psess ~group ~engine:t.config.engine
           ~counts:(t.config.slow_ms <> None || Option.is_some t.recorder)
-          ~env ?index path doc
+          ~env ~use_index:q.use_index path snap
       with
       | Ok o ->
         Ok
-          ( List.map (fun n -> Sxml.Print.to_string n) o.Pipeline.o_results,
+          ( Sxml.Print.answer out o.Pipeline.o_results,
             o,
             Catalog.snapshot_version snap )
       | Error _ as e -> e)
@@ -430,7 +435,9 @@ let publish t ?(slow = false) ?(queued = false) mk =
     | _ -> ()
   end
 
-let run_job t psess job =
+(* [out] is the consuming loop's buffer: the answer is rendered and the
+   reply line built in it. *)
+let run_job t psess ~out job =
   let latency () = 1000. *. (Deadline.now () -. job.submitted) in
   let base () =
     request t job.jsession ~rid:job.jrid ~group:job.jgroup job.work
@@ -455,8 +462,9 @@ let run_job t psess job =
         });
     ignore
       (Deadline.fill job.cell
-         (Protocol.error_of ~rid:job.jrid
-            (Secview.Error.Timeout "deadline exceeded in queue")))
+         (Protocol.line out
+            (Protocol.error_of ~rid:job.jrid
+               (Secview.Error.Timeout "deadline exceeded in queue"))))
   end
   else begin
     let rid = job.jrid in
@@ -486,7 +494,7 @@ let run_job t psess job =
           Record.status ~write:true res,
           Record.update ?detail res )
       | Answer q -> (
-        match answer_query t psess ~group:job.jgroup q with
+        match answer_query t psess ~out ~group:job.jgroup q with
         | Ok (rendered, o, version) ->
           ( Protocol.ok ~rid
               [
@@ -546,7 +554,7 @@ let run_job t psess job =
           with
           status;
         });
-    ignore (Deadline.fill job.cell reply : bool);
+    ignore (Deadline.fill job.cell (Protocol.line out reply) : bool);
     (* keep a ~retain:false tracer's memory bounded: this thread's
        completed spans have served their purpose *)
     match t.tracer with
@@ -554,11 +562,19 @@ let run_job t psess job =
     | None -> ()
   end
 
-(* One loop per consuming domain.  Read workers pop [t.queue]; the
-   update coordinator pops [t.uqueue].  Each owns its [psess] — the
-   whole point of the Session split: the hot path probes caches no
-   other domain can touch. *)
-let rec consumer_loop t psess queue ~track_busy =
+(* A reply buffer that grew past this is dropped after the reply, so
+   one huge answer does not pin its size for the server's lifetime. *)
+let out_keep = 1 lsl 16
+
+(* One loop per consumer.  Read workers pop [t.queue]; the update
+   coordinator pops [t.uqueue].  Each owns its [psess] — the whole
+   point of the Session split: the hot path probes caches no other
+   domain can touch — and its [out] buffer, which every answer it
+   renders and every reply line it builds reuses.  The buffer belongs
+   to the loop, not to a domain: on a one-domain server the read
+   worker, the coordinator and every connection thread are threads of
+   one domain, and a domain-local buffer would be shared among them. *)
+let rec consumer_loop t psess ~out queue ~track_busy =
   match Bqueue.pop queue with
   | None -> ()
   | Some job ->
@@ -567,21 +583,25 @@ let rec consumer_loop t psess queue ~track_busy =
        Fun.protect
          ~finally:(fun () ->
            if track_busy then Atomic.decr t.busy_workers)
-         (fun () -> run_job t psess job)
+         (fun () -> run_job t psess ~out job)
      with exn ->
        (* last line of defense: a worker that dies strands every
           queued request, so fill the cell and keep looping *)
        ignore
          (Deadline.fill job.cell
-            (Protocol.error_of ~rid:job.jrid
-               (Secview.Error.Internal
-                  ("internal error: " ^ Printexc.to_string exn))));
+            (Protocol.line out
+               (Protocol.error_of ~rid:job.jrid
+                  (Secview.Error.Internal
+                     ("internal error: " ^ Printexc.to_string exn)))));
        count t "server.done.internal_error");
-    consumer_loop t psess queue ~track_busy
+    if Buffer.length out > out_keep then Buffer.reset out;
+    consumer_loop t psess ~out queue ~track_busy
 
 (* ---- connection handling ------------------------------------------- *)
 
-let send fd json = Conn.write_all fd (J.to_string json ^ "\n")
+(* Every reply the connection thread builds itself goes out through
+   [Protocol.line], in the connection's own buffer. *)
+let send link json = Conn.write_all link.fd (Protocol.line link.out json)
 
 (* [stats_fields] is the single authority on spelling and order; the
    wire keeps the historical two-object shape ("cache" with the cache
@@ -670,7 +690,7 @@ let classify_conn t ~group path =
    succeed (document resolves, query parses): errors must keep coming
    from the one [Protocol.error_of] mapping in the worker path.
    Returns [true] when the request was answered here. *)
-let admission_fast_path t sess fd ~rid group (q : Protocol.query) =
+let admission_fast_path t sess link ~rid group (q : Protocol.query) =
   t.config.admission
   &&
   match resolve_document t q.doc with
@@ -695,15 +715,15 @@ let admission_fast_path t sess fd ~rid group (q : Protocol.query) =
               digest = Some (Sobs.Capture.digest []);
               latency_ms;
             });
-        send fd
+        send link
           (Protocol.ok ~rid [ ("results", J.List []); ("count", J.Int 0) ]);
         true
       | Ok (Pipeline.Trivial | Pipeline.Needs_eval) | Error _ -> false
       | exception _ -> false))
 
-let submit t sess fd ~rid work =
+let submit t sess link ~rid work =
   if draining t then
-    send fd (Protocol.error_of ~rid Secview.Error.Draining)
+    send link (Protocol.error_of ~rid Secview.Error.Draining)
   else begin
     let submitted = Deadline.now () in
     let job =
@@ -740,28 +760,29 @@ let submit t sess fd ~rid work =
             error = Some msg;
             latency_ms;
           });
-      send fd (Protocol.error_of ~rid (Secview.Error.Overloaded msg))
+      send link (Protocol.error_of ~rid (Secview.Error.Overloaded msg))
     | `Closed ->
       count t "server.rejected.draining";
-      send fd (Protocol.error_of ~rid Secview.Error.Draining)
+      send link (Protocol.error_of ~rid Secview.Error.Draining)
     | `Ok -> (
       count t "server.accepted";
       match Deadline.await ?deadline_at:job.deadline_at job.cell with
-      | Some reply -> send fd reply
+      | Some line -> Conn.write_all link.fd line
       | None ->
-        let timed_out =
-          Deadline.fill job.cell
-            (Protocol.error_of ~rid (Secview.Error.Timeout "deadline exceeded"))
+        (* the timeout reply claims the cell, so the worker sees the
+           request answered *)
+        let line =
+          Protocol.line link.out
+            (Protocol.error_of ~rid
+               (Secview.Error.Timeout
+                  (Printf.sprintf "deadline of %gs exceeded"
+                     (Option.value t.config.deadline ~default:0.))))
         in
-        if timed_out then count t "server.timeout";
-        send fd
-          (Protocol.error_of ~rid
-             (Secview.Error.Timeout
-                (Printf.sprintf "deadline of %gs exceeded"
-                   (Option.value t.config.deadline ~default:0.)))))
+        if Deadline.fill job.cell line then count t "server.timeout";
+        Conn.write_all link.fd line)
   end
 
-let handle_line t sess fd line =
+let handle_line t sess link line =
   match Protocol.request_of_line line with
   | Error msg ->
     (* even a request that failed to parse gets a correlatable reply:
@@ -773,7 +794,7 @@ let handle_line t sess fd line =
       | None -> next_rid sess
     in
     count t "server.rejected.bad_request";
-    send fd (Protocol.error_of ~rid (Secview.Error.Bad_request msg))
+    send link (Protocol.error_of ~rid (Secview.Error.Bad_request msg))
   | Ok (req, crid) -> (
     let rid = match crid with Some r -> r | None -> next_rid sess in
     match req with
@@ -782,53 +803,53 @@ let handle_line t sess fd line =
         sess.group <- Some group;
         (match peer with Some p -> sess.peer <- p | None -> ());
         count t "server.sessions";
-        send fd
+        send link
           (Protocol.ok ~rid
              [ ("session", J.Int sess.sid); ("group", J.String group) ])
       end
       else begin
         count t "server.rejected.unknown_group";
-        send fd
+        send link
           (Protocol.error_of ~rid
              (Secview.Error.Unknown_group { group; known = group_names t }))
       end
-    | Protocol.Ping -> send fd (Protocol.ok ~rid [ ("pong", J.Bool true) ])
-    | Protocol.Stats -> send fd (stats_json t ~rid)
-    | Protocol.Metrics -> send fd (metrics_reply t ~rid)
-    | Protocol.Flight -> send fd (flight_reply t ~rid)
+    | Protocol.Ping -> send link (Protocol.ok ~rid [ ("pong", J.Bool true) ])
+    | Protocol.Stats -> send link (stats_json t ~rid)
+    | Protocol.Metrics -> send link (metrics_reply t ~rid)
+    | Protocol.Flight -> send link (flight_reply t ~rid)
     | Protocol.Shutdown ->
-      send fd (Protocol.ok ~rid [ ("draining", J.Bool true) ]);
+      send link (Protocol.ok ~rid [ ("draining", J.Bool true) ]);
       request_drain t
     | Protocol.Sleep _ when not t.config.debug ->
-      send fd
+      send link
         (Protocol.error_of ~rid
            (Secview.Error.Bad_request
               "sleep is only available on --debug servers"))
-    | Protocol.Sleep s -> submit t sess fd ~rid (Nap s)
+    | Protocol.Sleep s -> submit t sess link ~rid (Nap s)
     | Protocol.Query q -> (
       match sess.group with
       | None ->
         count t "server.rejected.no_session";
-        send fd (Protocol.error_of ~rid Secview.Error.No_session)
+        send link (Protocol.error_of ~rid Secview.Error.No_session)
       | Some group ->
-        if not (admission_fast_path t sess fd ~rid group q) then
-          submit t sess fd ~rid (Answer q))
+        if not (admission_fast_path t sess link ~rid group q) then
+          submit t sess link ~rid (Answer q))
     | Protocol.Analyze q -> (
       match sess.group with
       | None ->
         count t "server.rejected.no_session";
-        send fd (Protocol.error_of ~rid Secview.Error.No_session)
+        send link (Protocol.error_of ~rid Secview.Error.No_session)
       | Some group -> (
         (* classification is schema-level and cached: answer on the
            connection thread, like [stats] *)
         match Secview.Error.parse_query q.text with
-        | Error e -> send fd (Protocol.error_of ~rid e)
+        | Error e -> send link (Protocol.error_of ~rid e)
         | Ok path -> (
           match classify_conn t ~group path with
-          | Error e -> send fd (Protocol.error_of ~rid e)
+          | Error e -> send link (Protocol.error_of ~rid e)
           | Ok verdict ->
             count t "server.admission.analyze";
-            send fd
+            send link
               (Protocol.ok ~rid
                  [
                    ("query", J.String q.text);
@@ -843,14 +864,14 @@ let handle_line t sess fd line =
       match sess.group with
       | None ->
         count t "server.rejected.no_session";
-        send fd (Protocol.error_of ~rid Secview.Error.No_session)
-      | Some _ -> submit t sess fd ~rid (Explain_query q))
+        send link (Protocol.error_of ~rid Secview.Error.No_session)
+      | Some _ -> submit t sess link ~rid (Explain_query q))
     | Protocol.Update q -> (
       match sess.group with
       | None ->
         count t "server.rejected.no_session";
-        send fd (Protocol.error_of ~rid Secview.Error.No_session)
-      | Some _ -> submit t sess fd ~rid (Do_update q)))
+        send link (Protocol.error_of ~rid Secview.Error.No_session)
+      | Some _ -> submit t sess link ~rid (Do_update q)))
 
 (* The longest request line a connection may send.  A pending line
    past it is answered once with a typed [bad_request] and the
@@ -862,6 +883,7 @@ let conn_loop t fd peer =
   let sess =
     { sid = Atomic.fetch_and_add t.next_sid 1; group = None; peer; rseq = 0 }
   in
+  let link = { fd; out = Buffer.create 256 } in
   let pending = Buffer.create 512 in  (* the current, unfinished line *)
   let chunk = Bytes.create 4096 in
   let alive = ref true and oversized = ref false in
@@ -897,7 +919,7 @@ let conn_loop t fd peer =
                in
                if String.length line > max_line then oversized := true
                else begin
-                 if String.trim line <> "" then handle_line t sess fd line;
+                 if String.trim line <> "" then handle_line t sess link line;
                  lines (nl + 1)
                end
              | None ->
@@ -907,7 +929,7 @@ let conn_loop t fd peer =
            lines 0;
            if !oversized then begin
              count t "server.rejected.oversized";
-             send fd
+             send link
                (Protocol.error_of ~rid:(next_rid sess)
                   (Secview.Error.Bad_request
                      (Printf.sprintf "request line longer than %d bytes"
@@ -1043,12 +1065,25 @@ let acceptor_loop t kind lfd =
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   done
 
+(* The major heap's headroom, as OCaml's [space_overhead] percentage
+   (the runtime's default is 120).  Every admitted write promotes a
+   whole new document version while the live heap holds about two, so
+   at 120 a major cycle, whose phases stop every domain, starts about
+   every other write, and on the [mixed] workload the one write
+   coordinator spends most of its time in them.  At 200 the heap may
+   grow to about three times what is live instead of 2.2 times. *)
+let space_overhead = 200
+
 let serve t listeners =
   if listeners = [] then invalid_arg "Server.serve: no listeners";
   (* a client that hangs up before its reply is written must cost only
      its own connection: the write fails with EPIPE (handled where
      replies are sent) instead of SIGPIPE killing the process *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  (* an embedder that asked for more headroom keeps it *)
+  (let gc = Gc.get () in
+   if gc.space_overhead < space_overhead then
+     Gc.set { gc with space_overhead });
   let lfds = List.map open_listener listeners in
   let acceptors =
     List.map2
@@ -1070,7 +1105,7 @@ let serve t listeners =
        the CI smoke's "per-domain series exist" assertion never races
        organic allocation pressure. *)
     if Option.is_some t.runtime then Gc.minor ();
-    consumer_loop t psess queue ~track_busy
+    consumer_loop t psess ~out:(Buffer.create 1024) queue ~track_busy
   in
   let join_consumers =
     if t.config.domains <= 1 then begin

@@ -18,6 +18,15 @@ val to_string : ?indent:bool -> Tree.t -> string
     element-only content is pretty-printed; mixed content is kept
     verbatim so round-tripping preserves PCDATA exactly. *)
 
+val answer : Buffer.t -> Tree.t list -> string list
+(** [answer buf nodes]: each node serialized as by {!to_string}, in
+    order, every one built in [buf] (cleared first, left holding the
+    last node).  The one renderer of query answers — the server's
+    replies, [secview query] and [secview replay] — so the text a
+    capture digest hashes is the text a client reads.  Pass a buffer
+    the caller keeps: per node, rendering then allocates the returned
+    string and its list cell. *)
+
 val to_channel : ?indent:bool -> out_channel -> Tree.t -> unit
 
 val to_file : ?indent:bool -> string -> Tree.t -> unit

@@ -92,6 +92,31 @@ let string_value node =
     node;
   Buffer.contents buf
 
+(* [string_value_equal]'s walk: the text nodes in document order, each
+   matched against [s] at the offset the text before it reached.  The
+   result is that offset, or -1 once the text diverges.  Top-level and
+   closure-free, so a comparison allocates nothing. *)
+let rec text_matches t s pos i =
+  i = String.length t
+  || Char.equal (String.unsafe_get t i) (String.unsafe_get s (pos + i))
+     && text_matches t s pos (i + 1)
+
+let rec value_reaches s pos node =
+  match node.desc with
+  | Text t ->
+    if pos + String.length t <= String.length s && text_matches t s pos 0
+    then pos + String.length t
+    else -1
+  | Element e -> children_reach s pos e.children
+
+and children_reach s pos = function
+  | [] -> pos
+  | c :: rest ->
+    let pos = value_reaches s pos c in
+    if pos < 0 then pos else children_reach s pos rest
+
+let string_value_equal node s = value_reaches s 0 node = String.length s
+
 let rec equal_structure a b =
   match (a.desc, b.desc) with
   | Text s, Text s' -> String.equal s s'

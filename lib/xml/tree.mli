@@ -69,6 +69,12 @@ val attr : t -> string -> string option
 val string_value : t -> string
 (** Concatenation of all PCDATA in the subtree, in document order. *)
 
+val string_value_equal : t -> string -> bool
+(** [string_value_equal n s] is [String.equal (string_value n) s],
+    decided in place: the text nodes are compared against [s] where
+    they lie, without building the string value.  What both query
+    engines' [=] qualifiers compare with. *)
+
 val descendants_or_self : t -> t list
 (** Subtree in document (preorder) order, including text nodes. *)
 

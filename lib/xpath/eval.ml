@@ -184,7 +184,7 @@ and eval_qual cfg (q : Ast.qual) (item : item) : bool =
     || List.exists
          (fun it ->
            match it with
-           | Node n -> String.equal (Sxml.Tree.string_value n) c
+           | Node n -> Sxml.Tree.string_value_equal n c
            | Docnode _ -> false)
          r.nodes
   | Ast.And (a, b) -> eval_qual cfg a item && eval_qual cfg b item

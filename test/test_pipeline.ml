@@ -101,6 +101,44 @@ let test_recursive_group () =
   let s : Pipeline.stats = Pipeline.Session.stats_of p ~group:"buyers" in
   Alcotest.(check bool) "separate cache entries per height" true (s.misses >= 3)
 
+(* A served read pins its snapshot.  A write that swaps the entry's
+   snapshot before the read is answered must not send the read to the
+   catalog again: the answer is the pinned version's, under the height
+   that version already measured — no second walk of the tree. *)
+let test_pinned_read_across_write () =
+  let module Catalog = Secview.Catalog in
+  let dtd = Workload.Fig7.dtd and spec = Workload.Fig7.spec in
+  let catalog = Catalog.create () in
+  let pinned_doc = Workload.Fig7.document ~depth:3 in
+  let entry = Catalog.add catalog ~name:"d" pinned_doc in
+  let p =
+    Pipeline.Session.create
+      (Pipeline.Service.create ~catalog dtd ~groups:[ ("g", spec) ])
+  in
+  let q = parse "//b" in
+  let snap = Catalog.pin entry in
+  (* the first read measures the pinned version's height *)
+  ignore (Pipeline.Session.answer_pinned p ~group:"g" q snap);
+  let written = Workload.Fig7.document ~depth:5 in
+  ignore
+    (Catalog.update ~conforms:dtd
+       ~access:(spec, (fun _ -> None), Secview.Access.accessible_flags spec written)
+       entry written);
+  let walks = Catalog.height_walks catalog in
+  let oracle =
+    Pipeline.Session.answer_exn
+      (Pipeline.Session.create (Pipeline.Service.create dtd ~groups:[ ("g", spec) ]))
+      ~group:"g" ~engine:Pipeline.Interp q pinned_doc
+  in
+  let ids = List.map (fun (n : Sxml.Tree.t) -> n.id) in
+  match Pipeline.Session.answer_pinned p ~group:"g" q snap with
+  | Error e -> Alcotest.fail (Secview.Error.to_string e)
+  | Ok o ->
+    Alcotest.(check (list int)) "the pinned version's answer" (ids oracle)
+      (ids o.o_results);
+    Alcotest.(check int) "no height walk after the write" walks
+      (Catalog.height_walks catalog)
+
 let test_indexed_answers () =
   let dtd = Workload.Adex.dtd in
   let p =
@@ -210,6 +248,8 @@ let () =
             test_answers_match_manual_pipeline;
           Alcotest.test_case "recursive group" `Quick test_recursive_group;
           Alcotest.test_case "indexed answers" `Quick test_indexed_answers;
+          Alcotest.test_case "pinned read across a write" `Quick
+            test_pinned_read_across_write;
         ] );
       ( "schema tables",
         [

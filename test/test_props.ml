@@ -453,6 +453,32 @@ let prop_translation_memo_independent =
           translate warm q = translate (service ()) q)
         order)
 
+(* The admission analyzer runs against optimizer contexts the service
+   prepares once per DTD (each group's view DTD for classification, the
+   document DTD for plan pruning); whatever earlier queries filled in a
+   context, a verdict must be the one a fresh context gives. *)
+let prop_admission_prepared =
+  let module S = Sanalysis.Semantic in
+  QCheck2.Test.make
+    ~name:"prepared-context admission verdicts equal one-shot ones"
+    ~count:150
+    ~print:(fun (dtd, spec, qs, order) ->
+      Format.asprintf "DTD:@.%a@.Spec:@.%a@.Queries:@." Sdtd.Dtd.pp dtd
+        Spec.pp spec
+      ^ String.concat "\n"
+          (List.map (fun i -> Sxpath.Print.to_string (List.nth qs i)) order))
+    gen_translation_batch
+    (fun (dtd, spec, qs, order) ->
+      List.for_all
+        (fun d ->
+          let prep = Optimize.prepare d in
+          List.for_all
+            (fun i ->
+              let q = List.nth qs i in
+              S.admission_prepared prep q = S.admission d q)
+            order)
+        [ dtd; View.dtd (Derive.derive spec) ])
+
 let () =
   Alcotest.run "properties"
     [
@@ -469,5 +495,6 @@ let () =
             prop_indexed_rewrite_equivalent;
             prop_dtd_facts_match_reference;
             prop_translation_memo_independent;
+            prop_admission_prepared;
           ] );
     ]

@@ -727,6 +727,109 @@ let test_server_concurrent_clients () =
         (Atomic.get right))
     [ 1; 4 ]
 
+(* Reply lines carry text that both escapings touch: XML's ([&], [<],
+   [>], quotes in attributes) inside JSON's (quotes, backslash, tab,
+   newline, control characters), plus non-ASCII text that neither
+   escapes.  Whichever thread builds a reply — a worker for answers and
+   document errors, the connection thread for [ping] — the line must be
+   byte for byte [J.to_string] of the reply and a newline, on one
+   domain (every consumer a thread of the runtime's domain) and on
+   four. *)
+let test_server_escaped_replies () =
+  let dtd =
+    Sdtd.Parse.of_string
+      {|<!ELEMENT notes (note*)>
+        <!ELEMENT note (body)>
+        <!ATTLIST note by CDATA #REQUIRED>
+        <!ELEMENT body (#PCDATA)>|}
+  in
+  let texts =
+    [
+      "a & b < c > d";
+      "say \"hi\" and 'bye'";
+      "back\\slash\ttab\nnewline\rreturn";
+      "bell\007 nul-ish\001 escape\027";
+      "caf\xc3\xa9 \xe6\x97\xa5\xe6\x9c\xac \xf0\x9f\x98\x80";
+      "";
+    ]
+  in
+  let doc =
+    Sxml.Tree.(
+      of_spec
+        (elem "notes"
+           (List.map
+              (fun t ->
+                elem "note" ~attrs:[ ("by", t) ] [ elem "body" [ text t ] ])
+              texts)))
+  in
+  let groups = [ ("all", Secview.Spec.make dtd []) ] in
+  let reference =
+    Pipeline.Session.create (Pipeline.Service.create dtd ~groups)
+  in
+  let answer_line rid q =
+    let rendered =
+      List.map
+        (fun n -> Sxml.Print.to_string n)
+        (Pipeline.Session.answer_exn reference ~group:"all"
+           (Sxpath.Parse.of_string q) doc)
+    in
+    J.to_string
+      (Protocol.ok ~rid
+         [
+           ("results", J.List (List.map (fun s -> J.String s) rendered));
+           ("count", J.Int (List.length rendered));
+         ])
+    ^ "\n"
+  in
+  (* the raw line, newline included, read straight off the socket *)
+  let read_line c =
+    let b = Buffer.create 256 and byte = Bytes.create 1 in
+    let rec go () =
+      if Unix.read (Conn.fd c) byte 0 1 = 0 then Alcotest.fail "hung up"
+      else begin
+        Buffer.add_bytes b byte;
+        if Bytes.get byte 0 <> '\n' then go ()
+      end
+    in
+    go ();
+    Buffer.contents b
+  in
+  let odd = "q\"\\\t\001\xc3\xa9" in
+  List.iter
+    (fun domains ->
+      let config = { Server.default_config with domains } in
+      with_server ~config ~dtd ~groups ~docs:[ ("notes", doc) ] ()
+      @@ fun _server path ->
+      let c = connect path in
+      let call json want =
+        Conn.send c json;
+        Alcotest.(check string)
+          (Printf.sprintf "%s (%d domains)" (J.to_string json) domains)
+          want (read_line c)
+      in
+      call (Protocol.hello "all")
+        (J.to_string
+           (Protocol.ok ~rid:"r1-1"
+              [ ("session", J.Int 1); ("group", J.String "all") ])
+        ^ "\n");
+      List.iteri
+        (fun i q ->
+          let rid = Printf.sprintf "e%d" i in
+          call (Protocol.query_json ~rid q) (answer_line rid q))
+        [ "//note"; "//body"; "/notes"; "//note[body]" ];
+      call
+        (Protocol.query_json ~rid:odd ~doc:odd "//note")
+        (J.to_string
+           (Protocol.error_of ~rid:odd
+              (Secview.Error.Unknown_doc
+                 { doc = Some odd; known = [ "notes" ] }))
+        ^ "\n");
+      call
+        (J.Obj [ ("cmd", J.String "ping"); ("rid", J.String odd) ])
+        (J.to_string (Protocol.ok ~rid:odd [ ("pong", J.Bool true) ]) ^ "\n");
+      Conn.close c)
+    [ 1; 4 ]
+
 let test_server_overload () =
   let config =
     { Server.default_config with domains = 1; queue_capacity = 1; debug = true }
@@ -1166,6 +1269,8 @@ let () =
           Alcotest.test_case "round trips" `Quick test_server_roundtrips;
           Alcotest.test_case "concurrent clients vs one session" `Quick
             test_server_concurrent_clients;
+          Alcotest.test_case "escaped reply lines" `Quick
+            test_server_escaped_replies;
           Alcotest.test_case "request ids and flight" `Quick
             test_server_rid_and_flight;
           Alcotest.test_case "gc pause attribution" `Quick

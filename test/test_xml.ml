@@ -198,6 +198,104 @@ let prop_ids_preorder =
       in
       ids = List.init (List.length ids) Fun.id)
 
+(* Trees whose text is drawn from a two-letter alphabet, empty strings
+   included, in mixed content split across several sibling and nested
+   text nodes: string values then often equal, prefix or extend one
+   another. *)
+let gen_text_tree =
+  let open QCheck2.Gen in
+  let txt = string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_bound 3) in
+  let node =
+    sized_size (int_bound 12) @@ fix (fun self n ->
+        if n <= 1 then map Tree.text txt
+        else
+          oneof
+            [
+              map Tree.text txt;
+              map (fun kids -> Tree.elem "e" kids)
+                (list_size (int_bound 4) (self (n / 2)));
+            ])
+  in
+  map (fun kids -> Tree.of_spec (Tree.elem "root" kids))
+    (list_size (int_bound 4) node)
+
+(* Candidates for the compared constant: the string value itself, its
+   prefixes and extensions, a changed character, the empty string, and
+   unrelated text. *)
+let gen_compared =
+  let open QCheck2.Gen in
+  let* doc = gen_text_tree in
+  let sv = Tree.string_value doc in
+  let n = String.length sv in
+  let* s =
+    oneof
+      [
+        return sv;
+        map (fun k -> String.sub sv 0 k) (int_bound n);
+        map (fun c -> sv ^ String.make 1 c) (oneofl [ 'a'; 'b' ]);
+        (if n = 0 then return "a"
+         else
+           map
+             (fun i ->
+               String.mapi
+                 (fun j c -> if j = i then (if c = 'a' then 'b' else 'a') else c)
+                 sv)
+             (int_bound (n - 1)));
+        return "";
+        string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_bound 6);
+      ]
+  in
+  return (doc, s)
+
+let prop_string_value_equal =
+  QCheck2.Test.make ~name:"in-place = agrees with string_value" ~count:1000
+    ~print:(fun (doc, s) -> Printf.sprintf "%s vs %S" (Print.to_string doc) s)
+    gen_compared
+    (fun (doc, s) ->
+      List.for_all
+        (fun n ->
+          Tree.string_value_equal n s
+          = String.equal (Tree.string_value n) s)
+        (Tree.descendants_or_self doc))
+
+(* The answer renderer reuses its buffer: per node it allocates the
+   string it returns and a list cell.  A fresh buffer per node (the
+   renderer's predecessor reserved 1 KB each time) costs at least 128
+   words a node. *)
+let test_answer_allocation () =
+  let doc =
+    Tree.(
+      of_spec
+        (elem "r"
+           (List.init 200 (fun i ->
+                elem "item"
+                  ~attrs:[ ("k", "v&" ^ string_of_int i) ]
+                  [ text "x < y"; elem "leaf" [ text "z" ] ]))))
+  in
+  let nodes = Tree.children doc in
+  let buf = Buffer.create 1024 in
+  let expected = List.map (fun n -> Print.to_string n) nodes in
+  Alcotest.(check (list string)) "answer = to_string, node by node" expected
+    (Print.answer buf nodes);
+  let string_words =
+    List.fold_left
+      (fun acc s -> acc + 1 + ((String.length s + 8) / 8))
+      0 expected
+  in
+  let rounds = 50 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Sys.opaque_identity (Print.answer buf nodes))
+  done;
+  let w1 = Gc.minor_words () in
+  let per_node =
+    ((w1 -. w0) /. float rounds -. float string_words)
+    /. float (List.length nodes)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per node beyond the strings" per_node)
+    true (per_node <= 8.)
+
 let () =
   Alcotest.run "xml"
     [
@@ -226,8 +324,10 @@ let () =
             test_parse_self_closing_and_attrs;
           Alcotest.test_case "malformed inputs" `Quick test_parse_errors;
           Alcotest.test_case "error positions" `Quick test_error_position;
+          Alcotest.test_case "answer renderer allocation" `Quick
+            test_answer_allocation;
         ] );
       ( "properties",
         List.map (fun t -> QCheck_alcotest.to_alcotest t)
-          [ prop_roundtrip; prop_ids_preorder ] );
+          [ prop_roundtrip; prop_ids_preorder; prop_string_value_equal ] );
     ]

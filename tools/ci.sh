@@ -144,44 +144,65 @@ secview replay "$TMP/mixed.jsonl" --dtd "$POL/hospital.dtd" \
   | grep -q ' 0 mismatch(es)'
 echo "-- mixed replay: 0 mismatches"
 
-# Domain-parallel serving: a 2-domain server (real OCaml domains, one
-# pipeline session each) must answer exactly what the single-threaded
-# pipeline answers, the workload captured through it must replay
-# digest-clean against the live server, and every captured request
-# must also be in the audit log and the flight recorder — the three
-# sinks are projections of one request record, written from worker
-# domains.  The one-shot `query --audit-log` writes the same record:
-# each of its request records must agree with the served ones for the
-# same query on what was asked, what ran, and how it ended.
-echo "== 2-domain serve smoke"
-secview serve --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
-  --doc doc="$TMP/doc.xml" --socket "$TMP/ci.sock" --domains 2 \
-  --capture "$TMP/dcap.jsonl" --flight 16 \
-  --audit-log "$TMP/daudit.jsonl" 2> "$TMP/serve.log" &
-SRV=$!
-secview client --socket "$TMP/ci.sock" --wait 5 --group user \
-  --bind wardNo=6 '//patient/name' '//patient/wardNo' '//patient' \
-  > "$TMP/served.out"
-secview query --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
-  --doc "$TMP/doc.xml" --bind wardNo=6 --audit-log "$TMP/qaudit.jsonl" \
-  '//patient/name' '//patient/wardNo' '//patient' > "$TMP/direct.out"
-cmp "$TMP/served.out" "$TMP/direct.out"
-echo "-- 2-domain answers match the direct pipeline"
-secview replay "$TMP/dcap.jsonl" --socket "$TMP/ci.sock" \
-  | grep -q ' 0 mismatch(es)'
-echo "-- 2-domain capture -> replay: 0 mismatches"
-secview flight --socket "$TMP/ci.sock" --json > "$TMP/dflight.json"
-secview client --socket "$TMP/ci.sock" --shutdown
-wait $SRV
-grep -o '"rid":"[^"]*"' "$TMP/dcap.jsonl" | sort -u > "$TMP/drids"
-test -s "$TMP/drids"
-while read -r rid; do
-  for sink in daudit.jsonl dflight.json; do
-    grep -qF "$rid" "$TMP/$sink" || { echo "$rid missing from $sink"; exit 1; }
-  done
-done < "$TMP/drids"
-echo "-- 2-domain sinks: every captured rid is audited and in flight"
-python3 - "$TMP/qaudit.jsonl" "$TMP/daudit.jsonl" <<'PY'
+# Served answers, on one domain (the read worker, the write
+# coordinator and every connection thread are threads of the runtime's
+# domain) and on two (real OCaml domains, one pipeline session each):
+# the server must answer exactly what the single-threaded pipeline
+# answers, the workload captured through it must replay digest-clean
+# against the live server, and every captured request must also be in
+# the audit log and the flight recorder — the three sinks are
+# projections of one request record, written from worker domains.  The
+# one-shot `query --audit-log` writes the same record: each of its
+# request records must agree with the served ones for the same query
+# on what was asked, what ran, and how it ended.  Each server runs
+# over the generated document and over one whose text needs XML and
+# JSON escaping (ampersands, angle brackets, quotes, a backslash, a
+# tab, a newline, a control character, non-ASCII text), which the
+# worker renders and writes into its reply lines.
+cat > "$TMP/esc.xml" <<'XML'
+<hospital>
+  <dept>
+    <clinicalTrial><patientInfo><patient><name>Trial &amp; "Error"</name><wardNo>6</wardNo><treatment><trial><bill>&lt;0&gt;</bill></trial></treatment></patient></patientInfo><test>blood</test></clinicalTrial>
+    <patientInfo>
+      <patient><name>Amp &amp; Co &lt;b&gt; "q" 'a' back\slash&#9;tab&#10;newline&#1;control</name><wardNo>6</wardNo><treatment><regular><bill>12</bill><medication>Zo&#235; 日本 &#x1F600;</medication></regular></treatment></patient>
+      <patient><name>\"pre-escaped\" \u0041 \n</name><wardNo>6</wardNo><treatment><trial><bill>&amp;amp;</bill></trial></treatment></patient>
+    </patientInfo>
+    <staffInfo><staff><nurse><name>N&amp;N</name><wardNo>6</wardNo></nurse></staff></staffInfo>
+  </dept>
+</hospital>
+XML
+for DOMAINS in 1 2; do
+  for DOC in doc esc; do
+    echo "== serve smoke: $DOMAINS domain(s), $DOC.xml"
+    R="$TMP/$DOMAINS-$DOC"
+    secview serve --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
+      --doc doc="$TMP/$DOC.xml" --socket "$TMP/ci.sock" --domains "$DOMAINS" \
+      --capture "$R.cap.jsonl" --flight 16 \
+      --audit-log "$R.audit.jsonl" 2> "$R.serve.log" &
+    SRV=$!
+    secview client --socket "$TMP/ci.sock" --wait 5 --group user \
+      --bind wardNo=6 '//patient/name' '//patient/wardNo' '//patient' \
+      > "$R.served.out"
+    secview query --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
+      --doc "$TMP/$DOC.xml" --bind wardNo=6 --audit-log "$R.qaudit.jsonl" \
+      '//patient/name' '//patient/wardNo' '//patient' > "$R.direct.out"
+    cmp "$R.served.out" "$R.direct.out"
+    echo "-- answers match the direct pipeline"
+    secview replay "$R.cap.jsonl" --socket "$TMP/ci.sock" \
+      | grep -q ' 0 mismatch(es)'
+    echo "-- capture -> replay: 0 mismatches"
+    secview flight --socket "$TMP/ci.sock" --json > "$R.flight.json"
+    secview client --socket "$TMP/ci.sock" --shutdown
+    wait $SRV
+    grep -o '"rid":"[^"]*"' "$R.cap.jsonl" | sort -u > "$R.rids"
+    test -s "$R.rids"
+    while read -r rid; do
+      for sink in "$R.audit.jsonl" "$R.flight.json"; do
+        grep -qF "$rid" "$sink" || { echo "$rid missing from $sink"; exit 1; }
+      done
+    done < "$R.rids"
+    echo "-- sinks: every captured rid is audited and in flight"
+    python3 - "$R.qaudit.jsonl" "$R.audit.jsonl" <<'PY'
 import json, sys
 def requests(path):
     with open(path) as f:
@@ -199,7 +220,13 @@ for c in cli:
                 sys.exit("%s vs %s disagree on %s: %r vs %r"
                          % (c["rid"], s["rid"], k, c[k], s[k]))
 PY
-echo "-- one audit schema: query --audit-log agrees with the served records"
+    echo "-- one audit schema: query --audit-log agrees with the served records"
+  done
+done
+for DOMAINS in 1 2; do
+  grep -qF 'Amp &amp; Co &lt;b&gt; "q"' "$TMP/$DOMAINS-esc.served.out"
+done
+echo "-- escaped text reached the clients"
 
 # A client that sends requests and hangs up without reading the replies
 # costs only its own connection: the server must survive twenty of
@@ -306,7 +333,7 @@ RSRV=$!
 secview client --socket "$TMP/rt.sock" --wait 5 --group user \
   --bind wardNo=6 '//patient/name' '//patient/wardNo' '//patient' \
   > "$TMP/rt_served.out"
-cmp "$TMP/rt_served.out" "$TMP/direct.out"
+cmp "$TMP/rt_served.out" "$TMP/2-doc.direct.out"
 echo "-- runtime-events answers match the direct pipeline"
 secview metrics --scrape 127.0.0.1:19384 > "$TMP/rt_scrape.txt"
 DOMAINS_SEEN=$(grep -o '^secview_gc_pause_seconds_d[0-9]*' "$TMP/rt_scrape.txt" \
