@@ -384,6 +384,17 @@ let remote_call ~cmd ?wait addr request =
     failwith (Printf.sprintf "%s: request failed: %s" cmd line);
   (line, reply)
 
+(* A local verb's session, and the snapshot of its one document that
+   every answer and explain runs on — as a served request pins one. *)
+let pinned_session ~strict dtd ~groups doc_path doc =
+  let catalog = Secview.Catalog.create () in
+  let snap =
+    Secview.Catalog.pin (Secview.Catalog.add catalog ~name:doc_path doc)
+  in
+  ( Secview.Pipeline.Session.create
+      (Secview.Pipeline.Service.create ~strict ~catalog dtd ~groups),
+    snap )
+
 (* ---- commands ------------------------------------------------------ *)
 
 let derive_cmd =
@@ -548,8 +559,25 @@ let query_cmd =
     let doc = Sxml.Parse.of_file doc_path in
     let env = env_of_bindings bindings in
     let qs = List.map parse_query queries in
-    let index = if indexed then Some (Sxml.Index.build doc) else None in
     let render = Sxml.Print.answer (Buffer.create 1024) in
+    (* query [i]'s request record, rid q<i+1>: a stable rid ties the
+       reply and its audit, slow-query and capture records together *)
+    let request i qtext ~latency_ms =
+      {
+        (Sobs.Request.make ~verb:"query" ~group:"user" qtext) with
+        rid = Some (Printf.sprintf "q%d" (i + 1));
+        bind = bindings;
+        index = indexed;
+        engine = Secview.Pipeline.engine_label engine;
+        latency_ms;
+      }
+    in
+    (* [answered] queries have a record in the sinks, and the next one
+       began at [started]; a deadline abandons query [answered], whose
+       record says so.  Under [lock], that record and the abandoned
+       query's own cannot both reach the sinks. *)
+    let lock = Mutex.create () and answered = ref 0 and abandoned = ref false in
+    let started = ref (Sserver.Deadline.now ()) in
     (* the server's per-request deadline machinery, applied to the
        whole evaluation; exit 3 on expiry (after flushing the sinks, so
        the trail records what was asked before the cutoff) *)
@@ -560,7 +588,23 @@ let query_cmd =
         match Sserver.Deadline.run ~seconds compute with
         | Ok r -> r
         | Error `Timeout ->
-          close_sinks sinks;
+          Mutex.protect lock (fun () ->
+              abandoned := true;
+              (match List.nth_opt queries !answered with
+              | Some qtext when approach = `Optimize ->
+                let latency_ms =
+                  1000. *. (Sserver.Deadline.now () -. !started)
+                in
+                publish sinks (fun () ->
+                    {
+                      (request !answered qtext ~latency_ms) with
+                      status = "timeout";
+                      error =
+                        Some
+                          (Printf.sprintf "deadline of %gs exceeded" seconds);
+                    })
+              | _ -> ());
+              close_sinks sinks);
           Printf.eprintf "secview: query timed out after %gs\n" seconds;
           exit 3)
     in
@@ -579,6 +623,7 @@ let query_cmd =
           qs
       | `Rewrite ->
         let height = Secview.Catalog.element_height doc in
+        let index = if indexed then Some (Sxml.Index.build doc) else None in
         let ctx = Sxpath.Eval.Ctx.make ~env ?index ~root:doc () in
         List.concat_map
           (fun q ->
@@ -588,11 +633,8 @@ let query_cmd =
       | `Optimize ->
         (* the full Fig. 3 loop: rewrite + optimize through the
            pipeline's translation cache *)
-        let pipe =
-          try
-            Secview.Pipeline.Session.create
-              (Secview.Pipeline.Service.create ~strict dtd
-                 ~groups:[ ("user", spec) ])
+        let pipe, snap =
+          try pinned_session ~strict dtd ~groups:[ ("user", spec) ] doc_path doc
           with Invalid_argument msg as e ->
             Option.iter
               (fun a -> Sobs.Audit_log.log_note a ~kind:"strict_gate" msg)
@@ -600,10 +642,8 @@ let query_cmd =
             close_sinks sinks;
             raise e
         in
-        (* each query is one correlated request: a stable rid (q1, q2,
-           …) ties the reply and its audit, slow-query and capture
-           records together, and — when spans are needed — the query
-           runs inside a "request" root span so its stages form one
+        (* each query is one correlated request; when spans are needed
+           it runs inside a "request" root span so its stages form one
            hierarchy (Tracer.with_request) *)
         let answers =
           List.concat
@@ -611,8 +651,9 @@ let query_cmd =
                (fun i (qtext, q) ->
                  let t0 = Sserver.Deadline.now () in
                  let answer () =
-                   Secview.Pipeline.Session.answer_outcome pipe ~group:"user"
-                     ~engine ~counts:(sinks.slow_ms <> None) ~env ?index q doc
+                   Secview.Pipeline.Session.answer_pinned pipe ~group:"user"
+                     ~engine ~counts:(sinks.slow_ms <> None) ~env
+                     ~use_index:indexed q snap
                  in
                  let outcome, spans =
                    if sinks.slow_ms <> None then
@@ -628,19 +669,18 @@ let query_cmd =
                  in
                  (* the same request record, and the same projections,
                     as a served query — failed queries included *)
-                 publish sinks (fun () ->
-                     Sserver.Record.query outcome
-                       {
-                         (Sobs.Request.make ~verb:"query" ~group:"user" qtext)
-                         with
-                         rid = Some (Printf.sprintf "q%d" (i + 1));
-                         bind = bindings;
-                         index = indexed;
-                         engine = Secview.Pipeline.engine_label engine;
-                         latency_ms;
-                         gc = Sobs.Request.gc_overlap sinks.runtime spans;
-                         spans;
-                       });
+                 Mutex.protect lock (fun () ->
+                     if not !abandoned then begin
+                       publish sinks (fun () ->
+                           Sserver.Record.query outcome
+                             {
+                               (request i qtext ~latency_ms) with
+                               gc = Sobs.Request.gc_overlap sinks.runtime spans;
+                               spans;
+                             });
+                       incr answered;
+                       started := Sserver.Deadline.now ()
+                     end);
                  match outcome with
                  | Error e -> raise (Secview.Error.E e)
                  | Ok (rendered, _) -> rendered)
@@ -732,13 +772,13 @@ let query_cmd =
 
 let explain_cmd =
   let run (dtd, groups) doc_path bindings json group query =
-    let pipe =
-      Secview.Pipeline.Session.create (Secview.Pipeline.Service.create dtd ~groups)
+    let pipe, snap =
+      pinned_session ~strict:false dtd ~groups doc_path
+        (Sxml.Parse.of_file doc_path)
     in
-    let doc = Sxml.Parse.of_file doc_path in
     let env = env_of_bindings bindings in
     let q = parse_query query in
-    match Secview.Pipeline.Session.explain pipe ~group ~env q doc with
+    match Secview.Pipeline.Session.explain pipe ~group ~env q snap with
     | Error e -> raise (Secview.Error.E e)
     | Ok x when json ->
       print_endline (J.to_string (J.Obj (Protocol.explain_fields query x)))
@@ -1947,19 +1987,20 @@ let metrics_cmd =
       Sobs.Tracer.install tracer;
       let dtd = load_dtd root (need "dtd" dtd_path) in
       let spec = Secview.Spec.of_sidecar_file dtd (need "spec" spec_path) in
-      let pipe =
-        Secview.Pipeline.Session.create
-          (Secview.Pipeline.Service.create dtd ~groups:[ ("user", spec) ])
+      let doc_path = need "doc" doc_path in
+      let pipe, snap =
+        pinned_session ~strict:false dtd ~groups:[ ("user", spec) ] doc_path
+          (Sxml.Parse.of_file doc_path)
       in
-      let doc = Sxml.Parse.of_file (need "doc" doc_path) in
       let env = env_of_bindings bindings in
       List.iter
         (fun qs ->
           let q = parse_query qs in
           for _ = 1 to repeat do
-            ignore
-              (Secview.Pipeline.Session.answer_exn pipe ~group:"user" ~engine
-                 ~env q doc)
+            Result.iter_error
+              (fun e -> raise (Secview.Error.E e))
+              (Secview.Pipeline.Session.answer_pinned pipe ~group:"user"
+                 ~engine ~env q snap)
           done)
         queries;
       Sobs.Tracer.uninstall ();

@@ -11,15 +11,28 @@ type source =
    adds two facts of its own: conformance to a DTD (keyed by the DTD's
    stamp, memoized like height) and one policy's accessibility flags
    (keyed by the policy value and the values bound to its variables),
-   which only the write that publishes the snapshot sets. *)
+   which only the write that publishes the snapshot sets.
+
+   [slock] guards only the document's one File -> Loaded step and the
+   conformance memo.  Height and index are whole-document builds, so
+   each has a lock of its own: a writer reading the document never
+   waits on a reader's build. *)
 type snapshot = {
   version : int;
   slock : Mutex.t;
   mutable source : source;
-  mutable height : int option;
-  mutable index : Sxml.Index.t option;
+  height : int memo;
+  index : Sxml.Index.t memo;
   mutable conforms : (int * bool) option;
   access : (access_key * Access.flags) option;
+}
+
+(* A fact computed at most once: a filled memo is read without a lock;
+   the first reader to find it empty builds it under the memo's lock,
+   and readers arriving meanwhile wait for that build. *)
+and 'a memo = {
+  mlock : Mutex.t;
+  value : 'a option Atomic.t;
 }
 
 and access_key = Spec.t * string option list
@@ -56,13 +69,28 @@ let create () =
    a request, and caches keyed on the stamp invalidate on bump. *)
 let next_version = Atomic.make 1
 
+let memo () = { mlock = Mutex.create (); value = Atomic.make None }
+
+(* [build x] runs only on a miss; a hit allocates nothing. *)
+let force m build x =
+  match Atomic.get m.value with
+  | Some v -> v
+  | None ->
+    Mutex.protect m.mlock (fun () ->
+        match Atomic.get m.value with
+        | Some v -> v
+        | None ->
+          let v = build x in
+          Atomic.set m.value (Some v);
+          v)
+
 let make_snapshot ?conforms ?access source =
   {
     version = Atomic.fetch_and_add next_version 1;
     slock = Mutex.create ();
     source;
-    height = None;
-    index = None;
+    height = memo ();
+    index = memo ();
     conforms;
     access;
   }
@@ -112,35 +140,24 @@ let element_height doc =
   in
   go doc
 
-let snapshot_memoized_height s = Mutex.protect s.slock (fun () -> s.height)
+let snapshot_memoized_height s = Atomic.get s.height.value
 
 let snapshot_height t s =
-  let d = snapshot_doc s in
-  Mutex.protect s.slock (fun () ->
-      match s.height with
-      | Some h -> h
-      | None ->
-        let h = element_height d in
-        Atomic.incr t.height_walks;
-        s.height <- Some h;
-        h)
+  force s.height
+    (fun s ->
+      Atomic.incr t.height_walks;
+      element_height (snapshot_doc s))
+    s
 
-let snapshot_index s =
-  let d = snapshot_doc s in
-  Mutex.protect s.slock (fun () ->
-      match s.index with
-      | Some i -> i
-      | None ->
-        let i = Sxml.Index.build d in
-        s.index <- Some i;
-        i)
+let build_index s = Sxml.Index.build (snapshot_doc s)
+let snapshot_index s = force s.index build_index s
 
 let index e = snapshot_index e.snap
 
 (* Conformance is computed outside the snapshot lock: readers take it
-   for the document, height and index, and must not wait on a writer's
-   whole-document pass.  Two racing computations agree, so the later
-   store is harmless. *)
+   for the document and must not wait on a writer's whole-document
+   pass.  Two racing computations agree, so the later store is
+   harmless. *)
 let snapshot_conforms s dtd =
   let d = snapshot_doc s in
   let stamp = Sdtd.Dtd.stamp dtd in

@@ -2,14 +2,14 @@
 
     Each entry memoizes the per-document facts the query pipeline
     needs repeatedly but that cost a full tree walk to compute: the
-    element-nesting height (the unfolding bound for recursive views,
-    {!Pipeline.Session.answer}) and the tag index ({!Sxml.Index}).  Entries
-    are either {e named} — registered up front from a loaded tree or
-    lazily from a file path, the server's document namespace — or
-    {e interned}: looked up by physical identity when a bare tree
-    reaches [Pipeline.Session.answer], so alternating queries over several
-    loaded documents never recompute heights (the single-slot memo
-    this replaces thrashed on exactly that pattern).
+    element-nesting height (the unfolding bound for recursive views)
+    and the tag index ({!Sxml.Index}).  Entries are either {e named} —
+    registered up front from a loaded tree or lazily from a file path,
+    the server's document namespace — or {e interned}: looked up by
+    physical identity when a bare tree reaches
+    [Pipeline.Session.answer], which pins the snapshot holding it
+    before answering, so alternating queries over several loaded
+    documents never recompute heights or indexes.
 
     Entries are {e versioned}: each holds a current {!snapshot} — an
     immutable incarnation of the document plus its memos, stamped with
@@ -25,7 +25,9 @@
     {!update}.
 
     All operations are thread-safe; heights and indexes are computed
-    at most once per snapshot.  Interned (anonymous) entries are bounded
+    at most once per snapshot, each under a lock of its own, so a
+    writer reading a snapshot's document never waits for a reader's
+    index build.  Interned (anonymous) entries are bounded
     (64 entries, oldest evicted) so streaming
     throwaway documents through a pipeline cannot leak memory. *)
 
@@ -110,8 +112,8 @@ val snapshot_index : snapshot -> Sxml.Index.t
 val snapshot_conforms : snapshot -> Sdtd.Dtd.t -> bool
 (** Whether the snapshot's document conforms to the DTD
     ({!Sdtd.Validate.conforms}), memoized per snapshot for the last
-    DTD asked.  Unlike height and index, it is computed outside the
-    snapshot's lock, so readers never wait on it. *)
+    DTD asked.  It is computed outside every lock, so readers never
+    wait on it. *)
 
 val snapshot_access :
   ?env:(string -> string option) -> snapshot -> Spec.t -> Access.flags

@@ -5,8 +5,8 @@
     error codes ({!to_code}, the closed vocabulary of
     [Sserver.Protocol]) and process exit codes ({!exit_code}) lives in
     one place instead of scattered [try … with] clauses.
-    {!Pipeline.Session.answer} returns [(_, t) result]; layers above wrap or
-    rethrow as {!E}. *)
+    {!Pipeline.Session.answer_pinned}, and every entry built on it,
+    returns [(_, t) result]; layers above wrap or rethrow as {!E}. *)
 
 type t =
   | Parse_error of {
@@ -27,7 +27,8 @@ type t =
           none and the catalog holds several) *)
   | Unsupported of string
       (** the view/query combination is outside the supported
-          fragment (e.g. recursive view without a height) *)
+          fragment (e.g. a recursive view rewritten without a
+          height) *)
   | Update_denied of string
       (** an update's target set escapes the group's accessible
           region, or the group holds no write grant for the edge —

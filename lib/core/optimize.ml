@@ -266,15 +266,11 @@ and implies ctx b q1 q2 =
 let run ?at prep p =
   let ctx = make_ctx prep in
   let a = Option.value at ~default:(Sdtd.Dtd.root prep.dtd) in
-  let e = go ctx p a in
-  (Sxpath.Simplify.factor (entry_path e), List.map fst e.targets)
+  Sxpath.Simplify.factor (entry_path (go ctx p a))
 
-let optimize_with_reach ?at dtd p =
+let optimize ?at dtd p =
   Trace.span "optimize" @@ fun () -> run ?at (prepare dtd) p
 
-let optimize ?at dtd p = fst (optimize_with_reach ?at dtd p)
-
-let optimize_prepared prep p =
-  Trace.span "optimize" @@ fun () -> fst (run prep p)
+let optimize_prepared prep p = Trace.span "optimize" @@ fun () -> run prep p
 
 let simplify_qual dtd a q = simplify_qual_at (make_ctx (prepare dtd)) a q

@@ -38,14 +38,6 @@ val optimize_prepared : prepared -> Sxpath.Ast.path -> Sxpath.Ast.path
 (** [optimize_prepared (prepare dtd) p] is [optimize dtd p], without
     rebuilding the DTD's context on every call. *)
 
-val optimize_with_reach :
-  ?at:string ->
-  Sdtd.Dtd.t ->
-  Sxpath.Ast.path ->
-  Sxpath.Ast.path * string list
-(** Also expose the element types the query can reach, for tests and
-    for composing optimizations. *)
-
 val simplify_qual :
   Sdtd.Dtd.t -> string -> Sxpath.Ast.qual -> Sxpath.Ast.qual
 (** Qualifier simplification at one element type: decided qualifiers

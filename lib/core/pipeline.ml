@@ -137,8 +137,9 @@ let run_strict_gate dtd groups =
 type outcome = {
   o_results : Sxml.Tree.t list;
   o_translated : Sxpath.Ast.path;
-  o_engine : engine;
-  o_counts : (string * int) list;
+  o_height : int option;
+  o_plan : (Splan.Compile.t * Splan.Exec.Stats.t) option;
+  o_fallback : string option;
 }
 
 type explanation = {
@@ -464,23 +465,7 @@ module Session = struct
         Atomic.incr sg.ctr.c_plan_fallbacks;
         Error reason)
 
-  (* Where a request's document facts (height, index) come from: the
-     snapshot the caller pinned, or the catalog snapshot holding a bare
-     tree, interned when first needed. *)
-  type source =
-    | Pinned of Catalog.snapshot
-    | Bare of Sxml.Tree.t
-
-  let source_doc = function
-    | Pinned snap -> Catalog.snapshot_doc snap
-    | Bare doc -> doc
-
-  let snapshot_of sess = function
-    | Pinned snap -> snap
-    | Bare doc -> Catalog.intern sess.svc.Service.s_catalog doc
-
-  let doc_height sess src =
-    let snap = snapshot_of sess src in
+  let doc_height sess snap =
     match Catalog.snapshot_memoized_height snap with
     | Some h ->
       if Trace.enabled () then Trace.count "pipeline.height.memo_hit" 1;
@@ -493,183 +478,130 @@ module Session = struct
       if Trace.enabled () then Trace.count "pipeline.height.computed" 1;
       h
 
-  let request_height sess sg ?height src =
-    if not sg.gv.Service.g_recursive then None
-    else
-      match height with Some _ -> height | None -> Some (doc_height sess src)
-
-  (* The index the plan engine executes over: the caller's if given,
-     else the source snapshot's memoized one.  A bare context that is
-     not a document root cannot be indexed — the engine falls back to
-     the interpreter (only reachable through direct library use; the
-     CLI and server always answer at document roots). *)
-  let exec_index sess ?index src =
-    match (index, src) with
-    | Some _, _ -> index
-    | None, Pinned snap -> Some (Catalog.snapshot_index snap)
-    | None, Bare doc ->
-      if doc.Sxml.Tree.id = 0 then
-        Some (Catalog.snapshot_index (snapshot_of sess src))
-      else None
-
-  let interp ?env ?index translated doc =
-    Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ()) translated
-
-  (* Pick the engine that will actually run: (engine used, per-operator
-     stats when the plan engine runs and the caller asked, thunk).
-     [want_stats] keeps the hot path allocation-free — counters are
-     only sized and threaded through when an outcome consumer asked. *)
-  let run_engine sess sg ~group ~engine ~want_stats ?env ?index ce src =
-    let doc = source_doc src in
-    match engine with
-    | Interp -> (Interp, None, fun () -> interp ?env ?index ce.translated doc)
-    | Plan -> (
-      match exec_index sess ?index src with
-      | None -> (Interp, None, fun () -> interp ?env ?index ce.translated doc)
-      | Some idx -> (
-        match plan_of sess sg ~group ce with
-        | Ok compiled ->
-          let stats =
-            if want_stats then Some (Splan.Exec.Stats.for_plan compiled)
-            else None
-          in
-          (Plan, stats,
-           fun () -> Splan.Exec.run ?stats compiled ~index:idx ?env doc)
-        | Error _ ->
-          (Interp, None, fun () -> interp ?env ~index:idx ce.translated doc)))
-
-  let answer_observed sess sg ~group ~engine ~want_stats ?env ?index ?height q
-      src =
-    Trace.span "answer" @@ fun () ->
-    let height = request_height sess sg ?height src in
-    let ce = translate_entry sess sg ~group ?height q in
-    (* [visited] is a trace-only work meter shared by every domain's
-       evaluators without synchronization: lost updates under parallel
-       load are acceptable, a per-request delta observed on one domain
-       is exact *)
-    let v0 = !Sxpath.Eval.visited + !Splan.Exec.visited in
-    let used, stats, thunk =
-      run_engine sess sg ~group ~engine ~want_stats ?env ?index ce src
-    in
-    let results =
+  (* [visited] is a trace-only work meter shared by every domain's
+     evaluators without synchronization: lost updates under parallel
+     load are acceptable, a per-request delta observed on one domain
+     is exact *)
+  let eval thunk =
+    if Trace.enabled () then begin
+      let v0 = !Sxpath.Eval.visited + !Splan.Exec.visited in
       Fun.protect
         ~finally:(fun () ->
           Trace.value "eval.visited"
             (!Sxpath.Eval.visited + !Splan.Exec.visited - v0))
         (fun () -> Trace.span "eval" thunk)
-    in
-    (results, ce, used, stats)
+    end
+    else thunk ()
 
-  let answer_source sess ~group ?(engine = Plan) ?(counts = false) ?env
-      ?index ?height q src =
+  let interp ?env ?index translated doc =
+    Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ()) translated
+
+  (* The one execution body: translate through the cache, choose the
+     engine, evaluate.  Tree, height and index all come from the
+     snapshot the caller pinned, so the answer is that version's
+     however many writes land meanwhile, and the catalog is never
+     searched.  The plan engine runs over the snapshot's index and
+     falls back to the interpreter, with the reason, when the plan
+     compiler refuses the query or the context is not a document root
+     (only a bare subtree handed to [answer] is not one).  [want_stats]
+     sizes per-operator counters only when a consumer asked. *)
+  let run sess sg ~group ~engine ~want_stats ?env ~use_index q snap =
+    let doc = Catalog.snapshot_doc snap in
+    let height =
+      if sg.gv.Service.g_recursive then Some (doc_height sess snap) else None
+    in
+    let ce = translate_entry sess sg ~group ?height q in
+    let index =
+      if doc.Sxml.Tree.id = 0 && (use_index || engine = Plan) then
+        Some (Catalog.snapshot_index snap)
+      else None
+    in
+    let plan, fallback, results =
+      match (engine, index) with
+      | Interp, _ ->
+        (None, None, eval (fun () -> interp ?env ?index ce.translated doc))
+      | Plan, None ->
+        ( None, Some "context is not an indexed document root",
+          eval (fun () -> interp ?env ce.translated doc) )
+      | Plan, Some idx -> (
+        match plan_of sess sg ~group ce with
+        | Error reason ->
+          ( None, Some reason,
+            eval (fun () -> interp ?env ?index ce.translated doc) )
+        | Ok compiled ->
+          let stats =
+            if want_stats then Some (Splan.Exec.Stats.for_plan compiled)
+            else None
+          in
+          ( Option.map (fun s -> (compiled, s)) stats,
+            None,
+            eval (fun () ->
+                Splan.Exec.run ?stats compiled ~index:idx ?env doc) ))
+    in
+    {
+      o_results = results;
+      o_translated = ce.translated;
+      o_height = height;
+      o_plan = plan;
+      o_fallback = fallback;
+    }
+
+  (* Resolve the group, run [k] on it and map the pipeline's failures
+     to [Error.t] values. *)
+  let with_group sess ~group k =
     sync sess;
     match sgroup sess group with
     | exception Not_found ->
       Error (Error.Unknown_group { group; known = sess.svc.Service.s_order })
     | sg -> (
-      match
-        if Trace.enabled () then
-          answer_observed sess sg ~group ~engine ~want_stats:counts ?env
-            ?index ?height q src
-        else
-          let height = request_height sess sg ?height src in
-          let ce = translate_entry sess sg ~group ?height q in
-          let used, stats, thunk =
-            run_engine sess sg ~group ~engine ~want_stats:counts ?env ?index
-              ce src
-          in
-          (thunk (), ce, used, stats)
-      with
-      | results, ce, used, stats ->
-        Ok
-          {
-            o_results = results;
-            o_translated = ce.translated;
-            o_engine = used;
-            o_counts =
-              (match stats with
-              | Some s -> Splan.Exec.Stats.totals s
-              | None -> []);
-          }
+      match k sg with
+      | v -> Ok v
       | exception Rewrite.Unsupported msg -> Error (Error.Unsupported msg)
       | exception Sxpath.Eval.Unbound_variable name ->
         Error (Error.Unbound_variable name))
 
-  let answer_outcome sess ~group ?engine ?counts ?env ?index ?height q doc =
-    answer_source sess ~group ?engine ?counts ?env ?index ?height q (Bare doc)
+  let answer_pinned sess ~group ?(engine = Plan) ?(counts = false) ?env
+      ?(use_index = false) q snap =
+    with_group sess ~group @@ fun sg ->
+    if Trace.enabled () then
+      Trace.span "answer" (fun () ->
+          run sess sg ~group ~engine ~want_stats:counts ?env ~use_index q snap)
+    else run sess sg ~group ~engine ~want_stats:counts ?env ~use_index q snap
 
-  (* A served read: height and index come from the snapshot the
-     request pinned — no catalog lookup, so a write landing meanwhile
-     cannot send the read to an anonymous copy of its own tree. *)
-  let answer_pinned sess ~group ?engine ?counts ?env ?(use_index = false) q
-      snap =
-    let index =
-      if use_index then Some (Catalog.snapshot_index snap) else None
-    in
-    answer_source sess ~group ?engine ?counts ?env ?index q (Pinned snap)
-
-  let answer sess ~group ?engine ?env ?index ?height q doc =
+  let answer sess ~group ?engine ?env q doc =
     Result.map
       (fun o -> o.o_results)
-      (answer_outcome sess ~group ?engine ?env ?index ?height q doc)
+      (answer_pinned sess ~group ?engine ?env q
+         (Catalog.intern (service sess).Service.s_catalog doc))
 
-  let answer_exn sess ~group ?engine ?env ?index ?height q doc =
-    match answer sess ~group ?engine ?env ?index ?height q doc with
+  let answer_exn sess ~group ?engine ?env q doc =
+    match answer sess ~group ?engine ?env q doc with
     | Ok results -> results
     | Error e -> raise (Error.E e)
 
-  (* EXPLAIN: run the request once, preferring the plan engine with
-     per-operator counters; report why when the interpreter had to
-     answer instead.  Uses the same caches as [answer], so explaining
-     a query warms it.  An explanation is operator introspection, not
-     a data answer: results are counted, not returned. *)
-  let explain sess ~group ?env ?index ?height q doc =
-    sync sess;
-    match sgroup sess group with
-    | exception Not_found ->
-      Error (Error.Unknown_group { group; known = sess.svc.Service.s_order })
-    | sg -> (
-      let admission = classify_sg sg q in
-      let src = Bare doc in
-      let doc_version = Catalog.snapshot_version (snapshot_of sess src) in
-      let generation = Service.generation sess.svc in
-      match
-        let height = request_height sess sg ?height src in
-        let ce = translate_entry sess sg ~group ?height q in
-        match exec_index sess ?index src with
-        | None ->
-          let results = interp ?env ?index ce.translated doc in
-          ( ce.translated, height, None,
-            Some "context is not an indexed document root",
-            List.length results )
-        | Some idx -> (
-          match plan_of sess sg ~group ce with
-          | Error reason ->
-            let results = interp ?env ~index:idx ce.translated doc in
-            (ce.translated, height, None, Some reason, List.length results)
-          | Ok compiled ->
-            let stats = Splan.Exec.Stats.for_plan compiled in
-            let results =
-              Splan.Exec.run ~stats compiled ~index:idx ?env doc
-            in
-            ( ce.translated, height, Some (compiled, stats), None,
-              List.length results ))
-      with
-      | translated, height, plan, fallback, results ->
-        Ok
-          {
-            x_admission = admission;
-            x_translated = translated;
-            x_height = height;
-            x_plan = plan;
-            x_fallback = fallback;
-            x_results = results;
-            x_doc_version = doc_version;
-            x_generation = generation;
-          }
-      | exception Rewrite.Unsupported msg -> Error (Error.Unsupported msg)
-      | exception Sxpath.Eval.Unbound_variable name ->
-        Error (Error.Unbound_variable name))
+  (* EXPLAIN is the answer body run with per-operator counters, plus
+     the admission verdict and the provenance.  It shares [answer]'s
+     caches, so explaining a query warms them.  An explanation is
+     operator introspection, not a data answer: results are counted,
+     not returned. *)
+  let explain sess ~group ?env q snap =
+    with_group sess ~group @@ fun sg ->
+    let admission = classify_sg sg q in
+    let generation = Service.generation sess.svc in
+    let o =
+      run sess sg ~group ~engine:Plan ~want_stats:true ?env ~use_index:false q
+        snap
+    in
+    {
+      x_admission = admission;
+      x_translated = o.o_translated;
+      x_height = o.o_height;
+      x_plan = o.o_plan;
+      x_fallback = o.o_fallback;
+      x_results = List.length o.o_results;
+      x_doc_version = Catalog.snapshot_version snap;
+      x_generation = generation;
+    }
 
   let stats_of sess ~group =
     sync sess;

@@ -11,10 +11,10 @@
     Each worker then owns a {!Session}: the translation cache, plan
     cache, admission-verdict cache and traffic counters for that
     worker alone.  The hot read path takes {e no locks} — a warm
-    {!Session.answer} is one atomic load (service identity) plus hash
-    probes on caches nobody else touches.  Cold translations run the
-    rewriter/optimizer inline and pay only for the query: the schema
-    facts they consult are built once and shared — the DTDs' graph
+    {!Session.answer_pinned} is one atomic load (service identity)
+    plus hash probes on caches nobody else touches.  Cold translations
+    run the rewriter/optimizer inline and pay only for the query: the
+    schema facts they consult are built once and shared — the DTDs' graph
     facts, each view's [recProc] table ({!View.recproc}) and the
     service's optimizer context ({!Optimize.prepare}: the document
     DTD's identity view).  [recProc] tables fill on first use by
@@ -34,7 +34,7 @@ type group = {
   view : View.t;
 }
 
-(** How {!Session.answer} executes the translated query:
+(** How {!Session.answer_pinned} executes the translated query:
     - [Plan] (the default) compiles it to a physical plan
       ([Splan]) run over the document's tag/extent index; the plan is
       cached next to the translation.  Queries the compiler refuses
@@ -128,18 +128,20 @@ val set_admission_analyzer :
     leans on {!Image}, whose memos are domain-local, and on the
     contexts' compare-and-set tables). *)
 
-(** What {!Session.answer_outcome} adds over the bare result list: the
-    document query that ran, the engine that actually executed it
-    ([o_engine = Interp] for a plan-engine request means a fallback),
-    and — with [~counts:true] and the plan engine — the operator work
-    totals ({!Splan.Exec.Stats.totals}: [scanned]/[probes]/[joined]/
-    [rows]; [[]] otherwise).  The CLI's request records are built
-    from this. *)
+(** What {!Session.answer_pinned} returns besides the result list:
+    the document query that ran, the unfolding height it was
+    translated for (recursive views), and — with [~counts:true] when
+    the plan engine ran — the compiled plan with its per-operator
+    counters (render with {!Splan.Explain.of_compiled}, total with
+    {!Splan.Exec.Stats.totals}).  [o_fallback] says why a plan-engine
+    request was answered by the interpreter instead.  Request records
+    and explanations are built from this. *)
 type outcome = {
   o_results : Sxml.Tree.t list;
   o_translated : Sxpath.Ast.path;
-  o_engine : engine;
-  o_counts : (string * int) list;
+  o_height : int option;
+  o_plan : (Splan.Compile.t * Splan.Exec.Stats.t) option;
+  o_fallback : string option;
 }
 
 (** One EXPLAINed request: the admission verdict ({!Session.classify}'s,
@@ -271,61 +273,6 @@ module Session : sig
       cold classification runs inside an ["admission"] trace span.
       [Error Unknown_group] for an unknown group. *)
 
-  val answer :
-    t ->
-    group:string ->
-    ?engine:engine ->
-    ?env:(string -> string option) ->
-    ?index:Sxml.Index.t ->
-    ?height:int ->
-    Sxpath.Ast.path ->
-    Sxml.Tree.t ->
-    (Sxml.Tree.t list, Error.t) result
-  (** Translate (through the cache) and evaluate at the document's
-      root element with the chosen [engine] (default {!Plan}).  When
-      the group's view is recursive the unfolding height is taken from
-      [height] if supplied, otherwise resolved through the service's
-      document {!Catalog}: the tree is interned by physical identity
-      and its height and index computed once per catalog entry —
-      queries alternating over any number of loaded documents never
-      recompute either.  With an observability probe installed (see
-      {!Trace}), the call is wrapped in spans.
-
-      Failures come back as {!Error.t} values instead of mixed
-      exceptions: [Unknown_group], [Unsupported] (recursive view
-      without a resolvable height, out-of-fragment rewrite) and
-      [Unbound_variable].  Exceptions that indicate caller bugs
-      (e.g. an index over the wrong document) still raise. *)
-
-  val answer_exn :
-    t ->
-    group:string ->
-    ?engine:engine ->
-    ?env:(string -> string option) ->
-    ?index:Sxml.Index.t ->
-    ?height:int ->
-    Sxpath.Ast.path ->
-    Sxml.Tree.t ->
-    Sxml.Tree.t list
-  (** [answer], raising {!Error.E} instead of returning [Error]. *)
-
-  val answer_outcome :
-    t ->
-    group:string ->
-    ?engine:engine ->
-    ?counts:bool ->
-    ?env:(string -> string option) ->
-    ?index:Sxml.Index.t ->
-    ?height:int ->
-    Sxpath.Ast.path ->
-    Sxml.Tree.t ->
-    (outcome, Error.t) result
-  (** Exactly {!answer} — same caches, same spans — but returning the
-      request's {!outcome}: what an audit record of the request needs
-      (the translated query, the operator counts).  [counts] (default [false])
-      allocates and fills per-operator counters when the plan engine
-      runs; the default keeps the hot path identical to {!answer}. *)
-
   val answer_pinned :
     t ->
     group:string ->
@@ -336,27 +283,61 @@ module Session : sig
     Sxpath.Ast.path ->
     Catalog.snapshot ->
     (outcome, Error.t) result
-  (** {!answer_outcome} over a snapshot the caller pinned
-      ({!Catalog.pin}) — how the server answers a read.  The height and
-      the index come from that snapshot, so however many writes land
-      after the pin, the answer is the pinned version's and the
-      catalog is never searched (no catalog lock, no interning).  The
-      plan engine always runs over the snapshot's index; [use_index]
-      (default [false]) hands it to the [Interp] engine too. *)
+  (** The one way a query is answered: translate (through the cache)
+      and evaluate at the root of the snapshot the caller pinned
+      ({!Catalog.pin}) with the chosen [engine] (default {!Plan}).
+      The tree, the unfolding height of a recursive view and the index
+      all come from that snapshot, so however many writes land after
+      the pin the answer is the pinned version's, and the catalog is
+      never searched.  The plan engine always runs over the snapshot's
+      index; [use_index] (default [false]) hands it to the [Interp]
+      engine too.  [counts] (default [false]) allocates and fills
+      per-operator counters when the plan engine runs.  With an
+      observability probe installed (see {!Trace}), the call is
+      wrapped in spans.
+
+      Failures come back as {!Error.t} values instead of mixed
+      exceptions: [Unknown_group], [Unsupported] (out-of-fragment
+      rewrite) and [Unbound_variable]. *)
+
+  val answer :
+    t ->
+    group:string ->
+    ?engine:engine ->
+    ?env:(string -> string option) ->
+    Sxpath.Ast.path ->
+    Sxml.Tree.t ->
+    (Sxml.Tree.t list, Error.t) result
+  (** {!answer_pinned} over a bare tree: the tree is interned in the
+      service's {!Catalog} by physical identity (a catalog document's
+      current tree finds its own snapshot), so its height and index are
+      computed once per catalog entry.  The library's convenience
+      entry, and the oracle that tests and benchmarks compare served
+      answers against. *)
+
+  val answer_exn :
+    t ->
+    group:string ->
+    ?engine:engine ->
+    ?env:(string -> string option) ->
+    Sxpath.Ast.path ->
+    Sxml.Tree.t ->
+    Sxml.Tree.t list
+  (** [answer], raising {!Error.E} instead of returning [Error]. *)
 
   val explain :
     t ->
     group:string ->
     ?env:(string -> string option) ->
-    ?index:Sxml.Index.t ->
-    ?height:int ->
     Sxpath.Ast.path ->
-    Sxml.Tree.t ->
+    Catalog.snapshot ->
     (explanation, Error.t) result
-  (** Run the query once, preferring the plan engine and collecting
-      {!Splan.Exec.Stats} per operator.  Shares {!answer}'s
+  (** {!answer_pinned}'s body run once with the plan engine and
+      per-operator counters, plus {!classify}'s verdict and the
+      provenance: [x_doc_version] is the pinned snapshot's.  Shares the
       translation and plan caches (explaining a query warms them);
-      results are counted, not returned.  Errors as in {!answer}. *)
+      results are counted, not returned.  Errors as in
+      {!answer_pinned}. *)
 
   val stats_of : t -> group:string -> stats
   (** The group's counters (safe from any domain).

@@ -16,9 +16,6 @@
     [p1] is contained in [p2] at [a]-elements; the converse can fail
     (the test is approximate). *)
 
-val simulated : Image.t -> Image.t -> bool
-(** [simulated g1 g2]: is [g1]'s root simulated by [g2]'s root? *)
-
 val contained :
   Sdtd.Dtd.t -> Sxpath.Ast.path -> Sxpath.Ast.path -> string -> bool
 (** [contained dtd p1 p2 a]: approximate containment test — [true]

@@ -92,8 +92,6 @@ let annotation spec ~parent ~child = PairMap.find_opt (parent, child) spec.ann
 
 let annotations spec = spec.order
 
-let write_grants spec = spec.write_order
-
 let writable spec ~parent ~child op =
   match PairMap.find_opt (parent, child) spec.write with
   | None -> false

@@ -41,7 +41,6 @@ type write_op =
 
 val all_write_ops : write_op list
 val write_op_to_string : write_op -> string
-val write_op_of_string : string -> write_op option
 
 type t
 
@@ -63,9 +62,6 @@ val make :
 val dtd : t -> Sdtd.Dtd.t
 val annotation : t -> parent:string -> child:string -> annot option
 val annotations : t -> ((string * string) * annot) list
-(** In the order given to {!make}. *)
-
-val write_grants : t -> ((string * string) * write_op list) list
 (** In the order given to {!make}. *)
 
 val writable : t -> parent:string -> child:string -> write_op -> bool

@@ -42,5 +42,3 @@ val default_text : string -> Random.State.t -> string
 val generate : ?config:config -> Dtd.t -> Sxml.Tree.t
 (** @raise Invalid_argument if the DTD is inconsistent (some reachable
     type has no finite instance). *)
-
-val generate_spec : ?config:config -> Dtd.t -> Sxml.Tree.spec

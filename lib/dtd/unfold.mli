@@ -11,9 +11,6 @@
     user-visible element label, which is what query steps match and
     what σ-annotation lookups use. *)
 
-val separator : char
-(** ['~'] — assumed not to occur in element-type names being unfolded. *)
-
 val mangle : string -> int -> string
 val label_of : string -> string
 (** [label_of "A~3"] is ["A"]; names without a level suffix are
@@ -28,5 +25,5 @@ val unfold : Dtd.t -> height:int -> Dtd.t
     [mangle (root d) 1].
 
     @raise Invalid_argument if [height < min_height d (root d)] (no
-    instance fits) or if some reachable type name already contains
-    {!separator}. *)
+    instance fits) or if some reachable type name already contains the
+    level separator ['~']. *)

@@ -75,17 +75,15 @@ val log_request : t -> Request.t -> unit
     fast-path denial or a refusal); [latency_ms] includes queue
     wait. *)
 
-val log_update : t -> Request.t -> unit
-(** One write-path record: kind ["update"] when the request carries
-    no error (an admitted write, with its [old_version → new_version]
-    transition and target count from {!Request.t.write}),
-    ["update_denied"] otherwise (the error carries the typed reason) —
-    so a denied write is distinguishable from a denied query. *)
-
 val log : t -> Request.t -> unit
-(** The request's audit record: {!log_update} for a write that ran,
-    {!log_request} for everything else (a write shed by the overload
-    check never ran).  The server and the CLI audit through this. *)
+(** The request's audit record: for a write that ran, kind
+    ["update"] when it was admitted (with its
+    [old_version → new_version] transition and target count from
+    {!Request.t.write}) or ["update_denied"] when refused (the error
+    carries the typed reason), so a denied write is distinguishable
+    from a denied query; {!log_request} for everything else (a write
+    shed by the overload check never ran).  The server and the CLI
+    audit through this. *)
 
 val log_slow_query : t -> threshold_ms:float -> Request.t -> unit
 (** One ["slow_query"] record — emitted by [query --slow-ms] and

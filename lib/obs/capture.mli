@@ -24,8 +24,6 @@
     — a replay digest match means the replayed write produced the
     byte-identical document version. *)
 
-val schema_version : int
-
 type record = {
   c_rid : string;
   c_verb : string;  (** ["query"] or ["update"] *)

@@ -8,7 +8,7 @@
     plan-operator counts, answer digest, and outcome — for the most
     recent window of traffic, without any I/O on the request path.
     It keeps the {!Request.t} records themselves; a flight entry is
-    their projection ({!entry_json}).
+    their projection ({!to_json}).
 
     The ring is fixed-size and thread-safe (private mutex, never
     shared with the tracer/server observability lock, so recording
@@ -35,14 +35,6 @@ val total : t -> int
 val clear : t -> unit
 
 (** {2 Rendering} *)
-
-val entry_json : Request.t -> Json.t
-(** One flight entry:
-    [{"rid","verb","ts_ns","session","peer","group","doc","doc_version",
-    "query","engine","admission","status","error","results","digest",
-    "latency_ms","gc_pause_ms","gc_pauses","spans","op_counts"}];
-    [doc] is the resolved label, [gc_pause_ms]/[gc_pauses] are [null]
-    when not measured. *)
 
 val to_json : t -> Json.t
 (** [{"flight":N,"capacity":C,"total":T,"entries":[…]}] with entries

@@ -4,9 +4,9 @@
     The server builds one at each exit path (worker, expired in queue,
     admission fast path, overload) and the CLI's [query] and [update]
     commands build one per request; every sink is a projection of it —
-    the flight-recorder entry ({!Recorder.entry_json}), the audit
-    records ({!Audit_log.log_request}, {!Audit_log.log_update},
-    {!Audit_log.log_slow_query}) and the replay record
+    the flight-recorder entry ({!Recorder.to_json}), the audit
+    records ({!Audit_log.log}, {!Audit_log.log_slow_query}) and the
+    replay record
     ({!Capture.of_request}) — so they agree on every field they share.
     "Not measured" stays [None] (rendered [null]), distinct from a
     measured zero. *)

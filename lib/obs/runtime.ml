@@ -235,10 +235,6 @@ let pauses t =
         (fun i -> t.ring.((t.head - n + i + (2 * cap)) mod cap))
         (List.init n Fun.id))
 
-let total_pauses t = Mutex.protect t.lock (fun () -> t.total)
-let live_domains t = Mutex.protect t.lock (fun () -> live_domains_locked t)
-let lost_events t = Mutex.protect t.lock (fun () -> t.lost)
-
 (* Attribution uses the union of pause windows, not their sum: a minor
    collection is stop-the-world, so every domain's ring reports (near)
    the same window, and summing would bill one global pause once per

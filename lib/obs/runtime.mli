@@ -10,7 +10,7 @@
     on a domain — into:
 
     - [gc.pause_seconds.d<i>] histograms (plus an all-domain
-      [gc.pause_seconds] aggregate) over {!pause_buckets},
+      [gc.pause_seconds] aggregate) over a 1µs – 2.5s ladder,
     - [gc.minor_collections.d<i>] / [gc.major_slices.d<i>] counters,
     - [gc.minor_allocated_words.d<i>] / [gc.promoted_words.d<i>]
       counters and a [gc.heap_words.d<i>] gauge from the runtime's own
@@ -50,9 +50,6 @@ val kind_label : kind -> string
 type pause = { domain : int; kind : kind; start_ns : int64; stop_ns : int64 }
 (** One mutator pause on one domain's ring, in monotonic clock ns. *)
 
-val pause_buckets : float array
-(** Histogram ladder for [gc.pause_seconds], in seconds (1µs – 2.5s). *)
-
 type t
 
 val start : ?capacity:int -> ?interval:float -> unit -> t
@@ -72,10 +69,6 @@ val stop : t -> unit
     cursor.  Idempotent; the metrics registry and retained pause ring
     stay readable after. *)
 
-val poll : t -> unit
-(** Drain the cursor now (the polling thread does this on a timer;
-    queries also drain first, so explicit polls are rarely needed). *)
-
 val absorb_into : into:Metrics.t -> t -> unit
 (** Drain, then merge the consumer's registry into [into] under the
     consumer lock — the scrape-time merge, torn-free like
@@ -83,16 +76,6 @@ val absorb_into : into:Metrics.t -> t -> unit
 
 val pauses : t -> pause list
 (** Retained pause windows, oldest first. *)
-
-val total_pauses : t -> int
-(** Pauses ever seen (monotonic; exceeds the ring capacity). *)
-
-val live_domains : t -> int
-(** 1 + domain spawns - domain terminations, as seen by lifecycle
-    events. *)
-
-val lost_events : t -> int
-(** Events the runtime overwrote before the consumer read them. *)
 
 val overlap : t -> start_ns:int64 -> stop_ns:int64 -> float * int
 (** [(ms, episodes)]: the union of retained pause windows clipped to

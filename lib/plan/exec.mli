@@ -65,16 +65,6 @@ val run :
     @raise Sxpath.Eval.Unbound_variable like the
     interpreter (modulo the laziness caveat above). *)
 
-val run_ids :
-  ?stats:Stats.t ->
-  Compile.t ->
-  index:Sxml.Index.t ->
-  ?env:(string -> string option) ->
-  int array ->
-  int array
-(** Same, set-at-a-time over raw ids: the context array must be
-    strictly ascending and duplicate-free. *)
-
 val visited : int ref
 (** Work counter, same contract as {!Sxpath.Eval.visited}: bumped per
     context-node × operator touch.  Reset it yourself between

@@ -22,7 +22,10 @@ let query ?version outcome (r : Sobs.Request.t) =
       digest = Some (Sobs.Capture.digest rendered);
       doc_version = (if version = None then r.doc_version else version);
       translated = Some (Sxpath.Print.to_string o.o_translated);
-      counts = o.o_counts;
+      counts =
+        (match o.o_plan with
+        | Some (_, stats) -> Splan.Exec.Stats.totals stats
+        | None -> []);
     }
 
 let update ?detail outcome (r : Sobs.Request.t) =

@@ -340,7 +340,7 @@ let explain_query t psess ~rid ~group (q : Protocol.query) =
       let env name = List.assoc_opt name q.bind in
       Result.map
         (fun x -> Protocol.ok ~rid (Protocol.explain_fields q.text x))
-        (Pipeline.Session.explain psess ~group ~env path (Catalog.doc entry)))
+        (Pipeline.Session.explain psess ~group ~env path (Catalog.pin entry)))
 
 (* The write path: resolve the document, then run check+swap.  Every
    update in the process goes through the single coordinator domain

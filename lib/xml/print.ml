@@ -22,14 +22,6 @@ let rec escape_run buf ~attr s start i =
 
 let escape buf ~attr s = escape_run buf ~attr s 0 0
 
-let escape_via ~attr s =
-  let buf = Buffer.create (String.length s + 8) in
-  escape buf ~attr s;
-  Buffer.contents buf
-
-let escape_text s = escape_via ~attr:false s
-let escape_attr s = escape_via ~attr:true s
-
 let rec add_attrs buf = function
   | [] -> ()
   | (k, v) :: rest ->

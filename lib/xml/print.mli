@@ -5,12 +5,6 @@
     escaped; no namespace or doctype machinery, matching the substrate's
     scope. *)
 
-val escape_text : string -> string
-(** Escape PCDATA ([&], [<], [>]). *)
-
-val escape_attr : string -> string
-(** Escape an attribute value for double-quoted output. *)
-
 val to_buffer : ?indent:bool -> Buffer.t -> Tree.t -> unit
 
 val to_string : ?indent:bool -> Tree.t -> string

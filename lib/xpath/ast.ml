@@ -262,19 +262,3 @@ and substitute_qual env = function
   | And (a, b) -> And (substitute_qual env a, substitute_qual env b)
   | Or (a, b) -> Or (substitute_qual env a, substitute_qual env b)
   | Not q -> Not (substitute_qual env q)
-
-let rec map_labels f = function
-  | (Empty | Eps | Wildcard | Attribute _) as p -> p
-  | Label l -> Label (f l)
-  | Slash (a, b) -> Slash (map_labels f a, map_labels f b)
-  | Dslash p -> Dslash (map_labels f p)
-  | Union (a, b) -> Union (map_labels f a, map_labels f b)
-  | Qualify (p, q) -> Qualify (map_labels f p, map_labels_qual f q)
-
-and map_labels_qual f = function
-  | (True | False) as q -> q
-  | Exists p -> Exists (map_labels f p)
-  | Eq (p, v) -> Eq (map_labels f p, v)
-  | And (a, b) -> And (map_labels_qual f a, map_labels_qual f b)
-  | Or (a, b) -> Or (map_labels_qual f a, map_labels_qual f b)
-  | Not q -> Not (map_labels_qual f q)

@@ -85,6 +85,3 @@ val variables : path -> string list
 val substitute : (string -> string option) -> path -> path
 (** Replace [$variables] by constants where the environment binds
     them. *)
-
-val map_labels : (string -> string) -> path -> path
-(** Rename every label step (not attributes). *)

@@ -226,7 +226,11 @@ let test_explain_counts () =
             | Ok rs -> List.length rs
             | Error e -> Alcotest.failf "%s: %s" label (Secview.Error.to_string e)
           in
-          match Pipeline.Session.explain pipe ~group:"user" q doc with
+          let snap =
+            Secview.Catalog.pin
+              (Secview.Catalog.add (Secview.Catalog.create ()) ~name:"d" doc)
+          in
+          match Pipeline.Session.explain pipe ~group:"user" q snap with
           | Error e -> Alcotest.failf "%s: %s" label (Secview.Error.to_string e)
           | Ok x -> (
             Alcotest.(check int) (label ^ " results") expected

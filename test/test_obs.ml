@@ -271,7 +271,7 @@ let test_write_path_spans () =
     "admit, splice inside it, digest" [ Some 0; Some 1; Some 0 ]
     [ depth "admit"; depth "splice"; depth "digest" ]
 
-let test_height_memo_invalidation_and_override () =
+let test_height_memo_invalidation () =
   let metrics = Metrics.create () in
   let tracer = Tracer.create ~metrics () in
   let doc1 = Workload.Fig7.document ~depth:3 in
@@ -281,9 +281,7 @@ let test_height_memo_invalidation_and_override () =
       let pipe = fig7_pipeline () in
       ignore (Secview.Pipeline.Session.answer pipe ~group:"u" q doc1);
       ignore (Secview.Pipeline.Session.answer pipe ~group:"u" q doc2);
-      ignore (Secview.Pipeline.Session.answer pipe ~group:"u" q doc2);
-      (* caller-supplied height bypasses the memo entirely *)
-      ignore (Secview.Pipeline.Session.answer pipe ~group:"u" ~height:9 q doc1));
+      ignore (Secview.Pipeline.Session.answer pipe ~group:"u" q doc2));
   Alcotest.(check int) "recomputed when the document changes" 2
     (Metrics.counter metrics "pipeline.height.computed");
   Alcotest.(check int) "memoized across same-document requests" 1
@@ -596,7 +594,7 @@ let () =
             test_pipeline_spans_and_audit;
           Alcotest.test_case "write path spans" `Quick test_write_path_spans;
           Alcotest.test_case "height memo" `Quick
-            test_height_memo_invalidation_and_override;
+            test_height_memo_invalidation;
           Alcotest.test_case "aggregate stats" `Quick test_pipeline_stats;
         ] );
       ( "request spans",

@@ -139,18 +139,68 @@ let test_pinned_read_across_write () =
     Alcotest.(check int) "no height walk after the write" walks
       (Catalog.height_walks catalog)
 
-let test_indexed_answers () =
-  let dtd = Workload.Adex.dtd in
+(* A write lands between pinning and explaining, as it can between a
+   served explain's pin and its run: the explanation is the pinned
+   version's — its provenance, its answer count, its height — and no
+   tree but the pinned one is walked. *)
+let test_explain_pinned_across_write () =
+  let module Catalog = Secview.Catalog in
+  let dtd = Workload.Fig7.dtd and spec = Workload.Fig7.spec in
+  let catalog = Catalog.create () in
+  let pinned_doc = Workload.Fig7.document ~depth:3 in
+  let entry = Catalog.add catalog ~name:"d" pinned_doc in
   let p =
     Pipeline.Session.create
-      (Pipeline.Service.create dtd ~groups:[ ("re", Workload.Adex.spec) ])
+      (Pipeline.Service.create ~catalog dtd ~groups:[ ("g", spec) ])
   in
+  let q = parse "//b" in
+  let snap = Catalog.pin entry in
+  let written = Workload.Fig7.document ~depth:5 in
+  ignore
+    (Catalog.update ~conforms:dtd
+       ~access:(spec, (fun _ -> None), Secview.Access.accessible_flags spec written)
+       entry written);
+  let walks = Catalog.height_walks catalog in
+  let oracle =
+    Pipeline.Session.answer_exn
+      (Pipeline.Session.create (Pipeline.Service.create dtd ~groups:[ ("g", spec) ]))
+      ~group:"g" ~engine:Pipeline.Interp q pinned_doc
+  in
+  match Pipeline.Session.explain p ~group:"g" q snap with
+  | Error e -> Alcotest.fail (Secview.Error.to_string e)
+  | Ok x ->
+    Alcotest.(check int) "the pinned version" (Catalog.snapshot_version snap)
+      x.x_doc_version;
+    Alcotest.(check bool) "a write landed after the pin" true
+      (Catalog.version entry <> x.x_doc_version);
+    Alcotest.(check int) "the pinned version's result count"
+      (List.length oracle) x.x_results;
+    Alcotest.(check (option int)) "the pinned tree's height"
+      (Some (Catalog.element_height pinned_doc))
+      x.x_height;
+    Alcotest.(check int) "one height walk, of the pinned tree" (walks + 1)
+      (Catalog.height_walks catalog)
+
+let test_indexed_answers () =
+  let dtd = Workload.Adex.dtd in
+  let catalog = Secview.Catalog.create () in
   let doc = Workload.Adex.document ~ads:10 ~buyers:5 () in
-  let idx = Sxml.Index.build doc in
+  let snap = Secview.Catalog.pin (Secview.Catalog.add catalog ~name:"d" doc) in
+  let p =
+    Pipeline.Session.create
+      (Pipeline.Service.create ~catalog dtd ~groups:[ ("re", Workload.Adex.spec) ])
+  in
   let q = Workload.Adex.q1 in
-  Alcotest.(check int) "indexed = plain"
-    (List.length (Pipeline.Session.answer_exn p ~group:"re" q doc))
-    (List.length (Pipeline.Session.answer_exn p ~group:"re" ~index:idx q doc))
+  let answer ~use_index =
+    match
+      Pipeline.Session.answer_pinned p ~group:"re" ~engine:Pipeline.Interp
+        ~use_index q snap
+    with
+    | Ok o -> List.length o.o_results
+    | Error e -> Alcotest.fail (Secview.Error.to_string e)
+  in
+  Alcotest.(check int) "indexed = plain" (answer ~use_index:false)
+    (answer ~use_index:true)
 
 (* Schema tables fill on first use, one view node at a time: a query
    with no [//] fills nothing, one [//] at the root fills one entry, and
@@ -250,6 +300,8 @@ let () =
           Alcotest.test_case "indexed answers" `Quick test_indexed_answers;
           Alcotest.test_case "pinned read across a write" `Quick
             test_pinned_read_across_write;
+          Alcotest.test_case "pinned explain across a write" `Quick
+            test_explain_pinned_across_write;
         ] );
       ( "schema tables",
         [

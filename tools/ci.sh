@@ -289,7 +289,7 @@ secview serve --dtd "$POL/hospital.dtd" --spec "$TMP/ward_rw.spec" \
   --capture "$TMP/wcap.jsonl" 2> "$TMP/wserve.log" &
 WSRV=$!
 secview client --socket "$TMP/w.sock" --wait 5 --group user --bind wardNo=6 \
-  --update "$INS" --update "$REP" --update "$DEL" > /dev/null
+  --update "$INS" --update "$REP" --update "$DEL" > "$TMP/wupdates.out"
 # refused writes: the client exits 1 and the reply names the reason
 refused() {
   if secview client --socket "$TMP/w.sock" --group user --bind wardNo=6 \
@@ -303,6 +303,24 @@ refused "$BAD_DTD" '"code":"invalid_update","error":"result does not conform to 
 refused "$BAD_FLIP" '"error":"update would change the visibility of existing content"'
 secview client --socket "$TMP/w.sock" --group user --bind wardNo=6 \
   '//patient' '//staff' > "$TMP/wserved.out"
+# A served explain after the writes runs on the version the last
+# admitted write published ("update ok: … version A -> B") and counts
+# the answers the query above returned.
+secview client --socket "$TMP/w.sock" --send '{"cmd":"hello","group":"user"}' \
+  --send '{"cmd":"explain","query":"//patient","bind":{"wardNo":"6"}}' \
+  > "$TMP/wexplain.out"
+last_version=$(tail -n 1 "$TMP/wupdates.out" | sed -n 's/^update ok: .* -> \([0-9]*\)$/\1/p')
+explained_version=$(grep -o '"doc_version":[0-9]*' "$TMP/wexplain.out" | cut -d: -f2)
+explained=$(grep -o '"results":[0-9]*' "$TMP/wexplain.out" | cut -d: -f2)
+answered=$(grep -c '^<patient>' "$TMP/wserved.out")
+if [ -z "$last_version" ] || [ "$explained_version" != "$last_version" ] \
+  || [ "$explained" != "$answered" ]; then
+  echo "served-write smoke: explain after the writes read doc_version" \
+    "'$explained_version' and $explained result(s); want version" \
+    "'$last_version' and $answered result(s)" >&2
+  exit 1
+fi
+echo "-- served explain after the writes: version $last_version, $answered result(s)"
 secview client --socket "$TMP/w.sock" --shutdown
 wait $WSRV
 one_shot() {
