@@ -1445,8 +1445,16 @@ let client_cmd =
    the loop between writes instead of killing the process mid-frame:
    the handler only flips a flag, the loop notices it at the next
    check, restores the previous handler and returns — so the command
-   exits 0 with the terminal in a sane state. *)
+   exits 0 with the terminal in a sane state.  A reader of stdout that
+   goes away (a pager quits, [| grep -q] has seen enough) ends the
+   loop the same way: the client ignores SIGPIPE, so the write fails
+   with EPIPE, and stdout is closed so that the frame still buffered
+   is dropped instead of failing again when the program exits. *)
 let watch_stop = ref false
+
+let reader_gone = function
+  | Sys_error msg -> String.equal msg (Unix.error_message Unix.EPIPE)
+  | _ -> false
 
 let watch_loop ~interval ~rounds render =
   watch_stop := false;
@@ -1462,12 +1470,16 @@ let watch_loop ~interval ~rounds render =
         while (not !watch_stop) && !i < rounds do
           incr i;
           let frame = render () in
-          if tty then
-            (* full clear once, then home-paint-clear-to-end *)
-            print_string (if !i = 1 then "\027[2J\027[H" else "\027[H");
-          print_string frame;
-          if tty then print_string "\027[0J";
-          flush stdout;
+          (try
+             if tty then
+               (* full clear once, then home-paint-clear-to-end *)
+               print_string (if !i = 1 then "\027[2J\027[H" else "\027[H");
+             print_string frame;
+             if tty then print_string "\027[0J";
+             flush stdout
+           with e when reader_gone e ->
+             close_out_noerr stdout;
+             watch_stop := true);
           if !i < rounds && not !watch_stop then begin
             (* sleep in short slices so Ctrl-C is honoured promptly *)
             let slept = ref 0. in

@@ -69,7 +69,7 @@ let create () =
    a request, and caches keyed on the stamp invalidate on bump. *)
 let next_version = Atomic.make 1
 
-let memo () = { mlock = Mutex.create (); value = Atomic.make None }
+let memo ?value () = { mlock = Mutex.create (); value = Atomic.make value }
 
 (* [build x] runs only on a miss; a hit allocates nothing. *)
 let force m build x =
@@ -84,13 +84,13 @@ let force m build x =
           Atomic.set m.value (Some v);
           v)
 
-let make_snapshot ?conforms ?access source =
+let make_snapshot ?conforms ?access ?index source =
   {
     version = Atomic.fetch_and_add next_version 1;
     slock = Mutex.create ();
     source;
     height = memo ();
-    index = memo ();
+    index = memo ?value:index ();
     conforms;
     access;
   }
@@ -181,11 +181,14 @@ let snapshot_access ?(env = no_env) s spec =
     flags
   | _ -> Access.accessible_flags ~env spec (snapshot_doc s)
 
-let update ~conforms ~access:(spec, env, flags) e doc =
+let update ~conforms ~access:(spec, env, flags) e index =
   let conforms = (Sdtd.Dtd.stamp conforms, true)
   and access = (access_key ~env spec, flags) in
   Mutex.protect e.elock (fun () ->
-      let s = make_snapshot ~conforms ~access (Loaded doc) in
+      let s =
+        make_snapshot ~conforms ~access ~index
+          (Loaded (Sxml.Index.node index 0))
+      in
       e.snap <- s;
       s.version)
 

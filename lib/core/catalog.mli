@@ -14,7 +14,8 @@
     Entries are {e versioned}: each holds a current {!snapshot} — an
     immutable incarnation of the document plus its memos, stamped with
     a process-global monotonic version.  {!update} swaps in a fresh
-    snapshot (new tree, new version, cold memos); a reader that
+    snapshot (new tree, new version, the writer's derived index, cold
+    height memo); a reader that
     {!pin}ned the old snapshot keeps a consistent
     [{version; doc; height; index}] view for as long as it holds it,
     so in-flight reads are never torn by a concurrent update.
@@ -70,8 +71,7 @@ val doc : entry -> Sxml.Tree.t
     first call. *)
 
 val index : entry -> Sxml.Index.t
-(** Tag index of the current snapshot, built once and memoized per
-    snapshot. *)
+(** Tag index of the current snapshot ({!snapshot_index}). *)
 
 (** {2 Snapshots and mutation} *)
 
@@ -85,17 +85,19 @@ val update :
   conforms:Sdtd.Dtd.t ->
   access:Spec.t * (string -> string option) * Access.flags ->
   entry ->
-  Sxml.Tree.t ->
+  Sxml.Index.t ->
   int
-(** [update ~conforms ~access e doc] swaps a fresh snapshot holding
-    [doc] into [e] and returns its (new, strictly higher) version.
-    Swaps serialize per entry; pinned readers are unaffected.  Height
-    and index memos start cold — the next request recomputes against
-    the new tree.  The writer carries over the facts it has proved
-    about [doc] instead of leaving them to be recomputed: [doc]
-    conforms to the DTD [conforms] (seeds {!snapshot_conforms}), and
-    [access = (spec, env, flags)] is its accessibility under [spec]
-    and the bindings [env] ({!snapshot_access}). *)
+(** [update ~conforms ~access e index] swaps a fresh snapshot holding
+    [index]'s document into [e] and returns its (new, strictly higher)
+    version.  Swaps serialize per entry; pinned readers are
+    unaffected.  [index] is the new snapshot's index memo from the
+    start (the writer derived it with {!Sxml.Index.edit}), so no reader
+    builds one; the height memo starts cold.  The writer also carries
+    over the facts it has proved about the document instead of leaving
+    them to be recomputed: it conforms to the DTD [conforms] (seeds
+    {!snapshot_conforms}), and [access = (spec, env, flags)] is its
+    accessibility under [spec] and the bindings [env]
+    ({!snapshot_access}). *)
 
 val snapshot_version : snapshot -> int
 val snapshot_doc : snapshot -> Sxml.Tree.t
@@ -108,6 +110,9 @@ val snapshot_memoized_height : snapshot -> int option
     call sites that count memo hits vs walks). *)
 
 val snapshot_index : snapshot -> Sxml.Index.t
+(** The snapshot's tag index, memoized: a snapshot {!update} published
+    holds the writer's derived index from the start; any other is built
+    once, on first use. *)
 
 val snapshot_conforms : snapshot -> Sdtd.Dtd.t -> bool
 (** Whether the snapshot's document conforms to the DTD

@@ -30,8 +30,8 @@ type probe = {
           ["height"], ["translate"], ["rewrite"], ["unfold"],
           ["optimize"], ["plan"], ["derive"], ["eval"], ["admission"],
           and on the write path ["admit"] (the update admission
-          check), ["splice"] (the document rebuild, inside
-          ["admit"]) and ["digest"] (the receipt's view digest). *)
+          check), ["splice"] (the edit that builds the new version
+          and its index, inside ["admit"]) and ["digest"] (the receipt's view digest). *)
   leave : span_id -> unit;
   count : string -> int -> unit;  (** Add to a named counter. *)
   value : string -> int -> unit;

@@ -1066,12 +1066,15 @@ let acceptor_loop t kind lfd =
   done
 
 (* The major heap's headroom, as OCaml's [space_overhead] percentage
-   (the runtime's default is 120).  Every admitted write promotes a
-   whole new document version while the live heap holds about two, so
-   at 120 a major cycle, whose phases stop every domain, starts about
-   every other write, and on the [mixed] workload the one write
-   coordinator spends most of its time in them.  At 200 the heap may
-   grow to about three times what is live instead of 2.2 times. *)
+   (the runtime's default is 120).  At 200 the heap may grow to about
+   three times what is live instead of 2.2 times.  It was raised when
+   every admitted write promoted a whole new document version (about
+   80 k words on the [mixed] workload), so that at 120 a major cycle,
+   whose phases stop every domain, started about every other write.
+   A write now shares structure with the version it edits and, with
+   the index it derives, promotes about 5.5 k words (0.11 major cycles
+   in process); whether 200 still pays for its memory is for a
+   measurement to decide before the value changes. *)
 let space_overhead = 200
 
 let serve t listeners =

@@ -1,4 +1,4 @@
-type position =
+type position = Sxml.Index.position =
   | Into
   | Before
   | After

@@ -7,7 +7,7 @@
     single well-formed element ({!Sxml.Tree.spec}, so it carries no
     node identifiers until it is spliced into a document). *)
 
-type position =
+type position = Sxml.Index.position =
   | Into  (** append as the last child of each target *)
   | Before  (** new preceding sibling of each target *)
   | After  (** new following sibling of each target *)

@@ -3,118 +3,6 @@ module Access = Secview.Access
 module Tree = Sxml.Tree
 module Error = Secview.Error
 
-let rec spec_size = function
-  | Tree.E (_, _, cs) ->
-    List.fold_left (fun acc c -> acc + spec_size c) 1 cs
-  | Tree.T _ -> 1
-
-(* The edit to apply: exactly one of the target sets is non-empty per
-   update. *)
-type edit = {
-  delete : IntSet.t;
-  replace : IntSet.t;
-  insert_into : IntSet.t;
-  insert_before : IntSet.t;
-  insert_after : IntSet.t;
-  content : Tree.spec option;
-}
-
-let no_edit =
-  {
-    delete = IntSet.empty;
-    replace = IntSet.empty;
-    insert_into = IntSet.empty;
-    insert_before = IntSet.empty;
-    insert_after = IntSet.empty;
-    content = None;
-  }
-
-(* What the rebuild tells admission about the edit, in the candidate's
-   identifiers. *)
-type spliced = {
-  candidate : Tree.t;
-  size : int;  (* nodes in the candidate *)
-  copies : int list;  (* first id of each spliced copy of the content *)
-  parents : int list;  (* survivors whose children changed, ascending *)
-  runs : (int * int * int) list;
-      (* survivors as maximal runs (old id, new id, length), ascending *)
-}
-
-(* Rebuild the document with the edit applied, numbering the candidate
-   in of_spec's preorder as we go.  Survivors keep their relative
-   order, so they fall into runs of consecutive old ids that map to
-   consecutive new ids; a run breaks only where the edit removed or
-   spliced something. *)
-let splice doc edit =
-  let csize =
-    match edit.content with Some c -> spec_size c | None -> 0
-  in
-  let copies = ref [] and parents = ref [] and runs = ref [] in
-  let run_old = ref 0 and run_new = ref 0 and run_len = ref 0 in
-  let survive (n : Tree.t) pos =
-    if n.Tree.id = !run_old + !run_len && pos = !run_new + !run_len then
-      incr run_len
-    else begin
-      if !run_len > 0 then runs := (!run_old, !run_new, !run_len) :: !runs;
-      run_old := n.Tree.id;
-      run_new := pos;
-      run_len := 1
-    end
-  in
-  let emit acc pos =
-    copies := pos :: !copies;
-    (Option.get edit.content :: acc, pos + csize)
-  in
-  let rec go (n : Tree.t) pos =
-    survive n pos;
-    match n.Tree.desc with
-    | Tree.Text s -> (Tree.T s, pos + 1)
-    | Tree.Element e ->
-      let edited = ref false in
-      let emit_edited acc pos =
-        edited := true;
-        emit acc pos
-      in
-      let children_rev, next =
-        List.fold_left
-          (fun (acc, pos) (c : Tree.t) ->
-            let id = c.Tree.id in
-            let acc, pos =
-              if IntSet.mem id edit.insert_before then emit_edited acc pos
-              else (acc, pos)
-            in
-            let acc, pos =
-              if IntSet.mem id edit.delete then begin
-                edited := true;
-                (acc, pos)
-              end
-              else if IntSet.mem id edit.replace then emit_edited acc pos
-              else
-                let s, pos = go c pos in
-                (s :: acc, pos)
-            in
-            if IntSet.mem id edit.insert_after then emit_edited acc pos
-            else (acc, pos))
-          ([], pos + 1) e.Tree.children
-      in
-      let children_rev, next =
-        if IntSet.mem n.Tree.id edit.insert_into then
-          emit_edited children_rev next
-        else (children_rev, next)
-      in
-      if !edited then parents := pos :: !parents;
-      (Tree.E (e.Tree.tag, e.Tree.attrs, List.rev children_rev), next)
-  in
-  let root, size = go doc 0 in
-  runs := (!run_old, !run_new, !run_len) :: !runs;
-  {
-    candidate = Tree.of_spec root;
-    size;
-    copies = !copies;
-    parents = List.sort Int.compare !parents;
-    runs = List.rev !runs;
-  }
-
 (* Visit [n] and every ancestor-or-self of the nodes whose ids are in
    [ids] (ascending, all inside [n]'s subtree) in preorder, threading
    [visit]'s result from parent to children.  Dense preorder ids make
@@ -174,16 +62,17 @@ type at = {
 
 type admitted = {
   candidate : Tree.t;
+  index : Sxml.Index.t;
   targets : int;
-  size : int;
   runs : (int * int * int) list;
 }
 
 let no_env : string -> string option = fun _ -> None
 
 let run ~dtd ~spec ~view ?(env = no_env) ?height ?(audit = fun _ -> ())
-    ~conforms doc update =
+    ~conforms index update =
   let ( let* ) = Result.bind in
+  let doc = Sxml.Index.node index 0 in
   let* () =
     match update with
     | Ast.Delete _ -> Ok ()
@@ -311,23 +200,18 @@ let run ~dtd ~spec ~view ?(env = no_env) ?height ?(audit = fun _ -> ())
       (fun acc t -> Result.bind acc (fun () -> check_target t))
       (Ok ()) (List.rev !found)
   in
-  let ids = List.fold_left (fun s (t : Tree.t) -> IntSet.add t.Tree.id s)
-      IntSet.empty targets
-  in
-  let edit =
+  let op =
     match update with
-    | Ast.Delete _ -> { no_edit with delete = ids }
-    | Ast.Replace { content; _ } ->
-      { no_edit with replace = ids; content = Some content }
-    | Ast.Insert { pos; content; _ } -> (
-      let content = Some content in
-      match pos with
-      | Ast.Into -> { no_edit with insert_into = ids; content }
-      | Ast.Before -> { no_edit with insert_before = ids; content }
-      | Ast.After -> { no_edit with insert_after = ids; content })
+    | Ast.Delete _ -> Sxml.Index.Delete
+    | Ast.Replace { content; _ } -> Sxml.Index.Replace content
+    | Ast.Insert { pos; content; _ } -> Sxml.Index.Insert (pos, content)
   in
-  let sp = Secview.Trace.span "splice" (fun () -> splice doc edit) in
-  let candidate = sp.candidate in
+  let sp =
+    Secview.Trace.span "splice" (fun () ->
+        Sxml.Index.edit index op
+          (List.map (fun (t : Tree.t) -> t.Tree.id) targets))
+  in
+  let candidate = Sxml.Index.node sp.index 0 in
   (* The same recurrence over the candidate, along the root paths of
      the elements whose children changed: their verdicts, and the
      state each hands the spliced copies among its children. *)
@@ -423,8 +307,8 @@ let run ~dtd ~spec ~view ?(env = no_env) ?height ?(audit = fun _ -> ())
   Ok
     {
       candidate;
+      index = sp.index;
       targets = List.length targets;
-      size = sp.size;
       runs = sp.runs;
     }
 
@@ -432,6 +316,6 @@ let run ~dtd ~spec ~view ?(env = no_env) ?height ?(audit = fun _ -> ())
    — admission proved both — so the candidate's flags are the pinned
    ones moved along the survivor runs, with ones in the gaps. *)
 let carry flags (a : admitted) =
-  let out = Bytes.make a.size '\001' in
+  let out = Bytes.make (Sxml.Index.size a.index) '\001' in
   List.iter (fun (o, n, len) -> Bytes.blit flags o out n len) a.runs;
   out

@@ -22,8 +22,11 @@
       are denied;
     - the resulting document must conform to the document DTD.
 
-    The check costs one rebuild of the document plus work
-    proportional to the edit.  Qualifiers look only downward, so
+    The check costs work proportional to the edit, plus evaluating the
+    target path.  The candidate is built by {!Sxml.Index.edit} from the
+    pinned document's index: it shares every subtree the edit leaves in
+    place, and comes with its own derived index.  Qualifiers look only
+    downward, so
     accessibility is recomputed only along the root paths of the edit
     points (in the pinned document and in the candidate), through the
     target subtrees and through the spliced content; when the pinned
@@ -36,10 +39,11 @@
 
 type admitted = {
   candidate : Sxml.Tree.t;
-      (** the rebuilt document: fresh dense-preorder identifiers, root
-          id 0 *)
+      (** the new document: dense-preorder identifiers from 0, sharing
+          with the pinned document every subtree the edit did not move
+          or touch *)
+  index : Sxml.Index.t;  (** [candidate]'s index, derived by the edit *)
   targets : int;  (** how many view nodes the target path matched *)
-  size : int;  (** nodes in [candidate] *)
   runs : (int * int * int) list;
       (** every node that survived the edit, as maximal runs
           [(old id, new id, length)] of consecutive identifiers,
@@ -54,10 +58,11 @@ val run :
   ?height:int ->
   ?audit:(string -> unit) ->
   conforms:(unit -> bool) ->
-  Sxml.Tree.t ->
+  Sxml.Index.t ->
   Ast.t ->
   (admitted, Secview.Error.t) result
-(** [run ~dtd ~spec ~view doc u] admits or refuses [u] against [doc].
+(** [run ~dtd ~spec ~view index u] admits or refuses [u] against the
+    document [index] was built from ([doc] below).
     [height] is the unfolding bound for recursive views (like
     {!Secview.Pipeline.Session.translate}).  [conforms] says whether
     [doc] conforms to [dtd], and is asked only when the DTD check is

@@ -45,7 +45,9 @@ let apply svc ~group ?env ?audit ~entry update =
   let view = Pipeline.Service.view svc ~group in
   let dtd = Pipeline.Service.dtd svc in
   let snapshot = Catalog.pin entry in
-  let doc = Catalog.snapshot_doc snapshot in
+  (* built only for the first write after a load: every version a
+     write publishes carries the index the edit derived *)
+  let index = Catalog.snapshot_index snapshot in
   let height =
     if Sdtd.Dtd.is_recursive (Secview.View.dtd view) then
       Some (Catalog.snapshot_height (Pipeline.Service.catalog svc) snapshot)
@@ -55,7 +57,7 @@ let apply svc ~group ?env ?audit ~entry update =
     Trace.span "admit" (fun () ->
         Check.run ~dtd ~spec ~view ?env ?height ?audit
           ~conforms:(fun () -> Catalog.snapshot_conforms snapshot dtd)
-          doc update)
+          index update)
   in
   (* The candidate conforms (admission checked it) and the group's
      accessibility carries over from the pinned snapshot, so both
@@ -73,7 +75,7 @@ let apply svc ~group ?env ?audit ~entry update =
   let new_version =
     Catalog.update ~conforms:dtd
       ~access:(spec, Option.value env ~default:(fun _ -> None), accessible)
-      entry admitted.Check.candidate
+      entry admitted.Check.index
   in
   Pipeline.Service.record_write svc;
   Ok

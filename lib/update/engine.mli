@@ -3,18 +3,22 @@
 
     [apply] runs the full write path for one update: resolve the
     group's policy and view, pin the document's current catalog
-    snapshot, admit the update through {!Check.run} (trace span
-    ["admit"], with the rebuild inside it as ["splice"]), and — only
-    on admission — digest the group's view of the result (span
-    ["digest"]), swap the rebuilt document in as a new snapshot
-    ({!Secview.Catalog.update}) and count the write
-    ({!Secview.Pipeline.Service.record_write}).  A rejected update
-    returns before any of that: document, index, catalog version and
-    write count are bit-for-bit untouched.
+    snapshot and its index, admit the update through {!Check.run}
+    (trace span ["admit"], with the edit inside it as ["splice"]),
+    and — only on admission — digest the group's view of the result
+    (span ["digest"]), publish the new version with the index the
+    edit derived as a new snapshot ({!Secview.Catalog.update}) and
+    count the write ({!Secview.Pipeline.Service.record_write}).  A
+    rejected update returns before any of that: document, index,
+    catalog version and write count are bit-for-bit untouched.
 
-    Two per-snapshot facts make a write cost one rebuild plus work
-    proportional to the edit: the pinned document's conformance to
-    the DTD ({!Secview.Catalog.snapshot_conforms}) and the writing
+    The new version shares every subtree the edit leaves in place
+    with the pinned one ({!Sxml.Index.edit}), and its index is derived
+    from the pinned snapshot's, which is built only for the first
+    write after a load; so no reader of the new version builds an
+    index either.  Two more per-snapshot facts keep the rest of the
+    check proportional to the edit: the pinned document's conformance
+    to the DTD ({!Secview.Catalog.snapshot_conforms}) and the writing
     group's accessibility under the request's bindings
     ({!Secview.Catalog.snapshot_access}).  Both are computed on the
     first write against a snapshot and carried to the new one — the

@@ -1,10 +1,10 @@
-type t = { id : int; desc : desc }
+type t = Node.t = { id : int; desc : desc }
 
-and desc =
+and desc = Node.desc =
   | Element of element
   | Text of string
 
-and element = {
+and element = Node.element = {
   tag : string;
   attrs : (string * string) list;
   children : t list;

@@ -13,16 +13,16 @@
     [@accessibility] attribute on every element, so the substrate
     supports them. *)
 
-type t = private {
+type t = Node.t = private {
   id : int;  (** preorder position; unique within a document *)
   desc : desc;
 }
 
-and desc = private
+and desc = Node.desc = private
   | Element of element
   | Text of string
 
-and element = private {
+and element = Node.element = private {
   tag : string;
   attrs : (string * string) list;  (** sorted by attribute name *)
   children : t list;

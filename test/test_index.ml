@@ -58,6 +58,27 @@ let test_build_rejects_non_root () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* [Index.edit] refuses targets it cannot place; the document has
+   nodes 0..11, node 3 is text. *)
+let test_edit_rejects_bad_targets () =
+  let idx = Sxml.Index.build (doc ()) in
+  let content = Sxml.Tree.elem "x" [] in
+  List.iter
+    (fun (label, op, targets) ->
+      Alcotest.(check bool) label true
+        (match Sxml.Index.edit idx op targets with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [
+      ("descending", Sxml.Index.Delete, [ 4; 1 ]);
+      ("repeated", Sxml.Index.Delete, [ 1; 1 ]);
+      ("out of range", Sxml.Index.Delete, [ 12 ]);
+      ("into text", Sxml.Index.Insert (Into, content), [ 3 ]);
+      ("root removed", Sxml.Index.Delete, [ 0 ]);
+      ("root replaced", Sxml.Index.Replace content, [ 0 ]);
+      ("root sibling", Sxml.Index.Insert (After, content), [ 0 ]);
+    ]
+
 let test_indexed_eval_equivalence () =
   let d = doc () in
   let idx = Sxml.Index.build d in
@@ -173,6 +194,8 @@ let () =
             test_descendants_with_tag;
           Alcotest.test_case "non-root rejected" `Quick
             test_build_rejects_non_root;
+          Alcotest.test_case "edit rejects bad targets" `Quick
+            test_edit_rejects_bad_targets;
         ] );
       ( "fast-path",
         [

@@ -123,7 +123,7 @@ let test_pinned_read_across_write () =
   ignore
     (Catalog.update ~conforms:dtd
        ~access:(spec, (fun _ -> None), Secview.Access.accessible_flags spec written)
-       entry written);
+       entry (Sxml.Index.build written));
   let walks = Catalog.height_walks catalog in
   let oracle =
     Pipeline.Session.answer_exn
@@ -159,7 +159,7 @@ let test_explain_pinned_across_write () =
   ignore
     (Catalog.update ~conforms:dtd
        ~access:(spec, (fun _ -> None), Secview.Access.accessible_flags spec written)
-       entry written);
+       entry (Sxml.Index.build written));
   let walks = Catalog.height_walks catalog in
   let oracle =
     Pipeline.Session.answer_exn

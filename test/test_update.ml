@@ -1006,6 +1006,47 @@ let oracle_digest ?env ~spec ~view doc =
                (Secview.Materialize.materialize ?env ~spec ~view doc))
         with Secview.Materialize.Abort _ -> ""))
 
+(* Node for node, identifiers included. *)
+let rec same_numbering (a : Sxml.Tree.t) (b : Sxml.Tree.t) =
+  a.id = b.id
+  &&
+  match (a.desc, b.desc) with
+  | Text s, Text s' -> String.equal s s'
+  | Element e, Element e' ->
+    String.equal e.tag e'.tag
+    && e.attrs = e'.attrs
+    && List.compare_lengths e.children e'.children = 0
+    && List.for_all2 same_numbering e.children e'.children
+  | Text _, Element _ | Element _, Text _ -> false
+
+(* Where a derived index differs from one built over its document:
+   [None] when they agree entry for entry (nodes physically). *)
+let index_difference got want =
+  let module I = Sxml.Index in
+  let n = I.size want in
+  let rec first_id p id = if id >= n then None else if p id then Some id else first_id p (id + 1) in
+  let same_elems a b =
+    Array.length a = Array.length b && Array.for_all2 ( == ) a b
+  in
+  if I.size got <> n then Some (Printf.sprintf "size %d, built %d" (I.size got) n)
+  else
+    match first_id (fun id -> I.extent got id <> I.extent want id) 0 with
+    | Some id -> Some (Printf.sprintf "extent of node %d" id)
+    | None -> (
+      match first_id (fun id -> I.node got id != I.node want id) 0 with
+      | Some id -> Some (Printf.sprintf "node %d" id)
+      | None ->
+        if I.tags got <> I.tags want then Some "tag set"
+        else
+          List.find_map
+            (fun tag ->
+              if I.tag_ids got tag <> I.tag_ids want tag then
+                Some ("tag_ids " ^ tag)
+              else if not (same_elems (I.by_tag got tag) (I.by_tag want tag))
+              then Some ("by_tag " ^ tag)
+              else None)
+            (I.tags want))
+
 let dcase_agrees ~dtd c =
   let spec = Spec.make ~write:c.d_grants dtd c.d_anns in
   let svc, entry =
@@ -1068,7 +1109,20 @@ let dcase_agrees ~dtd c =
         not
           (Catalog.snapshot_conforms snap dtd
           && Sdtd.Validate.conforms dtd candidate)
-      then fail "carried conformance differs"
+      then fail "carried conformance differs";
+      (* the published version is numbered as a fresh document would
+         be, and its derived index is the one a build finds *)
+      let published = Catalog.snapshot_doc snap in
+      if published != r.Engine.r_doc then fail "the receipt's tree is not published";
+      if
+        not
+          (same_numbering published
+             (Sxml.Tree.of_spec (Sxml.Tree.to_spec published)))
+      then fail "published identifiers are not dense preorder";
+      Option.iter
+        (fail "derived index differs from a build: %s")
+        (index_difference (Catalog.snapshot_index snap)
+           (Sxml.Index.build published))
     | Ok _, Error e ->
       fail "oracle admits, incremental refuses: %s" (Secview.Error.to_string e)
     | Error e, Ok _ ->
@@ -1123,6 +1177,131 @@ let test_incremental_matches_oracle_recursive () =
       "update_denied: update would change the visibility of existing content";
     ]
 
+(* --- structure sharing ---------------------------------------------- *)
+
+(* Three departments, wards 5, 6 and 7, each with three trial and three
+   regular patients and [staff] nurses.  Staff sit off every root path
+   of the bills, so a larger [staff] adds nodes off the edited paths
+   only. *)
+let ward_document ~staff =
+  let open Sxml.Tree in
+  let leaf tag v = elem tag [ text v ] in
+  let patient ward treatment i =
+    elem "patient"
+      [
+        leaf "name" (Printf.sprintf "p%s%d" ward i);
+        leaf "wardNo" ward;
+        elem "treatment" [ treatment ];
+      ]
+  in
+  let dept ward =
+    elem "dept"
+      [
+        elem "clinicalTrial"
+          [
+            elem "patientInfo"
+              (List.init 3 (patient ward (elem "trial" [ leaf "bill" "100" ])));
+            leaf "test" "blood";
+          ];
+        elem "patientInfo"
+          (List.init 3
+             (patient ward
+                (elem "regular" [ leaf "bill" "200"; leaf "medication" "m" ])));
+        elem "staffInfo"
+          (List.init staff (fun i ->
+               elem "staff"
+                 [ elem "nurse" [ leaf "name" (Printf.sprintf "n%d" i); leaf "wardNo" ward ] ]));
+      ]
+  in
+  of_spec (elem "hospital" (List.map dept [ "5"; "6"; "7" ]))
+
+(* The [mixed] workload's write: the nurses of ward 6 replace every
+   bill their view shows.  Bills keep their size, so no identifier
+   moves. *)
+let bill_grants =
+  [ (("trial", "bill"), [ Spec.Replace ]); (("regular", "bill"), [ Spec.Replace ]) ]
+
+let bill_write = "replace //patient//bill with <bill>777</bill>"
+
+let test_write_shares_structure () =
+  let ward6 = Workload.Hospital.nurse_env "6" in
+  let catalog = Catalog.create () in
+  let entry = Catalog.add catalog ~name:"doc" (ward_document ~staff:6) in
+  let svc =
+    Pipeline.Service.create ~catalog dtd
+      ~groups:[ ("g", nurse_spec bill_grants) ]
+  in
+  let sess = Pipeline.Session.create svc in
+  let pinned = Catalog.pin entry in
+  let old_doc = Catalog.snapshot_doc pinned in
+  let old_index = Catalog.snapshot_index pinned in
+  let bills snap =
+    match
+      Pipeline.Session.answer_pinned sess ~group:"g" ~env:ward6
+        (parse "//patient//bill") snap
+    with
+    | Ok o -> List.map (fun n -> Sxml.Print.to_string n) o.o_results
+    | Error e -> Alcotest.fail (Secview.Error.to_string e)
+  in
+  let before = bills pinned in
+  let r =
+    match Engine.apply_text svc ~group:"g" ~env:ward6 ~entry bill_write with
+    | Ok r -> r
+    | Error e -> Alcotest.fail (Secview.Error.to_string e)
+  in
+  Alcotest.(check int) "the ward's six bills" 6 r.Engine.r_targets;
+  (* off the root paths of the written bills, every subtree is the
+     pinned version's own *)
+  let written (n : Sxml.Tree.t) =
+    Sxml.Tree.find_all (fun b -> Sxml.Tree.string_value b = "777") n <> []
+  in
+  let rec shared (n : Sxml.Tree.t) =
+    if written n then List.for_all shared (Sxml.Tree.children n)
+    else n == Sxml.Index.node old_index n.id
+  in
+  Alcotest.(check bool) "subtrees off the edited paths are shared" true
+    (shared r.Engine.r_doc);
+  let now = Catalog.pin entry in
+  let index = Catalog.snapshot_index now in
+  Alcotest.(check bool) "the published index shares the pinned one's arrays"
+    true
+    (Sxml.Index.tag_ids index "staff" == Sxml.Index.tag_ids old_index "staff"
+    && Sxml.Index.tag_ids index "bill" == Sxml.Index.tag_ids old_index "bill");
+  (* the pinned version keeps its tree, its index and its answers *)
+  Alcotest.(check bool) "pinned tree" true (Catalog.snapshot_doc pinned == old_doc);
+  Alcotest.(check bool) "pinned index" true
+    (Catalog.snapshot_index pinned == old_index
+    && index_difference old_index (Sxml.Index.build old_doc) = None);
+  Alcotest.(check (list string)) "pinned answers" before (bills pinned);
+  Alcotest.(check (list string)) "current answers"
+    (List.init 6 (fun _ -> "<bill>777</bill>"))
+    (bills now)
+
+(* The rebuild allocates for the edited paths and the content, not for
+   the document: eight times the nodes off those paths, the same minor
+   words. *)
+let test_rebuild_allocation () =
+  let rebuild_words ~staff =
+    let doc = ward_document ~staff in
+    let index = Sxml.Index.build doc in
+    let targets =
+      List.map
+        (fun (n : Sxml.Tree.t) -> n.id)
+        (eval (parse "dept[*/patient/wardNo = \"6\"]//bill") doc)
+    in
+    let op = Sxml.Index.Replace (Sxml.Tree.elem "bill" [ Sxml.Tree.text "777" ]) in
+    ignore (Sxml.Index.edit index op targets);
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Sxml.Index.edit index op targets));
+    (Sxml.Tree.size doc, Gc.minor_words () -. before)
+  in
+  let n1, w1 = rebuild_words ~staff:6 and n8, w8 = rebuild_words ~staff:130 in
+  Alcotest.(check bool) (Printf.sprintf "8x the nodes (%d -> %d)" n1 n8) true
+    (n8 >= 8 * n1);
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words %.0f -> %.0f" w1 w8)
+    true (w8 <= w1)
+
 let () =
   Alcotest.run "update"
     [
@@ -1176,6 +1355,12 @@ let () =
       ( "isolation",
         [
           Alcotest.test_case "hammer" `Quick test_snapshot_isolation_hammer;
+        ] );
+      ( "sharing",
+        [
+          Alcotest.test_case "position-preserving write" `Quick
+            test_write_shares_structure;
+          Alcotest.test_case "rebuild allocation" `Quick test_rebuild_allocation;
         ] );
       ( "differential",
         [

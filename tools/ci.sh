@@ -361,9 +361,18 @@ if [ "$DOMAINS_SEEN" -lt 2 ]; then
   exit 1
 fi
 echo "-- per-domain gc_pause_seconds series for $DOMAINS_SEEN domains"
-secview top --socket "$TMP/rt.sock" --interval 0.2 --iterations 2 \
-  | grep -q 'domain(s) live'
-echo "-- top renders the gc section"
+# A pipeline's status is its last command's, so top's own exit status
+# and stderr are kept aside and checked: grep -q stops reading at its
+# first match, and top must then end cleanly on the closed pipe.
+{ secview top --socket "$TMP/rt.sock" --interval 0.2 --iterations 2 \
+    2>"$TMP/top.err" && TOP=0 || TOP=$?
+  echo "$TOP" >"$TMP/top.status"; } | grep -q 'domain(s) live'
+if [ "$(cat "$TMP/top.status")" != 0 ] || [ -s "$TMP/top.err" ]; then
+  echo "runtime smoke: top exited $(cat "$TMP/top.status"), stderr:" >&2
+  cat "$TMP/top.err" >&2
+  exit 1
+fi
+echo "-- top renders the gc section and exits 0 with an empty stderr"
 secview client --socket "$TMP/rt.sock" --shutdown
 wait $RSRV
 
