@@ -95,10 +95,9 @@ let doc_flag =
 
 let docs_arg =
   let doc =
-    "Add document $(i,FILE) to the catalog as $(i,NAME) (repeatable).  \
-     serve parses it lazily on first query unless --preload; replay \
-     (local mode) also serves records that name no document from a \
-     single --doc."
+    "Add document $(i,FILE) to the catalog as $(i,NAME) (repeatable; \
+     parsed when the verb starts).  replay (local mode) also serves \
+     records that name no document from a single --doc."
   in
   Arg.(
     value
@@ -251,8 +250,17 @@ let host_arg =
 
 (* ---- flag groups --------------------------------------------------- *)
 
+(* A malformed input file is a typed failure naming the file:
+   "secview: FILE: … parse error at …", exit 2. *)
+let load_file parse path =
+  try parse path with
+  | Sdtd.Parse.Error e -> failwith (path ^ ": " ^ Sdtd.Parse.error_to_string e)
+  | Sxml.Parse.Error e -> failwith (path ^ ": " ^ Sxml.Parse.error_to_string e)
+
+let load_doc = load_file (Sxml.Parse.of_file ~keep_whitespace:false)
+
 (* The policy: the document DTD and the groups' specifications. *)
-let load_dtd root path = Sdtd.Parse.of_file ?root path
+let load_dtd root = load_file (Sdtd.Parse.of_file ?root)
 
 let dtd_t = Term.(const load_dtd $ root_arg $ Arg.required dtd_flag)
 
@@ -484,7 +492,7 @@ let audit_cmd =
 let materialize_cmd =
   let run (dtd, spec) doc_path bindings =
     let view = Secview.Derive.derive spec in
-    let doc = Sxml.Parse.of_file doc_path in
+    let doc = load_doc doc_path in
     (match Sdtd.Validate.check dtd doc with
     | [] -> ()
     | v :: _ ->
@@ -556,7 +564,7 @@ let query_cmd =
     let tracer = Sobs.Tracer.create ~metrics:registry () in
     if observing then Sobs.Tracer.install tracer;
     let view = Secview.Derive.derive spec in
-    let doc = Sxml.Parse.of_file doc_path in
+    let doc = load_doc doc_path in
     let env = env_of_bindings bindings in
     let qs = List.map parse_query queries in
     let render = Sxml.Print.answer (Buffer.create 1024) in
@@ -773,8 +781,7 @@ let query_cmd =
 let explain_cmd =
   let run (dtd, groups) doc_path bindings json group query =
     let pipe, snap =
-      pinned_session ~strict:false dtd ~groups doc_path
-        (Sxml.Parse.of_file doc_path)
+      pinned_session ~strict:false dtd ~groups doc_path (load_doc doc_path)
     in
     let env = env_of_bindings bindings in
     let q = parse_query query in
@@ -1005,7 +1012,7 @@ let optimize_cmd =
 
 let annotate_cmd =
   let run (_, spec) doc_path bindings =
-    let doc = Sxml.Parse.of_file doc_path in
+    let doc = load_doc doc_path in
     let env = env_of_bindings bindings in
     let prepared = Secview.Naive.prepare ~env spec doc in
     print_endline (Sxml.Print.to_string ~indent:true prepared)
@@ -1050,7 +1057,7 @@ let gen_cmd =
 
 let validate_cmd =
   let run dtd doc_path =
-    let doc = Sxml.Parse.of_file doc_path in
+    let doc = load_doc doc_path in
     match Sdtd.Validate.check dtd doc with
     | [] ->
       print_endline "valid";
@@ -1070,7 +1077,7 @@ let validate_cmd =
 let update_cmd =
   let run (dtd, groups) doc_path bindings out sinks json group update_text =
     let catalog = Secview.Catalog.create () in
-    let entry = Secview.Catalog.add_file catalog ~name:"doc" doc_path in
+    let entry = Secview.Catalog.add catalog ~name:"doc" (load_doc doc_path) in
     let svc = Secview.Pipeline.Service.create ~catalog dtd ~groups in
     let t0 = Sserver.Deadline.now () in
     let outcome, detail =
@@ -1138,17 +1145,14 @@ let update_cmd =
 
 let serve_cmd =
   let run (dtd, groups) docs remote domains queue deadline engine debug
-      strict preload metrics_port no_admission flight flight_snapshot sinks =
+      strict metrics_port flight flight_snapshot sinks =
     if docs = [] then
       failwith "serve: at least one --doc NAME=FILE is required";
     let catalog = Secview.Catalog.create () in
     List.iter
-      (fun (n, p) -> ignore (Secview.Catalog.add_file catalog ~name:n p))
+      (fun (n, p) ->
+        ignore (Secview.Catalog.add catalog ~name:n (load_doc p)))
       docs;
-    if preload then
-      List.iter
-        (fun e -> ignore (Secview.Catalog.doc e))
-        (Secview.Catalog.entries catalog);
     let service =
       Secview.Pipeline.Service.create ~strict ~catalog dtd ~groups
     in
@@ -1182,7 +1186,7 @@ let serve_cmd =
     in
     let config =
       { Sserver.Server.domains; queue_capacity = queue; deadline; debug;
-        engine; slow_ms = sinks.slow_ms; admission = not no_admission }
+        engine; slow_ms = sinks.slow_ms }
     in
     (* the sinks are the server's from here on: serve closes them when
        the drain completes *)
@@ -1255,12 +1259,6 @@ let serve_cmd =
       & info [ "debug" ]
           ~doc:"Honour the 'sleep' test command (never in production).")
   in
-  let preload_arg =
-    Arg.(
-      value & flag
-      & info [ "preload" ]
-          ~doc:"Parse every catalog document before accepting connections.")
-  in
   let metrics_port_arg =
     Arg.(
       value
@@ -1270,16 +1268,6 @@ let serve_cmd =
             "Also expose the metrics registry as OpenMetrics text over HTTP \
              on $(docv) (GET /metrics; same host as --host) for Prometheus \
              scrapes or 'secview metrics --scrape'.")
-  in
-  let no_admission_arg =
-    Arg.(
-      value & flag
-      & info [ "no-admission" ]
-          ~doc:
-            "Disable the static admission fast path: by default, queries \
-             the analyzer proves empty against the group's view DTD are \
-             answered with the empty result set on the connection thread, \
-             without queueing, planning or touching the document.")
   in
   let flight_arg =
     Arg.(
@@ -1311,7 +1299,7 @@ let serve_cmd =
     Term.(
       const run $ groups_t ~cmd:"serve" $ docs_arg $ remote_t $ domains_arg
       $ queue_arg $ deadline_arg $ engine_arg $ debug_arg $ strict_arg
-      $ preload_arg $ metrics_port_arg $ no_admission_arg $ flight_arg
+      $ metrics_port_arg $ flight_arg
       $ flight_snapshot_arg $ sinks_t)
 
 let client_cmd =
@@ -1741,7 +1729,8 @@ let replay_cmd =
              --socket or --tcp is given";
         let catalog = Secview.Catalog.create () in
         List.iter
-          (fun (n, p) -> ignore (Secview.Catalog.add_file catalog ~name:n p))
+          (fun (n, p) ->
+            ignore (Secview.Catalog.add catalog ~name:n (load_doc p)))
           docs;
         let svc = Secview.Pipeline.Service.create ~catalog dtd ~groups in
         let pipe = Secview.Pipeline.Session.create svc in
@@ -2002,7 +1991,7 @@ let metrics_cmd =
       let doc_path = need "doc" doc_path in
       let pipe, snap =
         pinned_session ~strict:false dtd ~groups:[ ("user", spec) ] doc_path
-          (Sxml.Parse.of_file doc_path)
+          (load_doc doc_path)
       in
       let env = env_of_bindings bindings in
       List.iter

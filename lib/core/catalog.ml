@@ -1,7 +1,3 @@
-type source =
-  | Loaded of Sxml.Tree.t
-  | File of string
-
 (* A snapshot is one immutable incarnation of a document plus its
    lazily-memoized derived facts.  Mutation never touches a snapshot
    in place: applying an update builds a fresh tree and swaps a fresh
@@ -13,17 +9,15 @@ type source =
    (keyed by the policy value and the values bound to its variables),
    which only the write that publishes the snapshot sets.
 
-   [slock] guards only the document's one File -> Loaded step and the
-   conformance memo.  Height and index are whole-document builds, so
-   each has a lock of its own: a writer reading the document never
-   waits on a reader's build. *)
+   Height and index are whole-document builds, so each has a lock of
+   its own: a writer reading the document never waits on a reader's
+   build. *)
 type snapshot = {
   version : int;
-  slock : Mutex.t;
-  mutable source : source;
+  doc : Sxml.Tree.t;
   height : int memo;
   index : Sxml.Index.t memo;
-  mutable conforms : (int * bool) option;
+  conforms : (int * bool) option Atomic.t;
   access : (access_key * Access.flags) option;
 }
 
@@ -84,19 +78,18 @@ let force m build x =
           Atomic.set m.value (Some v);
           v)
 
-let make_snapshot ?conforms ?access ?index source =
+let make_snapshot ?conforms ?access ?index doc =
   {
     version = Atomic.fetch_and_add next_version 1;
-    slock = Mutex.create ();
-    source;
+    doc;
     height = memo ();
     index = memo ?value:index ();
-    conforms;
+    conforms = Atomic.make conforms;
     access;
   }
 
-let make_entry ?name source =
-  { name; elock = Mutex.create (); snap = make_snapshot source }
+let make_entry ?name doc =
+  { name; elock = Mutex.create (); snap = make_snapshot doc }
 
 let register t ~name entry =
   Mutex.protect t.lock (fun () ->
@@ -104,8 +97,7 @@ let register t ~name entry =
       Hashtbl.replace t.named name entry);
   entry
 
-let add t ~name doc = register t ~name (make_entry ~name (Loaded doc))
-let add_file t ~name path = register t ~name (make_entry ~name (File path))
+let add t ~name doc = register t ~name (make_entry ~name doc)
 
 let find t name =
   Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.named name)
@@ -121,16 +113,8 @@ let pin e = e.snap
 let snapshot_version s = s.version
 let version e = e.snap.version
 
-let snapshot_doc s =
-  Mutex.protect s.slock (fun () ->
-      match s.source with
-      | Loaded d -> d
-      | File path ->
-        let d = Sxml.Parse.of_file path in
-        s.source <- Loaded d;
-        d)
-
-let doc e = snapshot_doc e.snap
+let snapshot_doc s = s.doc
+let doc e = e.snap.doc
 
 let element_height doc =
   let rec go (n : Sxml.Tree.t) =
@@ -146,26 +130,23 @@ let snapshot_height t s =
   force s.height
     (fun s ->
       Atomic.incr t.height_walks;
-      element_height (snapshot_doc s))
+      element_height s.doc)
     s
 
-let build_index s = Sxml.Index.build (snapshot_doc s)
+let build_index s = Sxml.Index.build s.doc
 let snapshot_index s = force s.index build_index s
 
 let index e = snapshot_index e.snap
 
-(* Conformance is computed outside the snapshot lock: readers take it
-   for the document and must not wait on a writer's whole-document
-   pass.  Two racing computations agree, so the later store is
-   harmless. *)
+(* Conformance is computed without a lock: two racing computations
+   agree, so the later store is harmless. *)
 let snapshot_conforms s dtd =
-  let d = snapshot_doc s in
   let stamp = Sdtd.Dtd.stamp dtd in
-  match Mutex.protect s.slock (fun () -> s.conforms) with
+  match Atomic.get s.conforms with
   | Some (st, c) when st = stamp -> c
   | _ ->
-    let c = Sdtd.Validate.conforms dtd d in
-    Mutex.protect s.slock (fun () -> s.conforms <- Some (stamp, c));
+    let c = Sdtd.Validate.conforms dtd s.doc in
+    Atomic.set s.conforms (Some (stamp, c));
     c
 
 let no_env : string -> string option = fun _ -> None
@@ -179,15 +160,14 @@ let snapshot_access ?(env = no_env) s spec =
   | Some ((sp, values), flags)
     when sp == spec && values = snd (access_key ~env spec) ->
     flags
-  | _ -> Access.accessible_flags ~env spec (snapshot_doc s)
+  | _ -> Access.accessible_flags ~env spec s.doc
 
 let update ~conforms ~access:(spec, env, flags) e index =
   let conforms = (Sdtd.Dtd.stamp conforms, true)
   and access = (access_key ~env spec, flags) in
   Mutex.protect e.elock (fun () ->
       let s =
-        make_snapshot ~conforms ~access ~index
-          (Loaded (Sxml.Index.node index 0))
+        make_snapshot ~conforms ~access ~index (Sxml.Index.node index 0)
       in
       e.snap <- s;
       s.version)
@@ -202,11 +182,8 @@ let update ~conforms ~access:(spec, env, flags) e index =
    [Session.answer] from leaking entries; eviction drops the oldest. *)
 let intern t d =
   let holding e =
-    (* no lock: [source] only ever steps File -> Loaded, and a racing
-       reader that misses the update just falls through to a fresh
-       anonymous entry with the same memoized-height semantics *)
     let s = e.snap in
-    match s.source with Loaded d' when d' == d -> Some s | _ -> None
+    if s.doc == d then Some s else None
   in
   Mutex.protect t.lock (fun () ->
       let named =
@@ -220,7 +197,7 @@ let intern t d =
         match List.find_map holding t.interned with
         | Some s -> s
         | None ->
-          let e = make_entry (Loaded d) in
+          let e = make_entry d in
           let kept =
             if List.length t.interned >= intern_capacity then
               List.filteri (fun i _ -> i < intern_capacity - 1) t.interned
@@ -230,7 +207,3 @@ let intern t d =
           e.snap))
 
 let height_walks t = Atomic.get t.height_walks
-
-let entries t =
-  Mutex.protect t.lock (fun () ->
-      List.rev_map (fun n -> Hashtbl.find t.named n) t.order)

@@ -4,8 +4,8 @@
     needs repeatedly but that cost a full tree walk to compute: the
     element-nesting height (the unfolding bound for recursive views)
     and the tag index ({!Sxml.Index}).  Entries are either {e named} —
-    registered up front from a loaded tree or lazily from a file path,
-    the server's document namespace — or {e interned}: looked up by
+    registered from a parsed tree, the server's document namespace —
+    or {e interned}: looked up by
     physical identity when a bare tree reaches
     [Pipeline.Session.answer], which pins the snapshot holding it
     before answering, so alternating queries over several loaded
@@ -43,18 +43,12 @@ type snapshot
 val create : unit -> t
 
 val add : t -> name:string -> Sxml.Tree.t -> entry
-(** Register (or replace) a named, already-loaded document. *)
-
-val add_file : t -> name:string -> string -> entry
-(** Register a named document parsed from the file on first use.
-    Parse errors ({!Sxml.Parse.Error}, [Sys_error]) surface at that
-    first use, not here. *)
+(** Register (or replace) a named document.  Its tree is fixed: a new
+    version comes only from {!update}. *)
 
 val find : t -> string -> entry option
 val names : t -> string list
 (** Registration order. *)
-
-val entries : t -> entry list
 
 val name : entry -> string option
 (** [None] for interned entries. *)
@@ -67,8 +61,7 @@ val version : entry -> int
     stamp invalidate on bump. *)
 
 val doc : entry -> Sxml.Tree.t
-(** The current snapshot's document; parses file-backed entries on
-    first call. *)
+(** The current snapshot's document. *)
 
 val index : entry -> Sxml.Index.t
 (** Tag index of the current snapshot ({!snapshot_index}). *)
@@ -117,8 +110,8 @@ val snapshot_index : snapshot -> Sxml.Index.t
 val snapshot_conforms : snapshot -> Sdtd.Dtd.t -> bool
 (** Whether the snapshot's document conforms to the DTD
     ({!Sdtd.Validate.conforms}), memoized per snapshot for the last
-    DTD asked.  It is computed outside every lock, so readers never
-    wait on it. *)
+    DTD asked.  It is computed without a lock, so readers never wait
+    on it. *)
 
 val snapshot_access :
   ?env:(string -> string option) -> snapshot -> Spec.t -> Access.flags

@@ -229,12 +229,6 @@ module Service = struct
      nothing: the count exists so [explain] can tell two runs apart
      by the writes between them. *)
   let record_write t = Atomic.incr t.s_writes
-
-  type slot = t Atomic.t
-
-  let slot t = Atomic.make t
-  let current slot = Atomic.get slot
-  let publish slot t = Atomic.set slot t
 end
 
 (* ---- Session: the per-domain caching layer --------------------------- *)
@@ -289,55 +283,23 @@ module Session = struct
   }
 
   type t = {
-    slot : Service.slot;
-    mutable svc : Service.t;
+    svc : Service.t;
     tbl : (string, sgroup) Hashtbl.t;
   }
 
-  let fresh_sgroup ?ctr gv =
-    {
-      gv;
-      cache = Hashtbl.create 32;
-      admission_cache = Hashtbl.create 32;
-      ctr = (match ctr with Some c -> c | None -> fresh_counters ());
-    }
-
-  (* (Re)build the per-group cache table for a service.  Counters
-     survive a rebuild — they measure this session's traffic, not one
-     service's. *)
-  let rebuild sess (svc : Service.t) =
-    let old = Hashtbl.copy sess.tbl in
-    Hashtbl.reset sess.tbl;
+  let create (svc : Service.t) =
+    let tbl = Hashtbl.create 8 in
     List.iter
       (fun name ->
-        let gv = Hashtbl.find svc.Service.s_views name in
-        let ctr =
-          match Hashtbl.find_opt old name with
-          | Some sg -> Some sg.ctr
-          | None -> None
-        in
-        Hashtbl.replace sess.tbl name (fresh_sgroup ?ctr gv))
+        Hashtbl.replace tbl name
+          {
+            gv = Hashtbl.find svc.Service.s_views name;
+            cache = Hashtbl.create 32;
+            admission_cache = Hashtbl.create 32;
+            ctr = fresh_counters ();
+          })
       svc.Service.s_order;
-    sess.svc <- svc
-
-  let of_slot slot =
-    let svc = Service.current slot in
-    let sess = { slot; svc; tbl = Hashtbl.create 8 } in
-    rebuild sess svc;
-    sess
-
-  let create svc = of_slot (Service.slot svc)
-
-  (* Catch up with a republished service (a policy reload) by
-     rebuilding the cache table.  Called on every public entry — one
-     atomic load on the warm path. *)
-  let sync sess =
-    let svc = Service.current sess.slot in
-    if svc != sess.svc then rebuild sess svc
-
-  let service sess =
-    sync sess;
-    sess.svc
+    { svc; tbl }
 
   let sgroup sess name =
     match Hashtbl.find_opt sess.tbl name with
@@ -380,7 +342,6 @@ module Session = struct
       ce
 
   let translate sess ~group ?height q =
-    sync sess;
     (translate_entry sess (sgroup sess group) ~group ?height q).translated
 
   (* Static admission: decide the (group, query) pair from the view
@@ -410,7 +371,6 @@ module Session = struct
     verdict
 
   let classify sess ~group q =
-    sync sess;
     match sgroup sess group with
     | exception Not_found ->
       Error (Error.Unknown_group { group; known = sess.svc.Service.s_order })
@@ -549,7 +509,6 @@ module Session = struct
   (* Resolve the group, run [k] on it and map the pipeline's failures
      to [Error.t] values. *)
   let with_group sess ~group k =
-    sync sess;
     match sgroup sess group with
     | exception Not_found ->
       Error (Error.Unknown_group { group; known = sess.svc.Service.s_order })
@@ -572,7 +531,7 @@ module Session = struct
     Result.map
       (fun o -> o.o_results)
       (answer_pinned sess ~group ?engine ?env q
-         (Catalog.intern (service sess).Service.s_catalog doc))
+         (Catalog.intern sess.svc.Service.s_catalog doc))
 
   let answer_exn sess ~group ?engine ?env q doc =
     match answer sess ~group ?engine ?env q doc with
@@ -604,11 +563,9 @@ module Session = struct
     }
 
   let stats_of sess ~group =
-    sync sess;
     read_counters (sgroup sess group).ctr
 
   let all_stats sess =
-    sync sess;
     List.map
       (fun name -> (name, read_counters (sgroup sess name).ctr))
       sess.svc.Service.s_order

@@ -10,9 +10,9 @@
 
     Each worker then owns a {!Session}: the translation cache, plan
     cache, admission-verdict cache and traffic counters for that
-    worker alone.  The hot read path takes {e no locks} — a warm
-    {!Session.answer_pinned} is one atomic load (service identity)
-    plus hash probes on caches nobody else touches.  Cold translations
+    worker alone, built once when the session is created.  The hot
+    read path takes {e no locks} — a warm {!Session.answer_pinned} is
+    hash probes on caches nobody else touches.  Cold translations
     run the rewriter/optimizer inline and pay only for the query: the
     schema facts they consult are built once and shared — the DTDs' graph
     facts, each view's [recProc] table ({!View.recproc}) and the
@@ -24,10 +24,9 @@
 
     A document update swaps a new snapshot into the catalog and evicts
     nothing: translations and plans are keyed by query and unfolding
-    height, which no document content enters.  A policy reload builds
-    a whole new service and {!Service.publish}es it on the slot
-    sessions watch; sessions rebuild their caches on their next
-    call. *)
+    height, which no document content enters.  The policy is fixed
+    once the service is built: a different policy is a different
+    service, with sessions of its own. *)
 
 type group = {
   name : string;
@@ -168,8 +167,7 @@ type explanation = {
 
 (** The shared, immutable layer: views, specs, the document catalog
     and the admitted-write count.  One service is built at startup and
-    handed (by value or through a {!Service.slot}) to every session on
-    every domain. *)
+    handed to every session on every domain. *)
 module Service : sig
   type t
 
@@ -217,26 +215,13 @@ module Service : sig
   val record_write : t -> unit
   (** Count one admitted write (lock-free).  Called by the update
       engine after swapping a new snapshot into the catalog. *)
-
-  type slot = t Atomic.t
-  (** Where sessions watch for republished services (policy reload):
-      plain [Atomic.t], owned by whoever coordinates reloads. *)
-
-  val slot : t -> slot
-  val current : slot -> t
-
-  val publish : slot -> t -> unit
-  (** Atomically replace the service.  Sessions built on this slot
-      ({!Session.of_slot}) rebuild their caches on their next call;
-      in-flight requests finish against the service they started
-      with.  Counters survive the swap. *)
 end
 
 (** The per-domain layer: caches and counters with a single owner.
 
     A session is {b not} thread-safe — it is the one-owner fast path.
     Give each domain (or each thread that wants isolation) its own via
-    {!Session.create}/{!Session.of_slot}; sessions sharing a
+    {!Session.create}; sessions sharing a
     {!Service} share documents and versions, not cache memory.  The
     only cross-domain traffic a session supports is {e reading} its
     counters ({!Session.stats}/{!Session.all_stats} are safe to call
@@ -246,13 +231,8 @@ module Session : sig
   type t
 
   val create : Service.t -> t
-  (** A session pinned to one service value (its own private slot). *)
-
-  val of_slot : Service.slot -> t
-  (** A session that follows {!Service.publish}es on [slot]. *)
-
-  val service : t -> Service.t
-  (** The service this session currently answers for (syncs first). *)
+  (** A session over the service: empty caches and zero counters for
+      each of its groups, built here once. *)
 
   val translate :
     t -> group:string -> ?height:int -> Sxpath.Ast.path -> Sxpath.Ast.path

@@ -84,6 +84,26 @@ let finish t tid ts frame =
   | Some m -> Metrics.observe m ("stage." ^ sp.name) (Clock.ms sp.start_ns stop)
   | None -> ()
 
+(* Close the calling thread's frames down to and including [id], then
+   return [take] of its state; intervening frames — a [leave] skipped
+   by an exception path — close at the same instant.  A non-retaining
+   tracer then drops the thread's spans once its outermost span has
+   closed, and the thread's table entry with them: a thread that never
+   drains holds nothing between requests. *)
+let leave_frame t id take =
+  Mutex.protect t.lock (fun () ->
+      let tid, ts = state t in
+      let rec pop = function
+        | frame :: rest ->
+          finish t tid ts frame;
+          if frame.id = id then ts.stack <- rest else pop rest
+        | [] -> ts.stack <- []
+      in
+      if List.exists (fun f -> f.id = id) ts.stack then pop ts.stack;
+      let r = take ts in
+      if (not t.retain) && ts.stack = [] then Hashtbl.remove t.threads tid;
+      r)
+
 let probe t =
   {
     Secview.Trace.enter =
@@ -105,20 +125,7 @@ let probe t =
                 astart = t.clock (); atrace = ts.cur_trace }
               :: ts.stack;
             id));
-    leave =
-      (fun id ->
-        Mutex.protect t.lock (fun () ->
-            let tid, ts = state t in
-            (* Pop to (and including) the matching frame; intervening
-               frames — a [leave] skipped by an exception path — are
-               closed at the same instant. *)
-            let rec pop = function
-              | frame :: rest ->
-                finish t tid ts frame;
-                if frame.id = id then ts.stack <- rest else pop rest
-              | [] -> ts.stack <- []
-            in
-            if List.exists (fun f -> f.id = id) ts.stack then pop ts.stack));
+    leave = (fun id -> leave_frame t id ignore);
     count =
       (fun name n ->
         match t.metrics with
@@ -151,28 +158,25 @@ let reset t =
 
 let drain_new t =
   Mutex.protect t.lock (fun () ->
-      let _, ts = state t in
+      let tid, ts = state t in
       let all = List.rev ts.completed in
       let fresh = List.filteri (fun i _ -> i >= ts.drained) all in
       if t.retain then ts.drained <- List.length all
       else begin
         ts.completed <- [];
-        ts.drained <- 0
+        if ts.stack = [] then Hashtbl.remove t.threads tid
       end;
       fresh)
 
 let with_request ?(name = "request") t f =
-  let p = probe t in
-  let id = p.Secview.Trace.enter name in
+  let id = (probe t).Secview.Trace.enter name in
   let trace =
     Mutex.protect t.lock (fun () ->
         let _, ts = state t in
         ts.cur_trace)
   in
   let close () =
-    p.Secview.Trace.leave id;
-    Mutex.protect t.lock (fun () ->
-        let _, ts = state t in
+    leave_frame t id (fun ts ->
         List.sort by_seq
           (List.filter (fun sp -> sp.trace_id = trace) ts.completed))
   in

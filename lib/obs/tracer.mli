@@ -38,9 +38,12 @@ type t
 val create :
   ?clock:Clock.t -> ?metrics:Metrics.t -> ?retain:bool -> unit -> t
 (** Default clock: {!Clock.monotonic}.  Without [metrics], only spans
-    are recorded.  [retain] (default [true]) keeps drained spans for
-    {!spans}/{!pp}; the server passes [~retain:false] so a long-lived
-    tracer's memory stays bounded. *)
+    are recorded.  [retain] (default [true]) keeps every span for
+    {!spans}/{!pp}.  With [~retain:false] a thread's spans are dropped
+    when its outermost span closes ({!with_request} has taken its
+    request's spans by then), and so is the thread's table entry, so
+    a long-lived tracer (the server's) holds only the spans of
+    requests still running. *)
 
 val lock : t -> Mutex.t
 (** The mutex guarding this tracer (and its metrics observations); an
@@ -62,18 +65,20 @@ val reset : t -> unit
 val drain_new : t -> span list
 (** The calling thread's spans completed since its previous
     [drain_new] (or since creation/reset), in completion order.  With
-    [~retain:false] the drained spans are also discarded — the server
-    drains after each job so a long-lived tracer's memory stays
-    bounded.  Per-request attribution is {!with_request}'s job. *)
+    [~retain:false] the drained spans are also discarded; such a
+    tracer keeps only the spans of a still-open outermost span, so
+    that is all a drain can see.  Per-request attribution is
+    {!with_request}'s job. *)
 
 val with_request : ?name:string -> t -> (unit -> 'a) -> 'a * span list
 (** [with_request t f] runs [f] inside a synthetic root span (default
     name ["request"]) on the calling thread and returns [f]'s result
     together with {e every} span of that request's trace — the root
     plus all descendants, linked by [parent] and sorted by [seq].
-    Non-destructive: it neither moves the {!drain_new} watermark nor
-    removes the spans, so {!spans} (the Chrome-trace exporter) still
-    sees them.  The root span is closed (and the spans still returned)
+    On a retaining tracer it is non-destructive: it neither moves the
+    {!drain_new} watermark nor removes the spans, so {!spans} (the
+    Chrome-trace exporter) still sees them; a non-retaining one drops
+    them once they are returned.  The root span is closed (and the spans still returned)
     even when [f] raises.  Call it with an empty span stack: nested
     under another open span the "root" joins the enclosing trace
     instead of starting one. *)

@@ -9,7 +9,6 @@ type config = {
   debug : bool;
   engine : Pipeline.engine;
   slow_ms : float option;
-  admission : bool;
 }
 
 let default_config =
@@ -20,7 +19,6 @@ let default_config =
     debug = false;
     engine = Pipeline.Plan;
     slow_ms = None;
-    admission = true;
   }
 
 type listener =
@@ -74,7 +72,7 @@ type job = {
 
 type t = {
   config : config;
-  slot : Pipeline.Service.slot;
+  service : Pipeline.Service.t;
   catalog : Catalog.t;
   queue : job Bqueue.t;  (* read path: popped by the worker domains *)
   uqueue : job Bqueue.t;  (* write path: popped by the one coordinator *)
@@ -120,11 +118,10 @@ type t = {
 let create ?(config = default_config) ?audit ?metrics ?tracer ?recorder
     ?runtime ?flight_snapshot ?capture service =
   let wake_r, wake_w = Unix.pipe () in
-  let slot = Pipeline.Service.slot service in
-  let adm = Pipeline.Session.of_slot slot in
+  let adm = Pipeline.Session.create service in
   {
     config = { config with domains = max 1 config.domains };
-    slot;
+    service;
     catalog = Pipeline.Service.catalog service;
     queue = Bqueue.create ~capacity:config.queue_capacity;
     uqueue = Bqueue.create ~capacity:config.queue_capacity;
@@ -167,7 +164,6 @@ let observe t name v = Sobs.Metrics.Sharded.observe t.shards name v
    behind the [stats] verb and the [/metrics] exposition alike. *)
 let merged_stats t =
   let sessions = Mutex.protect t.sess_lock (fun () -> t.sessions) in
-  let order = Pipeline.Service.order (Pipeline.Service.current t.slot) in
   List.map
     (fun gname ->
       let s =
@@ -179,7 +175,7 @@ let merged_stats t =
           Pipeline.stats_zero sessions
       in
       (gname, s))
-    order
+    (Pipeline.Service.order t.service)
 
 (* Runtime gauges, sampled on every scrape/metrics verb rather than on
    a timer: the values are cheap to read and a scraper only cares
@@ -270,8 +266,7 @@ let install_sigint t =
 
 (* ---- request execution (worker side) ------------------------------- *)
 
-let group_names t =
-  Pipeline.Service.order (Pipeline.Service.current t.slot)
+let group_names t = Pipeline.Service.order t.service
 
 let resolve_document t = function
   | Some name -> (
@@ -299,10 +294,6 @@ let parsed_request t (q : Protocol.query) k =
     | Ok path -> (
       match k entry path with
       | (Ok _ | Error _) as r -> r
-      | exception Sxml.Parse.Error e ->
-        Error
-          (Secview.Error.Internal
-             ("document failed to parse: " ^ Sxml.Parse.error_to_string e))
       | exception (Failure msg | Invalid_argument msg | Sys_error msg) ->
         Error (Secview.Error.Internal msg)
       | exception exn ->
@@ -350,13 +341,11 @@ let explain_query t psess ~rid ~group (q : Protocol.query) =
    concurrent readers are never torn.  Returns the outcome plus the
    admission check's id-bearing denial detail, which goes to the
    audit log only — the client reply carries the sanitized message. *)
-let run_update psess t ~group (q : Protocol.query) =
+let run_update t ~group (q : Protocol.query) =
   match resolve_document t q.doc with
   | Error _ as e -> (e, None)
   | Ok entry ->
-    Record.apply_update
-      (Pipeline.Session.service psess)
-      ~group
+    Record.apply_update t.service ~group
       ~env:(fun name -> List.assoc_opt name q.bind)
       ~entry q.text
 
@@ -487,7 +476,7 @@ let run_job t psess ~out job =
            would be an equality oracle on hidden regions.  The record
            keeps the admission check's id-bearing detail; the reply
            goes out sanitized. *)
-        let res, detail = run_update psess t ~group:job.jgroup q in
+        let res, detail = run_update t ~group:job.jgroup q in
         ( (match res with
           | Ok w -> Protocol.ok ~rid (Protocol.receipt_fields w)
           | Error e -> Protocol.error_of ~rid e),
@@ -554,12 +543,7 @@ let run_job t psess ~out job =
           with
           status;
         });
-    ignore (Deadline.fill job.cell (Protocol.line out reply) : bool);
-    (* keep a ~retain:false tracer's memory bounded: this thread's
-       completed spans have served their purpose *)
-    match t.tracer with
-    | Some tr -> ignore (Sobs.Tracer.drain_new tr)
-    | None -> ()
+    ignore (Deadline.fill job.cell (Protocol.line out reply) : bool)
   end
 
 (* A reply buffer that grew past this is dropped after the reply, so
@@ -691,8 +675,6 @@ let classify_conn t ~group path =
    from the one [Protocol.error_of] mapping in the worker path.
    Returns [true] when the request was answered here. *)
 let admission_fast_path t sess link ~rid group (q : Protocol.query) =
-  t.config.admission
-  &&
   match resolve_document t q.doc with
   | Error _ -> false
   | Ok _ -> (
@@ -1100,7 +1082,7 @@ let serve t listeners =
      domain as plain threads — the pre-domain execution model — so
      [domains = 1] pays no cross-domain hand-off per request. *)
   let run_consumer queue ~track_busy () =
-    let psess = Pipeline.Session.of_slot t.slot in
+    let psess = Pipeline.Session.create t.service in
     register_session t psess;
     (* With the runtime consumer on, force one minor collection on
        this domain's own ring before serving: every worker domain then

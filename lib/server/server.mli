@@ -29,6 +29,15 @@
     when it lands.  Requests whose deadline expired while still
     queued are answered [timeout] without burning a worker.
 
+    {b Admission fast path.}  A query the admission analyzer proves
+    empty ({!Secview.Pipeline.Session.classify} says [Denied_empty])
+    is answered on the connection thread with the empty result set —
+    byte-identical to the worker's reply — without queueing, planning
+    or touching the document.  It is counted as
+    [server.admission.denied] and audited with status [denied_empty]
+    and the witness explanation.  Only a process that links the
+    analyzer ([Sanalysis.Semantic]) gets such verdicts.
+
     {b Writes.}  Updates never enter the read pool: they are routed
     to a dedicated queue popped by a single {e coordinator} domain,
     which serializes every check-to-swap in the process — the
@@ -126,22 +135,12 @@ type config = {
   slow_ms : float option;
       (** audit queries slower than this many milliseconds (default
           [None] = off); implies collecting plan operator counts *)
-  admission : bool;
-      (** answer provably-empty queries
-          ({!Secview.Pipeline.Session.classify} says [Denied_empty])
-          on the connection thread with the empty result set —
-          byte-identical to the worker's reply — without queueing,
-          planning or touching the document.  Counted as
-          [server.admission.denied]; audited with status
-          [denied_empty] and the witness explanation.  Default [on];
-          only effective when the admission analyzer is linked
-          ([Sanalysis.Semantic]). *)
 }
 
 val default_config : config
 (** One worker domain per core ([Domain.recommended_domain_count]),
     queue of 64, no deadline, no debug, plan engine, no slow-query
-    log, admission fast path on. *)
+    log. *)
 
 type listener =
   | Unix_socket of string  (** path; replaced if present, removed on drain *)
@@ -177,7 +176,8 @@ val create :
     and the server adopts its lock as the observability lock, so
     tracer callbacks, audit writes and overlay reads serialize on one
     mutex — create it with [~retain:false] so span memory stays
-    bounded.  [recorder] enables the
+    bounded (each thread's spans are dropped when its outermost span
+    closes).  [recorder] enables the
     flight ring and the [flight] verb (per-request spans additionally
     require [tracer]); [runtime] enables per-domain GC telemetry and
     GC-aware request attribution (the server owns it from here on and

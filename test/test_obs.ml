@@ -371,6 +371,26 @@ let test_with_request_isolates_traces () =
           (r1.Tracer.trace_id <> r2.Tracer.trace_id)
       | _ -> Alcotest.fail "missing root spans")
 
+(* The server's tracer retains nothing: a thread's spans go when its
+   outermost span closes, so a connection thread that runs one cold
+   classification and exits leaves no span and no table entry behind,
+   while a request still gets its own spans back first. *)
+let test_non_retaining_keeps_nothing () =
+  let tracer = Tracer.create ~clock:(Clock.fake ()) ~retain:false () in
+  with_probe tracer (fun () ->
+      for _ = 1 to 1000 do
+        Thread.join (Thread.create (fun () -> Trace.span "admission" ignore) ())
+      done;
+      Alcotest.(check int) "no span of a finished thread" 0
+        (List.length (Tracer.spans tracer));
+      let (), spans =
+        Tracer.with_request tracer (fun () -> Trace.span "answer" ignore)
+      in
+      Alcotest.(check (list string)) "the request's spans, returned"
+        [ "request"; "answer" ]
+        (List.map (fun s -> s.Tracer.name) spans);
+      Alcotest.(check int) "then dropped" 0 (List.length (Tracer.spans tracer)))
+
 (* --- flight recorder -------------------------------------------------- *)
 
 let flight_entry ~rid =
@@ -603,6 +623,8 @@ let () =
             test_with_request_hierarchy;
           Alcotest.test_case "traces stay separate" `Quick
             test_with_request_isolates_traces;
+          Alcotest.test_case "a non-retaining tracer keeps no spans" `Quick
+            test_non_retaining_keeps_nothing;
         ] );
       ( "recorder",
         [

@@ -408,7 +408,7 @@ let test_pipeline_hammer () =
   let n_threads = 8 and iters = 10 in
   let sessions = Array.make n_threads None in
   let worker i =
-    let pipe = Pipeline.Session.of_slot (Pipeline.Service.slot service) in
+    let pipe = Pipeline.Session.create service in
     sessions.(i) <- Some pipe;
     for _ = 1 to iters do
       List.iter2
@@ -523,7 +523,7 @@ let test_multidomain_hammer () =
         Domain.spawn (fun () ->
             let sessions =
               List.init m_sessions (fun _ ->
-                  Pipeline.Session.of_slot (Pipeline.Service.slot svc))
+                  Pipeline.Session.create svc)
             in
             let obs = ref [] in
             let last_v = ref 0 in

@@ -557,7 +557,7 @@ let test_snapshot_isolation_hammer () =
     done
   in
   let reader () =
-    let pipe = Pipeline.Session.of_slot (Pipeline.Service.slot svc) in
+    let pipe = Pipeline.Session.create svc in
     let last_version = ref 0 in
     for _ = 1 to reads do
       let snap = Catalog.pin entry in

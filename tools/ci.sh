@@ -70,6 +70,53 @@ for verb in query rewrite optimize explain lint analyze; do
 done
 echo "-- malformed queries: exit 2 with a parse error on every verb"
 
+# A truncated DTD or document is a typed error on every verb that loads
+# one: exit 2 with a "secview: FILE: ..." line, never an uncaught
+# exception; serve stops before it creates its socket.
+echo "== malformed-input smoke"
+head -c 120 "$POL/hospital.dtd" > "$TMP/truncated.dtd"
+head -c 40 "$TMP/doc.xml" > "$TMP/truncated.xml"
+malformed_input() {
+  file=$1
+  shift
+  code=0
+  timeout 30 _build/default/bin/secview_cli.exe "$@" \
+    > /dev/null 2> "$TMP/input.err" || code=$?
+  if [ "$code" -ne 2 ] || ! grep -qF "secview: $file: " "$TMP/input.err" \
+    || grep -q 'Fatal error' "$TMP/input.err" \
+    || [ -e "$TMP/input.sock" ]; then
+    echo "malformed-input smoke: secview $* exited $code:" >&2
+    cat "$TMP/input.err" >&2
+    exit 1
+  fi
+}
+S="$POL/nurse.spec"
+for verb in derive graph audit lint analyze optimize gen query serve; do
+  case $verb in
+    derive | audit | lint | analyze) set -- --spec "$S" ;;
+    optimize) set -- '//patient' ;;
+    query) set -- --spec "$S" --doc "$TMP/doc.xml" '//patient' ;;
+    serve) set -- --spec "$S" --doc d="$TMP/doc.xml" --socket "$TMP/input.sock" ;;
+    *) set -- ;;
+  esac
+  malformed_input "$TMP/truncated.dtd" "$verb" --dtd "$TMP/truncated.dtd" "$@"
+done
+X="$TMP/truncated.xml"
+for verb in query explain materialize validate annotate metrics update \
+  serve replay; do
+  case $verb in
+    query | metrics) set -- --spec "$S" --doc "$X" '//patient' ;;
+    explain) set -- --spec "$S" --doc "$X" user '//patient' ;;
+    validate) set -- --doc "$X" ;;
+    update) set -- --spec "$S" --doc "$X" user 'delete //patient' ;;
+    serve) set -- --spec "$S" --doc d="$X" --socket "$TMP/input.sock" ;;
+    replay) set -- "$TMP/cap.jsonl" --spec "$S" --doc d="$X" ;;
+    *) set -- --spec "$S" --doc "$X" ;;
+  esac
+  malformed_input "$X" "$verb" --dtd "$POL/hospital.dtd" "$@"
+done
+echo "-- malformed inputs: exit 2 naming the file on every verb"
+
 # A remote verb with no server to talk to, or with a server that hangs
 # up before replying, is a typed error: "secview: ..." and exit 2,
 # never an uncaught exception.  The hang-up side is a listener that
