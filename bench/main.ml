@@ -36,8 +36,8 @@ module A = Sxpath.Ast
 module R = Sdtd.Regex
 
 (* all interpreter runs below go through the Ctx API *)
-let eval ?env ?index p doc =
-  Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ()) p
+let eval ?env ?index ?visits p doc =
+  Sxpath.Eval.run ?visits (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ()) p
 
 let time_once f =
   let t0 = Unix.gettimeofday () in
@@ -102,9 +102,9 @@ let stats_ms_json s =
 
 (* machine-independent work measure: evaluator context×step visits *)
 let visited_during f =
-  let v0 = !Sxpath.Eval.visited in
-  ignore (f ());
-  !Sxpath.Eval.visited - v0
+  let visits = ref 0 in
+  ignore (f visits);
+  !visits
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -206,16 +206,16 @@ let table1 ?(json_out = None) ~label ~scale ~reps () =
                       [
                         ( "naive",
                           Sobs.Json.Int
-                            (visited_during (fun () ->
-                                 eval naive_q prepared)) );
+                            (visited_during (fun visits ->
+                                 eval ~visits naive_q prepared)) );
                         ( "rewrite",
                           Sobs.Json.Int
-                            (visited_during (fun () ->
-                                 eval rewritten doc)) );
+                            (visited_during (fun visits ->
+                                 eval ~visits rewritten doc)) );
                         ( "optimize",
                           Sobs.Json.Int
-                            (visited_during (fun () ->
-                                 eval optimized doc)) );
+                            (visited_during (fun visits ->
+                                 eval ~visits optimized doc)) );
                       ] );
                 ]
               :: !rows)

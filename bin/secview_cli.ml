@@ -293,9 +293,27 @@ let need ~cmd ~unless what = function
       (Printf.sprintf "%s: --%s is required unless %s is given" cmd what
          unless)
 
-(* The sinks: where request records go.  Opened when the verb starts;
-   the server owns them from [Server.create] on, a one-shot verb closes
-   them with [close_sinks]. *)
+(* The sinks: where request records go.  The flags only name them:
+   a verb opens its sinks once its DTD, specifications and documents
+   have loaded, so a verb that fails on a bad input file leaves no sink
+   file behind and starts no runtime-events consumer.  The server owns
+   them from [Server.create] on; a one-shot verb closes them with
+   [close_sinks]. *)
+type sink_flags = {
+  audit_path : string option;
+  capture_path : string option;
+  slow_threshold : float option;
+  runtime_events : bool;
+}
+
+let no_sinks =
+  {
+    audit_path = None;
+    capture_path = None;
+    slow_threshold = None;
+    runtime_events = false;
+  }
+
 type sinks = {
   audit : Sobs.Audit_log.t option;
   capture : Sobs.Capture.t option;
@@ -305,23 +323,25 @@ type sinks = {
 
 (* An audit-log path of "-" means stderr, so audit records, lint
    diagnostics and trace output can be collected from one stream. *)
-let open_sinks audit_log capture slow_ms runtime_events =
+let open_sinks f =
   {
     audit =
       Option.map
         (function
           | "-" -> Sobs.Audit_log.create Sobs.Audit_log.Stderr
           | path -> Sobs.Audit_log.open_file path)
-        audit_log;
-    capture = Option.map Sobs.Capture.open_file capture;
-    slow_ms;
-    runtime = (if runtime_events then Some (Sobs.Runtime.start ()) else None);
+        f.audit_path;
+    capture = Option.map Sobs.Capture.open_file f.capture_path;
+    slow_ms = f.slow_threshold;
+    runtime =
+      (if f.runtime_events then Some (Sobs.Runtime.start ()) else None);
   }
 
 let sinks_t =
   Term.(
-    const open_sinks $ audit_log_arg $ capture_arg $ slow_ms_arg
-    $ runtime_events_arg)
+    const (fun audit_path capture_path slow_threshold runtime_events ->
+        { audit_path; capture_path; slow_threshold; runtime_events })
+    $ audit_log_arg $ capture_arg $ slow_ms_arg $ runtime_events_arg)
 
 let close_sinks s =
   Option.iter Sobs.Audit_log.close s.audit;
@@ -353,7 +373,7 @@ let publish s mk =
 
 (* lint and analyze: the diagnostics as JSONL audit records *)
 let log_diagnostics audit_log ds =
-  let s = open_sinks audit_log None None false in
+  let s = open_sinks { no_sinks with audit_path = audit_log } in
   Option.iter
     (fun alog ->
       List.iter
@@ -555,10 +575,10 @@ let rewrite_cmd =
 
 let query_cmd =
   let run (dtd, spec) doc_path queries bindings approach engine indexed stats
-      strict timeout trace trace_out metrics sinks =
+      strict timeout trace trace_out metrics flags =
     if queries = [] then failwith "query: at least one QUERY is required";
     let observing =
-      trace || metrics || trace_out <> None || sinks.slow_ms <> None
+      trace || metrics || trace_out <> None || flags.slow_threshold <> None
     in
     let registry = Sobs.Metrics.create () in
     let tracer = Sobs.Tracer.create ~metrics:registry () in
@@ -567,6 +587,7 @@ let query_cmd =
     let doc = load_doc doc_path in
     let env = env_of_bindings bindings in
     let qs = List.map parse_query queries in
+    let sinks = open_sinks flags in
     let render = Sxml.Print.answer (Buffer.create 1024) in
     (* query [i]'s request record, rid q<i+1>: a stable rid ties the
        reply and its audit, slow-query and capture records together *)
@@ -1075,10 +1096,11 @@ let validate_cmd =
 (* ---- secure updates ------------------------------------------------ *)
 
 let update_cmd =
-  let run (dtd, groups) doc_path bindings out sinks json group update_text =
+  let run (dtd, groups) doc_path bindings out flags json group update_text =
     let catalog = Secview.Catalog.create () in
     let entry = Secview.Catalog.add catalog ~name:"doc" (load_doc doc_path) in
     let svc = Secview.Pipeline.Service.create ~catalog dtd ~groups in
+    let sinks = open_sinks flags in
     let t0 = Sserver.Deadline.now () in
     let outcome, detail =
       Sserver.Record.apply_update svc ~group ~env:(env_of_bindings bindings)
@@ -1133,7 +1155,8 @@ let update_cmd =
       $ out_arg
           "Write the updated document to $(docv) (the input file is never \
            modified in place)."
-      $ (const (fun audit capture -> open_sinks audit capture None false)
+      $ (const (fun audit_path capture_path ->
+             { no_sinks with audit_path; capture_path })
         $ audit_log_arg $ capture_arg)
       $ json_arg
           "Machine-readable receipt: op, target count, version transition \
@@ -1145,7 +1168,7 @@ let update_cmd =
 
 let serve_cmd =
   let run (dtd, groups) docs remote domains queue deadline engine debug
-      strict metrics_port flight flight_snapshot sinks =
+      strict metrics_port flight flight_snapshot flags =
     if docs = [] then
       failwith "serve: at least one --doc NAME=FILE is required";
     let catalog = Secview.Catalog.create () in
@@ -1156,6 +1179,23 @@ let serve_cmd =
     let service =
       Secview.Pipeline.Service.create ~strict ~catalog dtd ~groups
     in
+    if flight <= 0 && flight_snapshot <> None then
+      failwith "serve: --flight-snapshot requires --flight N";
+    let listeners =
+      (match remote.socket with
+      | Some p -> [ Sserver.Server.Unix_socket p ]
+      | None -> [])
+      @ (match remote.tcp with
+        | Some p -> [ Sserver.Server.Tcp (remote.host, p) ]
+        | None -> [])
+      @
+      match metrics_port with
+      | Some p -> [ Sserver.Server.Metrics_http (remote.host, p) ]
+      | None -> []
+    in
+    if listeners = [] then
+      failwith "serve: provide --socket PATH and/or --tcp PORT";
+    let sinks = open_sinks flags in
     (* one registry for everything a scrape should see; the tracer
        (installed only when something consumes stage timings) feeds the
        per-stage latency series into it *)
@@ -1174,8 +1214,6 @@ let serve_cmd =
       if flight > 0 then Some (Sobs.Recorder.create ~capacity:flight)
       else None
     in
-    if flight <= 0 && flight_snapshot <> None then
-      failwith "serve: --flight-snapshot requires --flight N";
     let audit =
       match (sinks.audit, sinks.slow_ms) with
       | None, Some _ ->
@@ -1195,20 +1233,6 @@ let serve_cmd =
         ?recorder ?runtime:sinks.runtime ?flight_snapshot
         ?capture:sinks.capture service
     in
-    let listeners =
-      (match remote.socket with
-      | Some p -> [ Sserver.Server.Unix_socket p ]
-      | None -> [])
-      @ (match remote.tcp with
-        | Some p -> [ Sserver.Server.Tcp (remote.host, p) ]
-        | None -> [])
-      @
-      match metrics_port with
-      | Some p -> [ Sserver.Server.Metrics_http (remote.host, p) ]
-      | None -> []
-    in
-    if listeners = [] then
-      failwith "serve: provide --socket PATH and/or --tcp PORT";
     Sserver.Server.install_sigint server;
     let host = if remote.host = "" then "127.0.0.1" else remote.host in
     List.iter

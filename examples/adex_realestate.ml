@@ -22,12 +22,12 @@ let () =
   (* offline step for the naive strategy *)
   let prepared = Secview.Naive.prepare spec doc in
 
-  let work f =
-    Sxpath.Eval.visited := 0;
+  let work root p =
+    let visits = ref 0 in
     let t0 = Unix.gettimeofday () in
-    let result = f () in
+    let result = Sxpath.Eval.run ~visits (Sxpath.Eval.Ctx.make ~root ()) p in
     let dt = (Unix.gettimeofday () -. t0) *. 1000. in
-    (result, !Sxpath.Eval.visited, dt)
+    (result, !visits, dt)
   in
 
   Format.printf "@.== The four queries of Section 6 ==@.";
@@ -40,19 +40,9 @@ let () =
       Format.printf "  naive form     %a@." Sxpath.Print.pp naive_q;
       Format.printf "  rewritten form %a@." Sxpath.Print.pp rewritten;
       Format.printf "  optimized form %a@." Sxpath.Print.pp optimized;
-      let r_naive, w_naive, t_naive =
-        work (fun () ->
-            Sxpath.Eval.run
-              (Sxpath.Eval.Ctx.make ~root:prepared ())
-              naive_q)
-      in
-      let r_rw, w_rw, t_rw =
-        work (fun () -> Sxpath.Eval.run (Sxpath.Eval.Ctx.make ~root:doc ()) rewritten)
-      in
-      let r_opt, w_opt, t_opt =
-        work (fun () ->
-            Sxpath.Eval.run (Sxpath.Eval.Ctx.make ~root:doc ()) optimized)
-      in
+      let r_naive, w_naive, t_naive = work prepared naive_q in
+      let r_rw, w_rw, t_rw = work doc rewritten in
+      let r_opt, w_opt, t_opt = work doc optimized in
       Format.printf
         "  naive    : %4d results  %8d nodes visited  %7.2f ms@."
         (List.length r_naive) w_naive t_naive;

@@ -4,7 +4,9 @@
     module implements the top-down construction the paper uses to
     {e define} view semantics, and the test suite uses it as the ground
     truth for soundness/completeness of {!Derive} and for equivalence
-    of {!Rewrite}.
+    of {!Rewrite}.  Write receipts digest the same view's text without
+    building it ({!View_text}); this module is that renderer's
+    oracle.
 
     Each view element remembers the document node it was extracted
     from, so tests can check "all and only accessible nodes appear"

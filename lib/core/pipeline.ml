@@ -438,23 +438,22 @@ module Session = struct
       if Trace.enabled () then Trace.count "pipeline.height.computed" 1;
       h
 
-  (* [visited] is a trace-only work meter shared by every domain's
-     evaluators without synchronization: lost updates under parallel
-     load are acceptable, a per-request delta observed on one domain
-     is exact *)
+  (* [thunk] gets the request's work meter: every run it starts counts
+     in its own state and adds its total to the meter once, so the
+     recorded value is this request's alone under parallel load *)
   let eval thunk =
     if Trace.enabled () then begin
-      let v0 = !Sxpath.Eval.visited + !Splan.Exec.visited in
+      let visits = ref 0 in
       Fun.protect
-        ~finally:(fun () ->
-          Trace.value "eval.visited"
-            (!Sxpath.Eval.visited + !Splan.Exec.visited - v0))
-        (fun () -> Trace.span "eval" thunk)
+        ~finally:(fun () -> Trace.value "eval.visited" !visits)
+        (fun () -> Trace.span "eval" (fun () -> thunk visits))
     end
-    else thunk ()
+    else thunk (ref 0)
 
-  let interp ?env ?index translated doc =
-    Sxpath.Eval.run (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ()) translated
+  let interp ?env ?index visits translated doc =
+    Sxpath.Eval.run ~visits
+      (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ())
+      translated
 
   (* The one execution body: translate through the cache, choose the
      engine, evaluate.  Tree, height and index all come from the
@@ -479,15 +478,15 @@ module Session = struct
     let plan, fallback, results =
       match (engine, index) with
       | Interp, _ ->
-        (None, None, eval (fun () -> interp ?env ?index ce.translated doc))
+        (None, None, eval (fun v -> interp ?env ?index v ce.translated doc))
       | Plan, None ->
         ( None, Some "context is not an indexed document root",
-          eval (fun () -> interp ?env ce.translated doc) )
+          eval (fun v -> interp ?env v ce.translated doc) )
       | Plan, Some idx -> (
         match plan_of sess sg ~group ce with
         | Error reason ->
           ( None, Some reason,
-            eval (fun () -> interp ?env ?index ce.translated doc) )
+            eval (fun v -> interp ?env ?index v ce.translated doc) )
         | Ok compiled ->
           let stats =
             if want_stats then Some (Splan.Exec.Stats.for_plan compiled)
@@ -495,8 +494,8 @@ module Session = struct
           in
           ( Option.map (fun s -> (compiled, s)) stats,
             None,
-            eval (fun () ->
-                Splan.Exec.run ?stats compiled ~index:idx ?env doc) ))
+            eval (fun visits ->
+                Splan.Exec.run ?stats ~visits compiled ~index:idx ?env doc) ))
     in
     {
       o_results = results;

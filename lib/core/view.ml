@@ -6,12 +6,26 @@ end)
 
 module SSet = Set.Make (String)
 
+type extraction = {
+  child : string;
+  dummy : bool;
+  query : Sxpath.Ast.path;
+  plan : Splan.Compile.t option;
+}
+
+type content = {
+  model : Sdtd.Regex.t;
+  pcdata : bool;
+  extractions : extraction array;
+}
+
 type t = {
   dtd : Sdtd.Dtd.t;
   sigma : Sxpath.Ast.path PairMap.t;
   dummies : SSet.t;
   dummy_order : string list;
   recproc : (string * Sxpath.Ast.path) list Memo.t;
+  compiled : content Memo.t;
 }
 
 let make ?(dummies = []) ~dtd ~sigma () =
@@ -42,6 +56,7 @@ let make ?(dummies = []) ~dtd ~sigma () =
     dummies = SSet.of_list dummies;
     dummy_order = dummies;
     recproc = Memo.create ();
+    compiled = Memo.create ();
   }
 
 let dtd v = v.dtd
@@ -65,6 +80,25 @@ let is_dummy v name = SSet.mem (Sdtd.Unfold.label_of name) v.dummies
 let dummies v = v.dummy_order
 let recproc v = v.recproc
 
+let content v a =
+  Memo.find_or_add v.compiled a (fun () ->
+      let model = Sdtd.Dtd.production v.dtd a in
+      let extraction child =
+        let query = sigma_exn v ~parent:a ~child in
+        {
+          child;
+          dummy = is_dummy v child;
+          query;
+          plan = Result.to_option (Splan.Compile.compile query);
+        }
+      in
+      {
+        model;
+        pcdata = Sdtd.Regex.mentions_str model;
+        extractions =
+          Array.of_list (List.map extraction (Sdtd.Regex.labels model));
+      })
+
 let identity_of dtd =
   let sigma =
     List.concat_map
@@ -78,7 +112,12 @@ let identity_of dtd =
 
 let unfolded v ~height =
   if Sdtd.Dtd.is_recursive v.dtd then
-    { v with dtd = Sdtd.Unfold.unfold v.dtd ~height; recproc = Memo.create () }
+    {
+      v with
+      dtd = Sdtd.Unfold.unfold v.dtd ~height;
+      recproc = Memo.create ();
+      compiled = Memo.create ();
+    }
   else v
 
 let to_definition v =

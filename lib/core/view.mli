@@ -42,6 +42,34 @@ val recproc : t -> (string * Sxpath.Ast.path) list Memo.t
     rewriting over the same view value shares it.  An unfolded view
     ({!unfolded}) starts with an empty table of its own. *)
 
+(** σ(A, ·) of one view type A, ready to run: what a renderer of the
+    view instance needs at an element of type A. *)
+type extraction = {
+  child : string;  (** B, an element label of A's production *)
+  dummy : bool;  (** B is a dummy: its sources need not be accessible *)
+  query : Sxpath.Ast.path;  (** σ(A, B) *)
+  plan : Splan.Compile.t option;
+      (** σ(A, B) lowered for the plan engine; [None] where the
+          compiler refuses it (a descendant step with no single-label
+          head) *)
+}
+
+type content = {
+  model : Sdtd.Regex.t;  (** A's production in the view DTD *)
+  pcdata : bool;  (** the production mentions PCDATA *)
+  extractions : extraction array;
+      (** one per element label of the production, in
+          {!Sdtd.Regex.labels} order *)
+}
+
+val content : t -> string -> content
+(** [content v a]: the view type [a]'s production and its σ queries,
+    compiled on the first call for [a] and kept for the view's
+    lifetime in a table every domain shares, like {!recproc}.  Filled
+    only by callers that walk the view instance (write receipts), so
+    building a view or answering a query compiles nothing here.
+    @raise Not_found if [a] is not a view type. *)
+
 val identity_of : Sdtd.Dtd.t -> t
 (** The identity view of a document DTD: same DTD, σ(A, B) = B.  The
     view a fully-[Y] specification derives. *)

@@ -1,5 +1,3 @@
-let visited = ref 0
-
 (* Per-operator work counters, one slot per plan node in preorder
    ({!Plan.size} numbering: node [i]'s first child is [i + 1], the
    second [i + 1 + size first]).  Allocated per run by the caller
@@ -32,12 +30,18 @@ module Stats = struct
     ]
 end
 
+(* One run's state.  [visits] is the run's own work meter, handed to
+   the caller once at the end, so runs on different domains never
+   write one shared counter. *)
 type st = {
   index : Sxml.Index.t;
   env : string -> string option;
   vars : string array;
   stats : Stats.t option;
+  mutable visits : int;
 }
+
+let visit st = st.visits <- st.visits + 1
 
 let add_scanned st id n =
   match st.stats with
@@ -165,7 +169,7 @@ let rec run_plan st (plan : Plan.t) (id : int) (ctx : int array) : int array =
       let seen = ref 0 in
       Array.iter
         (fun c ->
-          incr visited;
+          visit st;
           List.iter
             (fun child ->
               incr seen;
@@ -181,7 +185,7 @@ let rec run_plan st (plan : Plan.t) (id : int) (ctx : int array) : int array =
       let seen = ref 0 in
       Array.iter
         (fun c ->
-          incr visited;
+          visit st;
           List.iter
             (fun child ->
               incr seen;
@@ -203,7 +207,7 @@ let rec run_plan st (plan : Plan.t) (id : int) (ctx : int array) : int array =
       Array.iter
         (fun c ->
           if c > !covered then begin
-            incr visited;
+            visit st;
             incr joins;
             let last = Sxml.Index.extent st.index c in
             covered := last;
@@ -247,7 +251,7 @@ and probe st (plan : Plan.t) (id : int) (c : int) ~(on_node : int -> bool)
   | Plan.Nothing -> false
   | Plan.Self -> on_node c
   | Plan.Child l ->
-    incr visited;
+    visit st;
     let seen = ref 0 in
     let hit =
       List.exists
@@ -261,7 +265,7 @@ and probe st (plan : Plan.t) (id : int) (c : int) ~(on_node : int -> bool)
     add_scanned st id !seen;
     hit
   | Plan.Child_any ->
-    incr visited;
+    visit st;
     let seen = ref 0 in
     let hit =
       List.exists
@@ -273,7 +277,7 @@ and probe st (plan : Plan.t) (id : int) (c : int) ~(on_node : int -> bool)
     add_scanned st id !seen;
     hit
   | Plan.Attr a -> (
-    incr visited;
+    visit st;
     add_scanned st id 1;
     match Sxml.Tree.attr (node st c) a with
     | Some v -> on_attr v
@@ -283,7 +287,7 @@ and probe st (plan : Plan.t) (id : int) (c : int) ~(on_node : int -> bool)
       ~on_node:(fun nid -> probe st b (id + 1 + Plan.size a) nid ~on_node ~on_attr)
       ~on_attr:(fun _ -> false)
   | Plan.Desc (l, k) ->
-    incr visited;
+    visit st;
     let tagged = Sxml.Index.tag_ids st.index l in
     let last = Sxml.Index.extent st.index c in
     let i = ref (lower_bound tagged (c + 1)) in
@@ -329,10 +333,8 @@ and pred st (q : Plan.pred) (id : int) (c : int) : bool =
 
 let no_env : string -> string option = fun _ -> None
 
-let run_ids ?stats compiled ~index ?(env = no_env) ctx =
-  let st = { index; env; vars = Compile.vars compiled; stats } in
-  run_plan st (Compile.plan compiled) 0 ctx
-
-let run ?stats compiled ~index ?(env = no_env) (root : Sxml.Tree.t) =
-  let ids = run_ids ?stats compiled ~index ~env [| root.Sxml.Tree.id |] in
+let run ?stats ?visits compiled ~index ?(env = no_env) (root : Sxml.Tree.t) =
+  let st = { index; env; vars = Compile.vars compiled; stats; visits = 0 } in
+  let ids = run_plan st (Compile.plan compiled) 0 [| root.Sxml.Tree.id |] in
+  Option.iter (fun m -> m := !m + st.visits) visits;
   Array.to_list (Array.map (Sxml.Index.node index) ids)

@@ -53,6 +53,7 @@ end
 
 val run :
   ?stats:Stats.t ->
+  ?visits:int ref ->
   Compile.t ->
   index:Sxml.Index.t ->
   ?env:(string -> string option) ->
@@ -61,11 +62,9 @@ val run :
 (** [run compiled ~index v]: nodes reachable from context node [v]
     (a node of the indexed document), in document order,
     duplicate-free.  [stats] (see {!Stats}) accumulates per-operator
-    work counters; execution is identical without it.
+    work counters; execution is identical without it.  [visits] is a
+    work meter with {!Sxpath.Eval.run}'s contract: the run counts
+    every context-node × operator touch in its own state and adds the
+    total once, when it returns.
     @raise Sxpath.Eval.Unbound_variable like the
     interpreter (modulo the laziness caveat above). *)
-
-val visited : int ref
-(** Work counter, same contract as {!Sxpath.Eval.visited}: bumped per
-    context-node × operator touch.  Reset it yourself between
-    measurements. *)

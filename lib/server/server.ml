@@ -52,6 +52,14 @@ let work_verb = function
   | Do_update _ -> "update"
   | Nap _ -> "sleep"
 
+(* How long a job waited between its submission and the consumer that
+   popped it: one series per verb, constant names, never per group. *)
+let queue_wait_series = function
+  | Answer _ -> "server.queue_wait_ms.query"
+  | Explain_query _ -> "server.queue_wait_ms.explain"
+  | Do_update _ -> "server.queue_wait_ms.update"
+  | Nap _ -> "server.queue_wait_ms.sleep"
+
 (* A connection's write side, owned by its connection thread: the
    socket, and the buffer that thread builds its own replies in.  A
    worker's reply arrives finished, built in the worker's buffer. *)
@@ -428,6 +436,7 @@ let publish t ?(slow = false) ?(queued = false) mk =
    reply line built in it. *)
 let run_job t psess ~out job =
   let latency () = 1000. *. (Deadline.now () -. job.submitted) in
+  observe t (queue_wait_series job.work) (latency ());
   let base () =
     request t job.jsession ~rid:job.jrid ~group:job.jgroup job.work
   in

@@ -49,7 +49,11 @@
     {b Observability.}  Counters ([server.accepted],
     [server.rejected.*], [server.timeout], [server.done.*]) and
     per-group latency series ([server.latency_ms.<group>], queue wait
-    included) land on per-domain {e shards}
+    included), and one queue-wait series per verb
+    ([server.queue_wait_ms.query], [.explain], [.update], [.sleep]:
+    submission to the moment a worker or the coordinator pops the
+    job; constant names, never per group) land on per-domain
+    {e shards}
     ({!Sobs.Metrics.Sharded}); every scrape — the [stats] and
     [metrics] verbs, [GET /metrics] — merges the shards into one
     consistent snapshot, so a reader can never observe a

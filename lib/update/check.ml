@@ -93,8 +93,19 @@ let run ~dtd ~spec ~view ?(env = no_env) ?height ?(audit = fun _ -> ())
       Error (Error.Unsupported msg)
   in
   let ctx = Sxpath.Eval.Ctx.make ~env ~root:doc () in
+  (* The targets come from the plan engine over the pinned index.  The
+     interpreter runs only where the compiler refuses the path or the
+     plan names a variable [env] leaves unbound: there its lazier
+     error behaviour decides the verdict, as it always has. *)
   let* targets =
-    match Sxpath.Eval.run ctx translated with
+    match
+      match Splan.Compile.compile translated with
+      | Ok plan
+        when Array.for_all (fun v -> env v <> None) (Splan.Compile.vars plan)
+        ->
+        Splan.Exec.run plan ~index ~env doc
+      | Ok _ | Error _ -> Sxpath.Eval.run ctx translated
+    with
     | ts -> Ok ts
     | exception Sxpath.Eval.Unbound_variable name ->
       Error (Error.Unbound_variable name)

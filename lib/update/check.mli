@@ -3,9 +3,11 @@
 
     An update's target path is written over the group's view;
     {!run} translates it through the view's σ-functions exactly like a
-    read query, evaluates the translation on the document, and admits
-    the update only when every touched node stays inside the group's
-    accessible region:
+    read query, runs the translation on the plan engine over the
+    pinned document's index ({!Splan.Exec}; the interpreter only where
+    the compiler refuses it or it names a variable [env] leaves
+    unbound), and admits the update only when every touched node
+    stays inside the group's accessible region:
 
     - [delete]/[replace]: every node of every target {e subtree} must
       be accessible (removing a subtree that hides inaccessible data
@@ -22,8 +24,8 @@
       are denied;
     - the resulting document must conform to the document DTD.
 
-    The check costs work proportional to the edit, plus evaluating the
-    target path.  The candidate is built by {!Sxml.Index.edit} from the
+    The check costs work proportional to the edit, plus running the
+    target path's plan.  The candidate is built by {!Sxml.Index.edit} from the
     pinned document's index: it shares every subtree the edit leaves in
     place, and comes with its own derived index.  Qualifiers look only
     downward, so
@@ -71,7 +73,9 @@ val run :
 
     Errors: [Unbound_variable] (a variable of the policy's qualifiers
     or of the target path that [env] leaves unbound — the policy's
-    are checked before anything is evaluated), [Update_denied]
+    are checked before anything is evaluated; a target path naming an
+    unbound variable runs on the interpreter, whose evaluation decides
+    whether it is reached), [Update_denied]
     (missing grant, inaccessible target subtree, inaccessible
     content, visibility of untouched content would change),
     [Invalid_update] (text content, empty target set, root deletion,

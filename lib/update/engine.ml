@@ -16,19 +16,10 @@ type receipt = {
    document, never the raw document: a full-document digest would hand
    the writer an equality oracle on regions it cannot read (detect
    that hidden content changed between versions, or confirm a guessed
-   whole-document value).  MD5 of the serialized materialized view —
-   the same digest function Sobs.Capture uses, so capture/replay can
-   compare it directly. *)
-let view_digest ?env ?accessible ~spec ~view doc =
-  let rendered =
-    try
-      Sxml.Print.to_string
-        (Secview.Materialize.to_tree
-           (Secview.Materialize.materialize ?env ?accessible ~spec ~view doc))
-    with Secview.Materialize.Abort _ -> ""
-  in
-  Digest.to_hex (Digest.string rendered)
-
+   whole-document value).  MD5 of the serialized view — the same
+   digest function Sobs.Capture uses, so capture/replay can compare it
+   directly — streamed from the candidate's index without building
+   the view. *)
 let apply svc ~group ?env ?audit ~entry update =
   let ( let* ) = Result.bind in
   let* spec =
@@ -69,7 +60,8 @@ let apply svc ~group ?env ?audit ~entry update =
           Check.carry (Catalog.snapshot_access ?env snapshot spec) admitted
         in
         ( accessible,
-          view_digest ?env ~accessible ~spec ~view admitted.Check.candidate ))
+          Secview.View_text.digest ?env ~accessible ~spec ~view
+            admitted.Check.index ))
   in
   let old_version = Catalog.snapshot_version snapshot in
   let new_version =

@@ -6,7 +6,8 @@
     snapshot and its index, admit the update through {!Check.run}
     (trace span ["admit"], with the edit inside it as ["splice"]),
     and — only on admission — digest the group's view of the result
-    (span ["digest"]), publish the new version with the index the
+    (span ["digest"]; {!Secview.View_text.digest} streams the view
+    text from the candidate's index, the view is never built), publish the new version with the index the
     edit derived as a new snapshot ({!Secview.Catalog.update}) and
     count the write ({!Secview.Pipeline.Service.record_write}).  A
     rejected update returns before any of that: document, index,
@@ -24,8 +25,8 @@
     first write against a snapshot and carried to the new one — the
     candidate conforms because admission checked it, and its
     accessibility is the pinned one moved along the survivor runs
-    ({!Check.carry}) — so the receipt digest materializes the view
-    without recomputing accessibility.  The carried accessibility
+    ({!Check.carry}) — so the receipt digest renders the view without
+    recomputing accessibility.  The carried accessibility
     serves only a next write under the same group and bindings; any
     other write recomputes it with one whole-document pass.
 
@@ -42,7 +43,8 @@ type receipt = {
   r_new_version : int;  (** version of the swapped-in snapshot *)
   r_doc : Sxml.Tree.t;  (** the new document *)
   r_view_digest : string;
-      (** MD5 of the group's materialized view of the new document —
+      (** MD5 of the group's view of the new document, as
+          {!Secview.Materialize} defines and {!Sxml.Print} renders it —
           the only digest that may be shown to the writer.  A digest
           of the raw document would be an equality oracle on content
           the view hides. *)

@@ -1,14 +1,7 @@
-(* The elements of one tag, in document order: their identifiers and
-   the nodes themselves. *)
-type tagged = {
-  ids : int array;
-  elems : Tree.t array;
-}
-
 type t = {
   nodes : Tree.t array;  (* by identifier *)
   extents : int array;
-  tagged : (string, tagged) Hashtbl.t;
+  tagged : (string, int array) Hashtbl.t;  (* each tag's element ids *)
 }
 
 let build root =
@@ -17,7 +10,7 @@ let build root =
   let n = Tree.size root in
   let nodes = Array.make n root in
   let extents = Array.make n 0 in
-  let tag_lists : (string, Tree.t list ref) Hashtbl.t = Hashtbl.create 32 in
+  let tag_lists : (string, int list ref) Hashtbl.t = Hashtbl.create 32 in
   (* returns the last identifier of the subtree *)
   let rec fill (node : Tree.t) =
     if node.Tree.id >= n then
@@ -33,7 +26,7 @@ let build root =
           Hashtbl.add tag_lists tag cell;
           cell
       in
-      cell := node :: !cell
+      cell := node.Tree.id :: !cell
     | None -> ());
     let last =
       List.fold_left (fun _ child -> fill child) node.Tree.id
@@ -47,10 +40,7 @@ let build root =
     invalid_arg "Index.build: identifiers are not dense preorder";
   let tagged = Hashtbl.create (Hashtbl.length tag_lists) in
   Hashtbl.iter
-    (fun tag cell ->
-      let elems = Array.of_list (List.rev !cell) in
-      Hashtbl.replace tagged tag
-        { ids = Array.map (fun node -> node.Tree.id) elems; elems })
+    (fun tag cell -> Hashtbl.replace tagged tag (Array.of_list (List.rev !cell)))
     tag_lists;
   { nodes; extents; tagged }
 
@@ -60,36 +50,31 @@ let extent idx id = idx.extents.(id)
 
 let node idx id = idx.nodes.(id)
 
-let no_tagged = { ids = [||]; elems = [||] }
+let tag_ids idx tag =
+  Option.value (Hashtbl.find_opt idx.tagged tag) ~default:[||]
 
-let find_tagged idx tag =
-  Option.value (Hashtbl.find_opt idx.tagged tag) ~default:no_tagged
-
-let by_tag idx tag = (find_tagged idx tag).elems
-
-let tag_ids idx tag = (find_tagged idx tag).ids
+let by_tag idx tag = Array.map (node idx) (tag_ids idx tag)
 
 let tags idx =
   List.sort String.compare
     (Hashtbl.fold (fun tag _ acc -> tag :: acc) idx.tagged [])
 
-(* first index in [arr] whose node id is >= [target] *)
-let lower_bound (arr : Tree.t array) target =
-  let lo = ref 0 and hi = ref (Array.length arr) in
+(* first index in the ascending [ids] whose value is >= [target] *)
+let ids_lower_bound (ids : int array) target =
+  let lo = ref 0 and hi = ref (Array.length ids) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if arr.(mid).Tree.id < target then lo := mid + 1 else hi := mid
+    if ids.(mid) < target then lo := mid + 1 else hi := mid
   done;
   !lo
 
 let descendants_with_tag idx ~context tag =
-  let arr = by_tag idx tag in
-  let lo = lower_bound arr (context.Tree.id + 1) in
+  let ids = tag_ids idx tag in
   let last = extent idx context.Tree.id in
   let out = ref [] in
-  let i = ref lo in
-  while !i < Array.length arr && arr.(!i).Tree.id <= last do
-    out := arr.(!i) :: !out;
+  let i = ref (ids_lower_bound ids (context.Tree.id + 1)) in
+  while !i < Array.length ids && ids.(!i) <= last do
+    out := idx.nodes.(ids.(!i)) :: !out;
     incr i
   done;
   List.rev !out
@@ -112,15 +97,6 @@ type edited = {
   parents : int list;
   runs : (int * int * int) list;
 }
-
-(* first index in the ascending [ids] whose value is >= [target] *)
-let ids_lower_bound (ids : int array) target =
-  let lo = ref 0 and hi = ref (Array.length ids) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if ids.(mid) < target then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 (* [resize a len fill]: [a]'s first [len] entries, padded with [fill]. *)
 let resize a len fill =
@@ -271,10 +247,12 @@ let edit idx op targets =
       nodes.(x.id) <- x;
       if extents != idx.extents then extents.(x.id) <- last)
     !built;
-  (* A tag's arrays change only if an element of it was built or
-     removed.  Its pinned entries that survive are the shared ones —
-     exactly those still at their identifier in [nodes] — and they
-     merge with the built ones in identifier order. *)
+  (* A tag's identifiers change only if an element of it was built or
+     removed, and then only if one was removed or moved: a survivor
+     rebuilt in place keeps its identifier.  Its pinned identifiers
+     that survive are the shared nodes' — exactly those whose slot in
+     [nodes] still holds the pinned node — and they merge with the
+     built ones in identifier order. *)
   let fresh : (string, int list) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun id ->
@@ -295,11 +273,11 @@ let edit idx op targets =
   let tagged = Hashtbl.copy idx.tagged in
   Hashtbl.iter
     (fun tag fresh ->
-      let old = find_tagged idx tag in
-      let len = Array.length old.ids in
+      let old = tag_ids idx tag in
+      let len = Array.length old in
       let kept k =
-        let id = old.ids.(k) in
-        id < size' && nodes.(id) == old.elems.(k)
+        let id = old.(k) in
+        id < size' && nodes.(id) == idx.nodes.(id)
       in
       (* [f] on the tag's new identifiers, ascending *)
       let merged f =
@@ -307,11 +285,11 @@ let edit idx op targets =
           if k < len && not (kept k) then go (k + 1) fresh
           else
             match fresh with
-            | id :: rest when k >= len || id < old.ids.(k) ->
+            | id :: rest when k >= len || id < old.(k) ->
               f id;
               go k rest
             | _ when k < len ->
-              f old.ids.(k);
+              f old.(k);
               go (k + 1) fresh
             | _ -> ()
         in
@@ -319,20 +297,16 @@ let edit idx op targets =
       in
       let count = ref 0 and same = ref true in
       merged (fun id ->
-          same := !same && !count < len && old.ids.(!count) = id;
+          same := !same && !count < len && old.(!count) = id;
           incr count);
       let count = !count in
       if count = 0 then Hashtbl.remove tagged tag
-      else begin
-        let same = !same && count = len in
-        let ids = if same then old.ids else Array.make count 0
-        and elems = Array.make count nodes.(0)
-        and i = ref 0 in
+      else if not (!same && count = len) then begin
+        let ids = Array.make count 0 and i = ref 0 in
         merged (fun id ->
-            if not same then ids.(!i) <- id;
-            elems.(!i) <- nodes.(id);
+            ids.(!i) <- id;
             incr i);
-        Hashtbl.replace tagged tag { ids; elems }
+        Hashtbl.replace tagged tag ids
       end)
     touched;
   {

@@ -2,7 +2,8 @@
 
     Because node identifiers are dense preorder positions, a subtree is
     the contiguous identifier interval [[id, extent id]].  The index
-    materializes these extents plus a tag → nodes map, which gives the
+    materializes these extents, the node of each identifier and a
+    tag → identifiers map, which gives the
     evaluator a fast path for descendant steps ([//l] = the l-tagged
     nodes whose identifier falls strictly inside a context extent,
     found by binary search instead of a subtree scan).
@@ -36,7 +37,9 @@ val node : t -> int -> Tree.t
 
 val by_tag : t -> string -> Tree.t array
 (** All elements with the given tag, in document order (possibly
-    empty). *)
+    empty): a fresh array, read from {!tag_ids} and the node array.
+    The index keeps identifiers only, so an edit that moves no
+    identifier of a tag leaves that tag's entry as it was. *)
 
 val tag_ids : t -> string -> int array
 (** Identifiers of all elements with the given tag, strictly

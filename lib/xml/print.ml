@@ -32,6 +32,18 @@ let rec add_attrs buf = function
     Buffer.add_char buf '"';
     add_attrs buf rest
 
+let open_tag buf tag attrs =
+  Buffer.add_char buf '<';
+  Buffer.add_string buf tag;
+  add_attrs buf attrs
+
+let close_tag buf tag =
+  Buffer.add_string buf "</";
+  Buffer.add_string buf tag;
+  Buffer.add_char buf '>'
+
+let text buf s = escape buf ~attr:false s
+
 let element_only children = List.for_all Tree.is_element children
 
 let pad buf level =
@@ -42,11 +54,9 @@ let pad buf level =
 
 let rec emit buf ~indent level (node : Tree.t) =
   match node.desc with
-  | Text s -> escape buf ~attr:false s
+  | Text s -> text buf s
   | Element e -> (
-    Buffer.add_char buf '<';
-    Buffer.add_string buf e.tag;
-    add_attrs buf e.attrs;
+    open_tag buf e.tag e.attrs;
     match e.children with
     | [] -> Buffer.add_string buf "/>"
     | children ->
@@ -56,9 +66,7 @@ let rec emit buf ~indent level (node : Tree.t) =
       let pretty = indent && element_only children in
       emit_children buf ~indent ~pretty (level + 1) children;
       if pretty then pad buf level;
-      Buffer.add_string buf "</";
-      Buffer.add_string buf e.tag;
-      Buffer.add_char buf '>')
+      close_tag buf e.tag)
 
 and emit_children buf ~indent ~pretty level = function
   | [] -> ()

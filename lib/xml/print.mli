@@ -21,6 +21,22 @@ val answer : Buffer.t -> Tree.t list -> string list
     the caller keeps: per node, rendering then allocates the returned
     string and its list cell. *)
 
+(** {2 Streaming}
+
+    The pieces {!to_buffer} writes an element with, for a caller that
+    serializes a tree it never builds: [open_tag], then ["/>"] for an
+    element without children, or [">"], the children and
+    [close_tag]. *)
+
+val open_tag : Buffer.t -> string -> (string * string) list -> unit
+(** ["<tag"] and the attributes, escaped, in the given order. *)
+
+val close_tag : Buffer.t -> string -> unit
+(** ["</tag>"]. *)
+
+val text : Buffer.t -> string -> unit
+(** PCDATA, escaped. *)
+
 val to_channel : ?indent:bool -> out_channel -> Tree.t -> unit
 
 val to_file : ?indent:bool -> string -> Tree.t -> unit

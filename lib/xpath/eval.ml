@@ -1,7 +1,5 @@
 exception Unbound_variable of string
 
-let visited = ref 0
-
 (* Context items: ordinary tree nodes, plus the virtual document node
    sitting above the root element (used by [eval_doc]). *)
 type item =
@@ -57,10 +55,16 @@ let merge_results rs =
 
 let is_nonempty r = r.nodes <> [] || r.attrs <> []
 
+(* One evaluation's state: what its context fixes, plus its own work
+   meter, so evaluations on different domains never write one shared
+   counter. *)
 type cfg = {
   env : string -> string option;
   index : Sxml.Index.t option;
+  mutable visits : int;
 }
+
+let visit cfg = cfg.visits <- cfg.visits + 1
 
 let resolve cfg = function
   | Ast.Const c -> c
@@ -93,7 +97,7 @@ let rec eval_result cfg (p : Ast.path) (ctx : item list) : result =
   | Ast.Eps -> { nodes = ctx; attrs = [] }
   | Ast.Label l ->
     let step item =
-      incr visited;
+      visit cfg;
       List.filter
         (fun child -> Sxml.Tree.tag child = Some l)
         (item_children item)
@@ -108,7 +112,7 @@ let rec eval_result cfg (p : Ast.path) (ctx : item list) : result =
     }
   | Ast.Wildcard ->
     let step item =
-      incr visited;
+      visit cfg;
       List.filter Sxml.Tree.is_element (item_children item)
     in
     {
@@ -123,7 +127,7 @@ let rec eval_result cfg (p : Ast.path) (ctx : item list) : result =
     let values =
       List.filter_map
         (fun item ->
-          incr visited;
+          visit cfg;
           match item with
           | Node n -> Sxml.Tree.attr n a
           | Docnode _ -> None)
@@ -141,7 +145,7 @@ let rec eval_result cfg (p : Ast.path) (ctx : item list) : result =
       let hits =
         List.concat_map
           (fun item ->
-            incr visited;
+            visit cfg;
             match item with
             | Node n ->
               List.map
@@ -158,7 +162,7 @@ let rec eval_result cfg (p : Ast.path) (ctx : item list) : result =
         sort_dedup_items
           (List.concat_map
              (fun item ->
-               incr visited;
+               visit cfg;
                item_descendants_or_self item)
              ctx)
       in
@@ -198,7 +202,7 @@ let nodes_of_items items =
 
 module Ctx = struct
   type t = {
-    cfg : cfg;
+    cfg : cfg;  (* a template: each evaluation counts in its own copy *)
     root : Sxml.Tree.t;
     start : item;
   }
@@ -207,22 +211,27 @@ module Ctx = struct
     let start =
       match at with `Root -> Node root | `Document -> Docnode root
     in
-    { cfg = { env; index }; root; start }
+    { cfg = { env; index; visits = 0 }; root; start }
 
   let root t = t.root
 
   let env t = t.cfg.env
 
   let index t = t.cfg.index
+
+  let cfg t = { t.cfg with visits = 0 }
 end
 
-let run ctx p =
-  nodes_of_items (eval_result ctx.Ctx.cfg p [ ctx.Ctx.start ]).nodes
+let run ?visits ctx p =
+  let cfg = Ctx.cfg ctx in
+  let nodes = nodes_of_items (eval_result cfg p [ ctx.Ctx.start ]).nodes in
+  Option.iter (fun m -> m := !m + cfg.visits) visits;
+  nodes
 
 let run_nodes ctx p vs =
   nodes_of_items
-    (eval_result ctx.Ctx.cfg p
+    (eval_result (Ctx.cfg ctx) p
        (sort_dedup_items (List.map (fun v -> Node v) vs)))
       .nodes
 
-let check ctx q v = eval_qual ctx.Ctx.cfg q (Node v)
+let check ctx q v = eval_qual (Ctx.cfg ctx) q (Node v)

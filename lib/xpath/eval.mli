@@ -61,12 +61,18 @@ module Ctx : sig
   (** The tag index, if one was supplied. *)
 end
 
-val run : Ctx.t -> Ast.path -> Sxml.Tree.t list
+val run : ?visits:int ref -> Ctx.t -> Ast.path -> Sxml.Tree.t list
 (** [run ctx p]: nodes reachable from the context node of [ctx] via
     [p], in document order, duplicate-free.  @raise Unbound_variable
     if the query contains a [$var] the environment does not bind (the
     check is lazy: only qualifiers that are actually evaluated
-    resolve their variables). *)
+    resolve their variables).
+
+    [visits] is a work meter: the run counts every context-node × step
+    combination it touches in its own state and adds the total to
+    [visits] once, when it returns — a machine-independent work
+    measure beside wall-clock time.  A run that raises adds
+    nothing. *)
 
 val run_nodes : Ctx.t -> Ast.path -> Sxml.Tree.t list -> Sxml.Tree.t list
 (** [run_nodes ctx p vs]: evaluate at every node of [vs] (same
@@ -76,9 +82,3 @@ val run_nodes : Ctx.t -> Ast.path -> Sxml.Tree.t list -> Sxml.Tree.t list
 
 val check : Ctx.t -> Ast.qual -> Sxml.Tree.t -> bool
 (** [check ctx q v]: truth of qualifier [q] at node [v]. *)
-
-val visited : int ref
-(** Instrumentation counter bumped once per context-node × step
-    combination the evaluator touches; the benchmark harness reads it
-    as a machine-independent work measure alongside wall-clock time.
-    Reset it yourself between measurements. *)

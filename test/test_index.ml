@@ -131,12 +131,12 @@ let test_fast_path_does_less_work () =
   let idx = Sxml.Index.build doc in
   let q = parse "//buyer-info//name" in
   let work f =
-    Sxpath.Eval.visited := 0;
-    ignore (f ());
-    !Sxpath.Eval.visited
+    let visits = ref 0 in
+    ignore (f visits);
+    !visits
   in
-  let scan = work (fun () -> eval q doc) in
-  let fast = work (fun () -> eval ~index:idx q doc) in
+  let scan = work (fun visits -> eval ~visits q doc) in
+  let fast = work (fun visits -> eval ~visits ~index:idx q doc) in
   Alcotest.(check bool)
     (Printf.sprintf "index %d << scan %d" fast scan)
     true

@@ -107,17 +107,14 @@ let test_does_more_work () =
   let view = Workload.Adex.view () in
   let doc = Workload.Adex.document ~ads:20 ~buyers:10 () in
   let prepared = Naive.prepare Workload.Adex.spec doc in
-  let work f =
-    Sxpath.Eval.visited := 0;
-    ignore (f ());
-    !Sxpath.Eval.visited
+  let work p doc =
+    let visits = ref 0 in
+    ignore (eval ~visits p doc);
+    !visits
   in
   let q = Workload.Adex.q1 in
-  let naive_work = work (fun () -> Naive.eval ~view q prepared) in
-  let rewrite_work =
-    let pt = Rewrite.rewrite view q in
-    work (fun () -> eval pt doc)
-  in
+  let naive_work = work (Naive.rewrite_query ~view q) prepared in
+  let rewrite_work = work (Rewrite.rewrite view q) doc in
   Alcotest.(check bool)
     (Printf.sprintf "naive %d >> rewrite %d" naive_work rewrite_work)
     true

@@ -54,8 +54,9 @@ let gen_dtd : Sdtd.Dtd.t QCheck2.Gen.t =
   in
   return (Sdtd.Dtd.restrict_reachable (Sdtd.Dtd.create ~root:"t0" prods))
 
-(* Random access specification over a DTD's edges. *)
-let gen_spec dtd : Spec.t QCheck2.Gen.t =
+(* Random access annotations over a DTD's edges; [vars] adds
+   qualifiers comparing with the variable [$v]. *)
+let gen_annotations ?(vars = false) dtd =
   let open QCheck2.Gen in
   let edges =
     List.concat_map
@@ -67,12 +68,20 @@ let gen_spec dtd : Spec.t QCheck2.Gen.t =
       let labels = Sdtd.Dtd.children_of dtd a in
       let candidates = if labels = [] then [ "zz" ] else labels in
       oneof
-        [
-          map (fun l -> Spec.Cond (A.Exists (A.Label l))) (oneofl candidates);
-          map
-            (fun l -> Spec.Cond (A.Eq (A.Label l, A.Const "alpha")))
-            (oneofl candidates);
-        ]
+        ([
+           map (fun l -> Spec.Cond (A.Exists (A.Label l))) (oneofl candidates);
+           map
+             (fun l -> Spec.Cond (A.Eq (A.Label l, A.Const "alpha")))
+             (oneofl candidates);
+         ]
+        @
+        if vars then
+          [
+            map
+              (fun l -> Spec.Cond (A.Eq (A.Label l, A.Var "v")))
+              (oneofl candidates);
+          ]
+        else [])
     in
     oneof [ return Spec.Yes; return Spec.No; return Spec.No; qual ]
   in
@@ -86,7 +95,11 @@ let gen_spec dtd : Spec.t QCheck2.Gen.t =
               else return None))
          edges)
   in
-  return (Spec.make dtd (List.filter_map Fun.id chosen))
+  return (List.filter_map Fun.id chosen)
+
+(* Random access specification over a DTD's edges. *)
+let gen_spec dtd : Spec.t QCheck2.Gen.t =
+  QCheck2.Gen.map (Spec.make dtd) (gen_annotations dtd)
 
 let gen_doc dtd : Sxml.Tree.t QCheck2.Gen.t =
   let open QCheck2.Gen in
@@ -479,6 +492,195 @@ let prop_admission_prepared =
             order)
         [ dtd; View.dtd (Derive.derive spec) ])
 
+(* ------------------------------------------------------------------ *)
+(* The streamed view text a write receipt digests, against the
+   materialization oracle *)
+
+let materialized_text ~env ~spec ~view doc =
+  match Materialize.materialize ~env ~spec ~view doc with
+  | vt -> Sxml.Print.to_string (Materialize.to_tree vt)
+  | exception Materialize.Abort _ -> ""
+
+(* Either the text or the variable whose absence stopped the walk. *)
+let view_text_outcome f =
+  match f () with
+  | text -> Ok text
+  | exception Sxpath.Eval.Unbound_variable v -> Error v
+
+(* The child list of the [k]-th element in preorder doubled (even [k])
+   or cut to its tail (odd [k]): mostly a document whose extraction a
+   view production rejects. *)
+let perturb k doc =
+  let n = ref 0 in
+  let rec go = function
+    | Sxml.Tree.T _ as t -> t
+    | Sxml.Tree.E (tag, attrs, children) ->
+      let here = !n = k in
+      incr n;
+      let children = List.map go children in
+      let children =
+        if not here then children
+        else if k mod 2 = 0 then children @ children
+        else match children with [] -> [] | _ :: rest -> rest
+      in
+      Sxml.Tree.E (tag, attrs, children)
+  in
+  Sxml.Tree.of_spec (go (Sxml.Tree.to_spec doc))
+
+(* Attribute values that need escaping, and some that do not. *)
+let attr_values = [| "x"; "alpha"; "a<b&\"c'd>" |]
+
+let gen_view_text_case =
+  let open QCheck2.Gen in
+  let random =
+    let* dtd = gen_dtd in
+    let* decls =
+      flatten_l
+        (List.map
+           (fun t -> map (fun n -> (t, n)) (int_bound 2))
+           (Sdtd.Dtd.element_types dtd))
+    in
+    let dtd =
+      List.fold_left
+        (fun d (t, n) ->
+          if n = 0 then d
+          else Sdtd.Dtd.with_attributes d t (List.filteri (fun i _ -> i < n) [ "id"; "k" ]))
+        dtd decls
+    in
+    let* elements = gen_annotations ~vars:true dtd in
+    let* attributes =
+      flatten_l
+        (List.concat_map
+           (fun t ->
+             List.map
+               (fun a ->
+                 map
+                   (fun c -> Option.map (fun an -> ((t, "@" ^ a), an)) c)
+                   (oneofl [ None; Some Spec.Yes; Some Spec.No ]))
+               (Sdtd.Dtd.attributes dtd t))
+           (Sdtd.Dtd.reachable dtd))
+    in
+    let* texts =
+      flatten_l
+        (List.filter_map
+           (fun t ->
+             match Sdtd.Dtd.production_opt dtd t with
+             | Some r when R.mentions_str r ->
+               Some
+                 (map
+                    (fun c -> Option.map (fun an -> ((t, R.pcdata), an)) c)
+                    (oneofl [ None; None; Some Spec.No ]))
+             | _ -> None)
+           (Sdtd.Dtd.reachable dtd))
+    in
+    let* seed = int_bound 10_000 in
+    let doc =
+      Sdtd.Gen.generate
+        ~config:
+          {
+            Sdtd.Gen.default_config with
+            seed;
+            star_min = 0;
+            star_max = 2;
+            depth_budget = 8;
+            attr_for =
+              (fun _ _ rng ->
+                if Random.State.bool rng then
+                  Some attr_values.(Random.State.int rng (Array.length attr_values))
+                else None);
+          }
+        dtd
+    in
+    let* cut = int_bound 3 in
+    let* k = int_bound 12 in
+    let doc = if cut = 0 then perturb k doc else doc in
+    return
+      ( Spec.make dtd
+          (elements @ List.filter_map Fun.id (attributes @ texts)),
+        doc )
+  in
+  let fig7 =
+    let* depth = int_range 0 4 in
+    let* cut = int_bound 3 in
+    let* k = int_bound 8 in
+    let doc = Workload.Fig7.document ~depth in
+    return (Workload.Fig7.spec, if cut = 0 then perturb k doc else doc)
+  in
+  let* spec, doc = frequency [ (4, random); (1, fig7) ] in
+  let* bound = frequency [ (3, return true); (1, return false) ] in
+  return (spec, doc, if bound then [ ("v", "alpha") ] else [])
+
+let prop_view_text_materialized =
+  QCheck2.Test.make
+    ~name:"streamed view text = the materialized view's, digest its MD5"
+    ~count:500
+    ~print:(fun (spec, doc, env) ->
+      Format.asprintf "Spec:@.%a@.Doc: %s@.Env: %s@." Spec.pp spec
+        (Sxml.Print.to_string doc)
+        (String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) env)))
+    gen_view_text_case
+    (fun (spec, doc, env) ->
+      let env name = List.assoc_opt name env in
+      let view = Derive.derive spec in
+      let index = Sxml.Index.build doc in
+      let want =
+        view_text_outcome (fun () -> materialized_text ~env ~spec ~view doc)
+      in
+      let streamed =
+        view_text_outcome (fun () ->
+            Secview.View_text.to_string ~env ~spec ~view index)
+      in
+      let carried =
+        view_text_outcome (fun () ->
+            Secview.View_text.to_string ~env
+              ~accessible:(Access.accessible_flags ~env spec doc)
+              ~spec ~view index)
+      in
+      let digest =
+        view_text_outcome (fun () ->
+            Secview.View_text.digest ~env ~spec ~view index)
+      in
+      want = streamed && want = carried
+      && digest = Result.map (fun t -> Digest.to_hex (Digest.string t)) want)
+
+(* The property's two ends, pinned: Fig. 7's recursive view renders,
+   and a document whose extraction violates a view production (a
+   patient without its name) digests the empty text. *)
+let test_view_text_cases () =
+  let check name ~spec doc =
+    let view = Derive.derive spec in
+    let env = Workload.Hospital.nurse_env "6" in
+    let want = materialized_text ~env ~spec ~view doc in
+    Alcotest.(check string) name want
+      (Secview.View_text.to_string ~env ~spec ~view (Sxml.Index.build doc));
+    want
+  in
+  let fig7 = check "Fig. 7" ~spec:Workload.Fig7.spec (Workload.Fig7.document ~depth:3) in
+  Alcotest.(check bool) "Fig. 7 renders" true (fig7 <> "");
+  let nameless =
+    Sxml.Tree.of_spec
+      Sxml.Tree.(
+        elem "hospital"
+          [
+            elem "dept"
+              [
+                elem "clinicalTrial" [];
+                elem "patientInfo"
+                  [
+                    elem "patient"
+                      [
+                        elem "wardNo" [ text "6" ];
+                        elem "treatment"
+                          [ elem "regular" [ elem "bill" [ text "1" ] ] ];
+                      ];
+                  ];
+                elem "staffInfo" [];
+              ];
+          ])
+  in
+  Alcotest.(check string) "non-conforming extraction" ""
+    (check "nameless patient" ~spec:(Workload.Hospital.nurse_spec Workload.Hospital.dtd) nameless)
+
 let () =
   Alcotest.run "properties"
     [
@@ -496,5 +698,9 @@ let () =
             prop_dtd_facts_match_reference;
             prop_translation_memo_independent;
             prop_admission_prepared;
+            prop_view_text_materialized;
           ] );
+      ( "view text",
+        [ Alcotest.test_case "Fig. 7 and a non-conforming extraction" `Quick
+            test_view_text_cases ] );
     ]

@@ -664,6 +664,49 @@ let test_server_roundtrips () =
   check_code "sleep needs debug" Protocol.bad_request (recv c);
   Conn.close c
 
+(* Every job the worker pool or the coordinator pops records how long
+   it queued, in one series per verb; no group name reaches a
+   queue-wait series. *)
+let test_server_queue_wait () =
+  let dtd = Workload.Hospital.dtd in
+  let spec =
+    Workload.Hospital.nurse_spec
+      ~write:[ (("regular", "bill"), [ Secview.Spec.Replace ]) ]
+      dtd
+  in
+  with_server ~dtd ~groups:[ ("nurse", spec) ]
+    ~docs:[ ("ward", Workload.Hospital.sample_document ()) ]
+    ()
+  @@ fun server path ->
+  let c = connect path in
+  Conn.send c (Protocol.hello ~peer:"tests" "nurse");
+  ignore (recv c);
+  let bind = [ ("wardNo", "6") ] in
+  Conn.send c (Protocol.query_json ~bind "//patient/name");
+  Alcotest.(check bool) "query ok" true (Protocol.is_ok (recv c));
+  Conn.send c
+    (Protocol.update_json ~bind
+       "replace //patient[name = \"Bob\"]//bill with <bill>7</bill>");
+  Alcotest.(check bool) "update ok" true (Protocol.is_ok (recv c));
+  Conn.close c;
+  let snap = Server.metrics server in
+  List.iter
+    (fun (verb, n) ->
+      Alcotest.(check int) ("queued " ^ verb) n
+        (match Sobs.Metrics.summary snap ("server.queue_wait_ms." ^ verb) with
+        | Some s -> s.Sobs.Metrics.count
+        | None -> 0))
+    [ ("query", 1); ("update", 1); ("explain", 0) ];
+  Alcotest.(check (list string)) "constant names"
+    [ "server.queue_wait_ms.query"; "server.queue_wait_ms.update" ]
+    (List.filter
+       (fun name -> String.starts_with ~prefix:"server.queue_wait_ms." name)
+       (List.map fst (Sobs.Metrics.summaries snap)));
+  Alcotest.(check bool) "in the exposition" true
+    (List.exists
+       (String.starts_with ~prefix:"# TYPE secview_server_queue_wait_ms_update ")
+       (String.split_on_char '\n' (Server.openmetrics server)))
+
 (* Concurrent clients against a server with one and with four worker
    domains: every reply must be the one-session answer, byte for byte,
    whichever domain served it. *)
@@ -1275,6 +1318,8 @@ let () =
             test_server_rid_and_flight;
           Alcotest.test_case "gc pause attribution" `Quick
             test_server_gc_attribution;
+          Alcotest.test_case "queue wait per verb" `Quick
+            test_server_queue_wait;
           Alcotest.test_case "overload" `Quick test_server_overload;
           Alcotest.test_case "deadline" `Quick test_server_timeout;
           Alcotest.test_case "drain flushes audit" `Quick

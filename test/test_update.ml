@@ -481,6 +481,44 @@ let test_unbound_policy_variable () =
   | Error e -> Alcotest.failf "wrong error: %s" (Secview.Error.to_string e)
   | Ok _ -> Alcotest.fail "admitted with an unbound policy variable"
 
+let test_unbound_target_variable () =
+  (* Targets come from the plan engine, except where the target names a
+     variable [env] leaves unbound: there the interpreter decides, so
+     verdict and text stay the whole-document oracle's.  In the first
+     update the interpreter evaluates both branches of the union and
+     meets [$who], where a short-circuited plan probe would stop at
+     [name]; in the second no node reaches the qualifier naming it; the
+     third binds it. *)
+  let spec =
+    nurse_spec [ (("patientInfo", "patient"), Spec.all_write_ops) ]
+  in
+  let svc, entry = setup spec in
+  let view = Pipeline.Service.view svc ~group:"g" in
+  let outcome = function
+    | Ok _ -> "admitted"
+    | Error e -> Secview.Error.to_code e ^ ": " ^ Secview.Error.to_string e
+  in
+  List.iter
+    (fun (text, bindings, expected) ->
+      let env name = List.assoc_opt name (("wardNo", "6") :: bindings) in
+      let u = Parse.of_string text in
+      let want =
+        Update_oracle.run ~dtd ~spec ~view ~env (Catalog.doc entry) u
+      in
+      let got = Engine.apply svc ~group:"g" ~env ~entry u in
+      Alcotest.(check string) text (outcome want) (outcome got);
+      Alcotest.(check string) (text ^ " (code)") expected
+        (match got with
+        | Ok _ -> "admitted"
+        | Error e -> Secview.Error.to_code e))
+    [
+      ("delete //patient[(name | treatment[*/bill = $who])]", [], "query_error");
+      ( "delete //patient[name = \"Nobody\"][treatment[*/bill = $who]]", [],
+        "invalid_update" );
+      ( "delete //patient[(name | treatment[*/bill = $who])]",
+        [ ("who", "1") ], "update_denied" );
+    ]
+
 let test_nurse_other_ward_out_of_view () =
   (* Dave is in ward 7: his subtree is simply not in the ward-6 view,
      so the target set is empty — invalid, not silently zero. *)
@@ -1346,6 +1384,8 @@ let () =
             test_text_content_typed_error;
           Alcotest.test_case "unbound policy variable" `Quick
             test_unbound_policy_variable;
+          Alcotest.test_case "unbound target variable" `Quick
+            test_unbound_target_variable;
         ] );
       ( "caches",
         [

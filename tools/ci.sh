@@ -72,7 +72,8 @@ echo "-- malformed queries: exit 2 with a parse error on every verb"
 
 # A truncated DTD or document is a typed error on every verb that loads
 # one: exit 2 with a "secview: FILE: ..." line, never an uncaught
-# exception; serve stops before it creates its socket.
+# exception; serve stops before it creates its socket, and query, update
+# and serve before they open their audit log and capture.
 echo "== malformed-input smoke"
 head -c 120 "$POL/hospital.dtd" > "$TMP/truncated.dtd"
 head -c 40 "$TMP/doc.xml" > "$TMP/truncated.xml"
@@ -84,19 +85,24 @@ malformed_input() {
     > /dev/null 2> "$TMP/input.err" || code=$?
   if [ "$code" -ne 2 ] || ! grep -qF "secview: $file: " "$TMP/input.err" \
     || grep -q 'Fatal error' "$TMP/input.err" \
-    || [ -e "$TMP/input.sock" ]; then
+    || [ -e "$TMP/input.sock" ] || [ -e "$TMP/input-audit.jsonl" ] \
+    || [ -e "$TMP/input-cap.jsonl" ]; then
     echo "malformed-input smoke: secview $* exited $code:" >&2
     cat "$TMP/input.err" >&2
     exit 1
   fi
 }
 S="$POL/nurse.spec"
+SINKS="--audit-log $TMP/input-audit.jsonl --capture $TMP/input-cap.jsonl"
 for verb in derive graph audit lint analyze optimize gen query serve; do
   case $verb in
     derive | audit | lint | analyze) set -- --spec "$S" ;;
     optimize) set -- '//patient' ;;
-    query) set -- --spec "$S" --doc "$TMP/doc.xml" '//patient' ;;
-    serve) set -- --spec "$S" --doc d="$TMP/doc.xml" --socket "$TMP/input.sock" ;;
+    query) set -- --spec "$S" --doc "$TMP/doc.xml" $SINKS '//patient' ;;
+    serve)
+      set -- --spec "$S" --doc d="$TMP/doc.xml" --socket "$TMP/input.sock" \
+        $SINKS
+      ;;
     *) set -- ;;
   esac
   malformed_input "$TMP/truncated.dtd" "$verb" --dtd "$TMP/truncated.dtd" "$@"
@@ -105,11 +111,12 @@ X="$TMP/truncated.xml"
 for verb in query explain materialize validate annotate metrics update \
   serve replay; do
   case $verb in
-    query | metrics) set -- --spec "$S" --doc "$X" '//patient' ;;
+    query) set -- --spec "$S" --doc "$X" $SINKS '//patient' ;;
+    metrics) set -- --spec "$S" --doc "$X" '//patient' ;;
     explain) set -- --spec "$S" --doc "$X" user '//patient' ;;
     validate) set -- --doc "$X" ;;
-    update) set -- --spec "$S" --doc "$X" user 'delete //patient' ;;
-    serve) set -- --spec "$S" --doc d="$X" --socket "$TMP/input.sock" ;;
+    update) set -- --spec "$S" --doc "$X" $SINKS user 'delete //patient' ;;
+    serve) set -- --spec "$S" --doc d="$X" --socket "$TMP/input.sock" $SINKS ;;
     replay) set -- "$TMP/cap.jsonl" --spec "$S" --doc d="$X" ;;
     *) set -- --spec "$S" --doc "$X" ;;
   esac
