@@ -111,22 +111,6 @@ let bind_arg =
     & opt_all (pair_conv ~what:"NAME=VALUE") []
     & info [ "bind"; "b" ] ~docv:"NAME=VALUE" ~doc)
 
-let engine_arg =
-  let doc =
-    "Execution engine for translated queries: $(b,plan) compiles them to \
-     physical plans over the preorder index (falling back to the \
-     interpreter outside the plan fragment, see lint SV301), $(b,interp) \
-     always runs the set-at-a-time interpreter.  Answers are identical."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("interp", Secview.Pipeline.Interp);
-             ("plan", Secview.Pipeline.Plan) ])
-        Secview.Pipeline.Plan
-    & info [ "engine" ] ~docv:"NAME" ~doc)
-
 let query_arg =
   let doc = "XPath query (fragment C)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
@@ -166,14 +150,6 @@ let strict_arg =
           "Refuse to run when any group's policy or derived view has lint \
            errors (query: optimize approach only).")
 
-let index_arg =
-  Arg.(
-    value & flag
-    & info [ "index" ]
-        ~doc:
-          "Evaluate over a tag index of the document (the descendant fast \
-           path); a client asks the server to.")
-
 let wait_arg =
   Arg.(
     value & opt float 0.
@@ -207,7 +183,7 @@ let capture_arg =
     & info [ "capture" ] ~docv:"FILE"
         ~doc:
           "Write one replayable JSONL record per answered query or admitted \
-           update (rid, group, request, engine, answer digest, latency) to \
+           update (rid, group, request, answer digest, latency) to \
            $(docv) — feed it to $(b,secview replay); query: optimize \
            approach only.")
 
@@ -574,8 +550,8 @@ let rewrite_cmd =
       $ height_arg $ optimize_arg)
 
 let query_cmd =
-  let run (dtd, spec) doc_path queries bindings approach engine indexed stats
-      strict timeout trace trace_out metrics flags =
+  let run (dtd, spec) doc_path queries bindings approach stats strict timeout
+      trace trace_out metrics flags =
     if queries = [] then failwith "query: at least one QUERY is required";
     let observing =
       trace || metrics || trace_out <> None || flags.slow_threshold <> None
@@ -596,8 +572,6 @@ let query_cmd =
         (Sobs.Request.make ~verb:"query" ~group:"user" qtext) with
         rid = Some (Printf.sprintf "q%d" (i + 1));
         bind = bindings;
-        index = indexed;
-        engine = Secview.Pipeline.engine_label engine;
         latency_ms;
       }
     in
@@ -642,18 +616,14 @@ let query_cmd =
       match approach with
       | `Naive ->
         let prepared = Secview.Naive.prepare ~env spec doc in
-        let index =
-          if indexed then Some (Sxml.Index.build prepared) else None
-        in
-        let ctx = Sxpath.Eval.Ctx.make ~env ?index ~root:prepared () in
+        let ctx = Sxpath.Eval.Ctx.make ~env ~root:prepared () in
         List.concat_map
           (fun q ->
             render (Sxpath.Eval.run ctx (Secview.Naive.rewrite_query ~view q)))
           qs
       | `Rewrite ->
         let height = Secview.Catalog.element_height doc in
-        let index = if indexed then Some (Sxml.Index.build doc) else None in
-        let ctx = Sxpath.Eval.Ctx.make ~env ?index ~root:doc () in
+        let ctx = Sxpath.Eval.Ctx.make ~env ~root:doc () in
         List.concat_map
           (fun q ->
             let pt = Secview.Rewrite.rewrite_with_height view ~height q in
@@ -681,8 +651,7 @@ let query_cmd =
                  let t0 = Sserver.Deadline.now () in
                  let answer () =
                    Secview.Pipeline.Session.answer_pinned pipe ~group:"user"
-                     ~engine ~counts:(sinks.slow_ms <> None) ~env
-                     ~use_index:indexed q snap
+                     ~counts:(sinks.slow_ms <> None) ~env q snap
                  in
                  let outcome, spans =
                    if sinks.slow_ms <> None then
@@ -792,7 +761,7 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Securely evaluate view queries on a document")
     Term.(
       const run $ spec_t $ Arg.required doc_flag $ queries_arg $ bind_arg
-      $ approach_arg $ engine_arg $ index_arg
+      $ approach_arg
       $ stats_arg
           "Report the pipeline's translation- and plan-cache statistics on \
            stderr (optimize approach only)."
@@ -1116,7 +1085,6 @@ let update_cmd =
             rid = Some "u1";
             doc_label = Some "doc";
             bind = bindings;
-            engine = "interp";
             latency_ms;
           });
     close_sinks sinks;
@@ -1167,8 +1135,8 @@ let update_cmd =
 (* ---- server and client --------------------------------------------- *)
 
 let serve_cmd =
-  let run (dtd, groups) docs remote domains queue deadline engine debug
-      strict metrics_port flight flight_snapshot flags =
+  let run (dtd, groups) docs remote domains queue deadline debug strict
+      metrics_port flight flight_snapshot flags =
     if docs = [] then
       failwith "serve: at least one --doc NAME=FILE is required";
     let catalog = Secview.Catalog.create () in
@@ -1224,7 +1192,7 @@ let serve_cmd =
     in
     let config =
       { Sserver.Server.domains; queue_capacity = queue; deadline; debug;
-        engine; slow_ms = sinks.slow_ms }
+        slow_ms = sinks.slow_ms }
     in
     (* the sinks are the server's from here on: serve closes them when
        the drain completes *)
@@ -1299,8 +1267,8 @@ let serve_cmd =
       & info [ "flight" ] ~docv:"N"
           ~doc:
             "Keep an in-memory flight recorder of the last $(docv) completed \
-             requests (rid, principal, query, doc version, engine, span \
-             tree, operator counts, answer digest, outcome) — dump it with \
+             requests (rid, principal, query, doc version, span tree, \
+             operator counts, answer digest, outcome) — dump it with \
              the session-less 'flight' verb or $(b,secview flight).  0 \
              disables it (the default; a disabled recorder costs nothing on \
              the request path).")
@@ -1322,13 +1290,13 @@ let serve_cmd =
           Unix-domain and/or TCP sockets; SIGINT drains gracefully)")
     Term.(
       const run $ groups_t ~cmd:"serve" $ docs_arg $ remote_t $ domains_arg
-      $ queue_arg $ deadline_arg $ engine_arg $ debug_arg $ strict_arg
+      $ queue_arg $ deadline_arg $ debug_arg $ strict_arg
       $ metrics_port_arg $ flight_arg
       $ flight_snapshot_arg $ sinks_t)
 
 let client_cmd =
-  let run remote wait group peer doc_name bindings indexed ping do_stats
-      shutdown raws updates queries =
+  let run remote wait group peer doc_name bindings ping do_stats shutdown raws
+      updates queries =
     let failed =
       Conn.with_connection ~wait (server_address remote) @@ fun c ->
       let failed = ref false in
@@ -1367,8 +1335,7 @@ let client_cmd =
         (fun q ->
           match
             call (Printf.sprintf "query %S" q)
-              (Protocol.query_json ?doc:doc_name ~bind:bindings
-                 ~use_index:indexed q)
+              (Protocol.query_json ?doc:doc_name ~bind:bindings q)
           with
           | _, j when Protocol.is_ok j -> (
             match J.member "results" j with
@@ -1443,7 +1410,7 @@ let client_cmd =
           refused)")
     Term.(
       const run $ remote_t $ wait_arg $ group_arg $ peer_arg $ doc_name_arg
-      $ bind_arg $ index_arg $ ping_arg
+      $ bind_arg $ ping_arg
       $ stats_arg "Print the server's statistics object after the queries."
       $ shutdown_arg $ send_arg $ updates_arg $ queries_arg)
 
@@ -1715,7 +1682,7 @@ let replay_cmd =
                          ~bind:r.c_bind r.c_query
                      else
                        Protocol.query_json ~rid:r.c_rid ?doc:r.c_doc
-                         ~bind:r.c_bind ~use_index:r.c_index r.c_query)
+                         ~bind:r.c_bind r.c_query)
                 in
                 let ms = 1000. *. (Sserver.Deadline.now () -. t0) in
                 if not (Protocol.is_ok reply) then
@@ -1782,14 +1749,6 @@ let replay_cmd =
                   (Printf.sprintf "replay: record %s: unknown document %S"
                      r.c_rid doc_name)
             in
-            let engine =
-              match Secview.Pipeline.engine_of_string r.c_engine with
-              | Some e -> e
-              | None ->
-                failwith
-                  (Printf.sprintf "replay: record %s: unknown engine %S"
-                     r.c_rid r.c_engine)
-            in
             let env = env_of_bindings r.c_bind in
             let t0 = Sserver.Deadline.now () in
             let outcome =
@@ -1806,8 +1765,7 @@ let replay_cmd =
                     let rendered = Sxml.Print.answer out o.o_results in
                     (Sobs.Capture.digest rendered, List.length rendered))
                   (Secview.Pipeline.Session.answer_pinned pipe
-                     ~group:r.c_group ~engine ~env ~use_index:r.c_index q
-                     (Secview.Catalog.pin entry))
+                     ~group:r.c_group ~env q (Secview.Catalog.pin entry))
             in
             let ms = 1000. *. (Sserver.Deadline.now () -. t0) in
             match outcome with
@@ -1971,7 +1929,7 @@ let metrics_cmd =
     then failwith (Printf.sprintf "metrics: scrape failed: %s" status);
     body
   in
-  let run dtd_path root spec_path doc_path bindings engine repeat json
+  let run dtd_path root spec_path doc_path bindings repeat json
       openmetrics remote scrape watch iterations queries =
     let remote_mode = scrape <> None || remote_given remote in
     if watch <> None && not remote_mode then
@@ -2024,8 +1982,8 @@ let metrics_cmd =
           for _ = 1 to repeat do
             Result.iter_error
               (fun e -> raise (Secview.Error.E e))
-              (Secview.Pipeline.Session.answer_pinned pipe ~group:"user"
-                 ~engine ~env q snap)
+              (Secview.Pipeline.Session.answer_pinned pipe ~group:"user" ~env
+                 q snap)
           done)
         queries;
       Sobs.Tracer.uninstall ();
@@ -2077,7 +2035,7 @@ let metrics_cmd =
           scrape its HTTP endpoint (--scrape)")
     Term.(
       const run $ Arg.value dtd_flag $ root_arg $ Arg.value spec_flag
-      $ Arg.value doc_flag $ bind_arg $ engine_arg $ repeat_arg
+      $ Arg.value doc_flag $ bind_arg $ repeat_arg
       $ json_arg
           "Dump the registry as JSON instead of text (remote: echo the \
            server's raw metrics reply)."

@@ -37,20 +37,33 @@ let step ctx spec st (node : Sxml.Tree.t) =
   ( self_acc,
     { ptag = tag; anc_ok = st.anc_ok && qual_ok; parent_acc = self_acc } )
 
+(* [f node accessible quals_ok]: [quals_ok] is the [anc_ok] the node
+   hands its children — its own qualifier and its ancestors' hold *)
 let rec iter_subtree ctx spec st f (node : Sxml.Tree.t) =
   let self_acc, st' = step ctx spec st node in
-  f node self_acc;
+  f node self_acc st'.anc_ok;
   List.iter (iter_subtree ctx spec st' f) (Sxml.Tree.children node)
 
 let first_inaccessible ctx spec st node =
   let exception Found of Sxml.Tree.t in
   match
-    iter_subtree ctx spec st (fun n acc -> if not acc then raise (Found n)) node
+    iter_subtree ctx spec st
+      (fun n acc _ -> if not acc then raise (Found n))
+      node
   with
   | () -> None
   | exception Found n -> Some n
 
+(* One byte per node: bit 0 says the node is accessible, bit 1 that
+   every qualifier on it and its ancestors holds.  An accessible node
+   has both: a [Y] or qualified node is accessible only when the
+   qualifiers above it (and its own) hold, and an inheriting node only
+   when its parent is accessible. *)
 type flags = Bytes.t
+
+let accessible_bit = 1
+let quals_bit = 2
+let all_accessible n = Bytes.make n (Char.chr (accessible_bit lor quals_bit))
 
 (* Dense preorder numbering: the last node in preorder carries the
    largest identifier. *)
@@ -63,63 +76,27 @@ let accessible_flags ?(env = no_env) spec doc =
   let ctx = Sxpath.Eval.Ctx.make ~env ~root:doc () in
   let flags = Bytes.make (last_id doc + 1) '\000' in
   iter_subtree ctx spec root_state
-    (fun n acc -> if acc then Bytes.unsafe_set flags n.Sxml.Tree.id '\001')
+    (fun n acc quals_ok ->
+      Bytes.unsafe_set flags n.Sxml.Tree.id
+        (Char.unsafe_chr
+           ((if acc then accessible_bit else 0)
+           lor if quals_ok then quals_bit else 0)))
     doc;
   flags
 
-let flag flags id = Bytes.get flags id <> '\000'
+let flag flags id = Char.code (Bytes.get flags id) land accessible_bit <> 0
+let quals_hold flags id = Char.code (Bytes.get flags id) land quals_bit <> 0
 
 let accessible_set ?env spec doc =
   let flags = accessible_flags ?env spec doc in
   let result = ref IntSet.empty in
   Bytes.iteri
-    (fun id c -> if c <> '\000' then result := IntSet.add id !result)
+    (fun id _ -> if flag flags id then result := IntSet.add id !result)
     flags;
   !result
 
 let accessible ?env spec doc v =
   IntSet.mem v.Sxml.Tree.id (accessible_set ?env spec doc)
-
-(* Ancestor-qualifier truth along the path to a node: the same
-   condition accessibility itself uses. *)
-let rec anc_ok ~env spec ~parent_tag (target : Sxml.Tree.t)
-    (node : Sxml.Tree.t) =
-  (* walk down from [node] towards [target], conjoining qualifier
-     annotations; returns None when target is not in this subtree *)
-  let self_qual_ok () =
-    match parent_tag with
-    | None -> Some true
-    | Some parent -> (
-      match
-        Spec.annotation spec ~parent
-          ~child:
-            (match node.Sxml.Tree.desc with
-            | Sxml.Tree.Element e -> e.tag
-            | Sxml.Tree.Text _ -> Sdtd.Regex.pcdata)
-      with
-      | Some (Spec.Cond q) ->
-        Some (Sxpath.Eval.check (Sxpath.Eval.Ctx.make ~env ~root:node ()) q node)
-      | _ -> Some true)
-  in
-  if node.Sxml.Tree.id = target.Sxml.Tree.id then self_qual_ok ()
-  else
-    match node.Sxml.Tree.desc with
-    | Sxml.Tree.Text _ -> None
-    | Sxml.Tree.Element e ->
-      List.fold_left
-        (fun acc child ->
-          match acc with
-          | Some _ -> acc
-          | None -> (
-            match
-              anc_ok ~env spec ~parent_tag:(Some e.tag) target child
-            with
-            | Some ok -> (
-              match self_qual_ok () with
-              | Some ok' -> Some (ok && ok')
-              | None -> Some ok)
-            | None -> None))
-        None e.children
 
 let accessible_attributes ?(env = no_env) ?accessible spec doc node =
   match node.Sxml.Tree.desc with
@@ -131,19 +108,15 @@ let accessible_attributes ?(env = no_env) ?accessible spec doc node =
       | Some flags -> flags
       | None -> accessible_flags ~env spec doc
     in
-    let node_accessible = flag flags node.Sxml.Tree.id in
-    let ancestors_ok =
-      lazy (anc_ok ~env spec ~parent_tag:None node doc = Some true)
-    in
     List.filter
       (fun (name, _) ->
         List.mem name declared
         &&
         match Spec.annotation spec ~parent:e.tag ~child:("@" ^ name) with
-        | Some Spec.Yes -> Lazy.force ancestors_ok
+        | Some Spec.Yes -> quals_hold flags node.Sxml.Tree.id
         | Some (Spec.Cond _) -> false (* rejected by Spec.make *)
         | Some Spec.No -> false
-        | None -> node_accessible)
+        | None -> flag flags node.Sxml.Tree.id)
       e.attrs
 
 let accessible_elements ?env spec doc =

@@ -23,8 +23,11 @@ val accessible_set :
     aside). *)
 
 type flags = Bytes.t
-(** Per-node accessibility of one document, indexed by node
-    identifier: byte [1] for an accessible node, [0] otherwise. *)
+(** Per-node facts of one document, one byte per node identifier:
+    whether the node is accessible ({!flag}) and whether every
+    qualifier on it and its ancestors holds ({!quals_hold}), the
+    condition an explicitly granted attribute needs.  Read them
+    through those two functions. *)
 
 val accessible_flags :
   ?env:(string -> string option) -> Spec.t -> Sxml.Tree.t -> flags
@@ -32,6 +35,14 @@ val accessible_flags :
     byte per identifier up to the document's last. *)
 
 val flag : flags -> int -> bool
+(** Is the node accessible? *)
+
+val quals_hold : flags -> int -> bool
+(** Does every qualifier on the node and its ancestors hold?  True of
+    every accessible node. *)
+
+val all_accessible : int -> flags
+(** The flags of [n] nodes that are all accessible. *)
 
 (** {2 The recurrence, one node at a time}
 
@@ -79,9 +90,12 @@ val accessible_attributes :
   (string * string) list
 (** The attributes of a node that the specification exposes: those with
     an explicit [("A", "@name")] annotation that grants access (with
-    every ancestor qualifier true), plus — when the node itself is
-    accessible — its unannotated attributes.  Only attributes the DTD
-    declares for the element type are considered. *)
+    every qualifier on the node and its ancestors true), plus — when
+    the node itself is accessible — its unannotated attributes.  Only
+    attributes the DTD declares for the element type are considered.
+    Both conditions are read from [accessible], the document's
+    {!accessible_flags} (computed here when absent), so a caller that
+    holds the flags pays only for the node's attributes. *)
 
 val annotate :
   ?env:(string -> string option) -> ?attribute:string -> Spec.t ->

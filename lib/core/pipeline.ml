@@ -3,17 +3,6 @@ type group = {
   view : View.t;
 }
 
-type engine =
-  | Interp
-  | Plan
-
-let engine_label = function Interp -> "interp" | Plan -> "plan"
-
-let engine_of_string = function
-  | "interp" -> Some Interp
-  | "plan" -> Some Plan
-  | _ -> None
-
 (* Cached translation entry: the rewritten+optimized query plus the
    lazily compiled physical plan for it.  Entries live in a Session's
    caches, which have a single owner — no locking. *)
@@ -455,38 +444,31 @@ module Session = struct
       (Sxpath.Eval.Ctx.make ?env ?index ~root:doc ())
       translated
 
-  (* The one execution body: translate through the cache, choose the
-     engine, evaluate.  Tree, height and index all come from the
-     snapshot the caller pinned, so the answer is that version's
-     however many writes land meanwhile, and the catalog is never
-     searched.  The plan engine runs over the snapshot's index and
-     falls back to the interpreter, with the reason, when the plan
-     compiler refuses the query or the context is not a document root
-     (only a bare subtree handed to [answer] is not one).  [want_stats]
-     sizes per-operator counters only when a consumer asked. *)
-  let run sess sg ~group ~engine ~want_stats ?env ~use_index q snap =
+  (* The one execution body: translate through the cache, evaluate.
+     Tree, height and index all come from the snapshot the caller
+     pinned, so the answer is that version's however many writes land
+     meanwhile, and the catalog is never searched.  An indexed document
+     root runs the compiled plan over the snapshot's index; the
+     interpreter answers, with the reason, when the plan compiler
+     refuses the query or the context is not a document root (only a
+     bare subtree handed to [answer] is not one).  [want_stats] sizes
+     per-operator counters only when a consumer asked. *)
+  let run sess sg ~group ~want_stats ?env q snap =
     let doc = Catalog.snapshot_doc snap in
     let height =
       if sg.gv.Service.g_recursive then Some (doc_height sess snap) else None
     in
     let ce = translate_entry sess sg ~group ?height q in
-    let index =
-      if doc.Sxml.Tree.id = 0 && (use_index || engine = Plan) then
-        Some (Catalog.snapshot_index snap)
-      else None
-    in
     let plan, fallback, results =
-      match (engine, index) with
-      | Interp, _ ->
-        (None, None, eval (fun v -> interp ?env ?index v ce.translated doc))
-      | Plan, None ->
+      if doc.Sxml.Tree.id <> 0 then
         ( None, Some "context is not an indexed document root",
           eval (fun v -> interp ?env v ce.translated doc) )
-      | Plan, Some idx -> (
+      else
+        let index = Catalog.snapshot_index snap in
         match plan_of sess sg ~group ce with
         | Error reason ->
           ( None, Some reason,
-            eval (fun v -> interp ?env ?index v ce.translated doc) )
+            eval (fun v -> interp ?env ~index v ce.translated doc) )
         | Ok compiled ->
           let stats =
             if want_stats then Some (Splan.Exec.Stats.for_plan compiled)
@@ -495,7 +477,7 @@ module Session = struct
           ( Option.map (fun s -> (compiled, s)) stats,
             None,
             eval (fun visits ->
-                Splan.Exec.run ?stats ~visits compiled ~index:idx ?env doc) ))
+                Splan.Exec.run ?stats ~visits compiled ~index ?env doc) )
     in
     {
       o_results = results;
@@ -518,22 +500,21 @@ module Session = struct
       | exception Sxpath.Eval.Unbound_variable name ->
         Error (Error.Unbound_variable name))
 
-  let answer_pinned sess ~group ?(engine = Plan) ?(counts = false) ?env
-      ?(use_index = false) q snap =
+  let answer_pinned sess ~group ?(counts = false) ?env q snap =
     with_group sess ~group @@ fun sg ->
     if Trace.enabled () then
       Trace.span "answer" (fun () ->
-          run sess sg ~group ~engine ~want_stats:counts ?env ~use_index q snap)
-    else run sess sg ~group ~engine ~want_stats:counts ?env ~use_index q snap
+          run sess sg ~group ~want_stats:counts ?env q snap)
+    else run sess sg ~group ~want_stats:counts ?env q snap
 
-  let answer sess ~group ?engine ?env q doc =
+  let answer sess ~group ?env q doc =
     Result.map
       (fun o -> o.o_results)
-      (answer_pinned sess ~group ?engine ?env q
+      (answer_pinned sess ~group ?env q
          (Catalog.intern sess.svc.Service.s_catalog doc))
 
-  let answer_exn sess ~group ?engine ?env q doc =
-    match answer sess ~group ?engine ?env q doc with
+  let answer_exn sess ~group ?env q doc =
+    match answer sess ~group ?env q doc with
     | Ok results -> results
     | Error e -> raise (Error.E e)
 
@@ -546,10 +527,7 @@ module Session = struct
     with_group sess ~group @@ fun sg ->
     let admission = classify_sg sg q in
     let generation = Service.generation sess.svc in
-    let o =
-      run sess sg ~group ~engine:Plan ~want_stats:true ?env ~use_index:false q
-        snap
-    in
+    let o = run sess sg ~group ~want_stats:true ?env q snap in
     {
       x_admission = admission;
       x_translated = o.o_translated;

@@ -33,25 +33,6 @@ type group = {
   view : View.t;
 }
 
-(** How {!Session.answer_pinned} executes the translated query:
-    - [Plan] (the default) compiles it to a physical plan
-      ([Splan]) run over the document's tag/extent index; the plan is
-      cached next to the translation.  Queries the compiler refuses
-      (descendant steps with no single-label head — see lint SV301)
-      fall back to the interpreter transparently.
-    - [Interp] is the set-at-a-time interpreter
-      ({!Sxpath.Eval.run}); answers are byte-identical. *)
-type engine =
-  | Interp
-  | Plan
-
-val engine_label : engine -> string
-(** ["plan"] / ["interp"] — the canonical wire spelling (protocol
-    replies, capture records, flight-recorder entries, CLI flags). *)
-
-val engine_of_string : string -> engine option
-(** Inverse of {!engine_label}. *)
-
 (** Static admission verdict for a (group, query) pair, decided from
     the group's view DTD alone — no document is touched:
     - [Denied_empty]: provably empty on {e every} instance of the view
@@ -132,9 +113,9 @@ val set_admission_analyzer :
     translated for (recursive views), and — with [~counts:true] when
     the plan engine ran — the compiled plan with its per-operator
     counters (render with {!Splan.Explain.of_compiled}, total with
-    {!Splan.Exec.Stats.totals}).  [o_fallback] says why a plan-engine
-    request was answered by the interpreter instead.  Request records
-    and explanations are built from this. *)
+    {!Splan.Exec.Stats.totals}).  [o_fallback] says why the
+    interpreter answered instead.  Request records and explanations
+    are built from this. *)
 type outcome = {
   o_results : Sxml.Tree.t list;
   o_translated : Sxpath.Ast.path;
@@ -256,25 +237,25 @@ module Session : sig
   val answer_pinned :
     t ->
     group:string ->
-    ?engine:engine ->
     ?counts:bool ->
     ?env:(string -> string option) ->
-    ?use_index:bool ->
     Sxpath.Ast.path ->
     Catalog.snapshot ->
     (outcome, Error.t) result
   (** The one way a query is answered: translate (through the cache)
       and evaluate at the root of the snapshot the caller pinned
-      ({!Catalog.pin}) with the chosen [engine] (default {!Plan}).
-      The tree, the unfolding height of a recursive view and the index
-      all come from that snapshot, so however many writes land after
-      the pin the answer is the pinned version's, and the catalog is
-      never searched.  The plan engine always runs over the snapshot's
-      index; [use_index] (default [false]) hands it to the [Interp]
-      engine too.  [counts] (default [false]) allocates and fills
-      per-operator counters when the plan engine runs.  With an
-      observability probe installed (see {!Trace}), the call is
-      wrapped in spans.
+      ({!Catalog.pin}).  The tree, the unfolding height of a recursive
+      view and the index all come from that snapshot, so however many
+      writes land after the pin the answer is the pinned version's,
+      and the catalog is never searched.  An indexed document root
+      runs the compiled physical plan ([Splan], cached next to the
+      translation) over the snapshot's index; the set-at-a-time
+      interpreter ({!Sxpath.Eval.run}) answers where the plan compiler
+      refuses the query (lint SV301) or the context is not a document
+      root, and [o_fallback] says which.  [counts] (default [false])
+      allocates and fills per-operator counters when the plan runs.
+      With an observability probe installed (see {!Trace}), the call
+      is wrapped in spans.
 
       Failures come back as {!Error.t} values instead of mixed
       exceptions: [Unknown_group], [Unsupported] (out-of-fragment
@@ -283,7 +264,6 @@ module Session : sig
   val answer :
     t ->
     group:string ->
-    ?engine:engine ->
     ?env:(string -> string option) ->
     Sxpath.Ast.path ->
     Sxml.Tree.t ->
@@ -298,7 +278,6 @@ module Session : sig
   val answer_exn :
     t ->
     group:string ->
-    ?engine:engine ->
     ?env:(string -> string option) ->
     Sxpath.Ast.path ->
     Sxml.Tree.t ->
@@ -312,12 +291,11 @@ module Session : sig
     Sxpath.Ast.path ->
     Catalog.snapshot ->
     (explanation, Error.t) result
-  (** {!answer_pinned}'s body run once with the plan engine and
-      per-operator counters, plus {!classify}'s verdict and the
-      provenance: [x_doc_version] is the pinned snapshot's.  Shares the
-      translation and plan caches (explaining a query warms them);
-      results are counted, not returned.  Errors as in
-      {!answer_pinned}. *)
+  (** {!answer_pinned}'s body run once with per-operator counters,
+      plus {!classify}'s verdict and the provenance: [x_doc_version] is
+      the pinned snapshot's.  Shares the translation and plan caches
+      (explaining a query warms them); results are counted, not
+      returned.  Errors as in {!answer_pinned}. *)
 
   val stats_of : t -> group:string -> stats
   (** The group's counters (safe from any domain).

@@ -7,8 +7,6 @@ type record = {
   c_doc : string option;
   c_query : string;
   c_bind : (string * string) list;
-  c_index : bool;
-  c_engine : string;
   c_status : string;
   c_results : int;
   c_digest : string;
@@ -29,8 +27,6 @@ let to_json r =
       ("query", Json.String r.c_query);
       ( "bind",
         Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) r.c_bind) );
-      ("index", Json.Bool r.c_index);
-      ("engine", Json.String r.c_engine);
       ("status", Json.String r.c_status);
       ("results", Json.Int r.c_results);
       ("digest", Json.String r.c_digest);
@@ -70,10 +66,6 @@ let of_json j =
           c_doc = str "doc";
           c_query;
           c_bind;
-          c_index =
-            Option.value ~default:true
-              (Option.bind (Json.member "index" j) Json.to_bool_opt);
-          c_engine = Option.value ~default:"plan" (str "engine");
           c_status = Option.value ~default:"ok" (str "status");
           c_results =
             Option.value ~default:0
@@ -102,8 +94,6 @@ let of_request (r : Request.t) =
         c_doc = r.doc;
         c_query = r.query;
         c_bind = r.bind;
-        c_index = r.index;
-        c_engine = r.engine;
         c_status = (if r.status = "late" then "ok" else r.status);
         c_results = r.results;
         c_digest = digest;

@@ -8,12 +8,15 @@
 
     {v
     {"v":2,"rid":S,"verb":"query"|"update","group":S,"doc":S|null,
-     "query":S,"bind":{…},"index":B,"engine":"plan"|"interp",
-     "status":S,"results":N,"digest":S,"latency_ms":F}
+     "query":S,"bind":{…},"status":S,"results":N,"digest":S,
+     "latency_ms":F}
     v}
 
     Version 1 files (no [verb] field — everything was a query) read
-    back fine; the writer always emits version 2.
+    back fine; the writer always emits version 2.  The reader ignores
+    fields it does not name, so lines that still carry the ["index"]
+    and ["engine"] fields older writers emitted replay unchanged: a
+    query is answered one way, whatever they say.
 
     For queries, [digest] is the MD5 hex of the rendered result lines
     joined with ["\n"] — the same rendering the CLI prints and the
@@ -31,8 +34,6 @@ type record = {
   c_doc : string option;  (** catalog doc name; [None] = requester default *)
   c_query : string;  (** query text, or the update's concrete syntax *)
   c_bind : (string * string) list;
-  c_index : bool;
-  c_engine : string;
   c_status : string;  (** ["ok"] or ["denied_empty"] *)
   c_results : int;
   c_digest : string;

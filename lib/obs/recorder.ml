@@ -63,7 +63,6 @@ let entry_json (r : Request.t) =
       ("doc", opt_json (fun d -> Json.String d) r.doc_label);
       ("doc_version", opt_json (fun v -> Json.Int v) r.doc_version);
       ("query", Json.String r.query);
-      ("engine", Json.String r.engine);
       ("admission", opt_json (fun a -> Json.String a) r.admission);
       ("status", Json.String r.status);
       ("error", opt_json (fun err -> Json.String err) r.error);

@@ -4,7 +4,7 @@
     Aggregate telemetry ({!Metrics}, the audit log) tells you that
     something was slow; the flight recorder tells you {e which
     request} — id, principal (session/peer/group), query, document
-    version, engine, admission verdict, per-stage {!Tracer.span}s,
+    version, admission verdict, per-stage {!Tracer.span}s,
     plan-operator counts, answer digest, and outcome — for the most
     recent window of traffic, without any I/O on the request path.
     It keeps the {!Request.t} records themselves; a flight entry is

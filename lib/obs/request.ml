@@ -15,8 +15,6 @@ type t = {
   doc_version : int option;
   query : string;
   bind : (string * string) list;
-  index : bool;
-  engine : string;
   admission : string option;
   status : string;
   error : string option;
@@ -43,8 +41,6 @@ let make ~verb ~group query =
     doc_version = None;
     query;
     bind = [];
-    index = false;
-    engine = "plan";
     admission = None;
     status = "ok";
     error = None;

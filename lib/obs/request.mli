@@ -36,8 +36,6 @@ type t = {
           otherwise *)
   query : string;  (** query text, or the update's concrete syntax *)
   bind : (string * string) list;
-  index : bool;
-  engine : string;  (** ["plan"] or ["interp"] *)
   admission : string option;  (** ["denied"] for fast-path denials *)
   status : string;
       (** ok/error/timeout/late/overloaded/denied_empty, or a refused
@@ -60,8 +58,8 @@ type t = {
 
 val make : verb:string -> group:string -> string -> t
 (** [make ~verb ~group query]: a record stamped now with status
-    ["ok"], engine ["plan"] and every other field empty; callers fill
-    in the rest with [{ (make …) with … }]. *)
+    ["ok"] and every other field empty; callers fill in the rest with
+    [{ (make …) with … }]. *)
 
 val gc_overlap : Runtime.t option -> Tracer.span list -> (float * int) option
 (** Unioned GC pause milliseconds and pause episodes

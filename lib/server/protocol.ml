@@ -4,7 +4,6 @@ type query = {
   doc : string option;
   text : string;
   bind : (string * string) list;
-  use_index : bool;
 }
 
 type request =
@@ -125,26 +124,15 @@ let request_of_line line =
         in
         match bind with
         | Error e -> Error e
-        | Ok bind -> (
-          match field "index" obj with
-          | Some j when J.to_bool_opt j = None ->
-            Error "\"index\" must be a boolean"
-          | index ->
-            let use_index =
-              match Option.bind index J.to_bool_opt with
-              | Some b -> b
-              | None -> false
-            in
-            let q =
-              { doc = string_field "doc" obj; text; bind = List.rev bind;
-                use_index }
-            in
-            Ok
-              (match cmd with
-              | "explain" -> Explain q
-              | "analyze" -> Analyze q
-              | "update" -> Update q
-              | _ -> Query q))))
+        | Ok bind ->
+          let doc = string_field "doc" obj in
+          let q = { doc; text; bind = List.rev bind } in
+          Ok
+            (match cmd with
+            | "explain" -> Explain q
+            | "analyze" -> Analyze q
+            | "update" -> Update q
+            | _ -> Query q)))
     | Some "stats" -> Ok Stats
     | Some "metrics" -> Ok Metrics
     | Some "flight" -> Ok Flight
@@ -169,15 +157,15 @@ let hello ?peer group =
      :: ("group", J.String group)
      :: (match peer with Some p -> [ ("peer", J.String p) ] | None -> []))
 
-let query_json ?rid ?doc ?(bind = []) ?(use_index = false) text =
+let query_json ?rid ?doc ?(bind = []) text =
   J.Obj
     (("cmd", J.String "query")
      :: client_rid rid
     @ ("query", J.String text)
       :: (match doc with Some d -> [ ("doc", J.String d) ] | None -> [])
-    @ (if bind = [] then []
-       else [ ("bind", J.Obj (List.map (fun (k, v) -> (k, J.String v)) bind)) ])
-    @ if use_index then [ ("index", J.Bool true) ] else [])
+    @
+    if bind = [] then []
+    else [ ("bind", J.Obj (List.map (fun (k, v) -> (k, J.String v)) bind)) ])
 
 let update_json ?rid ?doc ?(bind = []) text =
   J.Obj
@@ -214,9 +202,7 @@ let explain_fields text (x : Secview.Pipeline.explanation) =
       | P.Denied_empty w -> J.String w
       | P.Trivial | P.Needs_eval -> J.Null );
     ("translated", J.String (Sxpath.Print.to_string x.x_translated));
-    ( "engine",
-      J.String (P.engine_label (if x.x_plan <> None then P.Plan else P.Interp))
-    );
+    ("engine", J.String (if x.x_plan <> None then "plan" else "interp"));
     ("height", opt (fun h -> J.Int h) x.x_height);
     ("fallback", opt (fun r -> J.String r) x.x_fallback);
     ("results", J.Int x.x_results);

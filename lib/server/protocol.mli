@@ -5,7 +5,7 @@
     {v
     {"cmd":"hello","group":G,"peer":P?}          bind the session to a group
     {"cmd":"query","query":Q,"doc":D?,           answer a view query
-     "bind":{name:value,…}?,"index":B?}
+     "bind":{name:value,…}?}
     {"cmd":"explain","query":Q,"doc":D?,         EXPLAIN instead of answer
      "bind":{name:value,…}?}                     (same fields as query)
     {"cmd":"analyze","query":Q}                  static admission verdict only
@@ -18,6 +18,9 @@
     {"cmd":"shutdown"}                           reply, then drain
     {"cmd":"sleep","ms":N}                       debug servers only
     v}
+
+    Fields a request does not name here are ignored: the ["index"]
+    flag older clients send with a query changes nothing.
 
     Every request may additionally carry a string ["rid"] — a
     client-chosen request-correlation id.  Replies always carry
@@ -34,7 +37,6 @@ type query = {
   doc : string option;  (** catalog name; optional iff one document *)
   text : string;  (** the view query, fragment-C XPath *)
   bind : (string * string) list;  (** [$variable] bindings *)
-  use_index : bool;  (** evaluate with the document's tag index *)
 }
 
 type request =
@@ -50,12 +52,12 @@ type request =
           touched, no evaluation runs *)
   | Update of query
       (** [text] holds the update's concrete syntax (the [update]
-          wire field); [use_index] is always [false].  Runs through
-          the worker pool like a query but serialized per document
-          against other writers; an admitted update's reply carries
-          the target count and the [old_version → new_version]
-          transition, a rejected one is an [update_denied] /
-          [invalid_update] error reply with nothing applied *)
+          wire field).  Runs through the worker pool like a query but
+          serialized per document against other writers; an admitted
+          update's reply carries the target count and the
+          [old_version → new_version] transition, a rejected one is an
+          [update_denied] / [invalid_update] error reply with nothing
+          applied *)
   | Stats
   | Metrics
   | Flight  (** flight-recorder dump; session-less like [Metrics] *)
@@ -118,7 +120,6 @@ val query_json :
   ?rid:string ->
   ?doc:string ->
   ?bind:(string * string) list ->
-  ?use_index:bool ->
   string ->
   Sobs.Json.t
 (** With [rid], the client picks the correlation id ([secview replay]

@@ -7,7 +7,6 @@ type config = {
   queue_capacity : int;
   deadline : float option;
   debug : bool;
-  engine : Pipeline.engine;
   slow_ms : float option;
 }
 
@@ -17,7 +16,6 @@ let default_config =
     queue_capacity = 64;
     deadline = None;
     debug = false;
-    engine = Pipeline.Plan;
     slow_ms = None;
   }
 
@@ -323,9 +321,9 @@ let answer_query t psess ~out ~group (q : Protocol.query) =
          different nodes in the old tree — a torn read. *)
       let snap = Catalog.pin entry in
       match
-        Pipeline.Session.answer_pinned psess ~group ~engine:t.config.engine
+        Pipeline.Session.answer_pinned psess ~group
           ~counts:(t.config.slow_ms <> None || Option.is_some t.recorder)
-          ~env ~use_index:q.use_index path snap
+          ~env path snap
       with
       | Ok o ->
         Ok
@@ -370,8 +368,7 @@ let doc_version t (q : Protocol.query) =
   | Error _ -> None
 
 (* The record every exit path starts from — who asked what about which
-   document — stamped now; each path fills in its outcome.  A write's
-   capture record replays without the index flag. *)
+   document — stamped now; each path fills in its outcome. *)
 let request t sess ~rid ~group work : Sobs.Request.t =
   let r =
     {
@@ -379,7 +376,6 @@ let request t sess ~rid ~group work : Sobs.Request.t =
       rid = Some rid;
       session = Some sess.sid;
       peer = Some sess.peer;
-      engine = Pipeline.engine_label t.config.engine;
     }
   in
   match work with
@@ -392,7 +388,6 @@ let request t sess ~rid ~group work : Sobs.Request.t =
       doc_version = doc_version t q;
       query = q.text;
       bind = q.bind;
-      index = (match work with Do_update _ -> false | _ -> q.use_index);
     }
 
 (* The one fan-out: every sink is a projection of the request record.

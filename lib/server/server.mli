@@ -110,8 +110,8 @@
     {b Flight recorder.}  With [recorder] every query, explain and
     update — answered, refused, expired, denied at admission or shed
     by the overload check — appends its request record (rid,
-    principal, query, document version, engine, span tree, operator
-    counts, answer digest, outcome) to the fixed-size ring; the
+    principal, query, document version, span tree, operator counts,
+    answer digest, outcome) to the fixed-size ring; the
     session-less [flight] verb dumps it, and with [flight_snapshot]
     the ring is written to that file whenever a queued request ends
     in error/timeout/late or over the slow threshold (never for a
@@ -120,8 +120,8 @@
     {b Capture.}  With [capture] every answered query, fast-path
     denial and admitted write appends one replayable {!Sobs.Capture}
     JSONL record ({!Sobs.Capture.of_request}) — rid, group, query,
-    engine, answer digest, latency — for [secview replay]; the sink
-    is closed on drain.
+    answer digest, latency — for [secview replay]; the sink is closed
+    on drain.
 
     {b Drain.}  [shutdown] (after replying) and SIGINT (via
     {!install_sigint}) both {!request_drain}: stop accepting, let
@@ -134,8 +134,6 @@ type config = {
   queue_capacity : int;  (** admission-control bound (≥ 1) *)
   deadline : float option;  (** per-request seconds, queue wait included *)
   debug : bool;  (** honour the [sleep] test command *)
-  engine : Secview.Pipeline.engine;
-      (** how workers execute translated queries (default [Plan]) *)
   slow_ms : float option;
       (** audit queries slower than this many milliseconds (default
           [None] = off); implies collecting plan operator counts *)
@@ -143,8 +141,7 @@ type config = {
 
 val default_config : config
 (** One worker domain per core ([Domain.recommended_domain_count]),
-    queue of 64, no deadline, no debug, plan engine, no slow-query
-    log. *)
+    queue of 64, no deadline, no debug, no slow-query log. *)
 
 type listener =
   | Unix_socket of string  (** path; replaced if present, removed on drain *)

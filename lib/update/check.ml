@@ -325,8 +325,11 @@ let run ~dtd ~spec ~view ?(env = no_env) ?height ?(audit = fun _ -> ())
 
 (* Survivors kept their verdicts and every spliced node is accessible
    — admission proved both — so the candidate's flags are the pinned
-   ones moved along the survivor runs, with ones in the gaps. *)
+   ones moved along the survivor runs, with accessible nodes in the
+   gaps.  A survivor's qualifier bit is kept too: the first qualifier
+   to change its truth on a survivor's root path, with every qualifier
+   above it true, would have flipped that qualified node's verdict. *)
 let carry flags (a : admitted) =
-  let out = Bytes.make (Sxml.Index.size a.index) '\001' in
+  let out = Access.all_accessible (Sxml.Index.size a.index) in
   List.iter (fun (o, n, len) -> Bytes.blit flags o out n len) a.runs;
   out

@@ -431,8 +431,6 @@ let capture_record ~rid =
     c_doc = Some "d1";
     c_query = "//a";
     c_bind = [ ("x", "1") ];
-    c_index = true;
-    c_engine = "plan";
     c_status = "ok";
     c_results = 2;
     c_digest = Sobs.Capture.digest [ "<a/>"; "<a/>" ];

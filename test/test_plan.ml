@@ -247,15 +247,15 @@ let test_pipeline_engines_agree () =
     (fun (dname, doc) ->
       List.iter
         (fun (name, q) ->
+          (* the interpreter over the same translation is the oracle *)
           let a =
             render
-              (Secview.Pipeline.Session.answer_exn pipe ~group:"re"
-                 ~engine:Secview.Pipeline.Interp q doc)
+              (interp
+                 (Secview.Pipeline.Session.translate pipe ~group:"re" q)
+                 doc)
           in
           let b =
-            render
-              (Secview.Pipeline.Session.answer_exn pipe ~group:"re"
-                 ~engine:Secview.Pipeline.Plan q doc)
+            render (Secview.Pipeline.Session.answer_exn pipe ~group:"re" q doc)
           in
           Alcotest.(check string)
             (Printf.sprintf "%s/%s: engines agree" name dname)
@@ -265,8 +265,8 @@ let test_pipeline_engines_agree () =
   let s : Secview.Pipeline.stats =
     Secview.Pipeline.Session.stats_of pipe ~group:"re"
   in
-  (* only the Plan calls consult the plan cache *)
-  Alcotest.(check int) "one plan lookup per Plan call"
+  (* only the answers consult the plan cache *)
+  Alcotest.(check int) "one plan lookup per answer"
     (List.length Workload.Adex.queries * List.length docs)
     (s.plan_hits + s.plan_misses);
   Alcotest.(check int) "every translation planned once"
@@ -298,17 +298,15 @@ let test_pipeline_fallback_transparent () =
   Alcotest.(check int) "rewritten queries never refused" 0 s.plan_fallbacks;
   Alcotest.(check int) "every miss compiled" s.plan_misses s.plan_compiles;
   let lookups = s.plan_hits + s.plan_misses in
-  (* a non-root context: both engines answer via the interpreter
+  (* a non-root context: the session answers via the interpreter
      (translated queries are root-relative, so the answer happens to
-     be empty here — what matters is that the engines agree with the
-     direct interpretation and never consult the plan cache) *)
+     be empty here — what matters is that it agrees with the direct
+     interpretation and never consults the plan cache) *)
   let sub = List.hd (interp (parse "dept") doc) in
   let q = parse "dept/patientInfo/patient" in
   let direct = render (interp (Session.translate pipe ~group:"all" q) sub) in
-  let a = render (Session.answer_exn pipe ~group:"all" ~engine:Interp q sub) in
-  let b = render (Session.answer_exn pipe ~group:"all" ~engine:Plan q sub) in
-  Alcotest.(check string) "interp engine = direct interpretation" direct a;
-  Alcotest.(check string) "non-root context answers agree" a b;
+  let a = render (Session.answer_exn pipe ~group:"all" q sub) in
+  Alcotest.(check string) "non-root answer = direct interpretation" direct a;
   let s' : stats = Session.stats_of pipe ~group:"all" in
   Alcotest.(check int) "plan cache not consulted for non-root contexts"
     lookups

@@ -610,15 +610,15 @@ let gen_view_text_case =
   let* bound = frequency [ (3, return true); (1, return false) ] in
   return (spec, doc, if bound then [ ("v", "alpha") ] else [])
 
+let print_view_text_case (spec, doc, env) =
+  Format.asprintf "Spec:@.%a@.Doc: %s@.Env: %s@." Spec.pp spec
+    (Sxml.Print.to_string doc)
+    (String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) env))
+
 let prop_view_text_materialized =
   QCheck2.Test.make
     ~name:"streamed view text = the materialized view's, digest its MD5"
-    ~count:500
-    ~print:(fun (spec, doc, env) ->
-      Format.asprintf "Spec:@.%a@.Doc: %s@.Env: %s@." Spec.pp spec
-        (Sxml.Print.to_string doc)
-        (String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) env)))
-    gen_view_text_case
+    ~count:500 ~print:print_view_text_case gen_view_text_case
     (fun (spec, doc, env) ->
       let env name = List.assoc_opt name env in
       let view = Derive.derive spec in
@@ -642,6 +642,59 @@ let prop_view_text_materialized =
       in
       want = streamed && want = carried
       && digest = Result.map (fun t -> Digest.to_hex (Digest.string t)) want)
+
+(* The attributes each element shows, read off the definition along
+   its root path: an explicit grant needs every qualifier on the path
+   to hold, an unannotated attribute the element's accessibility.  The
+   oracle of the qualifier bit the accessibility flags carry. *)
+let reference_attributes ~env spec doc =
+  let accessible = Access.accessible_set ~env spec doc in
+  let ctx = Sxpath.Eval.Ctx.make ~env ~root:doc () in
+  let rec walk quals parent (n : Sxml.Tree.t) =
+    match n.desc with
+    | Sxml.Tree.Text _ -> []
+    | Sxml.Tree.Element e ->
+      let quals =
+        quals
+        &&
+        match
+          Option.bind parent (fun p ->
+              Spec.annotation spec ~parent:p ~child:e.tag)
+        with
+        | Some (Spec.Cond q) -> Sxpath.Eval.check ctx q n
+        | _ -> true
+      in
+      List.filter
+        (fun (a, _) ->
+          List.mem a (Sdtd.Dtd.attributes (Spec.dtd spec) e.tag)
+          &&
+          match Spec.annotation spec ~parent:e.tag ~child:("@" ^ a) with
+          | Some Spec.Yes -> quals
+          | Some _ -> false
+          | None -> Access.IntSet.mem n.id accessible)
+        e.attrs
+      :: List.concat_map (walk quals (Some e.tag)) e.children
+  in
+  walk true None doc
+
+let prop_attributes_reference =
+  QCheck2.Test.make ~name:"shown attributes = their root-path definition"
+    ~count:300 ~print:print_view_text_case gen_view_text_case
+    (fun (spec, doc, env) ->
+      let env name = List.assoc_opt name env in
+      let shown () =
+        let accessible = Access.accessible_flags ~env spec doc in
+        let rec walk (n : Sxml.Tree.t) =
+          match n.desc with
+          | Sxml.Tree.Text _ -> []
+          | Sxml.Tree.Element e ->
+            Access.accessible_attributes ~env ~accessible spec doc n
+            :: List.concat_map walk e.children
+        in
+        walk doc
+      in
+      view_text_outcome shown
+      = view_text_outcome (fun () -> reference_attributes ~env spec doc))
 
 (* The property's two ends, pinned: Fig. 7's recursive view renders,
    and a document whose extraction violates a view production (a
@@ -699,6 +752,7 @@ let () =
             prop_translation_memo_independent;
             prop_admission_prepared;
             prop_view_text_materialized;
+            prop_attributes_reference;
           ] );
       ( "view text",
         [ Alcotest.test_case "Fig. 7 and a non-conforming extraction" `Quick

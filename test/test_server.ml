@@ -58,14 +58,10 @@ let test_protocol_roundtrip () =
   | _ -> Alcotest.fail "hello did not round trip");
   (match
      Protocol.request_of_line
-       (J.to_string
-          (Protocol.query_json ~doc:"d" ~bind:[ ("x", "1") ] ~use_index:true
-             "//a"))
+       (J.to_string (Protocol.query_json ~doc:"d" ~bind:[ ("x", "1") ] "//a"))
    with
   | Ok
-      ( Protocol.Query
-          { doc = Some "d"; text = "//a"; bind = [ ("x", "1") ];
-            use_index = true },
+      ( Protocol.Query { doc = Some "d"; text = "//a"; bind = [ ("x", "1") ] },
         None ) -> ()
   | _ -> Alcotest.fail "query did not round trip");
   List.iter
@@ -105,7 +101,6 @@ let test_protocol_rejects () =
       "{\"cmd\":\"hello\",\"group\":7}";
       "{\"cmd\":\"query\"}";
       "{\"cmd\":\"query\",\"query\":\"//a\",\"bind\":[1]}";
-      "{\"cmd\":\"query\",\"query\":\"//a\",\"index\":\"yes\"}";
       "{\"cmd\":\"sleep\",\"ms\":-5}";
       "{\"cmd\":\"ping\",\"rid\":7}";
     ]
@@ -662,6 +657,38 @@ let test_server_roundtrips () =
   (* a plain server refuses the debug sleep command *)
   Conn.send_line c "{\"cmd\":\"sleep\",\"ms\":1}";
   check_code "sleep needs debug" Protocol.bad_request (recv c);
+  Conn.close c
+
+(* Older clients send an ["index"] flag with a query.  The server
+   ignores it: with it, true or false, the reply is byte-identical to
+   the one without it. *)
+let test_server_ignores_index_flag () =
+  let dtd = Workload.Hospital.dtd in
+  with_server ~dtd
+    ~groups:[ ("nurse", Workload.Hospital.nurse_spec dtd) ]
+    ~docs:[ ("ward", Workload.Hospital.sample_document ()) ]
+    ()
+  @@ fun _server path ->
+  let c = connect path in
+  Conn.send c (Protocol.hello ~peer:"tests" "nurse");
+  Alcotest.(check bool) "hello ok" true (Protocol.is_ok (recv c));
+  let ask extra =
+    Conn.send_line c
+      (Printf.sprintf
+         {|{"cmd":"query","rid":"q","query":"//patient//bill",%s%s}|}
+         {|"bind":{"wardNo":"6"}|} extra);
+    Conn.recv_line c
+  in
+  let plain = ask "" in
+  (match J.of_string plain with
+  | Ok j when Protocol.is_ok j ->
+    Alcotest.(check bool) "the query answers something" true
+      (J.member "results" j <> Some (J.List []))
+  | _ -> Alcotest.failf "query refused: %s" plain);
+  Alcotest.(check string) "index:true changes nothing" plain
+    (ask {|,"index":true|});
+  Alcotest.(check string) "index:false changes nothing" plain
+    (ask {|,"index":false|});
   Conn.close c
 
 (* Every job the worker pool or the coordinator pops records how long
@@ -1310,6 +1337,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "round trips" `Quick test_server_roundtrips;
+          Alcotest.test_case "an old client's index flag" `Quick
+            test_server_ignores_index_flag;
           Alcotest.test_case "concurrent clients vs one session" `Quick
             test_server_concurrent_clients;
           Alcotest.test_case "escaped reply lines" `Quick

@@ -39,13 +39,28 @@ echo "== capture -> replay smoke"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 secview gen --dtd "$POL/hospital.dtd" > "$TMP/doc.xml"
+# A comparison of two empty answers proves nothing: each smoke that
+# compares answers over the generated document first requires the
+# direct answer to be non-empty.
+nonempty() {
+  test -s "$1" || { echo "$1: empty answer, nothing to compare" >&2; exit 1; }
+}
+# The nurse policy shows a department when one of its own patients is
+# in ward $wardNo: bind the ward of the generated document's first such
+# patient, read through an all-accessible (empty) policy.
+: > "$TMP/all.spec"
+WARD=$(secview query --dtd "$POL/hospital.dtd" --spec "$TMP/all.spec" \
+  --doc "$TMP/doc.xml" '//dept/patientInfo/patient/wardNo' \
+  | head -1 | sed 's/<[^>]*>//g')
+test -n "$WARD"
 secview query --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
-  --doc "$TMP/doc.xml" --bind wardNo=6 --capture "$TMP/cap.jsonl" \
-  '//patient/name' '//patient' '//patient/wardNo' > /dev/null
+  --doc "$TMP/doc.xml" --bind wardNo="$WARD" --capture "$TMP/cap.jsonl" \
+  '//patient/name' '//patient' '//patient/wardNo' > "$TMP/cap.out"
+nonempty "$TMP/cap.out"
 secview replay "$TMP/cap.jsonl" --dtd "$POL/hospital.dtd" \
   --spec "$POL/nurse.spec" --doc doc="$TMP/doc.xml" \
   --out "$TMP/replay.json" | grep -q ' 0 mismatch(es)'
-echo "-- replay: 0 mismatches"
+echo "-- replay: 0 mismatches over $(wc -l < "$TMP/cap.out") answer lines (ward $WARD)"
 
 # A malformed query is a typed error on every verb that parses one:
 # exit 2 with the server's "parse error at N" text, never an uncaught
@@ -229,17 +244,19 @@ for DOMAINS in 1 2; do
   for DOC in doc esc; do
     echo "== serve smoke: $DOMAINS domain(s), $DOC.xml"
     R="$TMP/$DOMAINS-$DOC"
+    case $DOC in doc) W=$WARD ;; esc) W=6 ;; esac
     secview serve --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
       --doc doc="$TMP/$DOC.xml" --socket "$TMP/ci.sock" --domains "$DOMAINS" \
       --capture "$R.cap.jsonl" --flight 16 \
       --audit-log "$R.audit.jsonl" 2> "$R.serve.log" &
     SRV=$!
     secview client --socket "$TMP/ci.sock" --wait 5 --group user \
-      --bind wardNo=6 '//patient/name' '//patient/wardNo' '//patient' \
+      --bind wardNo="$W" '//patient/name' '//patient/wardNo' '//patient' \
       > "$R.served.out"
     secview query --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
-      --doc "$TMP/$DOC.xml" --bind wardNo=6 --audit-log "$R.qaudit.jsonl" \
+      --doc "$TMP/$DOC.xml" --bind wardNo="$W" --audit-log "$R.qaudit.jsonl" \
       '//patient/name' '//patient/wardNo' '//patient' > "$R.direct.out"
+    nonempty "$R.direct.out"
     cmp "$R.served.out" "$R.direct.out"
     echo "-- answers match the direct pipeline"
     secview replay "$R.cap.jsonl" --socket "$TMP/ci.sock" \
@@ -403,8 +420,9 @@ secview serve --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
   --runtime-events --metrics-port 19384 2> "$TMP/rt.log" &
 RSRV=$!
 secview client --socket "$TMP/rt.sock" --wait 5 --group user \
-  --bind wardNo=6 '//patient/name' '//patient/wardNo' '//patient' \
+  --bind wardNo="$WARD" '//patient/name' '//patient/wardNo' '//patient' \
   > "$TMP/rt_served.out"
+nonempty "$TMP/2-doc.direct.out"
 cmp "$TMP/rt_served.out" "$TMP/2-doc.direct.out"
 echo "-- runtime-events answers match the direct pipeline"
 secview metrics --scrape 127.0.0.1:19384 > "$TMP/rt_scrape.txt"
