@@ -684,6 +684,7 @@ let query_cmd =
                  | Ok (rendered, _) -> rendered)
                (List.combine queries qs))
         in
+        let all_stats = Secview.Pipeline.Session.all_stats pipe in
         if stats then
           List.iter
             (fun (g, (s : Secview.Pipeline.stats)) ->
@@ -692,7 +693,8 @@ let query_cmd =
                  hit(s) %d miss(es), %d compiled, %d fallback(s)\n"
                 g s.hits s.misses s.plan_hits s.plan_misses s.plan_compiles
                 s.plan_fallbacks)
-            (Secview.Pipeline.Session.all_stats pipe);
+            all_stats;
+        if metrics then Sserver.Record.count_stats registry all_stats;
         answers
     in
     List.iter print_endline results;
@@ -1987,6 +1989,8 @@ let metrics_cmd =
           done)
         queries;
       Sobs.Tracer.uninstall ();
+      Sserver.Record.count_stats registry
+        (Secview.Pipeline.Session.all_stats pipe);
       if openmetrics then print_string (Sobs.Export.openmetrics registry)
       else if json then
         print_endline (J.to_string (Sobs.Metrics.to_json registry))

@@ -44,9 +44,6 @@ val has_errors : t list -> bool
 val by_severity : t list -> t list
 (** Stable sort, most severe first. *)
 
-val count : t list -> int * int * int
-(** (errors, warnings, infos). *)
-
 val pp : Format.formatter -> t -> unit
 (** Human rendering: [error\[SV002\] ann(a, b): message]. *)
 

@@ -95,9 +95,6 @@ let accessible_set ?env spec doc =
     flags;
   !result
 
-let accessible ?env spec doc v =
-  IntSet.mem v.Sxml.Tree.id (accessible_set ?env spec doc)
-
 let accessible_attributes ?(env = no_env) ?accessible spec doc node =
   match node.Sxml.Tree.desc with
   | Sxml.Tree.Text _ -> []

@@ -25,9 +25,9 @@ val accessible_set :
 type flags = Bytes.t
 (** Per-node facts of one document, one byte per node identifier:
     whether the node is accessible ({!flag}) and whether every
-    qualifier on it and its ancestors holds ({!quals_hold}), the
-    condition an explicitly granted attribute needs.  Read them
-    through those two functions. *)
+    qualifier on it and its ancestors holds, the condition an
+    explicitly granted attribute needs ({!accessible_attributes} reads
+    it). *)
 
 val accessible_flags :
   ?env:(string -> string option) -> Spec.t -> Sxml.Tree.t -> flags
@@ -36,10 +36,6 @@ val accessible_flags :
 
 val flag : flags -> int -> bool
 (** Is the node accessible? *)
-
-val quals_hold : flags -> int -> bool
-(** Does every qualifier on the node and its ancestors hold?  True of
-    every accessible node. *)
 
 val all_accessible : int -> flags
 (** The flags of [n] nodes that are all accessible. *)
@@ -69,12 +65,6 @@ val first_inaccessible :
   Sxpath.Eval.Ctx.t -> Spec.t -> state -> Sxml.Tree.t -> Sxml.Tree.t option
 (** The first inaccessible node, in document order, of the subtree
     rooted at [v], given the state [v]'s parent hands down. *)
-
-val accessible : ?env:(string -> string option) -> Spec.t ->
-  Sxml.Tree.t -> Sxml.Tree.t -> bool
-(** [accessible spec doc v]: is [v] (a node of [doc]) accessible?
-    Convenience wrapper over {!accessible_set}; for repeated queries
-    compute the set once. *)
 
 val accessible_elements :
   ?env:(string -> string option) -> Spec.t -> Sxml.Tree.t ->

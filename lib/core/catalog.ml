@@ -32,7 +32,6 @@ and 'a memo = {
 and access_key = Spec.t * string option list
 
 type entry = {
-  name : string option;
   elock : Mutex.t;  (* serializes snapshot swaps *)
   mutable snap : snapshot;
 }
@@ -88,8 +87,7 @@ let make_snapshot ?conforms ?access ?index doc =
     access;
   }
 
-let make_entry ?name doc =
-  { name; elock = Mutex.create (); snap = make_snapshot doc }
+let make_entry doc = { elock = Mutex.create (); snap = make_snapshot doc }
 
 let register t ~name entry =
   Mutex.protect t.lock (fun () ->
@@ -97,14 +95,12 @@ let register t ~name entry =
       Hashtbl.replace t.named name entry);
   entry
 
-let add t ~name doc = register t ~name (make_entry ~name doc)
+let add t ~name doc = register t ~name (make_entry doc)
 
 let find t name =
   Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.named name)
 
 let names t = Mutex.protect t.lock (fun () -> List.rev t.order)
-
-let name e = e.name
 
 (* Reading [snap] is a single mutable-field load — atomic in the
    OCaml memory model — so pinning costs nothing and sees either the

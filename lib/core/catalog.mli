@@ -50,9 +50,6 @@ val find : t -> string -> entry option
 val names : t -> string list
 (** Registration order. *)
 
-val name : entry -> string option
-(** [None] for interned entries. *)
-
 val version : entry -> int
 (** The current snapshot's version: a process-global monotonic stamp.
     Re-registering a name or applying an {!update} yields a higher

@@ -646,8 +646,7 @@ and prune g =
 
 (* Public entry points serialize the calling domain's threads over its
    memo state; the internal recursion above never re-locks.  Pure
-   helpers ([requires_child], [size], [pp]) touch no state and stay
-   unguarded. *)
+   helpers ([requires_child]) touch no state and stay unguarded. *)
 let locked f =
   let m = memo () in
   Mutex.lock m.mlock;
@@ -660,36 +659,3 @@ let reach dtd p a = locked (fun () -> reach dtd p a)
 
 let descendant_or_self_types dtd a =
   locked (fun () -> descendant_or_self_types dtd a)
-
-let all_nodes g =
-  let seen = Hashtbl.create 32 in
-  let acc = ref [] in
-  let rec go n =
-    if not (Hashtbl.mem seen n.id) then begin
-      Hashtbl.add seen n.id ();
-      acc := n :: !acc;
-      List.iter go n.kids;
-      List.iter go n.quals
-    end
-  in
-  go g.root;
-  List.rev !acc
-
-let size g = List.length (all_nodes g)
-
-let pp ppf g =
-  List.iter
-    (fun n ->
-      Format.fprintf ppf "%d:%s -> [%s]%s%s@." n.id n.label
-        (String.concat "; "
-           (List.map (fun k -> string_of_int k.id ^ ":" ^ k.label) n.kids))
-        (match n.quals with
-        | [] -> ""
-        | qs ->
-          " quals ["
-          ^ String.concat "; "
-              (List.map (fun k -> string_of_int k.id ^ ":" ^ k.label) qs)
-          ^ "]"
-        )
-        (if n.ambiguous then " (ambiguous)" else ""))
-    (all_nodes g)

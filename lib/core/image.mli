@@ -90,8 +90,3 @@ val reach : Sdtd.Dtd.t -> Sxpath.Ast.path -> string -> string list
     that already discards branches whose qualifiers are decided
     false). *)
 
-val size : t -> int
-(** Distinct nodes in the graph (qualifier subgraphs included). *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug rendering: one [label -> kids | quals] line per node. *)

@@ -16,9 +16,6 @@
     that mention them would return nothing; they are replaced by [*]
     descents (the label was hiding an unknown document element). *)
 
-val attribute : string
-(** ["accessibility"]. *)
-
 val rewrite_query : ?view:View.t -> Sxpath.Ast.path -> Sxpath.Ast.path
 (** Apply the two rewriting rules.  When the view is supplied, its
     dummy labels are generalized to wildcards. *)

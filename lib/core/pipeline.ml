@@ -83,6 +83,26 @@ let stats_fields s =
     ("eval", s.eval);
   ]
 
+(* The same record as metrics counters, [pipeline.<family>.<group>]:
+   the one spelling of the sessions' traffic in a registry.  A field at
+   zero is left out, as a counter nothing incremented is. *)
+let stats_counters ~group s =
+  List.filter_map
+    (fun (family, v) ->
+      if v = 0 then None
+      else Some (String.concat "." [ "pipeline"; family; group ], v))
+    [
+      ("cache.hit", s.hits);
+      ("cache.miss", s.misses);
+      ("plan.hit", s.plan_hits);
+      ("plan.miss", s.plan_misses);
+      ("plan.compile", s.plan_compiles);
+      ("plan.fallback", s.plan_fallbacks);
+      ("admission.denied", s.denied);
+      ("admission.trivial", s.trivial);
+      ("admission.eval", s.eval);
+    ]
+
 (* ---- registration hooks (analysis sublibrary) ----------------------- *)
 
 let strict_gate :
@@ -301,17 +321,16 @@ module Session = struct
      compare-and-set and Image's memo tables are domain-local, so
      concurrent sessions on different domains translate in parallel.
      Exactly one of hits/misses is bumped per
-     call, so per-group [hits + misses] equals calls issued. *)
-  let translate_entry sess sg ~group ?height q =
+     call, so per-group [hits + misses] equals calls issued.  These
+     counters are the only count of the traffic ([stats_counters]). *)
+  let translate_entry sess sg ?height q =
     let key = (q, height) in
     match Hashtbl.find_opt sg.cache key with
     | Some ce ->
       Atomic.incr sg.ctr.c_hits;
-      if Trace.enabled () then Trace.count ("pipeline.cache.hit." ^ group) 1;
       ce
     | None ->
       Atomic.incr sg.ctr.c_misses;
-      if Trace.enabled () then Trace.count ("pipeline.cache.miss." ^ group) 1;
       let optimized =
         Trace.span "translate" @@ fun () ->
         let rewritten =
@@ -331,7 +350,7 @@ module Session = struct
       ce
 
   let translate sess ~group ?height q =
-    (translate_entry sess (sgroup sess group) ~group ?height q).translated
+    (translate_entry sess (sgroup sess group) ?height q).translated
 
   (* Static admission: decide the (group, query) pair from the view
      DTD alone — no document, no rewriting.  Cached per group and
@@ -356,7 +375,6 @@ module Session = struct
     | Denied_empty _ -> Atomic.incr sg.ctr.c_denied
     | Trivial -> Atomic.incr sg.ctr.c_trivial
     | Needs_eval -> Atomic.incr sg.ctr.c_eval);
-    Trace.count ("pipeline.admission." ^ admission_label verdict) 1;
     verdict
 
   let classify sess ~group q =
@@ -367,19 +385,16 @@ module Session = struct
 
   (* The physical plan for a cached translation, compiled at most once
      per entry (same hit/miss discipline as translation). *)
-  let plan_of sess sg ~group ce =
+  let plan_of sess sg ce =
     match ce.plan with
     | Planned p ->
       Atomic.incr sg.ctr.c_plan_hits;
-      if Trace.enabled () then Trace.count ("pipeline.plan.hit." ^ group) 1;
       Ok p
     | Fallback reason ->
       Atomic.incr sg.ctr.c_plan_hits;
-      if Trace.enabled () then Trace.count ("pipeline.plan.hit." ^ group) 1;
       Error reason
     | Unplanned -> (
       Atomic.incr sg.ctr.c_plan_misses;
-      if Trace.enabled () then Trace.count ("pipeline.plan.miss." ^ group) 1;
       let compiled =
         Trace.span "plan" (fun () ->
             (* With the admission analyzer linked, statically-empty
@@ -453,19 +468,19 @@ module Session = struct
      refuses the query or the context is not a document root (only a
      bare subtree handed to [answer] is not one).  [want_stats] sizes
      per-operator counters only when a consumer asked. *)
-  let run sess sg ~group ~want_stats ?env q snap =
+  let run sess sg ~want_stats ?env q snap =
     let doc = Catalog.snapshot_doc snap in
     let height =
       if sg.gv.Service.g_recursive then Some (doc_height sess snap) else None
     in
-    let ce = translate_entry sess sg ~group ?height q in
+    let ce = translate_entry sess sg ?height q in
     let plan, fallback, results =
       if doc.Sxml.Tree.id <> 0 then
         ( None, Some "context is not an indexed document root",
           eval (fun v -> interp ?env v ce.translated doc) )
       else
         let index = Catalog.snapshot_index snap in
-        match plan_of sess sg ~group ce with
+        match plan_of sess sg ce with
         | Error reason ->
           ( None, Some reason,
             eval (fun v -> interp ?env ~index v ce.translated doc) )
@@ -504,8 +519,8 @@ module Session = struct
     with_group sess ~group @@ fun sg ->
     if Trace.enabled () then
       Trace.span "answer" (fun () ->
-          run sess sg ~group ~want_stats:counts ?env q snap)
-    else run sess sg ~group ~want_stats:counts ?env q snap
+          run sess sg ~want_stats:counts ?env q snap)
+    else run sess sg ~want_stats:counts ?env q snap
 
   let answer sess ~group ?env q doc =
     Result.map
@@ -527,7 +542,7 @@ module Session = struct
     with_group sess ~group @@ fun sg ->
     let admission = classify_sg sg q in
     let generation = Service.generation sess.svc in
-    let o = run sess sg ~group ~want_stats:true ?env q snap in
+    let o = run sess sg ~want_stats:true ?env q snap in
     {
       x_admission = admission;
       x_translated = o.o_translated;

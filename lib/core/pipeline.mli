@@ -82,7 +82,17 @@ val stats_merge : stats -> stats -> stats
 
 val stats_fields : stats -> (string * int) list
 (** The canonical (name, value) rendering, in canonical order — the
-    one authority for wire/JSON/metrics field spelling. *)
+    one authority for the wire and JSON field spelling. *)
+
+val stats_counters : group:string -> stats -> (string * int) list
+(** The group's record as metrics counters named
+    [pipeline.<family>.<group>], the families being [cache.hit],
+    [cache.miss], [plan.hit], [plan.miss], [plan.compile],
+    [plan.fallback] and [admission.{denied,trivial,eval}].  A field at
+    zero is left out, as a counter nothing incremented is.  The
+    sessions' counters are the only count of this traffic: every
+    registry and scrape that shows it names it so, with or without a
+    tracer installed. *)
 
 val set_strict_gate :
   (dtd:Sdtd.Dtd.t -> spec:Spec.t -> View.t -> string list) -> unit
@@ -229,9 +239,8 @@ module Session : sig
     t -> group:string -> Sxpath.Ast.path -> (admission, Error.t) result
   (** Classify a view query for a group.  Verdicts are cached per
       group and query (they depend only on the view DTD); every call
-      bumps the group's admission counters and the
-      [pipeline.admission.{denied,trivial,eval}] trace counters, and a
-      cold classification runs inside an ["admission"] trace span.
+      bumps the group's admission counters ({!stats}), and a cold
+      classification runs inside an ["admission"] trace span.
       [Error Unknown_group] for an unknown group. *)
 
   val answer_pinned :

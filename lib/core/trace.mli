@@ -8,8 +8,10 @@
 
     The hook is a {e probe}: nested span enter/leave plus named counter
     and integer-observation events, fired by the instrumented stages
-    ([derive], [rewrite], [optimize], translation-cache lookup,
-    [eval]).  Audit records are not produced here: the embedding
+    ([derive], [rewrite], [optimize], [eval], the height memo).  Cache
+    and admission traffic is not counted here: each
+    {!Pipeline.Session} counts its own, once ({!Pipeline.stats}).
+    Audit records are not produced here either: the embedding
     application builds one request record per request from the
     pipeline's return value and writes it itself.
 
@@ -39,20 +41,17 @@ type probe = {
           unfolding height, evaluator nodes visited). *)
 }
 
-val null : probe
-(** The default probe: every field ignores its arguments. *)
-
 val set_probe : probe -> unit
 val clear_probe : unit -> unit
 
 val enabled : unit -> bool
-(** [true] iff a probe other than {!null} is installed.  Call sites
+(** [true] iff a probe is installed.  Call sites
     use it to guard argument construction that would itself allocate
     (string concatenation, deltas). *)
 
 val span : string -> (unit -> 'a) -> 'a
-(** [span name f] runs [f ()] inside a probe span.  With the null
-    probe this is exactly [f ()].  The span is closed on exceptions
+(** [span name f] runs [f ()] inside a probe span.  With no probe
+    installed this is exactly [f ()].  The span is closed on exceptions
     too. *)
 
 val count : string -> int -> unit

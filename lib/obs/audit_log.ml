@@ -7,32 +7,39 @@ type t = {
   clock : Clock.t;
   sink : sink;
   owned : bool;  (* close the channel on [close] *)
+  lock : Mutex.t;  (* one record's line at a time *)
 }
 
-let create ?(clock = Clock.monotonic) sink = { clock; sink; owned = false }
+let create ?(clock = Clock.monotonic) sink =
+  { clock; sink; owned = false; lock = Mutex.create () }
 
 let open_file ?(clock = Clock.monotonic) path =
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path in
-  { clock; sink = Channel oc; owned = true }
+  { clock; sink = Channel oc; owned = true; lock = Mutex.create () }
 
 let close t =
-  match t.sink with
-  | Channel oc -> if t.owned then close_out oc else flush oc
-  | Stderr | Buffer _ -> ()
+  Mutex.protect t.lock (fun () ->
+      match t.sink with
+      | Channel oc -> if t.owned then close_out oc else flush oc
+      | Stderr | Buffer _ -> ())
 
+(* The line is rendered before the lock is taken: writers from any
+   thread or domain wait only for each other's writes. *)
 let emit t json =
-  match t.sink with
-  | Stderr ->
-    output_string stderr (Json.to_string json);
-    output_char stderr '\n';
-    flush stderr
-  | Channel oc ->
-    output_string oc (Json.to_string json);
-    output_char oc '\n';
-    flush oc
-  | Buffer buf ->
-    Buffer.add_string buf (Json.to_string json);
-    Buffer.add_char buf '\n'
+  let line = Json.to_string json in
+  Mutex.protect t.lock (fun () ->
+      match t.sink with
+      | Stderr ->
+        output_string stderr line;
+        output_char stderr '\n';
+        flush stderr
+      | Channel oc ->
+        output_string oc line;
+        output_char oc '\n';
+        flush oc
+      | Buffer buf ->
+        Buffer.add_string buf line;
+        Buffer.add_char buf '\n')
 
 let base t kind =
   [ ("type", Json.String kind); ("ts_ns", Json.Int (Int64.to_int (t.clock ()))) ]

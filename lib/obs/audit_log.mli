@@ -41,9 +41,9 @@
     numbers its queries [q1], [q2], …); the server's records also
     carry the session and peer — the who-asked-what trail a
     multi-user deployment owes its administrators.  Per-request stage
-    timings ride the ["slow_query"] record only.  The writer
-    serializes concurrent [log_*] calls itself (the server holds one
-    observability lock); this module performs no locking.
+    timings ride the ["slow_query"] record only.  A log serializes its
+    own writes: any thread or domain may call [log_*], and each record
+    is one whole line.
 
     Timestamps are readings of the log's clock (monotonic by default:
     an arbitrary epoch, deterministic under {!Clock.fake}). *)

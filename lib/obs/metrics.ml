@@ -11,7 +11,11 @@ type hist = {
   mutable maxv : float;
 }
 
+(* One mutex guards the three tables, so any thread or domain may
+   write while another takes a [snapshot].  Each exported function
+   takes it once; the [_locked] helpers below assume it is held. *)
 type t = {
+  lock : Mutex.t;
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
   series : (string, hist) Hashtbl.t;
@@ -39,33 +43,34 @@ let default_buckets =
 
 let create () =
   {
+    lock = Mutex.create ();
     counters = Hashtbl.create 16;
     gauges = Hashtbl.create 16;
     series = Hashtbl.create 16;
   }
 
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.series
-
-let incr ?(by = 1) t name =
+let incr_locked t name by =
   match Hashtbl.find_opt t.counters name with
   | Some r -> r := !r + by
   | None -> Hashtbl.replace t.counters name (ref by)
 
-let counter t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+let incr ?(by = 1) t name =
+  Mutex.protect t.lock (fun () -> incr_locked t name by)
 
-let set_gauge t name v =
+let counter t name =
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0)
+
+let set_gauge_locked t name v =
   match Hashtbl.find_opt t.gauges name with
   | Some r -> r := v
   | None -> Hashtbl.replace t.gauges name (ref v)
 
-let gauge t name =
-  Option.map ( ! ) (Hashtbl.find_opt t.gauges name)
+let set_gauge t name v =
+  Mutex.protect t.lock (fun () -> set_gauge_locked t name v)
 
 let observe ?buckets t name v =
+  Mutex.protect t.lock @@ fun () ->
   let h =
     match Hashtbl.find_opt t.series name with
     | Some h -> h
@@ -133,121 +138,87 @@ let summarize h =
       }
 
 let summary t name =
-  match Hashtbl.find_opt t.series name with
-  | Some h -> summarize h
-  | None -> None
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.series name with
+      | Some h -> summarize h
+      | None -> None)
 
 let buckets t name =
-  match Hashtbl.find_opt t.series name with
-  | None -> []
-  | Some h ->
-    let cum = ref 0 in
-    Array.to_list
-      (Array.mapi
-         (fun i le ->
-           cum := !cum + h.counts.(i);
-           (le, !cum))
-         h.bounds)
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.series name with
+      | None -> []
+      | Some h ->
+        let cum = ref 0 in
+        Array.to_list
+          (Array.mapi
+             (fun i le ->
+               cum := !cum + h.counts.(i);
+               (le, !cum))
+             h.bounds))
 
 let sorted_bindings tbl =
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-let counters t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.counters)
-let gauges t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.gauges)
+let counters t =
+  Mutex.protect t.lock (fun () ->
+      List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.counters))
+
+let gauges t =
+  Mutex.protect t.lock (fun () ->
+      List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.gauges))
 
 let summaries t =
-  List.filter_map
-    (fun (k, h) -> Option.map (fun sum -> (k, sum)) (summarize h))
-    (sorted_bindings t.series)
+  Mutex.protect t.lock (fun () ->
+      List.filter_map
+        (fun (k, h) -> Option.map (fun sum -> (k, sum)) (summarize h))
+        (sorted_bindings t.series))
 
-(* Merge [src] into [into]: counters add, gauges take [src]'s value
-   (last writer wins — gauges are instantaneous), histograms add
+let copy_hist h = { h with counts = Array.copy h.counts }
+
+let snapshot t =
+  Mutex.protect t.lock (fun () ->
+      let copy f tbl =
+        let out = Hashtbl.create (Hashtbl.length tbl) in
+        Hashtbl.iter (fun k v -> Hashtbl.replace out k (f v)) tbl;
+        out
+      in
+      {
+        lock = Mutex.create ();
+        counters = copy (fun r -> ref !r) t.counters;
+        gauges = copy (fun r -> ref !r) t.gauges;
+        series = copy copy_hist t.series;
+      })
+
+(* Merge a copy of [src] into [into]: counters add, gauges take [src]'s
+   value (last writer wins — gauges are instantaneous), histograms add
    per-bucket.  A series whose bucket ladder differs from the
    destination's is dropped rather than corrupted — ladders are fixed
    at creation, so this only happens when two registries configured
-   the same name differently, which is a caller bug. *)
+   the same name differently, which is a caller bug.  Copying first
+   means the two locks are never held together. *)
 let absorb ~into src =
-  Hashtbl.iter (fun name r -> incr ~by:!r into name) src.counters;
-  Hashtbl.iter (fun name r -> set_gauge into name !r) src.gauges;
-  Hashtbl.iter
-    (fun name h ->
-      if h.n > 0 then
-        match Hashtbl.find_opt into.series name with
-        | None ->
-          Hashtbl.replace into.series name
-            {
-              bounds = h.bounds;
-              counts = Array.copy h.counts;
-              sum = h.sum;
-              n = h.n;
-              minv = h.minv;
-              maxv = h.maxv;
-            }
-        | Some d ->
-          if d.bounds = h.bounds then begin
-            Array.iteri
-              (fun i c -> d.counts.(i) <- d.counts.(i) + c)
-              h.counts;
-            d.sum <- d.sum +. h.sum;
-            d.n <- d.n + h.n;
-            if h.minv < d.minv then d.minv <- h.minv;
-            if h.maxv > d.maxv then d.maxv <- h.maxv
-          end)
-    src.series
-
-(* Domain-sharded registry: writers land on the shard indexed by their
-   domain id, guarded by that shard's mutex (uncontended unless two
-   domains alias modulo the shard count), and a scrape merges every
-   shard into a fresh snapshot under the same mutexes — so a reader
-   can never observe a half-updated histogram (the torn-read hazard of
-   scraping one shared registry while workers write it). *)
-module Sharded = struct
-  type plain = t
-
-  let plain_create : unit -> plain = create
-
-  type shard = {
-    slock : Mutex.t;
-    reg : plain;
-  }
-
-  let shard_count = 16
-
-  type t = shard array
-
-  let create () =
-    Array.init shard_count (fun _ ->
-        { slock = Mutex.create (); reg = plain_create () })
-
-  let shard t =
-    t.((Domain.self () :> int) land (shard_count - 1))
-
-  let incr ?by t name =
-    let s = shard t in
-    Mutex.protect s.slock (fun () -> incr ?by s.reg name)
-
-  let set_gauge t name v =
-    let s = shard t in
-    Mutex.protect s.slock (fun () -> set_gauge s.reg name v)
-
-  let observe ?buckets t name v =
-    let s = shard t in
-    Mutex.protect s.slock (fun () -> observe ?buckets s.reg name v)
-
-  (* One consistent merged view.  [into] lets the caller overlay the
-     shards onto an externally-fed registry (e.g. the tracer's stage
-     series) without mutating it: absorb that one first, then the
-     shards. *)
-  let snapshot ?into t =
-    let out = plain_create () in
-    (match into with Some r -> absorb ~into:out r | None -> ());
-    Array.iter
-      (fun s -> Mutex.protect s.slock (fun () -> absorb ~into:out s.reg))
-      t;
-    out
-end
+  let src = snapshot src in
+  Mutex.protect into.lock (fun () ->
+      Hashtbl.iter (fun name r -> incr_locked into name !r) src.counters;
+      Hashtbl.iter (fun name r -> set_gauge_locked into name !r) src.gauges;
+      Hashtbl.iter
+        (fun name h ->
+          if h.n > 0 then
+            match Hashtbl.find_opt into.series name with
+            | None -> Hashtbl.replace into.series name h
+            | Some d ->
+              if d.bounds = h.bounds then begin
+                Array.iteri
+                  (fun i c -> d.counts.(i) <- d.counts.(i) + c)
+                  h.counts;
+                d.sum <- d.sum +. h.sum;
+                d.n <- d.n + h.n;
+                if h.minv < d.minv then d.minv <- h.minv;
+                if h.maxv > d.maxv then d.maxv <- h.maxv
+              end)
+        src.series)
 
 let pp ppf t =
   let cs = counters t and gs = gauges t and ss = summaries t in

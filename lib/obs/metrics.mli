@@ -14,10 +14,11 @@
     histogram — so the human dump and the scraped series can never
     disagree.
 
-    A registry is plain mutable state with no global registration and
-    no internal locking: the CLI and tests create one per run and hand
-    it to a {!Tracer}; the server serializes access with its own
-    mutex. *)
+    A registry has no global registration.  It takes its own lock, so
+    any thread or domain may write it while another reads: the CLI and
+    tests create one per run and hand it to a {!Tracer}, and the
+    server's workers, connection threads and tracer all write the one
+    registry a scrape copies with {!snapshot}. *)
 
 type t
 
@@ -34,7 +35,6 @@ type summary = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 val incr : ?by:int -> t -> string -> unit
 val counter : t -> string -> int
@@ -42,8 +42,6 @@ val counter : t -> string -> int
 
 val set_gauge : t -> string -> float -> unit
 (** Set (creating if needed) an instantaneous value. *)
-
-val gauge : t -> string -> float option
 
 val default_buckets : float array
 (** The default upper-bound ladder: 20 roughly logarithmic bounds from
@@ -83,33 +81,15 @@ val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Json.t
 
+val snapshot : t -> t
+(** A copy taken under the registry's lock: no histogram in it is
+    half-updated, and later writes to the original do not reach it.
+    Each scrape reads one. *)
+
 val absorb : into:t -> t -> unit
 (** Merge a registry into another: counters add, gauges take the
     source's value, histograms add per-bucket.  A series whose bucket
     ladder differs from the destination's is dropped (ladders are
     frozen at creation; a mismatch is a caller bug, and corrupting
-    buckets would be worse than losing them).  The source is not
-    modified. *)
-
-(** Domain-sharded writes, consistent reads.  Writers land on the
-    shard indexed by their domain id (one mutex per shard —
-    uncontended unless two domains alias modulo the shard count);
-    {!Sharded.snapshot} merges every shard into a fresh plain registry
-    under those same mutexes, so a scrape can never observe a
-    half-updated histogram — the torn read that sharing one plain
-    registry between writing workers and a scraping reader allows. *)
-module Sharded : sig
-  type plain := t
-  type t
-
-  val create : unit -> t
-  val incr : ?by:int -> t -> string -> unit
-  val set_gauge : t -> string -> float -> unit
-  val observe : ?buckets:float array -> t -> string -> float -> unit
-
-  val snapshot : ?into:plain -> t -> plain
-  (** A merged copy of every shard (plus, first, a copy of [into] when
-      given — the overlay for an externally-fed registry such as the
-      tracer's stage series; [into] itself is not mutated and must not
-      be written concurrently). *)
-end
+    buckets would be worse than losing them).  The source is copied
+    first ({!snapshot}) and not modified. *)

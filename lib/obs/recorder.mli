@@ -10,9 +10,8 @@
     It keeps the {!Request.t} records themselves; a flight entry is
     their projection ({!to_json}).
 
-    The ring is fixed-size and thread-safe (private mutex, never
-    shared with the tracer/server observability lock, so recording
-    cannot deadlock against span draining).  When full, the oldest
+    The ring is fixed-size and thread-safe (a private mutex, as the
+    audit log and capture sinks have theirs).  When full, the oldest
     entry is overwritten. *)
 
 type t

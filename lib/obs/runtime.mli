@@ -72,7 +72,7 @@ val stop : t -> unit
 val absorb_into : into:Metrics.t -> t -> unit
 (** Drain, then merge the consumer's registry into [into] under the
     consumer lock — the scrape-time merge, torn-free like
-    {!Metrics.Sharded.snapshot}. *)
+    {!Metrics.snapshot}. *)
 
 val pauses : t -> pause list
 (** Retained pause windows, oldest first. *)

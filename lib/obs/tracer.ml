@@ -54,8 +54,6 @@ let create ?(clock = Clock.monotonic) ?metrics ?(retain = true) () =
     next_trace = 0;
   }
 
-let lock t = t.lock
-
 let state t =
   let tid = Thread.id (Thread.self ()) in
   match Hashtbl.find_opt t.threads tid with
@@ -128,15 +126,11 @@ let probe t =
     leave = (fun id -> leave_frame t id ignore);
     count =
       (fun name n ->
-        match t.metrics with
-        | Some m -> Mutex.protect t.lock (fun () -> Metrics.incr ~by:n m name)
-        | None -> ());
+        match t.metrics with Some m -> Metrics.incr ~by:n m name | None -> ());
     value =
       (fun name v ->
         match t.metrics with
-        | Some m ->
-          Mutex.protect t.lock (fun () ->
-              Metrics.observe m name (float_of_int v))
+        | Some m -> Metrics.observe m name (float_of_int v)
         | None -> ());
   }
 
@@ -149,12 +143,6 @@ let spans t =
   Mutex.protect t.lock (fun () ->
       List.sort by_seq
         (Hashtbl.fold (fun _ ts acc -> ts.completed @ acc) t.threads []))
-
-let reset t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.reset t.threads;
-      t.next_id <- 0;
-      t.next_trace <- 0)
 
 let drain_new t =
   Mutex.protect t.lock (fun () ->

@@ -4,7 +4,8 @@
     fake) clock: [enter]/[leave] events become nested {!span}s,
     [count]/[value] events feed the attached {!Metrics} registry
     (span durations are also recorded there, as series named
-    [stage.<name>], in milliseconds).
+    [stage.<name>], in milliseconds).  The tracer's lock guards its
+    spans; the registry takes its own ({!Metrics}).
 
     Recording is {e per thread}: each thread keeps its own span stack
     and completed list, and every root span (one per request in the
@@ -45,26 +46,17 @@ val create :
     a long-lived tracer (the server's) holds only the spans of
     requests still running. *)
 
-val lock : t -> Mutex.t
-(** The mutex guarding this tracer (and its metrics observations); an
-    embedder that feeds the same registry from elsewhere adopts it (the
-    server does). *)
-
-val probe : t -> Secview.Trace.probe
-
 val install : t -> unit
-(** [Secview.Trace.set_probe (probe t)]. *)
+(** Install the tracer as the {!Secview.Trace} probe. *)
 
 val uninstall : unit -> unit
 
 val spans : t -> span list
 (** Completed spans of all threads, in start order. *)
 
-val reset : t -> unit
-
 val drain_new : t -> span list
 (** The calling thread's spans completed since its previous
-    [drain_new] (or since creation/reset), in completion order.  With
+    [drain_new] (or since creation), in completion order.  With
     [~retain:false] the drained spans are also discarded; such a
     tracer keeps only the spans of a still-open outermost span, so
     that is all a drain can see.  Per-request attribution is

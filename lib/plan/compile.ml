@@ -1,15 +1,12 @@
 type t = {
   plan : Plan.t;
   vars : string array;
-  source : Sxpath.Ast.path;
   pruned : int;
 }
 
 let plan t = t.plan
 
 let vars t = t.vars
-
-let source t = t.source
 
 let pruned t = t.pruned
 
@@ -112,6 +109,5 @@ let compile ?(prune = []) p =
   let slots = { names = []; count = 0 } in
   match lower slots body with
   | plan ->
-    Ok
-      { plan; vars = Array.of_list (List.rev slots.names); source = p; pruned }
+    Ok { plan; vars = Array.of_list (List.rev slots.names); pruned }
   | exception Refuse reason -> Error reason

@@ -33,8 +33,5 @@ val plan : t -> Plan.t
 val vars : t -> string array
 (** Variable table: slot [i] holds the [$var] name it stands for. *)
 
-val source : t -> Sxpath.Ast.path
-(** The query this plan was compiled from (before pruning). *)
-
 val pruned : t -> int
 (** Top-level union branches dropped by [?prune]. *)

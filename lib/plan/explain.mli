@@ -26,8 +26,5 @@ type node = {
 
 val of_compiled : Compile.t -> Exec.Stats.t -> node
 
-val label : node -> string
-(** [op] or [op(arg)]. *)
-
 val pp : Format.formatter -> node -> unit
 (** Two-space-indented tree, one node per line, counters aligned. *)

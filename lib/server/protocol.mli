@@ -75,12 +75,6 @@ val rid_of_line : string -> string option
     a command — error replies stay correlatable when the request was
     at least a JSON object. *)
 
-val version : int
-(** The protocol version, 1.  Every reply carries it as ["v"];
-    requests may carry ["v"] too, and a value other than the server's
-    version is refused as [bad_request] (a missing ["v"] is accepted
-    as "current"). *)
-
 (** {1 Error codes} *)
 
 val bad_request : string
@@ -99,8 +93,6 @@ val invalid_update : string
 val ok : ?rid:string -> (string * Sobs.Json.t) list -> Sobs.Json.t
 (** [{"ok":true,"v":1,"rid":R}] plus the given fields (rid omitted
     when absent — only the CLI's local drivers omit it). *)
-
-val error : ?rid:string -> code:string -> string -> Sobs.Json.t
 
 val is_ok : Sobs.Json.t -> bool
 (** Does the reply carry ["ok":true]? *)

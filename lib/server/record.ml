@@ -60,3 +60,11 @@ let apply_update svc ~group ~env ~entry text =
     | exn -> Error (Secview.Error.Internal (Printexc.to_string exn))
   in
   (outcome, !detail)
+
+let count_stats reg stats =
+  List.iter
+    (fun (group, s) ->
+      List.iter
+        (fun (name, v) -> Sobs.Metrics.incr ~by:v reg name)
+        (Secview.Pipeline.stats_counters ~group s))
+    stats

@@ -1,10 +1,12 @@
-(** How a request ended, written into its {!Sobs.Request.t}.
+(** How a request ended, written into its {!Sobs.Request.t}, and what
+    the sessions counted, written into a registry.
 
     One function per outcome kind — an answered or failed query, an
     admitted or refused write — called by the server's worker path and
     by the CLI's one-shot [query] and [update] alike, so the audit,
     capture and flight records of a request say the same thing
-    whichever front end ran it. *)
+    whichever front end ran it.  {!count_stats} does the same for the
+    metrics surfaces. *)
 
 val status : write:bool -> ('a, Secview.Error.t) result -> string
 (** ["ok"]; ["error"] for a failed query or explain; a refused write's
@@ -41,3 +43,11 @@ val apply_update :
   (Supdate.Engine.receipt, Secview.Error.t) result * string option
 (** {!Supdate.Engine.apply_text}, with any exception as an [Internal]
     error, paired with the denial detail for {!update}. *)
+
+val count_stats :
+  Sobs.Metrics.t -> (string * Secview.Pipeline.stats) list -> unit
+(** Add each group's session counters to a registry under their
+    {!Secview.Pipeline.stats_counters} names.  [Server.metrics],
+    [secview query --metrics] and [secview metrics] all show the
+    counters through it, so each names a cache or admission fact once
+    and the same way. *)

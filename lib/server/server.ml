@@ -82,16 +82,9 @@ type t = {
   catalog : Catalog.t;
   queue : job Bqueue.t;  (* read path: popped by the worker domains *)
   uqueue : job Bqueue.t;  (* write path: popped by the one coordinator *)
-  (* Worker counters/series land on the writer's domain shard; a
-     scrape merges every shard into one consistent snapshot — no
-     shared registry, no torn histograms (see Sobs.Metrics.Sharded). *)
-  shards : Sobs.Metrics.Sharded.t;
-  (* Externally-fed registry overlaid onto every scrape: the tracer
-     feeds its stage series here from worker domains under its own
-     lock — which is [obs_lock], so overlay reads serialize with those
-     writes. *)
-  overlay : Sobs.Metrics.t option;
-  obs_lock : Mutex.t;  (* serializes audit writes and overlay access *)
+  (* Workers, connection threads and the tracer all write this one
+     registry (it takes its own lock); a scrape copies it. *)
+  registry : Sobs.Metrics.t;
   audit : Sobs.Audit_log.t option;
   tracer : Sobs.Tracer.t option;
   recorder : Sobs.Recorder.t option;
@@ -131,15 +124,8 @@ let create ?(config = default_config) ?audit ?metrics ?tracer ?recorder
     catalog = Pipeline.Service.catalog service;
     queue = Bqueue.create ~capacity:config.queue_capacity;
     uqueue = Bqueue.create ~capacity:config.queue_capacity;
-    shards = Sobs.Metrics.Sharded.create ();
-    overlay = metrics;
-    (* With a tracer, share its mutex: worker domains feed stage
-       observations into the overlay registry from inside tracer
-       callbacks, so one lock must guard both or the overlay races. *)
-    obs_lock =
-      (match tracer with
-      | Some tr -> Sobs.Tracer.lock tr
-      | None -> Mutex.create ());
+    registry =
+      (match metrics with Some m -> m | None -> Sobs.Metrics.create ());
     audit;
     tracer;
     recorder;
@@ -162,8 +148,8 @@ let create ?(config = default_config) ?audit ?metrics ?tracer ?recorder
 let register_session t psess =
   Mutex.protect t.sess_lock (fun () -> t.sessions <- psess :: t.sessions)
 
-let count ?by t name = Sobs.Metrics.Sharded.incr ?by t.shards name
-let observe t name v = Sobs.Metrics.Sharded.observe t.shards name v
+let count t name = Sobs.Metrics.incr t.registry name
+let observe t name v = Sobs.Metrics.observe t.registry name v
 
 (* The merged per-group pipeline counters: every registered session's
    record summed with [Pipeline.stats_merge] — the one merge path
@@ -186,7 +172,7 @@ let merged_stats t =
 (* Runtime gauges, sampled on every scrape/metrics verb rather than on
    a timer: the values are cheap to read and a scraper only cares
    about the instant it asked.  They are written into the scrape's own
-   snapshot, never a shard — no staleness to merge. *)
+   snapshot, never the live registry — no staleness to merge. *)
 let sample_gauges t reg =
   let g = Gc.quick_stat () in
   let set = Sobs.Metrics.set_gauge reg in
@@ -207,30 +193,14 @@ let sample_gauges t reg =
   set "gc.minor_words.acceptor" g.Gc.minor_words;
   set "gc.major_collections.acceptor" (float_of_int g.Gc.major_collections)
 
-(* One consistent merged view of everything: the overlay (under
-   [obs_lock] — the tracer writes it), every domain shard (under the
-   shard locks), the merged pipeline counters, and gauges sampled
-   now. *)
+(* One consistent view of everything: a copy of the registry, the
+   sessions' merged counters, and gauges sampled now. *)
 let metrics t =
-  let snap =
-    match t.overlay with
-    | Some reg ->
-      Mutex.protect t.obs_lock (fun () ->
-          Sobs.Metrics.Sharded.snapshot ~into:reg t.shards)
-    | None -> Sobs.Metrics.Sharded.snapshot t.shards
-  in
-  List.iter
-    (fun (g, s) ->
-      List.iter
-        (fun (f, v) ->
-          if v > 0 then
-            Sobs.Metrics.incr ~by:v snap
-              (String.concat "." [ "pipeline.stats"; g; f ]))
-        (Pipeline.stats_fields s))
-    (merged_stats t);
+  let snap = Sobs.Metrics.snapshot t.registry in
+  Record.count_stats snap (merged_stats t);
   sample_gauges t snap;
   (* per-domain runtime telemetry last: absorbed under the consumer's
-     own lock, so pause histograms merge torn-free like the shards *)
+     own lock, so pause histograms merge torn-free like the registry *)
   (match t.runtime with
   | Some rt -> Sobs.Runtime.absorb_into ~into:snap rt
   | None -> ());
@@ -396,9 +366,7 @@ let request t sess ~rid ~group work : Sobs.Request.t =
    slow-query threshold; [queued] marks the paths a request takes after
    admission to the queue (worker, expired): only their bad or slow
    outcomes dump the flight ring — never a fast-path denial or an
-   overload refusal.  The recorder has its own mutex — never the shared
-   [obs_lock] — so recording can never deadlock against span draining
-   or audit writes. *)
+   overload refusal.  Each sink serializes its own writes. *)
 let publish t ?(slow = false) ?(queued = false) mk =
   if Option.is_some t.audit || Option.is_some t.recorder
      || Option.is_some t.capture
@@ -407,12 +375,11 @@ let publish t ?(slow = false) ?(queued = false) mk =
     if r.verb <> "sleep" then begin
       (match t.audit with
       | Some log ->
-        Mutex.protect t.obs_lock (fun () ->
-            (match t.config.slow_ms with
-            | Some threshold_ms when slow ->
-              Sobs.Audit_log.log_slow_query log ~threshold_ms r
-            | _ -> ());
-            Sobs.Audit_log.log log r)
+        (match t.config.slow_ms with
+        | Some threshold_ms when slow ->
+          Sobs.Audit_log.log_slow_query log ~threshold_ms r
+        | _ -> ());
+        Sobs.Audit_log.log log r
       | None -> ());
       Option.iter (fun rc -> Sobs.Recorder.record rc r) t.recorder;
       match t.capture with

@@ -52,25 +52,27 @@
     included), and one queue-wait series per verb
     ([server.queue_wait_ms.query], [.explain], [.update], [.sleep]:
     submission to the moment a worker or the coordinator pops the
-    job; constant names, never per group) land on per-domain
-    {e shards}
-    ({!Sobs.Metrics.Sharded}); every scrape — the [stats] and
-    [metrics] verbs, [GET /metrics] — merges the shards into one
-    consistent snapshot, so a reader can never observe a
-    half-updated histogram.  The merged per-group {!Secview.Pipeline.stats}
-    of every session (one per domain plus the connection-side
-    admission session) is folded in as [pipeline.stats.<group>.<field>]
-    counters and rendered in the [stats] reply — one merge path for
-    every surface.  Every request ends in one {!Sobs.Request.t},
+    job; constant names, never per group) land in one
+    {!Sobs.Metrics} registry, which takes its own lock; every scrape
+    — the [stats] and [metrics] verbs, [GET /metrics] — reads a
+    {!Sobs.Metrics.snapshot} of it, so a reader can never observe a
+    half-updated histogram.  The merged per-group
+    {!Secview.Pipeline.stats} of every session (one per domain plus
+    the connection-side admission session) are the only count of
+    translation-cache, plan-cache and admission traffic: each scrape
+    adds them as [pipeline.<family>.<group>] counters
+    ({!Secview.Pipeline.stats_counters}), the same names whether or
+    not a tracer is installed, and the [stats] reply renders the same
+    record in its [cache] and [admission] sections.  Every request
+    ends in one {!Sobs.Request.t},
     built once at whichever exit it took — worker, expired in queue,
     admission fast path, overload refusal — and handed to one
     fan-out that writes each enabled sink as a projection of it: the
     audit record (["request"], or ["update"]/["update_denied"] for a
     write; stamped with the session's group and peer), the
     flight-recorder entry, the capture record and the slow-query
-    record, so every sink agrees field by field.  Audit writes
-    serialize on one lock; sinks need no thread-safety of their own.
-    The debug [sleep] reaches no sink.  A {!Metrics_http} listener exposes
+    record, so every sink agrees field by field.  Each sink
+    serializes its own writes.  The debug [sleep] reaches no sink.  A {!Metrics_http} listener exposes
     the snapshot over HTTP as OpenMetrics text ([GET /metrics], see
     {!Sobs.Export}); runtime gauges — queue depths/capacity, live
     connections, busy workers, uptime, the acceptor domain's GC
@@ -80,7 +82,7 @@
     consumer, the CLI's [--runtime-events]) every scrape also absorbs
     per-domain GC telemetry — [gc.pause_seconds.d<i>] histograms,
     collection/allocation counters, [runtime.domains_live] — merged
-    under the consumer's lock, torn-free like the shards.  Each
+    under the consumer's lock, torn-free like the registry.  Each
     answered query whose spans were recorded is stamped with
     [gc_pause_ms]/[gc_pauses] ({!Sobs.Request.gc_overlap} of the pause
     windows against the request's span window; [null] when not
@@ -168,17 +170,14 @@ val create :
   t
 (** The catalog is the service's ({!Secview.Pipeline.Service.catalog}):
     register documents there.  [audit] is closed (hence flushed) when
-    {!serve} drains.  [metrics] is an {e overlay} registry merged
-    into every scrape (server counters themselves live on internal
-    per-domain shards): pass the registry an installed [tracer] feeds
-    its stage series into, and both appear in one exposition.
-    [tracer] enables per-stage timings in slow-query records; it must
-    be the process's installed tracer (see {!Sobs.Tracer.install})
-    and the server adopts its lock as the observability lock, so
-    tracer callbacks, audit writes and overlay reads serialize on one
-    mutex — create it with [~retain:false] so span memory stays
-    bounded (each thread's spans are dropped when its outermost span
-    closes).  [recorder] enables the
+    {!serve} drains.  [metrics] is the registry the server counts
+    into (default: a fresh one): pass the registry an installed
+    [tracer] feeds its stage series into, and both appear in one
+    exposition.  [tracer] enables per-stage timings in slow-query
+    records; it must be the process's installed tracer (see
+    {!Sobs.Tracer.install}) — create it with [~retain:false] so span
+    memory stays bounded (each thread's spans are dropped when its
+    outermost span closes).  [recorder] enables the
     flight ring and the [flight] verb (per-request spans additionally
     require [tracer]); [runtime] enables per-domain GC telemetry and
     GC-aware request attribution (the server owns it from here on and
@@ -207,10 +206,12 @@ val install_sigint : t -> unit
     drain with exit status 0. *)
 
 val metrics : t -> Sobs.Metrics.t
-(** One consistent merged snapshot: the overlay registry, every
-    domain shard, the sessions' merged pipeline counters
-    ([pipeline.stats.<group>.<field>]) and runtime gauges sampled
-    now.  A fresh registry each call — mutating it affects nothing. *)
+(** One consistent snapshot: a copy of the server's registry, the
+    sessions' merged counters as [pipeline.<family>.<group>]
+    ({!Secview.Pipeline.stats_counters}; each fact once, with the
+    values of the [stats] reply's [cache] and [admission] sections),
+    and runtime gauges sampled now.  A fresh registry each call —
+    mutating it affects nothing. *)
 
 val openmetrics : t -> string
 (** The OpenMetrics exposition a {!Metrics_http} scrape returns:

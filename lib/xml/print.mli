@@ -5,8 +5,6 @@
     escaped; no namespace or doctype machinery, matching the substrate's
     scope. *)
 
-val to_buffer : ?indent:bool -> Buffer.t -> Tree.t -> unit
-
 val to_string : ?indent:bool -> Tree.t -> string
 (** [to_string doc] serializes the document.  With [~indent:true],
     element-only content is pretty-printed; mixed content is kept
@@ -23,7 +21,7 @@ val answer : Buffer.t -> Tree.t list -> string list
 
 (** {2 Streaming}
 
-    The pieces {!to_buffer} writes an element with, for a caller that
+    The pieces {!to_string} writes an element with, for a caller that
     serializes a tree it never builds: [open_tag], then ["/>"] for an
     element without children, or [">"], the children and
     [close_tag]. *)
@@ -36,7 +34,5 @@ val close_tag : Buffer.t -> string -> unit
 
 val text : Buffer.t -> string -> unit
 (** PCDATA, escaped. *)
-
-val to_channel : ?indent:bool -> out_channel -> Tree.t -> unit
 
 val to_file : ?indent:bool -> string -> Tree.t -> unit

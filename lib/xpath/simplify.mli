@@ -9,7 +9,6 @@
     equivalences listed in Section 2 plus boolean laws. *)
 
 val path : Ast.path -> Ast.path
-val qual : Ast.qual -> Ast.qual
 
 val factor : Ast.path -> Ast.path
 (** {!path} followed by left-factoring of unions: branches sharing a
@@ -18,12 +17,8 @@ val factor : Ast.path -> Ast.path
     query forms the paper prints (e.g. [treatment/(trial ∪ regular)])
     from the per-target unions the rewriting table produces. *)
 
-val canonical : Ast.path -> Ast.path
-(** {!factor} followed by left re-association of [/] and [∪] chains
-    and a deterministic ordering of union branches, so that
-    structurally different spellings of the same composition compare
-    equal — the parser and the rewriting algorithm associate
-    differently. *)
-
 val equivalent_syntax : Ast.path -> Ast.path -> bool
-(** [canonical p1 = canonical p2]. *)
+(** Do two paths compare equal after {!factor}, left re-association of
+    [/] and [∪] chains and a deterministic ordering of union branches?
+    Structurally different spellings of the same composition do — the
+    parser and the rewriting algorithm associate differently. *)

@@ -589,13 +589,14 @@ let check_code what want j =
 
 let rid_of j = Option.bind (J.member "rid" j) J.to_string_opt
 
-let with_server ?config ?audit ?recorder ?tracer ?runtime ?capture
+let with_server ?config ?audit ?metrics ?recorder ?tracer ?runtime ?capture
     ?(dtd = Workload.Adex.dtd) ?(groups = adex_groups ()) ~docs () k =
   let catalog = Catalog.create () in
   List.iter (fun (n, d) -> ignore (Catalog.add catalog ~name:n d)) docs;
   let service = Pipeline.Service.create ~catalog dtd ~groups in
   let server =
-    Server.create ?config ?audit ?recorder ?tracer ?runtime ?capture service
+    Server.create ?config ?audit ?metrics ?recorder ?tracer ?runtime ?capture
+      service
   in
   let path = Filename.temp_file "secview-test" ".sock" in
   Sys.remove path;
@@ -1286,6 +1287,108 @@ let test_server_drain_audit () =
      audit buffer is complete: every admitted query has its record *)
   check_audit buf queries
 
+(* Each cache and admission fact is one counter, named
+   [pipeline.<family>.<group>], whether or not a tracer is installed:
+   the same traffic against a traced server (as [serve --metrics-port]
+   runs) and an untraced one scrapes to the same counters, and they
+   are the stats reply's record through [Pipeline.stats_counters]. *)
+let test_server_one_name_per_fact () =
+  (* the fast path needs the admission analyzer linked *)
+  ignore Sanalysis.Semantic.admission;
+  let dtd = Workload.Hospital.dtd in
+  let groups = [ ("nurse", Workload.Hospital.nurse_spec dtd) ] in
+  let docs = [ ("ward", Workload.Hospital.sample_document ()) ] in
+  let bind = [ ("wardNo", "6") ] in
+  let field j k =
+    match Option.bind (J.member k j) J.to_int_opt with
+    | Some v -> v
+    | None -> Alcotest.failf "stats reply lacks %s" k
+  in
+  (* the merged session stats, read back from the stats reply *)
+  let stats_of_reply j =
+    let section name =
+      match J.member name j with
+      | Some (J.Obj gs) -> gs
+      | _ -> Alcotest.failf "stats reply lacks %s" name
+    in
+    List.map
+      (fun (g, cache) ->
+        let adm = List.assoc g (section "admission") in
+        ( g,
+          {
+            Pipeline.hits = field cache "hits";
+            misses = field cache "misses";
+            plan_hits = field cache "plan_hits";
+            plan_misses = field cache "plan_misses";
+            plan_compiles = field cache "plan_compiles";
+            plan_fallbacks = field cache "plan_fallbacks";
+            denied = field adm "denied";
+            trivial = field adm "trivial";
+            eval = field adm "eval";
+          } ))
+      (section "cache")
+  in
+  (* one worker session, so the repeated query is a cache hit *)
+  let config = { Server.default_config with domains = 1 } in
+  let scrape ?metrics ?tracer () =
+    with_server ~config ?metrics ?tracer ~dtd ~groups ~docs ()
+    @@ fun server path ->
+    let c = connect path in
+    let ok what json =
+      Conn.send c json;
+      let j = recv c in
+      Alcotest.(check bool) what true (Protocol.is_ok j);
+      j
+    in
+    ignore (ok "hello" (Protocol.hello ~peer:"tests" "nurse"));
+    ignore (ok "query" (Protocol.query_json ~bind "//patient/name"));
+    ignore (ok "query again" (Protocol.query_json ~bind "//patient/name"));
+    ignore (ok "provably empty" (Protocol.query_json ~bind "//test"));
+    Conn.send_line c {|{"cmd":"analyze","query":"//patient//bill"}|};
+    Alcotest.(check bool) "analyze" true (Protocol.is_ok (recv c));
+    let stats = stats_of_reply (ok "stats" (Protocol.simple "stats")) in
+    Conn.close c;
+    let counters = Sobs.Metrics.counters (Server.metrics server) in
+    let pipeline =
+      List.filter
+        (fun (name, _) -> String.starts_with ~prefix:"pipeline." name)
+        counters
+    in
+    Alcotest.(check (list (pair string int)))
+      "pipeline counters = stats_counters of the stats reply"
+      (List.sort compare
+         (List.concat_map
+            (fun (group, s) -> Pipeline.stats_counters ~group s)
+            stats))
+      pipeline;
+    List.iter
+      (fun (name, _) ->
+        if String.starts_with ~prefix:"pipeline.stats." name then
+          Alcotest.failf "a second name for a session counter: %s" name;
+        if
+          List.mem name
+            [ "pipeline.admission.denied"; "pipeline.admission.trivial";
+              "pipeline.admission.eval" ]
+        then Alcotest.failf "an admission counter without a group: %s" name)
+      counters;
+    pipeline
+  in
+  let traced =
+    let metrics = Sobs.Metrics.create () in
+    let tracer = Sobs.Tracer.create ~metrics ~retain:false () in
+    Sobs.Tracer.install tracer;
+    Fun.protect ~finally:Sobs.Tracer.uninstall (scrape ~metrics ~tracer)
+  in
+  let plain = scrape () in
+  Alcotest.(check (list (pair string int)))
+    "the same counters with and without a tracer" traced plain;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counted") true
+        (List.mem_assoc name plain))
+    [ "pipeline.cache.hit.nurse"; "pipeline.cache.miss.nurse";
+      "pipeline.admission.denied.nurse" ]
+
 let () =
   Alcotest.run "server"
     [
@@ -1356,5 +1459,7 @@ let () =
           Alcotest.test_case "oversized line" `Quick
             test_server_oversized_line;
           Alcotest.test_case "sink agreement" `Quick test_sink_agreement;
+          Alcotest.test_case "one name per fact" `Quick
+            test_server_one_name_per_fact;
         ] );
     ]

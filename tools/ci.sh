@@ -411,9 +411,9 @@ secview replay "$TMP/wcap.jsonl" --dtd "$POL/hospital.dtd" \
 echo "-- served-write capture -> replay: 0 mismatches"
 
 # Runtime health: a 2-domain server with the Runtime_events consumer
-# on must expose per-domain gc_pause_seconds series on its HTTP
-# scrape endpoint, answer byte-identically to the direct pipeline,
-# and render the top dashboard's gc section.
+# on must expose per-domain gc_pause_seconds series and one counter
+# per cache fact on its HTTP scrape endpoint, answer byte-identically
+# to the direct pipeline, and render the top dashboard's gc section.
 echo "== runtime-events serve smoke"
 secview serve --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
   --doc doc="$TMP/doc.xml" --socket "$TMP/rt.sock" --domains 2 \
@@ -433,6 +433,17 @@ if [ "$DOMAINS_SEEN" -lt 2 ]; then
   exit 1
 fi
 echo "-- per-domain gc_pause_seconds series for $DOMAINS_SEEN domains"
+# The sessions' counters are the only count of cache traffic: the
+# scrape (this server has a tracer, as every --metrics-port server
+# does) names a cache miss once, as pipeline.cache.miss.<group>, and
+# carries no second pipeline.stats.* copy.
+if ! grep -q '^secview_pipeline_cache_miss_' "$TMP/rt_scrape.txt" \
+  || grep -q 'secview_pipeline_stats_' "$TMP/rt_scrape.txt"; then
+  echo "runtime smoke: wanted a secview_pipeline_cache_miss_ family and no secview_pipeline_stats_ family" >&2
+  grep 'secview_pipeline_' "$TMP/rt_scrape.txt" >&2
+  exit 1
+fi
+echo "-- one pipeline counter per cache fact in the scrape"
 # A pipeline's status is its last command's, so top's own exit status
 # and stderr are kept aside and checked: grep -q stops reading at its
 # first match, and top must then end cleanly on the closed pipe.
