@@ -395,9 +395,9 @@ let pinned_session ~strict dtd ~groups doc_path doc =
   let snap =
     Secview.Catalog.pin (Secview.Catalog.add catalog ~name:doc_path doc)
   in
-  ( Secview.Pipeline.Session.create
-      (Secview.Pipeline.Service.create ~strict ~catalog dtd ~groups),
-    snap )
+  let service = Secview.Pipeline.Service.create ~catalog dtd ~groups in
+  if strict then Sanalysis.Lint.strict service;
+  (Secview.Pipeline.Session.create service, snap)
 
 (* ---- commands ------------------------------------------------------ *)
 
@@ -880,7 +880,7 @@ let analyze_cmd =
           let prep = Secview.Optimize.prepare (Secview.View.dtd v) in
           List.map
             (fun (qt, q) ->
-              (g, qt, Sanalysis.Semantic.admission_prepared prep q))
+              (g, qt, Secview.Admission.classify prep q))
             queries)
         groups
     in
@@ -1146,9 +1146,8 @@ let serve_cmd =
       (fun (n, p) ->
         ignore (Secview.Catalog.add catalog ~name:n (load_doc p)))
       docs;
-    let service =
-      Secview.Pipeline.Service.create ~strict ~catalog dtd ~groups
-    in
+    let service = Secview.Pipeline.Service.create ~catalog dtd ~groups in
+    if strict then Sanalysis.Lint.strict service;
     if flight <= 0 && flight_snapshot <> None then
       failwith "serve: --flight-snapshot requires --flight N";
     let listeners =

@@ -1,9 +1,9 @@
 module D = Diagnostic
 
-open Walker
+open Secview.Walker
 (* [reach]/[walk_qual]/[silent_reach]/[dead_step_message] and the
-   [step_issue] type live in {!Walker}; this module only assembles
-   diagnostics from what the walker reports. *)
+   [step_issue] type live in {!Secview.Walker}; this module only
+   assembles diagnostics from what the walker reports. *)
 
 (* ------------------------------------------------------------------ *)
 (* Policy lints (SV001-SV004)                                          *)
@@ -268,9 +268,22 @@ let check_all ~dtd ?spec ?view ?(queries = []) () =
   in
   spec_ds @ view_ds @ query_ds
 
-(* Register the strict validation gate Pipeline.Service.create/?strict uses:
-   linking this library arms strict mode. *)
-let () =
-  Secview.Pipeline.set_strict_gate (fun ~dtd ~spec view ->
-      let ds = check_spec spec @ check_view ~dtd view in
-      List.map (Format.asprintf "%a" D.pp) (D.errors ds))
+(* The policy and view lints of every group, as the strict gate of
+   [query --strict] and [serve --strict]: the error text is one line per
+   error, each tagged with its group. *)
+let strict service =
+  let module S = Secview.Pipeline.Service in
+  let dtd = S.dtd service in
+  let errors =
+    List.concat_map
+      (fun group ->
+        List.map
+          (fun d -> Format.asprintf "group %S: %a" group D.pp d)
+          (D.errors
+             (check_spec (S.spec service ~group)
+             @ check_view ~dtd (S.view service ~group))))
+      (S.order service)
+  in
+  if errors <> [] then
+    invalid_arg
+      ("Pipeline: strict validation failed:\n" ^ String.concat "\n" errors)

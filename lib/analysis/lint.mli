@@ -24,7 +24,8 @@
       SV103 error    σ qualifier references unknown attribute/element
     Query (against a view DTD)
       SV201 warning  query provably empty on every instance
-      SV202 info     union branch / step provably empty (will be pruned)
+      SV202 info     union branch / step provably empty (the optimizer
+                     prunes it)
       SV203 info     qualifier vacuously true under DTD constraints
       SV204 warning  qualifier vacuously false under DTD constraints
       SV205 error    attribute step undeclared in the view DTD
@@ -66,3 +67,10 @@ val check_all :
     view lints over [view] (or over the view derived from [spec] when
     only [spec] is given), and query lints against the resulting view
     DTD (the document DTD when neither [spec] nor [view] is given). *)
+
+val strict : Secview.Pipeline.Service.t -> unit
+(** The strict gate of [secview query --strict] and [serve --strict]:
+    every group's policy and derived view must be free of lint errors
+    ({!check_spec}, {!check_view}) before the service answers anything.
+    @raise Invalid_argument ["Pipeline: strict validation failed:"]
+    followed by one line per error, each tagged with its group. *)

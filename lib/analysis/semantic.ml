@@ -3,7 +3,7 @@ module D = Diagnostic
 module Dtd = Sdtd.Dtd
 module View = Secview.View
 module Image = Secview.Image
-open Walker
+open Secview.Walker
 
 (* ------------------------------------------------------------------ *)
 (* Accessible regions                                                  *)
@@ -201,59 +201,10 @@ let fleet_diagnostics cmps =
       | Disjoint | Unknown _ -> [])
     cmps
 
-(* ------------------------------------------------------------------ *)
-(* Static query admission                                              *)
-(* ------------------------------------------------------------------ *)
-
-let admission_prepared prep q =
-  let vdtd = Secview.Optimize.prepared_dtd prep in
-  let witness = ref None in
-  let note w = if !witness = None then witness := Some w in
-  let issue = function
-    | Dead_step (s, at) -> note (dead_step_message vdtd (s, at))
-    | Undeclared_attribute (at, cs) ->
-      note
-        (Printf.sprintf "attribute @%s is declared on none of %s" at
-           (comma cs))
-  in
-  let qual_hook ctxs qq =
-    let live =
-      List.filter
-        (fun b ->
-          (not (Dtd.mem vdtd b)) || Image.bool_of_qual vdtd qq b <> `False)
-        ctxs
-    in
-    if live = [] && ctxs <> [] then
-      note
-        (Printf.sprintf "qualifier [%s] fails at every %s by DTD constraints"
-           (Sxpath.Print.qual_to_string qq)
-           (comma ctxs));
-    live
-  in
-  let r = reach ~issue ~qual_hook vdtd [ Dtd.root vdtd ] q in
-  if r = [] then
-    Secview.Pipeline.Denied_empty
-      (Option.value !witness
-         ~default:"the query matches nothing under the view DTD")
-  else if List.for_all (fun t -> String.length t > 0 && t.[0] = '@') r then
-    Secview.Pipeline.Denied_empty
-      "the query yields only attribute values, which top-level evaluation \
-       drops — the answer is the empty node set on every instance"
-  else
-    let opt =
-      try Secview.Optimize.optimize_prepared prep q
-      with Image.Too_large -> q
-    in
-    if A.is_empty opt then
-      Secview.Pipeline.Denied_empty
-        (Option.value !witness
-           ~default:
-             "the optimizer reduces the query to the empty path under the \
-              view DTD")
-    else if A.equal_path opt A.Eps then Secview.Pipeline.Trivial
-    else Secview.Pipeline.Needs_eval
-
-let admission vdtd q = admission_prepared (Secview.Optimize.prepare vdtd) q
+(* Static query admission is the pipeline's own classifier, over a
+   context prepared for this one call. *)
+let admission vdtd q =
+  Secview.Admission.classify (Secview.Optimize.prepare vdtd) q
 
 (* ------------------------------------------------------------------ *)
 (* Leakage: structure exposed that no instance can populate            *)
@@ -352,8 +303,3 @@ let check_leakage ~dtd view =
       reachable
   in
   elem_diags @ attr_diags
-
-(* Register with the pipeline so any embedder that links the analysis
-   sublibrary gets static admission (the strict-gate pattern — see
-   {!Lint}'s registration). *)
-let () = Secview.Pipeline.set_admission_analyzer admission_prepared

@@ -18,10 +18,8 @@
     - {b Static query admission} ({!admission}): classify a view query
       against a view DTD as provably empty (with a witness
       explanation), trivially answerable, or needing evaluation —
-      generalizing the per-step lint SV201 to a whole-query verdict.
-      Registered with {!Secview.Pipeline.set_admission_analyzer} when
-      this module is linked, so servers answer provably-empty queries
-      without planning or evaluating anything.
+      {!Secview.Admission.classify}, the classifier the pipeline
+      itself calls, over a context prepared for the one call.
 
     - {b Leakage check} ({!check_leakage}): view-DTD element types and
       attributes whose every σ extraction is unsatisfiable under the
@@ -30,9 +28,8 @@
       (SV410).
 
     Everything here leans on {!Secview.Image}'s memo tables, which
-    are domain-local, so the registered analyzer runs on any domain
-    without a lock; a shared optimizer context
-    ({!Secview.Optimize.prepared}) fills by compare-and-set. *)
+    are domain-local, so the analyses run on any domain without a
+    lock. *)
 
 (** How two groups' accessible regions compare.  [Subsumed]/[Subsumes]
     mean one direction of containment is {e proven} and the converse is
@@ -107,22 +104,11 @@ val relation_label : relation -> string
 
 val admission :
   Sdtd.Dtd.t -> Sxpath.Ast.path -> Secview.Pipeline.admission
-(** Classify a view query against a view DTD.  [Denied_empty] carries
-    a witness naming the step or qualifier that kills the query (or
-    that it only yields attribute values, which top-level evaluation
-    drops); [Trivial] means the optimizer reduces it to [ε] — the
-    answer is the context root itself, no evaluation needed.  Both are
-    proofs; [Needs_eval] claims nothing.  Never raises: analysis
-    budget blowups ({!Secview.Image.Too_large}) degrade to
-    [Needs_eval]. *)
-
-val admission_prepared :
-  Secview.Optimize.prepared -> Sxpath.Ast.path -> Secview.Pipeline.admission
-(** {!admission} against the view DTD's optimizer context
-    ({!Secview.Optimize.prepare}), built once and shared by every
-    query classified against that DTD: what the pipeline's registered
-    analyzer and [secview analyze] call.  [admission dtd q] is
-    [admission_prepared (Secview.Optimize.prepare dtd) q]. *)
+(** [admission dtd q] is
+    [Secview.Admission.classify (Secview.Optimize.prepare dtd) q]:
+    classify a view query against a view DTD, preparing its optimizer
+    context for this call alone (a caller that classifies many queries
+    prepares the context once and calls the classifier). *)
 
 val check_leakage :
   dtd:Sdtd.Dtd.t -> Secview.View.t -> Diagnostic.t list

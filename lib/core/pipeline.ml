@@ -16,15 +16,12 @@ type centry = {
   mutable plan : plan_state;
 }
 
-type admission =
+type admission = Admission.t =
   | Denied_empty of string
   | Trivial
   | Needs_eval
 
-let admission_label = function
-  | Denied_empty _ -> "denied"
-  | Trivial -> "trivial"
-  | Needs_eval -> "eval"
+let admission_label = Admission.label
 
 (* The one per-group counter shape: translation cache, plan cache and
    admission verdicts together, so every consumer (CLI --stats, the
@@ -103,46 +100,6 @@ let stats_counters ~group s =
       ("admission.eval", s.eval);
     ]
 
-(* ---- registration hooks (analysis sublibrary) ----------------------- *)
-
-let strict_gate :
-    (dtd:Sdtd.Dtd.t -> spec:Spec.t -> View.t -> string list) option ref =
-  ref None
-
-let set_strict_gate f = strict_gate := Some f
-
-(* The admission analyzer is registered by the analysis sublibrary
-   (Sanalysis.Semantic) the same way the strict gate is: lib/core
-   cannot depend on lib/analysis, so classification degrades to
-   [Needs_eval] when that library is not linked.  Both hooks are set
-   once at link time (module initialization) and only read afterwards,
-   so sharing them across domains is safe. *)
-let admission_analyzer :
-    (Optimize.prepared -> Sxpath.Ast.path -> admission) option ref =
-  ref None
-
-let set_admission_analyzer f = admission_analyzer := Some f
-
-(* [groups]: (group, derived view, policy). *)
-let run_strict_gate dtd groups =
-  match !strict_gate with
-  | None ->
-    invalid_arg
-      "Pipeline: ?strict requires the static-analysis gate; link the \
-       analysis sublibrary (Sanalysis.Lint) or drop ~strict:true"
-  | Some gate ->
-    let errors =
-      List.concat_map
-        (fun (name, view, spec) ->
-          List.map
-            (fun e -> Printf.sprintf "group %S: %s" name e)
-            (gate ~dtd ~spec view))
-        groups
-    in
-    if errors <> [] then
-      invalid_arg
-        ("Pipeline: strict validation failed:\n" ^ String.concat "\n" errors)
-
 type outcome = {
   o_results : Sxml.Tree.t list;
   o_translated : Sxpath.Ast.path;
@@ -181,19 +138,16 @@ module Service = struct
     s_writes : int Atomic.t;  (* admitted writes, for provenance *)
   }
 
-  let create ?(strict = false) ?catalog dtd ~groups =
+  let create ?catalog dtd ~groups =
     List.iter
       (fun (_, spec) ->
         if Sdtd.Dtd.stamp (Spec.dtd spec) <> Sdtd.Dtd.stamp dtd then
           invalid_arg "Pipeline.create: specification over a different DTD")
       groups;
-    let derived =
-      List.map (fun (name, spec) -> (name, Derive.derive spec, spec)) groups
-    in
-    if strict then run_strict_gate dtd derived;
     let views = Hashtbl.create 8 in
     List.iter
-      (fun (name, view, spec) ->
+      (fun (name, spec) ->
+        let view = Derive.derive spec in
         if Hashtbl.mem views name then
           invalid_arg (Printf.sprintf "Pipeline: duplicate group %S" name);
         Hashtbl.replace views name
@@ -203,7 +157,7 @@ module Service = struct
             g_recursive = Sdtd.Dtd.is_recursive (View.dtd view);
             g_opt = Optimize.prepare (View.dtd view);
           })
-      derived;
+      groups;
     let catalog =
       match catalog with Some c -> c | None -> Catalog.create ()
     in
@@ -363,10 +317,8 @@ module Session = struct
       | Some v -> v
       | None ->
         let v =
-          match !admission_analyzer with
-          | None -> Needs_eval
-          | Some analyze ->
-            Trace.span "admission" @@ fun () -> analyze sg.gv.Service.g_opt q
+          Trace.span "admission" @@ fun () ->
+          Admission.classify sg.gv.Service.g_opt q
         in
         Hashtbl.replace sg.admission_cache q v;
         v
@@ -385,7 +337,7 @@ module Session = struct
 
   (* The physical plan for a cached translation, compiled at most once
      per entry (same hit/miss discipline as translation). *)
-  let plan_of sess sg ce =
+  let plan_of sg ce =
     match ce.plan with
     | Planned p ->
       Atomic.incr sg.ctr.c_plan_hits;
@@ -396,28 +348,7 @@ module Session = struct
     | Unplanned -> (
       Atomic.incr sg.ctr.c_plan_misses;
       let compiled =
-        Trace.span "plan" (fun () ->
-            (* With the admission analyzer linked, statically-empty
-               top-level union branches of the translated document
-               query are dropped before lowering (the verdict is over
-               the document DTD here — the query is past rewriting). *)
-            match
-              (!admission_analyzer, Sxpath.Ast.union_branches ce.translated)
-            with
-            | None, _ | _, ([] | [ _ ]) ->
-              (* nothing to prune on a single branch: the provably-empty
-                 whole-query case is [classify]'s job, before planning *)
-              Splan.Compile.compile ce.translated
-            | Some analyze, branches ->
-              let dead =
-                List.filter
-                  (fun b ->
-                    match analyze sess.svc.Service.s_opt b with
-                    | Denied_empty _ -> true
-                    | Trivial | Needs_eval -> false)
-                  branches
-              in
-              Splan.Compile.compile ~prune:dead ce.translated)
+        Trace.span "plan" (fun () -> Splan.Compile.compile ce.translated)
       in
       match compiled with
       | Ok p ->
@@ -480,7 +411,7 @@ module Session = struct
           eval (fun v -> interp ?env v ce.translated doc) )
       else
         let index = Catalog.snapshot_index snap in
-        match plan_of sess sg ce with
+        match plan_of sg ce with
         | Error reason ->
           ( None, Some reason,
             eval (fun v -> interp ?env ~index v ce.translated doc) )

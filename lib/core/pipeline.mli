@@ -34,25 +34,15 @@ type group = {
 }
 
 (** Static admission verdict for a (group, query) pair, decided from
-    the group's view DTD alone — no document is touched:
-    - [Denied_empty]: provably empty on {e every} instance of the view
-      DTD (the payload is a witness explanation naming the step or
-      qualifier that kills the query) — a server can answer the empty
-      node set without queueing, planning or evaluating anything;
-    - [Trivial]: the query is answerable from the view DTD alone
-      (e.g. it asks for the view root itself);
-    - [Needs_eval]: everything else — evaluation must run.
-    The verdicts are conservative in the sound direction: a
-    [Denied_empty]/[Trivial] claim is a proof, [Needs_eval] claims
-    nothing. *)
-type admission =
+    the group's view DTD alone by {!Admission.classify} — see
+    {!Admission.t}. *)
+type admission = Admission.t =
   | Denied_empty of string
   | Trivial
   | Needs_eval
 
 val admission_label : admission -> string
-(** ["denied"], ["trivial"], ["eval"] — the stable spelling used in
-    counter names and wire replies. *)
+(** {!Admission.label}. *)
 
 (** The unified per-group counter record: translation-cache traffic,
     plan-cache traffic and admission verdicts in one shape, so the CLI
@@ -93,30 +83,6 @@ val stats_counters : group:string -> stats -> (string * int) list
     sessions' counters are the only count of this traffic: every
     registry and scrape that shows it names it so, with or without a
     tracer installed. *)
-
-val set_strict_gate :
-  (dtd:Sdtd.Dtd.t -> spec:Spec.t -> View.t -> string list) -> unit
-(** Install the validation gate strict construction runs per group:
-    given the document DTD, the group's policy and its derived view,
-    return the rendered errors — an empty list means the group is
-    clean.  The analysis sublibrary ([Sanalysis.Lint]) registers its
-    diagnostics engine here when linked; [?strict] without a
-    registered gate raises [Invalid_argument]. *)
-
-val set_admission_analyzer :
-  (Optimize.prepared -> Sxpath.Ast.path -> admission) -> unit
-(** Install the analyzer {!Session.classify} consults (the
-    registration pattern of {!set_strict_gate}: [Sanalysis.Semantic]
-    registers itself when linked).  Without one, classification
-    answers [Needs_eval] for everything.  The analyzer is called with
-    the optimizer context ({!Optimize.prepare}) of the group's view
-    DTD, and additionally with the {e document} DTD's on translated
-    queries when compiling plans — see {!Splan.Compile}'s branch
-    pruning.  The service prepares each context once, so a cold
-    classification pays only for its query.  The analyzer must be
-    safe to call from any domain (the registered analyzer is: it
-    leans on {!Image}, whose memos are domain-local, and on the
-    contexts' compare-and-set tables). *)
 
 (** What {!Session.answer_pinned} returns besides the result list:
     the document query that ran, the unfolding height it was
@@ -163,22 +129,15 @@ module Service : sig
   type t
 
   val create :
-    ?strict:bool ->
-    ?catalog:Catalog.t ->
-    Sdtd.Dtd.t ->
-    groups:(string * Spec.t) list ->
-    t
-  (** Derive a security view per group.  With [~strict:true] every
-      group's policy and derived view must pass the registered
-      static-analysis gate (see {!set_strict_gate}) before the service
-      is handed out — configuration errors surface here instead of at
-      query time.  [catalog] is the document catalog sessions memoize
-      per-document heights and indexes in; pass the server's catalog
-      so documents registered there share their memo with the
-      pipeline (default: a fresh private catalog).
-      @raise Invalid_argument on duplicate group names, a
-      specification over a different DTD instance, or (strict mode)
-      lint errors. *)
+    ?catalog:Catalog.t -> Sdtd.Dtd.t -> groups:(string * Spec.t) list -> t
+  (** Derive a security view per group.  [catalog] is the document
+      catalog sessions memoize per-document heights and indexes in;
+      pass the server's catalog so documents registered there share
+      their memo with the pipeline (default: a fresh private catalog).
+      A service built over a policy with lint errors answers anyway;
+      the analysis sublibrary's [Sanalysis.Lint.strict] refuses one.
+      @raise Invalid_argument on duplicate group names or a
+      specification over a different DTD instance. *)
 
   val dtd : t -> Sdtd.Dtd.t
 

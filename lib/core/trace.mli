@@ -1,10 +1,9 @@
 (** Observability probe points for the query pipeline.
 
     The core library stays free of clocks, sinks and serialization:
-    this module only holds an injection point (the pattern of
-    {!Pipeline.set_strict_gate}) that the observability sublibrary
-    ([Sobs], {e lib/obs}) fills in when the embedding application asks
-    for tracing or metrics.
+    this module only holds an injection point that the observability
+    sublibrary ([Sobs], {e lib/obs}) fills in when the embedding
+    application asks for tracing or metrics.
 
     The hook is a {e probe}: nested span enter/leave plus named counter
     and integer-observation events, fired by the instrumented stages

@@ -44,7 +44,7 @@ let rec reach ~issue ~qual_hook dtd ctxs (p : A.path) : string list =
         (List.concat_map
            (fun c ->
              if Sdtd.Dtd.mem dtd c then
-               Secview.Image.descendant_or_self_types dtd c
+               Image.descendant_or_self_types dtd c
              else [])
            ctxs)
     in
@@ -89,7 +89,7 @@ let dead_step_message dtd (step, at) =
    through every σ edge to a fixpoint (recursive view DTDs converge
    because type sets only grow). *)
 let source_types ~dtd view =
-  let vdtd = Secview.View.dtd view in
+  let vdtd = View.dtd view in
   let srcs : (string, string list) Hashtbl.t = Hashtbl.create 16 in
   let get v = Option.value (Hashtbl.find_opt srcs v) ~default:[] in
   Hashtbl.replace srcs (Sdtd.Dtd.root vdtd) [ Sdtd.Dtd.root dtd ];
@@ -100,7 +100,7 @@ let source_types ~dtd view =
       (fun a ->
         List.iter
           (fun b ->
-            match Secview.View.sigma view ~parent:a ~child:b with
+            match View.sigma view ~parent:a ~child:b with
             | None -> ()
             | Some sg ->
               let r = silent_reach dtd (get a) sg in

@@ -1,13 +1,14 @@
-(** The schema-level path walker shared by every checker in this
-    sublibrary: step a query through the DTD graph, tracking the set of
-    element types the context can be, and surface the steps that kill
-    every context.
+(** The schema-level path walker shared by static admission
+    ({!Admission}) and every checker of the analysis sublibrary: step
+    a query through the DTD graph, tracking the set of element types
+    the context can be, and surface the steps that kill every
+    context.
 
     Attribute steps yield the pseudo-type ["@name"] (they terminate
     element navigation, like in the rewriting algorithm's tables);
     unfold level suffixes are stripped before label matching, so the
     walker also works on unfolded view DTDs.  The walk is an
-    over-approximation in the same direction as {!Secview.Image.reach}:
+    over-approximation in the same direction as {!Image.reach}:
     an empty result set is a proof that the path matches nothing, a
     non-empty one proves nothing. *)
 
@@ -31,7 +32,7 @@ val reach :
     ["@attr"] pseudo-types) reachable from context types [ctxs] via
     [p].  [qual_hook] sees the surviving contexts at every [p\[q\]] and
     returns the subset to continue with — identity for a pure walk,
-    {!Secview.Image.bool_of_qual}-based filtering for emptiness
+    {!Image.bool_of_qual}-based filtering for emptiness
     analysis. *)
 
 val walk_qual :
@@ -48,7 +49,7 @@ val silent_reach : Sdtd.Dtd.t -> string list -> Sxpath.Ast.path -> string list
 (** {!reach} with no issue reporting and no qualifier pruning. *)
 
 val source_types :
-  dtd:Sdtd.Dtd.t -> Secview.View.t -> string -> string list
+  dtd:Sdtd.Dtd.t -> View.t -> string -> string list
 (** Source element types per view type: the document types a view
     element's source node can have, propagated from σ(root) = root
     through every σ edge to a fixpoint.  An empty list means no

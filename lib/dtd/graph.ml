@@ -32,48 +32,6 @@ let edges dtd =
     (Dtd.reachable dtd);
   List.rev !out
 
-(* Tarjan's strongly-connected components. *)
-let sccs dtd =
-  let index = Hashtbl.create 32 in
-  let lowlink = Hashtbl.create 32 in
-  let on_stack = Hashtbl.create 32 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let components = ref [] in
-  let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
-    incr counter;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
-    List.iter
-      (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-        end
-        else if Hashtbl.mem on_stack w then
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (Dtd.children_of dtd v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-      let rec pop acc =
-        match !stack with
-        | [] -> acc
-        | w :: rest ->
-          stack := rest;
-          Hashtbl.remove on_stack w;
-          if String.equal w v then w :: acc else pop (w :: acc)
-      in
-      components := pop [] :: !components
-    end
-  in
-  List.iter
-    (fun v -> if not (Hashtbl.mem index v) then strongconnect v)
-    (Dtd.reachable dtd);
-  List.rev !components
-
 let escape_dot s =
   String.concat ""
     (List.map

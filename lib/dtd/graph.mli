@@ -19,11 +19,6 @@ val edges : Dtd.t -> edge list
     order.  An element type pair appears once per syntactic occurrence
     context; duplicates (same parent, child, kind, star) are merged. *)
 
-val sccs : Dtd.t -> string list list
-(** Strongly connected components of the reachable DTD graph, in
-    reverse topological order (Tarjan).  Components of size > 1 — or
-    self-loops — are the recursive cores. *)
-
 val to_dot :
   ?highlight:(string * string -> [ `Bold | `Normal | `Faded ]) ->
   Dtd.t ->

@@ -1,14 +1,11 @@
 type t = {
   plan : Plan.t;
   vars : string array;
-  pruned : int;
 }
 
 let plan t = t.plan
 
 let vars t = t.vars
-
-let pruned t = t.pruned
 
 (* Same decomposition as the evaluator's descendant fast path: a path
    whose first step is the label [l], split as [l/rest].  [None] means
@@ -87,27 +84,8 @@ and lower_qual slots (q : Sxpath.Ast.qual) : Plan.pred =
   | Sxpath.Ast.Or (a, b) -> Plan.Or (lower_qual slots a, lower_qual slots b)
   | Sxpath.Ast.Not a -> Plan.Not (lower_qual slots a)
 
-(* Statically-dead top-level union branches are dropped before
-   lowering.  Only the top level is touched: the source query is
-   root-anchored, so a top-level branch the caller proved empty at the
-   root contributes nothing — whereas a nested union sits under other
-   steps where the caller's root-level verdict would not apply. *)
-let without_branches dead p =
-  match Sxpath.Ast.union_branches p with
-  | [] | [ _ ] -> (p, 0)
-  | branches ->
-    let live =
-      List.filter
-        (fun b -> not (List.exists (Sxpath.Ast.equal_path b) dead))
-        branches
-    in
-    let n = List.length branches - List.length live in
-    if n = 0 then (p, 0) else (Sxpath.Ast.union_all live, n)
-
-let compile ?(prune = []) p =
-  let body, pruned = without_branches prune p in
+let compile p =
   let slots = { names = []; count = 0 } in
-  match lower slots body with
-  | plan ->
-    Ok { plan; vars = Array.of_list (List.rev slots.names); pruned }
+  match lower slots p with
+  | plan -> Ok { plan; vars = Array.of_list (List.rev slots.names) }
   | exception Refuse reason -> Error reason

@@ -832,6 +832,12 @@ let handle_line t sess link line =
    bound. *)
 let max_line = 1 lsl 20
 
+(* A connection waits for input on a receive timeout rather than
+   [select], which cannot watch a descriptor at or past [FD_SETSIZE]:
+   every [poll] seconds a read gives up with EAGAIN so the loop can
+   look at the drain flag. *)
+let poll = 0.2
+
 let conn_loop t fd peer =
   let sess =
     { sid = Atomic.fetch_and_add t.next_sid 1; group = None; peer; rseq = 0 }
@@ -841,14 +847,11 @@ let conn_loop t fd peer =
   let chunk = Bytes.create 4096 in
   let alive = ref true and oversized = ref false in
   (try
+     Unix.setsockopt_float fd SO_RCVTIMEO poll;
      while !alive && not (draining t) do
-       match Unix.select [ fd ] [] [] 0.2 with
-       | [], _, _ -> ()
-       | _ ->
-         let n =
-           try Unix.read fd chunk 0 (Bytes.length chunk)
-           with Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) -> 0
-         in
+       match Unix.read fd chunk 0 (Bytes.length chunk) with
+       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+       | n ->
          if n = 0 then alive := false
          else begin
            (* only the [n] new bytes are scanned for line ends, so a
@@ -891,7 +894,7 @@ let conn_loop t fd peer =
            end
          end
      done
-   with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> ());
+   with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ---- the /metrics HTTP responder ----------------------------------- *)
@@ -915,17 +918,17 @@ let http_conn t fd =
     if contains s "\r\n\r\n" || contains s "\n\n" then Some s
     else if Buffer.length buf > 8192 || Deadline.now () > give_up then None
     else
-      match Unix.select [ fd ] [] [] 1.0 with
-      | [], _, _ -> read_head ()
-      | _ ->
-        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-        if n = 0 then if contains s "\n" then Some s else None
-        else begin
-          Buffer.add_subbytes buf chunk 0 n;
-          read_head ()
-        end
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+        read_head ()
+      | 0 -> if contains s "\n" then Some s else None
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        read_head ()
   in
   (try
+     (* a receive timeout, not [select]: see [conn_loop] *)
+     Unix.setsockopt_float fd SO_RCVTIMEO 1.0;
      match read_head () with
      | None -> ()
      | Some head ->

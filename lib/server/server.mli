@@ -29,14 +29,13 @@
     when it lands.  Requests whose deadline expired while still
     queued are answered [timeout] without burning a worker.
 
-    {b Admission fast path.}  A query the admission analyzer proves
-    empty ({!Secview.Pipeline.Session.classify} says [Denied_empty])
-    is answered on the connection thread with the empty result set —
+    {b Admission fast path.}  A query static admission proves empty
+    ({!Secview.Pipeline.Session.classify} says [Denied_empty]) is
+    answered on the connection thread with the empty result set —
     byte-identical to the worker's reply — without queueing, planning
     or touching the document.  It is counted as
     [server.admission.denied] and audited with status [denied_empty]
-    and the witness explanation.  Only a process that links the
-    analyzer ([Sanalysis.Semantic]) gets such verdicts.
+    and the witness explanation.
 
     {b Writes.}  Updates never enter the read pool: they are routed
     to a dedicated queue popped by a single {e coordinator} domain,

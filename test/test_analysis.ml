@@ -211,45 +211,6 @@ let test_admission_counters () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown group must be an error"
 
-(* --- plan-level branch pruning -------------------------------------- *)
-
-let test_compile_prune () =
-  let b1 = parse "//name" in
-  let b2 = parse "//medication" in
-  let u = A.union b1 b2 in
-  let doc = Workload.Hospital.sample_document () in
-  let index = Sxml.Index.build doc in
-  let run c = List.map (fun n -> n.Sxml.Tree.id) (Splan.Exec.run c ~index doc) in
-  match (Splan.Compile.compile u, Splan.Compile.compile ~prune:[ b2 ] u) with
-  | Ok full, Ok pruned ->
-    Alcotest.(check int) "nothing pruned without a prune list" 0
-      (Splan.Compile.pruned full);
-    Alcotest.(check int) "one branch pruned" 1 (Splan.Compile.pruned pruned);
-    (* pruning is only sound when the caller proved the branch empty;
-       this asserts the mechanism, so the oracle is the surviving
-       branch, not the full union *)
-    (match Splan.Compile.compile b1 with
-    | Ok only_b1 ->
-      Alcotest.(check (list int)) "pruned union ≡ surviving branch"
-        (run only_b1) (run pruned)
-    | Error e -> Alcotest.failf "compile //name: %s" e)
-  | Error e, _ | _, Error e -> Alcotest.failf "compile: %s" e
-
-let test_prune_all_branches () =
-  (* both branches proven empty ⇒ the whole query is: the plan
-     degenerates to Nothing and answers the empty set *)
-  let b1 = parse "//name" in
-  let b2 = parse "//medication" in
-  let u = A.union b1 b2 in
-  let doc = Workload.Hospital.sample_document () in
-  let index = Sxml.Index.build doc in
-  match Splan.Compile.compile ~prune:[ b1; b2 ] u with
-  | Ok c ->
-    Alcotest.(check int) "both pruned" 2 (Splan.Compile.pruned c);
-    Alcotest.(check (list int)) "empty answer" []
-      (List.map (fun n -> n.Sxml.Tree.id) (Splan.Exec.run c ~index doc))
-  | Error e -> Alcotest.failf "compile: %s" e
-
 (* --- leakage (SV410) ------------------------------------------------- *)
 
 let test_leakage_dead_element () =
@@ -319,12 +280,6 @@ let () =
         [
           Alcotest.test_case "verdicts" `Quick test_admission_verdicts;
           Alcotest.test_case "counters & cache" `Quick test_admission_counters;
-        ] );
-      ( "plan-prune",
-        [
-          Alcotest.test_case "prunes dead branch" `Quick test_compile_prune;
-          Alcotest.test_case "prunes all branches" `Quick
-            test_prune_all_branches;
         ] );
       ( "leakage",
         [

@@ -1,4 +1,4 @@
-(* DTD graph utilities: edge extraction, SCCs, DOT rendering. *)
+(* DTD graph utilities: edge extraction, DOT rendering. *)
 
 module G = Sdtd.Graph
 module R = Sdtd.Regex
@@ -28,31 +28,6 @@ let test_edges_dedup () =
   in
   Alcotest.(check int) "duplicate occurrences merge" 1
     (List.length (G.edges dtd))
-
-let test_sccs_dag () =
-  let comps = G.sccs Workload.Hospital.dtd in
-  Alcotest.(check bool) "all singletons on a DAG" true
-    (List.for_all (fun c -> List.length c = 1) comps);
-  Alcotest.(check int) "one component per reachable type"
-    (List.length (Sdtd.Dtd.reachable Workload.Hospital.dtd))
-    (List.length comps)
-
-let test_sccs_recursive () =
-  let comps = G.sccs Workload.Xmark.dtd in
-  let big = List.filter (fun c -> List.length c > 1) comps in
-  Alcotest.(check int) "one non-trivial component" 1 (List.length big);
-  Alcotest.(check (list string)) "the parlist cycle"
-    [ "listitem"; "parlist" ]
-    (List.sort compare (List.hd big))
-
-let test_sccs_self_loop () =
-  let dtd =
-    Sdtd.Dtd.create ~root:"r"
-      [ ("r", e "a"); ("a", R.Choice [ e "a"; R.Epsilon ]) ]
-  in
-  let comps = G.sccs dtd in
-  Alcotest.(check bool) "self-loop is its own component" true
-    (List.mem [ "a" ] comps)
 
 let test_dot_output () =
   let dot = G.to_dot Workload.Hospital.dtd in
@@ -102,12 +77,6 @@ let () =
         [
           Alcotest.test_case "hospital edges" `Quick test_edges_hospital;
           Alcotest.test_case "dedup" `Quick test_edges_dedup;
-        ] );
-      ( "sccs",
-        [
-          Alcotest.test_case "DAG" `Quick test_sccs_dag;
-          Alcotest.test_case "recursive core" `Quick test_sccs_recursive;
-          Alcotest.test_case "self loop" `Quick test_sccs_self_loop;
         ] );
       ( "dot",
         [

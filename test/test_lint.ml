@@ -155,26 +155,26 @@ let test_sv205_undeclared_attribute () =
   check_codes "SV205 exactly once" [ "SV205" ]
     (Lint.check_query fixture_dtd (path "a/@id | a"))
 
-(* --- the strict pipeline gate ---------------------------------------- *)
+(* --- the strict gate (Lint.strict) ------------------------------------ *)
 
-let test_strict_gate_accepts () =
+let test_lint_strict_accepts () =
   let dtd = Workload.Hospital.dtd in
   let spec = Workload.Hospital.nurse_spec dtd in
   let p =
-    Secview.Pipeline.Service.create ~strict:true dtd
-      ~groups:[ ("nurses", spec) ]
+    Secview.Pipeline.Service.create dtd ~groups:[ ("nurses", spec) ]
   in
+  Lint.strict p;
   Alcotest.(check int) "one group" 1
     (List.length (Secview.Pipeline.Service.groups p))
 
-let test_strict_gate_rejects_bad_spec () =
+let test_lint_strict_rejects_bad_spec () =
   let spec =
     Spec.make fixture_dtd [ (("r", "a"), Spec.Cond (qual "@id = \"1\"")) ]
   in
   Alcotest.(check bool) "bad qualifier rejected" true
     (match
-       Secview.Pipeline.Service.create ~strict:true fixture_dtd
-         ~groups:[ ("g", spec) ]
+       Lint.strict
+         (Secview.Pipeline.Service.create fixture_dtd ~groups:[ ("g", spec) ])
      with
     | exception Invalid_argument msg ->
       (* the rendered diagnostics carry their codes *)
@@ -248,9 +248,9 @@ let () =
       ( "strict-gate",
         [
           Alcotest.test_case "accepts clean policy" `Quick
-            test_strict_gate_accepts;
+            test_lint_strict_accepts;
           Alcotest.test_case "rejects bad qualifier" `Quick
-            test_strict_gate_rejects_bad_spec;
+            test_lint_strict_rejects_bad_spec;
         ] );
       ( "diagnostics",
         [ Alcotest.test_case "rendering" `Quick test_rendering ] );

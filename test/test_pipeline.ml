@@ -207,6 +207,41 @@ let test_indexed_answers () =
     Alcotest.(check (list int)) "session = plain" plain (ids o.o_results)
   | Error e -> Alcotest.fail (Secview.Error.to_string e)
 
+(* Static admission is part of the pipeline, whatever the program
+   links: this executable never names the analysis sublibrary, and
+   [//test] (an element the nurse view DTD hides) is still provably
+   empty for the nurse group, for [classify], for [explain] and in the
+   counters. *)
+let test_admission_without_analysis_library () =
+  let module Catalog = Secview.Catalog in
+  let dtd = Workload.Hospital.dtd in
+  let catalog = Catalog.create () in
+  let snap =
+    Catalog.pin
+      (Catalog.add catalog ~name:"ward" (Workload.Hospital.sample_document ()))
+  in
+  let p =
+    Pipeline.Session.create
+      (Pipeline.Service.create ~catalog dtd
+         ~groups:[ ("nurse", Workload.Hospital.nurse_spec dtd) ])
+  in
+  let q = parse "//test" in
+  (match Pipeline.Session.classify p ~group:"nurse" q with
+  | Ok (Pipeline.Denied_empty witness) ->
+    Alcotest.(check bool) "a witness" true (witness <> "")
+  | Ok v ->
+    Alcotest.failf "classify: %s, not denied" (Pipeline.admission_label v)
+  | Error e -> Alcotest.fail (Secview.Error.to_string e));
+  Alcotest.(check int) "one denial counted" 1
+    (Pipeline.Session.stats_of p ~group:"nurse").denied;
+  let env = function "wardNo" -> Some "6" | _ -> None in
+  match Pipeline.Session.explain p ~group:"nurse" ~env q snap with
+  | Error e -> Alcotest.fail (Secview.Error.to_string e)
+  | Ok x ->
+    Alcotest.(check string) "explain's verdict" "denied"
+      (Pipeline.admission_label x.x_admission);
+    Alcotest.(check int) "no results" 0 x.x_results
+
 (* Schema tables fill on first use, one view node at a time: a query
    with no [//] fills nothing, one [//] at the root fills one entry, and
    an unfolded recursive view starts with a table of its own. *)
@@ -307,6 +342,11 @@ let () =
             test_pinned_read_across_write;
           Alcotest.test_case "pinned explain across a write" `Quick
             test_explain_pinned_across_write;
+        ] );
+      ( "admission",
+        [
+          Alcotest.test_case "provably empty without the analysis library"
+            `Quick test_admission_without_analysis_library;
         ] );
       ( "schema tables",
         [

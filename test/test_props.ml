@@ -466,10 +466,9 @@ let prop_translation_memo_independent =
           translate warm q = translate (service ()) q)
         order)
 
-(* The admission analyzer runs against optimizer contexts the service
-   prepares once per DTD (each group's view DTD for classification, the
-   document DTD for plan pruning); whatever earlier queries filled in a
-   context, a verdict must be the one a fresh context gives. *)
+(* Admission classifies against the optimizer context the service
+   prepares once per group's view DTD; whatever earlier queries filled
+   in a context, a verdict must be the one a fresh context gives. *)
 let prop_admission_prepared =
   let module S = Sanalysis.Semantic in
   QCheck2.Test.make
@@ -488,7 +487,7 @@ let prop_admission_prepared =
           List.for_all
             (fun i ->
               let q = List.nth qs i in
-              S.admission_prepared prep q = S.admission d q)
+              Secview.Admission.classify prep q = S.admission d q)
             order)
         [ dtd; View.dtd (Derive.derive spec) ])
 

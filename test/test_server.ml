@@ -692,6 +692,63 @@ let test_server_ignores_index_flag () =
     (ask {|,"index":false|});
   Conn.close c
 
+(* A connection whose descriptor is past [FD_SETSIZE] (1,024) is served
+   like any other: its loop waits on a receive timeout, and [select]
+   cannot watch such a descriptor.  The test opens [/dev/null]
+   descriptors (no threads, no connections) until the next one is past
+   the limit, then connects. *)
+let test_server_descriptor_past_fd_setsize () =
+  let dtd = Workload.Hospital.dtd in
+  with_server ~dtd
+    ~groups:[ ("nurse", Workload.Hospital.nurse_spec dtd) ]
+    ~docs:[ ("ward", Workload.Hospital.sample_document ()) ]
+    ()
+  @@ fun _server path ->
+  (* a first answer proves the listener open, below the limit: the
+     acceptor's own [select] is not what this test is about *)
+  let c = connect path in
+  Conn.send c (Protocol.simple "ping");
+  Alcotest.(check bool) "pong below the limit" true (Protocol.is_ok (recv c));
+  Conn.close c;
+  (* on Unix a descriptor is its number *)
+  let number (fd : Unix.file_descr) : int = Obj.magic fd in
+  let opened = ref [] in
+  let rec fill () =
+    match Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+    | fd ->
+      opened := fd :: !opened;
+      number fd >= 1024 || fill ()
+    | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) -> false
+  in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close !opened) @@ fun () ->
+  if not (fill ()) then begin
+    print_endline
+      "skipped: the soft descriptor limit is too low to open one past 1,024";
+    Alcotest.skip ()
+  end;
+  let c = connect path in
+  Fun.protect ~finally:(fun () -> Conn.close c) @@ fun () ->
+  Alcotest.(check bool) "the connection's descriptor is past 1,024" true
+    (number (Conn.fd c) > 1024);
+  (* a server that cannot serve the connection never replies: the
+     timed-out read raises [Sys_blocked_io] *)
+  Unix.setsockopt_float (Conn.fd c) SO_RCVTIMEO 5.;
+  let call what request =
+    match Conn.call c request with
+    | _, reply -> reply
+    | exception (Conn.Error _ | Sys_blocked_io) ->
+      Alcotest.failf "%s: no reply within 5 s" what
+  in
+  Alcotest.(check bool) "pong" true
+    (Protocol.is_ok (call "ping" (Protocol.simple "ping")));
+  ignore (call "hello" (Protocol.hello ~peer:"tests" "nurse"));
+  let j =
+    call "query"
+      (Protocol.query_json ~bind:[ ("wardNo", "6") ] "//patient/name")
+  in
+  Alcotest.(check bool) "the query is answered" true
+    (Protocol.is_ok j && J.member "results" j <> Some (J.List []))
+
 (* Every job the worker pool or the coordinator pops records how long
    it queued, in one series per verb; no group name reaches a
    queue-wait series. *)
@@ -1098,8 +1155,6 @@ let jsonl_of_string text =
    every field they share: an answered query, a fast-path denial, an
    admitted and a refused write, and a failed query. *)
 let test_sink_agreement () =
-  (* the fast path needs the admission analyzer linked *)
-  ignore Sanalysis.Semantic.admission;
   let dtd = Workload.Hospital.dtd in
   let spec =
     Workload.Hospital.nurse_spec
@@ -1293,8 +1348,6 @@ let test_server_drain_audit () =
    runs) and an untraced one scrapes to the same counters, and they
    are the stats reply's record through [Pipeline.stats_counters]. *)
 let test_server_one_name_per_fact () =
-  (* the fast path needs the admission analyzer linked *)
-  ignore Sanalysis.Semantic.admission;
   let dtd = Workload.Hospital.dtd in
   let groups = [ ("nurse", Workload.Hospital.nurse_spec dtd) ] in
   let docs = [ ("ward", Workload.Hospital.sample_document ()) ] in
@@ -1442,6 +1495,8 @@ let () =
           Alcotest.test_case "round trips" `Quick test_server_roundtrips;
           Alcotest.test_case "an old client's index flag" `Quick
             test_server_ignores_index_flag;
+          Alcotest.test_case "a descriptor past FD_SETSIZE" `Quick
+            test_server_descriptor_past_fd_setsize;
           Alcotest.test_case "concurrent clients vs one session" `Quick
             test_server_concurrent_clients;
           Alcotest.test_case "escaped reply lines" `Quick

@@ -21,10 +21,20 @@ secview() { _build/default/bin/secview_cli.exe "$@"; }
 bench_diff() { _build/default/tools/bench_diff/main.exe "$@"; }
 POL=examples/policies
 
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+secview gen --dtd "$POL/hospital.dtd" > "$TMP/doc.xml"
+
+# Each example policy also passes the strict gate `query --strict` runs
+# on the service it builds (exit 2 with the lint errors otherwise); the
+# answer is not checked here, so any ward will do.
 echo "== lint example policies"
 for spec in "$POL"/*.spec; do
   echo "-- lint $spec"
   secview lint --dtd "$POL/hospital.dtd" --spec "$spec"
+  secview query --dtd "$POL/hospital.dtd" --spec "$spec" \
+    --doc "$TMP/doc.xml" --bind wardNo=6 --strict '//patient/name' > /dev/null
+  echo "-- query --strict $spec: the strict gate passes"
 done
 
 echo "== analyze example policy fleet"
@@ -36,9 +46,6 @@ secview analyze --dtd "$POL/hospital.dtd" --fleet \
 # Capture -> replay cycle: record a workload over the example fleet,
 # re-execute it, and require every answer to digest-match its capture.
 echo "== capture -> replay smoke"
-TMP=$(mktemp -d)
-trap 'rm -rf "$TMP"' EXIT
-secview gen --dtd "$POL/hospital.dtd" > "$TMP/doc.xml"
 # A comparison of two empty answers proves nothing: each smoke that
 # compares answers over the generated document first requires the
 # direct answer to be non-empty.
@@ -302,9 +309,10 @@ echo "-- escaped text reached the clients"
 # A client that sends requests and hangs up without reading the replies
 # costs only its own connection: the server must survive twenty of
 # them (a reply written to a closed socket fails with EPIPE rather
-# than killing the process), then drain and exit 0.
+# than killing the process), then drain and exit 0.  The server runs
+# with --strict: the example nurse policy passes the strict gate.
 echo "== hang-up smoke"
-secview serve --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
+secview serve --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" --strict \
   --doc doc="$TMP/doc.xml" --socket "$TMP/h.sock" 2> "$TMP/hserve.log" &
 HSRV=$!
 secview client --socket "$TMP/h.sock" --wait 5 --group user \
@@ -320,7 +328,7 @@ for _ in range(20):
 PY
 secview client --socket "$TMP/h.sock" --shutdown
 wait $HSRV
-echo "-- hang-ups survived; server drained with exit 0"
+echo "-- hang-ups survived; server (--strict, nurse.spec) drained with exit 0"
 
 # Served writes: a chain of admitted updates (insert, replace, delete)
 # through a 2-domain server, then one write DTD conformance must refuse
