@@ -659,12 +659,6 @@ let query_cmd =
                    else (answer (), [])
                  in
                  let latency_ms = 1000. *. (Sserver.Deadline.now () -. t0) in
-                 let outcome =
-                   Result.map
-                     (fun (o : Secview.Pipeline.outcome) ->
-                       (render o.o_results, o))
-                     outcome
-                 in
                  (* the same request record, and the same projections,
                     as a served query — failed queries included *)
                  Mutex.protect lock (fun () ->
@@ -681,7 +675,7 @@ let query_cmd =
                      end);
                  match outcome with
                  | Error e -> raise (Secview.Error.E e)
-                 | Ok (rendered, _) -> rendered)
+                 | Ok o -> render o.o_results)
                (List.combine queries qs))
         in
         let all_stats = Secview.Pipeline.Session.all_stats pipe in

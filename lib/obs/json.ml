@@ -32,10 +32,17 @@ let escape buf s =
   escape_run buf s 0 0;
   Buffer.add_char buf '"'
 
+(* The shortest of 15, 16 and 17 significant digits that reads back
+   to [f]: 17 always does. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let exact s = Float.equal (float_of_string s) f in
+    let s = Printf.sprintf "%.15g" f in
+    if exact s then s
+    else
+      let s = Printf.sprintf "%.16g" f in
+      if exact s then s else Printf.sprintf "%.17g" f
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
@@ -80,36 +87,48 @@ type parser_state = {
   mutable pos : int;
 }
 
+(* The deepest nesting of arrays and objects [of_string] reads: the
+   program's own documents nest less than 10 deep, and a bound keeps a
+   line of a million ['['] from recursing a million times. *)
+let max_depth = 512
+
 let fail p msg = raise (Bad (Printf.sprintf "at offset %d: %s" p.pos msg))
 
-let peek p = if p.pos < String.length p.src then Some p.src.[p.pos] else None
+(* The parser reads [p.src] in place: [at_end] guards every [cur]. *)
+let at_end p = p.pos >= String.length p.src
+
+let cur p = String.unsafe_get p.src p.pos
 
 let advance p = p.pos <- p.pos + 1
 
 let skip_ws p =
   while
-    p.pos < String.length p.src
-    && match p.src.[p.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    (not (at_end p))
+    && match cur p with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
   do
     advance p
   done
 
 let expect p c =
-  match peek p with
-  | Some d when d = c -> advance p
-  | Some d -> fail p (Printf.sprintf "expected %C, found %C" c d)
-  | None -> fail p (Printf.sprintf "expected %C, found end of input" c)
+  if at_end p then fail p (Printf.sprintf "expected %C, found end of input" c)
+  else if cur p = c then advance p
+  else fail p (Printf.sprintf "expected %C, found %C" c (cur p))
+
+(* [word] at [p.pos], compared in place *)
+let rec word_at s pos word i =
+  i = String.length word
+  || String.unsafe_get s (pos + i) = String.unsafe_get word i
+     && word_at s pos word (i + 1)
 
 let literal p word value =
-  let n = String.length word in
   if
-    p.pos + n <= String.length p.src
-    && String.sub p.src p.pos n = word
+    p.pos + String.length word <= String.length p.src
+    && word_at p.src p.pos word 0
   then begin
-    p.pos <- p.pos + n;
+    p.pos <- p.pos + String.length word;
     value
   end
-  else fail p (Printf.sprintf "expected %s" word)
+  else fail p ("expected " ^ word)
 
 let hex_digit p c =
   match c with
@@ -118,15 +137,16 @@ let hex_digit p c =
   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
   | _ -> fail p "invalid \\u escape"
 
+(* Four hex digits at [p.pos]; a bad one is reported at the first. *)
 let u16 p =
   if p.pos + 4 > String.length p.src then fail p "truncated \\u escape";
-  let v =
-    List.fold_left
-      (fun acc i -> (acc lsl 4) lor hex_digit p p.src.[p.pos + i])
-      0 [ 0; 1; 2; 3 ]
-  in
+  let digit i = hex_digit p (String.unsafe_get p.src (p.pos + i)) in
+  let d0 = digit 0 in
+  let d1 = digit 1 in
+  let d2 = digit 2 in
+  let d3 = digit 3 in
   p.pos <- p.pos + 4;
-  v
+  (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3
 
 let add_utf8 buf cp =
   if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
@@ -146,160 +166,172 @@ let add_utf8 buf cp =
     Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
   end
 
+(* The end of the run from [i] of characters a string holds as they
+   are: the next quote, backslash or control character, or the end of
+   the input. *)
+let rec run_end s i =
+  if i = String.length s then i
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\000' .. '\031' -> i
+    | _ -> run_end s (i + 1)
+
+(* [p.pos] at the character that ended a run: the closing quote, or an
+   escape whose character goes into [buf] before the next run. *)
+let rec escaped p buf =
+  if at_end p then fail p "unterminated string"
+  else
+    match cur p with
+    | '"' ->
+      advance p;
+      Buffer.contents buf
+    | '\\' ->
+      advance p;
+      if at_end p then fail p "unterminated escape";
+      let c = cur p in
+      advance p;
+      (match c with
+      | '"' -> Buffer.add_char buf '"'
+      | '\\' -> Buffer.add_char buf '\\'
+      | '/' -> Buffer.add_char buf '/'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'u' ->
+        let hi = u16 p in
+        if hi >= 0xD800 && hi <= 0xDBFF then
+          (* surrogate pair: require the low half *)
+          if
+            p.pos + 2 <= String.length p.src
+            && String.unsafe_get p.src p.pos = '\\'
+            && String.unsafe_get p.src (p.pos + 1) = 'u'
+          then begin
+            p.pos <- p.pos + 2;
+            let lo = u16 p in
+            if lo < 0xDC00 || lo > 0xDFFF then fail p "invalid surrogate pair"
+            else
+              add_utf8 buf
+                (0x10000 + (((hi - 0xD800) lsl 10) lor (lo - 0xDC00)))
+          end
+          else fail p "lone high surrogate"
+        else if hi >= 0xDC00 && hi <= 0xDFFF then fail p "lone low surrogate"
+        else add_utf8 buf hi
+      | c -> fail p (Printf.sprintf "invalid escape \\%C" c));
+      let start = p.pos in
+      p.pos <- run_end p.src start;
+      Buffer.add_substring buf p.src start (p.pos - start);
+      escaped p buf
+    | _ -> fail p "raw control character in string"
+
+(* A string without escapes is one [String.sub] of its run; otherwise
+   each run between escapes goes into a buffer with one
+   [add_substring]. *)
 let parse_string p =
   expect p '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek p with
-    | None -> fail p "unterminated string"
-    | Some '"' -> advance p
-    | Some '\\' ->
-      advance p;
-      (match peek p with
-      | None -> fail p "unterminated escape"
-      | Some c ->
-        advance p;
-        (match c with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          let hi = u16 p in
-          if hi >= 0xD800 && hi <= 0xDBFF then
-            (* surrogate pair: require the low half *)
-            if
-              p.pos + 2 <= String.length p.src
-              && p.src.[p.pos] = '\\'
-              && p.src.[p.pos + 1] = 'u'
-            then begin
-              p.pos <- p.pos + 2;
-              let lo = u16 p in
-              if lo < 0xDC00 || lo > 0xDFFF then fail p "invalid surrogate pair"
-              else
-                add_utf8 buf
-                  (0x10000 + (((hi - 0xD800) lsl 10) lor (lo - 0xDC00)))
-            end
-            else fail p "lone high surrogate"
-          else if hi >= 0xDC00 && hi <= 0xDFFF then fail p "lone low surrogate"
-          else add_utf8 buf hi
-        | c -> fail p (Printf.sprintf "invalid escape \\%C" c));
-        go ())
-    | Some c when Char.code c < 0x20 -> fail p "raw control character in string"
-    | Some c ->
-      advance p;
-      Buffer.add_char buf c;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
+  let start = p.pos in
+  p.pos <- run_end p.src start;
+  if (not (at_end p)) && cur p = '"' then begin
+    advance p;
+    String.sub p.src start (p.pos - 1 - start)
+  end
+  else begin
+    let buf = Buffer.create (p.pos - start + 16) in
+    Buffer.add_substring buf p.src start (p.pos - start);
+    escaped p buf
+  end
+
+let digits p =
+  let start = p.pos in
+  while (not (at_end p)) && match cur p with '0' .. '9' -> true | _ -> false do
+    advance p
+  done;
+  if p.pos = start then fail p "expected digit"
 
 let parse_number p =
   let start = p.pos in
-  let is_float = ref false in
-  if peek p = Some '-' then advance p;
-  let digits () =
-    let saw = ref false in
-    while
-      match peek p with
-      | Some ('0' .. '9') ->
-        saw := true;
-        advance p;
-        true
-      | _ -> false
-    do
-      ()
-    done;
-    if not !saw then fail p "expected digit"
-  in
-  digits ();
-  if peek p = Some '.' then begin
-    is_float := true;
+  if cur p = '-' then advance p;
+  digits p;
+  let fraction = (not (at_end p)) && cur p = '.' in
+  if fraction then begin
     advance p;
-    digits ()
+    digits p
   end;
-  (match peek p with
-  | Some ('e' | 'E') ->
-    is_float := true;
+  let exponent = (not (at_end p)) && (cur p = 'e' || cur p = 'E') in
+  if exponent then begin
     advance p;
-    (match peek p with Some ('+' | '-') -> advance p | _ -> ());
-    digits ()
-  | _ -> ());
+    if (not (at_end p)) && (cur p = '+' || cur p = '-') then advance p;
+    digits p
+  end;
   let text = String.sub p.src start (p.pos - start) in
-  if !is_float then Float (float_of_string text)
+  if fraction || exponent then Float (float_of_string text)
   else
     match int_of_string_opt text with
     | Some i -> Int i
     | None -> Float (float_of_string text)
 
-let rec parse_value p =
+(* [depth]: the arrays and objects open around the value. *)
+let rec parse_value p depth =
   skip_ws p;
-  match peek p with
-  | None -> fail p "expected a value"
-  | Some '{' ->
+  if at_end p then fail p "expected a value";
+  match cur p with
+  | ('{' | '[') when depth = max_depth ->
+    fail p (Printf.sprintf "nesting deeper than %d" max_depth)
+  | '{' ->
     advance p;
     skip_ws p;
-    if peek p = Some '}' then begin
+    if (not (at_end p)) && cur p = '}' then begin
       advance p;
       Obj []
     end
-    else begin
-      let fields = ref [] in
-      let rec members () =
-        skip_ws p;
-        let key = parse_string p in
-        skip_ws p;
-        expect p ':';
-        let v = parse_value p in
-        fields := (key, v) :: !fields;
-        skip_ws p;
-        match peek p with
-        | Some ',' ->
-          advance p;
-          members ()
-        | Some '}' -> advance p
-        | _ -> fail p "expected ',' or '}'"
-      in
-      members ();
-      Obj (List.rev !fields)
-    end
-  | Some '[' ->
+    else Obj (members p (depth + 1) [])
+  | '[' ->
     advance p;
     skip_ws p;
-    if peek p = Some ']' then begin
+    if (not (at_end p)) && cur p = ']' then begin
       advance p;
       List []
     end
-    else begin
-      let items = ref [] in
-      let rec elements () =
-        let v = parse_value p in
-        items := v :: !items;
-        skip_ws p;
-        match peek p with
-        | Some ',' ->
-          advance p;
-          elements ()
-        | Some ']' -> advance p
-        | _ -> fail p "expected ',' or ']'"
-      in
-      elements ();
-      List (List.rev !items)
-    end
-  | Some '"' -> String (parse_string p)
-  | Some 't' -> literal p "true" (Bool true)
-  | Some 'f' -> literal p "false" (Bool false)
-  | Some 'n' -> literal p "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number p
-  | Some c -> fail p (Printf.sprintf "unexpected character %C" c)
+    else List (elements p (depth + 1) [])
+  | '"' -> String (parse_string p)
+  | 't' -> literal p "true" (Bool true)
+  | 'f' -> literal p "false" (Bool false)
+  | 'n' -> literal p "null" Null
+  | '-' | '0' .. '9' -> parse_number p
+  | c -> fail p (Printf.sprintf "unexpected character %C" c)
+
+and members p depth acc =
+  skip_ws p;
+  let key = parse_string p in
+  skip_ws p;
+  expect p ':';
+  let acc = (key, parse_value p depth) :: acc in
+  skip_ws p;
+  match if at_end p then ' ' else cur p with
+  | ',' ->
+    advance p;
+    members p depth acc
+  | '}' ->
+    advance p;
+    List.rev acc
+  | _ -> fail p "expected ',' or '}'"
+
+and elements p depth acc =
+  let acc = parse_value p depth :: acc in
+  skip_ws p;
+  match if at_end p then ' ' else cur p with
+  | ',' ->
+    advance p;
+    elements p depth acc
+  | ']' ->
+    advance p;
+    List.rev acc
+  | _ -> fail p "expected ',' or ']'"
 
 let of_string s =
   let p = { src = s; pos = 0 } in
-  match parse_value p with
+  match parse_value p 0 with
   | v ->
     skip_ws p;
     if p.pos <> String.length s then

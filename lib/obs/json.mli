@@ -3,12 +3,15 @@
     Just enough for the metrics dump, the bench results file, the
     audit log and the server's line-delimited protocol — no
     dependency.  Serialization is deterministic: object fields are
-    emitted in construction order, floats with ["%.6g"] (integral
-    floats print without a fraction, which keeps golden tests and
-    diffs stable).  The parser accepts standard JSON: numbers without
-    a fraction or exponent that fit in [int] become [Int], everything
-    else numeric becomes [Float]; [\u] escapes (including surrogate
-    pairs) decode to UTF-8. *)
+    emitted in construction order.  An integral float below [1e15]
+    prints without a fraction (["%.0f"]), which keeps golden tests and
+    diffs stable; any other float prints with the fewest of 15, 16 or
+    17 significant digits (["%.15g"], ["%.16g"], ["%.17g"]) that read
+    back to the same float, so a span timestamp in microseconds since
+    boot keeps its sub-microsecond digits.  The parser accepts
+    standard JSON: numbers without a fraction or exponent that fit in
+    [int] become [Int], everything else numeric becomes [Float]; [\u]
+    escapes (including surrogate pairs) decode to UTF-8. *)
 
 type t =
   | Null
@@ -30,7 +33,13 @@ val to_channel : out_channel -> t -> unit
 val of_string : string -> (t, string) result
 (** Parse one complete JSON value (leading/trailing whitespace
     allowed; anything else after the value is an error).  The error
-    string carries the byte offset. *)
+    string carries the byte offset.  Arrays and objects nest at most
+    512 deep: a deeper opening bracket is an error at its offset
+    (["at offset N: nesting deeper than 512"]), so a hostile line
+    costs neither deep recursion nor memory.  Strings are copied a run
+    at a time — one [String.sub] for a string without escapes — and
+    the input is read in place, without an allocation per
+    character. *)
 
 (** {1 Accessors}
 

@@ -59,6 +59,29 @@ let line buf reply =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
+(* Each node as a JSON string, after a comma from the second on. *)
+let rec add_results buf ~comma = function
+  | [] -> ()
+  | node :: rest ->
+    if comma then Buffer.add_char buf ',';
+    Buffer.add_char buf '"';
+    Sxml.Print.to_buffer Json_string buf node;
+    Buffer.add_char buf '"';
+    add_results buf ~comma:true rest
+
+let answer_line buf ~rid nodes =
+  Buffer.clear buf;
+  Buffer.add_string buf {|{"ok":true,"v":|};
+  Buffer.add_string buf (string_of_int version);
+  Buffer.add_string buf {|,"rid":|};
+  J.to_buffer buf (J.String rid);
+  Buffer.add_string buf {|,"results":[|};
+  add_results buf ~comma:false nodes;
+  Buffer.add_string buf {|],"count":|};
+  Buffer.add_string buf (string_of_int (List.length nodes));
+  Buffer.add_string buf "}\n";
+  Buffer.contents buf
+
 let error_of ?rid (e : Secview.Error.t) =
   error ?rid ~code:(Secview.Error.to_code e) (Secview.Error.to_string e)
 

@@ -99,9 +99,18 @@ val is_ok : Sobs.Json.t -> bool
 
 val line : Buffer.t -> Sobs.Json.t -> string
 (** A reply as it goes on the wire: its JSON and a newline, built in
-    the buffer (cleared first).  The server writes every reply through
-    here, each in a buffer owned by the thread that builds the reply,
-    so the buffer is reused from one reply to the next. *)
+    the buffer (cleared first).  The server writes every reply but an
+    answer through here, each in a buffer owned by the thread that
+    builds the reply, so the buffer is reused from one reply to the
+    next. *)
+
+val answer_line : Buffer.t -> rid:string -> Sxml.Tree.t list -> string
+(** The reply to an answered query, as {!line} builds it — byte for
+    byte [line buf (ok ~rid [("results", List rs); ("count", Int n)])]
+    where [rs] are {!Sxml.Print.answer}'s strings of the nodes — but
+    written in one pass: each node goes into the buffer already
+    escaped as a JSON string ({!Sxml.Print.Json_string}), with no
+    per-node string and no JSON value built. *)
 
 val error_of : ?rid:string -> Secview.Error.t -> Sobs.Json.t
 (** Error reply for a typed engine error: the code is

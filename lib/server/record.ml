@@ -14,12 +14,15 @@ let failed ?detail ~write e (r : Sobs.Request.t) =
 let query ?version outcome (r : Sobs.Request.t) =
   match outcome with
   | Error e -> failed ~write:false e r
-  | Ok (rendered, (o : Secview.Pipeline.outcome)) ->
+  | Ok (o : Secview.Pipeline.outcome) ->
     {
       r with
       status = "ok";
-      results = List.length rendered;
-      digest = Some (Sobs.Capture.digest rendered);
+      results = List.length o.o_results;
+      digest =
+        Some
+          (Sobs.Capture.digest
+             (Sxml.Print.answer (Buffer.create 256) o.o_results));
       doc_version = (if version = None then r.doc_version else version);
       translated = Some (Sxpath.Print.to_string o.o_translated);
       counts =

@@ -15,13 +15,16 @@ val status : write:bool -> ('a, Secview.Error.t) result -> string
 
 val query :
   ?version:int ->
-  (string list * Secview.Pipeline.outcome, Secview.Error.t) result ->
+  (Secview.Pipeline.outcome, Secview.Error.t) result ->
   Sobs.Request.t ->
   Sobs.Request.t
-(** An answered query, given its rendered answer: the answer's size and
-    {!Sobs.Capture.digest}, the translated query, the plan operator
-    counts and — when given — the version of the pinned document
-    snapshot.  A failed one: status ["error"] and the message. *)
+(** An answered query: the answer's size and the
+    {!Sobs.Capture.digest} of its {!Sxml.Print.answer} strings,
+    rendered here in a buffer of its own, the translated query, the
+    plan operator counts and — when given — the version of the pinned
+    document snapshot.  A failed one: status ["error"] and the
+    message.  Applied only when a sink is on, so a served answer is
+    rendered for its digest only then. *)
 
 val update :
   ?detail:string ->

@@ -277,11 +277,10 @@ let parsed_request t (q : Protocol.query) k =
            the worker must survive *)
         Error (Secview.Error.Internal (Printexc.to_string exn))))
 
-(* Ok: (rendered results, the pipeline's outcome, pinned document
-   version), the results rendered in the worker's buffer [out].
-   Counts are only collected when the slow-query log or the flight
-   recorder could use them. *)
-let answer_query t psess ~out ~group (q : Protocol.query) =
+(* Ok: (the pipeline's outcome, pinned document version).  Counts are
+   only collected when the slow-query log or the flight recorder could
+   use them. *)
+let answer_query t psess ~group (q : Protocol.query) =
   parsed_request t q (fun entry path ->
       let env name = List.assoc_opt name q.bind in
       (* Pin once: document, height and index all come from this
@@ -295,11 +294,7 @@ let answer_query t psess ~out ~group (q : Protocol.query) =
           ~counts:(t.config.slow_ms <> None || Option.is_some t.recorder)
           ~env path snap
       with
-      | Ok o ->
-        Ok
-          ( Sxml.Print.answer out o.Pipeline.o_results,
-            o,
-            Catalog.snapshot_version snap )
+      | Ok o -> Ok (o, Catalog.snapshot_version snap)
       | Error _ as e -> e)
 
 let explain_query t psess ~rid ~group (q : Protocol.query) =
@@ -394,8 +389,8 @@ let publish t ?(slow = false) ?(queued = false) mk =
     | _ -> ()
   end
 
-(* [out] is the consuming loop's buffer: the answer is rendered and the
-   reply line built in it. *)
+(* [out] is the consuming loop's buffer: the reply line is built in
+   it, an answer's nodes written straight into the line. *)
 let run_job t psess ~out job =
   let latency () = 1000. *. (Deadline.now () -. job.submitted) in
   observe t (queue_wait_series job.work) (latency ());
@@ -428,18 +423,21 @@ let run_job t psess ~out job =
   end
   else begin
     let rid = job.jrid in
-    (* each job yields its reply, its status, and how its outcome fills
-       the request record (applied only when a sink is on) *)
+    let line = Protocol.line out in
+    (* each job yields its reply line, its status, and how its outcome
+       fills the request record (applied only when a sink is on) *)
     let run_work () =
       match job.work with
       | Nap s ->
         Thread.delay s;
-        (Protocol.ok ~rid [ ("slept_ms", J.Float (1000. *. s)) ], "ok", Fun.id)
+        ( line (Protocol.ok ~rid [ ("slept_ms", J.Float (1000. *. s)) ]),
+          "ok",
+          Fun.id )
       | Explain_query q -> (
         match explain_query t psess ~rid ~group:job.jgroup q with
-        | Ok reply -> (reply, "ok", Fun.id)
+        | Ok reply -> (line reply, "ok", Fun.id)
         | Error e as res ->
-          (Protocol.error_of ~rid e, Record.status ~write:false res,
+          (line (Protocol.error_of ~rid e), Record.status ~write:false res,
            Record.query res))
       | Do_update q ->
         (* the client-visible digest is of the group's view of the new
@@ -448,23 +446,20 @@ let run_job t psess ~out job =
            keeps the admission check's id-bearing detail; the reply
            goes out sanitized. *)
         let res, detail = run_update t ~group:job.jgroup q in
-        ( (match res with
-          | Ok w -> Protocol.ok ~rid (Protocol.receipt_fields w)
-          | Error e -> Protocol.error_of ~rid e),
+        ( line
+            (match res with
+            | Ok w -> Protocol.ok ~rid (Protocol.receipt_fields w)
+            | Error e -> Protocol.error_of ~rid e),
           Record.status ~write:true res,
           Record.update ?detail res )
       | Answer q -> (
-        match answer_query t psess ~out ~group:job.jgroup q with
-        | Ok (rendered, o, version) ->
-          ( Protocol.ok ~rid
-              [
-                ("results", J.List (List.map (fun s -> J.String s) rendered));
-                ("count", J.Int (List.length rendered));
-              ],
+        match answer_query t psess ~group:job.jgroup q with
+        | Ok (o, version) ->
+          ( Protocol.answer_line out ~rid o.Pipeline.o_results,
             "ok",
-            Record.query ~version (Ok (rendered, o)) )
+            Record.query ~version (Ok o) )
         | Error e as res ->
-          (Protocol.error_of ~rid e, Record.status ~write:false res,
+          (line (Protocol.error_of ~rid e), Record.status ~write:false res,
            Record.query res))
     in
     (* the whole request runs inside a synthetic "request" root span:
@@ -475,7 +470,7 @@ let run_job t psess ~out job =
     let want_spans =
       (t.config.slow_ms <> None || Option.is_some t.recorder) && is_query
     in
-    let (reply, status, fill), spans =
+    let (reply_line, status, fill), spans =
       match t.tracer with
       | Some tr when want_spans -> Sobs.Tracer.with_request tr run_work
       | _ -> (run_work (), [])
@@ -514,7 +509,7 @@ let run_job t psess ~out job =
           with
           status;
         });
-    ignore (Deadline.fill job.cell (Protocol.line out reply) : bool)
+    ignore (Deadline.fill job.cell reply_line : bool)
   end
 
 (* A reply buffer that grew past this is dropped after the reply, so

@@ -158,6 +158,59 @@ let test_chrome_trace_roundtrip () =
       Alcotest.(check int) "inner depth" 1 (arg "depth" inner)
     | _ -> Alcotest.fail "traceEvents missing")
 
+(* Span timestamps are microseconds since boot: a clock read 71,653 s
+   after boot puts them near 7.2e10, where six significant digits (the
+   old float format) cover a tenth of a second and every span of a
+   request lands on one instant.  Each written [ts] must read back as
+   its span's start, so the events stay distinct and in order. *)
+let test_chrome_trace_boot_offset () =
+  let tr =
+    Tracer.create ~clock:(Clock.fake ~start:71_653_712_345_678L ~step:7_001L ()) ()
+  in
+  Tracer.install tr;
+  for _ = 1 to 2 do
+    Secview.Trace.span "answer" (fun () ->
+        Secview.Trace.span "translate" (fun () -> ());
+        Secview.Trace.span "eval" (fun () -> ()))
+  done;
+  Tracer.uninstall ();
+  let spans = Tracer.spans tr in
+  match Json.of_string (Json.to_string (Export.chrome_trace spans)) with
+  | Error e -> Alcotest.failf "trace JSON does not parse: %s" e
+  | Ok j -> (
+    match Json.member "traceEvents" j with
+    | Some (Json.List evs) ->
+      let ts ev =
+        match Option.bind (Json.member "ts" ev) Json.to_float_opt with
+        | Some f -> f
+        | None -> Alcotest.fail "ts missing"
+      in
+      let seq ev =
+        match Option.bind (Json.member "args" ev) (Json.member "seq") with
+        | Some (Json.Int i) -> i
+        | _ -> Alcotest.fail "args.seq missing"
+      in
+      Alcotest.(check (list (float 0.)))
+        "each ts reads back as its span's start"
+        (List.map
+           (fun (sp : Tracer.span) -> Int64.to_float sp.start_ns /. 1e3)
+           spans)
+        (List.map ts evs);
+      (* in the order the spans opened, every event starts later *)
+      let by_seq =
+        List.map snd
+          (List.sort compare (List.map (fun ev -> (seq ev, ts ev)) evs))
+      in
+      Alcotest.(check int) "six events" 6 (List.length by_seq);
+      ignore
+        (List.fold_left
+           (fun prev t ->
+             if t <= prev then
+               Alcotest.failf "ts %.3f does not follow %.3f" t prev;
+             t)
+           neg_infinity by_seq)
+    | _ -> Alcotest.fail "traceEvents missing")
+
 (* GC pauses render as their own complete events on pid 2, one tid per
    domain, so they appear as separate tracks under the request rows. *)
 let test_chrome_trace_gc_tracks () =
@@ -378,6 +431,8 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_chrome_trace_roundtrip;
           Alcotest.test_case "gc tracks" `Quick test_chrome_trace_gc_tracks;
+          Alcotest.test_case "timestamps long after boot" `Quick
+            test_chrome_trace_boot_offset;
         ] );
       ( "explain",
         [ Alcotest.test_case "operator counters" `Quick test_explain_counts ]

@@ -8,7 +8,11 @@
      (Theorem 4.1, in the precise mode);
    - DTD-aware optimization preserves query answers;
    - the approximate containment test is sound on instances
-     (Proposition 5.1). *)
+     (Proposition 5.1);
+
+   and, for the served reply codec, that the JSON decoder agrees with
+   its oracle, that floats round-trip, and that the one-pass reply line
+   equals the line built from the reference renderer. *)
 
 module A = Sxpath.Ast
 module R = Sdtd.Regex
@@ -733,6 +737,297 @@ let test_view_text_cases () =
   Alcotest.(check string) "non-conforming extraction" ""
     (check "nameless patient" ~spec:(Workload.Hospital.nurse_spec Workload.Hospital.dtd) nameless)
 
+(* ---- the reply codec ------------------------------------------------ *)
+
+module J = Sobs.Json
+module Protocol = Sserver.Protocol
+
+(* A piece of string content: its bytes, and one way of writing them
+   inside a JSON string literal — raw, a short escape, or [\u] in
+   either case, astral code points as surrogate pairs. *)
+let gen_piece : (string * string) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let hex upper v = Printf.sprintf (if upper then "\\u%04X" else "\\u%04x") v in
+  let utf8 cp =
+    let b = Buffer.create 4 in
+    Buffer.add_utf_8_uchar b (Uchar.of_int cp);
+    Buffer.contents b
+  in
+  let control =
+    let* c = int_range 0 31 and* short = bool and* upper = bool in
+    let s = String.make 1 (Char.chr c) in
+    return
+      ( s,
+        match (short, s) with
+        | true, "\b" -> "\\b"
+        | true, "\012" -> "\\f"
+        | true, "\n" -> "\\n"
+        | true, "\r" -> "\\r"
+        | true, "\t" -> "\\t"
+        | _ -> hex upper c )
+  in
+  let bmp =
+    let* cp = oneof [ int_range 0x80 0xD7FF; int_range 0xE000 0xFFFF ]
+    and* escaped = bool
+    and* upper = bool in
+    return (utf8 cp, if escaped then hex upper cp else utf8 cp)
+  in
+  let astral =
+    let* cp = int_range 0x10000 0x10FFFF
+    and* escaped = bool
+    and* upper = bool in
+    let v = cp - 0x10000 in
+    return
+      ( utf8 cp,
+        if escaped then
+          hex upper (0xD800 lor (v lsr 10)) ^ hex upper (0xDC00 lor (v land 0x3FF))
+        else utf8 cp )
+  in
+  frequency
+    [
+      (4, map (fun s -> (s, s)) (string_size ~gen:(char_range 'a' 'z') (int_range 1 6)));
+      (2, map (fun e -> ("\"", e)) (oneofl [ "\\\""; "\\u0022" ]));
+      (2, map (fun e -> ("\\", e)) (oneofl [ "\\\\"; "\\u005c"; "\\u005C" ]));
+      (1, map (fun e -> ("/", e)) (oneofl [ "/"; "\\/" ]));
+      (3, control);
+      (2, bmp);
+      (2, astral);
+      (1, map (fun c -> let s = String.make 1 (Char.chr c) in (s, s)) (int_range 0x80 0xFF));
+    ]
+
+let gen_string_pair =
+  QCheck2.Gen.(
+    map
+      (fun pieces ->
+        ( String.concat "" (List.map fst pieces),
+          "\"" ^ String.concat "" (List.map snd pieces) ^ "\"" ))
+      (list_size (int_range 0 6) gen_piece))
+
+(* A random JSON value and one text that encodes it, with whitespace
+   between tokens and the escapes [gen_piece] chooses. *)
+let gen_json_pair : (J.t * string) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let ws = oneofl [ ""; ""; ""; " "; "\n"; "\t "; "\r\n" ] in
+  let number =
+    oneof
+      [
+        map (fun i -> (J.Int i, string_of_int i)) int;
+        map (fun i -> (J.Int i, string_of_int i)) (int_range (-1000) 1000);
+        return (J.Int 0, "-0");
+        (let* m = int_range (-999) 999
+         and* frac = nat
+         and* e = oneofl [ ""; "e5"; "E-3"; "e+12"; "E0" ] in
+         let t = Printf.sprintf "%d.%d%s" m frac e in
+         return (J.Float (float_of_string t), t));
+        (let* m = int_range 1 99 and* e = oneofl [ "e300"; "e-300"; "E+2" ] in
+         let t = string_of_int m ^ e in
+         return (J.Float (float_of_string t), t));
+        return (J.Float 1.2345678901234568e29, "123456789012345678901234567890");
+      ]
+  in
+  let scalar =
+    frequency
+      [
+        (1, oneofl [ (J.Null, "null"); (J.Bool true, "true"); (J.Bool false, "false") ]);
+        (2, number);
+        (4, map (fun (v, t) -> (J.String v, t)) gen_string_pair);
+      ]
+  in
+  let wrap open_ close items =
+    let* pre = ws and* post = ws in
+    return (open_ ^ pre ^ String.concat "," items ^ post ^ close)
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then scalar
+         else
+           let elem =
+             let* v, t = self (n - 1) and* a = ws and* b = ws in
+             return (v, a ^ t ^ b)
+           in
+           frequency
+             [
+               (2, scalar);
+               ( 1,
+                 let* items = list_size (int_range 0 4) elem in
+                 let* text = wrap "[" "]" (List.map snd items) in
+                 return (J.List (List.map fst items), text) );
+               ( 1,
+                 let* fields =
+                   list_size (int_range 0 4)
+                     (pair gen_string_pair elem)
+                 in
+                 let* text =
+                   wrap "{" "}"
+                     (List.map (fun ((_, k), (_, t)) -> k ^ ":" ^ t) fields)
+                 in
+                 return
+                   ( J.Obj (List.map (fun ((k, _), (v, _)) -> (k, v)) fields),
+                     text ) );
+             ])
+
+(* Bytes a mutation writes: JSON's punctuation and escapes, and any
+   byte at all. *)
+let gen_mutation =
+  QCheck2.Gen.(
+    pair nat
+      (oneof
+         [
+           oneofl
+             [ '"'; '\\'; '['; ']'; '{'; '}'; ','; ':'; 'u'; '0'; 'e'; '-';
+               '.'; ' '; '\000'; '\x80'; 'n'; 't'; 'f'; 'D' ];
+           char;
+         ]))
+
+let print_json_case ((_, text), mutations) =
+  Printf.sprintf "text: %S\nmutations: %s" text
+    (String.concat " "
+       (List.map (fun (i, c) -> Printf.sprintf "%d:%C" i c) mutations))
+
+let prop_json_decoder_oracle =
+  QCheck2.Test.make ~name:"JSON decoder = the character-at-a-time oracle"
+    ~count:400 ~print:print_json_case
+    QCheck2.Gen.(pair gen_json_pair (list_size (int_range 0 24) gen_mutation))
+    (fun ((value, text), mutations) ->
+      let agree s = J.of_string s = Json_oracle.of_string s in
+      let all_prefixes s =
+        List.for_all agree (List.init (String.length s + 1) (String.sub s 0))
+      in
+      let mutate s (i, c) =
+        if s = "" then s
+        else
+          let b = Bytes.of_string s in
+          Bytes.set b (i mod Bytes.length b) c;
+          Bytes.to_string b
+      in
+      let written = J.to_string value in
+      J.of_string text = Ok value
+      && all_prefixes text && all_prefixes written
+      && List.for_all (fun m -> agree (mutate text m) && agree (mutate written m))
+           mutations)
+
+let prop_float_round_trip =
+  QCheck2.Test.make ~name:"floats written as JSON read back equal"
+    ~count:2000 ~print:(Printf.sprintf "%h")
+    QCheck2.Gen.(
+      oneof
+        [
+          float;
+          map Int64.float_of_bits int64;
+          (* span timestamps: microseconds since boot, in nanosecond steps *)
+          map (fun ns -> Int64.to_float ns /. 1e3) (map Int64.of_int nat);
+        ])
+    (fun f ->
+      QCheck2.assume (Float.is_finite f);
+      match J.of_string (J.to_string (J.Float f)) with
+      | Ok v -> J.to_float_opt v = Some f
+      | Error _ -> false)
+
+(* Answer trees over an alphabet both escapings touch: XML's specials,
+   JSON's, control characters and UTF-8. *)
+let gen_answer_text =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (int_range 0 5)
+         (oneofl
+            [ "&"; "<"; ">"; "\""; "'"; "\\"; "\t"; "\n"; "\r"; "\001";
+              "\027"; "\031"; "caf\xc3\xa9"; "\xe6\x97\xa5";
+              "\xf0\x9f\x98\x80"; "\x7f"; "plain"; " "; "/"; "]"; "," ])))
+
+let gen_answer_nodes : Sxml.Tree.t list QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let attrs =
+    map
+      (List.mapi (fun i v -> (Printf.sprintf "a%d" i, v)))
+      (list_size (int_range 0 2) gen_answer_text)
+  in
+  let tree =
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let text = map Sxml.Tree.text gen_answer_text in
+           if n = 0 then text
+           else
+             frequency
+               [
+                 (1, text);
+                 ( 2,
+                   let* tag = oneofl [ "a"; "note"; "b-2" ]
+                   and* attrs = attrs
+                   and* children = list_size (int_range 0 3) (self (n - 1)) in
+                   return (Sxml.Tree.elem tag ~attrs children) );
+               ])
+  in
+  map
+    (fun specs -> Sxml.Tree.children (Sxml.Tree.of_spec (Sxml.Tree.elem "r" specs)))
+    (list_size (int_range 0 6) tree)
+
+let prop_reply_line =
+  QCheck2.Test.make
+    ~name:"one-pass reply line = the line built from Print.answer"
+    ~count:500
+    ~print:(fun (rid, nodes) ->
+      Printf.sprintf "rid %S, nodes %s" rid
+        (String.concat " " (List.map (fun n -> Sxml.Print.to_string n) nodes)))
+    QCheck2.Gen.(pair gen_answer_text gen_answer_nodes)
+    (fun (rid, nodes) ->
+      let buf = Buffer.create 16 in
+      let rendered = Sxml.Print.answer buf nodes in
+      let want =
+        Protocol.line buf
+          (Protocol.ok ~rid
+             [
+               ("results", J.List (List.map (fun s -> J.String s) rendered));
+               ("count", J.Int (List.length rendered));
+             ])
+      in
+      let got = Protocol.answer_line buf ~rid nodes in
+      got = want
+      &&
+      match J.of_string got with
+      | Ok j ->
+        J.member "results" j
+        = Some (J.List (List.map (fun s -> J.String s) rendered))
+      | Error _ -> false)
+
+(* 400 answers, the size of a served admin read. *)
+let reply_nodes () =
+  Sxml.Tree.children
+    (Sxml.Tree.of_spec
+       (Sxml.Tree.elem "r"
+          (List.init 400 (fun i ->
+               Sxml.Tree.elem "name"
+                 [ Sxml.Tree.text (Printf.sprintf "person%04d" i) ]))))
+
+(* The one-pass writer builds no per-answer string: beside the line
+   itself (past the minor heap's largest block at this size) it
+   allocates a constant few words, whatever the answer count. *)
+let test_reply_line_allocation () =
+  let nodes = reply_nodes () and buf = Buffer.create 256 in
+  ignore (Sys.opaque_identity (Protocol.answer_line buf ~rid:"r1-17" nodes));
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Protocol.answer_line buf ~rid:"r1-17" nodes));
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 400 answers" words)
+    true (words < 64.)
+
+(* A 400-string reply decodes in at most one minor word per byte: each
+   string is one [String.sub] of its run, with no per-character option
+   or buffer call. *)
+let test_decode_allocation () =
+  let line =
+    Protocol.answer_line (Buffer.create 256) ~rid:"r1-17" (reply_nodes ())
+  in
+  ignore (Sys.opaque_identity (J.of_string line));
+  let w0 = Gc.minor_words () in
+  let decoded = J.of_string line in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "decodes" true (Result.is_ok decoded);
+  let per_byte = words /. float (String.length line) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per byte (at most 1)" per_byte)
+    true (per_byte <= 1.)
+
 let () =
   Alcotest.run "properties"
     [
@@ -756,4 +1051,14 @@ let () =
       ( "view text",
         [ Alcotest.test_case "Fig. 7 and a non-conforming extraction" `Quick
             test_view_text_cases ] );
+      ( "codec",
+        List.map
+          (fun t -> QCheck_alcotest.to_alcotest t)
+          [ prop_json_decoder_oracle; prop_float_round_trip; prop_reply_line ]
+        @ [
+            Alcotest.test_case "reply line allocation" `Quick
+              test_reply_line_allocation;
+            Alcotest.test_case "decode allocation" `Quick
+              test_decode_allocation;
+          ] );
     ]

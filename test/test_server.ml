@@ -49,6 +49,31 @@ let test_json_errors () =
   | Ok other -> Alcotest.failf "unexpected shape: %s" (J.to_string other)
   | Error e -> Alcotest.failf "parse failed: %s" e)
 
+(* Arrays and objects nest at most 512 deep: the 513th opening bracket
+   is refused where it stands, before the decoder recurses further or
+   allocates for the rest of the line. *)
+let test_json_nesting_bound () =
+  let nested n = String.make n '[' ^ String.make n ']' in
+  Alcotest.(check bool) "512 deep parses" true
+    (Result.is_ok (J.of_string (nested 512)));
+  Alcotest.(check bool) "512 deep objects parse" true
+    (Result.is_ok
+       (J.of_string
+          (String.concat "" (List.init 512 (fun _ -> {|{"k":|}))
+          ^ "0" ^ String.make 512 '}')));
+  let refused = Error "at offset 512: nesting deeper than 512" in
+  Alcotest.(check (result reject string)) "513 deep refused" refused
+    (Result.map ignore (J.of_string (nested 513)));
+  let line = String.make 1_000_000 '[' in
+  let w0 = Gc.minor_words () in
+  let got = J.of_string line in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (result reject string)) "a million brackets refused" refused
+    (Result.map ignore got);
+  Alcotest.(check bool)
+    (Printf.sprintf "refused in %.0f minor words" words)
+    true (words < 1000.)
+
 (* ---- protocol ------------------------------------------------------- *)
 
 let test_protocol_roundtrip () =
@@ -1140,6 +1165,30 @@ let test_server_oversized_line () =
     (Protocol.is_ok (recv c));
   Conn.close c
 
+(* A request line of a million opening brackets fits under the line
+   cap; it is refused as [bad_request] at the nesting bound, and the
+   same connection goes on to answer a query. *)
+let test_server_deep_line () =
+  let doc = List.hd (adex_docs ()) in
+  with_server ~docs:[ ("d1", doc) ] () @@ fun _server path ->
+  let c = connect path in
+  Unix.setsockopt_float (Conn.fd c) Unix.SO_RCVTIMEO 10.;
+  Conn.send_line c (String.make 1_000_000 '[');
+  let reply = recv c in
+  check_code "deep line refused" Protocol.bad_request reply;
+  Alcotest.(check (option string))
+    "the error names the bound"
+    (Some "invalid JSON: at offset 512: nesting deeper than 512")
+    (Option.bind (J.member "error" reply) J.to_string_opt);
+  Conn.send c (Protocol.hello ~peer:"tests" "all");
+  Alcotest.(check bool) "hello ok" true (Protocol.is_ok (recv c));
+  Conn.send c (Protocol.query_json "//ad-instance");
+  let j = recv c in
+  Alcotest.(check bool) "answered" true (Protocol.is_ok j);
+  Alcotest.(check bool) "with results" true
+    (match J.member "results" j with Some (J.List (_ :: _)) -> true | _ -> false);
+  Conn.close c
+
 let jsonl_of_string text =
   List.filter_map
     (fun l ->
@@ -1449,6 +1498,7 @@ let () =
         [
           Alcotest.test_case "round trips" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects malformed" `Quick test_json_errors;
+          Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound;
         ] );
       ( "protocol",
         [
@@ -1513,6 +1563,8 @@ let () =
             test_server_drain_audit;
           Alcotest.test_case "oversized line" `Quick
             test_server_oversized_line;
+          Alcotest.test_case "deeply nested line" `Quick
+            test_server_deep_line;
           Alcotest.test_case "sink agreement" `Quick test_sink_agreement;
           Alcotest.test_case "one name per fact" `Quick
             test_server_one_name_per_fact;

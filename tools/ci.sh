@@ -330,6 +330,47 @@ secview client --socket "$TMP/h.sock" --shutdown
 wait $HSRV
 echo "-- hang-ups survived; server (--strict, nurse.spec) drained with exit 0"
 
+# A hostile line: one request of 1,000,000 opening brackets fits under
+# the 1 MiB line cap, and the JSON decoder refuses it at its nesting
+# bound.  The reply must be a bad_request within 5 s; then a new
+# connection must get the direct pipeline's answer, and the server
+# must drain and exit 0.
+echo "== hostile-line smoke"
+secview serve --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
+  --doc doc="$TMP/doc.xml" --socket "$TMP/n.sock" 2> "$TMP/nserve.log" &
+NSRV=$!
+secview client --socket "$TMP/n.sock" --wait 5 --group user \
+  --bind wardNo="$WARD" '//patient/name' > /dev/null
+python3 - "$TMP/n.sock" <<'PY'
+import socket, sys, time
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.settimeout(5)
+t0 = time.monotonic()
+s.sendall(b"[" * 1000000 + b"\n")
+reply = b""
+while not reply.endswith(b"\n"):
+    chunk = s.recv(4096)
+    if not chunk:
+        sys.exit("hostile line: the server hung up without replying")
+    reply += chunk
+if time.monotonic() - t0 > 5:
+    sys.exit("hostile line: the reply took over 5 s")
+if b'"code":"bad_request"' not in reply:
+    sys.exit("hostile line: wanted bad_request, got %r" % reply[:200])
+s.close()
+PY
+secview client --socket "$TMP/n.sock" --group user --bind wardNo="$WARD" \
+  '//patient/name' > "$TMP/n.served.out"
+secview query --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
+  --doc "$TMP/doc.xml" --bind wardNo="$WARD" '//patient/name' \
+  > "$TMP/n.direct.out"
+nonempty "$TMP/n.direct.out"
+cmp "$TMP/n.served.out" "$TMP/n.direct.out"
+secview client --socket "$TMP/n.sock" --shutdown
+wait $NSRV
+echo "-- bad_request for a million brackets, then a correct answer; drained with exit 0"
+
 # Served writes: a chain of admitted updates (insert, replace, delete)
 # through a 2-domain server, then one write DTD conformance must refuse
 # and one visibility preservation must refuse, then a final query.
