@@ -11,7 +11,11 @@
 
     [$var] references are collected into a variable table and replaced
     by slots; the executor resolves slots against its environment
-    lazily, exactly like the interpreter resolves names. *)
+    lazily, exactly like the interpreter resolves names.  Labels are
+    collected the same way into a label table, which the executor
+    resolves to tag codes once per run.  Operators are numbered in
+    preorder and every probe continuation is fixed here (see
+    {!Plan}), so the executor computes neither. *)
 
 type t
 
@@ -24,3 +28,11 @@ val plan : t -> Plan.t
 
 val vars : t -> string array
 (** Variable table: slot [i] holds the [$var] name it stands for. *)
+
+val labels : t -> string array
+(** Label table: slot [i] holds the tag a [Child i] or [Desc (i, _)]
+    operator names. *)
+
+val operators : t -> int
+(** Number of operators, predicates included: one more than the
+    largest preorder number. *)

@@ -1,7 +1,7 @@
-(* Per-operator work counters, one slot per plan node in preorder
-   ({!Plan.size} numbering: node [i]'s first child is [i + 1], the
-   second [i + 1 + size first]).  Allocated per run by the caller
-   (explain, slow-query probes); execution is unchanged when absent. *)
+(* Per-operator work counters, one slot per operator, indexed by its
+   preorder number ({!Plan.t}'s [id], a predicate's [pid]).  Allocated
+   per run by the caller (explain, slow-query probes); execution is
+   unchanged when absent. *)
 module Stats = struct
   type t = {
     scanned : int array;
@@ -18,7 +18,7 @@ module Stats = struct
       emitted = Array.make n 0;
     }
 
-  let for_plan compiled = create (Plan.size (Compile.plan compiled))
+  let for_plan compiled = create (Compile.operators compiled)
   let sum = Array.fold_left ( + ) 0
 
   let totals s =
@@ -30,14 +30,66 @@ module Stats = struct
     ]
 end
 
-(* One run's state.  [visits] is the run's own work meter, handed to
-   the caller once at the end, so runs on different domains never
-   write one shared counter. *)
+(* The identifier sets of a run are slices of one growable array used
+   as a stack: an operator reads its contexts below the top and leaves
+   its result on top, writing nothing below the top it was called
+   with. *)
+module Arena = struct
+  type t = {
+    mutable ids : int array;
+    mutable top : int;
+  }
+
+  let create () = { ids = Array.make 256 0; top = 0 }
+
+  (* room for [n] more identifiers *)
+  let reserve ar n =
+    let need = ar.top + n in
+    if need > Array.length ar.ids then begin
+      let ids = Array.make (max need (2 * Array.length ar.ids)) 0 in
+      Array.blit ar.ids 0 ids 0 ar.top;
+      ar.ids <- ids
+    end
+
+  let push ar x =
+    if ar.top = Array.length ar.ids then reserve ar 1;
+    ar.ids.(ar.top) <- x;
+    ar.top <- ar.top + 1
+end
+
+(* An arena outlives its run: each domain keeps one spare, which a run
+   takes and gives back, so a run's sets reach the major heap only
+   while the spare grows to the largest run's size.  A run that finds
+   no spare (another thread's run on the domain holds it) makes its
+   own; an arena grown past [kept] identifiers is not kept. *)
+let spare : Arena.t option Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let kept = 1 lsl 16
+
+let take () =
+  match Atomic.exchange (Domain.DLS.get spare) None with
+  | Some ar -> ar
+  | None -> Arena.create ()
+
+let give (ar : Arena.t) =
+  if Array.length ar.ids <= kept then
+    Atomic.set (Domain.DLS.get spare) (Some ar)
+
+(* One run's state: the index's columns, each label slot resolved to
+   its tag, each variable slot's value once looked up.  [visits] is
+   the run's own work meter, handed to the caller once at the end, so
+   runs on different domains never write one shared counter. *)
 type st = {
   index : Sxml.Index.t;
+  extents : int array;
+  codes : int array;
+  tags : Sxml.Index.tag array;  (* by label slot *)
   env : string -> string option;
   vars : string array;
+  values : string option array;  (* by variable slot *)
   stats : Stats.t option;
+  arena : Arena.t;
   mutable visits : int;
 }
 
@@ -63,13 +115,18 @@ let add_emitted st id n =
   | None -> ()
   | Some s -> s.Stats.emitted.(id) <- s.Stats.emitted.(id) + n
 
-let resolve st = function
+let value st = function
   | Plan.Const c -> c
   | Plan.Slot i -> (
-    let name = st.vars.(i) in
-    match st.env name with
+    match st.values.(i) with
     | Some c -> c
-    | None -> raise (Sxpath.Eval.Unbound_variable name))
+    | None -> (
+      let name = st.vars.(i) in
+      match st.env name with
+      | Some c as v ->
+        st.values.(i) <- v;
+        c
+      | None -> raise (Sxpath.Eval.Unbound_variable name)))
 
 (* first position in [arr] holding an id >= [target] *)
 let lower_bound (arr : int array) target =
@@ -80,261 +137,249 @@ let lower_bound (arr : int array) target =
   done;
   !lo
 
-(* Growable id buffer.  Pushes remember whether they arrived in
-   ascending order so [contents] only sorts when a nested context
-   actually interleaved ids (child steps from nested contexts). *)
-module Buf = struct
-  type t = {
-    mutable a : int array;
-    mutable len : int;
-    mutable sorted : bool;
-    mutable last : int;
-  }
-
-  let create () = { a = Array.make 16 0; len = 0; sorted = true; last = min_int }
-
-  let push b x =
-    if b.len = Array.length b.a then begin
-      let a = Array.make (2 * b.len) 0 in
-      Array.blit b.a 0 a 0 b.len;
-      b.a <- a
-    end;
-    b.a.(b.len) <- x;
-    b.len <- b.len + 1;
-    if x < b.last then b.sorted <- false;
-    b.last <- x
-
-  let contents b =
-    let out = Array.sub b.a 0 b.len in
-    if not b.sorted then Array.sort Int.compare out;
-    out
-end
-
-let empty_ids : int array = [||]
-
-(* Merge two sorted duplicate-free id arrays into one. *)
-let merge a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 then b
-  else if lb = 0 then a
-  else begin
-    let out = Array.make (la + lb) 0 in
-    let i = ref 0 and j = ref 0 and k = ref 0 in
-    let push x =
-      if !k = 0 || out.(!k - 1) <> x then begin
-        out.(!k) <- x;
-        incr k
-      end
-    in
-    while !i < la && !j < lb do
-      if a.(!i) <= b.(!j) then begin
-        if a.(!i) = b.(!j) then incr j;
-        push a.(!i);
-        incr i
-      end
-      else begin
-        push b.(!j);
-        incr j
-      end
-    done;
-    while !i < la do
-      push a.(!i);
-      incr i
-    done;
-    while !j < lb do
-      push b.(!j);
-      incr j
-    done;
-    if !k = la + lb then out else Array.sub out 0 !k
-  end
-
 let node st id = Sxml.Index.node st.index id
 
-(* Set-at-a-time execution: contexts are sorted duplicate-free id
-   arrays, and every operator preserves that invariant — child steps
-   because distinct contexts have disjoint children (sort repairs
-   interleaving from nested contexts), descendant joins because
-   contexts nested inside an already-covered extent are skipped, so
-   the emitted slices are disjoint and ascending.
+(* the code a [*] step wants: every element's *)
+let any = min_int
 
-   [id] is the plan node's preorder number — the slot its work lands
-   in when [st.stats] is present. *)
-let rec run_plan st (plan : Plan.t) (id : int) (ctx : int array) : int array =
+let passes st code k =
+  let c = st.codes.(k) in
+  c = code || (code = any && c >= 0)
+
+(* Write the sorted union of the slices [a, ea) and [b, eb) on top,
+   each ascending and duplicate-free, and return its start. *)
+let merge (ar : Arena.t) a ea b eb =
+  Arena.reserve ar (ea - a + (eb - b));
+  let ids = ar.ids and start = ar.top in
+  let i = ref a and j = ref b and k = ref start in
+  while !i < ea || !j < eb do
+    if !j >= eb || (!i < ea && ids.(!i) <= ids.(!j)) then begin
+      if !j < eb && ids.(!j) = ids.(!i) then incr j;
+      ids.(!k) <- ids.(!i);
+      incr i
+    end
+    else begin
+      ids.(!k) <- ids.(!j);
+      incr j
+    end;
+    incr k
+  done;
+  ar.top <- !k;
+  start
+
+(* Set-at-a-time execution: [run_plan st p lo hi] answers [p] from the
+   contexts in the arena slice [lo, hi), ascending and duplicate-free,
+   and returns the start of its result, left on top of the arena and
+   ascending and duplicate-free too.  Child steps keep that order
+   because distinct contexts have disjoint children (a sort repairs
+   the interleaving of nested contexts), descendant joins because
+   contexts nested inside an already-covered extent are skipped, so
+   the emitted slices are disjoint and ascending.  Each operator's
+   work lands in the counters at its number when [st.stats] is
+   present. *)
+let rec run_plan st (p : Plan.t) lo hi : int =
+  let ar = st.arena in
+  let start = ar.top in
   let out =
-    match plan with
-    | Plan.Nothing -> empty_ids
-    | Plan.Self -> ctx
-    | Plan.Child l ->
-      let b = Buf.create () in
-      let seen = ref 0 in
-      Array.iter
-        (fun c ->
-          visit st;
-          List.iter
-            (fun child ->
-              incr seen;
-              match Sxml.Tree.tag child with
-              | Some t when String.equal t l -> Buf.push b child.Sxml.Tree.id
-              | _ -> ())
-            (Sxml.Tree.children (node st c)))
-        ctx;
-      add_scanned st id !seen;
-      Buf.contents b
-    | Plan.Child_any ->
-      let b = Buf.create () in
-      let seen = ref 0 in
-      Array.iter
-        (fun c ->
-          visit st;
-          List.iter
-            (fun child ->
-              incr seen;
-              if Sxml.Tree.is_element child then Buf.push b child.Sxml.Tree.id)
-            (Sxml.Tree.children (node st c)))
-        ctx;
-      add_scanned st id !seen;
-      Buf.contents b
-    | Plan.Attr _ ->
+    match p.op with
+    | Plan.Nothing | Plan.Attr _ ->
       (* attribute values leave the node world; only probes see them *)
-      empty_ids
+      start
+    | Plan.Self ->
+      if hi = start then lo
+      else begin
+        Arena.reserve ar (hi - lo);
+        Array.blit ar.ids lo ar.ids start (hi - lo);
+        ar.top <- start + (hi - lo);
+        start
+      end
+    | Plan.Child l -> children st p st.tags.(l).code lo hi
+    | Plan.Child_any -> children st p any lo hi
     | Plan.Seq (a, b) ->
-      run_plan st b (id + 1 + Plan.size a) (run_plan st a (id + 1) ctx)
+      let mid = run_plan st a lo hi in
+      run_plan st b mid ar.top
     | Plan.Desc (l, k) ->
-      let tagged = Sxml.Index.tag_ids st.index l in
-      let b = Buf.create () in
-      let covered = ref (-1) in
-      let seen = ref 0 and joins = ref 0 in
-      Array.iter
-        (fun c ->
-          if c > !covered then begin
-            visit st;
-            incr joins;
-            let last = Sxml.Index.extent st.index c in
-            covered := last;
-            let i = ref (lower_bound tagged (c + 1)) in
-            while !i < Array.length tagged && tagged.(!i) <= last do
-              incr seen;
-              Buf.push b tagged.(!i);
-              incr i
-            done
-          end)
-        ctx;
-      add_probes st id !joins;
-      add_joined st id !joins;
-      add_scanned st id !seen;
-      run_plan st k (id + 1) (Buf.contents b)
+      let tagged = st.tags.(l).ids in
+      let covered = ref (-1) and seen = ref 0 and joins = ref 0 in
+      for i = lo to hi - 1 do
+        let c = ar.ids.(i) in
+        if c > !covered then begin
+          visit st;
+          incr joins;
+          let last = st.extents.(c) in
+          covered := last;
+          let j = ref (lower_bound tagged (c + 1)) in
+          while !j < Array.length tagged && tagged.(!j) <= last do
+            incr seen;
+            Arena.push ar tagged.(!j);
+            incr j
+          done
+        end
+      done;
+      add_probes st p.id !joins;
+      add_joined st p.id !joins;
+      add_scanned st p.id !seen;
+      run_plan st k start ar.top
     | Plan.Branch (a, b) ->
-      merge (run_plan st a (id + 1) ctx)
-        (run_plan st b (id + 1 + Plan.size a) ctx)
-    | Plan.Filter (p, q) ->
-      let base = run_plan st p (id + 1) ctx in
-      let qid = id + 1 + Plan.size p in
-      let b = Buf.create () in
-      add_scanned st id (Array.length base);
-      Array.iter (fun c -> if pred st q qid c then Buf.push b c) base;
-      Buf.contents b
+      let sa = run_plan st a lo hi in
+      let ea = ar.top in
+      let sb = run_plan st b lo hi in
+      merge ar sa ea sb ar.top
+    | Plan.Filter (base, q) ->
+      let s = run_plan st base lo hi in
+      let e = ar.top in
+      add_scanned st p.id (e - s);
+      for i = s to e - 1 do
+        let c = ar.ids.(i) in
+        if pred st q c then Arena.push ar c
+      done;
+      e
   in
-  add_emitted st id (Array.length out);
+  add_emitted st p.id (ar.top - out);
   out
 
-(* Node-at-a-time probe for qualifier evaluation: walk the plan from
-   one context node, feeding result nodes to [on_node] and attribute
-   string values to [on_attr], stopping as soon as either returns
-   [true].  Mirrors the interpreter's result flow: a Seq drops its
-   head's attribute values, a Filter filters nodes but passes its
-   base's attribute values through unfiltered.  Probes count scanned
-   candidates and index probes but not emitted rows — short-circuit
-   means a probe's "output" is one boolean. *)
-and probe st (plan : Plan.t) (id : int) (c : int) ~(on_node : int -> bool)
-    ~(on_attr : string -> bool) : bool =
-  match plan with
+(* A child step from every context: each context's children are the
+   identifiers [c + 1], then [extent k + 1] after child [k], up to
+   [extent c]; each is tested against the code column, text children
+   included in [scanned]. *)
+and children st (p : Plan.t) code lo hi =
+  let ar = st.arena in
+  let start = ar.top in
+  let seen = ref 0 and sorted = ref true in
+  for i = lo to hi - 1 do
+    let c = ar.ids.(i) in
+    visit st;
+    let last = st.extents.(c) in
+    let k = ref (c + 1) in
+    while !k <= last do
+      let x = !k in
+      incr seen;
+      if passes st code x then begin
+        if ar.top > start && x < ar.ids.(ar.top - 1) then sorted := false;
+        Arena.push ar x
+      end;
+      k := st.extents.(x) + 1
+    done
+  done;
+  add_scanned st p.id !seen;
+  if not !sorted then begin
+    let s = Array.sub ar.ids start (ar.top - start) in
+    Array.sort Int.compare s;
+    Array.blit s 0 ar.ids start (Array.length s)
+  end;
+  start
+
+(* Node-at-a-time probe for qualifier evaluation: walk [p] from one
+   context node, handing each node or attribute value an operator
+   finds to its continuation ({!Plan.next}), and stop at the first
+   that succeeds.  Probes use no arena and build no closure.  They
+   count scanned candidates and index probes but not emitted rows —
+   short-circuit means a probe's "output" is one boolean. *)
+and probe st (p : Plan.t) c =
+  match p.op with
   | Plan.Nothing -> false
-  | Plan.Self -> on_node c
-  | Plan.Child l ->
-    visit st;
-    let seen = ref 0 in
-    let hit =
-      List.exists
-        (fun child ->
-          incr seen;
-          match Sxml.Tree.tag child with
-          | Some t when String.equal t l -> on_node child.Sxml.Tree.id
-          | _ -> false)
-        (Sxml.Tree.children (node st c))
-    in
-    add_scanned st id !seen;
-    hit
-  | Plan.Child_any ->
-    visit st;
-    let seen = ref 0 in
-    let hit =
-      List.exists
-        (fun child ->
-          incr seen;
-          Sxml.Tree.is_element child && on_node child.Sxml.Tree.id)
-        (Sxml.Tree.children (node st c))
-    in
-    add_scanned st id !seen;
-    hit
+  | Plan.Self -> found st p.next c
+  | Plan.Child l -> probe_children st p st.tags.(l).code c
+  | Plan.Child_any -> probe_children st p any c
   | Plan.Attr a -> (
     visit st;
-    add_scanned st id 1;
+    add_scanned st p.id 1;
     match Sxml.Tree.attr (node st c) a with
-    | Some v -> on_attr v
+    | Some v -> found_value st p.next v
     | None -> false)
-  | Plan.Seq (a, b) ->
-    probe st a (id + 1) c
-      ~on_node:(fun nid -> probe st b (id + 1 + Plan.size a) nid ~on_node ~on_attr)
-      ~on_attr:(fun _ -> false)
+  | Plan.Seq (a, _) -> probe st a c
   | Plan.Desc (l, k) ->
     visit st;
-    let tagged = Sxml.Index.tag_ids st.index l in
-    let last = Sxml.Index.extent st.index c in
+    let tagged = st.tags.(l).ids in
+    let last = st.extents.(c) in
+    add_probes st p.id 1;
+    add_joined st p.id 1;
     let i = ref (lower_bound tagged (c + 1)) in
-    add_probes st id 1;
-    add_joined st id 1;
-    let seen = ref 0 in
-    let stop = ref false in
-    while (not !stop) && !i < Array.length tagged && tagged.(!i) <= last do
+    let seen = ref 0 and hit = ref false in
+    while (not !hit) && !i < Array.length tagged && tagged.(!i) <= last do
       incr seen;
-      if probe st k (id + 1) tagged.(!i) ~on_node ~on_attr then stop := true;
+      if probe st k tagged.(!i) then hit := true;
       incr i
     done;
-    add_scanned st id !seen;
-    !stop
-  | Plan.Branch (a, b) ->
-    probe st a (id + 1) c ~on_node ~on_attr
-    || probe st b (id + 1 + Plan.size a) c ~on_node ~on_attr
-  | Plan.Filter (p, q) ->
-    let qid = id + 1 + Plan.size p in
-    probe st p (id + 1) c
-      ~on_node:(fun nid -> pred st q qid nid && on_node nid)
-      ~on_attr
+    add_scanned st p.id !seen;
+    !hit
+  | Plan.Branch (a, b) -> probe st a c || probe st b c
+  | Plan.Filter (base, _) -> probe st base c
 
-and pred st (q : Plan.pred) (id : int) (c : int) : bool =
-  match q with
+and probe_children st (p : Plan.t) code c =
+  visit st;
+  let last = st.extents.(c) in
+  let k = ref (c + 1) and seen = ref 0 and hit = ref false in
+  while (not !hit) && !k <= last do
+    let x = !k in
+    incr seen;
+    if passes st code x && found st p.next x then hit := true
+    else k := st.extents.(x) + 1
+  done;
+  add_scanned st p.id !seen;
+  !hit
+
+and found st (next : Plan.next) c =
+  match next with
+  | Plan.Accept -> true
+  | Plan.Equal v -> Sxml.Tree.string_value_equal (node st c) (value st v)
+  | Plan.Into p -> probe st p c
+  | Plan.Check (q, next) -> pred st q c && found st next c
+
+and found_value st (next : Plan.next) v =
+  match next with
+  | Plan.Accept -> true
+  | Plan.Equal w -> String.equal v (value st w)
+  | Plan.Into _ -> false
+  | Plan.Check (_, next) -> found_value st next v
+
+and pred st (q : Plan.pred) c =
+  match q.test with
   | Plan.True -> true
   | Plan.False -> false
   | Plan.Exists p ->
-    add_scanned st id 1;
-    probe st p (id + 1) c ~on_node:(fun _ -> true) ~on_attr:(fun _ -> true)
+    add_scanned st q.pid 1;
+    probe st p c
   | Plan.Eq (p, v) ->
-    add_scanned st id 1;
-    let cst = resolve st v in
-    probe st p (id + 1) c
-      ~on_node:(fun nid ->
-        Sxml.Tree.string_value_equal (node st nid) cst)
-      ~on_attr:(fun a -> String.equal a cst)
-  | Plan.And (a, b) ->
-    pred st a (id + 1) c && pred st b (id + 1 + Plan.size_pred a) c
-  | Plan.Or (a, b) ->
-    pred st a (id + 1) c || pred st b (id + 1 + Plan.size_pred a) c
-  | Plan.Not a -> not (pred st a (id + 1) c)
+    add_scanned st q.pid 1;
+    ignore (value st v);
+    probe st p c
+  | Plan.And (a, b) -> pred st a c && pred st b c
+  | Plan.Or (a, b) -> pred st a c || pred st b c
+  | Plan.Not a -> not (pred st a c)
+
+(* the nodes of the slice [start, i], consed onto [acc] *)
+let rec answer st start i acc =
+  if i < start then acc
+  else answer st start (i - 1) (node st st.arena.ids.(i) :: acc)
 
 let no_env : string -> string option = fun _ -> None
 
 let run ?stats ?visits compiled ~index ?(env = no_env) (root : Sxml.Tree.t) =
-  let st = { index; env; vars = Compile.vars compiled; stats; visits = 0 } in
-  let ids = run_plan st (Compile.plan compiled) 0 [| root.Sxml.Tree.id |] in
-  Option.iter (fun m -> m := !m + st.visits) visits;
-  Array.to_list (Array.map (Sxml.Index.node index) ids)
+  let arena = take () in
+  let vars = Compile.vars compiled in
+  let st =
+    {
+      index;
+      extents = Sxml.Index.extents index;
+      codes = Sxml.Index.codes index;
+      tags = Array.map (Sxml.Index.tag index) (Compile.labels compiled);
+      env;
+      vars;
+      values = Array.make (Array.length vars) None;
+      stats;
+      arena;
+      visits = 0;
+    }
+  in
+  arena.top <- 0;
+  Arena.push arena root.Sxml.Tree.id;
+  match run_plan st (Compile.plan compiled) 0 1 with
+  | start ->
+    (match visits with Some m -> m := !m + st.visits | None -> ());
+    let nodes = answer st start (arena.top - 1) [] in
+    give arena;
+    nodes
+  | exception e ->
+    give arena;
+    raise e

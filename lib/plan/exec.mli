@@ -1,10 +1,18 @@
-(** Plan execution over sorted dense-preorder id arrays.
+(** Plan execution over the columns of a {!Sxml.Index.t}.
 
-    Contexts and results are strictly ascending, duplicate-free id
-    arrays over one {!Sxml.Index.t}; descendant steps are answered by
-    binary search into the per-tag id arrays against subtree extents
-    (an interval join), qualifier probes walk node-at-a-time with
-    short-circuit existence checks.
+    Contexts and results are strictly ascending, duplicate-free
+    identifier sets.  A child step walks each context's children as an
+    identifier range ([c + 1], then [extent k + 1] after child [k], up
+    to [extent c]) and tests the index's tag-code column; a descendant
+    step binary-searches the per-tag identifier arrays against subtree
+    extents (an interval join); a qualifier runs as a node-at-a-time
+    probe with short-circuit existence checks, handing what each
+    operator finds to the continuation the compiler fixed.  A run looks
+    every label up once, when it starts, and dereferences a node only
+    to build its answer, compare an [=] string value or read an
+    attribute.  Its intermediate sets live in an arena each domain
+    keeps from run to run, so a run allocates little beyond its answer
+    list.
 
     Results are order- and duplicate-identical to
     {!Sxpath.Eval.run}: both produce document order, and the executor
@@ -17,13 +25,13 @@
 
 (** Per-operator work counters for one (or several accumulated) runs.
 
-    One slot per plan node, numbered in preorder by {!Plan.size}: node
-    [i]'s first child is [i + 1], its second [i + 1 + size first];
-    predicate subtrees are numbered inline ({!Plan.size_pred}).  The
-    root's [emitted] slot is the query's result count.
+    One slot per operator, at the preorder number the compiler gave it
+    ({!Plan.t}'s [id], a predicate's [pid]): operator [i]'s first child
+    is [i + 1], and predicate subtrees are numbered inline.  The root's
+    [emitted] slot is the query's result count.
 
     - [scanned]: candidate nodes examined — children tested by child
-      steps, tag-slice entries walked by descendant joins, base nodes
+      steps (text children too), tag-slice entries walked by descendant joins, base nodes
       tested by filters, attribute lookups, qualifier evaluations at
       [Exists]/[Eq] nodes;
     - [probes]: binary searches into per-tag id arrays;
@@ -44,7 +52,7 @@ module Stats : sig
   (** [create n]: all-zero counters for a plan of [n] nodes. *)
 
   val for_plan : Compile.t -> t
-  (** Sized by {!Plan.size} of the compiled plan. *)
+  (** Sized by {!Compile.operators}. *)
 
   val totals : t -> (string * int) list
   (** [scanned]/[probes]/[joined] summed over all operators, plus

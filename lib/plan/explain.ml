@@ -6,7 +6,7 @@ type node = {
 }
 
 let of_compiled compiled (s : Exec.Stats.t) =
-  let vars = Compile.vars compiled in
+  let vars = Compile.vars compiled and labels = Compile.labels compiled in
   let value = function
     | Plan.Const c -> "\"" ^ c ^ "\""
     | Plan.Slot i -> "$" ^ vars.(i)
@@ -20,44 +20,35 @@ let of_compiled compiled (s : Exec.Stats.t) =
         (if emitted then [ ("emitted", s.emitted.(id)) ] else []);
       ]
   in
-  (* Mirrors the executor's preorder numbering exactly (see
-     {!Exec.Stats}), so each rendered node shows its own slot. *)
-  let rec plan_node id (p : Plan.t) =
+  (* each rendered node shows the counters at its own number *)
+  let rec plan_node (p : Plan.t) =
     let mk op ?arg children =
-      { op; arg; counts = counts_at ~emitted:true id; children }
+      { op; arg; counts = counts_at ~emitted:true p.id; children }
     in
-    match p with
+    match p.op with
     | Plan.Nothing -> mk "nothing" []
     | Plan.Self -> mk "self" []
-    | Plan.Child l -> mk "child" ~arg:l []
+    | Plan.Child l -> mk "child" ~arg:labels.(l) []
     | Plan.Child_any -> mk "child" ~arg:"*" []
     | Plan.Attr a -> mk "attr" ~arg:("@" ^ a) []
-    | Plan.Seq (a, b) ->
-      mk "seq" [ plan_node (id + 1) a; plan_node (id + 1 + Plan.size a) b ]
-    | Plan.Desc (l, k) -> mk "desc" ~arg:l [ plan_node (id + 1) k ]
-    | Plan.Branch (a, b) ->
-      mk "union" [ plan_node (id + 1) a; plan_node (id + 1 + Plan.size a) b ]
-    | Plan.Filter (p', q) ->
-      mk "filter"
-        [ plan_node (id + 1) p'; pred_node (id + 1 + Plan.size p') q ]
-  and pred_node id (q : Plan.pred) =
+    | Plan.Seq (a, b) -> mk "seq" [ plan_node a; plan_node b ]
+    | Plan.Desc (l, k) -> mk "desc" ~arg:labels.(l) [ plan_node k ]
+    | Plan.Branch (a, b) -> mk "union" [ plan_node a; plan_node b ]
+    | Plan.Filter (p', q) -> mk "filter" [ plan_node p'; pred_node q ]
+  and pred_node (q : Plan.pred) =
     let mk op ?arg children =
-      { op; arg; counts = counts_at ~emitted:false id; children }
+      { op; arg; counts = counts_at ~emitted:false q.pid; children }
     in
-    match q with
+    match q.test with
     | Plan.True -> mk "true" []
     | Plan.False -> mk "false" []
-    | Plan.Exists p -> mk "exists" [ plan_node (id + 1) p ]
-    | Plan.Eq (p, v) -> mk "eq" ~arg:(value v) [ plan_node (id + 1) p ]
-    | Plan.And (a, b) ->
-      mk "and"
-        [ pred_node (id + 1) a; pred_node (id + 1 + Plan.size_pred a) b ]
-    | Plan.Or (a, b) ->
-      mk "or"
-        [ pred_node (id + 1) a; pred_node (id + 1 + Plan.size_pred a) b ]
-    | Plan.Not a -> mk "not" [ pred_node (id + 1) a ]
+    | Plan.Exists p -> mk "exists" [ plan_node p ]
+    | Plan.Eq (p, v) -> mk "eq" ~arg:(value v) [ plan_node p ]
+    | Plan.And (a, b) -> mk "and" [ pred_node a; pred_node b ]
+    | Plan.Or (a, b) -> mk "or" [ pred_node a; pred_node b ]
+    | Plan.Not a -> mk "not" [ pred_node a ]
   in
-  plan_node 0 (Compile.plan compiled)
+  plan_node (Compile.plan compiled)
 
 let label n =
   match n.arg with Some a -> n.op ^ "(" ^ a ^ ")" | None -> n.op

@@ -1,14 +1,59 @@
 (* Physical-plan operator tree for the fragment.  One constructor per
    physical operator, not per AST form: descendant steps only exist in
    the label-headed shape the executor can answer with a binary-search
-   interval join, and [$var] references are compiled to slots into the
-   plan's variable table. *)
+   interval join, labels are slots into the plan's label table
+   (resolved to tag codes once per run), and [$var] references are
+   slots into its variable table.
+
+   Every operator carries its preorder number, fixed by the compiler:
+   an operator's first child is [id + 1], and predicate subtrees are
+   numbered inline.  It is the operator's slot in the executor's work
+   counters and in explain's tree. *)
 
 type value =
   | Const of string
   | Slot of int  (* index into {!Compile.vars} *)
 
-type pred =
+type t = {
+  id : int;
+  op : op;
+  next : next;  (* where a probe sends what this operator finds *)
+}
+
+and op =
+  | Nothing  (* the empty query #empty *)
+  | Self  (* ε *)
+  | Child of int  (* child step l: a slot into {!Compile.labels} *)
+  | Child_any  (* child step * *)
+  | Attr of string  (* attribute step @a: string values, no nodes *)
+  | Seq of t * t  (* p1/p2 *)
+  | Desc of int * t  (* //l, l a label slot, then continuation: interval join *)
+  | Branch of t * t  (* p1 ∪ p2: sorted merge *)
+  | Filter of t * pred  (* p[q]: per-node probe with short-circuit *)
+
+(* A qualifier's path runs as a probe: node at a time from one context,
+   each operator handing what it finds to its continuation and stopping
+   at the first success.  The compiler fixes every continuation when it
+   lowers the qualifier, so a probe builds none.  A set-at-a-time
+   operator's finds are its result: it carries [Accept], unread. *)
+and next =
+  | Accept  (* [Exists] holds *)
+  | Equal of value
+      (* [Eq] holds if the node's string value, or the attribute value,
+         equals the value *)
+  | Into of t
+      (* a [Seq] head: probe [t] from the node; an attribute value
+         goes no further *)
+  | Check of pred * next
+      (* a [Filter] base: the node goes on if it passes the predicate;
+         an attribute value goes on unchecked *)
+
+and pred = {
+  pid : int;
+  test : test;
+}
+
+and test =
   | True
   | False
   | Exists of t
@@ -16,27 +61,3 @@ type pred =
   | And of pred * pred
   | Or of pred * pred
   | Not of pred
-
-and t =
-  | Nothing  (* the empty query #empty *)
-  | Self  (* ε *)
-  | Child of string  (* child step l *)
-  | Child_any  (* child step * *)
-  | Attr of string  (* attribute step @a: string values, no nodes *)
-  | Seq of t * t  (* p1/p2 *)
-  | Desc of string * t  (* //l then continuation: interval join *)
-  | Branch of t * t  (* p1 ∪ p2: sorted merge *)
-  | Filter of t * pred  (* p[q]: per-node probe with short-circuit *)
-
-let rec size = function
-  | Nothing | Self | Child _ | Child_any | Attr _ -> 1
-  | Seq (a, b) | Branch (a, b) -> 1 + size a + size b
-  | Desc (_, k) -> 1 + size k
-  | Filter (p, q) -> 1 + size p + size_pred q
-
-and size_pred = function
-  | True | False -> 1
-  | Exists p -> 1 + size p
-  | Eq (p, _) -> 1 + size p
-  | And (a, b) | Or (a, b) -> 1 + size_pred a + size_pred b
-  | Not a -> 1 + size_pred a

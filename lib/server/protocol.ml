@@ -89,86 +89,79 @@ let field name obj = J.member name obj
 
 let string_field name obj = Option.bind (field name obj) J.to_string_opt
 
-(* Best-effort client rid recovery for error replies: even a request
-   that fails to parse as a command can still be correlated, as long
-   as the line was a JSON object with a string ["rid"]. *)
-let rid_of_line line =
-  match J.of_string line with
-  | Ok (J.Obj _ as obj) -> string_field "rid" obj
-  | _ -> None
+(* One command object's request. *)
+let command obj =
+  match string_field "cmd" obj with
+  | None -> Error "missing string field \"cmd\""
+  | Some "hello" -> (
+    match string_field "group" obj with
+    | Some group -> Ok (Hello { group; peer = string_field "peer" obj })
+    | None -> Error "hello: missing string field \"group\"")
+  | Some (("query" | "explain" | "analyze" | "update") as cmd) -> (
+    (* the update text rides in its own field, so a query named
+       "update" stays expressible and logs read unambiguously *)
+    let text_field = if cmd = "update" then "update" else "query" in
+    match string_field text_field obj with
+    | None ->
+      Error (Printf.sprintf "%s: missing string field %S" cmd text_field)
+    | Some text -> (
+      let bind =
+        match field "bind" obj with
+        | None -> Ok []
+        | Some (J.Obj fields) ->
+          List.fold_left
+            (fun acc (k, v) ->
+              match (acc, J.to_string_opt v) with
+              | Error _, _ -> acc
+              | Ok bs, Some s -> Ok ((k, s) :: bs)
+              | Ok _, None ->
+                Error (Printf.sprintf "%s: binding %S must be a string" cmd k))
+            (Ok []) fields
+        | Some _ -> Error (cmd ^ ": \"bind\" must be an object of strings")
+      in
+      match bind with
+      | Error e -> Error e
+      | Ok bind ->
+        let doc = string_field "doc" obj in
+        let q = { doc; text; bind = List.rev bind } in
+        Ok
+          (match cmd with
+          | "explain" -> Explain q
+          | "analyze" -> Analyze q
+          | "update" -> Update q
+          | _ -> Query q)))
+  | Some "stats" -> Ok Stats
+  | Some "metrics" -> Ok Metrics
+  | Some "flight" -> Ok Flight
+  | Some "ping" -> Ok Ping
+  | Some "shutdown" -> Ok Shutdown
+  | Some "sleep" -> (
+    match Option.bind (field "ms" obj) J.to_float_opt with
+    | Some ms when ms >= 0. -> Ok (Sleep (ms /. 1000.))
+    | Some _ -> Error "sleep: \"ms\" must be non-negative"
+    | None -> Error "sleep: missing numeric field \"ms\"")
+  | Some cmd -> Error (Printf.sprintf "unknown command %S" cmd)
 
+(* A refusal still carries the client's rid whenever the line was a
+   JSON object with a string ["rid"], so its error reply stays
+   correlatable; the line is decoded once either way. *)
 let request_of_line line =
-  let with_rid obj r = Result.map (fun req -> (req, r)) obj in
   match J.of_string line with
-  | Error e -> Error ("invalid JSON: " ^ e)
-  | Ok (J.Obj _ as obj) when
-      (match field "v" obj with None | Some (J.Int 1) -> false | Some _ -> true)
-    ->
-    Error
-      (Printf.sprintf "unsupported protocol version (this server speaks \"v\":%d)"
-         version)
-  | Ok (J.Obj _ as obj) when
-      (match field "rid" obj with
-      | None | Some (J.String _) -> false
-      | Some _ -> true) -> Error "\"rid\" must be a string"
+  | Error e -> Error ("invalid JSON: " ^ e, None)
   | Ok (J.Obj _ as obj) -> (
     let rid = string_field "rid" obj in
-    with_rid
-      (match string_field "cmd" obj with
-    | None -> Error "missing string field \"cmd\""
-    | Some "hello" -> (
-      match string_field "group" obj with
-      | Some group -> Ok (Hello { group; peer = string_field "peer" obj })
-      | None -> Error "hello: missing string field \"group\"")
-    | Some ("query" | "explain" | "analyze" | "update") -> (
-      let cmd = Option.get (string_field "cmd" obj) in
-      (* the update text rides in its own field, so a query named
-         "update" stays expressible and logs read unambiguously *)
-      let text_field = if cmd = "update" then "update" else "query" in
-      match string_field text_field obj with
-      | None ->
-        Error (Printf.sprintf "%s: missing string field %S" cmd text_field)
-      | Some text -> (
-        let bind =
-          match field "bind" obj with
-          | None -> Ok []
-          | Some (J.Obj fields) ->
-            List.fold_left
-              (fun acc (k, v) ->
-                match (acc, J.to_string_opt v) with
-                | Error _, _ -> acc
-                | Ok bs, Some s -> Ok ((k, s) :: bs)
-                | Ok _, None ->
-                  Error
-                    (Printf.sprintf "%s: binding %S must be a string" cmd k))
-              (Ok []) fields
-          | Some _ ->
-            Error (cmd ^ ": \"bind\" must be an object of strings")
-        in
-        match bind with
-        | Error e -> Error e
-        | Ok bind ->
-          let doc = string_field "doc" obj in
-          let q = { doc; text; bind = List.rev bind } in
-          Ok
-            (match cmd with
-            | "explain" -> Explain q
-            | "analyze" -> Analyze q
-            | "update" -> Update q
-            | _ -> Query q)))
-    | Some "stats" -> Ok Stats
-    | Some "metrics" -> Ok Metrics
-    | Some "flight" -> Ok Flight
-    | Some "ping" -> Ok Ping
-    | Some "shutdown" -> Ok Shutdown
-    | Some "sleep" -> (
-      match Option.bind (field "ms" obj) J.to_float_opt with
-      | Some ms when ms >= 0. -> Ok (Sleep (ms /. 1000.))
-      | Some _ -> Error "sleep: \"ms\" must be non-negative"
-      | None -> Error "sleep: missing numeric field \"ms\"")
-    | Some cmd -> Error (Printf.sprintf "unknown command %S" cmd))
-      rid)
-  | Ok _ -> Error "request must be a JSON object"
+    let refuse msg = Error (msg, rid) in
+    match field "v" obj with
+    | Some (J.Int 1) | None -> (
+      match field "rid" obj with
+      | Some (J.String _) | None -> (
+        match command obj with Ok req -> Ok (req, rid) | Error msg -> refuse msg)
+      | Some _ -> refuse "\"rid\" must be a string")
+    | Some _ ->
+      refuse
+        (Printf.sprintf
+           "unsupported protocol version (this server speaks \"v\":%d)" version))
+  | Ok _ -> Error ("request must be a JSON object", None)
 
 let client_rid = function
   | Some r -> [ ("rid", J.String r) ]

@@ -65,15 +65,13 @@ type request =
   | Shutdown
   | Sleep of float  (** seconds; only honoured by [--debug] servers *)
 
-val request_of_line : string -> (request * string option, string) result
+val request_of_line :
+  string -> (request * string option, string * string option) result
 (** Decode one line; the second component is the client-supplied
-    ["rid"], if any.  The error string is human-readable and becomes
-    the [bad_request] reply's message. *)
-
-val rid_of_line : string -> string option
-(** Best-effort ["rid"] recovery from a line that failed to decode as
-    a command — error replies stay correlatable when the request was
-    at least a JSON object. *)
+    ["rid"], if any.  A refusal carries a human-readable message, which
+    becomes the [bad_request] reply's, and the client's ["rid"] when
+    the line was at least a JSON object with a string ["rid"], so the
+    error reply stays correlatable without decoding the line again. *)
 
 (** {1 Error codes} *)
 

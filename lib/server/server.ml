@@ -732,15 +732,11 @@ let submit t sess link ~rid work =
 
 let handle_line t sess link line =
   match Protocol.request_of_line line with
-  | Error msg ->
+  | Error (msg, crid) ->
     (* even a request that failed to parse gets a correlatable reply:
        the client's rid when recoverable, a server-generated one
        otherwise *)
-    let rid =
-      match Protocol.rid_of_line line with
-      | Some r -> r
-      | None -> next_rid sess
-    in
+    let rid = match crid with Some r -> r | None -> next_rid sess in
     count t "server.rejected.bad_request";
     send link (Protocol.error_of ~rid (Secview.Error.Bad_request msg))
   | Ok (req, crid) -> (

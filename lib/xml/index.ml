@@ -1,8 +1,21 @@
+type tag = {
+  code : int;
+  ids : int array;
+}
+
 type t = {
   nodes : Tree.t array;  (* by identifier *)
   extents : int array;
-  tagged : (string, int array) Hashtbl.t;  (* each tag's element ids *)
+  codes : int array;  (* tag code by identifier, [text_code] on text *)
+  tagged : (string, tag) Hashtbl.t;
+      (* every tag the document has had, with the identifiers of its
+         elements; codes are numbered from 0 in order of first sight *)
 }
+
+let text_code = -1
+
+(* a tag no element has ever carried: its code is on no node *)
+let absent = { code = -2; ids = [||] }
 
 let build root =
   if root.Tree.id <> 0 then
@@ -10,24 +23,26 @@ let build root =
   let n = Tree.size root in
   let nodes = Array.make n root in
   let extents = Array.make n 0 in
-  let tag_lists : (string, int list ref) Hashtbl.t = Hashtbl.create 32 in
+  let codes = Array.make n text_code in
+  let tag_lists : (string, int * int list ref) Hashtbl.t = Hashtbl.create 32 in
   (* returns the last identifier of the subtree *)
   let rec fill (node : Tree.t) =
     if node.Tree.id >= n then
       invalid_arg "Index.build: identifiers are not dense preorder";
     nodes.(node.Tree.id) <- node;
-    (match Tree.tag node with
-    | Some tag ->
-      let cell =
-        match Hashtbl.find_opt tag_lists tag with
-        | Some cell -> cell
+    (match node.Tree.desc with
+    | Tree.Element e ->
+      let code, cell =
+        match Hashtbl.find_opt tag_lists e.Tree.tag with
+        | Some entry -> entry
         | None ->
-          let cell = ref [] in
-          Hashtbl.add tag_lists tag cell;
-          cell
+          let entry = (Hashtbl.length tag_lists, ref []) in
+          Hashtbl.add tag_lists e.Tree.tag entry;
+          entry
       in
+      codes.(node.Tree.id) <- code;
       cell := node.Tree.id :: !cell
-    | None -> ());
+    | Tree.Text _ -> ());
     let last =
       List.fold_left (fun _ child -> fill child) node.Tree.id
         (Tree.children node)
@@ -40,24 +55,33 @@ let build root =
     invalid_arg "Index.build: identifiers are not dense preorder";
   let tagged = Hashtbl.create (Hashtbl.length tag_lists) in
   Hashtbl.iter
-    (fun tag cell -> Hashtbl.replace tagged tag (Array.of_list (List.rev !cell)))
+    (fun tag (code, cell) ->
+      Hashtbl.replace tagged tag { code; ids = Array.of_list (List.rev !cell) })
     tag_lists;
-  { nodes; extents; tagged }
+  { nodes; extents; codes; tagged }
 
 let size idx = Array.length idx.nodes
 
 let extent idx id = idx.extents.(id)
 
+let extents idx = idx.extents
+
+let codes idx = idx.codes
+
 let node idx id = idx.nodes.(id)
 
-let tag_ids idx tag =
-  Option.value (Hashtbl.find_opt idx.tagged tag) ~default:[||]
+let tag idx name =
+  match Hashtbl.find_opt idx.tagged name with Some t -> t | None -> absent
 
-let by_tag idx tag = Array.map (node idx) (tag_ids idx tag)
+let tag_ids idx name = (tag idx name).ids
+
+let by_tag idx name = Array.map (node idx) (tag_ids idx name)
 
 let tags idx =
   List.sort String.compare
-    (Hashtbl.fold (fun tag _ acc -> tag :: acc) idx.tagged [])
+    (Hashtbl.fold
+       (fun name t acc -> if Array.length t.ids = 0 then acc else name :: acc)
+       idx.tagged [])
 
 (* first index in the ascending [ids] whose value is >= [target] *)
 let ids_lower_bound (ids : int array) target =
@@ -230,29 +254,53 @@ let edit idx op targets =
   runs := (!run_old, !run_new, !run_len) :: !runs;
   (* The new node array is a copy of the pinned one with the built
      nodes written in; a shared subtree's entries are already right.
-     The extents are copied only if the size or one of them changes. *)
+     The extents and the codes are copied only if the size or one of
+     them changes: a bill replaced by a bill keeps both columns.  A
+     tag new to the document takes the next code in a copy of the
+     tag table. *)
   let size' = !next in
+  let tagged = Hashtbl.copy idx.tagged in
+  let code_of name =
+    match Hashtbl.find_opt tagged name with
+    | Some t -> t.code
+    | None ->
+      let code = Hashtbl.length tagged in
+      Hashtbl.add tagged name { code; ids = [||] };
+      code
+  in
+  let code_at (x : Tree.t) =
+    match x.desc with
+    | Tree.Element e -> code_of e.Tree.tag
+    | Tree.Text _ -> text_code
+  in
+  let unchanged column value =
+    size' = n
+    && List.for_all
+         (fun ((x : Tree.t), last) -> column.(x.id) = value x last)
+         !built
+  in
   let nodes = resize idx.nodes size' idx.nodes.(0) in
   let extents =
-    if
-      size' = n
-      && List.for_all
-           (fun ((x : Tree.t), last) -> idx.extents.(x.id) = last)
-           !built
-    then idx.extents
+    if unchanged idx.extents (fun _ last -> last) then idx.extents
     else resize idx.extents size' 0
+  in
+  let codes =
+    if unchanged idx.codes (fun x _ -> code_at x) then idx.codes
+    else resize idx.codes size' text_code
   in
   List.iter
     (fun ((x : Tree.t), last) ->
       nodes.(x.id) <- x;
-      if extents != idx.extents then extents.(x.id) <- last)
+      if extents != idx.extents then extents.(x.id) <- last;
+      if codes != idx.codes then codes.(x.id) <- code_at x)
     !built;
   (* A tag's identifiers change only if an element of it was built or
      removed, and then only if one was removed or moved: a survivor
      rebuilt in place keeps its identifier.  Its pinned identifiers
      that survive are the shared nodes' — exactly those whose slot in
      [nodes] still holds the pinned node — and they merge with the
-     built ones in identifier order. *)
+     built ones in identifier order.  A tag keeps its code when its
+     last element goes. *)
   let fresh : (string, int list) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun id ->
@@ -270,7 +318,6 @@ let edit idx op targets =
         | Some _ | None -> ()
       done)
     !removed;
-  let tagged = Hashtbl.copy idx.tagged in
   Hashtbl.iter
     (fun tag fresh ->
       let old = tag_ids idx tag in
@@ -300,17 +347,16 @@ let edit idx op targets =
           same := !same && !count < len && old.(!count) = id;
           incr count);
       let count = !count in
-      if count = 0 then Hashtbl.remove tagged tag
-      else if not (!same && count = len) then begin
+      if not (!same && count = len) then begin
         let ids = Array.make count 0 and i = ref 0 in
         merged (fun id ->
             ids.(!i) <- id;
             incr i);
-        Hashtbl.replace tagged tag ids
+        Hashtbl.replace tagged tag { code = code_of tag; ids }
       end)
     touched;
   {
-    index = { nodes; extents; tagged };
+    index = { nodes; extents; codes; tagged };
     copies = !copies;
     parents = List.sort Int.compare !parents;
     runs = List.rev !runs;

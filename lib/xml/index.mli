@@ -2,11 +2,15 @@
 
     Because node identifiers are dense preorder positions, a subtree is
     the contiguous identifier interval [[id, extent id]].  The index
-    materializes these extents, the node of each identifier and a
-    tag → identifiers map, which gives the
-    evaluator a fast path for descendant steps ([//l] = the l-tagged
-    nodes whose identifier falls strictly inside a context extent,
-    found by binary search instead of a subtree scan).
+    keeps columns by identifier — the node, its extent and its tag
+    code — and a tag → (code, identifiers) table.  Two kinds of walk
+    need no node at all:
+    - a node's children are an identifier range: the first is [id + 1],
+      the one after child [k] is [extent k + 1], while the identifier is
+      [<= extent id]; a child step tests each against the code column;
+    - a descendant step [//l] is the l-tagged identifiers that fall
+      strictly inside a context extent, found by binary search instead
+      of a subtree scan.
 
     An index is only meaningful for the document it was built from;
     querying nodes of another document through it is unchecked and
@@ -32,6 +36,19 @@ val extent : t -> int -> int
 (** [extent idx id]: identifier of the last node in the subtree rooted
     at [id] (the subtree is [id..extent idx id], inclusive). *)
 
+val extents : t -> int array
+(** The extent column: [extents idx] at [id] is [extent idx id].  The
+    array is owned by the index: do not mutate it. *)
+
+val codes : t -> int array
+(** The tag-code column, by identifier: an element carries its tag's
+    [code] (see {!tag}), [>= 0]; a text node carries a negative code.
+    Codes are numbered per index lineage — {!build} numbers them in
+    order of first sight, and {!edit} keeps every code and gives a tag
+    new to the document the next one — so two indexes of one document
+    may number its tags differently.  The array is owned by the index:
+    do not mutate it. *)
+
 val node : t -> int -> Tree.t
 (** Node by identifier. *)
 
@@ -40,6 +57,16 @@ val by_tag : t -> string -> Tree.t array
     empty): a fresh array, read from {!tag_ids} and the node array.
     The index keeps identifiers only, so an edit that moves no
     identifier of a tag leaves that tag's entry as it was. *)
+
+type tag = private {
+  code : int;  (** what the tag's elements carry in {!codes} *)
+  ids : int array;  (** its elements' identifiers, as {!tag_ids} *)
+}
+
+val tag : t -> string -> tag
+(** A tag's code and identifiers, in one lookup: what plan executors
+    resolve each label to once per run.  A tag no element carries has
+    a code no node carries and no identifiers. *)
 
 val tag_ids : t -> string -> int array
 (** Identifiers of all elements with the given tag, strictly
@@ -92,7 +119,10 @@ val edit : t -> op -> int list -> edited
     changes the document's size before some node, the nodes from there
     on whose identifiers move.  The new index is derived, not built:
     its node array is a copy of [idx]'s with the built nodes written
-    in, and every other array the edit leaves unchanged is [idx]'s own.
+    in.  The extent and code columns are [idx]'s own when every built
+    node keeps its identifier's extent and code (a bill replaced by a
+    bill), and otherwise copies patched at the built nodes only; every
+    other array the edit leaves unchanged is [idx]'s own.
     @raise Invalid_argument if the targets are not ascending
     identifiers of the document, if [Insert (Into, _)] targets a text
     node, or if any other op targets the root. *)

@@ -5,9 +5,31 @@ exception Error of error
 let error_to_string { position; message } =
   Printf.sprintf "XPath parse error at offset %d: %s" position message
 
-type state = { input : string; mutable pos : int }
+type state = {
+  input : string;
+  mutable pos : int;
+  mutable depth : int;  (* brackets open around [pos] *)
+  atoms : (int, (Ast.qual * int, error) result) Hashtbl.t;
+      (* a parenthesized qualifier atom's reading, by the offset of its
+         '(': both readings of an enclosing atom reach it, and without
+         the table each would parse it again, doubling the work per
+         level *)
+}
 
 let fail st message = raise (Error { position = st.pos; message })
+
+let max_depth = 512
+
+(* [f ()] inside the bracket at [st.pos]: past [max_depth] open
+   brackets the parse stops there, before its recursion can grow with
+   the input. *)
+let nested st f =
+  if st.depth = max_depth then
+    fail st (Printf.sprintf "nesting deeper than %d" max_depth);
+  st.depth <- st.depth + 1;
+  let r = f () in
+  st.depth <- st.depth - 1;
+  r
 
 let eof st = st.pos >= String.length st.input
 let peek st = if eof st then '\000' else st.input.[st.pos]
@@ -125,11 +147,15 @@ and parse_step st =
   let rec quals acc =
     skip_space st;
     if peek st = '[' then begin
-      advance st;
-      let q = parse_qual st in
-      skip_space st;
-      if peek st <> ']' then fail st "expected ']'";
-      advance st;
+      let q =
+        nested st (fun () ->
+            advance st;
+            let q = parse_qual st in
+            skip_space st;
+            if peek st <> ']' then fail st "expected ']'";
+            advance st;
+            q)
+      in
       quals (Ast.Qualify (acc, q))
     end
     else acc
@@ -153,12 +179,13 @@ and parse_primary st =
     if eat_word st "empty" then Ast.Empty
     else fail st "expected #empty"
   | '(' ->
-    advance st;
-    let p = parse_path st in
-    skip_space st;
-    if peek st <> ')' then fail st "expected ')'";
-    advance st;
-    p
+    nested st (fun () ->
+        advance st;
+        let p = parse_path st in
+        skip_space st;
+        if peek st <> ')' then fail st "expected ')'";
+        advance st;
+        p)
   | c when is_name_start c -> Ast.Label (parse_name st)
   | _ when eof st -> fail st "unexpected end of input"
   | c -> fail st (Printf.sprintf "unexpected character %C in path" c)
@@ -185,12 +212,13 @@ and parse_qual_atom st =
   if eat_word st "not" then begin
     skip_space st;
     if peek st <> '(' then fail st "expected '(' after not";
-    advance st;
-    let q = parse_qual st in
-    skip_space st;
-    if peek st <> ')' then fail st "expected ')'";
-    advance st;
-    Ast.Not q
+    nested st (fun () ->
+        advance st;
+        let q = parse_qual st in
+        skip_space st;
+        if peek st <> ')' then fail st "expected ')'";
+        advance st;
+        Ast.Not q)
   end
   else if eat_word st "true" then begin
     parse_unit_args st;
@@ -201,25 +229,43 @@ and parse_qual_atom st =
     Ast.False
   end
   else if peek st = '(' then begin
-    (* Could be a parenthesized qualifier or a parenthesized path used
-       as an existence test; try the qualifier reading first and fall
-       back to a path atom (e.g. "(b | c)" or "(b | c)/d = 1"). *)
     let saved = st.pos in
-    let attempt () =
-      advance st;
-      let q = parse_qual st in
-      skip_space st;
-      if peek st <> ')' then fail st "expected ')'";
-      advance st;
+    match Hashtbl.find_opt st.atoms saved with
+    | Some (Ok (q, stop)) ->
+      st.pos <- stop;
       q
-    in
-    match attempt () with
-    | q -> parse_qual_suffix st saved q
-    | exception Error _ ->
-      st.pos <- saved;
-      parse_path_atom st
+    | Some (Error e) -> raise (Error e)
+    | None ->
+      let reading =
+        match parenthesized st with
+        | q -> Ok (q, st.pos)
+        | exception Error e -> Error e
+      in
+      Hashtbl.replace st.atoms saved reading;
+      (match reading with Ok (q, _) -> q | Error e -> raise (Error e))
   end
   else parse_path_atom st
+
+and parenthesized st =
+  (* Could be a parenthesized qualifier or a parenthesized path used
+     as an existence test; try the qualifier reading first and fall
+     back to a path atom (e.g. "(b | c)" or "(b | c)/d = 1"). *)
+  let saved = st.pos and depth = st.depth in
+  let attempt () =
+    nested st (fun () ->
+        advance st;
+        let q = parse_qual st in
+        skip_space st;
+        if peek st <> ')' then fail st "expected ')'";
+        advance st;
+        q)
+  in
+  match attempt () with
+  | q -> parse_qual_suffix st saved q
+  | exception Error _ ->
+    st.pos <- saved;
+    st.depth <- depth;
+    parse_path_atom st
 
 and parse_qual_suffix st saved q =
   (* A parenthesized path may continue: "(a | b)/c = 1".  If what
@@ -274,8 +320,10 @@ and parse_unit_args st =
     advance st
   end
 
+let start input = { input; pos = 0; depth = 0; atoms = Hashtbl.create 8 }
+
 let of_string input =
-  let st = { input; pos = 0 } in
+  let st = start input in
   let p = parse_path st in
   skip_space st;
   if not (eof st) then fail st "trailing input after query";
@@ -287,7 +335,7 @@ let of_string_result input =
   | exception Error e -> Error e
 
 let qual_of_string input =
-  let st = { input; pos = 0 } in
+  let st = start input in
   let q = parse_qual st in
   skip_space st;
   if not (eof st) then fail st "trailing input after qualifier";

@@ -198,35 +198,176 @@ let fuzz_doc_cases =
     ("xmark", fun () -> Workload.Xmark.document ~seed:5 ~scale:4 ());
   ]
 
+let fuzz_env name =
+  match name with "x" -> Some "b1" | "y" -> Some "25000" | _ -> None
+
+(* [count] random queries over [doc], planned over [index] and
+   interpreted over [doc]: the answers must be byte-identical *)
+let fuzz_queries st what doc index count =
+  let tags, attrs = vocabulary doc in
+  let compiled = ref 0 and refused = ref 0 in
+  for _ = 1 to count do
+    let p = gen_path st ~tags ~attrs 3 in
+    match Splan.Compile.compile p with
+    | Error _ -> incr refused
+    | Ok c ->
+      incr compiled;
+      let got = render (Splan.Exec.run c ~index ~env:fuzz_env doc) in
+      let want = render (interp ~env:fuzz_env p doc) in
+      if not (String.equal got want) then
+        Alcotest.failf "%s: engines disagree on %s" what
+          (Sxpath.Print.to_string p)
+  done;
+  (* the generator must actually exercise the plan path *)
+  Alcotest.(check bool)
+    (what ^ ": most generated queries compile")
+    true
+    (!compiled > 3 * !refused)
+
 let test_fuzz () =
-  let env name =
-    match name with "x" -> Some "b1" | "y" -> Some "25000" | _ -> None
-  in
   let st = Random.State.make [| 0x5ec71e4 |] in
   List.iter
     (fun (dname, make_doc) ->
       let doc = make_doc () in
-      let index = Sxml.Index.build doc in
-      let tags, attrs = vocabulary doc in
-      let compiled = ref 0 and refused = ref 0 in
-      for _ = 1 to 400 do
-        let p = gen_path st ~tags ~attrs 3 in
-        match Splan.Compile.compile p with
-        | Error _ -> incr refused
-        | Ok c ->
-          incr compiled;
-          let got = render (Splan.Exec.run c ~index ~env doc) in
-          let want = render (interp ~env p doc) in
-          if not (String.equal got want) then
-            Alcotest.failf "%s: engines disagree on %s" dname
-              (Sxpath.Print.to_string p)
-      done;
-      (* the generator must actually exercise the plan path *)
-      Alcotest.(check bool)
-        (dname ^ ": most generated queries compile")
-        true
-        (!compiled > 3 * !refused) )
+      fuzz_queries st dname doc (Sxml.Index.build doc) 400)
     fuzz_doc_cases
+
+(* Edit content: a tag of the document, and [fresh], a tag the
+   document lacks until an edit brings it in. *)
+let gen_content st tags =
+  let open Sxml.Tree in
+  let tag = pick st tags in
+  match Random.State.int st 3 with
+  | 0 -> elem tag [ text "b1" ]
+  | 1 -> elem "fresh" ~attrs:[ ("id", "1") ] [ elem tag [ text "25000" ] ]
+  | _ -> elem tag [ elem "fresh" []; text "b1" ]
+
+(* Plans over indexes derived by [Index.edit] rather than built: each
+   document goes through a chain of edits — an insert before random
+   nodes, which moves every later identifier and brings in [fresh], a
+   replace, a swap of leaf elements for same-sized ones that may carry
+   another tag (so the size holds and only the code column changes), a
+   delete, an insert into elements and one after nodes — and after
+   each, plans over the derived index must answer what the interpreter
+   answers over the edited tree. *)
+let test_fuzz_edited () =
+  let st = Random.State.make [| 0xed17 |] in
+  List.iter
+    (fun (dname, make_doc) ->
+      let doc = make_doc () in
+      let index = ref (Sxml.Index.build doc) in
+      List.iteri
+        (fun step kind ->
+          let idx = !index in
+          let doc = Sxml.Index.node idx 0 in
+          let tags, _ = vocabulary doc in
+          let content = gen_content st tags in
+          let op : Sxml.Index.op =
+            match kind with
+            | `Before -> Insert (Before, content)
+            | `Replace -> Replace content
+            | `Swap -> Replace (Sxml.Tree.elem (pick st tags) [ Sxml.Tree.text "b1" ])
+            | `Delete -> Delete
+            | `Into -> Insert (Into, content)
+            | `After -> Insert (After, content)
+          in
+          let fits id =
+            let node = Sxml.Index.node idx id in
+            match kind with
+            | `Into -> Sxml.Tree.is_element node
+            | `Swap ->
+              id > 0
+              && Sxml.Tree.is_element node
+              && Sxml.Index.extent idx id = id + 1
+              && Sxml.Tree.is_text (Sxml.Index.node idx (id + 1))
+            | `Before | `Replace | `Delete | `After -> id > 0
+          in
+          let size = Sxml.Index.size idx in
+          let targets =
+            match kind with
+            | `Swap ->
+              (* a quarter of the leaf elements *)
+              List.filter
+                (fun id -> fits id && Random.State.int st 4 = 0)
+                (List.init size Fun.id)
+            | _ ->
+              List.filter fits
+                (List.sort_uniq Int.compare
+                   (List.init 3 (fun _ -> Random.State.int st size)))
+          in
+          if targets <> [] then
+            index := (Sxml.Index.edit idx op targets).index;
+          let doc = Sxml.Index.node !index 0 in
+          fuzz_queries st
+            (Printf.sprintf "%s after edit %d" dname step)
+            doc !index 100)
+        [ `Before; `Replace; `Swap; `Delete; `Into; `After; `Swap; `Delete ])
+    fuzz_doc_cases
+
+(* A run allocates its answer list — three words a node — and a
+   constant beside it, however many nodes its child steps and probes
+   visit: no option per child, no closure per probed node, and
+   identifier sets kept in an arena the domain reuses. *)
+let test_allocation () =
+  let open Sxml.Tree in
+  let leaf tag v = elem tag [ text v ] in
+  let patient k ward kind =
+    elem "patient"
+      [
+        leaf "name" (Printf.sprintf "p%d" k);
+        leaf "wardNo" ward;
+        elem "treatment" [ kind ];
+      ]
+  in
+  let dept d =
+    let ward = string_of_int (d mod 10) in
+    elem "dept"
+      [
+        elem "clinicalTrial"
+          [
+            elem "patientInfo"
+              (List.init 10 (fun k ->
+                   patient k ward (elem "trial" [ leaf "bill" "1" ])));
+            leaf "test" "blood";
+          ];
+        elem "patientInfo"
+          (List.init 10 (fun k ->
+               patient k ward
+                 (elem "regular" [ leaf "bill" "2"; leaf "medication" "m" ])));
+        elem "staffInfo" [];
+      ]
+  in
+  let doc = of_spec (elem "hospital" (List.init 40 dept)) in
+  let index = Sxml.Index.build doc in
+  let env name = if name = "w" then Some "3" else None in
+  List.iter
+    (fun (q, answers) ->
+      let c =
+        match Splan.Compile.compile (parse q) with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "%s refused: %s" q e
+      in
+      let run () = Splan.Exec.run c ~index ~env doc in
+      Alcotest.(check int) (q ^ ": answers") answers (List.length (run ()));
+      let visits = ref 0 in
+      ignore (Splan.Exec.run ~visits c ~index ~env doc);
+      let runs = 20 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to runs do
+        ignore (Sys.opaque_identity (run ()))
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int runs in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%s: %.0f minor words a run for %d answers and %d visits" q words
+           answers !visits)
+        true
+        (words <= float_of_int ((3 * answers) + 128)))
+    [
+      ( "dept/(patientInfo | clinicalTrial/patientInfo)/patient/treatment/regular/medication",
+        400 );
+      ("dept[patientInfo/patient/wardNo = $w]/patientInfo/patient/name", 40);
+    ]
 
 (* --- through the pipeline ------------------------------------------- *)
 
@@ -323,6 +464,9 @@ let () =
             test_edge_cases;
           Alcotest.test_case "variables" `Quick test_variables;
           Alcotest.test_case "differential fuzz" `Quick test_fuzz;
+          Alcotest.test_case "differential fuzz over edited indexes" `Quick
+            test_fuzz_edited;
+          Alcotest.test_case "allocation" `Quick test_allocation;
         ] );
       ( "pipeline",
         [

@@ -108,13 +108,19 @@ let test_protocol_rid () =
   (match Protocol.request_of_line "{\"cmd\":\"ping\",\"rid\":\"p9\"}" with
   | Ok (Protocol.Ping, Some "p9") -> ()
   | _ -> Alcotest.fail "ping rid did not round trip");
-  (* ...and is recoverable even from a line that is not a command *)
+  (* ...and is recovered with the refusal of a line that is not a
+     command *)
+  let refused_rid line =
+    match Protocol.request_of_line line with
+    | Ok _ -> Alcotest.failf "accepted %S" line
+    | Error (_, rid) -> rid
+  in
   Alcotest.(check (option string))
-    "rid_of_line on a broken command" (Some "x1")
-    (Protocol.rid_of_line "{\"cmd\":\"frob\",\"rid\":\"x1\"}");
+    "request_of_line on a broken command" (Some "x1")
+    (refused_rid "{\"cmd\":\"frob\",\"rid\":\"x1\"}");
   Alcotest.(check (option string))
-    "rid_of_line on junk" None
-    (Protocol.rid_of_line "not json")
+    "request_of_line on junk" None
+    (refused_rid "not json")
 
 let test_protocol_rejects () =
   let bad =
@@ -1189,6 +1195,31 @@ let test_server_deep_line () =
     (match J.member "results" j with Some (J.List (_ :: _)) -> true | _ -> false);
   Conn.close c
 
+(* A query that nests past the parser's bound is a query_error, read
+   by the admission fast path and the worker in bounded time, and the
+   connection goes on answering. *)
+let test_server_deep_query () =
+  let doc = List.hd (adex_docs ()) in
+  with_server ~docs:[ ("d1", doc) ] () @@ fun _server path ->
+  let c = connect path in
+  Unix.setsockopt_float (Conn.fd c) Unix.SO_RCVTIMEO 10.;
+  Conn.send c (Protocol.hello ~peer:"tests" "all");
+  Alcotest.(check bool) "hello ok" true (Protocol.is_ok (recv c));
+  Conn.send c
+    (Protocol.query_json (String.concat "" (List.init 500_000 (fun _ -> "a["))));
+  let reply = recv c in
+  check_code "deep query refused" "query_error" reply;
+  Alcotest.(check (option string))
+    "the error names the bound"
+    (Some "parse error at 1025: nesting deeper than 512")
+    (Option.bind (J.member "error" reply) J.to_string_opt);
+  Conn.send c (Protocol.query_json "//ad-instance");
+  let j = recv c in
+  Alcotest.(check bool) "answered" true (Protocol.is_ok j);
+  Alcotest.(check bool) "with results" true
+    (match J.member "results" j with Some (J.List (_ :: _)) -> true | _ -> false);
+  Conn.close c
+
 let jsonl_of_string text =
   List.filter_map
     (fun l ->
@@ -1565,6 +1596,8 @@ let () =
             test_server_oversized_line;
           Alcotest.test_case "deeply nested line" `Quick
             test_server_deep_line;
+          Alcotest.test_case "deeply nested query" `Quick
+            test_server_deep_query;
           Alcotest.test_case "sink agreement" `Quick test_sink_agreement;
           Alcotest.test_case "one name per fact" `Quick
             test_server_one_name_per_fact;

@@ -1066,6 +1066,12 @@ let index_difference got want =
   let same_elems a b =
     Array.length a = Array.length b && Array.for_all2 ( == ) a b
   in
+  (* the code column, read back as tag names: a derived index may
+     number its tags differently from a built one *)
+  let named idx id =
+    let code = (I.codes idx).(id) in
+    List.find_opt (fun tag -> (I.tag idx tag).code = code) (I.tags idx)
+  in
   if I.size got <> n then Some (Printf.sprintf "size %d, built %d" (I.size got) n)
   else
     match first_id (fun id -> I.extent got id <> I.extent want id) 0 with
@@ -1073,17 +1079,21 @@ let index_difference got want =
     | None -> (
       match first_id (fun id -> I.node got id != I.node want id) 0 with
       | Some id -> Some (Printf.sprintf "node %d" id)
-      | None ->
-        if I.tags got <> I.tags want then Some "tag set"
-        else
-          List.find_map
-            (fun tag ->
-              if I.tag_ids got tag <> I.tag_ids want tag then
-                Some ("tag_ids " ^ tag)
-              else if not (same_elems (I.by_tag got tag) (I.by_tag want tag))
-              then Some ("by_tag " ^ tag)
-              else None)
-            (I.tags want))
+      | None -> (
+        match first_id (fun id -> named got id <> named want id) 0 with
+        | Some id -> Some (Printf.sprintf "code of node %d" id)
+        | None ->
+          if I.tags got <> I.tags want then Some "tag set"
+          else
+            List.find_map
+              (fun tag ->
+                if I.tag_ids got tag <> I.tag_ids want tag then
+                  Some ("tag_ids " ^ tag)
+                else if
+                  not (same_elems (I.by_tag got tag) (I.by_tag want tag))
+                then Some ("by_tag " ^ tag)
+                else None)
+              (I.tags want)))
 
 let dcase_agrees ~dtd c =
   let spec = Spec.make ~write:c.d_grants dtd c.d_anns in

@@ -124,6 +124,43 @@ let test_parse_end_of_input () =
   Alcotest.(check (pair int string)) "a NUL byte is still a character"
     (2, "unexpected character '\\000' in path") (error_of "a/\000")
 
+(* A query nesting brackets past 512 levels is refused where the 513th
+   opens, before the parser's recursion grows with the input: half a
+   million [a[] cost a bounded handful of words, not a stack as deep as
+   the line.  A bracket that opens a parenthesized qualifier atom is
+   read both as a qualifier and as a path; each atom is read once, so
+   the two readings of every enclosing level do not double the work. *)
+let test_parse_nesting_bound () =
+  let refused input =
+    let w0 = Gc.minor_words () in
+    let got = Sxpath.Parse.of_string_result input in
+    let words = Gc.minor_words () -. w0 in
+    match got with
+    | Ok _ -> Alcotest.failf "%d bytes parsed" (String.length input)
+    | Error e -> (e.Sxpath.Parse.position, e.Sxpath.Parse.message, words)
+  in
+  let position, message, words =
+    refused (String.concat "" (List.init 500_000 (fun _ -> "a[")))
+  in
+  Alcotest.(check (pair int string)) "a million brackets"
+    (1025, "nesting deeper than 512") (position, message);
+  Alcotest.(check bool)
+    (Printf.sprintf "refused in %.0f minor words" words)
+    true (words < 50_000.);
+  let position, message, _ = refused (String.make 600 '(') in
+  Alcotest.(check (pair int string)) "parentheses"
+    (512, "nesting deeper than 512") (position, message);
+  (* 512 levels still parse *)
+  let deep = String.concat "" (List.init 511 (fun _ -> "a[")) in
+  ignore (parse (deep ^ "b" ^ String.make 511 ']'));
+  let _, message, words =
+    refused ("a[" ^ String.concat "" (List.init 40 (fun _ -> "(b/c[")))
+  in
+  Alcotest.(check string) "ambiguous atoms" "unexpected end of input" message;
+  Alcotest.(check bool)
+    (Printf.sprintf "40 ambiguous atoms in %.0f minor words" words)
+    true (words < 50_000.)
+
 let test_print_examples () =
   let s p = Sxpath.Print.to_string p in
   Alcotest.(check string) "slash chain" "a/b/c"
@@ -547,6 +584,7 @@ let () =
             test_parse_union_in_qualifier;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "end of input" `Quick test_parse_end_of_input;
+          Alcotest.test_case "nesting bound" `Quick test_parse_nesting_bound;
         ] );
       ( "printer",
         [

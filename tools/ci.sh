@@ -360,6 +360,30 @@ if b'"code":"bad_request"' not in reply:
     sys.exit("hostile line: wanted bad_request, got %r" % reply[:200])
 s.close()
 PY
+# A query nesting 400,000 qualifiers (800 KB of "a[") is a query_error
+# within 5 s: the query parser stops at its nesting bound, on the
+# connection thread's admission check and in the worker alike.
+python3 - "$TMP/n.sock" <<'PY'
+import socket, sys, time
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.settimeout(5)
+t0 = time.monotonic()
+s.sendall(b'{"cmd":"hello","group":"user"}\n'
+          b'{"cmd":"query","query":"' + b"a[" * 400000 + b'"}\n')
+reply = b""
+while reply.count(b"\n") < 2:
+    chunk = s.recv(4096)
+    if not chunk:
+        sys.exit("hostile query: the server hung up without replying")
+    reply += chunk
+if time.monotonic() - t0 > 5:
+    sys.exit("hostile query: the reply took over 5 s")
+last = reply.split(b"\n")[1]
+if b'"code":"query_error"' not in last or b"nesting deeper than 512" not in last:
+    sys.exit("hostile query: wanted a query_error at the bound, got %r" % last[:200])
+s.close()
+PY
 secview client --socket "$TMP/n.sock" --group user --bind wardNo="$WARD" \
   '//patient/name' > "$TMP/n.served.out"
 secview query --dtd "$POL/hospital.dtd" --spec "$POL/nurse.spec" \
@@ -369,7 +393,7 @@ nonempty "$TMP/n.direct.out"
 cmp "$TMP/n.served.out" "$TMP/n.direct.out"
 secview client --socket "$TMP/n.sock" --shutdown
 wait $NSRV
-echo "-- bad_request for a million brackets, then a correct answer; drained with exit 0"
+echo "-- bad_request for a million brackets, query_error for 800 KB of 'a[', then a correct answer; drained with exit 0"
 
 # Served writes: a chain of admitted updates (insert, replace, delete)
 # through a 2-domain server, then one write DTD conformance must refuse
@@ -518,6 +542,31 @@ _build/default/bench/main.exe \
   --forms --approx --xmark --index --table1 --quick > "$TMP/paper.txt"
 if grep '^!! approaches disagree' "$TMP/paper.txt" >&2; then exit 1; fi
 echo "-- bench/main.exe: forms, approx, xmark, index, table1 ran"
+
+# The benchmark's oracle: perfbench's program checks every served
+# answer and write receipt (read, mixed) and every Table 1 cell
+# (table1) it times against the in-process pipeline, so one second of
+# each workload, untraced and traced, must end in a result line that
+# reads "correct": true and "failed": 0.  It runs the dev build above;
+# perfbench/run.py would rebuild the tree in the release profile.  The
+# served workloads put their sockets under .secbench/.
+echo "== benchmark oracle smoke"
+mkdir -p .secbench
+for workload in read mixed table1; do
+  for trace in 0 1; do
+    _build/default/perfbench/secbench.exe --workload "$workload" --seed 1 \
+      --seconds 1 --trace "$trace" > "$TMP/secbench.out"
+    result=$(tail -n 1 "$TMP/secbench.out")
+    case $result in
+      *'"correct": true'*'"failed": 0,'*) ;;
+      *)
+        echo "benchmark oracle: $workload --trace $trace: $result" >&2
+        exit 1
+        ;;
+    esac
+  done
+done
+echo "-- secbench: read, mixed and table1 correct with 0 failures, traced and untraced"
 
 # The regression gate itself is gated: its self-test, then a diff of a
 # report against itself (which must never regress).
